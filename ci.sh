@@ -16,6 +16,12 @@ cargo build --workspace --release
 echo "== tests =="
 cargo test --workspace -q
 
+echo "== benchmark self-test =="
+# `perfbench/` is a package of its own (outside the workspace): its tiny-size
+# self-test runs every workload once, checks each prints every BENCHMARK.json
+# metric, and that a wrong pin or bad arguments fail.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy unwrap/expect gate (library paths) =="
 cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate --lib -- \
     -D clippy::unwrap_used -D clippy::expect_used

@@ -81,7 +81,7 @@ fn value_transfer(env: &VaEnv, inst: &Inst, romem: &Romem) -> VaEnv {
         }
         Inst::Load(chunk, base, disp, dst, _) => {
             let v = match env.get(*base) {
-                VaVal::Global(s, d) => match romem.load(*chunk, s, d + disp) {
+                VaVal::Global(s, d) => match romem.load(*chunk, s, d.wrapping_add(*disp)) {
                     Some(v) => VaVal::of_const(&v),
                     None => VaVal::Top,
                 },
@@ -132,25 +132,32 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
         let n = order[i];
         let Some(inst) = f.code.get(&n) else { continue };
         let Some(before) = state[i].as_ref() else { continue };
-        let after = value_transfer(before, inst, romem);
-        for s in inst.successors() {
+        let mut after = value_transfer(before, inst, romem);
+        let succs = inst.successors();
+        let last = succs.len().saturating_sub(1);
+        for (k, s) in succs.into_iter().enumerate() {
             let Some(&si) = idx.get(&s) else { continue };
             let changed = match state[si].as_mut() {
+                // Join straight into the successor; only a join that may
+                // widen needs the old state kept aside.
                 Some(cur) => {
-                    let mut joined = cur.clone();
-                    if joined.join_in_place(&after) {
+                    let old = (grows[si] >= WIDEN_AFTER).then(|| cur.clone());
+                    let grew = cur.join_in_place(&after);
+                    if grew {
                         grows[si] += 1;
-                        if grows[si] > WIDEN_AFTER {
-                            joined = cur.widen(&joined);
+                        if let Some(old) = old {
+                            *cur = old.widen(cur);
                         }
-                        *cur = joined;
-                        true
-                    } else {
-                        false
                     }
+                    grew
                 }
+                // The last successor takes `after` itself, not a copy.
                 None => {
-                    state[si] = Some(after.clone());
+                    state[si] = Some(if k == last {
+                        std::mem::take(&mut after)
+                    } else {
+                        after.clone()
+                    });
                     true
                 }
             };

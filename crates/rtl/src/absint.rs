@@ -19,12 +19,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 use mem::{Cmp, Val};
 use minor::{MBinop, MUnop};
 
 use crate::analysis::JoinSemiLattice;
 use crate::lang::{PReg, RtlOp};
+use crate::regenv::{AbsVal, RegEnv};
 
 const I32_MIN: i64 = i32::MIN as i64;
 const I32_MAX: i64 = i32::MAX as i64;
@@ -208,8 +210,9 @@ pub enum VaVal {
     I32(Itv),
     /// A 64-bit integer within the interval.
     I64(Itv),
-    /// A pointer to global `ident` plus displacement.
-    Global(String, i64),
+    /// A pointer to global `ident` plus displacement (the symbol is shared,
+    /// so copying an environment never copies a name).
+    Global(Rc<str>, i64),
     /// A pointer into the activation's stack block plus displacement.
     Stack(i64),
     /// Unknown (includes `Undef`).
@@ -328,81 +331,33 @@ impl fmt::Display for VaVal {
     }
 }
 
-/// Abstract register environment of the value analysis (missing registers
-/// are `Bot`). `BTreeMap`-backed so iteration — and hence the JSON fact
-/// dump — is deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct VaEnv {
-    regs: BTreeMap<PReg, VaVal>,
+impl AbsVal for VaVal {
+    const BOT: &'static Self = &VaVal::Bot;
+
+    fn join(&self, other: &Self) -> Self {
+        VaVal::join(self, other)
+    }
 }
 
-impl VaEnv {
-    /// Abstract value of `r`.
-    #[must_use]
-    pub fn get(&self, r: PReg) -> &VaVal {
-        self.regs.get(&r).unwrap_or(&VaVal::Bot)
-    }
+/// Abstract register environment of the value analysis (missing registers
+/// are `Bot`). Iteration is ascending, so the JSON fact dump is
+/// deterministic.
+///
+/// The join runs over the *union* of the two sides' bound registers: a
+/// register bound on one side only joins against the other side's implicit
+/// `Bot` (= `Undef`), which goes to `Top` — see [`VaVal::join`].
+pub type VaEnv = RegEnv<VaVal>;
 
-    /// Bind `r` (binding `Bot` erases the entry: it is the default).
-    pub fn set(&mut self, r: PReg, v: VaVal) {
-        if v == VaVal::Bot {
-            self.regs.remove(&r);
-        } else {
-            self.regs.insert(r, v);
-        }
-    }
-
-    /// The bound registers, ascending (for fact dumps).
-    pub fn iter(&self) -> impl Iterator<Item = (PReg, &VaVal)> {
-        self.regs.iter().map(|(r, v)| (*r, v))
-    }
-
-    /// Widen `self` (old state) against `next` register-wise.
+impl RegEnv<VaVal> {
+    /// Widen `self` (old state) against `next` register-wise; registers
+    /// `self` leaves unbound take `next`'s value as is.
     #[must_use]
     pub fn widen(&self, next: &VaEnv) -> VaEnv {
         let mut out = next.clone();
-        for (r, old) in &self.regs {
-            let n = next.get(*r);
-            out.set(*r, old.widen(n));
+        for (r, old) in self.iter() {
+            out.set(r, old.widen(next.get(r)));
         }
         out
-    }
-}
-
-impl JoinSemiLattice for VaEnv {
-    fn join(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.join_in_place(other);
-        out
-    }
-
-    /// Pointwise join over the *union* of the two key sets: a register
-    /// bound on one side only joins against the other side's implicit
-    /// `Bot` (= `Undef`), which goes to `Top` — see [`VaVal::join`].
-    fn join_in_place(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        // Registers bound only in `self` meet `Bot` from `other`.
-        let only_here: Vec<PReg> = self
-            .regs
-            .keys()
-            .filter(|r| !other.regs.contains_key(r))
-            .copied()
-            .collect();
-        for r in only_here {
-            if self.regs.get(&r) != Some(&VaVal::Top) {
-                self.regs.insert(r, VaVal::Top);
-                changed = true;
-            }
-        }
-        for (r, v) in &other.regs {
-            let cur = self.get(*r);
-            let j = cur.join(v);
-            if j != *cur {
-                changed = true;
-                self.set(*r, j);
-            }
-        }
-        changed
     }
 }
 
@@ -764,7 +719,7 @@ pub fn eval_op_va(env: &VaEnv, op: &RtlOp) -> VaVal {
         RtlOp::Move(r) => env.get(*r).clone(),
         RtlOp::Int(n) => VaVal::int(*n),
         RtlOp::Long(n) => VaVal::long(*n),
-        RtlOp::AddrGlobal(s, d) => VaVal::Global(s.clone(), *d),
+        RtlOp::AddrGlobal(s, d) => VaVal::Global(s.as_str().into(), *d),
         RtlOp::AddrStack(o) => VaVal::Stack(*o),
         RtlOp::Unop(u, r) => eval_unop_va(*u, env.get(*r)),
         RtlOp::Binop(b, x, y) => eval_binop_va(*b, env.get(*x), env.get(*y)),

@@ -3,9 +3,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::rc::Rc;
 
 use crate::bitset::BitSet;
-use crate::ptree::PTree;
+use crate::regenv::{AbsVal, RegEnv};
 
 use compcerto_core::symtab::{GlobKind, SymbolTable};
 use mem::{Mem, Val};
@@ -137,17 +138,24 @@ where
         tick_solver();
         let n = order[i];
         let Some(inst) = f.code.get(&n) else { continue };
-        let after = match state[i].as_ref() {
+        let mut after = match state[i].as_ref() {
             Some(before) => transfer(n, inst, before),
             None => transfer(n, inst, &bot),
         };
-        for s in inst.successors() {
+        let succs = inst.successors();
+        let last = succs.len().saturating_sub(1);
+        for (k, s) in succs.into_iter().enumerate() {
             // Dangling successors (no instruction) carry no state.
             let Some(&si) = idx.get(&s) else { continue };
             let changed = match state[si].as_mut() {
                 Some(cur) => cur.join_in_place(&after),
+                // The last successor takes `after` itself, not a copy.
                 None => {
-                    state[si] = Some(after.clone());
+                    state[si] = Some(if k == last {
+                        std::mem::replace(&mut after, bot.clone())
+                    } else {
+                        after.clone()
+                    });
                     true
                 }
             };
@@ -247,8 +255,9 @@ pub enum AVal {
     Bot,
     /// A known numeric constant.
     Const(Val),
-    /// A pointer to global `ident` plus displacement.
-    Global(String, i64),
+    /// A pointer to global `ident` plus displacement (the symbol is shared,
+    /// so copying an environment never copies a name).
+    Global(Rc<str>, i64),
     /// A pointer into the activation's stack block plus displacement.
     Stack(i64),
     /// Unknown.
@@ -278,56 +287,16 @@ impl fmt::Display for AVal {
     }
 }
 
-/// Abstract register environment (missing registers are `Bot`).
-///
-/// Backed by the persistent [`PTree`] (CompCert's `Maps.v`): the solver
-/// snapshots one environment per CFG node, so `clone` must be O(1) and
-/// `set`/`join` must share structure rather than copy it.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AEnv {
-    regs: PTree<AVal>,
-}
+impl AbsVal for AVal {
+    const BOT: &'static Self = &AVal::Bot;
 
-impl AEnv {
-    /// Abstract value of `r`.
-    pub fn get(&self, r: PReg) -> AVal {
-        self.get_ref(r).clone()
-    }
-
-    /// Abstract value of `r`, by reference (hot path of the transfer
-    /// function: avoids cloning `Global`'s symbol name on every lookup).
-    pub fn get_ref(&self, r: PReg) -> &AVal {
-        self.regs.get(r).unwrap_or(&AVal::Bot)
-    }
-
-    /// Bind `r`.
-    pub fn set(&mut self, r: PReg, v: AVal) {
-        self.regs = self.regs.set(r, v);
-    }
-}
-
-impl JoinSemiLattice for AEnv {
     fn join(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.join_in_place(other);
-        out
-    }
-
-    fn join_in_place(&mut self, other: &Self) -> bool {
-        let (joined, changed) = self.regs.join_with(
-            &other.regs,
-            &|a, b| a.join(b),
-            // `Bot` reads back as the default for a missing register:
-            // binding it would grow the tree without changing the meaning.
-            &|v| match v {
-                AVal::Bot => None,
-                other => Some(other.clone()),
-            },
-        );
-        self.regs = joined;
-        changed
+        AVal::join(self, other)
     }
 }
+
+/// Abstract register environment (missing registers are `Bot`).
+pub type AEnv = RegEnv<AVal>;
 
 /// Static knowledge about read-only globals: the initial memory restricted to
 /// `const` variables (CompCert's `romem`).
@@ -361,12 +330,12 @@ impl Romem {
 /// Abstractly evaluate a pure operation.
 pub fn eval_op_abstract(env: &AEnv, op: &RtlOp) -> AVal {
     match op {
-        RtlOp::Move(r) => env.get_ref(*r).clone(),
+        RtlOp::Move(r) => env.get(*r).clone(),
         RtlOp::Int(n) => AVal::Const(Val::Int(*n)),
         RtlOp::Long(n) => AVal::Const(Val::Long(*n)),
-        RtlOp::AddrGlobal(s, d) => AVal::Global(s.clone(), *d),
+        RtlOp::AddrGlobal(s, d) => AVal::Global(s.as_str().into(), *d),
         RtlOp::AddrStack(o) => AVal::Stack(*o),
-        RtlOp::Unop(mop, r) => match env.get_ref(*r) {
+        RtlOp::Unop(mop, r) => match env.get(*r) {
             AVal::Const(v) => {
                 let out = mop.eval(*v);
                 if out.is_defined() && !matches!(out, Val::Ptr(_, _)) {
@@ -378,32 +347,32 @@ pub fn eval_op_abstract(env: &AEnv, op: &RtlOp) -> AVal {
             AVal::Bot => AVal::Bot,
             _ => AVal::Top,
         },
-        RtlOp::Binop(mop, a, b) => match (env.get_ref(*a), env.get_ref(*b)) {
+        RtlOp::Binop(mop, a, b) => match (env.get(*a), env.get(*b)) {
             (AVal::Const(x), AVal::Const(y)) => match mop.fold(x, y) {
                 Some(v) => AVal::Const(v),
                 None => AVal::Top,
             },
             // Pointer arithmetic on known symbolic pointers.
             (AVal::Global(s, d), AVal::Const(Val::Long(n))) if *mop == minor::MBinop::Add64 => {
-                AVal::Global(s.clone(), d + n)
+                AVal::Global(s.clone(), d.wrapping_add(*n))
             }
             (AVal::Stack(d), AVal::Const(Val::Long(n))) if *mop == minor::MBinop::Add64 => {
-                AVal::Stack(d + n)
+                AVal::Stack(d.wrapping_add(*n))
             }
             (AVal::Bot, _) | (_, AVal::Bot) => AVal::Bot,
             _ => AVal::Top,
         },
-        RtlOp::BinopImm(mop, a, imm) => match env.get_ref(*a) {
+        RtlOp::BinopImm(mop, a, imm) => match env.get(*a) {
             AVal::Const(x) => match mop.fold(x, imm) {
                 Some(v) => AVal::Const(v),
                 None => AVal::Top,
             },
             AVal::Global(s, d) if *mop == minor::MBinop::Add64 => match imm {
-                Val::Long(n) => AVal::Global(s.clone(), d + n),
+                Val::Long(n) => AVal::Global(s.clone(), d.wrapping_add(*n)),
                 _ => AVal::Top,
             },
             AVal::Stack(d) if *mop == minor::MBinop::Add64 => match imm {
-                Val::Long(n) => AVal::Stack(d + n),
+                Val::Long(n) => AVal::Stack(d.wrapping_add(*n)),
                 _ => AVal::Top,
             },
             AVal::Bot => AVal::Bot,
@@ -424,8 +393,8 @@ pub fn value_analysis(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, AEnv> {
         match inst {
             Inst::Op(op, dst, _) => after.set(*dst, eval_op_abstract(before, op)),
             Inst::Load(chunk, base, disp, dst, _) => {
-                let v = match before.get_ref(*base) {
-                    AVal::Global(s, d) => match romem.load(*chunk, s, d + disp) {
+                let v = match before.get(*base) {
+                    AVal::Global(s, d) => match romem.load(*chunk, s, d.wrapping_add(*disp)) {
                         Some(v) if !matches!(v, Val::Ptr(_, _)) && v.is_defined() => AVal::Const(v),
                         _ => AVal::Top,
                     },
@@ -514,7 +483,7 @@ mod tests {
         let states = value_analysis(&f, &romem);
         // Before the return, x4 is known to be 42.
         let env = &states[&3];
-        assert_eq!(env.get(4), AVal::Const(Val::Int(42)));
+        assert_eq!(*env.get(4), AVal::Const(Val::Int(42)));
     }
 
     #[test]

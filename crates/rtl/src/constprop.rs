@@ -37,7 +37,7 @@ fn constprop_function(f: &RtlFunction, romem: &Romem) -> RtlFunction {
                     },
                     // Rebuild symbolic addresses as direct address operations.
                     AVal::Global(s, d) if !matches!(op, RtlOp::AddrGlobal(_, _)) => {
-                        Inst::Op(RtlOp::AddrGlobal(s, d), *dst, *next)
+                        Inst::Op(RtlOp::AddrGlobal(s.to_string(), d), *dst, *next)
                     }
                     AVal::Stack(d) if !matches!(op, RtlOp::AddrStack(_)) => {
                         Inst::Op(RtlOp::AddrStack(d), *dst, *next)
@@ -45,8 +45,8 @@ fn constprop_function(f: &RtlFunction, romem: &Romem) -> RtlFunction {
                     _ => inst.clone(),
                 }
             }
-            Inst::Load(chunk, base, disp, dst, next) => match env.get_ref(*base) {
-                AVal::Global(s, d) => match romem.load(*chunk, s, d + disp) {
+            Inst::Load(chunk, base, disp, dst, next) => match env.get(*base) {
+                AVal::Global(s, d) => match romem.load(*chunk, s, d.wrapping_add(*disp)) {
                     Some(v) => match const_op(&v) {
                         Some(c) => Inst::Op(c, *dst, *next),
                         None => inst.clone(),
@@ -55,7 +55,7 @@ fn constprop_function(f: &RtlFunction, romem: &Romem) -> RtlFunction {
                 },
                 _ => inst.clone(),
             },
-            Inst::Cond(r, t, e) => match env.get_ref(*r) {
+            Inst::Cond(r, t, e) => match env.get(*r) {
                 AVal::Const(v) => match v.truth() {
                     Some(true) => Inst::Nop(*t),
                     Some(false) => Inst::Nop(*e),

@@ -35,7 +35,7 @@ pub mod gen;
 pub mod inlining;
 pub mod lang;
 pub mod ndce;
-pub mod ptree;
+pub mod regenv;
 pub mod renumber;
 pub mod sem;
 pub mod tailcall;
@@ -57,6 +57,7 @@ pub use gen::rtlgen;
 pub use inlining::inlining;
 pub use lang::{Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram};
 pub use ndce::ndce;
+pub use regenv::{AbsVal, RegEnv};
 pub use renumber::renumber;
 pub use sem::{RtlFrame, RtlSem, RtlState};
 pub use tailcall::tailcall;

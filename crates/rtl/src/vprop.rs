@@ -87,7 +87,7 @@ pub fn rewrite_op(env: &VaEnv, op: &RtlOp) -> Option<RtlOp> {
     }
     match &av {
         VaVal::Global(s, d) if !matches!(op, RtlOp::AddrGlobal(_, _)) => {
-            return Some(RtlOp::AddrGlobal(s.clone(), *d));
+            return Some(RtlOp::AddrGlobal(s.to_string(), *d));
         }
         VaVal::Stack(d) if !matches!(op, RtlOp::AddrStack(_)) => {
             return Some(RtlOp::AddrStack(*d));
