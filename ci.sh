@@ -68,25 +68,6 @@ cmp /tmp/ci_analyze_1.json /tmp/ci_analyze_2.json
 grep -q '"schema": "compcerto-analysis/1"' /tmp/ci_analyze_1.json
 grep -q '"needed"' /tmp/ci_analyze_1.json
 
-echo "== perf smoke (serial/parallel determinism + BENCH schema) =="
-# The quick profile of the B7 baseline (EXPERIMENTS.md): times each hot
-# path serial vs parallel and *fails itself* on any output-checksum
-# mismatch. We re-check the emitted JSON here so a regression in the
-# emitter (not just the workloads) also fails CI. Timings are not gated —
-# only determinism and well-formedness are.
-cargo run -q --release -p bench --bin perf_campaign -- --quick --out /tmp/ci_bench.json
-grep -q '"schema": "compcerto-perf/1"' /tmp/ci_bench.json
-grep -q '"checksums_match": true' /tmp/ci_bench.json
-# Every workload row must carry matching serial/parallel checksums.
-awk '/"checksum_serial"/ {
-    if (match($0, /"checksum_serial": "[0-9a-f]+"/)) s = substr($0, RSTART+20, RLENGTH-21);
-    if (match($0, /"checksum_parallel": "[0-9a-f]+"/)) p = substr($0, RSTART+22, RLENGTH-23);
-    if (s != p) { print "checksum mismatch: " $0; exit 1 }
-}' /tmp/ci_bench.json
-# The committed baseline must be well-formed too.
-grep -q '"schema": "compcerto-perf/1"' BENCH_PR3.json
-grep -q '"checksums_match": true' BENCH_PR3.json
-
 echo "== interp-throughput smoke (arena/fused dispatch) =="
 # DESIGN.md §13 / EXPERIMENTS.md row B12: re-measure the fixed 64-seed
 # interpretation sweep and gate against the committed BENCH_PR8.json. The

@@ -2,12 +2,13 @@
 //!
 //! The workspace emits all of its reports with hand-formatted JSON; the
 //! checkpoint/resume machinery is the first consumer that must *read* some
-//! of it back. This is a small recursive-descent parser over the subset the
-//! reports use — objects, arrays, strings (with the escapes our own
-//! emitters produce), integers, floats, booleans, null. Numbers are kept as
-//! their raw source text and parsed on demand ([`Json::as_u64`] /
-//! [`Json::as_i64`]), so 64-bit counters round-trip exactly (an `f64`
-//! intermediate would corrupt values above 2^53).
+//! of it back, and `ccomp-o serve` decodes its request frames with it. This
+//! is a small recursive-descent parser over the subset the reports use —
+//! objects, arrays, strings (every JSON escape, UTF-16 surrogate pairs
+//! included), integers, floats, booleans, null — linear in the input.
+//! Numbers are kept as their raw source text and parsed on demand
+//! ([`Json::as_u64`] / [`Json::as_i64`]), so 64-bit counters round-trip
+//! exactly (an `f64` intermediate would corrupt values above 2^53).
 //!
 //! No serde, no dependencies — the workspace stays offline by design.
 
@@ -100,11 +101,10 @@ impl Json {
 /// # Errors
 /// A human-readable message with the byte offset of the failure.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(src, &mut pos)?;
+    skip_ws(src.as_bytes(), &mut pos);
+    if pos != src.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(value)
@@ -129,13 +129,14 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'{') => parse_object(src, pos),
+        Some(b'[') => parse_array(src, pos),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -179,60 +180,64 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     Ok(Json::Num(raw.to_string()))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Decode a string in one pass: each run up to the next `"` or `\` is
+/// copied as one slice of `src`. Both ends of a run sit on ASCII bytes,
+/// hence on char boundaries.
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = src.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("invalid \\u escape `{hex}`"))?;
-                        // The emitters only produce control-character
-                        // escapes (< 0x20), never surrogate pairs.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let ch = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| "unterminated string".to_string())?;
+        out.push_str(&src[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000C}'),
+            Some(b'u') => {
+                let mut code = hex4(bytes, *pos + 1)
+                    .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
+                *pos += 4;
+                // A high surrogate followed by `\u` and a low one is a
+                // UTF-16 pair (how JSON writes a non-BMP character); an
+                // unpaired surrogate decodes to U+FFFD.
+                if (0xD800..0xDC00).contains(&code) && bytes[*pos + 1..].starts_with(b"\\u") {
+                    if let Some(lo @ 0xDC00..=0xDFFF) = hex4(bytes, *pos + 3) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+                        *pos += 6;
+                    }
+                }
+                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+            }
+            _ => return Err(format!("invalid escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The four ASCII hex digits of a `\u` escape starting at byte `at`.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    bytes.get(at..at + 4)?.iter().try_fold(0, |code, &b| {
+        char::from(b).to_digit(16).map(|d| code * 16 + d)
+    })
+}
+
+fn parse_array(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -241,7 +246,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(src, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -256,7 +261,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -266,10 +272,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(src, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(src, pos)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -291,28 +297,137 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut out,
-                    format_args!("\\u{:04x}", c as u32),
-                );
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so runs between them are
+    // copied as slices that start and end on char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{b:04x}"));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use compcerto_core::rng::SplitMix64;
+
+    /// Seeded codec inputs: printable-ASCII runs of random length mixed
+    /// with every character `escape` rewrites and with multibyte ones;
+    /// every other string starts and ends with a multibyte character.
+    pub(crate) fn seeded_strings() -> Vec<String> {
+        const MIXED: [char; 10] = [
+            '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '€', '😀',
+        ];
+        const WIDE: [char; 3] = ['é', '€', '😀'];
+        let mut rng = SplitMix64::new(0x6a73_6f6e);
+        (0..256)
+            .map(|n| {
+                let mut s = String::new();
+                let ends = n % 2 == 0;
+                if ends {
+                    s.push(WIDE[rng.range_usize(0, WIDE.len())]);
+                }
+                for _ in 0..rng.range_usize(0, 12) {
+                    for _ in 0..rng.range_usize(0, 40) {
+                        s.push(char::from(rng.range_usize(0x20, 0x7f) as u8));
+                    }
+                    s.push(MIXED[rng.range_usize(0, MIXED.len())]);
+                }
+                if ends {
+                    s.push(WIDE[rng.range_usize(0, WIDE.len())]);
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// The char-at-a-time definition `escape` must keep matching.
+    fn escape_reference(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_matches_its_reference_and_parse_inverts_it() {
+        for s in seeded_strings() {
+            let escaped = escape(&s);
+            assert_eq!(escaped, escape_reference(&s), "escape of {s:?}");
+            assert_eq!(
+                parse(&format!("\"{escaped}\"")),
+                Ok(Json::Str(s.clone())),
+                "round trip of {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB: each 64-byte chunk is 60 ASCII bytes, a 2-byte character
+        // and one escape. A decoder that re-validates the rest of the
+        // input per character takes tens of seconds here.
+        let chunk = format!("{}é\\n", "a".repeat(60));
+        let doc = format!("\"{}\"", chunk.repeat(1 << 14));
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc);
+        let took = start.elapsed();
+        let want = format!("{}é\n", "a".repeat(60)).repeat(1 << 14);
+        assert_eq!(parsed, Ok(Json::Str(want)));
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs() {
+        let s = |src: &str| parse(src).map(|j| j.as_str().map(str::to_string));
+        assert_eq!(s(r#""\ud83d\ude00""#), Ok(Some("😀".into())));
+        assert_eq!(s(r#""a\uD83D\uDE00b""#), Ok(Some("a😀b".into())));
+        assert_eq!(s(r#""\u00e9\u00E9""#), Ok(Some("éé".into())));
+        // Unpaired halves keep decoding to U+FFFD.
+        assert_eq!(s(r#""\ud83dx""#), Ok(Some("\u{FFFD}x".into())));
+        assert_eq!(s(r#""\ud83d""#), Ok(Some("\u{FFFD}".into())));
+        assert_eq!(s(r#""\ud83d\u0041""#), Ok(Some("\u{FFFD}A".into())));
+        assert_eq!(s(r#""\ud83d\ud83d""#), Ok(Some("\u{FFFD}\u{FFFD}".into())));
+        assert_eq!(s(r#""\ude00""#), Ok(Some("\u{FFFD}".into())));
+        assert_eq!(s(r#""\ude00\ud83d""#), Ok(Some("\u{FFFD}\u{FFFD}".into())));
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u 041""#,
+            r#""\u12""#,
+            r#""\u00é""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must not parse");
+        }
+    }
 
     #[test]
     fn parses_scalars() {

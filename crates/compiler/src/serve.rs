@@ -40,8 +40,10 @@
 //!
 //! # Scheduling
 //!
-//! Cache lookups run serially in batch order (so hit/miss counters are
-//! `--jobs`-invariant); the misses then fan out through the function-level
+//! The batch's front ends fan out on the worker pool ([`par_map`], one
+//! contained item per unit, as in [`crate::driver::compile_all_jobs`]).
+//! Cache lookups then run serially in batch order (so hit/miss counters are
+//! `--jobs`-invariant); the misses fan out through the function-level
 //! scheduler ([`crate::driver::compile_typed_jobs`]): front end per unit →
 //! symbol-table barrier → per-function back ends → reassembly. A unit that
 //! fails or panics degrades *its own* response through the resilience
@@ -56,7 +58,7 @@ use compcerto_core::symtab::SymbolTable;
 use crate::driver::{compile_typed_jobs, front_end, CompiledUnit, CompilerOptions};
 use crate::json::{self, Json};
 use crate::obs::Counters;
-use crate::par::Jobs;
+use crate::par::{par_map, Jobs};
 use crate::resilience::{compile_program_isolated, contain_unwind, UnitOutcome};
 
 /// Protocol schema stamped on every request and response frame.
@@ -130,31 +132,36 @@ pub fn cache_key(source: &str, opts_fp: &str, compiler_fp: &str, symtab_fp: &str
 
 /// Invert [`json::escape`] for a cache entry's payload. Returns `None` on
 /// any sequence `escape` never produces — such an entry was not written by
-/// [`Cache::store`] and must be evicted.
+/// [`Cache::store`] and must be evicted. Runs between escapes are copied as
+/// slices (a `\` is ASCII, so both ends sit on char boundaries).
 fn unescape(escaped: &str) -> Option<String> {
     let mut out = String::with_capacity(escaped.len());
-    let mut chars = escaped.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            't' => out.push('\t'),
-            'r' => out.push('\r'),
-            'u' => {
-                let mut code = 0u32;
-                for _ in 0..4 {
-                    code = code * 16 + chars.next()?.to_digit(16)?;
+    let mut rest = escaped;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let esc = rest.get(at..at + 2)?;
+        rest = &rest[at + 2..];
+        out.push(match esc {
+            "\\\"" => '"',
+            "\\\\" => '\\',
+            "\\n" => '\n',
+            "\\t" => '\t',
+            "\\r" => '\r',
+            "\\u" => {
+                // Only the `\u00xx` (lowercase) form `escape` writes for a
+                // control character that has no short escape.
+                let hex = rest.get(..4)?;
+                let c = char::from_u32(u32::from_str_radix(hex, 16).ok()?)?;
+                if json::escape(c.encode_utf8(&mut [0; 4])).get(2..) != Some(hex) {
+                    return None;
                 }
-                out.push(char::from_u32(code)?);
+                rest = &rest[4..];
+                c
             }
             _ => return None,
-        }
+        });
     }
+    out.push_str(rest);
     Some(out)
 }
 
@@ -412,20 +419,18 @@ impl Server {
             })
             .collect();
 
-        // Front end every readable unit (contained: a parser panic fails
-        // its unit, not the batch) — the symbol table must span the whole
-        // batch, hits included.
-        let typed: Vec<Result<clight::Program, String>> = sources
-            .iter()
-            .map(|s| match s {
+        // Front end every readable unit on the pool (each item contained:
+        // a parser panic fails its unit, not the batch) — the symbol table
+        // must span the whole batch, hits included.
+        let typed: Vec<Result<clight::Program, String>> =
+            par_map(self.cfg.jobs, &sources, |_, s| match s {
                 Err(e) => Err(e.clone()),
                 Ok(src) => match contain_unwind(|| front_end(src)) {
                     Ok(Ok(p)) => Ok(p),
                     Ok(Err(e)) => Err(format!("front-end: {e}")),
                     Err((_, msg)) => Err(format!("front-end panicked (contained): {msg}")),
                 },
-            })
-            .collect();
+            });
         let parsed: Vec<&clight::Program> = typed.iter().filter_map(|t| t.as_ref().ok()).collect();
         let symtab = match build_symtab(&parsed) {
             Ok(t) => t,
@@ -857,6 +862,22 @@ mod tests {
         };
         assert_eq!(strip(&cold), strip(&warm));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unescape_inverts_escape_and_nothing_else() {
+        for s in crate::json::tests::seeded_strings() {
+            assert_eq!(unescape(&json::escape(&s)), Some(s));
+        }
+        // Sequences `escape` never writes: other JSON escapes, unknown
+        // escapes, truncated or surrogate `\u`, a non-canonical `\u`
+        // (printable, short-form, uppercase or signed), a trailing `\`.
+        for bad in [
+            r"a\/b", r"\b", r"\f", r"\x", r"\u12", r"\ud800", r"\u0041", r"\u000a", r"\u001F",
+            r"\u+001", r"\é", r"ok\",
+        ] {
+            assert_eq!(unescape(bad), None, "{bad} must not unescape");
+        }
     }
 
     #[test]

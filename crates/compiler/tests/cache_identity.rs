@@ -71,9 +71,24 @@ fn cold_warm_and_partial_hits_are_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A batch whose middle units each fail differently, between two clean
+/// units: a parse error, a type error and a `file` entry that does not
+/// exist. Each failure must stay on its own unit index.
+fn failing_batch(id: u64) -> String {
+    format!(
+        "{{\"schema\":\"compcerto-serve/1\",\"op\":\"compile\",\"id\":{id},\"units\":[\
+         {{\"source\":\"{UNIT_A}\"}},\
+         {{\"source\":\"int h(int x) {{ return x +; }}\"}},\
+         {{\"source\":\"int g(int x) {{ return y; }}\"}},\
+         {{\"file\":\"no-such-dir/unit.c\"}},\
+         {{\"source\":\"{UNIT_C}\"}}]}}"
+    )
+}
+
 #[test]
 fn responses_and_counters_are_jobs_invariant() {
     let batch = compile_req(1, &[UNIT_A, UNIT_B, UNIT_C]);
+    let failing = failing_batch(3);
     let stats_req = "{\"schema\":\"compcerto-serve/1\",\"op\":\"stats\",\"id\":2}";
     let mut runs = Vec::new();
     for jobs in ["1", "4", "16"] {
@@ -81,30 +96,66 @@ fn responses_and_counters_are_jobs_invariant() {
         let mut s = Serve::spawn(&dir, &["--jobs", jobs]);
         let cold = s.req(&batch);
         let warm = s.req(&batch);
+        let failing_cold = s.req(&failing);
+        let failing_warm = s.req(&failing);
         let stats = s.req(stats_req);
         assert_eq!(s.eof_wait().code(), Some(0));
         let _ = std::fs::remove_dir_all(&dir);
-        runs.push((cold, warm, stats));
+        runs.push([cold, warm, failing_cold, failing_warm, stats]);
     }
-    for (cold, warm, stats) in &runs[1..] {
-        assert_eq!(
-            cold, &runs[0].0,
-            "cold responses must be byte-identical across --jobs"
+    let what = [
+        "cold",
+        "warm",
+        "failing-batch cold",
+        "failing-batch warm",
+        "stats",
+    ];
+    for run in &runs[1..] {
+        for (k, resp) in run.iter().enumerate() {
+            assert_eq!(
+                resp, &runs[0][k],
+                "{} responses must be byte-identical across --jobs",
+                what[k]
+            );
+        }
+    }
+    let [_, _, failing_cold, failing_warm, stats] = &runs[0];
+    // Each failure is reported on its own unit; the clean units around
+    // them compile, then hit when the batch is sent again.
+    for (i, detail) in [
+        (1, "front-end: parse error"),
+        (2, "front-end: type error"),
+        (3, "cannot read `no-such-dir/unit.c`"),
+    ] {
+        let want = format!(
+            "{{\"unit\":{i},\"cache\":\"none\",\"artifact\":{{\"status\":\"failed\",\"detail\":\"{detail}"
         );
-        assert_eq!(
-            warm, &runs[0].1,
-            "warm responses must be byte-identical across --jobs"
+        assert!(failing_cold.contains(&want), "unit {i}: {failing_cold}");
+        assert!(failing_warm.contains(&want), "unit {i}: {failing_warm}");
+    }
+    for i in [0, 4] {
+        let unit = |tag: &str| {
+            format!("{{\"unit\":{i},\"cache\":\"{tag}\",\"artifact\":{{\"status\":\"ok\"")
+        };
+        assert!(
+            failing_cold.contains(&unit("miss")),
+            "unit {i}: {failing_cold}"
         );
-        assert_eq!(
-            stats, &runs[0].2,
-            "serve.cache.* counters must be jobs-invariant"
+        assert!(
+            failing_warm.contains(&unit("hit")),
+            "unit {i}: {failing_warm}"
         );
     }
+    assert_eq!(
+        request_stats(failing_warm),
+        "\"cache\":{\"hit\":2,\"miss\":0,\"evict\":0}",
+        "{failing_warm}"
+    );
+    assert_eq!(artifacts_only(failing_cold), artifacts_only(failing_warm));
     // And the counters say what the protocol stats said.
     assert!(
-        runs[0].2.contains("\"serve.cache.hit\":3") && runs[0].2.contains("\"serve.cache.miss\":3"),
-        "{}",
-        runs[0].2
+        stats.contains("\"serve.cache.hit\":5") && stats.contains("\"serve.cache.miss\":5"),
+        "{stats}"
     );
 }
 
