@@ -71,8 +71,9 @@ grep -q '"needed"' /tmp/ci_analyze_1.json
 echo "== interp-throughput smoke (arena/fused dispatch) =="
 # DESIGN.md §13 / EXPERIMENTS.md row B12: re-measure the fixed 64-seed
 # interpretation sweep and gate against the committed BENCH_PR8.json. The
-# verdict checksum must match exactly — the batched interpreters are
-# required to be observationally invisible. The throughput floor (default
+# verdict checksum must match exactly: each stage has one interpreter path,
+# and the checksum pins the verdicts recorded while the legacy single-step
+# relations, since removed, still ran beside it. The throughput floor (default
 # 4x vs the committed pre-change measurement) is enforced only on boxes
 # with >= 4 cores; below that the bin reports the ratio as advisory.
 cargo run -q --release -p bench --bin interp_campaign -- --check BENCH_PR8.json

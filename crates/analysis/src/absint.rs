@@ -56,6 +56,16 @@ pub fn needed_solver_iterations() -> u64 {
     NEEDED_ITERATIONS.with(std::cell::Cell::get)
 }
 
+/// Add `n` value-analysis pops counted on another thread to this thread's.
+pub fn absorb_value_solver_iterations(n: u64) {
+    VALUE_ITERATIONS.with(|c| c.set(c.get() + n));
+}
+
+/// Add `n` neededness pops counted on another thread to this thread's.
+pub fn absorb_needed_solver_iterations(n: u64) {
+    NEEDED_ITERATIONS.with(|c| c.set(c.get() + n));
+}
+
 /// Dense node numbering: reverse postorder of the reachable subgraph, then
 /// any unreachable nodes in ascending id order (same convention as
 /// [`crate::dataflow`]).

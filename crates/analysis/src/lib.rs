@@ -35,13 +35,14 @@ pub mod lint;
 pub mod validate;
 
 pub use absint::{
-    needed_facts_program, needed_solver_iterations, neededness, validate_constprop,
-    validate_deadcode, value_facts, value_facts_program, value_solver_iterations,
+    absorb_needed_solver_iterations, absorb_value_solver_iterations, needed_facts_program,
+    needed_solver_iterations, neededness, validate_constprop, validate_deadcode, value_facts,
+    value_facts_program, value_solver_iterations,
 };
 pub use cfg::{predecessors, reachable, reverse_postorder, CfgView, LinearCfg, MachCfg};
 pub use dataflow::{
-    backward_solve, forward_solve, live_out, maybe_uninit, solver_iterations, JoinSemiLattice,
-    VarSet,
+    absorb_solver_iterations, backward_solve, forward_solve, live_out, maybe_uninit,
+    solver_iterations, JoinSemiLattice, VarSet,
 };
 pub use diag::Diagnostic;
 pub use dom::DomTree;

@@ -44,19 +44,19 @@ fn merge_rtl(programs: &[&RtlProgram]) -> RtlProgram {
     out
 }
 
-/// Is the concrete value `val` (None = the register was never written) a
-/// member of γ(`v`)?
-fn conforms(v: &VaVal, val: Option<&Val>, symtab: &SymbolTable, sp: mem::BlockId) -> bool {
+/// Is the concrete value `val` (`Undef` when the register was never
+/// written) a member of γ(`v`)?
+fn conforms(v: &VaVal, val: Val, symtab: &SymbolTable, sp: mem::BlockId) -> bool {
     match v {
         VaVal::Top => true,
         // γ(Bot) = {Undef}: the register is unwritten on every path here.
-        VaVal::Bot => matches!(val, None | Some(Val::Undef)),
-        VaVal::I32(itv) => matches!(val, Some(Val::Int(n)) if itv.contains(i64::from(*n))),
-        VaVal::I64(itv) => matches!(val, Some(Val::Long(n)) if itv.contains(*n)),
+        VaVal::Bot => val == Val::Undef,
+        VaVal::I32(itv) => matches!(val, Val::Int(n) if itv.contains(i64::from(n))),
+        VaVal::I64(itv) => matches!(val, Val::Long(n) if itv.contains(n)),
         VaVal::Global(s, d) => {
-            matches!(val, Some(Val::Ptr(b, o)) if symtab.block_of(s) == Some(*b) && o == d)
+            matches!(val, Val::Ptr(b, o) if symtab.block_of(s) == Some(b) && o == *d)
         }
-        VaVal::Stack(d) => matches!(val, Some(Val::Ptr(b, o)) if *b == sp && o == d),
+        VaVal::Stack(d) => matches!(val, Val::Ptr(b, o) if b == sp && o == *d),
     }
 }
 
@@ -78,24 +78,20 @@ fn run_and_check(
     let mut checked = 0u64;
     for _ in 0..1_000_000u64 {
         if let RtlState::Exec { cur, .. } = &s {
+            let (fname, pc) = sem
+                .program_point(cur)
+                .unwrap_or_else(|| panic!("seed {seed}: frame outside the program"));
             let envs = facts
-                .get(cur.fname())
-                .unwrap_or_else(|| panic!("seed {seed}: no facts for `{}`", cur.fname()));
-            let env = envs.get(&cur.pc()).unwrap_or_else(|| {
-                panic!(
-                    "seed {seed}: visited node {}:{} has no abstract environment",
-                    cur.fname(),
-                    cur.pc()
-                )
+                .get(fname)
+                .unwrap_or_else(|| panic!("seed {seed}: no facts for `{fname}`"));
+            let env = envs.get(&pc).unwrap_or_else(|| {
+                panic!("seed {seed}: visited node {fname}:{pc} has no abstract environment")
             });
             for (r, v) in env.iter() {
-                let concrete = cur.regs().get(&r);
+                let concrete = cur.reg(r);
                 assert!(
                     conforms(v, concrete, sem.symtab(), cur.sp()),
-                    "seed {seed}: at {}:{} register r{r} has concrete {:?} outside γ({v})",
-                    cur.fname(),
-                    cur.pc(),
-                    concrete,
+                    "seed {seed}: at {fname}:{pc} register r{r} has concrete {concrete:?} outside γ({v})",
                 );
                 checked += 1;
             }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use compcerto_core::iface::{ARegs, Signature, A};
-use compcerto_core::lts::{Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
 use compcerto_core::regs::{Mreg, Regset};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Val};
@@ -86,13 +86,6 @@ pub struct AsmFunction {
 }
 
 impl AsmFunction {
-    /// Index of a label.
-    pub fn label_index(&self, l: Label) -> Option<usize> {
-        self.code
-            .iter()
-            .position(|i| matches!(i, AsmInst::Label(x) if *x == l))
-    }
-
     /// Pretty-print the function.
     pub fn dump(&self) -> String {
         let mut out = format!("{}:\n", self.name);
@@ -197,10 +190,10 @@ pub struct AsmSem {
     symtab: SymbolTable,
     label: String,
     /// Per-symtab-block function index (first definition wins, like
-    /// [`AsmProgram::function`]); drives the batched fast path.
+    /// [`AsmProgram::function`]).
     func_of_block: Vec<Option<usize>>,
     /// Per-symtab-block "declared function this unit does not define" flag
-    /// (the external-suspension test of `step`).
+    /// (the external-suspension test of `step_batch`).
     foreign_block: Vec<bool>,
     /// Per-function label → instruction index, parallel to
     /// `prog.functions`.
@@ -214,14 +207,10 @@ impl AsmSem {
             .functions
             .iter()
             .map(|f| {
-                f.code
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, inst)| match inst {
-                        AsmInst::Label(l) => Some((*l, i)),
-                        _ => None,
-                    })
-                    .collect()
+                crate::linear::first_label_targets(&f.code, |i| match i {
+                    AsmInst::Label(l) => Some(*l),
+                    _ => None,
+                })
             })
             .collect();
         let mut func_of_block = Vec::with_capacity(symtab.len());
@@ -274,141 +263,6 @@ impl AsmSem {
             _ => None,
         }
     }
-
-    /// Execute one instruction.
-    fn exec(&self, st: &AsmState) -> Result<AsmState, Stuck> {
-        let Val::Ptr(fb, _) = st.rs.pc else {
-            return self.stuck(format!("pc is not a code pointer: {}", st.rs.pc));
-        };
-        let Some((_, f, idx)) = self.function_at(&st.rs.pc) else {
-            return self.stuck("pc outside this unit's code");
-        };
-        let Some(inst) = f.code.get(idx) else {
-            return self.stuck(format!("pc {} past end of `{}`", idx, f.name));
-        };
-        let mut rs = st.rs.clone();
-        let mut mem = st.mem.clone();
-        let next = Val::Ptr(fb, idx as i64 + 1);
-        rs.pc = next;
-        match inst {
-            AsmInst::Label(_) => {}
-            AsmInst::MovImm32(d, n) => rs.set(*d, Val::Int(*n)),
-            AsmInst::MovImm64(d, n) => rs.set(*d, Val::Long(*n)),
-            AsmInst::Mov(d, s) => {
-                let v = rs.get(*s);
-                rs.set(*d, v);
-            }
-            AsmInst::LoadSym(d, s, disp) => match self.symtab.block_of(s) {
-                Some(b) => rs.set(*d, Val::Ptr(b, *disp)),
-                None => return self.stuck(format!("unknown symbol `{s}`")),
-            },
-            AsmInst::LeaSp(d, ofs) => {
-                let v = rs.sp.add(Val::Long(*ofs));
-                rs.set(*d, v);
-            }
-            AsmInst::Unop(m, d, s) => {
-                let v = m.eval(rs.get(*s));
-                rs.set(*d, v);
-            }
-            AsmInst::Binop(m, d, a, b) => {
-                let v = m.eval(rs.get(*a), rs.get(*b));
-                rs.set(*d, v);
-            }
-            AsmInst::BinopImm(m, d, a, i) => {
-                let v = m.eval(rs.get(*a), *i);
-                rs.set(*d, v);
-            }
-            AsmInst::Load(c, d, base, disp) => {
-                let addr = rs.get(*base).add(Val::Long(*disp));
-                match mem.loadv(*c, addr) {
-                    Ok(v) => rs.set(*d, v),
-                    Err(e) => return self.stuck(format!("load failed: {e}")),
-                }
-            }
-            AsmInst::Store(c, s, base, disp) => {
-                let addr = rs.get(*base).add(Val::Long(*disp));
-                if let Err(e) = mem.storev(*c, addr, rs.get(*s)) {
-                    return self.stuck(format!("store failed: {e}"));
-                }
-            }
-            AsmInst::LoadSp(c, d, ofs) => {
-                let addr = rs.sp.add(Val::Long(*ofs));
-                match mem.loadv(*c, addr) {
-                    Ok(v) => rs.set(*d, v),
-                    Err(e) => return self.stuck(format!("frame load failed: {e}")),
-                }
-            }
-            AsmInst::StoreSp(c, s, ofs) => {
-                let addr = rs.sp.add(Val::Long(*ofs));
-                if let Err(e) = mem.storev(*c, addr, rs.get(*s)) {
-                    return self.stuck(format!("frame store failed: {e}"));
-                }
-            }
-            AsmInst::AddSp(imm) => {
-                rs.sp = rs.sp.add(Val::Long(*imm));
-            }
-            AsmInst::AllocFrame(size) => {
-                let b = mem.alloc(0, *size);
-                if let Err(e) = mem.store(Chunk::Any64, b, 0, rs.sp) {
-                    return self.stuck(format!("storing link: {e}"));
-                }
-                rs.sp = Val::Ptr(b, 0);
-            }
-            AsmInst::FreeFrame(size) => {
-                let Val::Ptr(b, 0) = rs.sp else {
-                    return self.stuck("sp is not a frame base");
-                };
-                let link = match mem.load(Chunk::Any64, b, 0) {
-                    Ok(v) => v,
-                    Err(e) => return self.stuck(format!("loading link: {e}")),
-                };
-                if let Err(e) = mem.free(b, 0, *size) {
-                    return self.stuck(format!("freeing frame: {e}"));
-                }
-                rs.sp = link;
-            }
-            AsmInst::SaveRa(ofs) => {
-                let addr = rs.sp.add(Val::Long(*ofs));
-                if let Err(e) = mem.storev(Chunk::Any64, addr, rs.ra) {
-                    return self.stuck(format!("saving ra: {e}"));
-                }
-            }
-            AsmInst::RestoreRa(ofs) => {
-                let addr = rs.sp.add(Val::Long(*ofs));
-                match mem.loadv(Chunk::Any64, addr) {
-                    Ok(v) => rs.ra = v,
-                    Err(e) => return self.stuck(format!("restoring ra: {e}")),
-                }
-            }
-            AsmInst::Jmp(l) => match f.label_index(*l) {
-                Some(i) => rs.pc = Val::Ptr(fb, i as i64),
-                None => return self.stuck(format!("missing label {l}")),
-            },
-            AsmInst::Jcc(r, l) => match rs.get(*r).truth() {
-                Some(true) => match f.label_index(*l) {
-                    Some(i) => rs.pc = Val::Ptr(fb, i as i64),
-                    None => return self.stuck(format!("missing label {l}")),
-                },
-                Some(false) => {}
-                None => return self.stuck("undefined branch condition"),
-            },
-            AsmInst::Call(callee) => match self.symtab.func_ptr(callee) {
-                Some(target) => {
-                    rs.ra = next;
-                    rs.pc = target;
-                }
-                None => return self.stuck(format!("unknown callee `{callee}`")),
-            },
-            AsmInst::Ret => {
-                rs.pc = rs.ra;
-            }
-        }
-        Ok(AsmState {
-            rs,
-            mem,
-            ra0: st.ra0,
-        })
-    }
 }
 
 impl Lts for AsmSem {
@@ -436,38 +290,12 @@ impl Lts for AsmSem {
     }
 
     fn step(&self, s: &AsmState) -> Step<AsmState, ARegs, ARegs> {
-        // Final: control returned to the environment's return address.
-        if s.rs.pc == s.ra0 && s.rs.pc.is_defined() {
-            return Step::Final(ARegs {
-                rs: s.rs.clone(),
-                mem: s.mem.clone(),
-            });
-        }
-        // External: pc entered a function this unit does not define.
-        if let Val::Ptr(b, 0) = s.rs.pc {
-            let is_foreign_fn = self.symtab.sig_of_ptr(&Val::Ptr(b, 0)).is_some()
-                && self
-                    .symtab
-                    .ident_of(b)
-                    .map(|n| self.prog.function(n).is_none())
-                    .unwrap_or(false);
-            if is_foreign_fn {
-                return Step::External(ARegs {
-                    rs: s.rs.clone(),
-                    mem: s.mem.clone(),
-                });
-            }
-        }
-        match self.exec(s) {
-            Ok(next) => Step::Internal(next, vec![]),
-            Err(stuck) => Step::Stuck(stuck),
-        }
+        step_via_batch(self, s)
     }
 
-    /// The batched fast path (DESIGN.md §13): identical transitions, stuck
-    /// messages, fuel accounting, and memory-op sequence as single-stepping,
-    /// executed in place. Code-block resolution is cached while `pc` stays
-    /// in one function; label targets come from the precomputed maps.
+    /// The instruction semantics (DESIGN.md §13), run in place. Code-block
+    /// resolution is cached while `pc` stays in one function; label targets
+    /// come from the precomputed maps. `step` is this loop at fuel 1.
     #[allow(clippy::too_many_lines)]
     fn step_batch(
         &self,

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use compcerto_core::iface::{LQuery, LReply, Signature, L};
-use compcerto_core::lts::{Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
 use compcerto_core::regs::{Loc, Locset, Mreg};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Mem, Val};
@@ -54,15 +54,6 @@ pub struct LinFunction {
     pub debug: Vec<(String, Loc)>,
     /// Instruction list.
     pub code: Vec<LinInst>,
-}
-
-impl LinFunction {
-    /// Index of a label in the code, if present.
-    pub fn label_index(&self, l: Label) -> Option<usize> {
-        self.code
-            .iter()
-            .position(|i| matches!(i, LinInst::Label(x) if *x == l))
-    }
 }
 
 /// A Linear translation unit.
@@ -149,7 +140,7 @@ pub struct LinearSem {
     symtab: SymbolTable,
     label: String,
     /// Function index by name (first definition wins, like
-    /// [`LinProgram::function`]); drives the batched fast path.
+    /// [`LinProgram::function`]).
     fidx_of_name: BTreeMap<Ident, usize>,
     /// Per-function label → instruction index, parallel to
     /// `prog.functions`.
@@ -209,120 +200,6 @@ impl LinearSem {
             LOp::BinopImm(m, a, i) => m.eval(frame.ls.get(*a), *i),
         })
     }
-
-    fn exec_inst(
-        &self,
-        f: &LinFunction,
-        cur: &LinFrame,
-        mem: &Mem,
-        stack: &[LinFrame],
-    ) -> Result<LinState, Stuck> {
-        let Some(inst) = f.code.get(cur.pc) else {
-            return self.stuck(format!("pc {} past end of `{}`", cur.pc, cur.fname));
-        };
-        let seq = |frame: LinFrame, mem: Mem| LinState::Exec {
-            cur: frame,
-            mem,
-            stack: stack.to_vec(),
-        };
-        match inst {
-            LinInst::Label(_) => {
-                let mut frame = cur.clone();
-                frame.pc += 1;
-                Ok(seq(frame, mem.clone()))
-            }
-            LinInst::Op(op, dst) => {
-                let v = self.eval_op(cur, op)?;
-                let mut frame = cur.clone();
-                frame.ls.set(*dst, v);
-                frame.pc += 1;
-                Ok(seq(frame, mem.clone()))
-            }
-            LinInst::Load(chunk, base, disp, dst) => {
-                let addr = cur.ls.get(*base).add(Val::Long(*disp));
-                let v = match mem.loadv(*chunk, addr) {
-                    Ok(v) => v,
-                    Err(e) => return self.stuck(format!("load failed: {e}")),
-                };
-                let mut frame = cur.clone();
-                frame.ls.set(*dst, v);
-                frame.pc += 1;
-                Ok(seq(frame, mem.clone()))
-            }
-            LinInst::Store(chunk, base, disp, src) => {
-                let addr = cur.ls.get(*base).add(Val::Long(*disp));
-                let mut mem2 = mem.clone();
-                if let Err(e) = mem2.storev(*chunk, addr, cur.ls.get(*src)) {
-                    return self.stuck(format!("store failed: {e}"));
-                }
-                let mut frame = cur.clone();
-                frame.pc += 1;
-                Ok(seq(frame, mem2))
-            }
-            LinInst::Goto(l) => match f.label_index(*l) {
-                Some(i) => {
-                    let mut frame = cur.clone();
-                    frame.pc = i;
-                    Ok(seq(frame, mem.clone()))
-                }
-                None => self.stuck(format!("missing label {l}")),
-            },
-            LinInst::CondGoto(loc, l) => match cur.ls.get(*loc).truth() {
-                Some(true) => match f.label_index(*l) {
-                    Some(i) => {
-                        let mut frame = cur.clone();
-                        frame.pc = i;
-                        Ok(seq(frame, mem.clone()))
-                    }
-                    None => self.stuck(format!("missing label {l}")),
-                },
-                Some(false) => {
-                    let mut frame = cur.clone();
-                    frame.pc += 1;
-                    Ok(seq(frame, mem.clone()))
-                }
-                None => self.stuck("undefined branch condition"),
-            },
-            LinInst::Call(callee, sig) => {
-                if self.prog.function(callee).is_some() {
-                    let mut stack = stack.to_vec();
-                    stack.push(cur.clone());
-                    Ok(LinState::Call {
-                        fname: callee.clone(),
-                        ls: cur.ls.clone(),
-                        mem: mem.clone(),
-                        stack,
-                    })
-                } else {
-                    let Some(vf) = self.symtab.func_ptr(callee) else {
-                        return self.stuck(format!("unknown callee `{callee}`"));
-                    };
-                    Ok(LinState::External {
-                        q: LQuery {
-                            vf,
-                            sig: sig.clone(),
-                            ls: cur.ls.clone(),
-                            mem: mem.clone(),
-                        },
-                        cur: cur.clone(),
-                        stack: stack.to_vec(),
-                    })
-                }
-            }
-            LinInst::Return => {
-                let mut mem = mem.clone();
-                if let Err(e) = mem.free(cur.sp, 0, f.stack_size) {
-                    return self.stuck(format!("freeing stack data: {e}"));
-                }
-                let ls = return_regs(&cur.entry_ls, &cur.ls);
-                Ok(LinState::Ret {
-                    ls,
-                    mem,
-                    stack: stack.to_vec(),
-                })
-            }
-        }
-    }
 }
 
 impl Lts for LinearSem {
@@ -367,73 +244,13 @@ impl Lts for LinearSem {
     }
 
     fn step(&self, s: &LinState) -> Step<LinState, LQuery, LReply> {
-        match s {
-            LinState::Call {
-                fname,
-                ls,
-                mem,
-                stack,
-            } => {
-                let Some(f) = self.prog.function(fname) else {
-                    return Step::Stuck(Stuck::new(format!("unknown function `{fname}`")));
-                };
-                let mut mem = mem.clone();
-                let sp = mem.alloc(0, f.stack_size);
-                let entry_ls = ls.shift_incoming();
-                Step::Internal(
-                    LinState::Exec {
-                        cur: LinFrame {
-                            fname: fname.clone(),
-                            pc: 0,
-                            ls: entry_ls.clone(),
-                            entry_ls,
-                            sp,
-                        },
-                        mem,
-                        stack: stack.clone(),
-                    },
-                    vec![],
-                )
-            }
-            LinState::Exec { cur, mem, stack } => {
-                let Some(f) = self.prog.function(&cur.fname) else {
-                    return Step::Stuck(Stuck::new("frame names unknown function"));
-                };
-                match self.exec_inst(f, cur, mem, stack) {
-                    Ok(next) => Step::Internal(next, vec![]),
-                    Err(stuck) => Step::Stuck(stuck),
-                }
-            }
-            LinState::Ret { ls, mem, stack } => {
-                if stack.is_empty() {
-                    return Step::Final(LReply {
-                        ls: ls.clone(),
-                        mem: mem.clone(),
-                    });
-                }
-                let mut stack = stack.clone();
-                let Some(mut caller) = stack.pop() else {
-                    return Step::Stuck(Stuck::new("return with no caller frame"));
-                };
-                caller.ls = return_regs(&caller.ls, ls);
-                caller.pc += 1;
-                Step::Internal(
-                    LinState::Exec {
-                        cur: caller,
-                        mem: mem.clone(),
-                        stack,
-                    },
-                    vec![],
-                )
-            }
-            LinState::External { q, .. } => Step::External(q.clone()),
-        }
+        step_via_batch(self, s)
     }
 
-    /// The batched fast path (DESIGN.md §13): identical transitions, stuck
-    /// messages, fuel accounting, and memory-op sequence as single-stepping,
-    /// but executed in place — no per-instruction frame/locset/memory clones,
-    /// no caller-stack copies, and label targets from the precomputed maps.
+    /// The instruction semantics (DESIGN.md §13), run in place: no
+    /// per-instruction frame/locset/memory clones, no caller-stack copies,
+    /// and label targets from the precomputed maps. `step` is this loop at
+    /// fuel 1.
     #[allow(clippy::too_many_lines)]
     fn step_batch(
         &self,
@@ -679,15 +496,27 @@ impl Lts for LinearSem {
     }
 }
 
-/// Map from labels to instruction indices (used by `Linearize` tests and the
-/// `CleanupLabels` pass).
+/// Map from labels to instruction indices, reading each instruction's
+/// label with `label_of` (shared by the Linear, Mach and Asm semantics). A
+/// label defined twice maps to its first definition, as CompCert's
+/// `find_label` does.
+pub(crate) fn first_label_targets<I>(
+    code: &[I],
+    label_of: impl Fn(&I) -> Option<Label>,
+) -> BTreeMap<Label, usize> {
+    let mut targets = BTreeMap::new();
+    for (i, inst) in code.iter().enumerate() {
+        if let Some(l) = label_of(inst) {
+            targets.entry(l).or_insert(i);
+        }
+    }
+    targets
+}
+
+/// Map from labels to instruction indices.
 pub fn label_targets(f: &LinFunction) -> BTreeMap<Label, usize> {
-    f.code
-        .iter()
-        .enumerate()
-        .filter_map(|(i, inst)| match inst {
-            LinInst::Label(l) => Some((*l, i)),
-            _ => None,
-        })
-        .collect()
+    first_label_targets(&f.code, |i| match i {
+        LinInst::Label(l) => Some(*l),
+        _ => None,
+    })
 }

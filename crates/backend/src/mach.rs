@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use compcerto_core::iface::{MQuery, MReply, Signature, M};
-use compcerto_core::lts::{Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
 use compcerto_core::regs::{Mreg, NREGS};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Mem, Val};
@@ -89,15 +89,6 @@ pub struct MachFunction {
     pub outgoing_ofs: i64,
     /// Instruction list.
     pub code: Vec<MachInst>,
-}
-
-impl MachFunction {
-    /// Index of a label.
-    pub fn label_index(&self, l: Label) -> Option<usize> {
-        self.code
-            .iter()
-            .position(|i| matches!(i, MachInst::Label(x) if *x == l))
-    }
 }
 
 /// A Mach translation unit.
@@ -186,7 +177,7 @@ pub struct MachSem {
     ra_oracle: RaOracle,
     label: String,
     /// Function index by name (first definition wins, like
-    /// [`MachProgram::function`]); drives the batched fast path.
+    /// [`MachProgram::function`]).
     fidx_of_name: BTreeMap<Ident, usize>,
     /// Per-function label → instruction index, parallel to
     /// `prog.functions`.
@@ -261,156 +252,6 @@ impl MachSem {
             MOp::BinopImm(m, a, i) => m.eval(frame.regs[a.index()], *i),
         })
     }
-
-    fn exec_inst(
-        &self,
-        f: &MachFunction,
-        cur: &MachFrame,
-        mem: &Mem,
-        stack: &[MachFrame],
-    ) -> Result<MachState, Stuck> {
-        let Some(inst) = f.code.get(cur.pc) else {
-            return self.stuck(format!("pc {} past end of `{}`", cur.pc, cur.fname));
-        };
-        let seq = |frame: MachFrame, mem: Mem| MachState::Exec {
-            cur: frame,
-            mem,
-            stack: stack.to_vec(),
-        };
-        match inst {
-            MachInst::Label(_) => {
-                let mut fr = cur.clone();
-                fr.pc += 1;
-                Ok(seq(fr, mem.clone()))
-            }
-            MachInst::Op(op, dst) => {
-                let v = self.eval_op(cur, op)?;
-                let mut fr = cur.clone();
-                fr.regs[dst.index()] = v;
-                fr.pc += 1;
-                Ok(seq(fr, mem.clone()))
-            }
-            MachInst::Load(chunk, base, disp, dst) => {
-                let addr = cur.regs[base.index()].add(Val::Long(*disp));
-                let v = match mem.loadv(*chunk, addr) {
-                    Ok(v) => v,
-                    Err(e) => return self.stuck(format!("load failed: {e}")),
-                };
-                let mut fr = cur.clone();
-                fr.regs[dst.index()] = v;
-                fr.pc += 1;
-                Ok(seq(fr, mem.clone()))
-            }
-            MachInst::Store(chunk, base, disp, src) => {
-                let addr = cur.regs[base.index()].add(Val::Long(*disp));
-                let mut mem2 = mem.clone();
-                if let Err(e) = mem2.storev(*chunk, addr, cur.regs[src.index()]) {
-                    return self.stuck(format!("store failed: {e}"));
-                }
-                let mut fr = cur.clone();
-                fr.pc += 1;
-                Ok(seq(fr, mem2))
-            }
-            MachInst::GetStack(ofs, dst) => {
-                let v = match mem.load(Chunk::Any64, cur.fp, *ofs) {
-                    Ok(v) => v,
-                    Err(e) => return self.stuck(format!("getstack failed: {e}")),
-                };
-                let mut fr = cur.clone();
-                fr.regs[dst.index()] = v;
-                fr.pc += 1;
-                Ok(seq(fr, mem.clone()))
-            }
-            MachInst::SetStack(src, ofs) => {
-                let mut mem2 = mem.clone();
-                if let Err(e) = mem2.store(Chunk::Any64, cur.fp, *ofs, cur.regs[src.index()]) {
-                    return self.stuck(format!("setstack failed: {e}"));
-                }
-                let mut fr = cur.clone();
-                fr.pc += 1;
-                Ok(seq(fr, mem2))
-            }
-            MachInst::GetParam(ofs, dst) => {
-                let v = match mem.loadv(Chunk::Any64, cur.parent_sp.add(Val::Long(*ofs))) {
-                    Ok(v) => v,
-                    Err(e) => return self.stuck(format!("getparam failed: {e}")),
-                };
-                let mut fr = cur.clone();
-                fr.regs[dst.index()] = v;
-                fr.pc += 1;
-                Ok(seq(fr, mem.clone()))
-            }
-            MachInst::Goto(l) => match f.label_index(*l) {
-                Some(i) => {
-                    let mut fr = cur.clone();
-                    fr.pc = i;
-                    Ok(seq(fr, mem.clone()))
-                }
-                None => self.stuck(format!("missing label {l}")),
-            },
-            MachInst::CondGoto(r, l) => match cur.regs[r.index()].truth() {
-                Some(true) => match f.label_index(*l) {
-                    Some(i) => {
-                        let mut fr = cur.clone();
-                        fr.pc = i;
-                        Ok(seq(fr, mem.clone()))
-                    }
-                    None => self.stuck(format!("missing label {l}")),
-                },
-                Some(false) => {
-                    let mut fr = cur.clone();
-                    fr.pc += 1;
-                    Ok(seq(fr, mem.clone()))
-                }
-                None => self.stuck("undefined branch condition"),
-            },
-            MachInst::Call(callee, _sig) => {
-                // The callee's stack pointer is this frame's outgoing area.
-                let sp = Val::Ptr(cur.fp, f.outgoing_ofs);
-                if self.prog.function(callee).is_some() {
-                    let mut stack = stack.to_vec();
-                    stack.push(cur.clone());
-                    Ok(MachState::Call {
-                        fname: callee.clone(),
-                        regs: cur.regs,
-                        sp,
-                        mem: mem.clone(),
-                        stack,
-                    })
-                } else {
-                    let Some(vf) = self.symtab.func_ptr(callee) else {
-                        return self.stuck(format!("unknown callee `{callee}`"));
-                    };
-                    let ra = (self.ra_oracle)(&cur.fname, cur.pc);
-                    Ok(MachState::External {
-                        q: MQuery {
-                            vf,
-                            sp,
-                            ra,
-                            rs: cur.regs,
-                            mem: mem.clone(),
-                        },
-                        cur: cur.clone(),
-                        stack: stack.to_vec(),
-                    })
-                }
-            }
-            MachInst::Return => {
-                let Some(f) = self.prog.function(&cur.fname) else {
-                    return self.stuck("frame names unknown function");
-                };
-                let mut mem = mem.clone();
-                if let Err(e) = mem.free(cur.fp, 0, f.frame_size) {
-                    return self.stuck(format!("freeing frame: {e}"));
-                }
-                Ok(MachState::Ret {
-                    regs: cur.regs,
-                    mem,
-                    stack: stack.to_vec(),
-                })
-            }
-        }
-    }
 }
 
 impl Lts for MachSem {
@@ -453,72 +294,11 @@ impl Lts for MachSem {
     }
 
     fn step(&self, s: &MachState) -> Step<MachState, MQuery, MReply> {
-        match s {
-            MachState::Call {
-                fname,
-                regs,
-                sp,
-                mem,
-                stack,
-            } => {
-                let Some(f) = self.prog.function(fname) else {
-                    return Step::Stuck(Stuck::new(format!("unknown function `{fname}`")));
-                };
-                let mut mem = mem.clone();
-                let fp = mem.alloc(0, f.frame_size);
-                Step::Internal(
-                    MachState::Exec {
-                        cur: MachFrame {
-                            fname: fname.clone(),
-                            pc: 0,
-                            regs: *regs,
-                            fp,
-                            parent_sp: *sp,
-                        },
-                        mem,
-                        stack: stack.clone(),
-                    },
-                    vec![],
-                )
-            }
-            MachState::Exec { cur, mem, stack } => {
-                let Some(f) = self.prog.function(&cur.fname) else {
-                    return Step::Stuck(Stuck::new("frame names unknown function"));
-                };
-                match self.exec_inst(f, cur, mem, stack) {
-                    Ok(next) => Step::Internal(next, vec![]),
-                    Err(stuck) => Step::Stuck(stuck),
-                }
-            }
-            MachState::Ret { regs, mem, stack } => {
-                if stack.is_empty() {
-                    return Step::Final(MReply {
-                        rs: *regs,
-                        mem: mem.clone(),
-                    });
-                }
-                let mut stack = stack.clone();
-                let Some(mut caller) = stack.pop() else {
-                    return Step::Stuck(Stuck::new("return with no caller frame"));
-                };
-                caller.regs = *regs;
-                caller.pc += 1;
-                Step::Internal(
-                    MachState::Exec {
-                        cur: caller,
-                        mem: mem.clone(),
-                        stack,
-                    },
-                    vec![],
-                )
-            }
-            MachState::External { q, .. } => Step::External(q.clone()),
-        }
+        step_via_batch(self, s)
     }
 
-    /// The batched fast path (DESIGN.md §13): identical transitions, stuck
-    /// messages, fuel accounting, and memory-op sequence as single-stepping,
-    /// executed in place with precomputed name/label tables.
+    /// The instruction semantics (DESIGN.md §13), run in place with
+    /// precomputed name/label tables. `step` is this loop at fuel 1.
     #[allow(clippy::too_many_lines)]
     fn step_batch(
         &self,
@@ -817,12 +597,8 @@ impl Lts for MachSem {
 
 /// Map from labels to indices.
 pub fn label_targets(f: &MachFunction) -> BTreeMap<Label, usize> {
-    f.code
-        .iter()
-        .enumerate()
-        .filter_map(|(i, inst)| match inst {
-            MachInst::Label(l) => Some((*l, i)),
-            _ => None,
-        })
-        .collect()
+    crate::linear::first_label_targets(&f.code, |i| match i {
+        MachInst::Label(l) => Some(*l),
+        _ => None,
+    })
 }

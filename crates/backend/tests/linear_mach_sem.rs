@@ -1,13 +1,15 @@
 //! Direct unit tests for the Linear and Mach open semantics (control flow,
 //! slot traffic, parameter access) on hand-written programs — independent of
-//! the passes that normally produce them.
+//! the passes that normally produce them — plus the duplicated-label rule
+//! shared by Linear, Mach and Asm.
 
+use backend::asm::{AsmFunction, AsmInst, AsmProgram, AsmSem};
 use backend::linear::{LinFunction, LinInst, LinProgram, LinearSem};
 use backend::ltl::LOp;
 use backend::mach::{MOp, MachFunction, MachInst, MachProgram, MachSem};
-use compcerto_core::iface::{abi, LQuery, LReply, MQuery, MReply, Signature};
-use compcerto_core::lts::{run, RunOutcome};
-use compcerto_core::regs::{Loc, Locset, Mreg, NREGS};
+use compcerto_core::iface::{abi, ARegs, LQuery, LReply, MQuery, MReply, Signature};
+use compcerto_core::lts::{run, run_budgeted, RunBudget, RunOutcome};
+use compcerto_core::regs::{Loc, Locset, Mreg, Regset, NREGS};
 use compcerto_core::symtab::{GlobKind, SymbolTable};
 use mem::{Chunk, Mem, Val};
 use minor::MBinop;
@@ -278,4 +280,135 @@ fn mach_frame_address_points_at_stackdata() {
     let q = mach_query(&tbl, "sd", rs, mem, Val::Ptr(spb, 0));
     let reply = run(&sem, &q, &mut |_: &MQuery| None::<MReply>, 1000).expect_complete();
     assert_eq!(reply.rs[abi::RESULT_REG.index()], Val::Int(31));
+}
+
+// ---------------------------------------------------------------------------
+// Duplicated labels
+// ---------------------------------------------------------------------------
+
+/// The budgets every duplicated-label run is checked under: the ring-traced
+/// default (one step per batch) and `no_trace` (one batch for the run).
+fn both_budgets() -> [RunBudget; 2] {
+    [
+        RunBudget::with_fuel(1000),
+        RunBudget::with_fuel(1000).no_trace(),
+    ]
+}
+
+#[test]
+fn linear_duplicated_label_jumps_to_its_first_copy() {
+    // goto 1; L1: r := 1; ret; L1: r := 2; ret
+    let res = Loc::Reg(abi::RESULT_REG);
+    let f = LinFunction {
+        name: "dup".into(),
+        sig: Signature::int_fn(0),
+        stack_size: 0,
+        locals_size: 0,
+        outgoing_size: 0,
+        used_callee_save: vec![],
+        debug: vec![],
+        code: vec![
+            LinInst::Goto(1),
+            LinInst::Label(1),
+            LinInst::Op(LOp::Int(1), res),
+            LinInst::Return,
+            LinInst::Label(1),
+            LinInst::Op(LOp::Int(2), res),
+            LinInst::Return,
+        ],
+    };
+    let tbl = table("dup", Signature::int_fn(0));
+    let sem = LinearSem::new(
+        LinProgram {
+            functions: vec![f],
+            externs: vec![],
+        },
+        tbl.clone(),
+    );
+    let q = LQuery {
+        vf: tbl.func_ptr("dup").unwrap(),
+        sig: Signature::int_fn(0),
+        ls: Locset::new(),
+        mem: tbl.build_init_mem().unwrap(),
+    };
+    for budget in both_budgets() {
+        let reply =
+            run_budgeted(&sem, &q, &mut |_: &LQuery| None::<LReply>, &budget).expect_complete();
+        assert_eq!(reply.ls.get(res), Val::Int(1), "{budget:?}");
+    }
+}
+
+#[test]
+fn mach_duplicated_label_jumps_to_its_first_copy() {
+    let res = abi::RESULT_REG;
+    let f = MachFunction {
+        name: "dup".into(),
+        sig: Signature::int_fn(0),
+        frame_size: 16,
+        stackdata_ofs: 16,
+        outgoing_ofs: 16,
+        code: vec![
+            MachInst::Goto(1),
+            MachInst::Label(1),
+            MachInst::Op(MOp::Int(1), res),
+            MachInst::Return,
+            MachInst::Label(1),
+            MachInst::Op(MOp::Int(2), res),
+            MachInst::Return,
+        ],
+    };
+    let tbl = table("dup", Signature::int_fn(0));
+    let sem = MachSem::new(
+        MachProgram {
+            functions: vec![f],
+            externs: vec![],
+        },
+        tbl.clone(),
+    );
+    let mut mem = tbl.build_init_mem().unwrap();
+    let spb = mem.alloc(0, 0);
+    let q = mach_query(&tbl, "dup", [Val::Undef; NREGS], mem, Val::Ptr(spb, 0));
+    for budget in both_budgets() {
+        let reply =
+            run_budgeted(&sem, &q, &mut |_: &MQuery| None::<MReply>, &budget).expect_complete();
+        assert_eq!(reply.rs[res.index()], Val::Int(1), "{budget:?}");
+    }
+}
+
+#[test]
+fn asm_duplicated_label_jumps_to_its_first_copy() {
+    let res = abi::RESULT_REG;
+    let f = AsmFunction {
+        name: "dup".into(),
+        sig: Signature::int_fn(0),
+        code: vec![
+            AsmInst::Jmp(1),
+            AsmInst::Label(1),
+            AsmInst::MovImm32(res, 1),
+            AsmInst::Ret,
+            AsmInst::Label(1),
+            AsmInst::MovImm32(res, 2),
+            AsmInst::Ret,
+        ],
+    };
+    let tbl = table("dup", Signature::int_fn(0));
+    let sem = AsmSem::new(
+        AsmProgram {
+            functions: vec![f],
+            externs: vec![],
+        },
+        tbl.clone(),
+    );
+    let mut mem = tbl.build_init_mem().unwrap();
+    let rab = mem.alloc(0, 0);
+    let mut rs = Regset::new();
+    rs.pc = tbl.func_ptr("dup").unwrap();
+    rs.ra = Val::Ptr(rab, 0);
+    rs.sp = Val::Ptr(rab, 0);
+    let q = ARegs { rs, mem };
+    for budget in both_budgets() {
+        let reply =
+            run_budgeted(&sem, &q, &mut |_: &ARegs| None::<ARegs>, &budget).expect_complete();
+        assert_eq!(reply.rs.get(res), Val::Int(1), "{budget:?}");
+    }
 }

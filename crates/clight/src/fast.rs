@@ -1,45 +1,39 @@
-//! Prepared ("arena") form of a Clight-mini program and the batched fast
-//! interpreter behind [`ClightSem`]'s `step_batch` (DESIGN.md §13).
+//! Prepared ("arena") form of a Clight-mini program and the interpreter
+//! behind [`ClightSem`] (DESIGN.md §13).
 //!
 //! `prepare` runs once per [`ClightSem`] and compiles every function body
 //! into dense statement/expression arenas (`u32` ids), resolving at compile
-//! time everything the legacy stepper re-derived on every step:
+//! time everything that does not depend on the run:
 //!
 //! * variable references become slot indices (locals) or block ids
-//!   (globals), with load/store chunks precomputed from the same types the
-//!   legacy evaluator would consult;
+//!   (globals), with load/store chunks precomputed from their types;
 //! * callee names are interned ([`Interner`]) and resolved to function
 //!   indices or external function pointers + signatures;
 //! * casts become one of four kinds; `sizeof` becomes a constant;
-//! * local allocation/free plans mirror `enter`/`free_locals` exactly
-//!   (every declaration allocated in order, the *last* declaration of a
-//!   name owning its slot, frees in name order — duplicate-name leaks and
-//!   all);
-//! * statically-known stuck conditions carry their exact legacy message,
-//!   label-free (the label is prefixed at stuck time, like
-//!   `ClightSem::stuck`).
+//! * local allocation/free plans: every declaration allocated in order,
+//!   the *last* declaration of a name owning its slot, frees in name order
+//!   (duplicate-name leaks and all);
+//! * statically-known stuck conditions carry their message, label-free
+//!   (the label is prefixed at stuck time).
 //!
 //! Activations use a dense register file ([`PFrame`]: `Vec<BlockId>` slots,
-//! `Vec<Option<Val>>` temps) and continuations mirror the legacy [`Kont`]
-//! one-to-one ([`PKont`]) so step counts match the legacy machine exactly —
-//! including every `Skip` continuation pop. Mid-run states live in hidden
-//! fast variants of [`State`] (`FEntry`/`FStmt`/`FReturning`/`FExternal`),
-//! so external calls resume natively without converting back and forth.
-//! Observable behaviour — answers, step counts, stuck messages, and the
-//! `mem.*` counter stream — is bit-for-bit the legacy interpreter's;
-//! `tests/fast_equiv.rs` checks this side by side.
+//! `Vec<Option<Val>>` temps) and continuations ([`PKont`]) are small-step:
+//! every `Skip` continuation pop, function entry and return is one step.
+//! [`step_batch`] is the one step definition; `ClightSem::step` runs it at
+//! fuel 1. Answers, step counts, stuck messages and the `mem.*` counter
+//! stream are pinned by the committed verdict checksums (DESIGN.md §13).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use compcerto_core::iface::{CQuery, CReply, Signature};
 use compcerto_core::intern::Interner;
-use compcerto_core::lts::{Batch, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Stuck};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Mem, Val};
 
 use crate::ast::{Binop, CallDest, Expr, Function, Program, Stmt, Unop};
-use crate::sem::{eval_binop, ClightSem, Kont, State};
+use crate::sem::{ClightSem, State};
 use crate::ty::Ty;
 
 /// A precompiled cast, keyed by (source type, target type).
@@ -119,7 +113,7 @@ pub enum PStmt {
     Assign {
         /// Destination place.
         lv: PLval,
-        /// Store chunk from the legacy lvalue type.
+        /// Store chunk from the lvalue type.
         chunk: Option<Chunk>,
         /// Right-hand side.
         rhs: u32,
@@ -149,14 +143,14 @@ pub enum PStmt {
     /// A call that sticks after evaluating its arguments (unknown symbol
     /// or missing signature).
     CallTrap {
-        /// Argument expressions (evaluated first, as in the legacy order).
+        /// Argument expressions (evaluated before the stuck fires).
         args: Box<[u32]>,
         /// The stuck message.
         msg: Box<str>,
     },
     /// Sequencing.
     Seq(u32, u32),
-    /// Conditional; `prefix` is the legacy ``undefined condition: {c} = ``
+    /// Conditional; `prefix` is the ``undefined condition: {c} = ``
     /// text awaiting the runtime value.
     If {
         /// Condition.
@@ -185,7 +179,7 @@ pub enum PStmt {
     Return(Option<u32>),
 }
 
-/// Per-parameter binding plan (mirrors `enter`'s branches).
+/// Per-parameter binding plan.
 #[derive(Debug, Clone)]
 pub enum PParam {
     /// Store into a local's block; the prefix is
@@ -207,9 +201,8 @@ pub struct PFunc {
     /// Allocation plan: `(slot, size)` per declaration, in declaration
     /// order (duplicates each allocate; the slot keeps the last block).
     pub allocs: Vec<(u32, i64)>,
-    /// Free plan, indexed by slot (slots are in name order, matching the
-    /// legacy `BTreeMap` iteration): `(size, name)` from the last
-    /// declaration of the name.
+    /// Free plan, indexed by slot (slots are in name order): `(size, name)`
+    /// from the last declaration of the name.
     pub frees: Vec<(i64, Box<str>)>,
     /// Temp-slot count (covers every temp id the function mentions).
     pub n_temps: usize,
@@ -237,7 +230,7 @@ pub struct PProg {
     pub fidx_of_sym: Vec<Option<u32>>,
 }
 
-/// A fast activation: dense local slots and temps.
+/// An activation: dense local slots and temps.
 #[derive(Debug, Clone)]
 pub struct PFrame {
     /// Owning function (index into [`PProg::funcs`]).
@@ -248,8 +241,7 @@ pub struct PFrame {
     pub temps: Vec<Option<Val>>,
 }
 
-/// Fast continuations, mirroring [`Kont`] one-to-one (so step counts,
-/// including `Skip` pops, match the legacy machine exactly).
+/// Continuations. Every `Skip` that pops one is a step of its own.
 #[derive(Debug, Clone)]
 pub enum PKont {
     /// Return to the environment.
@@ -298,7 +290,7 @@ struct FnC<'a> {
     symtab: &'a SymbolTable,
     /// Unique local names in name order → slot.
     slot_of: BTreeMap<&'a str, u32>,
-    /// Last-declaration type per slot (what the legacy `env` holds).
+    /// Last-declaration type per slot.
     env_ty: Vec<&'a Ty>,
     stmts: Vec<PStmt>,
     exprs: Vec<PExpr>,
@@ -310,9 +302,8 @@ impl<'a> FnC<'a> {
         (self.exprs.len() - 1) as u32
     }
 
-    /// Compile an lvalue, returning the place and the type the legacy
-    /// `eval_lvalue` would report (env type for locals, annotation
-    /// otherwise).
+    /// Compile an lvalue, returning the place and its type (the declared
+    /// type for locals, the annotation otherwise).
     fn lvalue(&mut self, e: &Expr) -> (PLval, Ty) {
         match e {
             Expr::Var(name, ty) => {
@@ -371,8 +362,7 @@ impl<'a> FnC<'a> {
                 match ty.chunk() {
                     Some(c) => PExpr::LoadDeref(eid, c),
                     // The inner pointer still evaluates (and is checked)
-                    // before the non-scalar load sticks, as in the legacy
-                    // eval order.
+                    // before the non-scalar load sticks.
                     None => PExpr::DerefNonScalar(
                         eid,
                         format!("load at non-scalar type {ty}").into_boxed_str(),
@@ -607,10 +597,9 @@ pub fn prepare(prog: &Program, symtab: &SymbolTable) -> PProg {
         .functions
         .iter()
         .map(|f| {
-            // Slots: unique local names in name order (the legacy env is a
-            // BTreeMap, so frees iterate in name order). The slot's type and
-            // free size come from the *last* declaration (env.insert
-            // overwrites); every declaration still allocates.
+            // Slots: unique local names in name order (frees iterate in name
+            // order). The slot's type and free size come from the *last*
+            // declaration; every declaration still allocates.
             let mut slot_of: BTreeMap<&str, u32> = BTreeMap::new();
             for (name, _) in &f.vars {
                 let next = slot_of.len() as u32;
@@ -650,7 +639,7 @@ pub fn prepare(prog: &Program, symtab: &SymbolTable) -> PProg {
                 stmts: Vec::new(),
                 exprs: Vec::new(),
             };
-            // Parameter plans, in order (mirroring `enter`).
+            // Parameter plans, in order.
             let params: Vec<PParam> = f
                 .params
                 .iter()
@@ -706,12 +695,38 @@ pub fn prepare(prog: &Program, symtab: &SymbolTable) -> PProg {
     }
 }
 
+/// The function index of a callee pointer (first definition of its name).
+pub(crate) fn fidx_of_val(p: &PProg, symtab: &SymbolTable, vf: Val) -> Option<u32> {
+    match vf {
+        Val::Ptr(b, 0) => symtab
+            .ident_of(b)
+            .and_then(|name| p.syms.lookup(name))
+            .and_then(|sy| p.fidx_of_sym.get(sy.index()).copied().flatten()),
+        _ => None,
+    }
+}
+
+fn eval_binop(op: Binop, a: Val, b: Val) -> Val {
+    match op {
+        Binop::Add => a.add(b),
+        Binop::Sub => a.sub(b),
+        Binop::Mul => a.mul(b),
+        Binop::Div => a.divs(b),
+        Binop::Mod => a.mods(b),
+        Binop::And => a.and(b),
+        Binop::Or => a.or(b),
+        Binop::Xor => a.xor(b),
+        Binop::Shl => a.shl(b),
+        Binop::Shr => a.shr(b),
+        Binop::Cmp(c) => a.cmp(c, b),
+    }
+}
+
 fn st(label: &str, msg: impl std::fmt::Display) -> Stuck {
     Stuck::new(format!("{label}: {msg}"))
 }
 
-/// Evaluate a compiled expression (same order, loads, and stuck messages as
-/// the legacy `eval`).
+/// Evaluate a compiled expression (operands left to right).
 fn eval(f: &PFunc, frame: &PFrame, mem: &Mem, label: &str, eid: u32) -> Result<Val, Stuck> {
     match &f.exprs[eid as usize] {
         PExpr::Const(v) => Ok(*v),
@@ -804,8 +819,8 @@ fn eval_place(
     }
 }
 
-/// Write a call result into its destination (the fast `write_dest`, used by
-/// both the batch loop and `ClightSem::resume` on fast externals).
+/// Write a call result into its destination (used by both the batch loop
+/// and `ClightSem::resume`).
 pub(crate) fn write_dest(
     p: &PProg,
     label: &str,
@@ -834,8 +849,7 @@ pub(crate) fn write_dest(
     }
 }
 
-/// Free a frame's locals (the fast `free_locals`: name order, last-decl
-/// blocks and sizes).
+/// Free a frame's locals (name order, last-declaration blocks and sizes).
 fn free_locals(f: &PFunc, frame: &PFrame, mem: &mut Mem, label: &str) -> Result<(), Stuck> {
     for (slot, (size, name)) in f.frees.iter().enumerate() {
         if let Err(e) = mem.free(frame.var_blocks[slot], 0, *size) {
@@ -845,104 +859,63 @@ fn free_locals(f: &PFunc, frame: &PFrame, mem: &mut Mem, label: &str) -> Result<
     Ok(())
 }
 
-/// One legacy step, packaged as a [`Batch`] — the fallback for legacy
-/// states the arena does not model (anything but the initial `Entry`).
-fn legacy_one(sem: &ClightSem, s: &mut State) -> Batch<CQuery, CReply> {
-    match sem.step(s) {
-        Step::Internal(s2, _) => {
-            *s = s2;
-            Batch::Ran(1)
-        }
-        Step::Final(a) => Batch::Final(0, a),
-        Step::External(oq) => Batch::External(0, oq),
-        Step::Stuck(stuck) => Batch::Stuck(0, stuck),
-    }
-}
-
-/// Control position of the fast machine (the shared `mem` rides alongside).
+/// Control position of the machine (the shared `mem` rides alongside).
 enum M {
-    /// Mirror of `State::Entry` (callee resolved).
+    /// `State::Entry`.
     Enter(u32, Vec<Val>, PKont),
-    /// Mirror of `State::Stmt`.
+    /// `State::Stmt`.
     Stmt(u32, PFrame, PKont),
-    /// Mirror of `State::Returning`.
+    /// `State::Returning`.
     Ret(Val, PKont),
 }
 
-/// Run up to `fuel_left` steps in place. Every legacy `step` — including
-/// `Skip` continuation pops and `Entry` transitions — counts exactly one
-/// step here too, so fuel accounting is bit-for-bit identical.
+/// Run up to `fuel_left` steps in place, following the [`Batch`] contract.
+/// Every transition — statement, `Skip` continuation pop, function entry,
+/// return into a caller — counts exactly one step.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batch<CQuery, CReply> {
-    let p = sem.fast();
-    let label = sem.label();
+    let p = &sem.fast;
+    let label = sem.label.as_str();
 
-    // Take ownership of the state (fast states move in and out without
-    // cloning frames or memory).
+    // Take ownership of the state: frames and memory move in and out
+    // without cloning.
     let taken = std::mem::replace(
         s,
-        State::FReturning {
+        State::Returning {
             v: Val::Undef,
             mem: Mem::new(),
             kont: PKont::Stop,
         },
     );
     let (mut mode, mut mem) = match taken {
-        State::External { .. } | State::FExternal { .. } => {
-            if let State::External { q, .. } | State::FExternal { q, .. } = &taken {
-                let q = q.clone();
-                *s = taken;
-                return Batch::External(0, q);
-            }
-            unreachable!()
+        State::External {
+            q,
+            dest,
+            frame,
+            kont,
+        } => {
+            let out = q.clone();
+            *s = State::External {
+                q,
+                dest,
+                frame,
+                kont,
+            };
+            return Batch::External(0, out);
         }
         State::Entry {
-            vf,
-            args,
-            mem,
-            kont: Kont::Stop,
-        } => {
-            // The initial state: resolve the callee once and go fast.
-            let fidx = match vf {
-                Val::Ptr(b, 0) => sem
-                    .symtab()
-                    .ident_of(b)
-                    .and_then(|name| p.syms.lookup(name))
-                    .and_then(|sy| p.fidx_of_sym.get(sy.index()).copied().flatten()),
-                _ => None,
-            };
-            match fidx {
-                Some(fidx) => (M::Enter(fidx, args, PKont::Stop), mem),
-                None => {
-                    *s = State::Entry {
-                        vf,
-                        args,
-                        mem,
-                        kont: Kont::Stop,
-                    };
-                    return legacy_one(sem, s);
-                }
-            }
-        }
-        State::FEntry {
             fidx,
             args,
             mem,
             kont,
         } => (M::Enter(fidx, args, kont), mem),
-        State::FStmt {
+        State::Stmt {
             sid,
             frame,
             kont,
             mem,
         } => (M::Stmt(sid, frame, kont), mem),
-        State::FReturning { v, mem, kont } => (M::Ret(v, kont), mem),
-        other => {
-            // Hand-built legacy mid-states: step them with the legacy
-            // machine (exact messages, legacy speed).
-            *s = other;
-            return legacy_one(sem, s);
-        }
+        State::Returning { v, mem, kont } => (M::Ret(v, kont), mem),
     };
     let mut n: u64 = 0;
 
@@ -950,7 +923,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
         match mode {
             M::Enter(fidx, args, kont) => {
                 if n == fuel_left {
-                    *s = State::FEntry {
+                    *s = State::Entry {
                         fidx,
                         args,
                         mem,
@@ -1020,7 +993,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                 // The hot inner loop: stays inside one activation.
                 loop {
                     if n == fuel_left {
-                        *s = State::FStmt {
+                        *s = State::Stmt {
                             sid,
                             frame,
                             kont,
@@ -1256,7 +1229,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                                 args: vals,
                                 mem: mem.clone(),
                             };
-                            *s = State::FExternal {
+                            *s = State::External {
                                 q: q.clone(),
                                 dest: dest.clone(),
                                 frame,
@@ -1281,7 +1254,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
             }
             M::Ret(v, kont) => {
                 if n == fuel_left {
-                    *s = State::FReturning { v, mem, kont };
+                    *s = State::Returning { v, mem, kont };
                     return Batch::Ran(n);
                 }
                 match kont {
@@ -1301,7 +1274,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                         mode = M::Stmt(skip, frame, unrc(kont));
                     }
                     // Unreachable by construction (Returning is built with
-                    // Stop/Call only); keep the legacy message for safety.
+                    // Stop/Call only); stuck rather than panic.
                     PKont::Seq(_, _) | PKont::Loop(_, _) => {
                         return Batch::Stuck(
                             n,
@@ -1311,17 +1284,5 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                 }
             }
         }
-    }
-}
-
-/// One fast step (used by `ClightSem::step` on the hidden fast variants so
-/// `step` stays total): a batch of size one on a cloned state.
-pub(crate) fn step_one(sem: &ClightSem, s: &State) -> Step<State, CQuery, CReply> {
-    let mut s2 = s.clone();
-    match step_batch(sem, &mut s2, 1) {
-        Batch::Ran(_) => Step::Internal(s2, vec![]),
-        Batch::Final(_, a) => Step::Final(a),
-        Batch::External(_, q) => Step::External(q),
-        Batch::Stuck(_, stuck) => Step::Stuck(stuck),
     }
 }

@@ -6,18 +6,18 @@
 //! question (`X`), to be resumed by the environment's [`CReply`] (`Y`).
 //! Locals live in memory blocks allocated at function entry and freed at
 //! return, so the `SimplLocals` pass is observable in the memory footprint.
-
-use std::collections::BTreeMap;
-use std::rc::Rc;
+//!
+//! The transition relation is the prepared-arena interpreter in
+//! [`crate::fast`] (DESIGN.md §13): `step_batch` runs it for many steps in
+//! place, and `step` is the same loop at fuel 1.
 
 use compcerto_core::iface::{CQuery, CReply, C};
-use compcerto_core::lts::{Batch, Event, Lts, Step, Stuck};
-use compcerto_core::symtab::{Ident, SymbolTable};
-use mem::{BlockId, Mem, Val};
+use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
+use compcerto_core::symtab::SymbolTable;
+use mem::{Mem, Val};
 
-use crate::ast::{Binop, CallDest, Expr, Function, Program, Stmt, TempId, Unop};
+use crate::ast::Program;
 use crate::fast;
-use crate::ty::Ty;
 
 /// The open semantics `Clight(p) : C ↠ C` of a translation unit.
 ///
@@ -29,9 +29,9 @@ use crate::ty::Ty;
 pub struct ClightSem {
     prog: Program,
     symtab: SymbolTable,
-    label: String,
-    /// Prepared arenas driving the batched fast path (DESIGN.md §13).
-    fast: fast::PProg,
+    pub(crate) label: String,
+    /// Prepared arenas the interpreter runs on (DESIGN.md §13).
+    pub(crate) fast: fast::PProg,
 }
 
 impl ClightSem {
@@ -44,16 +44,6 @@ impl ClightSem {
             label: "Clight".into(),
             fast,
         }
-    }
-
-    /// The prepared program (fast-path internals).
-    pub(crate) fn fast(&self) -> &fast::PProg {
-        &self.fast
-    }
-
-    /// The display label (fast-path stuck-message prefix).
-    pub(crate) fn label(&self) -> &str {
-        &self.label
     }
 
     /// Override the display name (useful when several units coexist).
@@ -72,67 +62,42 @@ impl ClightSem {
         &self.symtab
     }
 
-    fn function_of_val(&self, vf: &Val) -> Option<&Function> {
-        match vf {
-            Val::Ptr(b, 0) => {
-                let name = self.symtab.ident_of(*b)?;
-                self.prog.function(name)
-            }
-            _ => None,
-        }
+    /// The index of the function `q` calls, when this unit defines it with
+    /// `q`'s signature and arity.
+    fn callee(&self, q: &CQuery) -> Option<u32> {
+        let fidx = fast::fidx_of_val(&self.fast, &self.symtab, q.vf)?;
+        let f = self.prog.functions.get(fidx as usize)?;
+        (f.signature() == q.sig && q.args.len() == f.params.len()).then_some(fidx)
+    }
+
+    fn stuck<T>(&self, msg: impl Into<String>) -> Result<T, Stuck> {
+        Err(Stuck::new(format!("{}: {}", self.label, msg.into())))
     }
 }
 
-/// A function activation's local environment.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// Name of the running function.
-    fname: Ident,
-    /// Memory-resident locals: name → (block, type).
-    env: BTreeMap<Ident, (BlockId, Ty)>,
-    /// Temporaries.
-    temps: BTreeMap<TempId, Val>,
-}
-
-/// Continuations (what to do after the current statement).
-#[derive(Debug, Clone)]
-pub enum Kont {
-    /// Return to the incoming caller (the environment).
-    Stop,
-    /// Execute a statement next.
-    Seq(Stmt, Rc<Kont>),
-    /// Re-test a `while` loop.
-    Loop(Expr, Stmt, Rc<Kont>),
-    /// Return into a suspended internal caller.
-    Call {
-        dest: CallDest,
-        frame: Frame,
-        kont: Rc<Kont>,
-    },
-}
-
-/// States of the Clight LTS.
+/// States of the Clight LTS. Statements, frames and continuations are the
+/// prepared arena forms of [`crate::fast`].
 #[derive(Debug, Clone)]
 pub enum State {
     /// About to enter a (locally-defined) function.
     Entry {
-        /// Callee address.
-        vf: Val,
+        /// Callee function index (into the prepared function arena).
+        fidx: u32,
         /// Argument values.
         args: Vec<Val>,
         /// Memory.
         mem: Mem,
         /// Pending continuation.
-        kont: Kont,
+        kont: fast::PKont,
     },
     /// Executing a statement.
     Stmt {
-        /// Current statement.
-        s: Stmt,
+        /// Current statement id (into the frame's function arena).
+        sid: u32,
         /// Activation frame.
-        frame: Frame,
+        frame: fast::PFrame,
         /// Continuation.
-        kont: Kont,
+        kont: fast::PKont,
         /// Memory.
         mem: Mem,
     },
@@ -143,62 +108,10 @@ pub enum State {
         /// Memory.
         mem: Mem,
         /// Continuation (always `Stop` or `Call`).
-        kont: Kont,
+        kont: fast::PKont,
     },
     /// Suspended on an external call.
     External {
-        /// The outgoing question.
-        q: CQuery,
-        /// Where the result goes.
-        dest: CallDest,
-        /// Suspended frame.
-        frame: Frame,
-        /// Continuation.
-        kont: Kont,
-    },
-
-    // The remaining variants are the fast interpreter's mid-batch states
-    // (crate::fast, DESIGN.md §13). They arise only inside batched runs
-    // (`step_batch`), never from `initial` or traced single-stepping, and
-    // behave identically to their legacy counterparts under `step`,
-    // `resume`, and `measure`.
-    /// (internal) Fast-path `Entry` with the callee pre-resolved.
-    #[doc(hidden)]
-    FEntry {
-        /// Callee function index.
-        fidx: u32,
-        /// Argument values.
-        args: Vec<Val>,
-        /// Memory.
-        mem: Mem,
-        /// Pending continuation.
-        kont: fast::PKont,
-    },
-    /// (internal) Fast-path `Stmt` at an arena statement id.
-    #[doc(hidden)]
-    FStmt {
-        /// Current statement id (into the frame's function arena).
-        sid: u32,
-        /// Activation frame.
-        frame: fast::PFrame,
-        /// Continuation.
-        kont: fast::PKont,
-        /// Memory.
-        mem: Mem,
-    },
-    /// (internal) Fast-path `Returning`.
-    #[doc(hidden)]
-    FReturning {
-        /// Value being returned.
-        v: Val,
-        /// Memory.
-        mem: Mem,
-        /// Continuation (always `Stop` or `Call`).
-        kont: fast::PKont,
-    },
-    /// (internal) Fast-path `External`.
-    #[doc(hidden)]
-    FExternal {
         /// The outgoing question.
         q: CQuery,
         /// Where the result goes.
@@ -210,440 +123,25 @@ pub enum State {
     },
 }
 
-// The `Kont` type is private; states embed it, so `State` exposes no public
-// fields of type `Kont` directly (fields are doc(hidden) by privacy of Kont).
-
-impl Kont {
-    /// Number of suspended internal activations below this continuation
-    /// (the `Call` links). This is the call depth the budgeted runner
-    /// compares against `RunBudget::max_call_depth`.
-    fn call_depth(&self) -> u64 {
-        let mut depth = 0u64;
-        let mut k = self;
-        loop {
-            match k {
-                Kont::Stop => return depth,
-                Kont::Seq(_, next) | Kont::Loop(_, _, next) => k = next,
-                Kont::Call { kont, .. } => {
-                    depth += 1;
-                    k = kont;
-                }
-            }
-        }
-    }
-}
-
 impl State {
     /// The memory component of the state.
     fn mem_ref(&self) -> &Mem {
         match self {
-            State::Entry { mem, .. }
-            | State::Stmt { mem, .. }
-            | State::Returning { mem, .. }
-            | State::FEntry { mem, .. }
-            | State::FStmt { mem, .. }
-            | State::FReturning { mem, .. } => mem,
-            State::External { q, .. } | State::FExternal { q, .. } => &q.mem,
+            State::Entry { mem, .. } | State::Stmt { mem, .. } | State::Returning { mem, .. } => {
+                mem
+            }
+            State::External { q, .. } => &q.mem,
         }
     }
 
-    /// The call depth of the continuation component (both representations
-    /// count their `Call` links the same way).
+    /// The call depth: the `Call` links of the continuation.
     fn call_depth(&self) -> u64 {
         match self {
             State::Entry { kont, .. }
             | State::Stmt { kont, .. }
             | State::Returning { kont, .. }
             | State::External { kont, .. } => kont.call_depth(),
-            State::FEntry { kont, .. }
-            | State::FStmt { kont, .. }
-            | State::FReturning { kont, .. }
-            | State::FExternal { kont, .. } => kont.call_depth(),
         }
-    }
-}
-
-impl ClightSem {
-    fn stuck<T>(&self, msg: impl Into<String>) -> Result<T, Stuck> {
-        Err(Stuck::new(format!("{}: {}", self.label, msg.into())))
-    }
-
-    /// Evaluate an expression to a value.
-    fn eval(&self, frame: &Frame, mem: &Mem, e: &Expr) -> Result<Val, Stuck> {
-        match e {
-            Expr::ConstInt(n) => Ok(Val::Int(*n)),
-            Expr::ConstLong(n) => Ok(Val::Long(*n)),
-            Expr::SizeOf(t) => Ok(Val::Long(t.size())),
-            Expr::Temp(t, _) => match frame.temps.get(t) {
-                Some(v) => Ok(*v),
-                None => self.stuck(format!("unbound temporary $t{t} in `{}`", frame.fname)),
-            },
-            Expr::Var(_, _) | Expr::Deref(_, _) => {
-                let (b, ofs, ty) = self.eval_lvalue(frame, mem, e)?;
-                match ty.chunk() {
-                    Some(chunk) => match mem.load(chunk, b, ofs) {
-                        Ok(v) => Ok(v),
-                        Err(err) => self.stuck(format!("load failed: {err}")),
-                    },
-                    // Arrays in rvalue position decay (handled by the type
-                    // checker); reaching here means an untypechecked AST.
-                    None => self.stuck(format!("load at non-scalar type {ty}")),
-                }
-            }
-            Expr::Addr(inner, _) => {
-                let (b, ofs, _) = self.eval_lvalue(frame, mem, inner)?;
-                Ok(Val::Ptr(b, ofs))
-            }
-            Expr::Unop(op, a, _) => {
-                let v = self.eval(frame, mem, a)?;
-                Ok(match op {
-                    Unop::Neg => v.neg(),
-                    Unop::Not => v.not(),
-                    Unop::LogicalNot => v.bool_not(),
-                })
-            }
-            Expr::Binop(op, a, b, _) => {
-                let va = self.eval(frame, mem, a)?;
-                let vb = self.eval(frame, mem, b)?;
-                Ok(eval_binop(*op, va, vb))
-            }
-            Expr::Cast(a, target) => {
-                let v = self.eval(frame, mem, a)?;
-                Ok(eval_cast(v, &a.ty(), target))
-            }
-            Expr::Index(_, _, _) => self.stuck("surface Index reached the semantics"),
-        }
-    }
-
-    /// Evaluate an lvalue to a memory location.
-    fn eval_lvalue(&self, frame: &Frame, mem: &Mem, e: &Expr) -> Result<(BlockId, i64, Ty), Stuck> {
-        match e {
-            Expr::Var(name, ty) => {
-                if let Some((b, t)) = frame.env.get(name) {
-                    return Ok((*b, 0, t.clone()));
-                }
-                match self.symtab.block_of(name) {
-                    Some(b) => Ok((b, 0, ty.clone())),
-                    None => self.stuck(format!("unknown variable `{name}`")),
-                }
-            }
-            Expr::Deref(inner, ty) => {
-                let v = self.eval(frame, mem, inner)?;
-                match v {
-                    Val::Ptr(b, ofs) => Ok((b, ofs, ty.clone())),
-                    other => self.stuck(format!("dereference of non-pointer {other}")),
-                }
-            }
-            other => self.stuck(format!("not an lvalue: {other}")),
-        }
-    }
-
-    /// Enter function `f` with `args` in `mem`: allocate locals, bind
-    /// parameters.
-    fn enter(&self, f: &Function, args: &[Val], mem: &Mem, kont: Kont) -> Result<State, Stuck> {
-        if args.len() != f.params.len() {
-            return self.stuck(format!(
-                "`{}` expects {} arguments, got {}",
-                f.name,
-                f.params.len(),
-                args.len()
-            ));
-        }
-        let mut mem = mem.clone();
-        let mut env = BTreeMap::new();
-        for (name, ty) in &f.vars {
-            let b = mem.alloc(0, ty.size());
-            env.insert(name.clone(), (b, ty.clone()));
-        }
-        let mut temps: BTreeMap<TempId, Val> = BTreeMap::new();
-        for (tid, _, _) in &f.temps {
-            temps.insert(*tid, Val::Undef);
-        }
-        // Bind parameters: into memory if the name is a var, into the
-        // matching temp otherwise.
-        for ((pname, pty), v) in f.params.iter().zip(args) {
-            if let Some((b, _)) = env.get(pname) {
-                let chunk = match pty.chunk() {
-                    Some(c) => c,
-                    None => return self.stuck(format!("parameter `{pname}` not scalar")),
-                };
-                if let Err(e) = mem.store(chunk, *b, 0, *v) {
-                    return self.stuck(format!("storing parameter `{pname}`: {e}"));
-                }
-            } else if let Some((tid, _, _)) = f
-                .temps
-                .iter()
-                .find(|(_, _, n)| n.as_deref() == Some(pname.as_str()))
-            {
-                temps.insert(*tid, *v);
-            } else {
-                return self.stuck(format!("parameter `{pname}` has no storage"));
-            }
-        }
-        Ok(State::Stmt {
-            s: f.body.clone(),
-            frame: Frame {
-                fname: f.name.clone(),
-                env,
-                temps,
-            },
-            kont,
-            mem,
-        })
-    }
-
-    /// Free a frame's locals on return.
-    fn free_locals(&self, frame: &Frame, mem: &Mem) -> Result<Mem, Stuck> {
-        let mut mem = mem.clone();
-        for (name, (b, ty)) in &frame.env {
-            if let Err(e) = mem.free(*b, 0, ty.size()) {
-                return self.stuck(format!("freeing local `{name}`: {e}"));
-            }
-        }
-        Ok(mem)
-    }
-
-    /// Write a call result into its destination.
-    fn write_dest(
-        &self,
-        dest: &CallDest,
-        v: Val,
-        frame: &mut Frame,
-        mem: &mut Mem,
-    ) -> Result<(), Stuck> {
-        match dest {
-            CallDest::None => Ok(()),
-            CallDest::Temp(t, _) => {
-                frame.temps.insert(*t, v);
-                Ok(())
-            }
-            CallDest::Lvalue(lv) => {
-                let (b, ofs, ty) = self.eval_lvalue(frame, mem, lv)?;
-                let chunk = match ty.chunk() {
-                    Some(c) => c,
-                    None => return self.stuck("call destination not scalar"),
-                };
-                match mem.store(chunk, b, ofs, v) {
-                    Ok(()) => Ok(()),
-                    Err(e) => self.stuck(format!("storing call result: {e}")),
-                }
-            }
-        }
-    }
-
-    fn step_stmt(&self, s: &Stmt, frame: &Frame, kont: &Kont, mem: &Mem) -> Result<State, Stuck> {
-        match s {
-            Stmt::Skip => match kont {
-                Kont::Seq(next, k) => Ok(State::Stmt {
-                    s: next.clone(),
-                    frame: frame.clone(),
-                    kont: (**k).clone(),
-                    mem: mem.clone(),
-                }),
-                Kont::Loop(cond, body, k) => Ok(State::Stmt {
-                    s: Stmt::While(cond.clone(), Box::new(body.clone())),
-                    frame: frame.clone(),
-                    kont: (**k).clone(),
-                    mem: mem.clone(),
-                }),
-                // Fell off the end of the function: implicit `return;`.
-                Kont::Stop | Kont::Call { .. } => {
-                    let mem = self.free_locals(frame, mem)?;
-                    Ok(State::Returning {
-                        v: Val::Undef,
-                        mem,
-                        kont: kont.clone(),
-                    })
-                }
-            },
-            Stmt::Assign(lv, rhs) => {
-                let (b, ofs, ty) = self.eval_lvalue(frame, mem, lv)?;
-                let v = self.eval(frame, mem, rhs)?;
-                let chunk = match ty.chunk() {
-                    Some(c) => c,
-                    None => return self.stuck("assignment at non-scalar type"),
-                };
-                let mut mem = mem.clone();
-                if let Err(e) = mem.store(chunk, b, ofs, v) {
-                    return self.stuck(format!("store failed: {e}"));
-                }
-                Ok(State::Stmt {
-                    s: Stmt::Skip,
-                    frame: frame.clone(),
-                    kont: kont.clone(),
-                    mem,
-                })
-            }
-            Stmt::Set(t, rhs) => {
-                let v = self.eval(frame, mem, rhs)?;
-                let mut frame = frame.clone();
-                frame.temps.insert(*t, v);
-                Ok(State::Stmt {
-                    s: Stmt::Skip,
-                    frame,
-                    kont: kont.clone(),
-                    mem: mem.clone(),
-                })
-            }
-            Stmt::Call(dest, fname, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(frame, mem, a)?);
-                }
-                let Some(vf) = self.symtab.func_ptr(fname) else {
-                    return self.stuck(format!("call to unknown symbol `{fname}`"));
-                };
-                let kont = Kont::Call {
-                    dest: dest.clone(),
-                    frame: frame.clone(),
-                    kont: Rc::new(kont.clone()),
-                };
-                if self.prog.function(fname).is_some() {
-                    Ok(State::Entry {
-                        vf,
-                        args: vals,
-                        mem: mem.clone(),
-                        kont,
-                    })
-                } else {
-                    let Some(sig) = self.prog.sig_of(fname) else {
-                        return self.stuck(format!("no signature for `{fname}`"));
-                    };
-                    let Kont::Call { dest, frame, kont } = kont else {
-                        unreachable!()
-                    };
-                    Ok(State::External {
-                        q: CQuery {
-                            vf,
-                            sig,
-                            args: vals,
-                            mem: mem.clone(),
-                        },
-                        dest,
-                        frame,
-                        kont: (*kont).clone(),
-                    })
-                }
-            }
-            Stmt::Seq(a, b) => Ok(State::Stmt {
-                s: (**a).clone(),
-                frame: frame.clone(),
-                kont: Kont::Seq((**b).clone(), Rc::new(kont.clone())),
-                mem: mem.clone(),
-            }),
-            Stmt::If(c, a, b) => {
-                let v = self.eval(frame, mem, c)?;
-                match v.truth() {
-                    Some(t) => Ok(State::Stmt {
-                        s: if t { (**a).clone() } else { (**b).clone() },
-                        frame: frame.clone(),
-                        kont: kont.clone(),
-                        mem: mem.clone(),
-                    }),
-                    None => self.stuck(format!("undefined condition: {c} = {v}")),
-                }
-            }
-            Stmt::While(c, body) => {
-                let v = self.eval(frame, mem, c)?;
-                match v.truth() {
-                    Some(true) => Ok(State::Stmt {
-                        s: (**body).clone(),
-                        frame: frame.clone(),
-                        kont: Kont::Loop(c.clone(), (**body).clone(), Rc::new(kont.clone())),
-                        mem: mem.clone(),
-                    }),
-                    Some(false) => Ok(State::Stmt {
-                        s: Stmt::Skip,
-                        frame: frame.clone(),
-                        kont: kont.clone(),
-                        mem: mem.clone(),
-                    }),
-                    None => self.stuck(format!("undefined loop condition: {c} = {v}")),
-                }
-            }
-            Stmt::Break => {
-                let mut k = kont.clone();
-                loop {
-                    match k {
-                        Kont::Seq(_, next) => k = (*next).clone(),
-                        Kont::Loop(_, _, next) => {
-                            return Ok(State::Stmt {
-                                s: Stmt::Skip,
-                                frame: frame.clone(),
-                                kont: (*next).clone(),
-                                mem: mem.clone(),
-                            })
-                        }
-                        Kont::Stop | Kont::Call { .. } => {
-                            return self.stuck("break outside a loop")
-                        }
-                    }
-                }
-            }
-            Stmt::Continue => {
-                let mut k = kont.clone();
-                loop {
-                    match k {
-                        Kont::Seq(_, next) => k = (*next).clone(),
-                        Kont::Loop(c, body, next) => {
-                            return Ok(State::Stmt {
-                                s: Stmt::While(c, Box::new(body)),
-                                frame: frame.clone(),
-                                kont: (*next).clone(),
-                                mem: mem.clone(),
-                            })
-                        }
-                        Kont::Stop | Kont::Call { .. } => {
-                            return self.stuck("continue outside a loop")
-                        }
-                    }
-                }
-            }
-            Stmt::Return(e) => {
-                let v = match e {
-                    Some(e) => self.eval(frame, mem, e)?,
-                    None => Val::Undef,
-                };
-                let mem = self.free_locals(frame, mem)?;
-                // Unwind to the enclosing Call/Stop.
-                let mut k = kont.clone();
-                loop {
-                    match k {
-                        Kont::Seq(_, next) | Kont::Loop(_, _, next) => k = (*next).clone(),
-                        Kont::Stop | Kont::Call { .. } => break,
-                    }
-                }
-                Ok(State::Returning { v, mem, kont: k })
-            }
-        }
-    }
-}
-
-pub(crate) fn eval_binop(op: Binop, a: Val, b: Val) -> Val {
-    match op {
-        Binop::Add => a.add(b),
-        Binop::Sub => a.sub(b),
-        Binop::Mul => a.mul(b),
-        Binop::Div => a.divs(b),
-        Binop::Mod => a.mods(b),
-        Binop::And => a.and(b),
-        Binop::Or => a.or(b),
-        Binop::Xor => a.xor(b),
-        Binop::Shl => a.shl(b),
-        Binop::Shr => a.shr(b),
-        Binop::Cmp(c) => a.cmp(c, b),
-    }
-}
-
-fn eval_cast(v: Val, from: &Ty, to: &Ty) -> Val {
-    match (from, to) {
-        (Ty::Int, Ty::Int) | (Ty::Long, Ty::Long) => v,
-        (Ty::Int, Ty::Long) => v.longofint(),
-        (Ty::Long, Ty::Int) => v.intoflong(),
-        // Pointer values are preserved across pointer/long casts
-        // (64-bit model).
-        (Ty::Ptr(_), Ty::Ptr(_)) | (Ty::Ptr(_), Ty::Long) | (Ty::Long, Ty::Ptr(_)) => v,
-        _ => Val::Undef,
     }
 }
 
@@ -657,82 +155,23 @@ impl Lts for ClightSem {
     }
 
     fn accepts(&self, q: &CQuery) -> bool {
-        match self.function_of_val(&q.vf) {
-            Some(f) => f.signature() == q.sig && q.args.len() == f.params.len(),
-            None => false,
-        }
+        self.callee(q).is_some()
     }
 
     fn initial(&self, q: &CQuery) -> Result<State, Stuck> {
-        if !self.accepts(q) {
+        let Some(fidx) = self.callee(q) else {
             return self.stuck("query not accepted");
-        }
+        };
         Ok(State::Entry {
-            vf: q.vf,
+            fidx,
             args: q.args.clone(),
             mem: q.mem.clone(),
-            kont: Kont::Stop,
+            kont: fast::PKont::Stop,
         })
     }
 
     fn step(&self, s: &State) -> Step<State, CQuery, CReply> {
-        match s {
-            State::Entry {
-                vf,
-                args,
-                mem,
-                kont,
-            } => {
-                let Some(f) = self.function_of_val(vf) else {
-                    return Step::Stuck(Stuck::new(format!(
-                        "{}: entry into unknown function",
-                        self.label
-                    )));
-                };
-                match self.enter(f, args, mem, kont.clone()) {
-                    Ok(next) => Step::Internal(next, vec![]),
-                    Err(stuck) => Step::Stuck(stuck),
-                }
-            }
-            State::Stmt {
-                s,
-                frame,
-                kont,
-                mem,
-            } => match self.step_stmt(s, frame, kont, mem) {
-                Ok(next) => Step::Internal(next, vec![]),
-                Err(stuck) => Step::Stuck(stuck),
-            },
-            State::Returning { v, mem, kont } => match kont {
-                Kont::Stop => Step::Final(CReply {
-                    retval: *v,
-                    mem: mem.clone(),
-                }),
-                Kont::Call { dest, frame, kont } => {
-                    let mut frame = frame.clone();
-                    let mut mem = mem.clone();
-                    match self.write_dest(dest, *v, &mut frame, &mut mem) {
-                        Ok(()) => Step::Internal(
-                            State::Stmt {
-                                s: Stmt::Skip,
-                                frame,
-                                kont: (**kont).clone(),
-                                mem,
-                            },
-                            vec![],
-                        ),
-                        Err(stuck) => Step::Stuck(stuck),
-                    }
-                }
-                _ => Step::Stuck(Stuck::new("return into a non-call continuation")),
-            },
-            State::External { q, .. } | State::FExternal { q, .. } => Step::External(q.clone()),
-            // Fast-path states single-step through a batch of size one, so
-            // `step` stays total (and bit-identical) on them too.
-            State::FEntry { .. } | State::FStmt { .. } | State::FReturning { .. } => {
-                fast::step_one(self, s)
-            }
-        }
+        step_via_batch(self, s)
     }
 
     fn step_batch(
@@ -741,8 +180,7 @@ impl Lts for ClightSem {
         fuel_left: u64,
         _events: &mut Vec<Event>,
     ) -> Batch<CQuery, CReply> {
-        // Clight emits no events; the prepared arena loop replicates the
-        // legacy stepper's observables exactly (tests/fast_equiv.rs).
+        // Clight emits no events.
         fast::step_batch(self, s, fuel_left)
     }
 
@@ -753,22 +191,9 @@ impl Lts for ClightSem {
             } => {
                 let mut frame = frame.clone();
                 let mut mem = a.mem;
-                self.write_dest(dest, a.retval, &mut frame, &mut mem)?;
-                Ok(State::Stmt {
-                    s: Stmt::Skip,
-                    frame,
-                    kont: kont.clone(),
-                    mem,
-                })
-            }
-            State::FExternal {
-                dest, frame, kont, ..
-            } => {
-                let mut frame = frame.clone();
-                let mut mem = a.mem;
                 fast::write_dest(&self.fast, &self.label, dest, a.retval, &mut frame, &mut mem)?;
                 let sid = self.fast.funcs[frame.fidx as usize].skip_sid;
-                Ok(State::FStmt {
+                Ok(State::Stmt {
                     sid,
                     frame,
                     kont: kont.clone(),

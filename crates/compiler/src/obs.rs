@@ -154,14 +154,41 @@ impl ObsSnapshot {
         }
     }
 
+    /// The raw counter delta on this thread since the snapshot, to hand to
+    /// [`ObsSnapshot::absorb`] on another thread.
+    #[must_use]
+    pub fn since(&self) -> ObsSnapshot {
+        let now = ObsSnapshot::take();
+        ObsSnapshot {
+            lts: now.lts.since(&self.lts),
+            mem: now.mem.since(&self.mem),
+            rtl_solver: now.rtl_solver.saturating_sub(self.rtl_solver),
+            validate_solver: now.validate_solver.saturating_sub(self.validate_solver),
+            value_solver: now.value_solver.saturating_sub(self.value_solver),
+            needed_solver: now.needed_solver.saturating_sub(self.needed_solver),
+        }
+    }
+
+    /// Add a [`ObsSnapshot::since`] delta taken on another thread to this
+    /// thread's counters. The worker pool ([`crate::par`]) folds every
+    /// worker's delta into its caller at join, so a caller's snapshot sees
+    /// the work it farmed out, whatever the pool width.
+    pub fn absorb(&self) {
+        compcerto_core::obs::absorb(&self.lts);
+        mem::obs::absorb(&self.mem);
+        rtl::absorb_solver_iterations(self.rtl_solver);
+        compcerto_validate::absorb_solver_iterations(self.validate_solver);
+        compcerto_validate::absorb_value_solver_iterations(self.value_solver);
+        compcerto_validate::absorb_needed_solver_iterations(self.needed_solver);
+    }
+
     /// The work performed on this thread since the snapshot, as a full
     /// [`Counters`] bag (every key present, zeros included — a stable key
     /// set is what makes reports byte-comparable).
     #[must_use]
     pub fn delta(&self) -> Counters {
-        let now = ObsSnapshot::take();
-        let l = now.lts.since(&self.lts);
-        let m = now.mem.since(&self.mem);
+        let d = self.since();
+        let (l, m) = (d.lts, d.mem);
         let mut c = Counters::default();
         c.set("lts.runs", l.runs);
         c.set("lts.steps", l.steps);
@@ -182,22 +209,10 @@ impl ObsSnapshot {
         c.set("mem.stores", m.stores);
         c.set("mem.demotes", m.demotes);
         c.set("mem.promotes", m.promotes);
-        c.set(
-            "solver.rtl_iterations",
-            now.rtl_solver.saturating_sub(self.rtl_solver),
-        );
-        c.set(
-            "solver.validate_iterations",
-            now.validate_solver.saturating_sub(self.validate_solver),
-        );
-        c.set(
-            "solver.value.iters",
-            now.value_solver.saturating_sub(self.value_solver),
-        );
-        c.set(
-            "solver.needed.iters",
-            now.needed_solver.saturating_sub(self.needed_solver),
-        );
+        c.set("solver.rtl_iterations", d.rtl_solver);
+        c.set("solver.validate_iterations", d.validate_solver);
+        c.set("solver.value.iters", d.value_solver);
+        c.set("solver.needed.iters", d.needed_solver);
         c
     }
 }

@@ -17,6 +17,12 @@
 //! result, and that never escapes this module. `jobs = 1` (or a single-item
 //! input) bypasses the pool entirely and runs the exact serial loop.
 //!
+//! The deterministic counters (DESIGN.md §10) are thread-local, so each
+//! worker snapshots them when it starts and hands its delta back with its
+//! results; the caller absorbs every delta at join. A caller's
+//! [`ObsSnapshot`] therefore counts the work it farmed out exactly as if
+//! it had run the items itself, at every pool width.
+//!
 //! # Self-healing (resilience layer, DESIGN.md §11)
 //!
 //! The pool contains worker panics instead of letting them unwind out of
@@ -40,6 +46,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::obs::ObsSnapshot;
 use crate::resilience::contain_unwind;
 
 // ---------------------------------------------------------------------------
@@ -207,6 +214,7 @@ where
             let poisoned = &poisoned;
             let f = &f;
             handles.push(scope.spawn(move || {
+                let counters = ObsSnapshot::take();
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -226,13 +234,14 @@ where
                     }
                 }
                 note_worker_items(local.len());
-                local
+                (local, counters.since())
             }));
         }
         for h in handles {
             // Workers contain every item panic, so `join` cannot fail; a
             // poisoned join (unreachable) simply contributes no results.
-            if let Ok(local) = h.join() {
+            if let Ok((local, counters)) = h.join() {
+                counters.absorb();
                 tagged.extend(local);
             }
         }
@@ -302,6 +311,7 @@ where
             let poisoned = &poisoned;
             let f = &f;
             handles.push(scope.spawn(move || {
+                let counters = ObsSnapshot::take();
                 let mut ok: Vec<(usize, R)> = Vec::new();
                 let mut err: Vec<(usize, E)> = Vec::new();
                 loop {
@@ -335,12 +345,13 @@ where
                     }
                 }
                 note_worker_items(ok.len() + err.len());
-                (ok, err)
+                (ok, err, counters.since())
             }));
         }
         for h in handles {
             // Workers contain every item panic, so `join` cannot fail.
-            if let Ok((ok, err)) = h.join() {
+            if let Ok((ok, err, counters)) = h.join() {
+                counters.absorb();
                 oks.extend(ok);
                 errs.extend(err);
             }

@@ -187,3 +187,18 @@ fn no_arguments_prints_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+#[test]
+fn huge_pointer_offset_goes_wrong_without_panicking() {
+    // `p + n` lands 8 bytes below `i64::MAX`, so the load's end overflows.
+    let f = write_temp(
+        "huge_offset.c",
+        "int f(int x) { long a; long *p; long n; long r; a = 1; \
+         n = 1152921504606846975L; p = &a; p = p + n; r = *p; return x; }",
+    );
+    let out = ccomp(&["--run", "f", "1", f.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("stuck"), "{stderr}");
+    assert!(stderr.contains("out of bounds"), "{stderr}");
+}

@@ -1,12 +1,14 @@
-//! Arena-vs-legacy stepping equivalence (DESIGN.md §13).
+//! Chunking equivalence of the run loop (DESIGN.md §13.1).
 //!
-//! The batched fast interpreters only engage on trace-off budgets
-//! (`RunBudget::no_trace`), so the same query can be driven down both
-//! paths: a ring-trace budget single-steps every stage through the legacy
-//! `step` relation, while a trace-off budget runs the arena/fused-dispatch
-//! loops. Over the fixed seed block the two must be indistinguishable —
-//! identical verdicts (answers, external-call traces, final globals) and
-//! identical `lts.*` counter deltas (steps, external calls, outcomes).
+//! The runner drives every stage through `step_batch` and picks the chunk
+//! from the budget: a ring-trace budget runs one step per batch (it clones
+//! every intermediate state), a trace-off budget hands each batch all the
+//! fuel left, so the arena/fused dispatch loops run whole stretches. Over
+//! the fixed seed block the two must be indistinguishable — identical
+//! verdicts (answers, external-call traces, final globals) and identical
+//! `lts.*` counter deltas (steps, external calls, outcomes). In particular,
+//! fuel-1 batches commit one half of a fused RTL pair per step, so this
+//! also checks fused dispatch against unfused stepping end to end.
 
 use compcerto_core::iface::CQuery;
 use compcerto_core::lts::RunBudget;
@@ -35,7 +37,7 @@ fn verdict_repr(v: &QueryVerdict) -> String {
 }
 
 #[test]
-fn fast_path_matches_legacy_on_seed_block() {
+fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
     for seed in 0..SEEDS {
         let prog = generate(seed, &GenCfg::default());
         let srcs = prog.render();
@@ -49,10 +51,10 @@ fn fast_path_matches_legacy_on_seed_block() {
         let vf = symtab.func_ptr(&entry.name).expect("entry symbol");
         let sig = sp.clight.sig_of(&entry.name).expect("entry signature");
 
-        // Legacy path: ring trace forces single-stepping in the runner.
-        let legacy = RunBudget::with_fuel(FUEL).trace_capacity(16);
-        // Fast path: trace-off budgets take the batched interpreters.
-        let fast = RunBudget::with_fuel(FUEL).no_trace();
+        // A ring trace runs one step per batch …
+        let stepped = RunBudget::with_fuel(FUEL).trace_capacity(16);
+        // … a trace-off budget gives each batch all the fuel left.
+        let whole = RunBudget::with_fuel(FUEL).no_trace();
 
         for args in gen_queries(seed, entry.nparams as usize, QUERIES) {
             let q = CQuery {
@@ -63,21 +65,21 @@ fn fast_path_matches_legacy_on_seed_block() {
             };
 
             let c0 = obs::counters();
-            let vl = check_query(&sp, &symtab, &lib, &q, &legacy);
-            let dl = obs::counters().since(&c0);
+            let vs = check_query(&sp, &symtab, &lib, &q, &stepped);
+            let ds = obs::counters().since(&c0);
 
             let c1 = obs::counters();
-            let vf_ = check_query(&sp, &symtab, &lib, &q, &fast);
-            let df = obs::counters().since(&c1);
+            let vw = check_query(&sp, &symtab, &lib, &q, &whole);
+            let dw = obs::counters().since(&c1);
 
             assert_eq!(
-                verdict_repr(&vl),
-                verdict_repr(&vf_),
-                "seed {seed} args {args:?}: verdict diverged between legacy and fast paths"
+                verdict_repr(&vs),
+                verdict_repr(&vw),
+                "seed {seed} args {args:?}: verdict diverged between chunk sizes"
             );
             assert_eq!(
-                dl, df,
-                "seed {seed} args {args:?}: lts.* counters diverged between legacy and fast paths"
+                ds, dw,
+                "seed {seed} args {args:?}: lts.* counters diverged between chunk sizes"
             );
         }
     }

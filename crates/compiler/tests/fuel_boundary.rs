@@ -4,7 +4,7 @@
 //! The runner checks fuel *before* every step, so a run that completes in
 //! `n` steps needs fuel `n + 1` — and `step_batch` must honour a cut at
 //! **any** intermediate fuel value, including one that lands between the
-//! two halves of a fused RTL dispatch pair (the PR-8 fast path). These
+//! two halves of a fused RTL dispatch pair (DESIGN.md §13.3). These
 //! tests find each stage's minimal completing fuel by sweeping upward from
 //! zero, which exercises every cut point exactly once, and pin:
 //!
@@ -14,8 +14,11 @@
 //!   completes early or wedges);
 //! * the observation at the minimal fuel is byte-equal to the observation
 //!   with surplus fuel (a tight budget never changes semantics);
-//! * the diagnostic (ring-traced) step loop agrees with the batched
-//!   no-trace fast path at the boundary fuels.
+//! * every chunk policy of the run loop — one step per batch (ring trace,
+//!   JSON trace, quotas), stride-aligned batches (deadline) and whole-fuel
+//!   batches (no trace) — agrees at the boundary fuels.
+
+use std::time::Duration;
 
 use compcerto_core::iface::CQuery;
 use compcerto_core::lts::RunBudget;
@@ -132,7 +135,7 @@ fn fuel_boundaries_are_exact_on_every_stage() {
 fn traced_and_batched_paths_agree_at_the_boundary() {
     let fx = fixture();
     for stage in STAGES {
-        // Find the batched fast path's minimal fuel …
+        // Find the whole-fuel loop's minimal fuel …
         let mut minimal = None;
         for fuel in 0..FUEL_CAP {
             if let StageOutcome::Ok(_) =
@@ -143,22 +146,40 @@ fn traced_and_batched_paths_agree_at_the_boundary() {
             }
         }
         let minimal = minimal.unwrap_or_else(|| panic!("{stage}: no completion under {FUEL_CAP}"));
-
-        // … and pin the diagnostic (ring-traced) step loop to the same
-        // boundary: out-of-fuel one below, the same observation at it.
-        let traced_under = run_with(&fx, stage, &RunBudget::with_fuel(minimal - 1));
-        assert!(
-            matches!(traced_under, StageOutcome::Budget(_)),
-            "{stage}: traced loop completed under the batched minimum: {traced_under:?}"
-        );
-        let traced_at = expect_obs(run_with(&fx, stage, &RunBudget::with_fuel(minimal)), stage);
         let batched_at = expect_obs(
             run_with(&fx, stage, &RunBudget::with_fuel(minimal).no_trace()),
             stage,
         );
-        assert_eq!(
-            traced_at, batched_at,
-            "{stage}: traced and batched observations diverge at the boundary"
-        );
+
+        // … and pin every other chunk policy to the same boundary:
+        // out-of-fuel one below, the same observation at it.
+        let policies: [(&str, fn(u64) -> RunBudget); 4] = [
+            ("ring trace", RunBudget::with_fuel),
+            ("quotas", |fuel| {
+                RunBudget::with_fuel(fuel)
+                    .mem_limit(u64::MAX)
+                    .depth_limit(u64::MAX)
+            }),
+            ("deadline", |fuel| {
+                RunBudget::with_fuel(fuel)
+                    .deadline(Duration::from_secs(3600))
+                    .no_trace()
+            }),
+            ("json trace", |fuel| RunBudget::with_fuel(fuel).json_trace()),
+        ];
+        for (policy, budget) in policies {
+            let under = run_with(&fx, stage, &budget(minimal - 1));
+            assert!(
+                matches!(under, StageOutcome::Budget(_)),
+                "{stage}/{policy}: completed under the whole-fuel minimum: {under:?}"
+            );
+            let at = expect_obs(run_with(&fx, stage, &budget(minimal)), stage);
+            assert_eq!(
+                at, batched_at,
+                "{stage}/{policy}: observation diverges from whole-fuel batches at the boundary"
+            );
+        }
+        // The JSON runs leave their events in this thread's sink.
+        let _ = compcerto_core::obs::take_trace();
     }
 }

@@ -19,8 +19,8 @@ use std::collections::BTreeSet;
 
 use compcerto_gen::Coverage;
 use compiler::{
-    compile_all_jobs, normalize_metrics_json, par_map, run_seed_obs, CompilerOptions, DifftestCfg,
-    Jobs, MetricsReport,
+    compile_all_jobs, normalize_metrics_json, par_map, run_seed_obs, CompilerOptions, Counters,
+    DifftestCfg, Jobs, MetricsReport, ObsSnapshot,
 };
 
 const GOLDEN: [&str; 5] = [
@@ -112,6 +112,27 @@ fn golden_metrics_are_jobs_invariant_and_repeatable() {
     // ...and has actually stripped the volatile ones.
     assert!(!j1.contains("\"pool\""), "pool stats must be stripped");
     assert!(!j1.contains("\"timings_ms\""), "timings must be stripped");
+}
+
+/// The caller's own counter delta around a golden compile under `jobs`:
+/// the pool folds its workers' counters into the caller at join.
+fn golden_caller_delta(jobs: Jobs) -> Counters {
+    let snap = ObsSnapshot::take();
+    compile_all_jobs(&GOLDEN, CompilerOptions::validated().with_metrics(), jobs)
+        .expect("golden corpus compiles");
+    snap.delta()
+}
+
+#[test]
+fn caller_counters_include_pool_workers() {
+    let d1 = golden_caller_delta(Jobs::N(1));
+    assert_eq!(d1, golden_caller_delta(Jobs::N(4)), "--jobs 1 vs 4");
+    assert_eq!(d1, golden_caller_delta(Jobs::N(16)), "--jobs 1 vs 16");
+    assert!(d1.get("mem.allocs") > 0, "no allocations counted: {d1:?}");
+    assert!(
+        d1.get("solver.rtl_iterations") > 0,
+        "no solver work counted: {d1:?}"
+    );
 }
 
 #[test]

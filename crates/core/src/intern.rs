@@ -2,9 +2,9 @@
 //! (DESIGN.md §13).
 //!
 //! Every per-stage program mentions a small, fixed set of identifiers —
-//! function names, global names, extern names. The legacy interpreters keyed
-//! their per-step lookups on `String`s (map probes with full string
-//! comparisons, clones into call states). The prepared fast interpreters
+//! function names, global names, extern names. Keying per-step lookups on
+//! `String`s costs map probes with full string comparisons and clones into
+//! call states, so the prepared interpreters
 //! intern every identifier into a [`Sym`] — a dense `u32` — once at
 //! *prepare* time, so the step loop only ever moves and compares machine
 //! words. Strings survive solely at the edges: stuck reports, external-call

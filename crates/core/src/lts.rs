@@ -115,22 +115,22 @@ pub enum Step<S, OQ, IA> {
 /// Result of a *batched* stretch of transitions ([`Lts::step_batch`]).
 ///
 /// A batch mutates the state in place and reports how many internal steps it
-/// took, so the runner's fast loop pays one virtual call for many steps
-/// instead of one per step. The step count `n` is what keeps fuel accounting
-/// bit-for-bit identical to single-stepping:
+/// took, so the runner pays one virtual call for many steps instead of one
+/// per step. The step count `n` is what makes a batch of any size account
+/// for fuel exactly like `n` single transitions:
 ///
 /// * `Ran(n)` — `n` internal steps were taken, `1 <= n <= fuel_left`; the
 ///   state is mid-execution and the runner will call again.
 /// * `Final(n, a)` / `External(n, q)` / `Stuck(n, s)` — `n` internal steps
 ///   (`n < fuel_left`, strictly) were taken *before* the terminal condition
-///   was discovered. Discovery itself costs no fuel, exactly like the
-///   classic loop — and because that loop checks fuel *before* looking at
-///   the next transition, a batch that used up all of `fuel_left` must
-///   report `Ran(fuel_left)` even if the very next transition would be
-///   final: the runner then returns out-of-fuel, as single-stepping would.
+///   was discovered. Discovery itself costs no fuel — and because the runner
+///   checks fuel *before* looking at the next transition, a batch that used
+///   up all of `fuel_left` must report `Ran(fuel_left)` even if the very
+///   next transition would be final: the runner then returns out-of-fuel.
 ///
 /// For `External(n, q)` the state left behind must be the suspended external
-/// state that [`Lts::resume`] accepts.
+/// state that [`Lts::resume`] accepts. A fuel-1 batch is therefore exactly
+/// one transition ([`step_via_batch`]).
 #[derive(Debug, Clone)]
 pub enum Batch<OQ, IA> {
     /// `n` internal steps taken; more work remains.
@@ -193,48 +193,26 @@ pub trait Lts {
     /// One transition out of `s`.
     fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>>;
 
-    /// One transition out of `s`, appending any emitted events to a
-    /// caller-provided buffer instead of returning a fresh `Vec`.
-    ///
-    /// This is the runner's entry point ([`run_budgeted`] keeps one event
-    /// buffer for the whole run): the returned [`Step::Internal`] always
-    /// carries an empty event vector (`Vec::new()` does not allocate), so
-    /// the per-step allocation of event-emitting semantics is amortized into
-    /// the shared buffer. The default delegates to [`Lts::step`]; semantics
-    /// with event-heavy steps can override it to write into `events`
-    /// directly.
-    fn step_into(
-        &self,
-        s: &Self::State,
-        events: &mut Vec<Event>,
-    ) -> Step<Self::State, Question<Self::O>, Answer<Self::I>> {
-        match self.step(s) {
-            Step::Internal(s2, mut evs) => {
-                events.append(&mut evs);
-                Step::Internal(s2, Vec::new())
-            }
-            other => other,
-        }
-    }
-
     /// Take up to `fuel_left` internal steps *in place*, returning how many
     /// were taken and what (if anything) ended the batch — see [`Batch`] for
-    /// the exact fuel-accounting contract. The runner only calls this with
-    /// `fuel_left >= 1`, and only from the zero-overhead fast path (trace
-    /// off, no quotas, no deadline), so implementations are free to mutate
-    /// `s` without cloning.
+    /// the exact fuel-accounting contract. Events are appended to `events`.
+    /// The runner only calls this with `fuel_left >= 1` and picks the chunk
+    /// size itself (see [`run_budgeted`]), so implementations are free to
+    /// mutate `s` without cloning.
     ///
-    /// The default takes exactly one step via [`Lts::step_into`]; interpreter
-    /// semantics with a precompiled dense dispatch loop override it to run
-    /// many steps per call.
+    /// The default takes exactly one step via [`Lts::step`]. The stage
+    /// interpreters override it with their dense dispatch loops and define
+    /// `step` as a fuel-1 batch ([`step_via_batch`]), so the batch loop is
+    /// their only step definition.
     fn step_batch(
         &self,
         s: &mut Self::State,
         _fuel_left: u64,
         events: &mut Vec<Event>,
     ) -> Batch<Question<Self::O>, Answer<Self::I>> {
-        match self.step_into(s, events) {
-            Step::Internal(s2, _evs) => {
+        match self.step(s) {
+            Step::Internal(s2, mut evs) => {
+                events.append(&mut evs);
                 *s = s2;
                 Batch::Ran(1)
             }
@@ -257,6 +235,27 @@ pub trait Lts {
     /// the `⊕`/`∘` combinators).
     fn measure(&self, _s: &Self::State) -> StateMeasure {
         StateMeasure::default()
+    }
+}
+
+/// [`Lts::step`] for a semantics whose [`Lts::step_batch`] is its only step
+/// definition: a fuel-1 batch on a clone of `s`. By the [`Batch`] contract a
+/// fuel-1 batch either takes exactly one step or discovers a terminal
+/// condition without taking one, which is exactly a single transition.
+///
+/// An implementation that defines `step` this way must override
+/// `step_batch`: the default `step_batch` calls `step`.
+pub fn step_via_batch<L: Lts + ?Sized>(
+    lts: &L,
+    s: &L::State,
+) -> Step<L::State, Question<L::O>, Answer<L::I>> {
+    let mut s2 = s.clone();
+    let mut events = Vec::new();
+    match lts.step_batch(&mut s2, 1, &mut events) {
+        Batch::Ran(_) => Step::Internal(s2, events),
+        Batch::Final(_, a) => Step::Final(a),
+        Batch::External(_, oq) => Step::External(oq),
+        Batch::Stuck(_, stuck) => Step::Stuck(stuck),
     }
 }
 
@@ -710,7 +709,9 @@ impl<IA> RunOutcome<IA> {
 pub type Env<'e, OQ, OA> = dyn FnMut(&OQ) -> Option<OA> + 'e;
 
 /// How many steps between wall-clock deadline checks (an `Instant::now()`
-/// call is too expensive to pay on every step).
+/// call is too expensive to pay on every step). Deadline-only runs end
+/// their batches at multiples of this stride, so the checks land at the
+/// same step counts whatever the batch sizes.
 const DEADLINE_STRIDE: u64 = 1024;
 
 /// Run `lts` on incoming question `q`, answering outgoing questions with
@@ -734,7 +735,7 @@ struct RunStats {
     steps: u64,
     /// Outgoing external calls handed to the environment.
     external_calls: u64,
-    /// Observable events drained by `step_into`.
+    /// Observable events appended by `step_batch`.
     events: u64,
 }
 
@@ -802,6 +803,21 @@ pub fn run_budgeted<Sem: Lts>(
 /// The step loop of [`run_budgeted`]. Deliberately returns *without*
 /// touching the outcome counters or emitting the terminal trace event —
 /// that bookkeeping happens exactly once in the caller.
+///
+/// There is one loop, over [`Lts::step_batch`]; the budget picks the chunk
+/// (the most fuel one batch may use):
+///
+/// * 1 when something observes every intermediate state — a ring trace
+///   (one clone per state), the JSON trace (one `step` line per step) or a
+///   quota (measured on every state);
+/// * with only a deadline, up to the next multiple of [`DEADLINE_STRIDE`],
+///   so the deadline (and an armed envfault jitter, which counts checks) is
+///   checked at exactly the step counts a step-at-a-time loop would give;
+/// * otherwise all the fuel left.
+///
+/// The [`Batch`] contract makes every chunking observationally identical:
+/// same answers, step/event/external tallies, stuck reports and fuel
+/// boundary.
 fn run_inner<Sem: Lts>(
     lts: &Sem,
     q: &Question<Sem::I>,
@@ -827,76 +843,12 @@ fn run_inner<Sem: Lts>(
     };
     let started = budget.deadline.map(|_| Instant::now());
     let quotas_on = budget.max_mem_bytes.is_some() || budget.max_call_depth.is_some();
-    // Fast path: with the trace off, no per-state quotas and no deadline,
-    // nothing in the classic loop observes intermediate states, so batched
-    // in-place stepping ([`Lts::step_batch`]) is observationally identical —
-    // same answers, same step/event/external tallies, same stuck reports,
-    // same fuel boundary (the [`Batch`] contract makes terminal discovery
-    // free, exactly like the fuel-checked-first classic loop).
-    if budget.trace == TraceMode::Off && !quotas_on && budget.deadline.is_none() {
-        let mut trace = Vec::new();
-        let mut steps = 0u64;
-        loop {
-            let fuel_left = budget.fuel - steps;
-            if fuel_left == 0 {
-                return RunOutcome::OutOfFuel {
-                    trace: StepTrace::default(),
-                };
-            }
-            let events_before = trace.len();
-            let batch = lts.step_batch(&mut state, fuel_left, &mut trace);
-            stats.events += (trace.len() - events_before) as u64;
-            match batch {
-                Batch::Ran(n) => {
-                    steps += n;
-                    stats.steps = steps;
-                }
-                Batch::Final(n, a) => {
-                    steps += n;
-                    stats.steps = steps;
-                    return RunOutcome::Complete {
-                        answer: a,
-                        trace,
-                        steps,
-                    };
-                }
-                Batch::External(n, oq) => {
-                    steps += n;
-                    stats.steps = steps;
-                    stats.external_calls += 1;
-                    match env(&oq) {
-                        Some(ans) => match lts.resume(&state, ans) {
-                            Ok(s) => {
-                                state = s;
-                                steps += 1;
-                                stats.steps = steps;
-                            }
-                            Err(stuck) => {
-                                return RunOutcome::Wrong {
-                                    stuck,
-                                    trace: StepTrace::default(),
-                                }
-                            }
-                        },
-                        None => return RunOutcome::EnvRefused(format!("{oq:?}")),
-                    }
-                }
-                Batch::Stuck(n, stuck) => {
-                    steps += n;
-                    stats.steps = steps;
-                    return RunOutcome::Wrong {
-                        stuck,
-                        trace: StepTrace::default(),
-                    };
-                }
-            }
-        }
-    }
+    let per_state = quotas_on || json || !budget.trace.is_off();
     let mut ring: TraceRing<Sem::State> = TraceRing::new(budget.trace.capacity());
     let mut trace = Vec::new();
-    let mut steps = 0u64;
     ring.record(0, &state);
     loop {
+        let steps = stats.steps;
         if steps >= budget.fuel {
             return RunOutcome::OutOfFuel {
                 trace: ring.render(),
@@ -939,43 +891,47 @@ fn run_inner<Sem: Lts>(
                 }
             }
         }
-        // `step_into` appends events to the run-wide `trace` buffer; the
-        // `Internal` arm's event vector is always empty (and unallocated).
+        let fuel_left = budget.fuel - steps;
+        let chunk = if per_state {
+            1
+        } else if started.is_some() {
+            fuel_left.min(DEADLINE_STRIDE - steps % DEADLINE_STRIDE)
+        } else {
+            fuel_left
+        };
         let events_before = trace.len();
-        let step = lts.step_into(&state, &mut trace);
+        let batch = lts.step_batch(&mut state, chunk, &mut trace);
         stats.events += (trace.len() - events_before) as u64;
-        match step {
-            Step::Internal(s, evs) => {
-                debug_assert!(evs.is_empty(), "step_into must drain events into the buffer");
-                state = s;
-                steps += 1;
-                stats.steps = steps;
-                ring.record(steps, &state);
-                if json && steps <= crate::obs::MAX_STEP_EVENTS {
-                    crate::obs::emit_step(steps);
+        match batch {
+            Batch::Ran(n) => {
+                stats.steps += n;
+                ring.record(stats.steps, &state);
+                if json && stats.steps <= crate::obs::MAX_STEP_EVENTS {
+                    crate::obs::emit_step(stats.steps);
                 }
             }
-            Step::Final(a) => {
+            Batch::Final(n, a) => {
+                stats.steps += n;
                 return RunOutcome::Complete {
                     answer: a,
                     trace,
-                    steps,
-                }
+                    steps: stats.steps,
+                };
             }
-            Step::External(oq) => {
+            Batch::External(n, oq) => {
+                stats.steps += n;
                 stats.external_calls += 1;
                 if json {
-                    crate::obs::emit_external(steps);
+                    crate::obs::emit_external(stats.steps);
                 }
                 match env(&oq) {
                     Some(ans) => match lts.resume(&state, ans) {
                         Ok(s) => {
                             state = s;
-                            steps += 1;
-                            stats.steps = steps;
-                            ring.record(steps, &state);
-                            if json && steps <= crate::obs::MAX_STEP_EVENTS {
-                                crate::obs::emit_step(steps);
+                            stats.steps += 1;
+                            ring.record(stats.steps, &state);
+                            if json && stats.steps <= crate::obs::MAX_STEP_EVENTS {
+                                crate::obs::emit_step(stats.steps);
                             }
                         }
                         Err(stuck) => {
@@ -988,11 +944,12 @@ fn run_inner<Sem: Lts>(
                     None => return RunOutcome::EnvRefused(format!("{oq:?}")),
                 }
             }
-            Step::Stuck(stuck) => {
+            Batch::Stuck(n, stuck) => {
+                stats.steps += n;
                 return RunOutcome::Wrong {
                     stuck,
                     trace: ring.render(),
-                }
+                };
             }
         }
     }
@@ -1090,6 +1047,46 @@ mod tests {
                 mem_bytes: s * 8,
                 call_depth: *s,
             }
+        }
+    }
+
+    /// A spinner whose batches take every step they are offered (for the
+    /// chunk-policy tests): `step` is its fuel-1 batch.
+    struct BatchSpinner;
+
+    impl Lts for BatchSpinner {
+        type I = C;
+        type O = C;
+        type State = u64;
+
+        fn name(&self) -> String {
+            "batch-spinner".into()
+        }
+
+        fn accepts(&self, _q: &CQuery) -> bool {
+            true
+        }
+
+        fn initial(&self, _q: &CQuery) -> Result<u64, Stuck> {
+            Ok(0)
+        }
+
+        fn step(&self, s: &u64) -> Step<u64, CQuery, CReply> {
+            step_via_batch(self, s)
+        }
+
+        fn step_batch(
+            &self,
+            s: &mut u64,
+            fuel_left: u64,
+            _events: &mut Vec<Event>,
+        ) -> Batch<CQuery, CReply> {
+            *s = s.wrapping_add(fuel_left);
+            Batch::Ran(fuel_left)
+        }
+
+        fn resume(&self, _s: &u64, _a: CReply) -> Result<u64, Stuck> {
+            Err(Stuck::new("batch spinner never suspends"))
         }
     }
 
@@ -1204,5 +1201,36 @@ mod tests {
             Err(RunError::Budget { kind, .. }) => assert_eq!(kind, BudgetKind::Fuel),
             other => panic!("expected fuel budget error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn ring_trace_runs_one_step_per_batch() {
+        let out = run(&BatchSpinner, &query(0), &mut |_q: &CQuery| None, 50);
+        match out {
+            RunOutcome::OutOfFuel { trace } => {
+                let steps: Vec<u64> = trace.entries.iter().map(|e| e.step).collect();
+                let want: Vec<u64> = (35..=50).collect();
+                assert_eq!(steps, want);
+                assert_eq!(trace.entries.last().map(|e| e.desc.as_str()), Some("50"));
+            }
+            other => panic!("expected OutOfFuel, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deadline_checks_land_on_the_stride_whatever_the_batch_size() {
+        // The third strided check (steps 0, 1024, 2048) fires: a batch that
+        // ran past a stride multiple would move it.
+        let budget = RunBudget::with_fuel(u64::MAX)
+            .deadline(Duration::from_secs(3600))
+            .no_trace();
+        crate::envfault::arm_deadline_jitter(3);
+        let before = crate::obs::counters();
+        let out = run_budgeted(&BatchSpinner, &query(0), &mut |_q: &CQuery| None, &budget);
+        let steps = crate::obs::counters().since(&before).steps;
+        crate::envfault::disarm();
+        assert!(matches!(out, RunOutcome::TimedOut { .. }), "{out:?}");
+        assert!(crate::envfault::take_deadline_fired());
+        assert_eq!(steps, 2 * DEADLINE_STRIDE);
     }
 }

@@ -43,7 +43,7 @@ pub struct LtsCounters {
     pub sim_steps: u64,
     /// Outgoing external calls handed to the environment.
     pub external_calls: u64,
-    /// Observable events drained by `step_into` across all runs.
+    /// Observable events appended by `step_batch` across all runs.
     pub events: u64,
     /// Runs ending in [`crate::lts::RunOutcome::Complete`].
     pub completes: u64,
@@ -104,6 +104,25 @@ thread_local! {
 #[must_use]
 pub fn counters() -> LtsCounters {
     COUNTERS.with(Cell::get)
+}
+
+/// Add `delta` (counted on another thread) to this thread's counters: how
+/// a worker pool folds each worker's effort into its caller.
+pub fn absorb(delta: &LtsCounters) {
+    bump(|c| {
+        c.runs += delta.runs;
+        c.steps += delta.steps;
+        c.sim_steps += delta.sim_steps;
+        c.external_calls += delta.external_calls;
+        c.events += delta.events;
+        c.completes += delta.completes;
+        c.wrongs += delta.wrongs;
+        c.env_refused += delta.env_refused;
+        c.out_of_fuel += delta.out_of_fuel;
+        c.out_of_memory += delta.out_of_memory;
+        c.depth_exceeded += delta.depth_exceeded;
+        c.timed_out += delta.timed_out;
+    });
 }
 
 /// Bump helper used by the budgeted runner and the simulation checker.

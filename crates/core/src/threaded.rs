@@ -55,9 +55,10 @@
 //!
 //! # Budgets and throughput
 //!
-//! The wrapper overrides [`Lts::step_batch`], delegating each slice to the
-//! inner component's own batched stepper, so the arena/fused fast paths of
-//! DESIGN.md §13 stay engaged per slice and fuel accounting follows the
+//! [`Lts::step_batch`] is the wrapper's one step definition (`step` is its
+//! fuel-1 batch). It delegates each slice to the inner component's own
+//! batched stepper, so the arena/fused dispatch loops of DESIGN.md §13 run
+//! whole slices and fuel accounting follows the
 //! [`Batch`] contract exactly (dispatch and completion cost one outer step
 //! each; terminal discovery is free). Schedule exploration is therefore
 //! budget-bounded for free: run each schedule under its own [`RunBudget`]
@@ -68,7 +69,7 @@ use std::fmt;
 use mem::Mem;
 
 use crate::iface::{Answer, Question, SharedMem};
-use crate::lts::{Batch, Event, Lts, StateMeasure, Step, Stuck};
+use crate::lts::{step_via_batch, Batch, Event, Lts, StateMeasure, Step, Stuck};
 use crate::rng::SplitMix64;
 
 /// A deterministic thread schedule: the policy deciding which runnable
@@ -358,16 +359,7 @@ where
     }
 
     fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>> {
-        // Single-stepping is the batched machine at fuel 1 on a cloned
-        // state; the Batch contract makes the two observationally equal.
-        let mut s2 = s.clone();
-        let mut events = Vec::new();
-        match self.step_batch(&mut s2, 1, &mut events) {
-            Batch::Ran(_) => Step::Internal(s2, events),
-            Batch::Final(_, a) => Step::Final(a),
-            Batch::External(_, oq) => Step::External(oq),
-            Batch::Stuck(_, stuck) => Step::Stuck(stuck),
-        }
+        step_via_batch(self, s)
     }
 
     fn step_batch(
@@ -434,7 +426,7 @@ where
                 }
                 Slot::Live(mut st) => {
                     // Run the slice on the inner component's own batched
-                    // stepper (fast paths stay engaged). Inner fuel
+                    // stepper (its dispatch loop runs the slice). Inner fuel
                     // accounting maps 1:1 onto outer steps.
                     let batch = self.component(k).step_batch(&mut st, fuel_left - used, events);
                     match batch {

@@ -367,7 +367,7 @@ impl Mem {
     /// alignment.
     pub fn load(&self, chunk: Chunk, b: BlockId, ofs: i64) -> Result<Val, MemError> {
         self.check_align(chunk, ofs)?;
-        self.range_perm(b, ofs, ofs + chunk.size(), Perm::Readable)?;
+        self.range_perm(b, ofs, access_end(b, chunk, ofs)?, Perm::Readable)?;
         crate::obs::bump(|c| c.loads += 1);
         let bd = self.block(b).ok_or(MemError::InvalidBlock(b))?;
         let i = (ofs - bd.lo) as usize;
@@ -386,7 +386,7 @@ impl Mem {
     /// alignment.
     pub fn store(&mut self, chunk: Chunk, b: BlockId, ofs: i64, v: Val) -> Result<(), MemError> {
         self.check_align(chunk, ofs)?;
-        self.range_perm(b, ofs, ofs + chunk.size(), Perm::Writable)?;
+        self.range_perm(b, ofs, access_end(b, chunk, ofs)?, Perm::Writable)?;
         crate::obs::bump(|c| c.stores += 1);
         let fast = encode_scalar_bytes(chunk, v);
         let bd = self.block_mut(b).ok_or(MemError::InvalidBlock(b))?;
@@ -519,6 +519,16 @@ impl Mem {
             .and_then(|x| x.as_mut())
             .map(Arc::make_mut)
     }
+}
+
+/// End of the access `[ofs, ofs + chunk.size())`; an end past `i64::MAX` is
+/// out of every block's bounds.
+fn access_end(b: BlockId, chunk: Chunk, ofs: i64) -> Result<i64, MemError> {
+    ofs.checked_add(chunk.size()).ok_or(MemError::OutOfBounds {
+        block: b,
+        lo: ofs,
+        hi: i64::MAX,
+    })
 }
 
 impl fmt::Display for Mem {
@@ -670,5 +680,18 @@ mod tests {
         // Overwrite part of the pointer's fragments with an int.
         m.store(Chunk::I32, b, 4, Val::Int(0)).unwrap();
         assert_eq!(m.load(Chunk::Ptr, b, 0).unwrap(), Val::Undef);
+    }
+
+    #[test]
+    fn access_ending_past_i64_max_is_out_of_bounds() {
+        let mut m = Mem::new();
+        let b = m.alloc(0, 16);
+        let ofs = i64::MAX - 7; // 8-aligned: the end overflows
+        let oob = |r: Result<(), MemError>| matches!(r, Err(MemError::OutOfBounds { .. }));
+        assert!(oob(m.load(Chunk::I64, b, ofs).map(drop)));
+        assert!(oob(m.store(Chunk::I64, b, ofs, Val::Long(1))));
+        assert!(oob(m.loadv(Chunk::I64, Val::Ptr(b, ofs)).map(drop)));
+        assert!(oob(m.storev(Chunk::I64, Val::Ptr(b, ofs), Val::Long(1))));
+        assert_eq!(m.load(Chunk::I64, b, 8), Ok(Val::Undef));
     }
 }

@@ -74,6 +74,20 @@ pub fn counters() -> MemCounters {
     COUNTERS.with(Cell::get)
 }
 
+/// Add `delta` (counted on another thread) to this thread's counters: how
+/// a worker pool folds each worker's effort into its caller.
+pub fn absorb(delta: &MemCounters) {
+    bump(|c| {
+        c.allocs += delta.allocs;
+        c.alloc_bytes += delta.alloc_bytes;
+        c.frees += delta.frees;
+        c.loads += delta.loads;
+        c.stores += delta.stores;
+        c.demotes += delta.demotes;
+        c.promotes += delta.promotes;
+    });
+}
+
 /// Bump helper shared by the hooks in `mem.rs`.
 pub(crate) fn bump(f: impl FnOnce(&mut MemCounters)) {
     COUNTERS.with(|c| {

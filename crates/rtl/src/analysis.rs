@@ -35,6 +35,11 @@ pub fn solver_iterations() -> u64 {
     SOLVER_ITERATIONS.with(std::cell::Cell::get)
 }
 
+/// Add `n` iterations counted on another thread to this thread's count.
+pub fn absorb_solver_iterations(n: u64) {
+    SOLVER_ITERATIONS.with(|c| c.set(c.get() + n));
+}
+
 fn tick_solver() {
     SOLVER_ITERATIONS.with(|c| c.set(c.get() + 1));
 }

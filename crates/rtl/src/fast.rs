@@ -1,5 +1,5 @@
-//! Prepared ("arena") form of an RTL program and the batched fast
-//! interpreter behind [`crate::sem::RtlSem`]'s `step_batch` (DESIGN.md §13).
+//! Prepared ("arena") form of an RTL program and the interpreter behind
+//! [`crate::sem::RtlSem`] (DESIGN.md §13).
 //!
 //! `prepare` runs once per [`RtlSem`] and compiles every function's
 //! `BTreeMap<Node, Inst>` CFG into a dense `Vec<UOp>`:
@@ -9,27 +9,29 @@
 //!   callees to function indices or external function pointers, globals to
 //!   `Val::Ptr` constants;
 //! * statically-known stuck conditions (missing CFG nodes, unknown symbols)
-//!   become `Trap` µops carrying their exact legacy message, label-free
-//!   (the label is prefixed at stuck time, like `RtlSem::stuck`);
+//!   become `Trap` µops carrying their message, label-free (the label is
+//!   prefixed at stuck time);
 //! * hot two-instruction idioms are fused into superinstructions with
 //!   *prefix-commit* semantics: the fused op sits at the first instruction's
 //!   index while the unfused second µop stays at its own index, so jumps
 //!   into the middle of a pair, fuel exhaustion between the halves, and
 //!   step counting all behave exactly as in the unfused program.
 //!
-//! The step loop mutates a dense `Vec<Val>` register file and the memory
-//! state in place. Observable behaviour — answers, step counts, stuck
-//! messages, and the `mem.*` counter stream — is bit-for-bit the legacy
-//! interpreter's; the fusion-is-refinement unit tests below and the
-//! cross-stage `compiler/tests/fast_equiv.rs` check this side by side.
+//! [`step_batch`] is the one step definition: it mutates the frames' dense
+//! `Vec<Val>` register files and the memory in place, and `RtlSem::step`
+//! runs it at fuel 1 (which commits one half of a fused pair per step).
+//! Answers, step counts, stuck messages and the `mem.*` counter stream are
+//! pinned by the committed verdict checksums (DESIGN.md §13); the
+//! fusion-is-refinement unit tests below check fused dispatch against
+//! fuel-1 stepping.
 
 use std::collections::BTreeMap;
 
 use compcerto_core::iface::{CQuery, CReply, Signature};
 use compcerto_core::intern::Interner;
-use compcerto_core::lts::{Batch, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Stuck};
 use compcerto_core::symtab::{Ident, SymbolTable};
-use mem::{BlockId, Chunk, Val};
+use mem::{BlockId, Chunk, Mem, Val};
 use minor::{MBinop, MUnop};
 
 use crate::lang::{Inst, Node, PReg, RtlOp, RtlProgram};
@@ -60,8 +62,8 @@ pub(crate) enum PCallee {
     Internal(u32),
     /// External: the resolved function pointer and call signature.
     External(Val, Signature),
-    /// Neither defined nor in the symbol table; the label-free legacy
-    /// stuck message (``unknown callee `f` ``).
+    /// Neither defined nor in the symbol table; the label-free stuck
+    /// message (``unknown callee `f` ``).
     Unknown(Box<str>),
 }
 
@@ -109,7 +111,7 @@ pub(crate) enum UOp {
     },
     /// Return from the function.
     Return(Option<PReg>),
-    /// Statically-known stuck: the label-free legacy message.
+    /// Statically-known stuck: the label-free message.
     Trap(Box<str>),
     /// Fused `Store; Op(BinopImm)` (store to memory, then bump an index —
     /// the dominant array-write idiom). Prefix-commit: the unfused
@@ -138,7 +140,7 @@ pub(crate) enum UOp {
     },
     /// Fused `Op(BinopImm); Cond` (compare-and-branch / counter-and-loop).
     /// The destination is written *before* the condition register is read,
-    /// exactly as in two legacy steps.
+    /// exactly as in two steps.
     FusedAddImmCond {
         /// First-half operation.
         op: MBinop,
@@ -178,7 +180,7 @@ pub(crate) enum UOp {
 /// A prepared function.
 #[derive(Debug, Clone)]
 pub(crate) struct PFunc {
-    /// Name (kept for writeback into legacy states and stuck messages).
+    /// Name (stuck messages and `RtlSem::program_point`).
     pub name: Ident,
     /// Stack block size.
     pub stack_size: i64,
@@ -193,8 +195,6 @@ pub(crate) struct PFunc {
     pub code: Vec<UOp>,
     /// Dense index → original node id (traps map to the missing node).
     pub node_of_ix: Vec<Node>,
-    /// Original node id → dense index (includes trap indices).
-    pub ix_of: BTreeMap<Node, u32>,
 }
 
 /// A prepared program: the per-program interner plus the function arena.
@@ -210,8 +210,8 @@ pub(crate) struct PProg {
     pub fidx_of_sym: Vec<Option<u32>>,
 }
 
-/// Resolve `op`, precomputing global addresses. `Err` carries the exact
-/// label-free legacy stuck message for an unknown symbol.
+/// Resolve `op`, precomputing global addresses. `Err` carries the
+/// label-free stuck message for an unknown symbol.
 fn resolve_op(op: &RtlOp, symtab: &SymbolTable) -> Result<POp, String> {
     Ok(match op {
         RtlOp::Move(r) => POp::Move(*r),
@@ -415,7 +415,6 @@ pub(crate) fn prepare(prog: &RtlProgram, symtab: &SymbolTable) -> PProg {
                 params: f.params.clone().into_boxed_slice(),
                 code,
                 node_of_ix,
-                ix_of,
             }
         })
         .collect();
@@ -427,79 +426,47 @@ pub(crate) fn prepare(prog: &RtlProgram, symtab: &SymbolTable) -> PProg {
     }
 }
 
-/// A fast activation: dense registers, dense code index.
-#[derive(Debug, Clone)]
-struct FFrame {
-    fidx: u32,
-    ix: u32,
-    regs: Vec<Val>,
-    sp: BlockId,
-}
+/// The frame index of a tail call's discarded frame, suspended on an
+/// external callee: its answer is forwarded to the caller.
+pub(crate) const TAILCALL_IX: u32 = u32::MAX;
 
-fn fast_frame(p: &PProg, fr: &RtlFrame) -> Option<FFrame> {
-    let s = p.syms.lookup(fr.fname())?;
-    let fidx = (*p.fidx_of_sym.get(s.index())?)?;
-    let f = &p.funcs[fidx as usize];
-    let ix = *f.ix_of.get(&fr.pc())?;
-    let mut regs = vec![Val::Undef; f.nregs];
-    for (&r, &v) in fr.regs() {
-        *regs.get_mut(r as usize)? = v;
-    }
-    Some(FFrame {
-        fidx,
-        ix,
-        regs,
-        sp: fr.sp(),
-    })
-}
-
-fn legacy_frame(p: &PProg, fr: &FFrame) -> RtlFrame {
-    let f = &p.funcs[fr.fidx as usize];
-    RtlFrame {
-        fname: f.name.clone(),
-        pc: f.node_of_ix.get(fr.ix as usize).copied().unwrap_or(fr.ix),
-        regs: fr
-            .regs
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as PReg, v))
-            .collect(),
-        sp: fr.sp,
+/// The function index of a callee pointer (first definition of its name).
+pub(crate) fn fidx_of_val(p: &PProg, symtab: &SymbolTable, vf: Val) -> Option<u32> {
+    match vf {
+        Val::Ptr(b, 0) => symtab
+            .ident_of(b)
+            .and_then(|name| p.syms.lookup(name))
+            .and_then(|sy| p.fidx_of_sym.get(sy.index()).copied().flatten()),
+        _ => None,
     }
 }
 
-fn legacy_stack(p: &PProg, stack: &[FFrame]) -> Vec<RtlFrame> {
-    stack.iter().map(|f| legacy_frame(p, f)).collect()
-}
-
-/// One legacy step, packaged as a [`Batch`] — the fallback for states the
-/// prepared tables cannot represent (frames naming unknown functions or
-/// sitting at never-referenced nodes).
-fn legacy_one(sem: &RtlSem, s: &mut RtlState) -> Batch<CQuery, CReply> {
-    match sem.step(s) {
-        Step::Internal(s2, _) => {
-            *s = s2;
-            Batch::Ran(1)
-        }
-        Step::Final(a) => Batch::Final(0, a),
-        Step::External(oq) => Batch::External(0, oq),
-        Step::Stuck(stuck) => Batch::Stuck(0, stuck),
+/// Return `v` into `frame`, suspended at a call: bind the call's
+/// destination and move past it. `false` when the frame is not at a call.
+pub(crate) fn return_into(p: &PProg, frame: &mut RtlFrame, v: Val) -> bool {
+    let code = p.funcs.get(frame.fidx as usize).map(|f| &f.code);
+    let Some(UOp::Call { dest, next, .. }) = code.and_then(|c| c.get(frame.ix as usize)) else {
+        return false;
+    };
+    if let Some(d) = dest {
+        frame.regs[*d as usize] = v;
     }
+    frame.ix = *next;
+    true
 }
 
-/// Control position of the fast machine, mirroring `RtlState` minus the
-/// shared `mem`/`stack`.
+/// Control position of the machine, the state minus the shared
+/// `mem`/`stack`.
 enum M {
-    /// Mirror of `RtlState::Call` (callee already resolved).
+    /// `RtlState::Call`.
     Enter(u32, Vec<Val>),
-    /// Mirror of `RtlState::Exec`.
-    Exec(FFrame),
-    /// Mirror of `RtlState::Ret`.
+    /// `RtlState::Exec`.
+    Exec(RtlFrame),
+    /// `RtlState::Ret`.
     Ret(Val),
 }
 
-/// Run up to `fuel_left` steps in place. Fuel accounting, step counts, and
-/// every stuck message replicate the legacy single-step loop bit for bit;
+/// Run up to `fuel_left` steps in place, following the [`Batch`] contract;
 /// see the module docs for the prefix-commit rules on fused µops.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn step_batch(
@@ -511,59 +478,43 @@ pub(crate) fn step_batch(
     let label = &sem.label;
     let stuck_l = |msg: String| Stuck::new(format!("{label}: {msg}"));
 
-    // Convert the legacy state; anything the tables can't express falls back
-    // to one legacy step (which produces the exact legacy outcome for it).
-    let (mut mode, mut mem, mut stack) = match s {
-        RtlState::External { q, .. } => return Batch::External(0, q.clone()),
+    // Take ownership of the state: frames and memory move in and out
+    // without cloning.
+    let taken = std::mem::replace(
+        s,
+        RtlState::Ret {
+            v: Val::Undef,
+            mem: Mem::new(),
+            stack: Vec::new(),
+        },
+    );
+    let (mut mode, mut mem, mut stack) = match taken {
+        RtlState::External { q, cur, stack } => {
+            let out = q.clone();
+            *s = RtlState::External { q, cur, stack };
+            return Batch::External(0, out);
+        }
         RtlState::Call {
-            fname,
+            fidx,
             args,
             mem,
             stack,
-        } => {
-            let Some(fidx) = p
-                .syms
-                .lookup(fname)
-                .and_then(|sy| p.fidx_of_sym.get(sy.index()).copied().flatten())
-            else {
-                return legacy_one(sem, s);
-            };
-            let Some(fstack) = stack.iter().map(|f| fast_frame(p, f)).collect() else {
-                return legacy_one(sem, s);
-            };
-            (M::Enter(fidx, args.clone()), mem.clone(), fstack)
-        }
-        RtlState::Exec { cur, mem, stack } => {
-            let Some(fcur) = fast_frame(p, cur) else {
-                return legacy_one(sem, s);
-            };
-            let Some(fstack) = stack.iter().map(|f| fast_frame(p, f)).collect::<Option<Vec<_>>>()
-            else {
-                return legacy_one(sem, s);
-            };
-            (M::Exec(fcur), mem.clone(), fstack)
-        }
-        RtlState::Ret { v, mem, stack } => {
-            let Some(fstack) = stack.iter().map(|f| fast_frame(p, f)).collect::<Option<Vec<_>>>()
-            else {
-                return legacy_one(sem, s);
-            };
-            (M::Ret(*v), mem.clone(), fstack)
-        }
+        } => (M::Enter(fidx, args), mem, stack),
+        RtlState::Exec { cur, mem, stack } => (M::Exec(cur), mem, stack),
+        RtlState::Ret { v, mem, stack } => (M::Ret(v), mem, stack),
     };
     let mut n: u64 = 0;
 
     loop {
         match mode {
             M::Enter(fidx, args) => {
-                // Legacy `Call` state: one step to enter (alloc + bind).
+                // One step to enter (alloc + bind).
                 if n == fuel_left {
-                    let f = &p.funcs[fidx as usize];
                     *s = RtlState::Call {
-                        fname: f.name.clone(),
+                        fidx,
                         args,
                         mem,
-                        stack: legacy_stack(p, &stack),
+                        stack,
                     };
                     return Batch::Ran(n);
                 }
@@ -580,7 +531,7 @@ pub(crate) fn step_batch(
                     regs[pr as usize] = v;
                 }
                 n += 1;
-                mode = M::Exec(FFrame {
+                mode = M::Exec(RtlFrame {
                     fidx,
                     ix: f.entry_ix,
                     regs,
@@ -602,16 +553,12 @@ pub(crate) fn step_batch(
                 // The hot inner loop: stays inside one function.
                 loop {
                     if n == fuel_left {
-                        *s = RtlState::Exec {
-                            cur: legacy_frame(p, &cur),
-                            mem,
-                            stack: legacy_stack(p, &stack),
-                        };
+                        *s = RtlState::Exec { cur, mem, stack };
                         return Batch::Ran(n);
                     }
                     let Some(uop) = f.code.get(cur.ix as usize) else {
                         // Unresolvable dense index (corrupt successor):
-                        // report it as the legacy missing-node stuck.
+                        // report it as a missing node.
                         let node = f.node_of_ix.get(cur.ix as usize).copied().unwrap_or(cur.ix);
                         return Batch::Stuck(
                             n,
@@ -732,8 +679,8 @@ pub(crate) fn step_batch(
                                     };
                                     *s = RtlState::External {
                                         q: q.clone(),
-                                        cur: legacy_frame(p, &cur),
-                                        stack: legacy_stack(p, &stack),
+                                        cur,
+                                        stack,
                                     };
                                     return if n == fuel_left {
                                         Batch::Ran(n)
@@ -770,12 +717,13 @@ pub(crate) fn step_batch(
                                         args: vals,
                                         mem: mem.clone(),
                                     };
-                                    let mut fr = legacy_frame(p, &cur);
-                                    fr.pc = u32::MAX; // poisoned: tailcall never resumes here
+                                    // The frame is gone: the answer is
+                                    // forwarded to the caller.
+                                    cur.ix = TAILCALL_IX;
                                     *s = RtlState::External {
                                         q: q.clone(),
-                                        cur: fr,
-                                        stack: legacy_stack(p, &stack),
+                                        cur,
+                                        stack,
                                     };
                                     return if n == fuel_left {
                                         Batch::Ran(n)
@@ -868,24 +816,15 @@ pub(crate) fn step_batch(
             }
             M::Ret(v) => {
                 if n == fuel_left {
-                    *s = RtlState::Ret {
-                        v,
-                        mem,
-                        stack: legacy_stack(p, &stack),
-                    };
+                    *s = RtlState::Ret { v, mem, stack };
                     return Batch::Ran(n);
                 }
                 let Some(mut caller) = stack.pop() else {
                     return Batch::Final(n, CReply { retval: v, mem });
                 };
-                let cf = &p.funcs[caller.fidx as usize];
-                let Some(UOp::Call { dest, next, .. }) = cf.code.get(caller.ix as usize) else {
+                if !return_into(p, &mut caller, v) {
                     return Batch::Stuck(n, Stuck::new("caller pc is not at a call"));
-                };
-                if let Some(d) = dest {
-                    caller.regs[*d as usize] = v;
                 }
-                caller.ix = *next;
                 n += 1;
                 mode = M::Exec(caller);
             }
@@ -897,6 +836,7 @@ pub(crate) fn step_batch(
 mod tests {
     use super::*;
     use crate::gen::tests::front_end;
+    use compcerto_core::lts::{Lts, Step};
 
     /// SplitMix64 — the fixed-block randomizer shared by the fusion
     /// soundness tests (deterministic, seedable, no external crates).
@@ -908,9 +848,10 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Run the *unfused* machine (the legacy single-step relation) to its
-    /// final answer, counting steps. The fusion corpus is closed code: no
-    /// external calls, no stuckness, no events.
+    /// Run the *unfused* machine to its final answer, counting steps: fuel-1
+    /// stepping (`RtlSem::step`) commits one half of a fused pair per step,
+    /// so it never executes a fused second half. The fusion corpus is
+    /// closed code: no external calls, no stuckness, no events.
     fn unfused_to_final(sem: &RtlSem, s: &mut RtlState) -> (u64, CReply) {
         let mut n = 0u64;
         loop {
@@ -933,7 +874,7 @@ mod tests {
     /// step the fused and unfused forms side by side:
     ///
     /// 1. a full-fuel fused batch must produce the same answer, memory,
-    ///    and exact step count as unfused single-stepping;
+    ///    and exact step count as unfused fuel-1 stepping;
     /// 2. a batch cut at *every* fuel prefix — including cuts that land
     ///    between the two halves of a fused pair — must write back a state
     ///    from which unfused stepping completes with the same answer in

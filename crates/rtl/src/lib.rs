@@ -46,8 +46,8 @@ pub use absint::{
     Needs, VaEnv, VaVal,
 };
 pub use analysis::{
-    backward_solve, forward_solve, liveness, predecessors, solver_iterations, value_analysis,
-    AEnv, AVal, JoinSemiLattice, Romem,
+    absorb_solver_iterations, backward_solve, forward_solve, liveness, predecessors,
+    solver_iterations, value_analysis, AEnv, AVal, JoinSemiLattice, Romem,
 };
 pub use bitset::BitSet;
 pub use constprop::constprop;

@@ -1,15 +1,17 @@
 //! Open semantics of RTL: an LTS over `C ↠ C` (paper §3.2, Thm. 4.3 lists
 //! RTL among the languages parametric in CKLRs).
-
-use std::collections::BTreeMap;
+//!
+//! The transition relation is the prepared µop interpreter in `fast`
+//! (DESIGN.md §13): `step_batch` runs it for many steps in place, and
+//! `step` is the same loop at fuel 1.
 
 use compcerto_core::iface::{CQuery, CReply, C};
-use compcerto_core::lts::{Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Mem, Val};
 
 use crate::fast;
-use crate::lang::{Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram};
+use crate::lang::{Node, PReg, RtlProgram};
 
 /// The open semantics `RTL(p) : C ↠ C`.
 #[derive(Debug, Clone)]
@@ -17,36 +19,25 @@ pub struct RtlSem {
     prog: RtlProgram,
     symtab: SymbolTable,
     pub(crate) label: String,
-    /// Prepared arena form driving [`Lts::step_batch`] (see `fast`).
+    /// Prepared µop form the interpreter runs on (see `fast`).
     pub(crate) fast: fast::PProg,
 }
 
-/// An RTL activation.
+/// An RTL activation: the running function and µop (dense indices into the
+/// prepared program), a dense register file and the stack block.
 #[derive(Debug, Clone)]
 pub struct RtlFrame {
-    pub(crate) fname: Ident,
-    pub(crate) pc: Node,
-    pub(crate) regs: BTreeMap<PReg, Val>,
+    pub(crate) fidx: u32,
+    pub(crate) ix: u32,
+    pub(crate) regs: Vec<Val>,
     pub(crate) sp: BlockId,
 }
 
 impl RtlFrame {
-    /// The function this activation executes.
+    /// The value of register `r` (`Undef` when it was never written).
     #[must_use]
-    pub fn fname(&self) -> &Ident {
-        &self.fname
-    }
-
-    /// The node about to execute.
-    #[must_use]
-    pub fn pc(&self) -> Node {
-        self.pc
-    }
-
-    /// The register file (a missing register reads as `Undef`).
-    #[must_use]
-    pub fn regs(&self) -> &BTreeMap<PReg, Val> {
-        &self.regs
+    pub fn reg(&self, r: PReg) -> Val {
+        self.regs.get(r as usize).copied().unwrap_or(Val::Undef)
     }
 
     /// The activation's stack block.
@@ -61,8 +52,8 @@ impl RtlFrame {
 pub enum RtlState {
     /// Entering an internal function.
     Call {
-        /// Callee.
-        fname: Ident,
+        /// Callee (index into the prepared function arena).
+        fidx: u32,
         /// Arguments.
         args: Vec<Val>,
         /// Memory.
@@ -83,7 +74,8 @@ pub enum RtlState {
     External {
         /// Outgoing question.
         q: CQuery,
-        /// Active frame (its `pc` still points at the call).
+        /// Active frame (still at the call; a tail call's frame is gone and
+        /// carries a poisoned index).
         cur: RtlFrame,
         /// Suspended callers.
         stack: Vec<RtlFrame>,
@@ -127,165 +119,25 @@ impl RtlSem {
         &self.symtab
     }
 
+    /// The program point of `frame`: its function's name and the CFG node
+    /// about to execute. `None` for a frame this semantics did not create
+    /// and for a tail call's discarded frame.
+    #[must_use]
+    pub fn program_point(&self, frame: &RtlFrame) -> Option<(&Ident, Node)> {
+        let f = self.fast.funcs.get(frame.fidx as usize)?;
+        Some((&f.name, *f.node_of_ix.get(frame.ix as usize)?))
+    }
+
+    /// The index of the function `q` calls, when this program defines it
+    /// with `q`'s signature and arity.
+    fn callee(&self, q: &CQuery) -> Option<u32> {
+        let fidx = fast::fidx_of_val(&self.fast, &self.symtab, q.vf)?;
+        let f = self.prog.functions.get(fidx as usize)?;
+        (f.sig == q.sig && q.args.len() == f.params.len()).then_some(fidx)
+    }
+
     fn stuck<T>(&self, msg: impl Into<String>) -> Result<T, Stuck> {
         Err(Stuck::new(format!("{}: {}", self.label, msg.into())))
-    }
-
-    fn reg(&self, frame: &RtlFrame, r: PReg) -> Val {
-        frame.regs.get(&r).copied().unwrap_or(Val::Undef)
-    }
-
-    fn eval_op(&self, frame: &RtlFrame, op: &RtlOp) -> Result<Val, Stuck> {
-        Ok(match op {
-            RtlOp::Move(r) => self.reg(frame, *r),
-            RtlOp::Int(n) => Val::Int(*n),
-            RtlOp::Long(n) => Val::Long(*n),
-            RtlOp::AddrGlobal(s, d) => match self.symtab.block_of(s) {
-                Some(b) => Val::Ptr(b, *d),
-                None => return self.stuck(format!("unknown symbol `{s}`")),
-            },
-            RtlOp::AddrStack(o) => Val::Ptr(frame.sp, *o),
-            RtlOp::Unop(op, r) => op.eval(self.reg(frame, *r)),
-            RtlOp::Binop(op, a, b) => op.eval(self.reg(frame, *a), self.reg(frame, *b)),
-            RtlOp::BinopImm(op, a, i) => op.eval(self.reg(frame, *a), *i),
-        })
-    }
-
-    fn exec_inst(
-        &self,
-        f: &RtlFunction,
-        cur: &RtlFrame,
-        mem: &Mem,
-        stack: &[RtlFrame],
-    ) -> Result<RtlState, Stuck> {
-        let Some(inst) = f.code.get(&cur.pc) else {
-            return self.stuck(format!("no instruction at {}:{}", cur.fname, cur.pc));
-        };
-        let goto = |frame: &RtlFrame, pc: Node, mem: Mem| RtlState::Exec {
-            cur: RtlFrame {
-                pc,
-                ..frame.clone()
-            },
-            mem,
-            stack: stack.to_vec(),
-        };
-        match inst {
-            Inst::Nop(n) => Ok(goto(cur, *n, mem.clone())),
-            Inst::Op(op, dst, n) => {
-                let v = self.eval_op(cur, op)?;
-                let mut frame = cur.clone();
-                frame.regs.insert(*dst, v);
-                frame.pc = *n;
-                Ok(RtlState::Exec {
-                    cur: frame,
-                    mem: mem.clone(),
-                    stack: stack.to_vec(),
-                })
-            }
-            Inst::Load(chunk, base, disp, dst, n) => {
-                let addr = self.reg(cur, *base).add(Val::Long(*disp));
-                let v = match mem.loadv(*chunk, addr) {
-                    Ok(v) => v,
-                    Err(e) => return self.stuck(format!("load failed: {e}")),
-                };
-                let mut frame = cur.clone();
-                frame.regs.insert(*dst, v);
-                frame.pc = *n;
-                Ok(RtlState::Exec {
-                    cur: frame,
-                    mem: mem.clone(),
-                    stack: stack.to_vec(),
-                })
-            }
-            Inst::Store(chunk, base, disp, src, n) => {
-                let addr = self.reg(cur, *base).add(Val::Long(*disp));
-                let mut mem = mem.clone();
-                if let Err(e) = mem.storev(*chunk, addr, self.reg(cur, *src)) {
-                    return self.stuck(format!("store failed: {e}"));
-                }
-                Ok(goto(cur, *n, mem))
-            }
-            Inst::Cond(r, t, e) => match self.reg(cur, *r).truth() {
-                Some(b) => Ok(goto(cur, if b { *t } else { *e }, mem.clone())),
-                None => self.stuck("undefined branch condition"),
-            },
-            Inst::Call(sig, callee, args, _, _) => {
-                let vals: Vec<Val> = args.iter().map(|r| self.reg(cur, *r)).collect();
-                if self.prog.function(callee).is_some() {
-                    let mut stack = stack.to_vec();
-                    stack.push(cur.clone());
-                    Ok(RtlState::Call {
-                        fname: callee.clone(),
-                        args: vals,
-                        mem: mem.clone(),
-                        stack,
-                    })
-                } else {
-                    let Some(vf) = self.symtab.func_ptr(callee) else {
-                        return self.stuck(format!("unknown callee `{callee}`"));
-                    };
-                    Ok(RtlState::External {
-                        q: CQuery {
-                            vf,
-                            sig: sig.clone(),
-                            args: vals,
-                            mem: mem.clone(),
-                        },
-                        cur: cur.clone(),
-                        stack: stack.to_vec(),
-                    })
-                }
-            }
-            Inst::Tailcall(sig, callee, args) => {
-                let vals: Vec<Val> = args.iter().map(|r| self.reg(cur, *r)).collect();
-                // The frame is freed *before* the tail call.
-                let mut mem = mem.clone();
-                if let Err(e) = mem.free(cur.sp, 0, f.stack_size) {
-                    return self.stuck(format!("freeing frame for tailcall: {e}"));
-                }
-                if self.prog.function(callee).is_some() {
-                    Ok(RtlState::Call {
-                        fname: callee.clone(),
-                        args: vals,
-                        mem,
-                        stack: stack.to_vec(),
-                    })
-                } else {
-                    // A tail call to an external: suspend with the caller
-                    // already gone; the reply is forwarded directly.
-                    let Some(vf) = self.symtab.func_ptr(callee) else {
-                        return self.stuck(format!("unknown callee `{callee}`"));
-                    };
-                    let mut frame = cur.clone();
-                    frame.pc = u32::MAX; // poisoned: tailcall never resumes here
-                    Ok(RtlState::External {
-                        q: CQuery {
-                            vf,
-                            sig: sig.clone(),
-                            args: vals,
-                            mem,
-                        },
-                        cur: frame,
-                        stack: stack.to_vec(),
-                    })
-                }
-            }
-            Inst::Return(r) => {
-                let v = match r {
-                    Some(r) => self.reg(cur, *r),
-                    None => Val::Undef,
-                };
-                let mut mem = mem.clone();
-                if let Err(e) = mem.free(cur.sp, 0, f.stack_size) {
-                    return self.stuck(format!("freeing frame: {e}"));
-                }
-                Ok(RtlState::Ret {
-                    v,
-                    mem,
-                    stack: stack.to_vec(),
-                })
-            }
-        }
     }
 }
 
@@ -299,30 +151,15 @@ impl Lts for RtlSem {
     }
 
     fn accepts(&self, q: &CQuery) -> bool {
-        match &q.vf {
-            Val::Ptr(b, 0) => match self.symtab.ident_of(*b) {
-                Some(name) => match self.prog.function(name) {
-                    Some(f) => f.sig == q.sig && q.args.len() == f.params.len(),
-                    None => false,
-                },
-                None => false,
-            },
-            _ => false,
-        }
+        self.callee(q).is_some()
     }
 
     fn initial(&self, q: &CQuery) -> Result<RtlState, Stuck> {
-        if !self.accepts(q) {
+        let Some(fidx) = self.callee(q) else {
             return self.stuck("query not accepted");
-        }
-        let Val::Ptr(b, 0) = q.vf else {
-            return self.stuck("accepted query has a non-pointer vf");
-        };
-        let Some(name) = self.symtab.ident_of(b) else {
-            return self.stuck("accepted query names an unknown block");
         };
         Ok(RtlState::Call {
-            fname: name.to_string(),
+            fidx,
             args: q.args.clone(),
             mem: q.mem.clone(),
             stack: vec![],
@@ -330,77 +167,7 @@ impl Lts for RtlSem {
     }
 
     fn step(&self, s: &RtlState) -> Step<RtlState, CQuery, CReply> {
-        match s {
-            RtlState::Call {
-                fname,
-                args,
-                mem,
-                stack,
-            } => {
-                let Some(f) = self.prog.function(fname) else {
-                    return Step::Stuck(Stuck::new(format!("unknown function `{fname}`")));
-                };
-                if f.params.len() != args.len() {
-                    return Step::Stuck(Stuck::new(format!("arity mismatch calling `{fname}`")));
-                }
-                let mut mem = mem.clone();
-                let sp = mem.alloc(0, f.stack_size);
-                let regs = f.params.iter().copied().zip(args.iter().copied()).collect();
-                Step::Internal(
-                    RtlState::Exec {
-                        cur: RtlFrame {
-                            fname: fname.clone(),
-                            pc: f.entry,
-                            regs,
-                            sp,
-                        },
-                        mem,
-                        stack: stack.clone(),
-                    },
-                    vec![],
-                )
-            }
-            RtlState::Exec { cur, mem, stack } => {
-                let Some(f) = self.prog.function(&cur.fname) else {
-                    return Step::Stuck(Stuck::new("frame names unknown function"));
-                };
-                match self.exec_inst(f, cur, mem, stack) {
-                    Ok(next) => Step::Internal(next, vec![]),
-                    Err(stuck) => Step::Stuck(stuck),
-                }
-            }
-            RtlState::Ret { v, mem, stack } => {
-                if stack.is_empty() {
-                    return Step::Final(CReply {
-                        retval: *v,
-                        mem: mem.clone(),
-                    });
-                }
-                let mut stack = stack.clone();
-                let Some(mut caller) = stack.pop() else {
-                    return Step::Stuck(Stuck::new("return with no caller frame"));
-                };
-                let Some(cf) = self.prog.function(&caller.fname) else {
-                    return Step::Stuck(Stuck::new("caller frame names unknown function"));
-                };
-                let Some(Inst::Call(_, _, _, dest, next)) = cf.code.get(&caller.pc) else {
-                    return Step::Stuck(Stuck::new("caller pc is not at a call"));
-                };
-                if let Some(d) = dest {
-                    caller.regs.insert(*d, *v);
-                }
-                caller.pc = *next;
-                Step::Internal(
-                    RtlState::Exec {
-                        cur: caller,
-                        mem: mem.clone(),
-                        stack,
-                    },
-                    vec![],
-                )
-            }
-            RtlState::External { q, .. } => Step::External(q.clone()),
-        }
+        step_via_batch(self, s)
     }
 
     fn step_batch(
@@ -409,33 +176,25 @@ impl Lts for RtlSem {
         fuel_left: u64,
         _events: &mut Vec<Event>,
     ) -> Batch<CQuery, CReply> {
-        // RTL emits no events; the prepared arena loop replicates the legacy
-        // stepper's observables exactly (tests/fast_equiv.rs).
+        // RTL emits no events.
         fast::step_batch(self, s, fuel_left)
     }
 
     fn resume(&self, s: &RtlState, a: CReply) -> Result<RtlState, Stuck> {
         match s {
             RtlState::External { cur, stack, .. } => {
-                // A poisoned pc marks a tail call: forward the answer.
-                if cur.pc == u32::MAX {
+                // A poisoned index marks a tail call: forward the answer.
+                if cur.ix == fast::TAILCALL_IX {
                     return Ok(RtlState::Ret {
                         v: a.retval,
                         mem: a.mem,
                         stack: stack.clone(),
                     });
                 }
-                let Some(f) = self.prog.function(&cur.fname) else {
-                    return self.stuck("frame names unknown function");
-                };
-                let Some(Inst::Call(_, _, _, dest, next)) = f.code.get(&cur.pc) else {
-                    return self.stuck("external frame pc is not at a call");
-                };
                 let mut frame = cur.clone();
-                if let Some(d) = dest {
-                    frame.regs.insert(*d, a.retval);
+                if !fast::return_into(&self.fast, &mut frame, a.retval) {
+                    return self.stuck("external frame pc is not at a call");
                 }
-                frame.pc = *next;
                 Ok(RtlState::Exec {
                     cur: frame,
                     mem: a.mem,
@@ -464,10 +223,12 @@ impl Lts for RtlSem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lang::{Inst, RtlFunction, RtlOp};
     use compcerto_core::iface::Signature;
     use compcerto_core::lts::run;
     use compcerto_core::symtab::GlobKind;
     use minor::MBinop;
+    use std::collections::BTreeMap;
 
     /// Build `int double_add(a, b) { return a + a + b; }` by hand.
     fn sample() -> (RtlSem, Mem) {
