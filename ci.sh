@@ -126,7 +126,13 @@ cmp /tmp/ci_difftest_1.json /tmp/ci_difftest_2.json
 cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs auto --check /tmp/ci_difftest_1.json
 grep -q '"schema": "compcerto-difftest/1"' /tmp/ci_difftest_1.json
 grep -q '"findings": 0,' /tmp/ci_difftest_1.json
-# The committed 500-seed baseline must be well-formed and clean too.
+# The committed 500-seed baseline is re-derived, not just grepped: every
+# verdict, the stage pairs, the escape matrix and the counter section must
+# match it byte for byte. (`--ckpt` keeps its block checkpoint out of the
+# repository root.)
+cargo run -q --release -p bench --bin difftest_campaign -- --seeds 500 --jobs auto \
+    --check DIFFTEST.json --ckpt /tmp/ci_difftest_full.ckpt
+# It must also be well-formed and clean.
 grep -q '"schema": "compcerto-difftest/1"' DIFFTEST.json
 grep -q '"findings": 0,' DIFFTEST.json
 # PR 6: the report now carries a deterministic observability section.

@@ -4,16 +4,10 @@
 //! change the *numbers* but never the *convention* (every configuration
 //! still passes the Thm 3.8 check).
 
+use bench::fail;
 use compiler::{
     c_query, check_thm38, compile_all, CompilerOptions, ExtLib, WorkloadCfg, WorkloadGen,
 };
-
-/// Fixture failures are configuration bugs, not runtime conditions — exit
-/// with the usage code instead of unwinding (the bins are unwrap-free).
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("ablation_opts: {msg}");
-    std::process::exit(2)
-}
 
 struct Config {
     label: &'static str,
@@ -109,7 +103,7 @@ fn main() {
         let mut tgt_steps = 0u64;
         for ((src, _), queries) in suite.iter().zip(&query_sets) {
             let (units, tbl) = compile_all(&[src], c.opts)
-                .unwrap_or_else(|e| die(format!("workload does not compile: {e:?}")));
+                .unwrap_or_else(|e| fail(format!("workload does not compile: {e:?}")));
             let lib = ExtLib::demo(tbl.clone());
             // Count live (non-Nop) RTL instructions: the optimizations blank
             // instructions rather than renumbering them away.

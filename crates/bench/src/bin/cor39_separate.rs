@@ -2,17 +2,11 @@
 //! `Clight(M1) ⊕ … ⊕ Clight(Mn) ≤_{C↠C} Asm(M.s)` — and its Thm 3.5
 //! ingredient, checked over multi-unit workloads with cross-unit calls.
 
+use bench::fail;
 use compcerto_core::cc::Ca;
 use compcerto_core::conv::SimConv;
 use compiler::{c_query, check_cor39, check_thm35, compile_all, CompilerOptions, ExtLib};
 use mem::Val;
-
-/// Fixture failures are configuration bugs, not runtime conditions — exit
-/// with the usage code instead of unwinding (the bins are unwrap-free).
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("cor39_separate: {msg}");
-    std::process::exit(2)
-}
 
 /// Generate a two-unit program pair where unit 0 calls into unit 1 `depth`
 /// levels deep.
@@ -43,7 +37,7 @@ fn main() {
     for depth in [0, 2, 5, 9] {
         let (src1, src2) = make_pair(depth);
         let (units, tbl) = compile_all(&[&src1, &src2], CompilerOptions::default())
-            .unwrap_or_else(|e| die(format!("depth {depth}: pair does not compile: {e:?}")));
+            .unwrap_or_else(|e| fail(format!("depth {depth}: pair does not compile: {e:?}")));
         let lib = ExtLib::demo(tbl.clone());
         let mut crossings = 0usize;
         let queries = 4;
@@ -54,7 +48,7 @@ fn main() {
             crossings += report.external_calls;
             let (_, qa) = Ca::new(tbl.len() as u32)
                 .transport_query(&q)
-                .unwrap_or_else(|| die(format!("depth {depth}: C query does not transport")));
+                .unwrap_or_else(|| fail(format!("depth {depth}: C query does not transport")));
             check_thm35(&units[0].asm, &units[1].asm, &tbl, &lib, &qa)
                 .unwrap_or_else(|e| panic!("depth {depth} thm35: {e}"));
         }

@@ -27,8 +27,9 @@
 //! function of `(seed, cfg)`, the fan-out uses the order-preserving worker
 //! pool ([`compiler::par_map`]), and the JSON deliberately records no
 //! machine facts (no core counts, no timings). `ci.sh` runs `--quick` and
-//! fails on any finding; a non-quick sweep exits 1 on findings too, with
-//! each finding's shrunk reproducer inlined in the JSON.
+//! fails on any finding, then re-derives the committed 500-seed baseline
+//! with `--check`; a non-quick sweep exits 1 on findings too, with each
+//! finding's shrunk reproducer inlined in the JSON.
 //!
 //! # Checkpoint/resume (resilience layer, DESIGN.md §11)
 //!

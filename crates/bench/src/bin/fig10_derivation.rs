@@ -2,15 +2,9 @@
 //! as the machine-checked rewriting derivation from the composed per-pass
 //! conventions to `C = R* · wt · CA · vainj`.
 
+use bench::fail;
 use compcerto_core::algebra::{derive, goal_convention};
 use compiler::registry::{composed_incoming, composed_outgoing};
-
-/// Derivation failures are registry bugs, not runtime conditions — exit
-/// with the usage code instead of unwinding (the bins are unwrap-free).
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("fig10_derivation: {msg}");
-    std::process::exit(2)
-}
 
 fn main() {
     println!("Fig. 10: structure of the Thm 3.8 proof (cf. paper Fig. 10)");
@@ -25,11 +19,11 @@ fn main() {
         println!("=== {side} side ===");
         println!("composed per-pass conventions (Table 3):");
         println!("  {chain}");
-        let d = derive(chain).unwrap_or_else(|e| die(format!("{side} derivation: {e:?}")));
+        let d = derive(chain).unwrap_or_else(|e| fail(format!("{side} derivation: {e:?}")));
         println!("derivation ({} steps):", d.steps.len());
         print!("{}", d.render());
         if let Err(e) = d.verify() {
-            die(format!("{side} derivation step unjustified: {e:?}"));
+            fail(format!("{side} derivation step unjustified: {e:?}"));
         }
         println!("verified ✓  (final: {})", d.current());
         println!();

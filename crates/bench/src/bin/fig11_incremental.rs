@@ -6,15 +6,9 @@
 //! appending each pass's convention, the growing prefix still normalizes to
 //! the same goal.
 
+use bench::fail;
 use compcerto_core::algebra::{derive, goal_convention, Chain};
 use compiler::registry::pass_registry;
-
-/// Derivation failures are registry bugs, not runtime conditions — exit
-/// with the usage code instead of unwinding (the bins are unwrap-free).
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("fig11_incremental: {msg}");
-    std::process::exit(2)
-}
 
 fn main() {
     println!("Fig. 11: incremental composition of C passes (cf. paper Fig. 11)");
@@ -42,7 +36,7 @@ fn main() {
         }
         let full = prefix.clone().then(rest);
         let d = derive(full)
-            .unwrap_or_else(|e| die(format!("prefix through `{}`: {e:?}", p.name)));
+            .unwrap_or_else(|e| fail(format!("prefix through `{}`: {e:?}", p.name)));
         assert_eq!(d.current(), &goal_convention());
         println!(
             "{:<16}{:>8}{:>12}   {}",

@@ -3,7 +3,7 @@
 //! the composite (source of the first against target of the second) is
 //! checked under the *composed* convention — Def. 3.6 / Thm. 3.7 in action.
 
-use bench::FIXTURE;
+use bench::{fail, FIXTURE};
 use compcerto_core::cklr::{CklrC, Ext};
 use compcerto_core::conv::ComposeConv;
 use compcerto_core::iface::{CQuery, CReply};
@@ -13,18 +13,11 @@ use mem::Val;
 use minor::{CminorSelSem, CminorSem};
 use rtl::RtlSem;
 
-/// Fixture/simulation failures are configuration bugs, not runtime
-/// conditions — exit with the usage code instead of unwinding.
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("fig3_vertical: {msg}");
-    std::process::exit(2)
-}
-
 fn main() {
     // Build three adjacent levels: Cminor --Selection--> CminorSel
     // --RTLgen--> RTL.
     let (units, tbl) = compile_all(&[FIXTURE], CompilerOptions::default())
-        .unwrap_or_else(|e| die(format!("fixture does not compile: {e:?}")));
+        .unwrap_or_else(|e| fail(format!("fixture does not compile: {e:?}")));
     let u = &units[0];
     let l1 = CminorSem::new(u.cminor.clone(), tbl.clone());
     let l2 = CminorSelSem::new(u.cminorsel.clone(), tbl.clone());
@@ -49,13 +42,13 @@ fn main() {
 
     // Individual simulations (the premises of Fig. 3).
     let r12 = check_fwd_sim(&l1, &l2, &ext, &ext, &q, &mut env, 5_000_000)
-        .unwrap_or_else(|e| die(format!("L1 ≤ext L2 (Selection): {e}")));
+        .unwrap_or_else(|e| fail(format!("L1 ≤ext L2 (Selection): {e}")));
     println!(
         "premise 1: Cminor ≤_ext CminorSel    ✓  ({} / {} steps)",
         r12.source_steps, r12.target_steps
     );
     let r23 = check_fwd_sim(&l2, &l3, &ext, &ext, &q, &mut env, 5_000_000)
-        .unwrap_or_else(|e| die(format!("L2 ≤ext L3 (RTLgen): {e}")));
+        .unwrap_or_else(|e| fail(format!("L2 ≤ext L3 (RTLgen): {e}")));
     println!(
         "premise 2: CminorSel ≤_ext RTL       ✓  ({} / {} steps)",
         r23.source_steps, r23.target_steps
@@ -64,7 +57,7 @@ fn main() {
     // The composite, under the composed convention ext · ext (Def. 3.6).
     let composed = ComposeConv::new(CklrC { k: Ext }, CklrC { k: Ext });
     let r13 = check_fwd_sim(&l1, &l3, &composed, &composed, &q, &mut env, 5_000_000)
-        .unwrap_or_else(|e| die(format!("L1 ≤ext·ext L3 (vertical composition): {e}")));
+        .unwrap_or_else(|e| fail(format!("L1 ≤ext·ext L3 (vertical composition): {e}")));
     println!(
         "conclusion: Cminor ≤_(ext·ext) RTL   ✓  ({} / {} steps)",
         r13.source_steps, r13.target_steps
@@ -72,7 +65,7 @@ fn main() {
     println!();
     println!("and by Lemma 5.3 (ext · ext ≡ ext) the composite also checks at ext:");
     let r13e = check_fwd_sim(&l1, &l3, &ext, &ext, &q, &mut env, 5_000_000)
-        .unwrap_or_else(|e| die(format!("L1 ≤ext L3 after fusing the convention: {e}")));
+        .unwrap_or_else(|e| fail(format!("L1 ≤ext L3 after fusing the convention: {e}")));
     println!(
         "            Cminor ≤_ext RTL         ✓  ({} / {} steps)",
         r13e.source_steps, r13e.target_steps

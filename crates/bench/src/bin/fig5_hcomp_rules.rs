@@ -2,18 +2,11 @@
 //! exercised by a mutual-recursion workload whose rule firings are counted
 //! by instrumenting the composite LTS.
 
-use bench::{FIG1_A, FIG1_B};
+use bench::{fail, FIG1_A, FIG1_B};
 use compcerto_core::hcomp::HComp;
 use compcerto_core::lts::{Lts, Step};
 use compiler::{c_query, compile_all, CompilerOptions};
 use mem::Val;
-
-/// Fixture failures are configuration bugs, not runtime conditions — exit
-/// with the usage code instead of unwinding (the bins are unwrap-free).
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("fig5_hcomp_rules: {msg}");
-    std::process::exit(2)
-}
 
 fn main() {
     println!("Fig. 5: horizontal composition rules (cf. paper Fig. 5)");
@@ -25,7 +18,7 @@ fn main() {
         extern int probe(int);
         int is_odd(int n) { int r; int p; if (n == 0) { return 0; } p = probe(n); r = is_even(n - 1); return r; }";
     let (units, tbl) = compile_all(&[mutual, mutual2], CompilerOptions::default())
-        .unwrap_or_else(|e| die(format!("mutual-recursion pair does not compile: {e:?}")));
+        .unwrap_or_else(|e| fail(format!("mutual-recursion pair does not compile: {e:?}")));
     let comp = HComp::new(
         units[0].clight_sem(&tbl).with_label("even"),
         units[1].clight_sem(&tbl).with_label("odd"),
@@ -36,7 +29,7 @@ fn main() {
         // Drive manually, counting rule firings by activation-depth changes.
         let mut s = comp
             .initial(&q)
-            .unwrap_or_else(|e| die(format!("is_even({n}) query refused: {e}")));
+            .unwrap_or_else(|e| fail(format!("is_even({n}) query refused: {e}")));
         let (mut pushes, mut pops, mut escapes, mut max_depth) = (0u32, 0u32, 0u32, 0usize);
         let mut last_depth = s.depth();
         let result = loop {
@@ -62,7 +55,7 @@ fn main() {
                     };
                     s = comp
                         .resume(&s, ans)
-                        .unwrap_or_else(|e| die(format!("x• does not resume: {e}")));
+                        .unwrap_or_else(|e| fail(format!("x• does not resume: {e}")));
                 }
                 Step::Final(r) => break r, // rule i•
                 Step::Stuck(x) => panic!("stuck: {x}"),
@@ -80,7 +73,7 @@ fn main() {
 
     // Fig. 1's two units for flavor: sqr ⊕ mult.
     let (units, tbl) = compile_all(&[FIG1_B, FIG1_A], CompilerOptions::default())
-        .unwrap_or_else(|e| die(format!("Fig. 1 units do not compile: {e:?}")));
+        .unwrap_or_else(|e| fail(format!("Fig. 1 units do not compile: {e:?}")));
     let comp = HComp::new(units[0].clight_sem(&tbl), units[1].clight_sem(&tbl));
     let q = c_query(&tbl, &units[0], "sqr", vec![Val::Int(3)]);
     let r = compcerto_core::lts::run(&comp, &q, &mut |_m| None, 10_000).expect_complete();

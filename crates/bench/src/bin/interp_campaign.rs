@@ -38,6 +38,7 @@ use compcerto_core::lts::RunBudget;
 use compcerto_core::symtab::SymbolTable;
 use compcerto_gen::generate::gen_queries;
 use compcerto_gen::{generate, GenCfg};
+use compiler::serve::{fnv1a, FNV_OFFSET};
 use compiler::{
     available_parallelism, check_query, compile_all, run_stage, CompilerOptions, ExtLib,
     QueryVerdict, StagePrograms, STAGES,
@@ -53,17 +54,6 @@ const QUERIES: usize = 3;
 const FUEL: u64 = 2_000_000;
 /// Timed sweep repetitions (median taken).
 const REPS: usize = 5;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
-}
 
 /// One seed's compiled stage programs and query inputs — everything the
 /// timed sweep needs, built once outside the timed region.

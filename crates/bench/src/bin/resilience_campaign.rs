@@ -37,6 +37,7 @@ use bench::ckpt::json_str;
 use compcerto_core::lts::RunBudget;
 use compiler::closed::{run_closed_budgeted, Closed};
 use compiler::envfault::{FaultClass, FaultPlan, FAULT_CLASSES};
+use compiler::serve::{fnv1a, FNV_OFFSET};
 use compiler::{
     compile_all, compile_all_jobs, contain, par_map, CompiledUnit, CompilerOptions, ExtLib, Jobs,
 };
@@ -137,14 +138,9 @@ fn panic_label(msg: &str) -> String {
 /// A cheap stable digest of a compiled batch (worker-panic runs compare
 /// the healed batch against the unfaulted one).
 fn batch_digest(units: &[CompiledUnit]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for u in units {
-        for b in format!("{:?}", u.asm).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    units
+        .iter()
+        .fold(FNV_OFFSET, |h, u| fnv1a(h, format!("{:?}", u.asm).as_bytes()))
 }
 
 /// One class's injection sweep: `per_class` outcomes, histogrammed.

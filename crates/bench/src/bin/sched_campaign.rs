@@ -42,21 +42,11 @@ use std::process::ExitCode;
 
 use bench::ckpt::{self, json_str};
 use bench::json::Json;
+use compiler::serve::{fnv1a, FNV_OFFSET};
 use compiler::{
     intern_sched_counter_key, par_map, run_seed_sched_obs, Counters, Jobs, SchedCfg,
     SchedSeedOutcome, SchedSeedReport,
 };
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Cli {
     seeds: u64,

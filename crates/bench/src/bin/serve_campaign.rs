@@ -32,6 +32,7 @@ use std::time::Instant;
 
 use bench::json::{self, Json};
 use compcerto_gen::{generate, GenCfg};
+use compiler::serve::{fnv1a, FNV_OFFSET};
 use compiler::{available_parallelism, CompilerOptions, Jobs, ServeConfig, Server};
 
 /// Number of generated batches (one `compile` request each).
@@ -41,15 +42,6 @@ const BATCHES: u64 = 24;
 const WARM_REPS: usize = 5;
 /// The `--jobs` settings the cold responses must be invariant under.
 const JOBS_MATRIX: [u64; 3] = [1, 4, 16];
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
-}
 
 /// The fixed three-unit batch for the partial-hit invariant: editing one
 /// function body must leave its siblings' cache keys untouched.

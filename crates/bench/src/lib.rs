@@ -51,6 +51,17 @@ pub fn fixture() -> (CompiledUnit, SymbolTable) {
     (units.remove(0), tbl)
 }
 
+/// Report `msg` as `<program>: <msg>` on stderr and exit 1 — a finding under
+/// the exit contract. For the evaluation binaries that take no arguments:
+/// a fixture that fails to compile or a simulation check that fails is a
+/// finding, never a usage error, and the binaries never unwind.
+pub fn fail(msg: impl std::fmt::Display) -> ! {
+    let argv0 = std::env::args_os().next().unwrap_or_default();
+    let program = std::path::Path::new(&argv0).file_stem().unwrap_or_default();
+    eprintln!("{}: {msg}", program.to_string_lossy());
+    std::process::exit(1)
+}
+
 /// Render a two-column table row.
 pub fn row(label: &str, value: impl std::fmt::Display) -> String {
     format!("  {label:<28} {value}\n")

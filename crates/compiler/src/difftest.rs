@@ -26,6 +26,14 @@
 //! programs the horizontal composition `Asm(p1) ⊕ Asm(p2)` must simulate the
 //! linked Asm ([`check_thm35_budgeted`]).
 //!
+//! One stage table drives all seven interpreters: each stage names its
+//! semantics, and the semantics' interface fixes how the C queries reach it.
+//! One runner drives any stage in one of two modes — unwrapped, for the
+//! sequential oracle ([`check_query`], [`run_stage`]), or inside
+//! [`ThreadedLts`] under a [`Schedule`], for the threaded oracle
+//! ([`check_query_sched`], swept per seed by [`crate::sched`]) — and one
+//! comparison loop turns either mode's observations into a [`Verdict`].
+//!
 //! Everything here is a pure function of `(seed, DifftestCfg)` — no
 //! wall-clock budgets, no global state — so campaigns parallelize with
 //! byte-identical reports (see the `difftest_campaign` binary).
@@ -33,17 +41,21 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use backend::asmgen::RaMap;
+use backend::asmgen::{make_ra_oracle, RaMap};
 use backend::{link_asm, AsmProgram, AsmSem, LinProgram, LinearSem, MachProgram, MachSem};
 use clight::{build_symtab, ClightSem};
 use compcerto_core::cc::{Ca, Cl};
 use compcerto_core::conv::SimConv;
-use compcerto_core::iface::{abi, ARegs, CQuery, LQuery, MQuery, Signature};
-use compcerto_core::lts::{run_budgeted, RunBudget, RunOutcome};
+use compcerto_core::iface::{
+    abi, ARegs, CQuery, CReply, LQuery, LReply, LanguageInterface, MQuery, MReply, SharedMem,
+    Signature, A, C, L, M,
+};
+use compcerto_core::lts::{run_budgeted, Event, Lts, RunBudget, RunOutcome};
 use compcerto_core::regs::{Loc, NREGS};
 use compcerto_core::rng::SplitMix64;
 use compcerto_core::sim::SimCheckError;
 use compcerto_core::symtab::{GlobKind, InitDatum, SymbolTable};
+use compcerto_core::threaded::{Schedule, ThreadedLts};
 use compcerto_gen::generate::gen_queries;
 use compcerto_gen::{generate, reduce, GProgram, GenCfg, ReduceStats};
 use mem::{Chunk, Mem, Val};
@@ -139,7 +151,7 @@ impl fmt::Display for ObsVal {
     }
 }
 
-pub(crate) fn obs_val(v: &Val) -> ObsVal {
+fn obs_val(v: &Val) -> ObsVal {
     match v {
         Val::Int(n) => ObsVal::Int(*n),
         Val::Long(n) => ObsVal::Long(*n),
@@ -161,38 +173,62 @@ pub struct Obs {
     pub globals: Vec<(String, Vec<ObsVal>)>,
 }
 
+/// Write `items` as `[a b c]`, each through `item`.
+fn bracketed<T>(
+    f: &mut fmt::Formatter<'_>,
+    items: &[T],
+    item: impl Fn(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    f.write_str("[")?;
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(" ")?;
+        }
+        item(f, x)?;
+    }
+    f.write_str("]")
+}
+
 impl fmt::Display for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "result={}", self.result)?;
         if !self.ext.is_empty() {
-            write!(f, " ext=[")?;
-            for (i, (n, v)) in self.ext.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " ")?;
-                }
-                write!(f, "{n}->{v}")?;
-            }
-            write!(f, "]")?;
+            f.write_str(" ext=")?;
+            bracketed(f, &self.ext, |f, (n, v)| write!(f, "{n}->{v}"))?;
         }
         for (name, vals) in &self.globals {
-            write!(f, " {name}=[")?;
-            for (i, v) in vals.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " ")?;
-                }
-                write!(f, "{v}")?;
-            }
-            write!(f, "]")?;
+            write!(f, " {name}=")?;
+            bracketed(f, vals, |f, v| write!(f, "{v}"))?;
         }
         Ok(())
     }
 }
 
-/// Outcome of running one stage on one query.
+/// Everything one stage observed while answering one threaded query under
+/// one schedule: the sequential observation ([`Obs`]) plus the schedule
+/// trace (the `sched:`/`exit:` annotation stream).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchedObs {
+    /// Result, interleaved external-call record, and final mutable globals.
+    pub obs: Obs,
+    /// The annotation stream of the threaded run — dispatch decisions and
+    /// thread exits with stage-invariantly rendered exit values.
+    pub trace: Vec<String>,
+}
+
+impl fmt::Display for SchedObs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} trace=", self.obs)?;
+        bracketed(f, &self.trace, |f, t| f.write_str(t))
+    }
+}
+
+/// Outcome of running one stage on one query: `O` is what a completed run
+/// observed ([`Obs`], or [`SchedObs`] for a threaded run).
 #[derive(Debug, Clone)]
-pub enum StageOutcome {
+pub enum StageOutcome<O = Obs> {
     /// The stage completed; here is what it observed.
-    Ok(Obs),
+    Ok(O),
     /// A budget quota was exhausted — not a verdict, the query is skipped.
     Budget(String),
     /// The interpreter got stuck (a finding: generated programs are
@@ -395,10 +431,10 @@ impl StagePrograms {
 }
 
 // ---------------------------------------------------------------------------
-// Per-interface stage runners
+// The stage table: one runner for all seven stages, unwrapped or threaded
 // ---------------------------------------------------------------------------
 
-pub(crate) fn name_of(symtab: &SymbolTable, vf: &Val) -> String {
+fn name_of(symtab: &SymbolTable, vf: &Val) -> String {
     match vf {
         Val::Ptr(b, 0) => symtab
             .ident_of(*b)
@@ -410,7 +446,7 @@ pub(crate) fn name_of(symtab: &SymbolTable, vf: &Val) -> String {
 
 /// Read back the final contents of every mutable global, laid out per its
 /// [`InitDatum`] list. Unreadable cells observe as [`ObsVal::Undef`].
-pub(crate) fn read_globals(symtab: &SymbolTable, m: &Mem) -> Vec<(String, Vec<ObsVal>)> {
+fn read_globals(symtab: &SymbolTable, m: &Mem) -> Vec<(String, Vec<ObsVal>)> {
     let mut out = Vec::new();
     for (b, name, kind) in symtab.iter() {
         let GlobKind::Var { init, readonly } = kind else {
@@ -446,211 +482,219 @@ pub(crate) fn read_globals(symtab: &SymbolTable, m: &Mem) -> Vec<(String, Vec<Ob
     out
 }
 
-fn budget_outcome<IA>(o: &RunOutcome<IA>) -> Option<StageOutcome> {
-    match o {
-        RunOutcome::OutOfFuel { .. } => Some(StageOutcome::Budget("out of fuel".into())),
-        RunOutcome::OutOfMemory { used, limit, .. } => Some(StageOutcome::Budget(format!(
-            "out of memory: {used} > {limit}"
-        ))),
-        RunOutcome::DepthExceeded { depth, limit, .. } => Some(StageOutcome::Budget(format!(
-            "depth exceeded: {depth} > {limit}"
-        ))),
-        RunOutcome::TimedOut { elapsed, .. } => {
-            Some(StageOutcome::Budget(format!("timed out after {elapsed:?}")))
-        }
-        _ => None,
+/// How the oracle meets one language interface: how a C query reaches it,
+/// how the model library answers its outgoing questions, and where a
+/// question's callee and an answer's result live.
+trait Iface: LanguageInterface<Question: SharedMem, Answer: SharedMem> {
+    /// The convention transporting C queries here (named on failure).
+    const CONV: &'static str;
+    /// Transport a C query to this interface.
+    fn transport(q: CQuery, symtab: &SymbolTable) -> Option<Self::Question>;
+    /// Answer an outgoing question from the model library.
+    fn answer(lib: &ExtLib, q: &Self::Question) -> Option<Self::Answer>;
+    /// The function an outgoing question calls.
+    fn callee(q: &Self::Question) -> &Val;
+    /// The result an answer carries, normalized.
+    fn result(a: &Self::Answer) -> ObsVal;
+}
+
+impl Iface for C {
+    const CONV: &'static str = "C";
+    fn transport(q: CQuery, _: &SymbolTable) -> Option<CQuery> {
+        Some(q)
+    }
+    fn answer(lib: &ExtLib, q: &CQuery) -> Option<CReply> {
+        lib.answer_c(q)
+    }
+    fn callee(q: &CQuery) -> &Val {
+        &q.vf
+    }
+    fn result(a: &CReply) -> ObsVal {
+        obs_val(&a.retval)
     }
 }
 
-/// Run a C-interface semantics (Clight or RTL) on a C query.
-macro_rules! run_c_level {
-    ($sem:expr, $symtab:expr, $lib:expr, $q:expr, $budget:expr) => {{
-        let mut ext: Vec<(String, ObsVal)> = Vec::new();
-        let outcome = {
-            let mut env = |oq: &CQuery| {
-                let r = $lib.answer_c(oq)?;
-                ext.push((name_of($symtab, &oq.vf), obs_val(&r.retval)));
-                Some(r)
-            };
-            run_budgeted(&$sem, $q, &mut env, $budget)
-        };
-        if let Some(b) = budget_outcome(&outcome) {
-            b
-        } else {
-            match outcome {
-                RunOutcome::Complete { answer, .. } => StageOutcome::Ok(Obs {
-                    result: obs_val(&answer.retval),
-                    ext,
-                    globals: read_globals($symtab, &answer.mem),
-                }),
-                RunOutcome::Wrong { stuck, .. } => StageOutcome::Stuck(format!("{stuck}")),
-                RunOutcome::EnvRefused(q) => StageOutcome::EnvRefused(q),
-                _ => unreachable!("budget outcomes handled above"),
+impl Iface for L {
+    const CONV: &'static str = "CL";
+    fn transport(q: CQuery, _: &SymbolTable) -> Option<LQuery> {
+        Cl.transport_query(&q).map(|(_, lq)| lq)
+    }
+    fn answer(lib: &ExtLib, q: &LQuery) -> Option<LReply> {
+        lib.answer_l(q)
+    }
+    fn callee(q: &LQuery) -> &Val {
+        &q.vf
+    }
+    fn result(a: &LReply) -> ObsVal {
+        obs_val(&a.ls.get(Loc::Reg(abi::RESULT_REG)))
+    }
+}
+
+impl Iface for M {
+    const CONV: &'static str = "CM";
+    /// Register arguments in `r0..r3`, overflow arguments stored in a freshly
+    /// allocated argument region `sp` points to (mirroring
+    /// [`Ca::transport_query`]).
+    fn transport(q: CQuery, _: &SymbolTable) -> Option<MQuery> {
+        let mut mem = q.mem;
+        let spb = mem.alloc(0, abi::size_arguments(&q.sig).max(0));
+        let mut rs = [Val::Undef; NREGS];
+        for (i, v) in q.args.iter().enumerate() {
+            if i < abi::PARAM_REGS.len() {
+                rs[abi::PARAM_REGS[i].index()] = *v;
+            } else {
+                let ofs = ((i - abi::PARAM_REGS.len()) as i64) * 8;
+                mem.store(Chunk::Any64, spb, ofs, *v).ok()?;
             }
         }
-    }};
-}
-
-fn run_clight_stage(
-    prog: &clight::Program,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    budget: &RunBudget,
-) -> StageOutcome {
-    let sem = ClightSem::new(prog.clone(), symtab.clone());
-    run_c_level!(sem, symtab, lib, q, budget)
-}
-
-fn run_rtl_stage(
-    prog: &RtlProgram,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    budget: &RunBudget,
-) -> StageOutcome {
-    let sem = RtlSem::new(prog.clone(), symtab.clone());
-    run_c_level!(sem, symtab, lib, q, budget)
-}
-
-fn run_linear_stage(
-    prog: &LinProgram,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    budget: &RunBudget,
-) -> StageOutcome {
-    let Some((_sig, lq)) = Cl.transport_query(q) else {
-        return StageOutcome::Transport("CL transport failed".into());
-    };
-    let sem = LinearSem::new(prog.clone(), symtab.clone());
-    let mut ext: Vec<(String, ObsVal)> = Vec::new();
-    let outcome = {
-        let mut env = |oq: &LQuery| {
-            let r = lib.answer_l(oq)?;
-            ext.push((
-                name_of(symtab, &oq.vf),
-                obs_val(&r.ls.get(Loc::Reg(abi::RESULT_REG))),
-            ));
-            Some(r)
-        };
-        run_budgeted(&sem, &lq, &mut env, budget)
-    };
-    if let Some(b) = budget_outcome(&outcome) {
-        return b;
+        Some(MQuery {
+            vf: q.vf,
+            sp: Val::Ptr(spb, 0),
+            ra: Val::Undef,
+            rs,
+            mem,
+        })
     }
+    fn answer(lib: &ExtLib, q: &MQuery) -> Option<MReply> {
+        lib.answer_m(q)
+    }
+    fn callee(q: &MQuery) -> &Val {
+        &q.vf
+    }
+    fn result(a: &MReply) -> ObsVal {
+        obs_val(&a.rs[abi::RESULT_REG.index()])
+    }
+}
+
+impl Iface for A {
+    const CONV: &'static str = "CA";
+    fn transport(q: CQuery, symtab: &SymbolTable) -> Option<ARegs> {
+        Ca::new(symtab.len() as u32)
+            .transport_query(&q)
+            .map(|(_, qa)| qa)
+    }
+    fn answer(lib: &ExtLib, q: &ARegs) -> Option<ARegs> {
+        lib.answer_a(q)
+    }
+    fn callee(q: &ARegs) -> &Val {
+        &q.rs.pc
+    }
+    fn result(a: &ARegs) -> ObsVal {
+        obs_val(&a.rs.get(abi::RESULT_REG))
+    }
+}
+
+/// The queries one stage run answers.
+struct StageRun<'a> {
+    symtab: &'a SymbolTable,
+    lib: &'a ExtLib,
+    /// The main query (thread 0's, when threaded).
+    q: &'a CQuery,
+    /// `None` runs the semantics unwrapped. `Some((aux, schedule))` runs it
+    /// inside [`ThreadedLts`], one thread per auxiliary query. The
+    /// sequential oracle stays unwrapped rather than one-threaded: the
+    /// wrapper charges an outer step per activation, resume and completion,
+    /// which would move the committed `lts.steps` counters and could turn a
+    /// run at the fuel edge into a budget skip.
+    threads: Option<(&'a [CQuery], Schedule)>,
+    budget: &'a RunBudget,
+}
+
+/// Transport the auxiliary queries, then the main one, to interface `I` over
+/// one evolving memory. A transport that allocates (the M and A argument
+/// regions, the A return-address sentinel) leaves its blocks in the memory
+/// the next query starts from, so the main query's memory — which
+/// [`ThreadedLts`] adopts as the shared memory — holds every thread's blocks.
+fn transport<I: Iface>(r: &StageRun<'_>) -> Result<(I::Question, Vec<I::Question>), String> {
+    let aux = r.threads.map_or(&[][..], |(aux, _)| aux);
+    let mut mem = r.q.mem.clone();
+    let mut taux = Vec::with_capacity(aux.len());
+    for aq in aux {
+        let t = I::transport(CQuery { mem, ..aq.clone() }, r.symtab)
+            .ok_or_else(|| format!("{} transport failed (aux)", I::CONV))?;
+        mem = t.mem().clone();
+        taux.push(t);
+    }
+    let tq = I::transport(CQuery { mem, ..r.q.clone() }, r.symtab)
+        .ok_or_else(|| format!("{} transport failed", I::CONV))?;
+    Ok((tq, taux))
+}
+
+/// The annotation stream of a completed run: the `sched:`/`exit:` trace of
+/// a threaded run, empty for an unwrapped one.
+fn annots(events: &[Event]) -> Vec<String> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Annot(s) => Some(s.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Run the semantics `sem` of one stage on `r`'s queries, recording each
+/// external call at the stage's own interface `I`.
+fn drive<I: Iface, S: Lts<I = I, O = I>>(sem: S, r: &StageRun<'_>) -> StageOutcome<SchedObs> {
+    let (q, aux) = match transport::<I>(r) {
+        Ok(t) => t,
+        Err(e) => return StageOutcome::Transport(e),
+    };
+    let mut ext = Vec::new();
+    let mut env = |oq: &I::Question| {
+        let a = I::answer(r.lib, oq)?;
+        ext.push((name_of(r.symtab, I::callee(oq)), I::result(&a)));
+        Some(a)
+    };
+    let outcome = match r.threads {
+        None => run_budgeted(&sem, &q, &mut env, r.budget),
+        Some((_, schedule)) => {
+            let tsem = ThreadedLts::new(sem, aux, schedule)
+                .with_exit_renderer(Box::new(|a: &I::Answer| I::result(a).to_string()));
+            run_budgeted(&tsem, &q, &mut env, r.budget)
+        }
+    };
     match outcome {
-        RunOutcome::Complete { answer, .. } => StageOutcome::Ok(Obs {
-            result: obs_val(&answer.ls.get(Loc::Reg(abi::RESULT_REG))),
-            ext,
-            globals: read_globals(symtab, &answer.mem),
+        RunOutcome::Complete { answer, trace, .. } => StageOutcome::Ok(SchedObs {
+            obs: Obs {
+                result: I::result(&answer),
+                ext,
+                globals: read_globals(r.symtab, answer.mem()),
+            },
+            trace: annots(&trace),
         }),
         RunOutcome::Wrong { stuck, .. } => StageOutcome::Stuck(format!("{stuck}")),
         RunOutcome::EnvRefused(q) => StageOutcome::EnvRefused(q),
-        _ => unreachable!("budget outcomes handled above"),
-    }
-}
-
-/// Build an M-level query from a C-level one: register arguments in
-/// `r0..r3`, overflow arguments stored in a freshly allocated argument
-/// region `sp` points to (mirroring [`Ca::transport_query`]).
-pub(crate) fn m_query(q: &CQuery) -> Option<MQuery> {
-    let mut m2 = q.mem.clone();
-    let spb = m2.alloc(0, abi::size_arguments(&q.sig).max(0));
-    let mut rs = [Val::Undef; NREGS];
-    for (i, v) in q.args.iter().enumerate() {
-        if i < abi::PARAM_REGS.len() {
-            rs[abi::PARAM_REGS[i].index()] = *v;
-        } else {
-            let ofs = ((i - abi::PARAM_REGS.len()) as i64) * 8;
-            m2.store(Chunk::Any64, spb, ofs, *v).ok()?;
+        RunOutcome::OutOfFuel { .. } => StageOutcome::Budget("out of fuel".into()),
+        RunOutcome::OutOfMemory { used, limit, .. } => {
+            StageOutcome::Budget(format!("out of memory: {used} > {limit}"))
+        }
+        RunOutcome::DepthExceeded { depth, limit, .. } => {
+            StageOutcome::Budget(format!("depth exceeded: {depth} > {limit}"))
+        }
+        RunOutcome::TimedOut { elapsed, .. } => {
+            StageOutcome::Budget(format!("timed out after {elapsed:?}"))
         }
     }
-    Some(MQuery {
-        vf: q.vf,
-        sp: Val::Ptr(spb, 0),
-        ra: Val::Undef,
-        rs,
-        mem: m2,
-    })
 }
 
-fn run_mach_stage(
-    prog: &MachProgram,
-    ra_map: &RaMap,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    budget: &RunBudget,
-) -> StageOutcome {
-    let Some(mq) = m_query(q) else {
-        return StageOutcome::Transport("CM transport failed".into());
-    };
-    let sem = MachSem::new(prog.clone(), symtab.clone())
-        .with_ra_oracle(backend::asmgen::make_ra_oracle(ra_map.clone(), symtab.clone()));
-    let mut ext: Vec<(String, ObsVal)> = Vec::new();
-    let outcome = {
-        let mut env = |oq: &MQuery| {
-            let r = lib.answer_m(oq)?;
-            ext.push((
-                name_of(symtab, &oq.vf),
-                obs_val(&r.rs[abi::RESULT_REG.index()]),
-            ));
-            Some(r)
-        };
-        run_budgeted(&sem, &mq, &mut env, budget)
-    };
-    if let Some(b) = budget_outcome(&outcome) {
-        return b;
-    }
-    match outcome {
-        RunOutcome::Complete { answer, .. } => StageOutcome::Ok(Obs {
-            result: obs_val(&answer.rs[abi::RESULT_REG.index()]),
-            ext,
-            globals: read_globals(symtab, &answer.mem),
-        }),
-        RunOutcome::Wrong { stuck, .. } => StageOutcome::Stuck(format!("{stuck}")),
-        RunOutcome::EnvRefused(q) => StageOutcome::EnvRefused(q),
-        _ => unreachable!("budget outcomes handled above"),
-    }
-}
-
-fn run_asm_stage(
-    prog: &AsmProgram,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    budget: &RunBudget,
-) -> StageOutcome {
-    let ca = Ca::new(symtab.len() as u32);
-    let Some((_w, qa)) = ca.transport_query(q) else {
-        return StageOutcome::Transport("CA transport failed".into());
-    };
-    let sem = AsmSem::new(prog.clone(), symtab.clone());
-    let mut ext: Vec<(String, ObsVal)> = Vec::new();
-    let outcome = {
-        let mut env = |oq: &ARegs| {
-            let r = lib.answer_a(oq)?;
-            ext.push((
-                name_of(symtab, &oq.rs.pc),
-                obs_val(&r.rs.get(abi::RESULT_REG)),
-            ));
-            Some(r)
-        };
-        run_budgeted(&sem, &qa, &mut env, budget)
-    };
-    if let Some(b) = budget_outcome(&outcome) {
-        return b;
-    }
-    match outcome {
-        RunOutcome::Complete { answer, .. } => StageOutcome::Ok(Obs {
-            result: obs_val(&answer.rs.get(abi::RESULT_REG)),
-            ext,
-            globals: read_globals(symtab, &answer.mem),
-        }),
-        RunOutcome::Wrong { stuck, .. } => StageOutcome::Stuck(format!("{stuck}")),
-        RunOutcome::EnvRefused(q) => StageOutcome::EnvRefused(q),
-        _ => unreachable!("budget outcomes handled above"),
+/// The stage table: the semantics each of [`STAGES`] runs, and the
+/// interface whose [`Iface::transport`] carries the C queries to it
+/// (identity at C, CL at Linear, the M-query build at Mach, CA at Asm).
+fn run_in(sp: &StagePrograms, stage: &str, r: &StageRun<'_>) -> StageOutcome<SchedObs> {
+    let symtab = || r.symtab.clone();
+    match stage {
+        "clight" => drive::<C, _>(ClightSem::new(sp.clight.clone(), symtab()), r),
+        "simpl-locals" => drive::<C, _>(ClightSem::new(sp.clight_simpl.clone(), symtab()), r),
+        "rtl" => drive::<C, _>(RtlSem::new(sp.rtl.clone(), symtab()), r),
+        "rtl-opt" => drive::<C, _>(RtlSem::new(sp.rtl_opt.clone(), symtab()), r),
+        "linear" => drive::<L, _>(LinearSem::new(sp.linear.clone(), symtab()), r),
+        "mach" => drive::<M, _>(
+            MachSem::new(sp.mach.clone(), symtab())
+                .with_ra_oracle(make_ra_oracle(sp.ra_map.clone(), symtab())),
+            r,
+        ),
+        "asm" => drive::<A, _>(AsmSem::new(sp.asm.clone(), symtab()), r),
+        other => StageOutcome::Transport(format!("unknown stage `{other}`")),
     }
 }
 
@@ -667,27 +711,26 @@ pub fn run_stage(
     q: &CQuery,
     budget: &RunBudget,
 ) -> StageOutcome {
-    match stage {
-        "clight" => run_clight_stage(&sp.clight, symtab, lib, q, budget),
-        "simpl-locals" => run_clight_stage(&sp.clight_simpl, symtab, lib, q, budget),
-        "rtl" => run_rtl_stage(&sp.rtl, symtab, lib, q, budget),
-        "rtl-opt" => run_rtl_stage(&sp.rtl_opt, symtab, lib, q, budget),
-        "linear" => run_linear_stage(&sp.linear, symtab, lib, q, budget),
-        "mach" => run_mach_stage(&sp.mach, &sp.ra_map, symtab, lib, q, budget),
-        "asm" => run_asm_stage(&sp.asm, symtab, lib, q, budget),
-        other => StageOutcome::Transport(format!("unknown stage `{other}`")),
-    }
+    let r = StageRun {
+        symtab,
+        lib,
+        q,
+        threads: None,
+        budget,
+    };
+    run_in(sp, stage, &r).map(|o| o.obs)
 }
 
 // ---------------------------------------------------------------------------
 // The oracle: per-query stage comparison
 // ---------------------------------------------------------------------------
 
-/// Verdict of the oracle on one query.
+/// Verdict of the oracle on one query: `O` is [`Obs`] for a sequential run
+/// and [`SchedObs`] for a threaded one.
 #[derive(Debug, Clone)]
-pub enum QueryVerdict {
+pub enum Verdict<O> {
     /// Every stage completed and observed the same behaviour.
-    Agree(Box<Obs>),
+    Agree(Box<O>),
     /// A stage was budget-limited; the query is skipped without a verdict.
     Skipped {
         /// The budget-limited stage.
@@ -702,32 +745,81 @@ pub enum QueryVerdict {
     },
 }
 
-fn compare_stage(stage: &'static str, run: StageOutcome, base: &Obs) -> Option<QueryVerdict> {
-    match run {
-        StageOutcome::Ok(obs) => {
-            if obs == *base {
-                None
-            } else {
-                Some(QueryVerdict::Finding {
-                    kind: FindingKind::Disagreement { stage },
-                    detail: format!("clight observed [{base}] but {stage} observed [{obs}]"),
-                })
-            }
+/// Verdict of the sequential oracle on one query ([`check_query`]).
+pub type QueryVerdict = Verdict<Obs>;
+
+/// Verdict of the threaded oracle on one `(query set, schedule)` pair
+/// ([`check_query_sched`]).
+pub type SchedVerdict = Verdict<SchedObs>;
+
+impl SchedVerdict {
+    /// A stable one-line rendering of the verdict under `schedule` — the
+    /// unit the `sched_campaign` FNV checksum is computed over.
+    #[must_use]
+    pub fn line(&self, schedule: Schedule) -> String {
+        match self {
+            Verdict::Agree(obs) => format!("{schedule} agree {obs}"),
+            Verdict::Skipped { stage } => format!("{schedule} skipped@{stage}"),
+            Verdict::Finding { kind, detail } => format!("{schedule} finding {kind}: {detail}"),
         }
-        StageOutcome::Budget(_) => Some(QueryVerdict::Skipped { stage }),
-        StageOutcome::Stuck(d) => Some(QueryVerdict::Finding {
-            kind: FindingKind::Stuck { stage },
-            detail: d,
-        }),
-        StageOutcome::EnvRefused(d) => Some(QueryVerdict::Finding {
-            kind: FindingKind::EnvRefused { stage },
-            detail: d,
-        }),
-        StageOutcome::Transport(d) => Some(QueryVerdict::Finding {
-            kind: FindingKind::Transport { stage },
-            detail: d,
-        }),
     }
+}
+
+impl<O> StageOutcome<O> {
+    fn map<P>(self, f: impl FnOnce(O) -> P) -> StageOutcome<P> {
+        match self {
+            StageOutcome::Ok(o) => StageOutcome::Ok(f(o)),
+            StageOutcome::Budget(d) => StageOutcome::Budget(d),
+            StageOutcome::Stuck(d) => StageOutcome::Stuck(d),
+            StageOutcome::EnvRefused(d) => StageOutcome::EnvRefused(d),
+            StageOutcome::Transport(d) => StageOutcome::Transport(d),
+        }
+    }
+
+    /// The observation of a completed run, or the verdict that a run of
+    /// `stage` ending any other way settles: a budget skip or a finding.
+    fn settle(self, stage: &'static str) -> Result<O, Verdict<O>> {
+        let (kind, detail) = match self {
+            StageOutcome::Ok(o) => return Ok(o),
+            StageOutcome::Budget(_) => return Err(Verdict::Skipped { stage }),
+            StageOutcome::Stuck(d) => (FindingKind::Stuck { stage }, d),
+            StageOutcome::EnvRefused(d) => (FindingKind::EnvRefused { stage }, d),
+            StageOutcome::Transport(d) => (FindingKind::Transport { stage }, d),
+        };
+        Err(Verdict::Finding { kind, detail })
+    }
+}
+
+/// Run the stages in [`STAGES`] order through `run` and compare each
+/// observation against the Clight baseline, stopping at the first skip or
+/// finding. `rec`, when given, records each non-baseline stage *when its
+/// comparison runs* (an early finding or skip leaves later stages
+/// unrecorded), so a campaign can prove which of the six stage pairs its
+/// seed block exercised (`gen/tests/coverage.rs`).
+fn compare<O: PartialEq + fmt::Display>(
+    mut run: impl FnMut(&'static str) -> StageOutcome<O>,
+    mut rec: Option<&mut BTreeSet<&'static str>>,
+) -> Verdict<O> {
+    let base = match run(STAGES[0]).settle(STAGES[0]) {
+        Ok(base) => base,
+        Err(v) => return v,
+    };
+    for &stage in &STAGES[1..] {
+        if let Some(set) = rec.as_deref_mut() {
+            set.insert(stage);
+        }
+        let obs = match run(stage).settle(stage) {
+            Ok(obs) => obs,
+            Err(v) => return v,
+        };
+        if obs != base {
+            return Verdict::Finding {
+                kind: FindingKind::Disagreement { stage },
+                detail: format!("clight observed [{base}] but {stage} observed [{obs}]"),
+            };
+        }
+    }
+    Verdict::Agree(Box::new(base))
 }
 
 /// Run one C-level query through every stage and compare observations
@@ -739,95 +831,106 @@ pub fn check_query(
     q: &CQuery,
     budget: &RunBudget,
 ) -> QueryVerdict {
-    check_query_rec(sp, symtab, lib, q, budget, None)
+    compare(|stage| run_stage(sp, symtab, lib, stage, q, budget), None)
 }
 
-/// [`check_query`] with an optional stage-pair recorder: each non-baseline
-/// stage name is inserted *when its comparison against the Clight baseline
-/// actually runs* (an early finding or skip leaves later stages unrecorded),
-/// so a campaign can prove which of the six stage pairs its seed block
-/// exercised (`gen/tests/coverage.rs`).
-fn check_query_rec(
+/// Run one threaded query set under one schedule through every stage and
+/// compare observations — schedule traces included — against the Clight
+/// baseline: thread 0 answers `q`, one more thread answers each of `aux`.
+pub fn check_query_sched(
     sp: &StagePrograms,
     symtab: &SymbolTable,
     lib: &ExtLib,
     q: &CQuery,
+    aux: &[CQuery],
+    schedule: Schedule,
     budget: &RunBudget,
-    mut rec: Option<&mut BTreeSet<&'static str>>,
-) -> QueryVerdict {
-    let mut record = |stage: &'static str| {
-        if let Some(set) = rec.as_deref_mut() {
-            set.insert(stage);
-        }
+) -> SchedVerdict {
+    let r = StageRun {
+        symtab,
+        lib,
+        q,
+        threads: Some((aux, schedule)),
+        budget,
     };
-    let base = match run_clight_stage(&sp.clight, symtab, lib, q, budget) {
-        StageOutcome::Ok(obs) => obs,
-        StageOutcome::Budget(_) => return QueryVerdict::Skipped { stage: "clight" },
-        StageOutcome::Stuck(d) => {
-            return QueryVerdict::Finding {
-                kind: FindingKind::Stuck { stage: "clight" },
-                detail: d,
-            }
-        }
-        StageOutcome::EnvRefused(d) => {
-            return QueryVerdict::Finding {
-                kind: FindingKind::EnvRefused { stage: "clight" },
-                detail: d,
-            }
-        }
-        StageOutcome::Transport(d) => {
-            return QueryVerdict::Finding {
-                kind: FindingKind::Transport { stage: "clight" },
-                detail: d,
-            }
-        }
-    };
-    record("simpl-locals");
-    if let Some(v) = compare_stage(
-        "simpl-locals",
-        run_clight_stage(&sp.clight_simpl, symtab, lib, q, budget),
-        &base,
-    ) {
-        return v;
-    }
-    record("rtl");
-    if let Some(v) = compare_stage("rtl", run_rtl_stage(&sp.rtl, symtab, lib, q, budget), &base) {
-        return v;
-    }
-    record("rtl-opt");
-    if let Some(v) = compare_stage(
-        "rtl-opt",
-        run_rtl_stage(&sp.rtl_opt, symtab, lib, q, budget),
-        &base,
-    ) {
-        return v;
-    }
-    record("linear");
-    if let Some(v) = compare_stage(
-        "linear",
-        run_linear_stage(&sp.linear, symtab, lib, q, budget),
-        &base,
-    ) {
-        return v;
-    }
-    record("mach");
-    if let Some(v) = compare_stage(
-        "mach",
-        run_mach_stage(&sp.mach, &sp.ra_map, symtab, lib, q, budget),
-        &base,
-    ) {
-        return v;
-    }
-    record("asm");
-    if let Some(v) = compare_stage("asm", run_asm_stage(&sp.asm, symtab, lib, q, budget), &base) {
-        return v;
-    }
-    QueryVerdict::Agree(Box::new(base))
+    compare(|stage| run_in(sp, stage, &r), None)
 }
 
 // ---------------------------------------------------------------------------
 // Whole-program oracle
 // ---------------------------------------------------------------------------
+
+/// A generated program compiled validated, linked at every stage, and
+/// resolved to its entry function: the prologue [`check_program`] and the
+/// threaded oracle's per-seed check share.
+pub(crate) struct Prepared {
+    pub(crate) units: Vec<CompiledUnit>,
+    pub(crate) symtab: SymbolTable,
+    pub(crate) sp: StagePrograms,
+    pub(crate) lib: ExtLib,
+    /// The entry function's name.
+    pub(crate) entry: String,
+    /// The entry function's parameter count.
+    pub(crate) nparams: usize,
+    vf: Val,
+    sig: Signature,
+    init: Mem,
+}
+
+impl Prepared {
+    /// Compile `prog` validated, link it at every stage, and resolve its
+    /// entry function.
+    ///
+    /// # Errors
+    /// The finding a failure is: a validator diagnostic is
+    /// [`FindingKind::ValidatorRejected`]; a compile or link failure, an
+    /// unbuildable initial memory or a missing entry is
+    /// [`FindingKind::Compile`].
+    pub(crate) fn new(prog: &GProgram) -> Result<Prepared, (FindingKind, String)> {
+        let srcs = prog.render();
+        let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+        let (units, symtab) = compile_all(&refs, CompilerOptions::validated())
+            .map_err(|e| (FindingKind::Compile, format!("{e}")))?;
+        for (i, u) in units.iter().enumerate() {
+            if let Some(d) = u.diagnostics.first() {
+                return Err((FindingKind::ValidatorRejected, format!("unit {i}: {d}")));
+            }
+        }
+        let sp = StagePrograms::build(&units).map_err(|e| (FindingKind::Compile, e))?;
+        let init = symtab
+            .build_init_mem()
+            .map_err(|e| (FindingKind::Compile, format!("initial memory: {e:?}")))?;
+        let (_, entry) = prog.entry();
+        let (Some(vf), Some(sig)) = (symtab.func_ptr(&entry.name), sp.clight.sig_of(&entry.name))
+        else {
+            return Err((
+                FindingKind::Compile,
+                format!("entry `{}` missing from the linked program", entry.name),
+            ));
+        };
+        Ok(Prepared {
+            lib: ExtLib::demo(symtab.clone()),
+            entry: entry.name.clone(),
+            nparams: entry.nparams as usize,
+            units,
+            symtab,
+            sp,
+            vf,
+            sig,
+            init,
+        })
+    }
+
+    /// The entry function's C query on `args` over the initial memory.
+    pub(crate) fn query(&self, args: &[i32]) -> CQuery {
+        CQuery {
+            vf: self.vf,
+            sig: self.sig.clone(),
+            args: args.iter().map(|&a| Val::Int(a)).collect(),
+            mem: self.init.clone(),
+        }
+    }
+}
 
 /// The compile-then-link vs link-then-compile context: the generated units
 /// linked *at the Clight level* and compiled as one translation unit,
@@ -861,65 +964,21 @@ pub fn check_program(prog: &GProgram, cfg: &DifftestCfg) -> SeedOutcome {
 }
 
 /// [`check_program`] with an optional stage-pair recorder threaded through
-/// every query (see [`check_query_rec`]).
+/// every query's comparison.
 fn check_program_rec(
     prog: &GProgram,
     cfg: &DifftestCfg,
     mut rec: Option<&mut BTreeSet<&'static str>>,
 ) -> SeedOutcome {
-    let srcs = prog.render();
-    let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
-    let opts = CompilerOptions::validated();
-    let (units, symtab) = match compile_all(&refs, opts) {
-        Ok(x) => x,
-        Err(e) => {
-            return SeedOutcome::Finding {
-                kind: FindingKind::Compile,
-                detail: format!("{e}"),
-            }
-        }
+    let p = match Prepared::new(prog) {
+        Ok(p) => p,
+        Err((kind, detail)) => return SeedOutcome::Finding { kind, detail },
     };
-    for (i, u) in units.iter().enumerate() {
-        if let Some(d) = u.diagnostics.first() {
-            return SeedOutcome::Finding {
-                kind: FindingKind::ValidatorRejected,
-                detail: format!("unit {i}: {d}"),
-            };
-        }
-    }
-    let sp = match StagePrograms::build(&units) {
-        Ok(sp) => sp,
-        Err(e) => {
-            return SeedOutcome::Finding {
-                kind: FindingKind::Compile,
-                detail: e,
-            }
-        }
-    };
-    let lib = ExtLib::demo(symtab.clone());
-    let (_, entry) = prog.entry();
-    let entry_name = entry.name.clone();
-    let queries = gen_queries(prog.seed, entry.nparams as usize, cfg.queries);
+    let queries = gen_queries(prog.seed, p.nparams, cfg.queries);
     let budget = RunBudget::with_fuel(cfg.fuel).no_trace();
-    let init = match symtab.build_init_mem() {
-        Ok(m) => m,
-        Err(e) => {
-            return SeedOutcome::Finding {
-                kind: FindingKind::Compile,
-                detail: format!("initial memory: {e:?}"),
-            }
-        }
-    };
-    let (Some(vf), Some(sig)) = (symtab.func_ptr(&entry_name), sp.clight.sig_of(&entry_name))
-    else {
-        return SeedOutcome::Finding {
-            kind: FindingKind::Compile,
-            detail: format!("entry `{entry_name}` missing from the linked program"),
-        };
-    };
     // The metamorphic path: link at the Clight level, compile as one unit.
-    let whole = if cfg.check_links && units.len() >= 2 {
-        match build_whole(&sp.clight, opts) {
+    let whole = if cfg.check_links && p.units.len() >= 2 {
+        match build_whole(&p.sp.clight, CompilerOptions::validated()) {
             Ok(w) => Some(w),
             Err(e) => {
                 return SeedOutcome::Finding {
@@ -935,19 +994,18 @@ fn check_program_rec(
     let mut queries_run = 0usize;
     let mut queries_skipped = 0usize;
     for (qi, args) in queries.iter().enumerate() {
-        let q = CQuery {
-            vf,
-            sig: sig.clone(),
-            args: args.iter().map(|&a| Val::Int(a)).collect(),
-            mem: init.clone(),
-        };
-        let obs = match check_query_rec(&sp, &symtab, &lib, &q, &budget, rec.as_deref_mut()) {
-            QueryVerdict::Agree(obs) => obs,
-            QueryVerdict::Skipped { .. } => {
+        let q = p.query(args);
+        let verdict = compare(
+            |stage| run_stage(&p.sp, &p.symtab, &p.lib, stage, &q, &budget),
+            rec.as_deref_mut(),
+        );
+        let obs = match verdict {
+            Verdict::Agree(obs) => obs,
+            Verdict::Skipped { .. } => {
                 queries_skipped += 1;
                 continue;
             }
-            QueryVerdict::Finding { kind, detail } => {
+            Verdict::Finding { kind, detail } => {
                 return SeedOutcome::Finding {
                     kind,
                     detail: format!("query {qi} args {args:?}: {detail}"),
@@ -961,12 +1019,7 @@ fn check_program_rec(
             // `link_asm`, already compared above) must observe the same
             // behaviour as compile∘link (the Clight-linked whole program),
             // each against its own symbol table.
-            let wq = match try_c_query(
-                &w.symtab,
-                &w.unit,
-                &entry_name,
-                args.iter().map(|&a| Val::Int(a)).collect(),
-            ) {
+            let wq = match try_c_query(&w.symtab, &w.unit, &p.entry, q.args.clone()) {
                 Ok(wq) => wq,
                 Err(e) => {
                     return SeedOutcome::Finding {
@@ -975,8 +1028,15 @@ fn check_program_rec(
                     }
                 }
             };
-            match run_asm_stage(&w.unit.asm, &w.symtab, &w.lib, &wq, &budget) {
-                StageOutcome::Ok(wobs) => {
+            let wrun = StageRun {
+                symtab: &w.symtab,
+                lib: &w.lib,
+                q: &wq,
+                threads: None,
+                budget: &budget,
+            };
+            match drive::<A, _>(AsmSem::new(w.unit.asm.clone(), w.symtab.clone()), &wrun) {
+                StageOutcome::Ok(SchedObs { obs: wobs, .. }) => {
                     if wobs != *obs {
                         return SeedOutcome::Finding {
                             kind: FindingKind::LinkMismatch,
@@ -997,13 +1057,13 @@ fn check_program_rec(
             }
             // Metamorphic check 2 (two-unit programs): `Asm(p1) ⊕ Asm(p2)`
             // simulates the syntactically linked Asm (Thm 3.5).
-            if units.len() == 2 {
-                if let Some((_w, qa)) = Ca::new(symtab.len() as u32).transport_query(&q) {
+            if p.units.len() == 2 {
+                if let Some((_w, qa)) = Ca::new(p.symtab.len() as u32).transport_query(&q) {
                     match check_thm35_budgeted(
-                        &units[0].asm,
-                        &units[1].asm,
-                        &symtab,
-                        &lib,
+                        &p.units[0].asm,
+                        &p.units[1].asm,
+                        &p.symtab,
+                        &p.lib,
                         &qa,
                         &budget,
                     ) {
@@ -1036,27 +1096,31 @@ fn check_program_rec(
 pub fn run_seed(seed: u64, cfg: &DifftestCfg) -> SeedReport {
     let prog = generate(seed, &cfg.gen);
     let outcome = check_program(&prog, cfg);
-    let mut reproducer = None;
-    if let SeedOutcome::Finding { kind, .. } = &outcome {
-        if cfg.reduce {
-            let tag = kind.tag();
-            let (min, stats) = reduce(
-                &prog,
-                |p| matches!(check_program(p, cfg), SeedOutcome::Finding { kind: k, .. } if k.tag() == tag),
-                cfg.reduce_checks,
-            );
-            reproducer = Some(Reproducer {
-                source: min.to_annotated_source(),
-                stmts: min.stmt_count(),
-                stats,
-            });
-        }
-    }
+    let reproducer = reproduce(&prog, &outcome, cfg);
     SeedReport {
         seed,
         outcome,
         reproducer,
     }
+}
+
+/// The minimal reproducer of a finding when reduction is enabled: `prog`
+/// shrunk under a predicate that keeps the finding's [`FindingKind::tag`].
+fn reproduce(prog: &GProgram, outcome: &SeedOutcome, cfg: &DifftestCfg) -> Option<Reproducer> {
+    let tag = match outcome {
+        SeedOutcome::Finding { kind, .. } if cfg.reduce => kind.tag(),
+        _ => return None,
+    };
+    let (min, stats) = reduce(
+        prog,
+        |p| matches!(check_program(p, cfg), SeedOutcome::Finding { kind: k, .. } if k.tag() == tag),
+        cfg.reduce_checks,
+    );
+    Some(Reproducer {
+        source: min.to_annotated_source(),
+        stmts: min.stmt_count(),
+        stats,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1099,22 +1163,7 @@ pub fn run_seed_obs(seed: u64, cfg: &DifftestCfg) -> (SeedReport, SeedObs) {
     let coverage = compcerto_gen::Coverage::of_program(&prog);
     let mut stages = BTreeSet::new();
     let outcome = check_program_rec(&prog, cfg, Some(&mut stages));
-    let mut reproducer = None;
-    if let SeedOutcome::Finding { kind, .. } = &outcome {
-        if cfg.reduce {
-            let tag = kind.tag();
-            let (min, stats) = reduce(
-                &prog,
-                |p| matches!(check_program(p, cfg), SeedOutcome::Finding { kind: k, .. } if k.tag() == tag),
-                cfg.reduce_checks,
-            );
-            reproducer = Some(Reproducer {
-                source: min.to_annotated_source(),
-                stmts: min.stmt_count(),
-                stats,
-            });
-        }
-    }
+    let reproducer = reproduce(&prog, &outcome, cfg);
     let counters = snap.delta();
     (
         SeedReport {

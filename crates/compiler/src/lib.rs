@@ -35,9 +35,10 @@ pub mod workload;
 pub use analyze::{analysis_json, ANALYSIS_SCHEMA};
 pub use closed::{run_closed, Closed, ClosedState};
 pub use difftest::{
-    check_program, check_query, faultinj_escape_rates, run_seed, run_seed_obs, run_stage,
-    DifftestCfg, EscapeRow, FindingKind, Obs, ObsVal, QueryVerdict, Reproducer, SeedObs,
-    SeedOutcome, SeedReport, StageOutcome, StagePrograms, STAGES,
+    check_program, check_query, check_query_sched, faultinj_escape_rates, run_seed, run_seed_obs,
+    run_stage, DifftestCfg, EscapeRow, FindingKind, Obs, ObsVal, QueryVerdict, Reproducer,
+    SchedObs, SchedVerdict, SeedObs, SeedOutcome, SeedReport, StageOutcome, StagePrograms,
+    Verdict, STAGES,
 };
 pub use driver::{
     compile_all, compile_all_jobs, compile_unit, front_end, CompileError, CompiledUnit,
@@ -62,9 +63,8 @@ pub use resilience::{
     compile_all_resilient, contain, DegradeReason, ResilientBatch, UnitOutcome,
 };
 pub use sched::{
-    check_query_sched, intern_sched_counter_key, run_seed_sched, run_seed_sched_obs, SchedCfg,
-    SchedObs, SchedSeedOutcome, SchedSeedReport, SchedStageOutcome, SchedVerdict,
-    SCHED_AUX_SALT, SCHED_COUNTER_KEYS,
+    intern_sched_counter_key, run_seed_sched, run_seed_sched_obs, SchedCfg, SchedSeedOutcome,
+    SchedSeedReport, SCHED_AUX_SALT, SCHED_COUNTER_KEYS,
 };
 pub use serve::{
     run_stdio, run_unix, ServeConfig, Server, CACHE_SCHEMA, MAX_FRAME_BYTES, SERVE_SCHEMA,

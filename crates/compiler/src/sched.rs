@@ -16,6 +16,10 @@
 //!   [`ThreadedLts`], with exit values rendered stage-invariantly);
 //! * the final contents of every mutable global in the shared memory.
 //!
+//! The per-query check is [`check_query_sched`]: difftest's stage table run
+//! in its threaded mode. This module sweeps it over a seed's schedule
+//! family.
+//!
 //! Interleaving happens only at the open-semantics seams (external calls
 //! and completions), so every slice is atomic and locally sequential; the
 //! schedule's decision sequence depends only on how the runnable set
@@ -26,29 +30,17 @@
 //! Everything here is a pure function of `(seed, SchedCfg)` — the
 //! `sched_campaign` bench fans seeds out across jobs and still reports
 //! byte-identical verdicts and FNV checksums.
+//!
+//! [`ObsVal`]: crate::difftest::ObsVal
+//! [`Schedule`]: compcerto_core::threaded::Schedule
+//! [`ThreadedLts`]: compcerto_core::threaded::ThreadedLts
 
-use std::fmt;
-
-use backend::asmgen::RaMap;
-use backend::{AsmProgram, AsmSem, LinProgram, LinearSem, MachProgram, MachSem};
-use clight::ClightSem;
-use compcerto_core::cc::{Ca, Cl};
-use compcerto_core::conv::SimConv;
-use compcerto_core::iface::{abi, ARegs, CQuery, CReply, LQuery, LReply, MQuery, MReply, SharedMem};
-use compcerto_core::lts::{run_budgeted, Event, RunBudget, RunOutcome};
-use compcerto_core::regs::Loc;
-use compcerto_core::symtab::SymbolTable;
-use compcerto_core::threaded::{schedules, Schedule, ThreadedLts};
+use compcerto_core::lts::RunBudget;
+use compcerto_core::threaded::schedules;
 use compcerto_gen::generate::gen_queries;
 use compcerto_gen::{generate, GProgram, GenCfg};
-use mem::Val;
-use rtl::{RtlProgram, RtlSem};
 
-use crate::difftest::{
-    m_query, name_of, obs_val, read_globals, FindingKind, Obs, ObsVal, StagePrograms, STAGES,
-};
-use crate::driver::{compile_all, CompilerOptions};
-use crate::extlib::ExtLib;
+use crate::difftest::{check_query_sched, FindingKind, Prepared, Verdict};
 use crate::obs::Counters;
 
 /// Domain-separation salt for deriving the auxiliary threads' argument sets
@@ -119,424 +111,6 @@ impl SchedCfg {
             fuel: 1_000_000,
         }
     }
-}
-
-/// Everything one stage observed while answering one threaded query under
-/// one schedule: the sequential observation ([`Obs`]) plus the schedule
-/// trace (the `sched:`/`exit:` annotation stream).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedObs {
-    /// Result, interleaved external-call record, and final mutable globals.
-    pub obs: Obs,
-    /// The annotation stream of the threaded run — dispatch decisions and
-    /// thread exits with stage-invariantly rendered exit values.
-    pub trace: Vec<String>,
-}
-
-impl fmt::Display for SchedObs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} trace=[", self.obs)?;
-        for (i, t) in self.trace.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ")?;
-            }
-            write!(f, "{t}")?;
-        }
-        write!(f, "]")
-    }
-}
-
-/// Outcome of running one stage on one threaded query (mirrors
-/// [`crate::difftest::StageOutcome`]).
-#[derive(Debug, Clone)]
-pub enum SchedStageOutcome {
-    /// The stage completed; here is what it observed.
-    Ok(SchedObs),
-    /// A budget quota was exhausted — not a verdict, the schedule is
-    /// skipped.
-    Budget(String),
-    /// The interpreter got stuck (a finding).
-    Stuck(String),
-    /// The environment refused an outgoing question (a finding).
-    EnvRefused(String),
-    /// The query could not be transported to this stage's interface.
-    Transport(String),
-}
-
-/// Verdict of the threaded oracle on one `(query set, schedule)` pair.
-#[derive(Debug, Clone)]
-pub enum SchedVerdict {
-    /// Every stage completed and observed the same threaded behaviour.
-    Agree(Box<SchedObs>),
-    /// A stage was budget-limited; the schedule is skipped without a
-    /// verdict.
-    Skipped {
-        /// The budget-limited stage.
-        stage: &'static str,
-    },
-    /// A finding at some stage.
-    Finding {
-        /// The failure class.
-        kind: FindingKind,
-        /// Human-readable context.
-        detail: String,
-    },
-}
-
-impl SchedVerdict {
-    /// A stable one-line rendering of the verdict under `schedule` — the
-    /// unit the campaign's FNV checksum is computed over.
-    #[must_use]
-    pub fn line(&self, schedule: Schedule) -> String {
-        match self {
-            SchedVerdict::Agree(obs) => format!("{schedule} agree {obs}"),
-            SchedVerdict::Skipped { stage } => format!("{schedule} skipped@{stage}"),
-            SchedVerdict::Finding { kind, detail } => {
-                format!("{schedule} finding {kind}: {detail}")
-            }
-        }
-    }
-}
-
-/// The annotation stream of a completed threaded run.
-fn annots(events: &[Event]) -> Vec<String> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Annot(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Fold a threaded [`RunOutcome`] into a [`SchedStageOutcome`], normalizing
-/// the final answer through `result_of`.
-fn finish<IA: SharedMem>(
-    outcome: RunOutcome<IA>,
-    ext: Vec<(String, ObsVal)>,
-    symtab: &SymbolTable,
-    result_of: impl Fn(&IA) -> ObsVal,
-) -> SchedStageOutcome {
-    match outcome {
-        RunOutcome::OutOfFuel { .. } => SchedStageOutcome::Budget("out of fuel".into()),
-        RunOutcome::OutOfMemory { used, limit, .. } => {
-            SchedStageOutcome::Budget(format!("out of memory: {used} > {limit}"))
-        }
-        RunOutcome::DepthExceeded { depth, limit, .. } => {
-            SchedStageOutcome::Budget(format!("depth exceeded: {depth} > {limit}"))
-        }
-        RunOutcome::TimedOut { elapsed, .. } => {
-            SchedStageOutcome::Budget(format!("timed out after {elapsed:?}"))
-        }
-        RunOutcome::Complete { answer, trace, .. } => SchedStageOutcome::Ok(SchedObs {
-            obs: Obs {
-                result: result_of(&answer),
-                ext,
-                globals: read_globals(symtab, answer.mem()),
-            },
-            trace: annots(&trace),
-        }),
-        RunOutcome::Wrong { stuck, .. } => SchedStageOutcome::Stuck(format!("{stuck}")),
-        RunOutcome::EnvRefused(q) => SchedStageOutcome::EnvRefused(q),
-    }
-}
-
-/// Run a C-interface semantics (Clight or RTL) threaded.
-macro_rules! run_c_sched {
-    ($sem:expr, $symtab:expr, $lib:expr, $q:expr, $aux:expr, $schedule:expr, $budget:expr) => {{
-        let tsem = ThreadedLts::new($sem, $aux.to_vec(), $schedule)
-            .with_exit_renderer(Box::new(|a: &CReply| obs_val(&a.retval).to_string()));
-        let mut ext: Vec<(String, ObsVal)> = Vec::new();
-        let outcome = {
-            let mut env = |oq: &CQuery| {
-                let r = $lib.answer_c(oq)?;
-                ext.push((name_of($symtab, &oq.vf), obs_val(&r.retval)));
-                Some(r)
-            };
-            run_budgeted(&tsem, $q, &mut env, $budget)
-        };
-        finish(outcome, ext, $symtab, |a: &CReply| obs_val(&a.retval))
-    }};
-}
-
-fn run_clight_sched(
-    prog: &clight::Program,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    aux: &[CQuery],
-    schedule: Schedule,
-    budget: &RunBudget,
-) -> SchedStageOutcome {
-    let sem = ClightSem::new(prog.clone(), symtab.clone());
-    run_c_sched!(sem, symtab, lib, q, aux, schedule, budget)
-}
-
-fn run_rtl_sched(
-    prog: &RtlProgram,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    aux: &[CQuery],
-    schedule: Schedule,
-    budget: &RunBudget,
-) -> SchedStageOutcome {
-    let sem = RtlSem::new(prog.clone(), symtab.clone());
-    run_c_sched!(sem, symtab, lib, q, aux, schedule, budget)
-}
-
-fn run_linear_sched(
-    prog: &LinProgram,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    aux: &[CQuery],
-    schedule: Schedule,
-    budget: &RunBudget,
-) -> SchedStageOutcome {
-    // CL transport clones the memory without allocating, so each query can
-    // be transported independently (the threaded dispatch replaces every
-    // question's memory with the shared one anyway).
-    let Some((_sig, lq)) = Cl.transport_query(q) else {
-        return SchedStageOutcome::Transport("CL transport failed".into());
-    };
-    let mut laux = Vec::with_capacity(aux.len());
-    for aq in aux {
-        match Cl.transport_query(aq) {
-            Some((_s, l)) => laux.push(l),
-            None => return SchedStageOutcome::Transport("CL transport failed (aux)".into()),
-        }
-    }
-    let sem = LinearSem::new(prog.clone(), symtab.clone());
-    let tsem = ThreadedLts::new(sem, laux, schedule).with_exit_renderer(Box::new(|a: &LReply| {
-        obs_val(&a.ls.get(Loc::Reg(abi::RESULT_REG))).to_string()
-    }));
-    let mut ext: Vec<(String, ObsVal)> = Vec::new();
-    let outcome = {
-        let mut env = |oq: &LQuery| {
-            let r = lib.answer_l(oq)?;
-            ext.push((
-                name_of(symtab, &oq.vf),
-                obs_val(&r.ls.get(Loc::Reg(abi::RESULT_REG))),
-            ));
-            Some(r)
-        };
-        run_budgeted(&tsem, &lq, &mut env, budget)
-    };
-    finish(outcome, ext, symtab, |a: &LReply| {
-        obs_val(&a.ls.get(Loc::Reg(abi::RESULT_REG)))
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_mach_sched(
-    prog: &MachProgram,
-    ra_map: &RaMap,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    aux: &[CQuery],
-    schedule: Schedule,
-    budget: &RunBudget,
-) -> SchedStageOutcome {
-    // The M transport allocates each thread's argument region, so the
-    // queries must be transported over one *evolving* memory — auxiliaries
-    // first, the main query last: the threaded state adopts the main
-    // query's memory as the shared memory, which then contains every
-    // thread's argument region.
-    let mut cur = q.mem.clone();
-    let mut maux = Vec::with_capacity(aux.len());
-    for aq in aux {
-        let chained = CQuery {
-            mem: cur.clone(),
-            ..aq.clone()
-        };
-        let Some(mq) = m_query(&chained) else {
-            return SchedStageOutcome::Transport("CM transport failed (aux)".into());
-        };
-        cur = mq.mem.clone();
-        maux.push(mq);
-    }
-    let Some(mq) = m_query(&CQuery {
-        mem: cur,
-        ..q.clone()
-    }) else {
-        return SchedStageOutcome::Transport("CM transport failed".into());
-    };
-    let sem = MachSem::new(prog.clone(), symtab.clone())
-        .with_ra_oracle(backend::asmgen::make_ra_oracle(ra_map.clone(), symtab.clone()));
-    let tsem = ThreadedLts::new(sem, maux, schedule).with_exit_renderer(Box::new(|a: &MReply| {
-        obs_val(&a.rs[abi::RESULT_REG.index()]).to_string()
-    }));
-    let mut ext: Vec<(String, ObsVal)> = Vec::new();
-    let outcome = {
-        let mut env = |oq: &MQuery| {
-            let r = lib.answer_m(oq)?;
-            ext.push((
-                name_of(symtab, &oq.vf),
-                obs_val(&r.rs[abi::RESULT_REG.index()]),
-            ));
-            Some(r)
-        };
-        run_budgeted(&tsem, &mq, &mut env, budget)
-    };
-    finish(outcome, ext, symtab, |a: &MReply| {
-        obs_val(&a.rs[abi::RESULT_REG.index()])
-    })
-}
-
-fn run_asm_sched(
-    prog: &AsmProgram,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    aux: &[CQuery],
-    schedule: Schedule,
-    budget: &RunBudget,
-) -> SchedStageOutcome {
-    // Same evolving-memory chaining as the M level: the CA transport
-    // allocates each thread's argument region and return-address sentinel.
-    let ca = Ca::new(symtab.len() as u32);
-    let mut cur = q.mem.clone();
-    let mut aaux = Vec::with_capacity(aux.len());
-    for aq in aux {
-        let chained = CQuery {
-            mem: cur.clone(),
-            ..aq.clone()
-        };
-        let Some((_w, qa)) = ca.transport_query(&chained) else {
-            return SchedStageOutcome::Transport("CA transport failed (aux)".into());
-        };
-        cur = qa.mem.clone();
-        aaux.push(qa);
-    }
-    let Some((_w, qa)) = ca.transport_query(&CQuery {
-        mem: cur,
-        ..q.clone()
-    }) else {
-        return SchedStageOutcome::Transport("CA transport failed".into());
-    };
-    let sem = AsmSem::new(prog.clone(), symtab.clone());
-    let tsem = ThreadedLts::new(sem, aaux, schedule).with_exit_renderer(Box::new(|a: &ARegs| {
-        obs_val(&a.rs.get(abi::RESULT_REG)).to_string()
-    }));
-    let mut ext: Vec<(String, ObsVal)> = Vec::new();
-    let outcome = {
-        let mut env = |oq: &ARegs| {
-            let r = lib.answer_a(oq)?;
-            ext.push((
-                name_of(symtab, &oq.rs.pc),
-                obs_val(&r.rs.get(abi::RESULT_REG)),
-            ));
-            Some(r)
-        };
-        run_budgeted(&tsem, &qa, &mut env, budget)
-    };
-    finish(outcome, ext, symtab, |a: &ARegs| {
-        obs_val(&a.rs.get(abi::RESULT_REG))
-    })
-}
-
-/// Run one named stage (one of [`STAGES`]) threaded.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_sched(
-    sp: &StagePrograms,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    stage: &str,
-    q: &CQuery,
-    aux: &[CQuery],
-    schedule: Schedule,
-    budget: &RunBudget,
-) -> SchedStageOutcome {
-    match stage {
-        "clight" => run_clight_sched(&sp.clight, symtab, lib, q, aux, schedule, budget),
-        "simpl-locals" => run_clight_sched(&sp.clight_simpl, symtab, lib, q, aux, schedule, budget),
-        "rtl" => run_rtl_sched(&sp.rtl, symtab, lib, q, aux, schedule, budget),
-        "rtl-opt" => run_rtl_sched(&sp.rtl_opt, symtab, lib, q, aux, schedule, budget),
-        "linear" => run_linear_sched(&sp.linear, symtab, lib, q, aux, schedule, budget),
-        "mach" => run_mach_sched(&sp.mach, &sp.ra_map, symtab, lib, q, aux, schedule, budget),
-        "asm" => run_asm_sched(&sp.asm, symtab, lib, q, aux, schedule, budget),
-        other => SchedStageOutcome::Transport(format!("unknown stage `{other}`")),
-    }
-}
-
-fn compare_sched(
-    stage: &'static str,
-    run: SchedStageOutcome,
-    base: &SchedObs,
-) -> Option<SchedVerdict> {
-    match run {
-        SchedStageOutcome::Ok(obs) => {
-            if obs == *base {
-                None
-            } else {
-                Some(SchedVerdict::Finding {
-                    kind: FindingKind::Disagreement { stage },
-                    detail: format!("clight observed [{base}] but {stage} observed [{obs}]"),
-                })
-            }
-        }
-        SchedStageOutcome::Budget(_) => Some(SchedVerdict::Skipped { stage }),
-        SchedStageOutcome::Stuck(d) => Some(SchedVerdict::Finding {
-            kind: FindingKind::Stuck { stage },
-            detail: d,
-        }),
-        SchedStageOutcome::EnvRefused(d) => Some(SchedVerdict::Finding {
-            kind: FindingKind::EnvRefused { stage },
-            detail: d,
-        }),
-        SchedStageOutcome::Transport(d) => Some(SchedVerdict::Finding {
-            kind: FindingKind::Transport { stage },
-            detail: d,
-        }),
-    }
-}
-
-/// Run one threaded query set under one schedule through every stage and
-/// compare observations against the Clight baseline — the threaded analog
-/// of [`crate::difftest::check_query`].
-pub fn check_query_sched(
-    sp: &StagePrograms,
-    symtab: &SymbolTable,
-    lib: &ExtLib,
-    q: &CQuery,
-    aux: &[CQuery],
-    schedule: Schedule,
-    budget: &RunBudget,
-) -> SchedVerdict {
-    let base = match run_clight_sched(&sp.clight, symtab, lib, q, aux, schedule, budget) {
-        SchedStageOutcome::Ok(obs) => obs,
-        SchedStageOutcome::Budget(_) => return SchedVerdict::Skipped { stage: "clight" },
-        SchedStageOutcome::Stuck(d) => {
-            return SchedVerdict::Finding {
-                kind: FindingKind::Stuck { stage: "clight" },
-                detail: d,
-            }
-        }
-        SchedStageOutcome::EnvRefused(d) => {
-            return SchedVerdict::Finding {
-                kind: FindingKind::EnvRefused { stage: "clight" },
-                detail: d,
-            }
-        }
-        SchedStageOutcome::Transport(d) => {
-            return SchedVerdict::Finding {
-                kind: FindingKind::Transport { stage: "clight" },
-                detail: d,
-            }
-        }
-    };
-    for stage in &STAGES[1..] {
-        if let Some(v) = compare_sched(
-            stage,
-            run_stage_sched(sp, symtab, lib, stage, q, aux, schedule, budget),
-            &base,
-        ) {
-            return v;
-        }
-    }
-    SchedVerdict::Agree(Box::new(base))
 }
 
 /// Verdict of the threaded oracle on one seed.
@@ -610,94 +184,29 @@ pub fn run_seed_sched_obs(seed: u64, cfg: &SchedCfg) -> (SchedSeedReport, Counte
 /// per-stage whole programs, derive the query set and schedule family, and
 /// compare all seven stages per schedule.
 fn check_program_sched(prog: &GProgram, cfg: &SchedCfg) -> (SchedSeedOutcome, Vec<String>) {
-    let srcs = prog.render();
-    let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
-    let opts = CompilerOptions::validated();
-    let (units, symtab) = match compile_all(&refs, opts) {
-        Ok(x) => x,
-        Err(e) => {
-            return (
-                SchedSeedOutcome::Finding {
-                    kind: FindingKind::Compile,
-                    detail: format!("{e}"),
-                },
-                Vec::new(),
-            )
-        }
+    let p = match Prepared::new(prog) {
+        Ok(p) => p,
+        Err((kind, detail)) => return (SchedSeedOutcome::Finding { kind, detail }, Vec::new()),
     };
-    for (i, u) in units.iter().enumerate() {
-        if let Some(d) = u.diagnostics.first() {
-            return (
-                SchedSeedOutcome::Finding {
-                    kind: FindingKind::ValidatorRejected,
-                    detail: format!("unit {i}: {d}"),
-                },
-                Vec::new(),
-            );
-        }
-    }
-    let sp = match StagePrograms::build(&units) {
-        Ok(sp) => sp,
-        Err(e) => {
-            return (
-                SchedSeedOutcome::Finding {
-                    kind: FindingKind::Compile,
-                    detail: e,
-                },
-                Vec::new(),
-            )
-        }
-    };
-    let lib = ExtLib::demo(symtab.clone());
-    let (_, entry) = prog.entry();
-    let entry_name = entry.name.clone();
-    let nparams = entry.nparams as usize;
     let budget = RunBudget::with_fuel(cfg.fuel).no_trace();
-    let init = match symtab.build_init_mem() {
-        Ok(m) => m,
-        Err(e) => {
-            return (
-                SchedSeedOutcome::Finding {
-                    kind: FindingKind::Compile,
-                    detail: format!("initial memory: {e:?}"),
-                },
-                Vec::new(),
-            )
-        }
-    };
-    let (Some(vf), Some(sig)) = (symtab.func_ptr(&entry_name), sp.clight.sig_of(&entry_name))
-    else {
-        return (
-            SchedSeedOutcome::Finding {
-                kind: FindingKind::Compile,
-                detail: format!("entry `{entry_name}` missing from the linked program"),
-            },
-            Vec::new(),
-        );
-    };
     // Every thread runs the entry function: thread 0 with the main argument
     // set, threads 1.. with domain-separated auxiliary sets.
-    let main_args = gen_queries(prog.seed, nparams, 1);
-    let aux_args = gen_queries(prog.seed ^ SCHED_AUX_SALT, nparams, cfg.threads.saturating_sub(1));
-    let mk_query = |args: &[i32]| CQuery {
-        vf,
-        sig: sig.clone(),
-        args: args.iter().map(|&a| Val::Int(a)).collect(),
-        mem: init.clone(),
-    };
-    let q = mk_query(&main_args[0]);
-    let aux: Vec<CQuery> = aux_args.iter().map(|a| mk_query(a)).collect();
+    let naux = cfg.threads.saturating_sub(1);
+    let main_args = gen_queries(prog.seed, p.nparams, 1);
+    let aux_args = gen_queries(prog.seed ^ SCHED_AUX_SALT, p.nparams, naux);
+    let q = p.query(&main_args[0]);
+    let aux: Vec<_> = aux_args.iter().map(|a| p.query(a)).collect();
 
     let mut verdicts = Vec::with_capacity(cfg.schedules);
     let mut run = 0usize;
     let mut skipped = 0usize;
     for schedule in schedules(cfg.schedules, prog.seed) {
-        let v = check_query_sched(&sp, &symtab, &lib, &q, &aux, schedule, &budget);
+        let v = check_query_sched(&p.sp, &p.symtab, &p.lib, &q, &aux, schedule, &budget);
         verdicts.push(v.line(schedule));
         match v {
-            SchedVerdict::Agree(_) => run += 1,
-            SchedVerdict::Skipped { .. } => skipped += 1,
-            SchedVerdict::Finding { kind, detail } => {
+            Verdict::Agree(_) => run += 1,
+            Verdict::Skipped { .. } => skipped += 1,
+            Verdict::Finding { kind, detail } => {
                 return (
                     SchedSeedOutcome::Finding {
                         kind,
@@ -722,6 +231,44 @@ fn check_program_sched(prog: &GProgram, cfg: &SchedCfg) -> (SchedSeedOutcome, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::difftest::check_query;
+    use compcerto_core::threaded::Schedule;
+
+    #[test]
+    fn one_thread_round_robin_is_the_sequential_oracle() {
+        // The sequential oracle runs each stage unwrapped; wrapped in a
+        // one-thread round-robin `ThreadedLts` every stage must observe the
+        // same, plus a trace of thread 0's dispatches ending in its exit.
+        let cfg = SchedCfg::quick();
+        let budget = RunBudget::with_fuel(cfg.fuel).no_trace();
+        for seed in 0..8u64 {
+            let p = Prepared::new(&generate(seed, &cfg.gen)).expect("seed compiles");
+            for args in gen_queries(seed, p.nparams, 2) {
+                let q = p.query(&args);
+                let seq = check_query(&p.sp, &p.symtab, &p.lib, &q, &budget);
+                let thr = check_query_sched(
+                    &p.sp,
+                    &p.symtab,
+                    &p.lib,
+                    &q,
+                    &[],
+                    Schedule::RoundRobin,
+                    &budget,
+                );
+                let (Verdict::Agree(seq), Verdict::Agree(thr)) = (&seq, &thr) else {
+                    panic!("seed {seed} args {args:?}: {seq:?} / {thr:?}");
+                };
+                assert_eq!(thr.obs, **seq, "seed {seed} args {args:?}");
+                let (exit, dispatches) = thr.trace.split_last().expect("a completed run exits");
+                assert_eq!(*exit, format!("exit:0={}", seq.result), "seed {seed}");
+                assert!(
+                    !dispatches.is_empty() && dispatches.iter().all(|t| t == "sched:0"),
+                    "seed {seed}: {:?}",
+                    thr.trace
+                );
+            }
+        }
+    }
 
     #[test]
     fn quick_seeds_agree_across_stages_and_schedules() {

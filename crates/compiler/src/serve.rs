@@ -74,16 +74,16 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 // Fingerprints and cache keys
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: every FNV chain starts here.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Fold `bytes` into the FNV-1a 64 chain `init` (the workspace's one FNV-1a).
+#[must_use]
+pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(init, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
 }
 
 /// FNV-1a 64 over `bytes`, rendered as 16 hex digits.
