@@ -22,6 +22,16 @@ echo "== benchmark self-test =="
 # metric, and that a wrong pin or bad arguments fail.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark full-size oracle pass (both modes) =="
+# One pass of `oracle-seeds` over all 64 seeds: untraced, it checks the
+# `difftest_verdicts` pin and the SCHED.json verdict checksum through the
+# library's pooled oracle; traced, it checks every library verdict against
+# perfbench's per-call replay of `run_stage`/`check_query_sched`.
+for trace in 0 1; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload oracle-seeds --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_oracle_$trace.txt
+done
+
 echo "== clippy unwrap/expect gate (library paths) =="
 cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate --lib -- \
     -D clippy::unwrap_used -D clippy::expect_used

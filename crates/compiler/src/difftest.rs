@@ -26,12 +26,12 @@
 //! programs the horizontal composition `Asm(p1) ⊕ Asm(p2)` must simulate the
 //! linked Asm ([`check_thm35_budgeted`]).
 //!
-//! One stage table drives all seven interpreters: each stage names its
-//! semantics, and the semantics' interface fixes how the C queries reach it.
-//! One runner drives any stage in one of two modes — unwrapped, for the
-//! sequential oracle ([`check_query`], [`run_stage`]), or inside
+//! One stage table per program drives all seven interpreters: each stage
+//! names its semantics, built once and shared, and the semantics' interface
+//! fixes how the C queries reach it. One runner drives any stage unwrapped,
+//! for the sequential oracle ([`check_query`], [`run_stage`]), or inside
 //! [`ThreadedLts`] under a [`Schedule`], for the threaded oracle
-//! ([`check_query_sched`], swept per seed by [`crate::sched`]) — and one
+//! ([`check_query_sched`], swept per seed by [`crate::sched`]); one
 //! comparison loop turns either mode's observations into a [`Verdict`].
 //!
 //! Everything here is a pure function of `(seed, DifftestCfg)` — no
@@ -40,6 +40,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 use backend::asmgen::{make_ra_oracle, RaMap};
 use backend::{link_asm, AsmProgram, AsmSem, LinProgram, LinearSem, MachProgram, MachSem};
@@ -466,12 +467,12 @@ fn read_globals(symtab: &SymbolTable, m: &Mem) -> Vec<(String, Vec<ObsVal>)> {
                     vals.push(obs_val(&m.load(Chunk::I64, b, ofs).unwrap_or(Val::Undef)));
                 }
                 InitDatum::Space(n) => {
+                    // 8-byte cells, then any 4-byte remainder as an `int`.
                     let mut o = 0i64;
-                    while o + 8 <= *n {
-                        vals.push(obs_val(
-                            &m.load(Chunk::I64, b, ofs + o).unwrap_or(Val::Undef),
-                        ));
-                        o += 8;
+                    while o + 4 <= *n {
+                        let chunk = if o + 8 <= *n { Chunk::I64 } else { Chunk::I32 };
+                        vals.push(obs_val(&m.load(chunk, b, ofs + o).unwrap_or(Val::Undef)));
+                        o += chunk.size();
                     }
                 }
             }
@@ -596,9 +597,12 @@ struct StageRun<'a> {
     /// wrapper charges an outer step per activation, resume and completion,
     /// which would move the committed `lts.steps` counters and could turn a
     /// run at the fuel edge into a budget skip.
-    threads: Option<(&'a [CQuery], Schedule)>,
+    threads: Threads<'a>,
     budget: &'a RunBudget,
 }
+
+/// The auxiliary queries and schedule of a threaded run.
+type Threads<'a> = Option<(&'a [CQuery], Schedule)>;
 
 /// Transport the auxiliary queries, then the main one, to interface `I` over
 /// one evolving memory. A transport that allocates (the M and A argument
@@ -634,7 +638,7 @@ fn annots(events: &[Event]) -> Vec<String> {
 
 /// Run the semantics `sem` of one stage on `r`'s queries, recording each
 /// external call at the stage's own interface `I`.
-fn drive<I: Iface, S: Lts<I = I, O = I>>(sem: S, r: &StageRun<'_>) -> StageOutcome<SchedObs> {
+fn drive<I: Iface, S: Lts<I = I, O = I>>(sem: &S, r: &StageRun<'_>) -> StageOutcome<SchedObs> {
     let (q, aux) = match transport::<I>(r) {
         Ok(t) => t,
         Err(e) => return StageOutcome::Transport(e),
@@ -646,7 +650,7 @@ fn drive<I: Iface, S: Lts<I = I, O = I>>(sem: S, r: &StageRun<'_>) -> StageOutco
         Some(a)
     };
     let outcome = match r.threads {
-        None => run_budgeted(&sem, &q, &mut env, r.budget),
+        None => run_budgeted(sem, &q, &mut env, r.budget),
         Some((_, schedule)) => {
             let tsem = ThreadedLts::new(sem, aux, schedule)
                 .with_exit_renderer(Box::new(|a: &I::Answer| I::result(a).to_string()));
@@ -677,24 +681,102 @@ fn drive<I: Iface, S: Lts<I = I, O = I>>(sem: S, r: &StageRun<'_>) -> StageOutco
     }
 }
 
-/// The stage table: the semantics each of [`STAGES`] runs, and the
-/// interface whose [`Iface::transport`] carries the C queries to it
+/// The stage table of one program: the semantics each of [`STAGES`] runs,
+/// and the interface whose [`Iface::transport`] carries the C queries to it
 /// (identity at C, CL at Linear, the M-query build at Mach, CA at Asm).
-fn run_in(sp: &StagePrograms, stage: &str, r: &StageRun<'_>) -> StageOutcome<SchedObs> {
-    let symtab = || r.symtab.clone();
-    match stage {
-        "clight" => drive::<C, _>(ClightSem::new(sp.clight.clone(), symtab()), r),
-        "simpl-locals" => drive::<C, _>(ClightSem::new(sp.clight_simpl.clone(), symtab()), r),
-        "rtl" => drive::<C, _>(RtlSem::new(sp.rtl.clone(), symtab()), r),
-        "rtl-opt" => drive::<C, _>(RtlSem::new(sp.rtl_opt.clone(), symtab()), r),
-        "linear" => drive::<L, _>(LinearSem::new(sp.linear.clone(), symtab()), r),
-        "mach" => drive::<M, _>(
-            MachSem::new(sp.mach.clone(), symtab())
-                .with_ra_oracle(make_ra_oracle(sp.ra_map.clone(), symtab())),
-            r,
-        ),
-        "asm" => drive::<A, _>(AsmSem::new(sp.asm.clone(), symtab()), r),
-        other => StageOutcome::Transport(format!("unknown stage `{other}`")),
+///
+/// Each semantics is built on first use, then shared by `&` across every
+/// query, schedule and pool worker that runs the program.
+pub(crate) struct StageTable<'a> {
+    sp: &'a StagePrograms,
+    symtab: &'a SymbolTable,
+    lib: &'a ExtLib,
+    budget: &'a RunBudget,
+    clight: OnceLock<ClightSem>,
+    simpl: OnceLock<ClightSem>,
+    rtl: OnceLock<RtlSem>,
+    rtl_opt: OnceLock<RtlSem>,
+    linear: OnceLock<LinearSem>,
+    mach: OnceLock<MachSem>,
+    asm: OnceLock<AsmSem>,
+}
+
+/// The semantics in `cell`, built from a copy of `prog` on first use.
+fn built<'c, P: Clone, S>(
+    cell: &'c OnceLock<S>,
+    prog: &P,
+    symtab: &SymbolTable,
+    build: impl FnOnce(P, SymbolTable) -> S,
+) -> &'c S {
+    cell.get_or_init(|| build(prog.clone(), symtab.clone()))
+}
+
+impl<'a> StageTable<'a> {
+    /// A table over `sp` whose runs use `symtab`, `lib` and `budget`.
+    pub(crate) fn new(
+        sp: &'a StagePrograms,
+        symtab: &'a SymbolTable,
+        lib: &'a ExtLib,
+        budget: &'a RunBudget,
+    ) -> StageTable<'a> {
+        StageTable {
+            sp,
+            symtab,
+            lib,
+            budget,
+            clight: OnceLock::new(),
+            simpl: OnceLock::new(),
+            rtl: OnceLock::new(),
+            rtl_opt: OnceLock::new(),
+            linear: OnceLock::new(),
+            mach: OnceLock::new(),
+            asm: OnceLock::new(),
+        }
+    }
+
+    /// Run `stage` on `q`, with the threads of [`StageRun::threads`].
+    fn run(&self, stage: &str, q: &CQuery, threads: Threads<'_>) -> StageOutcome<SchedObs> {
+        let r = StageRun {
+            symtab: self.symtab,
+            lib: self.lib,
+            q,
+            threads,
+            budget: self.budget,
+        };
+        let (sp, st) = (self.sp, self.symtab);
+        match stage {
+            "clight" => drive::<C, _>(built(&self.clight, &sp.clight, st, ClightSem::new), &r),
+            "simpl-locals" => {
+                drive::<C, _>(built(&self.simpl, &sp.clight_simpl, st, ClightSem::new), &r)
+            }
+            "rtl" => drive::<C, _>(built(&self.rtl, &sp.rtl, st, RtlSem::new), &r),
+            "rtl-opt" => drive::<C, _>(built(&self.rtl_opt, &sp.rtl_opt, st, RtlSem::new), &r),
+            "linear" => drive::<L, _>(built(&self.linear, &sp.linear, st, LinearSem::new), &r),
+            "mach" => {
+                let mach = built(&self.mach, &sp.mach, st, |prog, symtab| {
+                    let ra = make_ra_oracle(sp.ra_map.clone(), symtab.clone());
+                    MachSem::new(prog, symtab).with_ra_oracle(ra)
+                });
+                drive::<M, _>(mach, &r)
+            }
+            "asm" => drive::<A, _>(built(&self.asm, &sp.asm, st, AsmSem::new), &r),
+            other => StageOutcome::Transport(format!("unknown stage `{other}`")),
+        }
+    }
+
+    /// The sequential oracle ([`check_query`]), recording stages in `rec`.
+    fn check(&self, q: &CQuery, rec: Option<&mut BTreeSet<&'static str>>) -> QueryVerdict {
+        compare(|stage| self.run(stage, q, None).map(|o| o.obs), rec)
+    }
+
+    /// The threaded oracle under `schedule` ([`check_query_sched`]).
+    pub(crate) fn check_sched(
+        &self,
+        q: &CQuery,
+        aux: &[CQuery],
+        schedule: Schedule,
+    ) -> SchedVerdict {
+        compare(|stage| self.run(stage, q, Some((aux, schedule))), None)
     }
 }
 
@@ -711,14 +793,8 @@ pub fn run_stage(
     q: &CQuery,
     budget: &RunBudget,
 ) -> StageOutcome {
-    let r = StageRun {
-        symtab,
-        lib,
-        q,
-        threads: None,
-        budget,
-    };
-    run_in(sp, stage, &r).map(|o| o.obs)
+    let table = StageTable::new(sp, symtab, lib, budget);
+    table.run(stage, q, None).map(|o| o.obs)
 }
 
 // ---------------------------------------------------------------------------
@@ -831,7 +907,7 @@ pub fn check_query(
     q: &CQuery,
     budget: &RunBudget,
 ) -> QueryVerdict {
-    compare(|stage| run_stage(sp, symtab, lib, stage, q, budget), None)
+    StageTable::new(sp, symtab, lib, budget).check(q, None)
 }
 
 /// Run one threaded query set under one schedule through every stage and
@@ -846,14 +922,7 @@ pub fn check_query_sched(
     schedule: Schedule,
     budget: &RunBudget,
 ) -> SchedVerdict {
-    let r = StageRun {
-        symtab,
-        lib,
-        q,
-        threads: Some((aux, schedule)),
-        budget,
-    };
-    compare(|stage| run_in(sp, stage, &r), None)
+    StageTable::new(sp, symtab, lib, budget).check_sched(q, aux, schedule)
 }
 
 // ---------------------------------------------------------------------------
@@ -991,15 +1060,14 @@ fn check_program_rec(
         None
     };
 
+    // One stage table and one whole-program Asm semantics serve all queries.
+    let table = StageTable::new(&p.sp, &p.symtab, &p.lib, &budget);
+    let mut wsem = None;
     let mut queries_run = 0usize;
     let mut queries_skipped = 0usize;
     for (qi, args) in queries.iter().enumerate() {
         let q = p.query(args);
-        let verdict = compare(
-            |stage| run_stage(&p.sp, &p.symtab, &p.lib, stage, &q, &budget),
-            rec.as_deref_mut(),
-        );
-        let obs = match verdict {
+        let obs = match table.check(&q, rec.as_deref_mut()) {
             Verdict::Agree(obs) => obs,
             Verdict::Skipped { .. } => {
                 queries_skipped += 1;
@@ -1035,7 +1103,7 @@ fn check_program_rec(
                 threads: None,
                 budget: &budget,
             };
-            match drive::<A, _>(AsmSem::new(w.unit.asm.clone(), w.symtab.clone()), &wrun) {
+            match drive::<A, _>(wsem.get_or_insert_with(|| w.unit.asm_sem(&w.symtab)), &wrun) {
                 StageOutcome::Ok(SchedObs { obs: wobs, .. }) => {
                     if wobs != *obs {
                         return SeedOutcome::Finding {
@@ -1139,9 +1207,9 @@ fn reproduce(prog: &GProgram, outcome: &SeedOutcome, cfg: &DifftestCfg) -> Optio
 ///   one query;
 /// * [`counters`](SeedObs::counters) is the [`ObsSnapshot`] delta around the
 ///   whole run (generation, compilation, every stage execution, and any
-///   reduction). The entire seed runs on one thread, so the delta is exact
-///   and — because campaign aggregation is a commutative sum in seed order —
-///   jobs-invariant.
+///   reduction). Pool workers fold their counters into the caller at join,
+///   so the delta is exact and — because campaign aggregation is a
+///   commutative sum in seed order — jobs-invariant.
 ///
 /// [`ObsSnapshot`]: crate::obs::ObsSnapshot
 #[derive(Debug, Clone)]
@@ -1391,6 +1459,32 @@ mod tests {
             }
         }
         assert!(found, "result corruption escaped the oracle");
+    }
+
+    #[test]
+    fn space_globals_observe_every_cell() {
+        // `int g` is `Space(4)` and `int a[3]` is `Space(12)`: a 4-byte
+        // remainder reads as one `int` cell, so a store to `g` or `a[2]`
+        // is observed at every stage.
+        let src = "int g; int a[3]; long b; \
+                   int f(int x) { g = x; a[2] = x; b = 7; return 0; }";
+        let (units, symtab) = compile_all(&[src], CompilerOptions::default()).expect("compiles");
+        let sp = StagePrograms::build(&units).expect("builds");
+        let lib = ExtLib::demo(symtab.clone());
+        let q = CQuery {
+            vf: symtab.func_ptr("f").unwrap(),
+            sig: sp.clight.sig_of("f").unwrap(),
+            args: vec![Val::Int(5)],
+            mem: symtab.build_init_mem().unwrap(),
+        };
+        let budget = RunBudget::with_fuel(10_000).no_trace();
+        match check_query(&sp, &symtab, &lib, &q, &budget) {
+            Verdict::Agree(obs) => assert_eq!(
+                obs.to_string(),
+                "result=int:0 g=[int:5] a=[long:0 int:5] b=[long:7]"
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

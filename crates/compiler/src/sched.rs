@@ -16,9 +16,9 @@
 //!   [`ThreadedLts`], with exit values rendered stage-invariantly);
 //! * the final contents of every mutable global in the shared memory.
 //!
-//! The per-query check is [`check_query_sched`]: difftest's stage table run
-//! in its threaded mode. This module sweeps it over a seed's schedule
-//! family.
+//! The per-query check is [`check_query_sched`](crate::difftest::check_query_sched):
+//! difftest's stage table run in its threaded mode. This module sweeps it
+//! over a seed's schedule family on the worker pool, one table per seed.
 //!
 //! Interleaving happens only at the open-semantics seams (external calls
 //! and completions), so every slice is atomic and locally sequential; the
@@ -36,12 +36,14 @@
 //! [`ThreadedLts`]: compcerto_core::threaded::ThreadedLts
 
 use compcerto_core::lts::RunBudget;
-use compcerto_core::threaded::schedules;
+use compcerto_core::threaded::{schedules, Schedule};
 use compcerto_gen::generate::gen_queries;
 use compcerto_gen::{generate, GProgram, GenCfg};
+use mem::Val;
 
-use crate::difftest::{check_query_sched, FindingKind, Prepared, Verdict};
+use crate::difftest::{FindingKind, Prepared, SchedVerdict, StageTable, Verdict};
 use crate::obs::Counters;
+use crate::par::{par_map, Jobs};
 
 /// Domain-separation salt for deriving the auxiliary threads' argument sets
 /// from a campaign seed (keeps them distinct from the main query stream of
@@ -182,7 +184,8 @@ pub fn run_seed_sched_obs(seed: u64, cfg: &SchedCfg) -> (SchedSeedReport, Counte
 
 /// Run the threaded oracle on one generated program: compile, build the
 /// per-stage whole programs, derive the query set and schedule family, and
-/// compare all seven stages per schedule.
+/// compare all seven stages per schedule. Every schedule runs, so the
+/// counters of a finding seed include the schedules after the finding.
 fn check_program_sched(prog: &GProgram, cfg: &SchedCfg) -> (SchedSeedOutcome, Vec<String>) {
     let p = match Prepared::new(prog) {
         Ok(p) => p,
@@ -197,23 +200,31 @@ fn check_program_sched(prog: &GProgram, cfg: &SchedCfg) -> (SchedSeedOutcome, Ve
     let q = p.query(&main_args[0]);
     let aux: Vec<_> = aux_args.iter().map(|a| p.query(a)).collect();
 
-    let mut verdicts = Vec::with_capacity(cfg.schedules);
+    // Only the semantics are shared: each schedule runs on one worker.
+    let table = StageTable::new(&p.sp, &p.symtab, &p.lib, &budget);
+    let family = schedules(cfg.schedules, prog.seed);
+    let verdicts = par_map(Jobs::Auto, &family, |_, &s| table.check_sched(&q, &aux, s));
+    fold_verdicts(family.into_iter().zip(verdicts), &q.args)
+}
+
+/// Fold per-schedule verdicts in schedule order as a serial sweep would:
+/// one verdict line per schedule up to and including the first finding,
+/// whose detail names its schedule and the main query's `args`.
+fn fold_verdicts(
+    verdicts: impl IntoIterator<Item = (Schedule, SchedVerdict)>,
+    args: &[Val],
+) -> (SchedSeedOutcome, Vec<String>) {
+    let mut lines = Vec::new();
     let mut run = 0usize;
     let mut skipped = 0usize;
-    for schedule in schedules(cfg.schedules, prog.seed) {
-        let v = check_query_sched(&p.sp, &p.symtab, &p.lib, &q, &aux, schedule, &budget);
-        verdicts.push(v.line(schedule));
+    for (schedule, v) in verdicts {
+        lines.push(v.line(schedule));
         match v {
             Verdict::Agree(_) => run += 1,
             Verdict::Skipped { .. } => skipped += 1,
             Verdict::Finding { kind, detail } => {
-                return (
-                    SchedSeedOutcome::Finding {
-                        kind,
-                        detail: format!("schedule {schedule} args {:?}: {detail}", q.args),
-                    },
-                    verdicts,
-                );
+                let detail = format!("schedule {schedule} args {args:?}: {detail}");
+                return (SchedSeedOutcome::Finding { kind, detail }, lines);
             }
         }
     }
@@ -225,14 +236,13 @@ fn check_program_sched(prog: &GProgram, cfg: &SchedCfg) -> (SchedSeedOutcome, Ve
             schedules_skipped: skipped,
         }
     };
-    (outcome, verdicts)
+    (outcome, lines)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::difftest::check_query;
-    use compcerto_core::threaded::Schedule;
+    use crate::difftest::{check_query, check_query_sched, Obs, ObsVal, SchedObs};
 
     #[test]
     fn one_thread_round_robin_is_the_sequential_oracle() {
@@ -320,6 +330,119 @@ mod tests {
             }
         }
         assert!(interleaved, "no schedule ever interleaved threads");
+    }
+
+    /// The serial reference of [`run_seed_sched_obs`]: the same prologue on
+    /// this thread, then [`check_query_sched`] per schedule up to the first
+    /// finding, and the counter delta of all of it.
+    fn serial_sweep(seed: u64, cfg: &SchedCfg) -> (SchedSeedOutcome, Vec<String>, Counters) {
+        let snap = crate::obs::ObsSnapshot::take();
+        let p = Prepared::new(&generate(seed, &cfg.gen)).expect("seed compiles");
+        let budget = RunBudget::with_fuel(cfg.fuel).no_trace();
+        let q = p.query(&gen_queries(seed, p.nparams, 1)[0]);
+        let aux: Vec<_> = gen_queries(seed ^ SCHED_AUX_SALT, p.nparams, cfg.threads - 1)
+            .iter()
+            .map(|a| p.query(a))
+            .collect();
+        let mut pairs = Vec::new();
+        for schedule in schedules(cfg.schedules, seed) {
+            let v = check_query_sched(&p.sp, &p.symtab, &p.lib, &q, &aux, schedule, &budget);
+            let stop = matches!(v, Verdict::Finding { .. });
+            pairs.push((schedule, v));
+            if stop {
+                break;
+            }
+        }
+        let (outcome, lines) = fold_verdicts(pairs, &q.args);
+        (outcome, lines, snap.delta())
+    }
+
+    #[test]
+    fn pooled_sweep_equals_the_serial_sweep() {
+        // Sharing one stage table across pool workers changes no verdict,
+        // and the workers' counters fold into the caller's delta.
+        let cfg = SchedCfg::quick();
+        for seed in 0..8u64 {
+            let (outcome, lines, counters) = serial_sweep(seed, &cfg);
+            let (report, mut pooled) = run_seed_sched_obs(seed, &cfg);
+            pooled.0.retain(|k, _| !k.starts_with("lts.sched."));
+            assert_eq!(report.verdicts, lines, "seed {seed}");
+            assert_eq!(report.outcome, outcome, "seed {seed}");
+            assert_eq!(pooled, counters, "seed {seed}");
+        }
+    }
+
+    fn agree() -> SchedVerdict {
+        Verdict::Agree(Box::new(SchedObs {
+            obs: Obs {
+                result: ObsVal::Int(0),
+                ext: Vec::new(),
+                globals: Vec::new(),
+            },
+            trace: Vec::new(),
+        }))
+    }
+
+    fn skip() -> SchedVerdict {
+        Verdict::Skipped { stage: "rtl" }
+    }
+
+    fn finding() -> SchedVerdict {
+        Verdict::Finding {
+            kind: FindingKind::Disagreement { stage: "asm" },
+            detail: "boom".into(),
+        }
+    }
+
+    #[test]
+    fn fold_stops_at_the_first_finding() {
+        let family = schedules(8, 7);
+        let args = [Val::Int(3), Val::Int(-1)];
+        for k in 0..family.len() {
+            // Agreements and skips before schedule k, findings from k on.
+            let verdicts = family.iter().enumerate().map(|(i, &s)| {
+                let v = match i {
+                    _ if i >= k => finding(),
+                    _ if i % 2 == 0 => agree(),
+                    _ => skip(),
+                };
+                (s, v)
+            });
+            let (outcome, lines) = fold_verdicts(verdicts, &args);
+            assert_eq!(lines.len(), k + 1, "finding at {k}");
+            assert!(lines[k].starts_with(&format!("{} finding ", family[k])));
+            assert_eq!(
+                outcome,
+                SchedSeedOutcome::Finding {
+                    kind: FindingKind::Disagreement { stage: "asm" },
+                    detail: format!("schedule {} args {args:?}: boom", family[k]),
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn fold_counts_agreements_and_skips() {
+        let family = schedules(6, 7);
+        let (outcome, lines) = fold_verdicts(family.iter().map(|&s| (s, skip())), &[]);
+        assert_eq!(lines.len(), 6);
+        assert_eq!(
+            outcome,
+            SchedSeedOutcome::Skipped("all 6 schedules budget-limited".into())
+        );
+        let mixed = family.iter().enumerate().map(|(i, &s)| {
+            let v = if i % 3 == 0 { skip() } else { agree() };
+            (s, v)
+        });
+        let (outcome, lines) = fold_verdicts(mixed, &[]);
+        assert_eq!(lines.len(), 6);
+        assert_eq!(
+            outcome,
+            SchedSeedOutcome::Agree {
+                schedules_run: 4,
+                schedules_skipped: 2,
+            }
+        );
     }
 
     #[test]

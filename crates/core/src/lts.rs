@@ -238,6 +238,47 @@ pub trait Lts {
     }
 }
 
+/// A borrowed LTS is the same LTS (Def. 3.1: one fixed LTS answers any number
+/// of questions), so [`crate::threaded::ThreadedLts`] can wrap a shared `&L`.
+impl<L: Lts + ?Sized> Lts for &L {
+    type I = L::I;
+    type O = L::O;
+    type State = L::State;
+
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn accepts(&self, q: &Question<Self::I>) -> bool {
+        (**self).accepts(q)
+    }
+
+    fn initial(&self, q: &Question<Self::I>) -> Result<Self::State, Stuck> {
+        (**self).initial(q)
+    }
+
+    fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>> {
+        (**self).step(s)
+    }
+
+    fn step_batch(
+        &self,
+        s: &mut Self::State,
+        fuel_left: u64,
+        events: &mut Vec<Event>,
+    ) -> Batch<Question<Self::O>, Answer<Self::I>> {
+        (**self).step_batch(s, fuel_left, events)
+    }
+
+    fn resume(&self, s: &Self::State, a: Answer<Self::O>) -> Result<Self::State, Stuck> {
+        (**self).resume(s, a)
+    }
+
+    fn measure(&self, s: &Self::State) -> StateMeasure {
+        (**self).measure(s)
+    }
+}
+
 /// [`Lts::step`] for a semantics whose [`Lts::step_batch`] is its only step
 /// definition: a fuel-1 batch on a clone of `s`. By the [`Batch`] contract a
 /// fuel-1 batch either takes exactly one step or discovers a terminal

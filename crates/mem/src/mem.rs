@@ -176,9 +176,10 @@ impl BlockData {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Mem {
     // Copy-on-write: cloning a memory state is O(#blocks) pointer copies;
-    // mutation clones only the touched block (`Arc::make_mut`). Interpreters
-    // clone memory on every step, so this is the hot path of the whole
-    // system.
+    // mutation clones only the touched block (`Arc::make_mut`). Interpreter
+    // batches mutate memory in place; whole states are cloned at query
+    // transport, threaded dispatch and resume, ring-traced steps, and the
+    // one-transition steps of ⊕, ∘ and the simulation checker.
     blocks: Vec<Option<Arc<BlockData>>>,
     // Total bytes of currently-valid blocks, maintained by `alloc`/`free`.
     // Invariant: `live_bytes == Σ (hi - lo)` over valid blocks, so the
