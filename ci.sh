@@ -42,6 +42,19 @@ echo "== bin unwrap/expect audit (ISSUE 6: no panicking shortcuts in drivers) ==
 # clippy's transitive-lint behavior.
 ! grep -n '\.unwrap()\|\.expect(' crates/bench/src/bin/*.rs crates/compiler/src/bin/*.rs
 
+echo "== resume-path drivers (golden stdout) =="
+# These six drivers run the ⊕ x•/pop, ∘, `Closed` and simulation-checker
+# resume paths end to end. Each is deterministic and must print its
+# committed snapshot byte for byte.
+for b in fig5_hcomp_rules fig6_simulation thm38_endtoend cor39_separate; do
+    cargo run -q --release -p bench --bin $b > /tmp/ci_golden_$b.txt
+    cmp /tmp/ci_golden_$b.txt crates/bench/tests/golden/$b.txt
+done
+for e in nic_driver whole_program; do
+    cargo run -q --release --example $e > /tmp/ci_golden_$e.txt
+    cmp /tmp/ci_golden_$e.txt crates/bench/tests/golden/$e.txt
+done
+
 echo "== fault-injection campaign (determinism smoke) =="
 cargo run -q -p bench --bin faultinj_campaign -- --seed 42 --per-class 5 > /tmp/ci_camp_1.txt
 cargo run -q -p bench --bin faultinj_campaign -- --seed 42 --per-class 5 > /tmp/ci_camp_2.txt

@@ -100,10 +100,11 @@ fn run_and_check(
             Step::Internal(s2, _) => s = s2,
             Step::Final(ans) => return (checked, Some(ans.retval)),
             Step::External(oq) => match lib.answer_c(&oq) {
-                Some(reply) => match sem.resume(&s, reply) {
-                    Ok(s2) => s = s2,
-                    Err(e) => panic!("seed {seed}: resume rejected: {e}"),
-                },
+                Some(reply) => {
+                    if let Err(e) = sem.resume(&mut s, reply) {
+                        panic!("seed {seed}: resume rejected: {e}");
+                    }
+                }
                 None => return (checked, None),
             },
             Step::Stuck(e) => panic!("seed {seed}: generated program got stuck: {e}"),

@@ -253,6 +253,12 @@ impl AsmSem {
         Err(Stuck::new(format!("{}: {}", self.label, msg.into())))
     }
 
+    /// Does `pc` enter a function this unit does not define (where the
+    /// machine suspends on an external question)?
+    fn foreign_entry(&self, pc: Val) -> bool {
+        matches!(pc, Val::Ptr(b, 0) if self.foreign_block.get(b as usize).copied().unwrap_or(false))
+    }
+
     fn function_at(&self, pc: &Val) -> Option<(&str, &AsmFunction, usize)> {
         match pc {
             Val::Ptr(b, idx) => {
@@ -321,16 +327,14 @@ impl Lts for AsmSem {
                 );
             }
             // External: pc entered a function this unit does not define.
-            if let Val::Ptr(b, 0) = s.rs.pc {
-                if self.foreign_block.get(b as usize).copied().unwrap_or(false) {
-                    return Batch::External(
-                        n,
-                        ARegs {
-                            rs: s.rs.clone(),
-                            mem: s.mem.clone(),
-                        },
-                    );
-                }
+            if self.foreign_entry(s.rs.pc) {
+                return Batch::External(
+                    n,
+                    ARegs {
+                        rs: s.rs.clone(),
+                        mem: s.mem.clone(),
+                    },
+                );
             }
             let Val::Ptr(fb, idx) = s.rs.pc else {
                 return Batch::Stuck(
@@ -485,14 +489,18 @@ impl Lts for AsmSem {
         }
     }
 
-    fn resume(&self, s: &AsmState, a: ARegs) -> Result<AsmState, Stuck> {
+    fn resume(&self, s: &mut AsmState, a: ARegs) -> Result<(), Stuck> {
+        // Suspended exactly where `step_batch` reports `External`: not
+        // final, with pc at the entry of a foreign function.
+        let is_final = s.rs.pc == s.ra0 && s.rs.pc.is_defined();
+        if is_final || !self.foreign_entry(s.rs.pc) {
+            return self.stuck("resume in non-external state");
+        }
         // The environment's answer replaces the machine state wholesale; the
         // reply's pc is the return address the caller placed in `ra`.
-        Ok(AsmState {
-            rs: a.rs,
-            mem: a.mem,
-            ra0: s.ra0,
-        })
+        s.rs = a.rs;
+        s.mem = a.mem;
+        Ok(())
     }
 
     fn measure(&self, s: &AsmState) -> compcerto_core::lts::StateMeasure {

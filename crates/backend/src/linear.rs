@@ -81,7 +81,7 @@ impl LinProgram {
 }
 
 /// A Linear activation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LinFrame {
     fname: Ident,
     pc: usize,
@@ -479,20 +479,18 @@ impl Lts for LinearSem {
         }
     }
 
-    fn resume(&self, s: &LinState, a: LReply) -> Result<LinState, Stuck> {
-        match s {
-            LinState::External { cur, stack, .. } => {
-                let mut frame = cur.clone();
-                frame.ls = return_regs(&cur.ls, &a.ls);
-                frame.pc += 1;
-                Ok(LinState::Exec {
-                    cur: frame,
-                    mem: a.mem,
-                    stack: stack.clone(),
-                })
-            }
-            _ => self.stuck("resume in non-external state"),
-        }
+    fn resume(&self, s: &mut LinState, a: LReply) -> Result<(), Stuck> {
+        let LinState::External { cur, stack, .. } = s else {
+            return self.stuck("resume in non-external state");
+        };
+        cur.ls = return_regs(&cur.ls, &a.ls);
+        cur.pc += 1;
+        *s = LinState::Exec {
+            cur: std::mem::take(cur),
+            mem: a.mem,
+            stack: std::mem::take(stack),
+        };
+        Ok(())
     }
 }
 

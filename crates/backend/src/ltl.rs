@@ -150,7 +150,7 @@ pub fn return_regs(caller: &Locset, callee: &Locset) -> Locset {
 }
 
 /// An LTL activation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LtlFrame {
     fname: Ident,
     pc: Node,
@@ -484,26 +484,24 @@ impl Lts for LtlSem {
         }
     }
 
-    fn resume(&self, s: &LtlState, a: LReply) -> Result<LtlState, Stuck> {
-        match s {
-            LtlState::External { cur, stack, .. } => {
-                let Some(f) = self.prog.function(&cur.fname) else {
-                    return self.stuck("frame names unknown function");
-                };
-                let Some(LtlInst::Call(_, _, next)) = f.code.get(&cur.pc) else {
-                    return self.stuck("external frame pc is not at a call");
-                };
-                let mut frame = cur.clone();
-                frame.ls = return_regs(&cur.ls, &a.ls);
-                frame.pc = *next;
-                Ok(LtlState::Exec {
-                    cur: frame,
-                    mem: a.mem,
-                    stack: stack.clone(),
-                })
-            }
-            _ => self.stuck("resume in non-external state"),
-        }
+    fn resume(&self, s: &mut LtlState, a: LReply) -> Result<(), Stuck> {
+        let LtlState::External { cur, stack, .. } = s else {
+            return self.stuck("resume in non-external state");
+        };
+        let Some(f) = self.prog.function(&cur.fname) else {
+            return self.stuck("frame names unknown function");
+        };
+        let Some(LtlInst::Call(_, _, next)) = f.code.get(&cur.pc) else {
+            return self.stuck("external frame pc is not at a call");
+        };
+        cur.ls = return_regs(&cur.ls, &a.ls);
+        cur.pc = *next;
+        *s = LtlState::Exec {
+            cur: std::mem::take(cur),
+            mem: a.mem,
+            stack: std::mem::take(stack),
+        };
+        Ok(())
     }
 }
 

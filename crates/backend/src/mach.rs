@@ -113,7 +113,7 @@ impl MachProgram {
 pub type RaOracle = Arc<dyn Fn(&str, usize) -> Val + Send + Sync>;
 
 /// A Mach activation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MachFrame {
     fname: Ident,
     pc: usize,
@@ -578,20 +578,18 @@ impl Lts for MachSem {
         }
     }
 
-    fn resume(&self, s: &MachState, a: MReply) -> Result<MachState, Stuck> {
-        match s {
-            MachState::External { cur, stack, .. } => {
-                let mut frame = cur.clone();
-                frame.regs = a.rs;
-                frame.pc += 1;
-                Ok(MachState::Exec {
-                    cur: frame,
-                    mem: a.mem,
-                    stack: stack.clone(),
-                })
-            }
-            _ => self.stuck("resume in non-external state"),
-        }
+    fn resume(&self, s: &mut MachState, a: MReply) -> Result<(), Stuck> {
+        let MachState::External { cur, stack, .. } = s else {
+            return self.stuck("resume in non-external state");
+        };
+        cur.regs = a.rs;
+        cur.pc += 1;
+        *s = MachState::Exec {
+            cur: std::mem::take(cur),
+            mem: a.mem,
+            stack: std::mem::take(stack),
+        };
+        Ok(())
     }
 }
 

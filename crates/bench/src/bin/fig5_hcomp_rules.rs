@@ -53,8 +53,7 @@ fn main() {
                         retval: m.args[0],
                         mem: m.mem.clone(),
                     };
-                    s = comp
-                        .resume(&s, ans)
+                    comp.resume(&mut s, ans)
                         .unwrap_or_else(|e| fail(format!("x• does not resume: {e}")));
                 }
                 Step::Final(r) => break r, // rule i•

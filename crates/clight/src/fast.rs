@@ -231,7 +231,7 @@ pub struct PProg {
 }
 
 /// An activation: dense local slots and temps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PFrame {
     /// Owning function (index into [`PProg::funcs`]).
     pub fidx: u32,

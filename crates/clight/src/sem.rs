@@ -184,24 +184,23 @@ impl Lts for ClightSem {
         fast::step_batch(self, s, fuel_left)
     }
 
-    fn resume(&self, s: &State, a: CReply) -> Result<State, Stuck> {
-        match s {
-            State::External {
-                dest, frame, kont, ..
-            } => {
-                let mut frame = frame.clone();
-                let mut mem = a.mem;
-                fast::write_dest(&self.fast, &self.label, dest, a.retval, &mut frame, &mut mem)?;
-                let sid = self.fast.funcs[frame.fidx as usize].skip_sid;
-                Ok(State::Stmt {
-                    sid,
-                    frame,
-                    kont: kont.clone(),
-                    mem,
-                })
-            }
-            _ => self.stuck("resume in non-external state"),
-        }
+    fn resume(&self, s: &mut State, a: CReply) -> Result<(), Stuck> {
+        let State::External {
+            dest, frame, kont, ..
+        } = s
+        else {
+            return self.stuck("resume in non-external state");
+        };
+        let mut mem = a.mem;
+        // On failure this has changed neither the frame nor `s`.
+        fast::write_dest(&self.fast, &self.label, dest, a.retval, frame, &mut mem)?;
+        *s = State::Stmt {
+            sid: self.fast.funcs[frame.fidx as usize].skip_sid,
+            frame: std::mem::take(frame),
+            kont: std::mem::replace(kont, fast::PKont::Stop),
+            mem,
+        };
+        Ok(())
     }
 
     fn measure(&self, s: &State) -> compcerto_core::lts::StateMeasure {

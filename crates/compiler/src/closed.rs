@@ -135,8 +135,9 @@ where
                             args: q.args.clone(),
                             result: reply.retval,
                         };
-                        match self.inner.resume(st, reply) {
-                            Ok(st2) => Step::Internal(ClosedState::Running(st2), vec![ev]),
+                        let mut st = st.clone();
+                        match self.inner.resume(&mut st, reply) {
+                            Ok(()) => Step::Internal(ClosedState::Running(st), vec![ev]),
                             Err(stuck) => Step::Stuck(stuck),
                         }
                     }
@@ -150,7 +151,7 @@ where
         }
     }
 
-    fn resume(&self, _s: &Self::State, a: Void) -> Result<Self::State, Stuck> {
+    fn resume(&self, _s: &mut Self::State, a: Void) -> Result<(), Stuck> {
         match a {} // One has no answers: closed processes are never resumed
     }
 

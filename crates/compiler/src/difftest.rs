@@ -961,8 +961,8 @@ impl Prepared {
         let (units, symtab) = compile_all(&refs, CompilerOptions::validated())
             .map_err(|e| (FindingKind::Compile, format!("{e}")))?;
         for (i, u) in units.iter().enumerate() {
-            if let Some(d) = u.diagnostics.first() {
-                return Err((FindingKind::ValidatorRejected, format!("unit {i}: {d}")));
+            if let Some(finding) = validator_finding(format_args!("unit {i}"), u) {
+                return Err(finding);
             }
         }
         let sp = StagePrograms::build(&units).map_err(|e| (FindingKind::Compile, e))?;
@@ -999,6 +999,16 @@ impl Prepared {
             mem: self.init.clone(),
         }
     }
+}
+
+/// The first validator diagnostic of a validated compile, as the
+/// [`FindingKind::ValidatorRejected`] finding it is; `what` names the unit.
+fn validator_finding(
+    what: impl fmt::Display,
+    unit: &CompiledUnit,
+) -> Option<(FindingKind, String)> {
+    let d = unit.diagnostics.first()?;
+    Some((FindingKind::ValidatorRejected, format!("{what}: {d}")))
 }
 
 /// The compile-then-link vs link-then-compile context: the generated units
@@ -1048,7 +1058,12 @@ fn check_program_rec(
     // The metamorphic path: link at the Clight level, compile as one unit.
     let whole = if cfg.check_links && p.units.len() >= 2 {
         match build_whole(&p.sp.clight, CompilerOptions::validated()) {
-            Ok(w) => Some(w),
+            Ok(w) => {
+                if let Some((kind, detail)) = validator_finding("whole program", &w.unit) {
+                    return SeedOutcome::Finding { kind, detail };
+                }
+                Some(w)
+            }
             Err(e) => {
                 return SeedOutcome::Finding {
                     kind: FindingKind::LinkMismatch,
@@ -1354,6 +1369,7 @@ pub fn faultinj_escape_rates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use compcerto_validate::Diagnostic;
 
     fn test_cfg() -> DifftestCfg {
         DifftestCfg {
@@ -1402,6 +1418,21 @@ mod tests {
                 report.outcome
             );
         }
+    }
+
+    #[test]
+    fn validator_diagnostics_become_findings() {
+        let src = "int f(int x) { return x; }";
+        let (mut units, _) = compile_all(&[src], CompilerOptions::validated()).expect("compiles");
+        let unit = &mut units[0];
+        assert_eq!(validator_finding("whole program", unit), None, "honest compiles are clean");
+        let d = Diagnostic::new("asmgen", "f", Some(3), "asm.synthetic", "boom");
+        let expected = format!("whole program: {d}");
+        unit.diagnostics.push(d);
+        assert_eq!(
+            validator_finding("whole program", unit),
+            Some((FindingKind::ValidatorRejected, expected))
+        );
     }
 
     #[test]

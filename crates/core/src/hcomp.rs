@@ -51,7 +51,7 @@ impl<S1, S2> Frame<S1, S2> {
 #[derive(Debug, Clone)]
 pub struct PStack<T>(Option<Rc<PNode<T>>>);
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PNode<T> {
     head: T,
     len: usize,
@@ -86,6 +86,12 @@ impl<T: Clone> PStack<T> {
     /// The top element.
     pub fn top(&self) -> Option<&T> {
         self.0.as_ref().map(|n| &n.head)
+    }
+
+    /// The top element, mutably: the top node is copied first only when
+    /// another stack shares it.
+    pub fn top_mut(&mut self) -> Option<&mut T> {
+        self.0.as_mut().map(|n| &mut Rc::make_mut(n).head)
     }
 
     /// The stack without its top element.
@@ -162,6 +168,15 @@ where
     /// The right component.
     pub fn right(&self) -> &L2 {
         &self.l2
+    }
+
+    /// Resume the suspended activation `f` with `a`, in place.
+    fn resume_frame(&self, f: &mut Frame<L1::State, L2::State>, a: Answer<I>) -> Result<(), Stuck> {
+        match (f.side, f.left.as_mut(), f.right.as_mut()) {
+            (Side::Left, Some(st), _) => self.l1.resume(st, a),
+            (Side::Right, _, Some(st)) => self.l2.resume(st, a),
+            _ => Err(Stuck::new("hcomp: frame side/state mismatch")),
+        }
     }
 
     fn push_for(&self, q: &Question<I>) -> Option<Result<Frame<L1::State, L2::State>, Stuck>> {
@@ -247,19 +262,13 @@ where
                     let Some((_, rest)) = s.stack.pop() else {
                         return Step::Stuck(Stuck::new("hcomp: empty activation stack"));
                     };
-                    let Some(caller) = rest.top() else {
+                    let Some((mut caller, below)) = rest.pop() else {
                         return Step::Stuck(Stuck::new("hcomp: no caller below final frame"));
                     };
-                    let resumed = match (caller.side, caller.left.as_ref(), caller.right.as_ref())
-                    {
-                        (Side::Left, Some(st), _) => self.l1.resume(st, a).map(Frame::left),
-                        (Side::Right, _, Some(st)) => self.l2.resume(st, a).map(Frame::right),
-                        _ => Err(Stuck::new("hcomp: frame side/state mismatch")),
-                    };
-                    match resumed {
-                        Ok(frame) => Step::Internal(
+                    match self.resume_frame(&mut caller, a) {
+                        Ok(()) => Step::Internal(
                             HState {
-                                stack: rest.replace_top(frame),
+                                stack: below.push(caller),
                             },
                             vec![],
                         ),
@@ -282,19 +291,12 @@ where
         }
     }
 
-    fn resume(&self, s: &Self::State, a: Answer<I>) -> Result<Self::State, Stuck> {
+    fn resume(&self, s: &mut Self::State, a: Answer<I>) -> Result<(), Stuck> {
         // Rule x•: the environment's answer resumes the active component.
-        let Some(top) = s.stack.top() else {
-            return Err(Stuck::new("hcomp: empty activation stack"));
-        };
-        let frame = match (top.side, top.left.as_ref(), top.right.as_ref()) {
-            (Side::Left, Some(st), _) => Frame::left(self.l1.resume(st, a)?),
-            (Side::Right, _, Some(st)) => Frame::right(self.l2.resume(st, a)?),
-            _ => return Err(Stuck::new("hcomp: frame side/state mismatch")),
-        };
-        Ok(HState {
-            stack: s.stack.replace_top(frame),
-        })
+        match s.stack.top_mut() {
+            Some(top) => self.resume_frame(top, a),
+            None => Err(Stuck::new("hcomp: empty activation stack")),
+        }
     }
 
     fn measure(&self, s: &Self::State) -> crate::lts::StateMeasure {

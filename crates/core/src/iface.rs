@@ -205,7 +205,7 @@ impl LanguageInterface for M {
 pub struct A;
 
 /// An A-level question or answer `rs@m`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ARegs {
     /// Full register file including `pc`, `sp` and `ra`.
     pub rs: Regset,
@@ -264,14 +264,17 @@ impl LanguageInterface for One {
 /// questions and back *in* through the answers it receives — that seam is
 /// exactly where CompCertOC threads shared memory between concurrently
 /// executing components. The threaded composition operator
-/// ([`crate::threaded::ThreadedLts`]) uses this trait to splice its single
-/// authoritative global memory into whichever thread it dispatches next,
-/// independent of the interface level the components speak.
+/// ([`crate::threaded::ThreadedLts`]) uses this trait to move its single
+/// authoritative global memory into whichever thread it dispatches next, and
+/// back out at the next boundary, independent of the interface level the
+/// components speak.
 pub trait SharedMem {
     /// The memory component of this move.
     fn mem(&self) -> &Mem;
     /// Replace the memory component of this move.
     fn set_mem(&mut self, m: Mem);
+    /// Move the memory component out, leaving an empty memory behind.
+    fn take_mem(&mut self) -> Mem;
 }
 
 macro_rules! shared_mem_impl {
@@ -282,6 +285,9 @@ macro_rules! shared_mem_impl {
             }
             fn set_mem(&mut self, m: Mem) {
                 self.mem = m;
+            }
+            fn take_mem(&mut self) -> Mem {
+                std::mem::take(&mut self.mem)
             }
         }
     )*};

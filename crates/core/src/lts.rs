@@ -222,11 +222,17 @@ pub trait Lts {
         }
     }
 
-    /// Resume a suspended external state with the environment's answer.
+    /// Resume a suspended external state with the environment's answer, in
+    /// place: `s` becomes the resumed state (Def. 3.1's `Y` takes the
+    /// suspended state and nothing uses it afterwards, so nothing is
+    /// copied).
     ///
     /// # Errors
-    /// Returns [`Stuck`] if the answer is unacceptable (e.g. ill-typed).
-    fn resume(&self, s: &Self::State, a: Answer<Self::O>) -> Result<Self::State, Stuck>;
+    /// Returns [`Stuck`] if `s` is not suspended or the answer is
+    /// unacceptable (e.g. ill-typed). After an `Err` the caller must not rely
+    /// on `s`: every runner stops at a stuck resume. The stage semantics
+    /// leave `s` unchanged.
+    fn resume(&self, s: &mut Self::State, a: Answer<Self::O>) -> Result<(), Stuck>;
 
     /// Resource usage of `s`, checked against [`RunBudget`] quotas.
     ///
@@ -270,7 +276,7 @@ impl<L: Lts + ?Sized> Lts for &L {
         (**self).step_batch(s, fuel_left, events)
     }
 
-    fn resume(&self, s: &Self::State, a: Answer<Self::O>) -> Result<Self::State, Stuck> {
+    fn resume(&self, s: &mut Self::State, a: Answer<Self::O>) -> Result<(), Stuck> {
         (**self).resume(s, a)
     }
 
@@ -966,9 +972,8 @@ fn run_inner<Sem: Lts>(
                     crate::obs::emit_external(stats.steps);
                 }
                 match env(&oq) {
-                    Some(ans) => match lts.resume(&state, ans) {
-                        Ok(s) => {
-                            state = s;
+                    Some(ans) => match lts.resume(&mut state, ans) {
+                        Ok(()) => {
                             stats.steps += 1;
                             ring.record(stats.steps, &state);
                             if json && stats.steps <= crate::obs::MAX_STEP_EVENTS {
@@ -1046,9 +1051,12 @@ mod tests {
             }
         }
 
-        fn resume(&self, s: &DState, a: CReply) -> Result<DState, Stuck> {
+        fn resume(&self, s: &mut DState, a: CReply) -> Result<(), Stuck> {
             match s {
-                DState::Start(_, _) => Ok(DState::Waiting(a.retval, a.mem)),
+                DState::Start(_, _) => {
+                    *s = DState::Waiting(a.retval, a.mem);
+                    Ok(())
+                }
                 _ => Err(Stuck::new("resume in non-external state")),
             }
         }
@@ -1078,7 +1086,7 @@ mod tests {
             Step::Internal(s + 1, vec![])
         }
 
-        fn resume(&self, _s: &u64, _a: CReply) -> Result<u64, Stuck> {
+        fn resume(&self, _s: &mut u64, _a: CReply) -> Result<(), Stuck> {
             Err(Stuck::new("spinner never suspends"))
         }
 
@@ -1126,7 +1134,7 @@ mod tests {
             Batch::Ran(fuel_left)
         }
 
-        fn resume(&self, _s: &u64, _a: CReply) -> Result<u64, Stuck> {
+        fn resume(&self, _s: &mut u64, _a: CReply) -> Result<(), Stuck> {
             Err(Stuck::new("batch spinner never suspends"))
         }
     }

@@ -92,16 +92,13 @@ where
                     },
                     evs,
                 ),
-                Step::Final(b_answer) => match self.l1.resume(&s.upper, b_answer) {
-                    Ok(upper2) => Step::Internal(
-                        SeqState {
-                            upper: upper2,
-                            lower: None,
-                        },
-                        vec![],
-                    ),
-                    Err(stuck) => Step::Stuck(stuck),
-                },
+                Step::Final(b_answer) => {
+                    let mut upper = s.upper.clone();
+                    match self.l1.resume(&mut upper, b_answer) {
+                        Ok(()) => Step::Internal(SeqState { upper, lower: None }, vec![]),
+                        Err(stuck) => Step::Stuck(stuck),
+                    }
+                }
                 Step::External(aq) => Step::External(aq),
                 Step::Stuck(x) => Step::Stuck(x),
             },
@@ -138,15 +135,9 @@ where
         }
     }
 
-    fn resume(&self, s: &Self::State, a: Answer<Self::O>) -> Result<Self::State, Stuck> {
-        match &s.lower {
-            Some(low) => {
-                let low2 = self.l2.resume(low, a)?;
-                Ok(SeqState {
-                    upper: s.upper.clone(),
-                    lower: Some(low2),
-                })
-            }
+    fn resume(&self, s: &mut Self::State, a: Answer<Self::O>) -> Result<(), Stuck> {
+        match &mut s.lower {
+            Some(low) => self.l2.resume(low, a),
             None => Err(Stuck::new(
                 "seqcomp: environment answer while lower component inactive",
             )),

@@ -441,7 +441,7 @@ where
             }
             // Fig. 6c: outgoing questions related at some w_A; related
             // answers resume both sides.
-            (Interaction::External(e1, m1), Interaction::External(e2, m2)) => {
+            (Interaction::External(mut e1, m1), Interaction::External(mut e2, m2)) => {
                 let wa = ra.match_query(&m1, &m2).into_iter().next().ok_or(
                     SimCheckError::ExternalNotRelated {
                         call: report.external_calls,
@@ -467,16 +467,20 @@ where
                     }
                 };
                 report.external_calls += 1;
-                s1 = l1.resume(&e1, n1).map_err(|stuck| SimCheckError::Wrong {
-                    side: "source",
-                    stuck,
-                    trace: ctx1.ring.render(),
-                })?;
-                s2 = l2.resume(&e2, n2).map_err(|stuck| SimCheckError::Wrong {
-                    side: "target",
-                    stuck,
-                    trace: ctx2.ring.render(),
-                })?;
+                l1.resume(&mut e1, n1)
+                    .map_err(|stuck| SimCheckError::Wrong {
+                        side: "source",
+                        stuck,
+                        trace: ctx1.ring.render(),
+                    })?;
+                l2.resume(&mut e2, n2)
+                    .map_err(|stuck| SimCheckError::Wrong {
+                        side: "target",
+                        stuck,
+                        trace: ctx2.ring.render(),
+                    })?;
+                s1 = e1;
+                s2 = e2;
             }
             (Interaction::Final(_), Interaction::External(_, q)) => {
                 return Err(SimCheckError::InteractionMismatch {
@@ -555,9 +559,12 @@ mod tests {
             }
         }
 
-        fn resume(&self, s: &St, a: CReply) -> Result<St, Stuck> {
+        fn resume(&self, s: &mut St, a: CReply) -> Result<(), Stuck> {
             match s {
-                St::Start(_, _) => Ok(St::Wait(a.retval, a.mem)),
+                St::Start(_, _) => {
+                    *s = St::Wait(a.retval, a.mem);
+                    Ok(())
+                }
                 _ => Err(Stuck::new("bad resume")),
             }
         }

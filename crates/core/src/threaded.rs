@@ -30,21 +30,25 @@
 //! # Memory protocol
 //!
 //! Memory travels out of a component through its questions and back in
-//! through answers ([`SharedMem`]). The threaded state owns the single
-//! authoritative memory `shared`; at every scheduling boundary it is
-//! spliced into whichever thread runs next:
+//! through answers ([`SharedMem`]). There is one authoritative memory, and
+//! it moves from thread to thread at every scheduling boundary; it is never
+//! copied:
 //!
-//! * activation — a fresh thread's pending question gets `shared` as its
-//!   memory before `initial`;
-//! * resume — the environment's answer gets `shared` spliced in before the
-//!   suspended thread is resumed;
+//! * activation — `shared` moves into a fresh thread's pending question
+//!   before `initial`;
+//! * dispatch — `shared` moves into the parked answer of a `Ready` thread,
+//!   which is then resumed in place;
 //! * suspension — when the running thread asks an external question, the
-//!   answer handed back by the environment updates `shared`;
-//! * completion — a finishing thread's answer memory becomes `shared`.
+//!   environment's answer memory moves into `shared`, and the thread parks
+//!   `Ready` with an empty answer memory until its next dispatch;
+//! * completion — a finishing thread's answer memory moves into `shared`,
+//!   and its `Done` answer keeps an empty memory.
 //!
-//! The composite's final answer is thread 0's answer carrying the final
-//! shared memory, so `ThreadedLts` with a single thread is observationally
-//! the underlying component (up to the `sched:`/`exit:` annotations).
+//! So while a thread runs, `shared` is empty and the running thread's state
+//! holds the memory. The composite's final answer is thread 0's answer
+//! carrying the final shared memory, so `ThreadedLts` with a single thread
+//! is observationally the underlying component (up to the `sched:`/`exit:`
+//! annotations).
 //!
 //! # Events
 //!
@@ -120,16 +124,17 @@ pub fn schedules(m: usize, seed: u64) -> Vec<Schedule> {
 
 /// Execution state of one thread of a [`ThreadedLts`].
 pub enum Slot<L: Lts> {
-    /// Not yet activated; holds the pending incoming question (its memory
-    /// is replaced by the shared memory at dispatch).
+    /// Not yet activated; holds the pending incoming question (the shared
+    /// memory moves into it at dispatch).
     Fresh(Question<L::I>),
     /// Activated and either mid-slice or suspended on the external question
     /// the composite last surfaced.
     Live(L::State),
     /// Suspended on an external call whose answer has arrived; the answer's
-    /// memory is replaced by the shared memory at dispatch.
+    /// memory is empty until the shared memory moves into it at dispatch.
     Ready(L::State, Answer<L::O>),
-    /// Answered its incoming question.
+    /// Answered its incoming question; the answer's memory moved into the
+    /// shared memory, so it is empty.
     Done(Answer<L::I>),
     /// Transient placeholder while a transition moves the slot's contents;
     /// never observable between [`Lts`] calls.
@@ -166,7 +171,8 @@ impl<L: Lts> fmt::Debug for Slot<L> {
 pub struct ThreadedState<L: Lts> {
     /// One slot per thread; thread 0 answers the composite's question.
     threads: Vec<Slot<L>>,
-    /// The authoritative global memory, spliced into threads at dispatch.
+    /// The authoritative global memory between slices; empty while a
+    /// thread runs, because the memory has moved into that thread.
     shared: Mem,
     /// Index of the thread owning the current slice.
     cur: usize,
@@ -285,7 +291,8 @@ impl<L: Lts> ThreadedLts<L> {
     }
 
     /// The composite's final answer: thread 0's answer carrying the final
-    /// shared memory.
+    /// shared memory (only called once every thread is done, when `shared`
+    /// holds the memory).
     fn final_answer(&self, s: &ThreadedState<L>) -> Result<Answer<L::I>, Stuck>
     where
         Answer<L::I>: SharedMem,
@@ -385,43 +392,40 @@ where
             let k = s.cur;
             match std::mem::replace(&mut s.threads[k], Slot::Vacant) {
                 Slot::Fresh(mut q) => {
-                    // Activation: splice the shared memory in, then enter
-                    // the component. Costs one outer step.
-                    q.set_mem(s.shared.clone());
+                    // Activation: move the shared memory in, then enter the
+                    // component. Costs one outer step.
+                    q.set_mem(std::mem::take(&mut s.shared));
                     events.push(Event::Annot(format!("sched:{k}")));
                     let comp = self.component(k);
-                    if !comp.accepts(&q) {
-                        s.threads[k] = Slot::Fresh(q);
-                        return Batch::Stuck(
-                            used,
-                            Stuck::new(format!("threaded: thread {k} question not in domain")),
-                        );
-                    }
-                    match comp.initial(&q) {
+                    let entered = if comp.accepts(&q) {
+                        comp.initial(&q)
+                    } else {
+                        Err(Stuck::new(format!(
+                            "threaded: thread {k} question not in domain"
+                        )))
+                    };
+                    match entered {
                         Ok(st) => {
                             s.threads[k] = Slot::Live(st);
                             used += 1;
                         }
                         Err(stuck) => {
+                            s.shared = q.take_mem();
                             s.threads[k] = Slot::Fresh(q);
                             return Batch::Stuck(used, stuck);
                         }
                     }
                 }
-                Slot::Ready(st, mut ans) => {
-                    // Hand the (memory-updated) answer back to the thread
-                    // suspended on it. Costs one outer step.
-                    ans.set_mem(s.shared.clone());
+                Slot::Ready(mut st, mut ans) => {
+                    // Move the shared memory into the parked answer and
+                    // resume the thread in place. Costs one outer step.
+                    ans.set_mem(std::mem::take(&mut s.shared));
                     events.push(Event::Annot(format!("sched:{k}")));
-                    match self.component(k).resume(&st, ans.clone()) {
-                        Ok(st2) => {
-                            s.threads[k] = Slot::Live(st2);
-                            used += 1;
-                        }
-                        Err(stuck) => {
-                            s.threads[k] = Slot::Ready(st, ans);
-                            return Batch::Stuck(used, stuck);
-                        }
+                    let resumed = self.component(k).resume(&mut st, ans);
+                    s.threads[k] = Slot::Live(st);
+                    match resumed {
+                        Ok(()) => used += 1,
+                        Err(stuck) => return Batch::Stuck(used, stuck),
                     }
                 }
                 Slot::Live(mut st) => {
@@ -434,18 +438,18 @@ where
                             s.threads[k] = Slot::Live(st);
                             used += n;
                         }
-                        Batch::Final(n, a) => {
-                            // Completion: adopt the thread's memory, retire
-                            // it, reschedule. Costs one outer step (the
-                            // inner contract guarantees n < fuel_left-used,
-                            // so the +1 still fits).
+                        Batch::Final(n, mut a) => {
+                            // Completion: take back the thread's memory,
+                            // retire it, reschedule. Costs one outer step
+                            // (the inner contract guarantees
+                            // n < fuel_left-used, so the +1 still fits).
                             used += n;
-                            s.shared = a.mem().clone();
                             let label = match &self.render_exit {
                                 Some(r) => format!("exit:{k}={}", r(&a)),
                                 None => format!("exit:{k}"),
                             };
                             events.push(Event::Annot(label));
+                            s.shared = a.take_mem();
                             s.threads[k] = Slot::Done(a);
                             used += 1;
                             s.schedule_next();
@@ -478,35 +482,41 @@ where
         }
     }
 
-    fn resume(&self, s: &Self::State, a: Answer<Self::O>) -> Result<Self::State, Stuck> {
+    fn resume(&self, s: &mut Self::State, mut a: Answer<Self::O>) -> Result<(), Stuck> {
         // The environment answered the current thread's external call: its
-        // answer memory becomes the shared memory, the thread parks Ready
+        // answer memory moves into the shared memory, the thread parks Ready
         // (the inner resume happens at its next dispatch), and the yield
         // point triggers a schedule decision.
-        let mut s2 = s.clone();
-        let k = s2.cur;
-        match std::mem::replace(&mut s2.threads[k], Slot::Vacant) {
+        let k = s.cur;
+        match std::mem::replace(&mut s.threads[k], Slot::Vacant) {
             Slot::Live(st) => {
-                s2.shared = a.mem().clone();
-                s2.threads[k] = Slot::Ready(st, a);
-                s2.schedule_next();
-                Ok(s2)
+                s.shared = a.take_mem();
+                s.threads[k] = Slot::Ready(st, a);
+                s.schedule_next();
+                Ok(())
             }
             other => {
-                s2.threads[k] = other;
+                s.threads[k] = other;
                 Err(Stuck::new("threaded: resume with no suspended thread"))
             }
         }
     }
 
     fn measure(&self, s: &Self::State) -> StateMeasure {
-        let mut m = StateMeasure::default();
+        // The threads share one memory, counted once: the running (`Live`)
+        // thread holds it, and between slices `shared` does. Call depth adds
+        // up over the threads.
+        let mut m = StateMeasure {
+            mem_bytes: s.shared.allocated_bytes(),
+            call_depth: 0,
+        };
         for (k, t) in s.threads.iter().enumerate() {
-            match t {
-                Slot::Live(st) | Slot::Ready(st, _) => {
-                    m = m.combine(self.component(k).measure(st));
+            if let Slot::Live(st) | Slot::Ready(st, _) = t {
+                let tm = self.component(k).measure(st);
+                m.call_depth = m.call_depth.saturating_add(tm.call_depth);
+                if let Slot::Live(_) = t {
+                    m.mem_bytes = tm.mem_bytes;
                 }
-                _ => {}
             }
         }
         m
@@ -583,9 +593,12 @@ mod tests {
             }
         }
 
-        fn resume(&self, s: &BState, a: CReply) -> Result<BState, Stuck> {
+        fn resume(&self, s: &mut BState, a: CReply) -> Result<(), Stuck> {
             match s {
-                BState::Loaded(orig, _) => Ok(BState::Storing(*orig, a.retval, a.mem)),
+                BState::Loaded(orig, _) => {
+                    *s = BState::Storing(*orig, a.retval, a.mem);
+                    Ok(())
+                }
                 _ => Err(Stuck::new("resume in non-external state")),
             }
         }

@@ -70,9 +70,12 @@ impl Lts for Countdown {
         }
     }
 
-    fn resume(&self, s: &St, a: CReply) -> Result<St, Stuck> {
+    fn resume(&self, s: &mut St, a: CReply) -> Result<(), Stuck> {
         match s {
-            St::Start(_, _) => Ok(St::Done(a.retval, a.mem)),
+            St::Start(_, _) => {
+                *s = St::Done(a.retval, a.mem);
+                Ok(())
+            }
             _ => Err(Stuck::new("bad resume")),
         }
     }

@@ -56,7 +56,7 @@ impl Lts for Stepper {
         }
     }
 
-    fn resume(&self, _s: &u64, _a: CReply) -> Result<u64, Stuck> {
+    fn resume(&self, _s: &mut u64, _a: CReply) -> Result<(), Stuck> {
         Err(Stuck::new("stepper never suspends"))
     }
 

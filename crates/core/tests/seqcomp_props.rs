@@ -63,9 +63,12 @@ impl Lts for Chainer {
         }
     }
 
-    fn resume(&self, s: &St, a: CReply) -> Result<St, Stuck> {
+    fn resume(&self, s: &mut St, a: CReply) -> Result<(), Stuck> {
         match s {
-            St::Start(_, _) => Ok(St::Done(a.retval.add(Val::Int(1)), a.mem)),
+            St::Start(_, _) => {
+                *s = St::Done(a.retval.add(Val::Int(1)), a.mem);
+                Ok(())
+            }
             _ => Err(Stuck::new("bad resume")),
         }
     }

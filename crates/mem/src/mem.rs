@@ -177,9 +177,10 @@ impl BlockData {
 pub struct Mem {
     // Copy-on-write: cloning a memory state is O(#blocks) pointer copies;
     // mutation clones only the touched block (`Arc::make_mut`). Interpreter
-    // batches mutate memory in place; whole states are cloned at query
-    // transport, threaded dispatch and resume, ring-traced steps, and the
-    // one-transition steps of ⊕, ∘ and the simulation checker.
+    // batches mutate memory in place, and resume and the threaded hand-off
+    // move it; whole states are cloned at query transport, ring-traced
+    // steps, and the one-transition steps of ⊕, ∘ and the simulation
+    // checker.
     blocks: Vec<Option<Arc<BlockData>>>,
     // Total bytes of currently-valid blocks, maintained by `alloc`/`free`.
     // Invariant: `live_bytes == Σ (hi - lo)` over valid blocks, so the

@@ -535,23 +535,34 @@ impl<L: StructLang> Lts for StructSem<L> {
         }
     }
 
-    fn resume(&self, s: &Self::State, a: CReply) -> Result<Self::State, Stuck> {
-        match s {
+    fn resume(&self, s: &mut Self::State, a: CReply) -> Result<(), Stuck> {
+        let hole = GState::Returning {
+            v: Val::Undef,
+            mem: Mem::new(),
+            kont: GKont::Stop,
+        };
+        match std::mem::replace(s, hole) {
             GState::External {
-                dest, frame, kont, ..
+                dest,
+                mut frame,
+                kont,
+                ..
             } => {
-                let mut frame = frame.clone();
                 if let Some(t) = dest {
-                    frame.temps.insert(*t, a.retval);
+                    frame.temps.insert(t, a.retval);
                 }
-                Ok(GState::Stmt {
+                *s = GState::Stmt {
                     s: GStmt::Skip,
                     frame,
-                    kont: kont.clone(),
+                    kont,
                     mem: a.mem,
-                })
+                };
+                Ok(())
             }
-            _ => self.stuck("resume in non-external state"),
+            other => {
+                *s = other;
+                self.stuck("resume in non-external state")
+            }
         }
     }
 }

@@ -56,14 +56,17 @@ impl Lts for NicModel {
         }
     }
 
-    fn resume(&self, s: &NicState, a: NetReply) -> Result<NicState, Stuck> {
-        match (s, a) {
-            (NicState::TxWaiting(_), NetReply::Sent) => Ok(NicState::Done(0)),
-            (NicState::RxWaiting, NetReply::Delivered(f)) => Ok(NicState::Done(f.unwrap_or(-1))),
-            (s, a) => Err(Stuck::new(format!(
-                "NIC: unexpected medium reply {a:?} in state {s:?}"
-            ))),
-        }
+    fn resume(&self, s: &mut NicState, a: NetReply) -> Result<(), Stuck> {
+        *s = match (&*s, a) {
+            (NicState::TxWaiting(_), NetReply::Sent) => NicState::Done(0),
+            (NicState::RxWaiting, NetReply::Delivered(f)) => NicState::Done(f.unwrap_or(-1)),
+            (s, a) => {
+                return Err(Stuck::new(format!(
+                    "NIC: unexpected medium reply {a:?} in state {s:?}"
+                )))
+            }
+        };
+        Ok(())
     }
 }
 

@@ -105,9 +105,12 @@ impl Lts for IoAtC {
         }
     }
 
-    fn resume(&self, s: &IoCState, a: IoReply) -> Result<IoCState, Stuck> {
+    fn resume(&self, s: &mut IoCState, a: IoReply) -> Result<(), Stuck> {
         match s {
-            IoCState::Waiting(_, mem) => Ok(IoCState::Done(a.0, mem.clone())),
+            IoCState::Waiting(_, mem) => {
+                *s = IoCState::Done(a.0, std::mem::take(mem));
+                Ok(())
+            }
             _ => Err(Stuck::new("σ_io: resume in non-waiting state")),
         }
     }
@@ -196,9 +199,12 @@ impl Lts for IoAtA {
         }
     }
 
-    fn resume(&self, s: &IoAState, a: IoReply) -> Result<IoAState, Stuck> {
+    fn resume(&self, s: &mut IoAState, a: IoReply) -> Result<(), Stuck> {
         match s {
-            IoAState::Waiting(_, q) => Ok(IoAState::Done(a.0, q.clone())),
+            IoAState::Waiting(_, q) => {
+                *s = IoAState::Done(a.0, std::mem::take(q));
+                Ok(())
+            }
             _ => Err(Stuck::new("σ'_io: resume in non-waiting state")),
         }
     }

@@ -25,7 +25,7 @@ pub struct RtlSem {
 
 /// An RTL activation: the running function and µop (dense indices into the
 /// prepared program), a dense register file and the stack block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RtlFrame {
     pub(crate) fidx: u32,
     pub(crate) ix: u32,
@@ -180,29 +180,29 @@ impl Lts for RtlSem {
         fast::step_batch(self, s, fuel_left)
     }
 
-    fn resume(&self, s: &RtlState, a: CReply) -> Result<RtlState, Stuck> {
-        match s {
-            RtlState::External { cur, stack, .. } => {
-                // A poisoned index marks a tail call: forward the answer.
-                if cur.ix == fast::TAILCALL_IX {
-                    return Ok(RtlState::Ret {
-                        v: a.retval,
-                        mem: a.mem,
-                        stack: stack.clone(),
-                    });
-                }
-                let mut frame = cur.clone();
-                if !fast::return_into(&self.fast, &mut frame, a.retval) {
-                    return self.stuck("external frame pc is not at a call");
-                }
-                Ok(RtlState::Exec {
-                    cur: frame,
-                    mem: a.mem,
-                    stack: stack.clone(),
-                })
+    fn resume(&self, s: &mut RtlState, a: CReply) -> Result<(), Stuck> {
+        let RtlState::External { cur, stack, .. } = s else {
+            return self.stuck("resume in non-external state");
+        };
+        // A poisoned index marks a tail call: forward the answer.
+        let resumed = if cur.ix == fast::TAILCALL_IX {
+            RtlState::Ret {
+                v: a.retval,
+                mem: a.mem,
+                stack: std::mem::take(stack),
             }
-            _ => self.stuck("resume in non-external state"),
-        }
+        } else if fast::return_into(&self.fast, cur, a.retval) {
+            RtlState::Exec {
+                cur: std::mem::take(cur),
+                mem: a.mem,
+                stack: std::mem::take(stack),
+            }
+        } else {
+            // `return_into` leaves the frame alone when it fails.
+            return self.stuck("external frame pc is not at a call");
+        };
+        *s = resumed;
+        Ok(())
     }
 
     fn measure(&self, s: &RtlState) -> compcerto_core::lts::StateMeasure {
