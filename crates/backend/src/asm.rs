@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use compcerto_core::iface::{ARegs, Signature, A};
-use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::regs::{Mreg, Regset};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Val};
@@ -293,10 +293,6 @@ impl Lts for AsmSem {
             mem: q.mem.clone(),
             ra0: q.rs.ra,
         })
-    }
-
-    fn step(&self, s: &AsmState) -> Step<AsmState, ARegs, ARegs> {
-        step_via_batch(self, s)
     }
 
     /// The instruction semantics (DESIGN.md §13), run in place. Code-block

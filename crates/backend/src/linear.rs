@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use compcerto_core::iface::{LQuery, LReply, Signature, L};
-use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::regs::{Loc, Locset, Mreg};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Mem, Val};
@@ -241,10 +241,6 @@ impl Lts for LinearSem {
             mem: q.mem.clone(),
             stack: vec![],
         })
-    }
-
-    fn step(&self, s: &LinState) -> Step<LinState, LQuery, LReply> {
-        step_via_batch(self, s)
     }
 
     /// The instruction semantics (DESIGN.md §13), run in place: no

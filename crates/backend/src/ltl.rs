@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use compcerto_core::iface::{abi, LQuery, LReply, Signature, L};
-use compcerto_core::lts::{Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::regs::{Loc, Locset, Mreg};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Mem, Val};
@@ -413,8 +413,14 @@ impl Lts for LtlSem {
         })
     }
 
-    fn step(&self, s: &LtlState) -> Step<LtlState, LQuery, LReply> {
-        match s {
+    fn step_batch(
+        &self,
+        s: &mut LtlState,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<LQuery, LReply> {
+        // One transition per batch.
+        let next = match &*s {
             LtlState::Call {
                 fname,
                 ls,
@@ -422,66 +428,65 @@ impl Lts for LtlSem {
                 stack,
             } => {
                 let Some(f) = self.prog.function(fname) else {
-                    return Step::Stuck(Stuck::new(format!("unknown function `{fname}`")));
+                    return Batch::Stuck(0, Stuck::new(format!("unknown function `{fname}`")));
                 };
                 let mut mem = mem.clone();
                 let sp = mem.alloc(0, f.stack_size);
                 // Callee view: the caller's outgoing slots become incoming.
                 let entry_ls = ls.shift_incoming();
-                Step::Internal(
-                    LtlState::Exec {
-                        cur: LtlFrame {
-                            fname: fname.clone(),
-                            pc: f.entry,
-                            ls: entry_ls.clone(),
-                            entry_ls,
-                            sp,
-                        },
-                        mem,
-                        stack: stack.clone(),
+                LtlState::Exec {
+                    cur: LtlFrame {
+                        fname: fname.clone(),
+                        pc: f.entry,
+                        ls: entry_ls.clone(),
+                        entry_ls,
+                        sp,
                     },
-                    vec![],
-                )
+                    mem,
+                    stack: stack.clone(),
+                }
             }
             LtlState::Exec { cur, mem, stack } => {
                 let Some(f) = self.prog.function(&cur.fname) else {
-                    return Step::Stuck(Stuck::new("frame names unknown function"));
+                    return Batch::Stuck(0, Stuck::new("frame names unknown function"));
                 };
                 match self.exec_inst(f, cur, mem, stack) {
-                    Ok(next) => Step::Internal(next, vec![]),
-                    Err(stuck) => Step::Stuck(stuck),
+                    Ok(next) => next,
+                    Err(stuck) => return Batch::Stuck(0, stuck),
                 }
             }
             LtlState::Ret { ls, mem, stack } => {
                 if stack.is_empty() {
-                    return Step::Final(LReply {
-                        ls: ls.clone(),
-                        mem: mem.clone(),
-                    });
+                    return Batch::Final(
+                        0,
+                        LReply {
+                            ls: ls.clone(),
+                            mem: mem.clone(),
+                        },
+                    );
                 }
                 let mut stack = stack.clone();
                 let Some(mut caller) = stack.pop() else {
-                    return Step::Stuck(Stuck::new("return with no caller frame"));
+                    return Batch::Stuck(0, Stuck::new("return with no caller frame"));
                 };
                 let Some(cf) = self.prog.function(&caller.fname) else {
-                    return Step::Stuck(Stuck::new("caller frame names unknown function"));
+                    return Batch::Stuck(0, Stuck::new("caller frame names unknown function"));
                 };
                 let Some(LtlInst::Call(_, _, next)) = cf.code.get(&caller.pc) else {
-                    return Step::Stuck(Stuck::new("caller pc is not at a call"));
+                    return Batch::Stuck(0, Stuck::new("caller pc is not at a call"));
                 };
                 caller.ls = return_regs(&caller.ls, ls);
                 caller.pc = *next;
-                Step::Internal(
-                    LtlState::Exec {
-                        cur: caller,
-                        mem: mem.clone(),
-                        stack,
-                    },
-                    vec![],
-                )
+                LtlState::Exec {
+                    cur: caller,
+                    mem: mem.clone(),
+                    stack,
+                }
             }
-            LtlState::External { q, .. } => Step::External(q.clone()),
-        }
+            LtlState::External { q, .. } => return Batch::External(0, q.clone()),
+        };
+        *s = next;
+        Batch::Ran(1)
     }
 
     fn resume(&self, s: &mut LtlState, a: LReply) -> Result<(), Stuck> {

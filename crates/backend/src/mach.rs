@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use compcerto_core::iface::{MQuery, MReply, Signature, M};
-use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::regs::{Mreg, NREGS};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Mem, Val};
@@ -291,10 +291,6 @@ impl Lts for MachSem {
             mem: q.mem.clone(),
             stack: vec![],
         })
-    }
-
-    fn step(&self, s: &MachState) -> Step<MachState, MQuery, MReply> {
-        step_via_batch(self, s)
     }
 
     /// The instruction semantics (DESIGN.md §13), run in place with

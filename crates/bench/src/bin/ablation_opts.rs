@@ -123,7 +123,7 @@ fn main() {
             for args in queries {
                 let q = c_query(&tbl, &units[0], "entry", args.clone());
                 let report = check_thm38(&units[0], &tbl, &lib, &q)
-                    .unwrap_or_else(|e| panic!("{}: {e}", c.label));
+                    .unwrap_or_else(|e| fail(format!("{}: {e}", c.label)));
                 src_steps += report.source_steps;
                 tgt_steps += report.target_steps;
             }

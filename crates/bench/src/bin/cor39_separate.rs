@@ -44,13 +44,13 @@ fn main() {
         for x in [0, 3, -7, 11] {
             let q = c_query(&tbl, &units[0], "top", vec![Val::Int(x)]);
             let report = check_cor39(&units[0], &units[1], &tbl, &lib, &q)
-                .unwrap_or_else(|e| panic!("depth {depth}, top({x}): {e}"));
+                .unwrap_or_else(|e| fail(format!("depth {depth}, top({x}): {e}")));
             crossings += report.external_calls;
             let (_, qa) = Ca::new(tbl.len() as u32)
                 .transport_query(&q)
                 .unwrap_or_else(|| fail(format!("depth {depth}: C query does not transport")));
             check_thm35(&units[0].asm, &units[1].asm, &tbl, &lib, &qa)
-                .unwrap_or_else(|e| panic!("depth {depth} thm35: {e}"));
+                .unwrap_or_else(|e| fail(format!("depth {depth} thm35: {e}")));
         }
         println!(
             "{depth:<12}{queries:>10}{:>12}{:>14}{crossings:>12}",

@@ -57,7 +57,7 @@ fn main() {
                         .unwrap_or_else(|e| fail(format!("x• does not resume: {e}")));
                 }
                 Step::Final(r) => break r, // rule i•
-                Step::Stuck(x) => panic!("stuck: {x}"),
+                Step::Stuck(x) => fail(format!("stuck: {x}")),
             }
         };
         println!(
@@ -75,6 +75,8 @@ fn main() {
         .unwrap_or_else(|e| fail(format!("Fig. 1 units do not compile: {e:?}")));
     let comp = HComp::new(units[0].clight_sem(&tbl), units[1].clight_sem(&tbl));
     let q = c_query(&tbl, &units[0], "sqr", vec![Val::Int(3)]);
-    let r = compcerto_core::lts::run(&comp, &q, &mut |_m| None, 10_000).expect_complete();
+    let r = compcerto_core::lts::run(&comp, &q, &mut |_m| None, 10_000)
+        .into_answer()
+        .unwrap_or_else(|e| fail(format!("sqr(3) does not complete: {e}")));
     println!("\npaper Eqn. (2): sqr(3) · mult(3,3) · 9 · {}", r.retval);
 }

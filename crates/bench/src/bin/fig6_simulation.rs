@@ -3,6 +3,7 @@
 //! initial-state, external-state and final-state edge is verified on the
 //! end-to-end pipeline.
 
+use bench::fail;
 use compiler::{
     c_query, check_thm38, compile_all, CompilerOptions, ExtLib, WorkloadCfg, WorkloadGen,
 };
@@ -28,7 +29,7 @@ fn main() {
     for i in 0..programs {
         let (src, arity) = g.gen_program(&cfg);
         let (units, tbl) = compile_all(&[&src], CompilerOptions::default())
-            .unwrap_or_else(|e| panic!("program {i} does not compile: {e}"));
+            .unwrap_or_else(|e| fail(format!("program {i} does not compile: {e}")));
         let lib = ExtLib::demo(tbl.clone());
         let mut ext = 0usize;
         let mut s_steps = 0u64;
@@ -36,7 +37,7 @@ fn main() {
         for args in g.gen_queries(arity, queries) {
             let q = c_query(&tbl, &units[0], "entry", args.clone());
             let report = check_thm38(&units[0], &tbl, &lib, &q)
-                .unwrap_or_else(|e| panic!("program {i}, args {args:?}: {e}\n{src}"));
+                .unwrap_or_else(|e| fail(format!("program {i}, args {args:?}: {e}\n{src}")));
             ext += report.external_calls;
             s_steps += report.source_steps;
             t_steps += report.target_steps;

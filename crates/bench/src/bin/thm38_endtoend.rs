@@ -3,6 +3,7 @@
 //! and without the optional optimizations (the convention `C` must be
 //! insensitive to them, paper §3.4).
 
+use bench::fail;
 use compiler::{
     c_query, check_thm38, compile_all, CompilerOptions, ExtLib, WorkloadCfg, WorkloadGen,
 };
@@ -30,12 +31,13 @@ fn main() {
         for i in 0..programs {
             let (src, arity) = g.gen_program(&cfg);
             let (units, tbl) =
-                compile_all(&[&src], opts).unwrap_or_else(|e| panic!("prog {i}: {e}"));
+                compile_all(&[&src], opts).unwrap_or_else(|e| fail(format!("prog {i}: {e}")));
             let lib = ExtLib::demo(tbl.clone());
             for args in g.gen_queries(arity, queries_per) {
                 let q = c_query(&tbl, &units[0], "entry", args.clone());
-                let report = check_thm38(&units[0], &tbl, &lib, &q)
-                    .unwrap_or_else(|e| panic!("{label} prog {i} args {args:?}: {e}\n{src}"));
+                let report = check_thm38(&units[0], &tbl, &lib, &q).unwrap_or_else(|e| {
+                    fail(format!("{label} prog {i} args {args:?}: {e}\n{src}"))
+                });
                 externals += report.external_calls;
                 tgt_steps += report.target_steps;
                 checked += 1;

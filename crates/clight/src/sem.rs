@@ -12,7 +12,7 @@
 //! place, and `step` is the same loop at fuel 1.
 
 use compcerto_core::iface::{CQuery, CReply, C};
-use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::symtab::SymbolTable;
 use mem::{Mem, Val};
 
@@ -168,10 +168,6 @@ impl Lts for ClightSem {
             mem: q.mem.clone(),
             kont: fast::PKont::Stop,
         })
-    }
-
-    fn step(&self, s: &State) -> Step<State, CQuery, CReply> {
-        step_via_batch(self, s)
     }
 
     fn step_batch(

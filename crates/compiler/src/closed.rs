@@ -15,7 +15,7 @@
 //! not a separate theory.
 
 use compcerto_core::iface::{CQuery, One, Signature, Void, C, W};
-use compcerto_core::lts::{Event, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::symtab::SymbolTable;
 use mem::{Typ, Val};
 
@@ -55,7 +55,8 @@ where
         }
     }
 
-    fn main_query(&self) -> Result<CQuery, Stuck> {
+    /// Load the initial memory and enter `main`: the answer to `*`.
+    fn enter_main(&self) -> Result<L::State, Stuck> {
         let vf = self
             .symtab
             .func_ptr(&self.main)
@@ -64,11 +65,37 @@ where
             .symtab
             .build_init_mem()
             .map_err(|e| Stuck::new(format!("loader: {e}")))?;
-        Ok(CQuery {
+        let q = CQuery {
             vf,
             sig: Signature::new(vec![], Some(Typ::I32)),
             args: vec![],
             mem,
+        };
+        if !self.inner.accepts(&q) {
+            let why = format!("`{}` is not defined by the component", self.main);
+            return Err(Stuck::new(why));
+        }
+        self.inner.initial(&q)
+    }
+
+    /// Answer the inner component's call `q` through χ and resume `st` with
+    /// the reply. The call becomes a syscall event (paper §2.2: interaction
+    /// with the environment is a sequence of events).
+    fn answer_call(&self, st: &mut L::State, q: CQuery) -> Result<Event, Stuck> {
+        let Some(reply) = self.chi.answer_c(&q) else {
+            let why = format!("χ does not define the external function {:?}", q.vf);
+            return Err(Stuck::new(why));
+        };
+        let name = match q.vf {
+            Val::Ptr(b, 0) => self.symtab.ident_of(b).unwrap_or("<unknown>").to_string(),
+            _ => "<indirect>".into(),
+        };
+        let result = reply.retval;
+        self.inner.resume(st, reply)?;
+        Ok(Event::Syscall {
+            name,
+            args: q.args,
+            result,
         })
     }
 }
@@ -93,61 +120,49 @@ where
         Ok(ClosedState::Boot)
     }
 
-    fn step(&self, s: &Self::State) -> Step<Self::State, Void, i32> {
-        match s {
-            ClosedState::Boot => {
-                let q = match self.main_query() {
-                    Ok(q) => q,
-                    Err(stuck) => return Step::Stuck(stuck),
-                };
-                if !self.inner.accepts(&q) {
-                    return Step::Stuck(Stuck::new(format!(
-                        "`{}` is not defined by the component",
-                        self.main
-                    )));
-                }
-                match self.inner.initial(&q) {
-                    Ok(st) => Step::Internal(ClosedState::Running(st), vec![]),
-                    Err(stuck) => Step::Stuck(stuck),
-                }
+    fn step_batch(
+        &self,
+        s: &mut Self::State,
+        fuel_left: u64,
+        events: &mut Vec<Event>,
+    ) -> Batch<Void, i32> {
+        let mut used = 0;
+        loop {
+            if used == fuel_left {
+                return Batch::Ran(used);
             }
-            ClosedState::Running(st) => match self.inner.step(st) {
-                Step::Internal(st2, evs) => Step::Internal(ClosedState::Running(st2), evs),
-                Step::Final(reply) => match reply.retval {
-                    Val::Int(code) => Step::Final(code),
-                    other => Step::Stuck(Stuck::new(format!(
-                        "main returned a non-int exit status: {other}"
-                    ))),
-                },
-                // χ answers every external call; the call becomes a syscall
-                // event in the trace (paper §2.2: interaction with the
-                // environment is a sequence of events).
-                Step::External(q) => match self.chi.answer_c(&q) {
-                    Some(reply) => {
-                        let name = match q.vf {
-                            Val::Ptr(b, 0) => {
-                                self.symtab.ident_of(b).unwrap_or("<unknown>").to_string()
-                            }
-                            _ => "<indirect>".into(),
-                        };
-                        let ev = Event::Syscall {
-                            name,
-                            args: q.args.clone(),
-                            result: reply.retval,
-                        };
-                        let mut st = st.clone();
-                        match self.inner.resume(&mut st, reply) {
-                            Ok(()) => Step::Internal(ClosedState::Running(st), vec![ev]),
-                            Err(stuck) => Step::Stuck(stuck),
+            let ClosedState::Running(st) = s else {
+                // Loading and entering `main` costs one step.
+                match self.enter_main() {
+                    Ok(st) => *s = ClosedState::Running(st),
+                    Err(stuck) => return Batch::Stuck(used, stuck),
+                }
+                used += 1;
+                continue;
+            };
+            match self.inner.step_batch(st, fuel_left - used, events) {
+                Batch::Ran(n) => used += n,
+                Batch::Final(n, reply) => {
+                    return match reply.retval {
+                        Val::Int(code) => Batch::Final(used + n, code),
+                        other => {
+                            let why = format!("main returned a non-int exit status: {other}");
+                            Batch::Stuck(used + n, Stuck::new(why))
                         }
                     }
-                    None => Step::Stuck(Stuck::new(format!(
-                        "χ does not define the external function {:?}",
-                        q.vf
-                    ))),
-                },
-                Step::Stuck(stuck) => Step::Stuck(stuck),
-            },
+                }
+                // χ answers every external call in one step (the batch
+                // contract leaves `used < fuel_left`, so it fits).
+                Batch::External(n, q) => {
+                    used += n;
+                    match self.answer_call(st, q) {
+                        Ok(ev) => events.push(ev),
+                        Err(stuck) => return Batch::Stuck(used, stuck),
+                    }
+                    used += 1;
+                }
+                Batch::Stuck(n, stuck) => return Batch::Stuck(used + n, stuck),
+            }
         }
     }
 

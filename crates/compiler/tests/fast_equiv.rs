@@ -9,14 +9,23 @@
 //! `lts.*` counter deltas (steps, external calls, outcomes). In particular,
 //! fuel-1 batches commit one half of a fused RTL pair per step, so this
 //! also checks fused dispatch against unfused stepping end to end.
+//!
+//! The two-unit seeds also run the Thm 3.5 check (`Asm(p1) ⊕ Asm(p2)`
+//! against the linked Asm) under both budgets: the composite batches
+//! through its push/pop rules and the checker shares the runner's loop, so
+//! the reports (or error texts) and `lts.sim_steps` must match too.
 
+use compcerto_core::cc::Ca;
+use compcerto_core::conv::SimConv;
 use compcerto_core::iface::CQuery;
 use compcerto_core::lts::RunBudget;
 use compcerto_core::obs;
+use compcerto_core::sim::{SimCheckError, SimCheckReport};
 use compcerto_gen::generate::gen_queries;
 use compcerto_gen::{generate, GenCfg};
 use compiler::{
-    check_query, compile_all, CompilerOptions, ExtLib, QueryVerdict, StagePrograms,
+    check_query, check_thm35_budgeted, compile_all, CompilerOptions, ExtLib, QueryVerdict,
+    StagePrograms,
 };
 use mem::Val;
 
@@ -28,6 +37,16 @@ const QUERIES: usize = 3;
 /// Fuel per stage execution (the difftest default).
 const FUEL: u64 = 2_000_000;
 
+fn thm35_repr(r: &Result<SimCheckReport, SimCheckError>) -> String {
+    match r {
+        Ok(rep) => format!(
+            "ok: {} calls, {}/{} steps, events {:?}",
+            rep.external_calls, rep.source_steps, rep.target_steps, rep.source_trace
+        ),
+        Err(e) => format!("err: {e}"),
+    }
+}
+
 fn verdict_repr(v: &QueryVerdict) -> String {
     match v {
         QueryVerdict::Agree(obs) => format!("agree:{obs}"),
@@ -38,6 +57,7 @@ fn verdict_repr(v: &QueryVerdict) -> String {
 
 #[test]
 fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
+    let mut thm35_checks = 0;
     for seed in 0..SEEDS {
         let prog = generate(seed, &GenCfg::default());
         let srcs = prog.render();
@@ -81,6 +101,37 @@ fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
                 ds, dw,
                 "seed {seed} args {args:?}: lts.* counters diverged between chunk sizes"
             );
+
+            if units.len() == 2 {
+                let Some((_, qa)) = Ca::new(symtab.len() as u32).transport_query(&q) else {
+                    continue;
+                };
+                let thm35 = |budget: &RunBudget| {
+                    let c = obs::counters();
+                    let r = check_thm35_budgeted(
+                        &units[0].asm,
+                        &units[1].asm,
+                        &symtab,
+                        &lib,
+                        &qa,
+                        budget,
+                    );
+                    (thm35_repr(&r), obs::counters().since(&c))
+                };
+                let (rs, cs) = thm35(&stepped);
+                let (rw, cw) = thm35(&whole);
+                assert_eq!(rs, rw, "seed {seed} args {args:?}: thm35 diverged");
+                assert!(
+                    cs.sim_steps > 0,
+                    "seed {seed} args {args:?}: thm35 ran no steps"
+                );
+                assert_eq!(
+                    cs, cw,
+                    "seed {seed} args {args:?}: thm35 lts.* counters diverged"
+                );
+                thm35_checks += 1;
+            }
         }
     }
+    assert!(thm35_checks > 0, "the seed block has two-unit seeds");
 }

@@ -17,13 +17,20 @@
 //! * every chunk policy of the run loop — one step per batch (ring trace,
 //!   JSON trace, quotas), stride-aligned batches (deadline) and whole-fuel
 //!   batches (no trace) — agrees at the boundary fuels.
+//!
+//! The composites batch too: `Clight ⊕ Clight` and `Closed` over it get the
+//! same boundary sweep, and each of their rules (push, pop, boot, a call
+//! that χ answers) is pinned to cost exactly one step.
 
 use std::time::Duration;
 
-use compcerto_core::iface::CQuery;
-use compcerto_core::lts::RunBudget;
+use compcerto_core::hcomp::HComp;
+use compcerto_core::iface::{Answer, CQuery, Question, Void};
+use compcerto_core::lts::{run_budgeted, Env, Lts, RunBudget, RunOutcome};
+use compcerto_core::obs::{self, LtsCounters};
 use compiler::{
-    compile_all, run_stage, CompilerOptions, ExtLib, Obs, StageOutcome, StagePrograms, STAGES,
+    c_query, compile_all, run_stage, Closed, CompilerOptions, ExtLib, Obs, StageOutcome,
+    StagePrograms, STAGES,
 };
 use mem::Val;
 
@@ -127,7 +134,10 @@ fn fuel_boundaries_are_exact_on_every_stage() {
             run_with(&fx, stage, &RunBudget::with_fuel(minimal + 1).no_trace()),
             stage,
         );
-        assert_eq!(plus_one, want, "{stage}: surplus fuel changed the observation");
+        assert_eq!(
+            plus_one, want,
+            "{stage}: surplus fuel changed the observation"
+        );
     }
 }
 
@@ -182,4 +192,178 @@ fn traced_and_batched_paths_agree_at_the_boundary() {
         // The JSON runs leave their events in this thread's sink.
         let _ = compcerto_core::obs::take_trace();
     }
+}
+
+/// Two units for the composites: `run` (unit A) calls `addk` across the
+/// boundary and `inc` out to the environment, often enough that a run
+/// crosses a deadline stride; `main` enters it from `Closed`.
+const CALLER: &str = "
+    extern int addk(int);
+    extern int inc(int);
+    int run(int x) {
+        int i; int s;
+        s = x;
+        for (i = 0; i < 100; i = i + 1) {
+            s = addk(s);
+            s = s - i;
+        }
+        s = inc(s);
+        return s;
+    }
+    int main() { int r; r = run(5); return r; }
+";
+const CALLEE: &str = "int addk(int y) { return y + 3; }";
+
+/// What one budgeted run observes — its outcome (a ring trace aside) — and
+/// the `lts.*` counters it moved.
+fn observe<L: Lts>(
+    lts: &L,
+    q: &Question<L::I>,
+    env: &mut Env<'_, Question<L::O>, Answer<L::O>>,
+    budget: &RunBudget,
+) -> (String, LtsCounters) {
+    let before = obs::counters();
+    let seen = match run_budgeted(lts, q, env, budget) {
+        RunOutcome::Complete {
+            answer,
+            trace,
+            steps,
+        } => format!("{answer:?} after {steps} steps, events {trace:?}"),
+        RunOutcome::OutOfFuel { .. } => "out of fuel".into(),
+        other => format!("{:?}", other.into_answer().err()),
+    };
+    (seen, obs::counters().since(&before))
+}
+
+fn steps_of<A>(out: RunOutcome<A>) -> u64 {
+    match out {
+        RunOutcome::Complete { steps, .. } => steps,
+        other => panic!("expected completion, got {:?}", other.into_answer().err()),
+    }
+}
+
+/// Sweep whole-fuel batches up to `lts`'s minimal completing fuel, then pin
+/// every chunk policy to the same observation and counters one below it
+/// and at it.
+fn composite_boundary<L: Lts>(
+    what: &str,
+    lts: &L,
+    q: &Question<L::I>,
+    env: &mut Env<'_, Question<L::O>, Answer<L::O>>,
+) {
+    let policies: [(&str, fn(u64) -> RunBudget); 3] = [
+        ("one step per batch", RunBudget::with_fuel),
+        ("stride", |fuel| {
+            RunBudget::with_fuel(fuel)
+                .deadline(Duration::from_secs(3600))
+                .no_trace()
+        }),
+        ("whole fuel", |fuel| RunBudget::with_fuel(fuel).no_trace()),
+    ];
+    let whole = policies[2].1;
+    let minimal = (0..FUEL_CAP)
+        .find(|&fuel| {
+            matches!(
+                run_budgeted(lts, q, env, &whole(fuel)),
+                RunOutcome::Complete { .. }
+            )
+        })
+        .unwrap_or_else(|| panic!("{what}: no completion under {FUEL_CAP}"));
+    // Past the first deadline stride (1024 steps), so stride-aligned
+    // batches really cut the run.
+    assert!(
+        minimal > 1024,
+        "{what}: minimal fuel {minimal} is within one stride"
+    );
+    let reference = [minimal - 1, minimal].map(|fuel| observe(lts, q, env, &whole(fuel)));
+    assert_eq!(reference[0].0, "out of fuel", "{what}");
+    for (policy, budget) in policies {
+        for (i, fuel) in [minimal - 1, minimal].into_iter().enumerate() {
+            assert_eq!(
+                observe(lts, q, env, &budget(fuel)),
+                reference[i],
+                "{what}/{policy} at fuel {fuel}"
+            );
+        }
+    }
+}
+
+#[test]
+fn composites_agree_across_chunk_policies_at_the_boundary() {
+    let (units, symtab) =
+        compile_all(&[CALLER, CALLEE], CompilerOptions::default()).expect("units compile");
+    let lib = ExtLib::demo(symtab.clone());
+    let composed = HComp::new(units[0].clight_sem(&symtab), units[1].clight_sem(&symtab));
+    let q = c_query(&symtab, &units[0], "run", vec![Val::Int(5)]);
+    composite_boundary("⊕", &composed, &q, &mut |m: &CQuery| lib.answer_c(m));
+    let closed = Closed::new(&composed, symtab.clone(), "main", lib.clone());
+    composite_boundary("Closed(⊕)", &closed, &(), &mut |v: &Void| match *v {});
+}
+
+#[test]
+fn every_composition_rule_costs_one_step() {
+    let (units, symtab) =
+        compile_all(&[CALLER, CALLEE], CompilerOptions::default()).expect("units compile");
+    let lib = ExtLib::demo(symtab.clone());
+    let budget = RunBudget::with_fuel(FUEL_CAP).no_trace();
+    let caller = units[0].clight_sem(&symtab);
+    let callee = units[1].clight_sem(&symtab);
+    let composed = HComp::new(units[0].clight_sem(&symtab), units[1].clight_sem(&symtab));
+    let q = c_query(&symtab, &units[0], "run", vec![Val::Int(5)]);
+
+    // The caller alone, with the callee run to completion as its
+    // environment: each answer resumes it in one step.
+    let (mut calls, mut callee_steps) = (0, 0);
+    let alone = run_budgeted(
+        &caller,
+        &q,
+        &mut |m: &CQuery| {
+            if !callee.accepts(m) {
+                return lib.answer_c(m);
+            }
+            calls += 1;
+            match run_budgeted(&callee, m, &mut |_: &CQuery| None, &budget) {
+                RunOutcome::Complete { answer, steps, .. } => {
+                    callee_steps += steps;
+                    Some(answer)
+                }
+                _ => None,
+            }
+        },
+        &budget,
+    );
+    let alone = steps_of(alone);
+    assert!(calls > 0, "the fixture crosses the boundary");
+
+    // ⊕ adds one push per cross call and the callee's own steps; its pop
+    // resumes the caller in one step, as the environment's answer did.
+    let composite = steps_of(run_budgeted(
+        &composed,
+        &q,
+        &mut |m: &CQuery| lib.answer_c(m),
+        &budget,
+    ));
+    assert_eq!(
+        composite,
+        alone + calls + callee_steps,
+        "⊕ over {calls} cross calls"
+    );
+
+    // `Closed` adds one boot step; each call χ answers costs one step, as
+    // the environment's answer does.
+    let main_q = c_query(&symtab, &units[0], "main", vec![]);
+    let main = steps_of(run_budgeted(
+        &composed,
+        &main_q,
+        &mut |m: &CQuery| lib.answer_c(m),
+        &budget,
+    ));
+    let closed = Closed::new(&composed, symtab.clone(), "main", lib.clone());
+    let closed = steps_of(run_budgeted(
+        &closed,
+        &(),
+        &mut |v: &Void| match *v {},
+        &budget,
+    ));
+    assert_eq!(closed, main + 1, "Closed boots in one step");
 }

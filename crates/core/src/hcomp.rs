@@ -7,125 +7,27 @@
 //! environment's answer resumes the innermost suspended activation (rule
 //! *x•*).
 
-use std::fmt;
-use std::rc::Rc;
-
 use crate::iface::{Answer, LanguageInterface, Question};
-use crate::lts::{Lts, Step, Stuck};
-
-/// Which component of the composition a frame belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Left,
-    Right,
-}
+use crate::lts::{Batch, Event, Lts, StateMeasure, Stuck};
 
 /// A suspended or active activation of one of the two components.
 #[derive(Debug, Clone)]
-pub struct Frame<S1, S2> {
-    side: Side,
-    left: Option<S1>,
-    right: Option<S2>,
-}
-
-impl<S1, S2> Frame<S1, S2> {
-    fn left(s: S1) -> Frame<S1, S2> {
-        Frame {
-            side: Side::Left,
-            left: Some(s),
-            right: None,
-        }
-    }
-
-    fn right(s: S2) -> Frame<S1, S2> {
-        Frame {
-            side: Side::Right,
-            left: None,
-            right: Some(s),
-        }
-    }
-}
-
-/// A persistent (structure-shared) stack: cloning is O(1), which keeps each
-/// step of the composite O(active frame) instead of O(recursion depth).
-#[derive(Debug, Clone)]
-pub struct PStack<T>(Option<Rc<PNode<T>>>);
-
-#[derive(Debug, Clone)]
-struct PNode<T> {
-    head: T,
-    len: usize,
-    tail: PStack<T>,
-}
-
-impl<T: Clone> PStack<T> {
-    /// The empty stack.
-    pub fn new() -> PStack<T> {
-        PStack(None)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.0.as_ref().map(|n| n.len).unwrap_or(0)
-    }
-
-    /// Is the stack empty?
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// The stack with `item` pushed.
-    pub fn push(&self, item: T) -> PStack<T> {
-        PStack(Some(Rc::new(PNode {
-            head: item,
-            len: self.len() + 1,
-            tail: self.clone(),
-        })))
-    }
-
-    /// The top element.
-    pub fn top(&self) -> Option<&T> {
-        self.0.as_ref().map(|n| &n.head)
-    }
-
-    /// The top element, mutably: the top node is copied first only when
-    /// another stack shares it.
-    pub fn top_mut(&mut self) -> Option<&mut T> {
-        self.0.as_mut().map(|n| &mut Rc::make_mut(n).head)
-    }
-
-    /// The stack without its top element.
-    pub fn pop(&self) -> Option<(T, PStack<T>)> {
-        self.0.as_ref().map(|n| (n.head.clone(), n.tail.clone()))
-    }
-
-    /// The stack with the top element replaced.
-    pub fn replace_top(&self, item: T) -> PStack<T> {
-        match self.pop() {
-            Some((_, rest)) => rest.push(item),
-            None => PStack::new().push(item),
-        }
-    }
-}
-
-impl<T: Clone> Default for PStack<T> {
-    fn default() -> Self {
-        PStack::new()
-    }
+pub enum Frame<S1, S2> {
+    /// An activation of the left component.
+    Left(S1),
+    /// An activation of the right component.
+    Right(S2),
 }
 
 /// State of the composite: a non-empty stack of activations (the `(S1+S2)*`
-/// of Def. 3.2). The top of the stack is the active component.
+/// of Def. 3.2). The last frame is the active component; the composite
+/// steps it in place, so a transition copies nothing.
 #[derive(Debug, Clone)]
 pub struct HState<S1, S2> {
-    stack: PStack<Frame<S1, S2>>,
+    stack: Vec<Frame<S1, S2>>,
 }
 
-impl<S1, S2> HState<S1, S2>
-where
-    S1: Clone,
-    S2: Clone,
-{
+impl<S1, S2> HState<S1, S2> {
     /// Current activation depth (for tests and diagnostics).
     pub fn depth(&self) -> usize {
         self.stack.len()
@@ -172,18 +74,17 @@ where
 
     /// Resume the suspended activation `f` with `a`, in place.
     fn resume_frame(&self, f: &mut Frame<L1::State, L2::State>, a: Answer<I>) -> Result<(), Stuck> {
-        match (f.side, f.left.as_mut(), f.right.as_mut()) {
-            (Side::Left, Some(st), _) => self.l1.resume(st, a),
-            (Side::Right, _, Some(st)) => self.l2.resume(st, a),
-            _ => Err(Stuck::new("hcomp: frame side/state mismatch")),
+        match f {
+            Frame::Left(st) => self.l1.resume(st, a),
+            Frame::Right(st) => self.l2.resume(st, a),
         }
     }
 
     fn push_for(&self, q: &Question<I>) -> Option<Result<Frame<L1::State, L2::State>, Stuck>> {
         if self.l1.accepts(q) {
-            Some(self.l1.initial(q).map(Frame::left))
+            Some(self.l1.initial(q).map(Frame::Left))
         } else if self.l2.accepts(q) {
-            Some(self.l2.initial(q).map(Frame::right))
+            Some(self.l2.initial(q).map(Frame::Right))
         } else {
             None
         }
@@ -193,8 +94,6 @@ where
 impl<I, L1, L2> Lts for HComp<L1, L2>
 where
     I: LanguageInterface,
-    I::Question: fmt::Debug + Clone,
-    I::Answer: fmt::Debug + Clone,
     L1: Lts<I = I, O = I>,
     L2: Lts<I = I, O = I>,
 {
@@ -214,148 +113,90 @@ where
     fn initial(&self, q: &Question<I>) -> Result<Self::State, Stuck> {
         match self.push_for(q) {
             Some(frame) => Ok(HState {
-                stack: PStack::new().push(frame?),
+                stack: vec![frame?],
             }),
             None => Err(Stuck::new("hcomp: question accepted by neither component")),
         }
     }
 
-    fn step(&self, s: &Self::State) -> Step<Self::State, Question<I>, Answer<I>> {
-        // The stack is non-empty by construction; if a corrupted state ever
-        // violates that, go wrong instead of panicking.
-        let Some(top) = s.stack.top() else {
-            return Step::Stuck(Stuck::new("hcomp: empty activation stack"));
-        };
-        // Run the active component one step.
-        let inner: Step<Frame<L1::State, L2::State>, Question<I>, Answer<I>> = match (
-            top.side,
-            top.left.as_ref(),
-            top.right.as_ref(),
-        ) {
-            (Side::Left, Some(st), _) => match self.l1.step(st) {
-                Step::Internal(st, evs) => Step::Internal(Frame::left(st), evs),
-                Step::Final(a) => Step::Final(a),
-                Step::External(q) => Step::External(q),
-                Step::Stuck(x) => Step::Stuck(x),
-            },
-            (Side::Right, _, Some(st)) => match self.l2.step(st) {
-                Step::Internal(st, evs) => Step::Internal(Frame::right(st), evs),
-                Step::Final(a) => Step::Final(a),
-                Step::External(q) => Step::External(q),
-                Step::Stuck(x) => Step::Stuck(x),
-            },
-            _ => return Step::Stuck(Stuck::new("hcomp: frame side/state mismatch")),
-        };
-        match inner {
-            // Rule "run".
-            Step::Internal(frame, evs) => Step::Internal(
-                HState {
-                    stack: s.stack.replace_top(frame),
-                },
-                evs,
-            ),
-            // Rules i• (empty rest) and "pop" (resume the caller below).
-            Step::Final(a) => {
-                if s.stack.len() == 1 {
-                    Step::Final(a)
-                } else {
-                    let Some((_, rest)) = s.stack.pop() else {
-                        return Step::Stuck(Stuck::new("hcomp: empty activation stack"));
-                    };
-                    let Some((mut caller, below)) = rest.pop() else {
-                        return Step::Stuck(Stuck::new("hcomp: no caller below final frame"));
-                    };
-                    match self.resume_frame(&mut caller, a) {
-                        Ok(()) => Step::Internal(
-                            HState {
-                                stack: below.push(caller),
-                            },
-                            vec![],
-                        ),
-                        Err(stuck) => Step::Stuck(stuck),
-                    }
-                }
+    fn step_batch(
+        &self,
+        s: &mut Self::State,
+        fuel_left: u64,
+        events: &mut Vec<Event>,
+    ) -> Batch<Question<I>, Answer<I>> {
+        let mut used = 0;
+        loop {
+            if used == fuel_left {
+                return Batch::Ran(used);
             }
-            // Rules "push" (cross/self call) and x∘ (escape to environment).
-            Step::External(q) => match self.push_for(&q) {
-                Some(Ok(frame)) => Step::Internal(
-                    HState {
-                        stack: s.stack.push(frame),
-                    },
-                    vec![],
-                ),
-                Some(Err(stuck)) => Step::Stuck(stuck),
-                None => Step::External(q),
-            },
-            Step::Stuck(x) => Step::Stuck(x),
+            // The stack is non-empty by construction; if a corrupted state ever
+            // violates that, go wrong instead of panicking.
+            let Some(top) = s.stack.last_mut() else {
+                return Batch::Stuck(used, Stuck::new("hcomp: empty activation stack"));
+            };
+            // Rule "run": the active component's own batch, in place.
+            let batch = match top {
+                Frame::Left(st) => self.l1.step_batch(st, fuel_left - used, events),
+                Frame::Right(st) => self.l2.step_batch(st, fuel_left - used, events),
+            };
+            match batch {
+                Batch::Ran(n) => used += n,
+                // Rules i• (the only frame answers the environment) and "pop"
+                // (the answer resumes the caller below, one step: the batch
+                // contract leaves `used < fuel_left`, so it fits).
+                Batch::Final(n, a) => {
+                    used += n;
+                    let [.., caller, _] = s.stack.as_mut_slice() else {
+                        return Batch::Final(used, a);
+                    };
+                    if let Err(stuck) = self.resume_frame(caller, a) {
+                        return Batch::Stuck(used, stuck);
+                    }
+                    s.stack.pop();
+                    used += 1;
+                }
+                // Rules "push" (a cross or self call, one step) and x∘ (escape
+                // to the environment).
+                Batch::External(n, q) => {
+                    used += n;
+                    match self.push_for(&q) {
+                        Some(Ok(frame)) => s.stack.push(frame),
+                        Some(Err(stuck)) => return Batch::Stuck(used, stuck),
+                        None => return Batch::External(used, q),
+                    }
+                    used += 1;
+                }
+                Batch::Stuck(n, stuck) => return Batch::Stuck(used + n, stuck),
+            }
         }
     }
 
     fn resume(&self, s: &mut Self::State, a: Answer<I>) -> Result<(), Stuck> {
         // Rule x•: the environment's answer resumes the active component.
-        match s.stack.top_mut() {
+        match s.stack.last_mut() {
             Some(top) => self.resume_frame(top, a),
             None => Err(Stuck::new("hcomp: empty activation stack")),
         }
     }
 
-    fn measure(&self, s: &Self::State) -> crate::lts::StateMeasure {
-        // The top frame owns the current memory; every frame below it is a
-        // suspended activation and counts as one call level.
-        let Some(top) = s.stack.top() else {
-            return crate::lts::StateMeasure::default();
+    /// The active (last) frame owns the current memory. The call depth is
+    /// what the linked program would report: every frame's own nesting,
+    /// plus one level per suspended cross-component call. Asm reports depth
+    /// 0, so an Asm ⊕ counts only those boundaries.
+    fn measure(&self, s: &Self::State) -> StateMeasure {
+        let mut m = StateMeasure {
+            mem_bytes: 0,
+            call_depth: s.stack.len().saturating_sub(1) as u64,
         };
-        let m = match top.side {
-            Side::Left => top
-                .left
-                .as_ref()
-                .map(|st| self.l1.measure(st))
-                .unwrap_or_default(),
-            Side::Right => top
-                .right
-                .as_ref()
-                .map(|st| self.l2.measure(st))
-                .unwrap_or_default(),
-        };
-        crate::lts::StateMeasure {
-            mem_bytes: m.mem_bytes,
-            call_depth: m
-                .call_depth
-                .saturating_add(s.stack.len().saturating_sub(1) as u64),
+        for f in &s.stack {
+            let fm = match f {
+                Frame::Left(st) => self.l1.measure(st),
+                Frame::Right(st) => self.l2.measure(st),
+            };
+            m.mem_bytes = fm.mem_bytes;
+            m.call_depth = m.call_depth.saturating_add(fm.call_depth);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pstack_push_pop_share_structure() {
-        let s0: PStack<i32> = PStack::new();
-        assert!(s0.is_empty());
-        let s1 = s0.push(1);
-        let s2 = s1.push(2);
-        let s3 = s2.push(3);
-        assert_eq!(s3.len(), 3);
-        assert_eq!(s3.top(), Some(&3));
-        // Popping returns the shared tail; the original is untouched.
-        let (top, rest) = s3.pop().unwrap();
-        assert_eq!(top, 3);
-        assert_eq!(rest.len(), 2);
-        assert_eq!(s3.len(), 3);
-        // replace_top swaps only the head.
-        let s3b = s3.replace_top(99);
-        assert_eq!(s3b.top(), Some(&99));
-        assert_eq!(s3b.pop().unwrap().1.top(), Some(&2));
-        assert_eq!(s3.top(), Some(&3), "original unchanged");
-    }
-
-    #[test]
-    fn pstack_replace_top_on_empty_pushes() {
-        let s: PStack<i32> = PStack::new();
-        let s = s.replace_top(7);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.top(), Some(&7));
+        m
     }
 }

@@ -130,7 +130,7 @@ pub enum Step<S, OQ, IA> {
 ///
 /// For `External(n, q)` the state left behind must be the suspended external
 /// state that [`Lts::resume`] accepts. A fuel-1 batch is therefore exactly
-/// one transition ([`step_via_batch`]).
+/// one transition ([`Lts::step`]).
 #[derive(Debug, Clone)]
 pub enum Batch<OQ, IA> {
     /// `n` internal steps taken; more work remains.
@@ -157,16 +157,6 @@ pub struct StateMeasure {
     pub call_depth: u64,
 }
 
-impl StateMeasure {
-    /// Pointwise sum (used by composite LTSs: `⊕`, `∘`).
-    pub fn combine(self, other: StateMeasure) -> StateMeasure {
-        StateMeasure {
-            mem_bytes: self.mem_bytes.saturating_add(other.mem_bytes),
-            call_depth: self.call_depth.saturating_add(other.call_depth),
-        }
-    }
-}
-
 /// An open labeled transition system for the game `O ↠ I`
 /// (paper Def. 3.1; `I` is the incoming interface `B`, `O` the outgoing
 /// interface `A`).
@@ -190,9 +180,6 @@ pub trait Lts {
     /// Returns [`Stuck`] when the question is outside the domain or malformed.
     fn initial(&self, q: &Question<Self::I>) -> Result<Self::State, Stuck>;
 
-    /// One transition out of `s`.
-    fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>>;
-
     /// Take up to `fuel_left` internal steps *in place*, returning how many
     /// were taken and what (if anything) ended the batch — see [`Batch`] for
     /// the exact fuel-accounting contract. Events are appended to `events`.
@@ -200,25 +187,31 @@ pub trait Lts {
     /// size itself (see [`run_budgeted`]), so implementations are free to
     /// mutate `s` without cloning.
     ///
-    /// The default takes exactly one step via [`Lts::step`]. The stage
-    /// interpreters override it with their dense dispatch loops and define
-    /// `step` as a fuel-1 batch ([`step_via_batch`]), so the batch loop is
-    /// their only step definition.
+    /// This is every LTS's one step definition: the stage interpreters run
+    /// their dense dispatch loops, the composites (`⊕`, `∘`, `Closed`,
+    /// [`crate::threaded::ThreadedLts`]) run the active component's own batch
+    /// and apply their rules at its boundary, and a step-at-a-time semantics
+    /// takes one transition (`Ran(1)`, or a terminal report with `n = 0`).
     fn step_batch(
         &self,
         s: &mut Self::State,
-        _fuel_left: u64,
+        fuel_left: u64,
         events: &mut Vec<Event>,
-    ) -> Batch<Question<Self::O>, Answer<Self::I>> {
-        match self.step(s) {
-            Step::Internal(s2, mut evs) => {
-                events.append(&mut evs);
-                *s = s2;
-                Batch::Ran(1)
-            }
-            Step::Final(a) => Batch::Final(0, a),
-            Step::External(oq) => Batch::External(0, oq),
-            Step::Stuck(stuck) => Batch::Stuck(0, stuck),
+    ) -> Batch<Question<Self::O>, Answer<Self::I>>;
+
+    /// One transition out of `s`: a fuel-1 batch on a clone of `s`. By the
+    /// [`Batch`] contract a fuel-1 batch either takes exactly one step or
+    /// discovers a terminal condition without taking one, which is exactly a
+    /// single transition. For callers that inspect every transition (the
+    /// Fig. 5 rule printer, tests); no implementation overrides it.
+    fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>> {
+        let mut s2 = s.clone();
+        let mut events = Vec::new();
+        match self.step_batch(&mut s2, 1, &mut events) {
+            Batch::Ran(_) => Step::Internal(s2, events),
+            Batch::Final(_, a) => Step::Final(a),
+            Batch::External(_, oq) => Step::External(oq),
+            Batch::Stuck(_, stuck) => Step::Stuck(stuck),
         }
     }
 
@@ -263,10 +256,6 @@ impl<L: Lts + ?Sized> Lts for &L {
         (**self).initial(q)
     }
 
-    fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>> {
-        (**self).step(s)
-    }
-
     fn step_batch(
         &self,
         s: &mut Self::State,
@@ -285,31 +274,11 @@ impl<L: Lts + ?Sized> Lts for &L {
     }
 }
 
-/// [`Lts::step`] for a semantics whose [`Lts::step_batch`] is its only step
-/// definition: a fuel-1 batch on a clone of `s`. By the [`Batch`] contract a
-/// fuel-1 batch either takes exactly one step or discovers a terminal
-/// condition without taking one, which is exactly a single transition.
-///
-/// An implementation that defines `step` this way must override
-/// `step_batch`: the default `step_batch` calls `step`.
-pub fn step_via_batch<L: Lts + ?Sized>(
-    lts: &L,
-    s: &L::State,
-) -> Step<L::State, Question<L::O>, Answer<L::I>> {
-    let mut s2 = s.clone();
-    let mut events = Vec::new();
-    match lts.step_batch(&mut s2, 1, &mut events) {
-        Batch::Ran(_) => Step::Internal(s2, events),
-        Batch::Final(_, a) => Step::Final(a),
-        Batch::External(_, oq) => Step::External(oq),
-        Batch::Stuck(_, stuck) => Step::Stuck(stuck),
-    }
-}
-
 /// Whether (and how much of) the diagnostic [`StepTrace`] is retained.
 ///
 /// `Ring(n)` keeps a ring of the last `n` visited states — one state clone
-/// per step (cheap: memories are copy-on-write, but not free). `Off` makes
+/// per step (cheap: memories are copy-on-write, but not free; a `⊕` state
+/// copies its activation stack, O(depth)). `Off` makes
 /// the runner's step loop genuinely zero-copy: no clone, no ring bookkeeping.
 /// Throughput-critical callers (the fault-injection campaign, the perf
 /// harness) run with `Off`; interactive/diagnostic callers keep the default
@@ -518,8 +487,7 @@ impl fmt::Display for StepTrace {
 const TRACE_DESC_MAX: usize = 240;
 
 /// Ring buffer of recent states; rendered lazily into a [`StepTrace`].
-/// Shared with the differential checker in [`crate::sim`].
-pub(crate) struct TraceRing<S> {
+struct TraceRing<S> {
     cap: usize,
     buf: Vec<(u64, S)>,
     next: usize,
@@ -527,7 +495,7 @@ pub(crate) struct TraceRing<S> {
 }
 
 impl<S: Clone + fmt::Debug> TraceRing<S> {
-    pub(crate) fn new(cap: usize) -> TraceRing<S> {
+    fn new(cap: usize) -> TraceRing<S> {
         TraceRing {
             cap,
             buf: Vec::with_capacity(cap.min(64)),
@@ -536,7 +504,7 @@ impl<S: Clone + fmt::Debug> TraceRing<S> {
         }
     }
 
-    pub(crate) fn record(&mut self, step: u64, s: &S) {
+    fn record(&mut self, step: u64, s: &S) {
         if self.cap == 0 {
             return;
         }
@@ -549,7 +517,7 @@ impl<S: Clone + fmt::Debug> TraceRing<S> {
         self.next = (self.next + 1) % self.cap;
     }
 
-    pub(crate) fn render(&self) -> StepTrace {
+    fn render(&self) -> StepTrace {
         let mut entries = Vec::with_capacity(self.buf.len());
         // Oldest-first: the ring's logical start is `next` once full.
         let start = if self.buf.len() < self.cap {
@@ -774,12 +742,12 @@ pub fn run<Sem: Lts>(
     run_budgeted(lts, q, env, &RunBudget::with_fuel(fuel))
 }
 
-/// Per-run statistics accumulated by the inner step loop and consumed by
-/// the single outer bookkeeping point of [`run_budgeted`].
+/// Per-run statistics accumulated by a [`Run`] and consumed by the single
+/// outer bookkeeping point of [`run_budgeted`].
 #[derive(Default)]
-struct RunStats {
-    /// Internal steps taken (resumes included).
-    steps: u64,
+pub(crate) struct RunStats {
+    /// Internal steps taken (charged resumes included).
+    pub(crate) steps: u64,
     /// Outgoing external calls handed to the environment.
     external_calls: u64,
     /// Observable events appended by `step_batch`.
@@ -847,24 +815,11 @@ pub fn run_budgeted<Sem: Lts>(
     outcome
 }
 
-/// The step loop of [`run_budgeted`]. Deliberately returns *without*
-/// touching the outcome counters or emitting the terminal trace event —
-/// that bookkeeping happens exactly once in the caller.
-///
-/// There is one loop, over [`Lts::step_batch`]; the budget picks the chunk
-/// (the most fuel one batch may use):
-///
-/// * 1 when something observes every intermediate state — a ring trace
-///   (one clone per state), the JSON trace (one `step` line per step) or a
-///   quota (measured on every state);
-/// * with only a deadline, up to the next multiple of [`DEADLINE_STRIDE`],
-///   so the deadline (and an armed envfault jitter, which counts checks) is
-///   checked at exactly the step counts a step-at-a-time loop would give;
-/// * otherwise all the fuel left.
-///
-/// The [`Batch`] contract makes every chunking observationally identical:
-/// same answers, step/event/external tallies, stuck reports and fuel
-/// boundary.
+/// The environment loop of [`run_budgeted`]: a [`Run`] advances to each
+/// interaction, the environment answers, and the resume is charged one
+/// step. Deliberately returns *without* touching the outcome counters or
+/// emitting the terminal trace event — that bookkeeping happens exactly once
+/// in the caller.
 fn run_inner<Sem: Lts>(
     lts: &Sem,
     q: &Question<Sem::I>,
@@ -879,7 +834,7 @@ fn run_inner<Sem: Lts>(
             trace: StepTrace::default(),
         };
     }
-    let mut state = match lts.initial(q) {
+    let state = match lts.initial(q) {
         Ok(s) => s,
         Err(stuck) => {
             return RunOutcome::Wrong {
@@ -889,113 +844,221 @@ fn run_inner<Sem: Lts>(
         }
     };
     let started = budget.deadline.map(|_| Instant::now());
-    let quotas_on = budget.max_mem_bytes.is_some() || budget.max_call_depth.is_some();
-    let per_state = quotas_on || json || !budget.trace.is_off();
-    let mut ring: TraceRing<Sem::State> = TraceRing::new(budget.trace.capacity());
+    let mut run = Run::new(lts, budget, state, started, json);
     let mut trace = Vec::new();
-    ring.record(0, &state);
-    loop {
-        let steps = stats.steps;
-        if steps >= budget.fuel {
-            return RunOutcome::OutOfFuel {
-                trace: ring.render(),
-            };
-        }
-        if quotas_on {
-            let m = lts.measure(&state);
-            if let Some(limit) = budget.max_mem_bytes {
-                if m.mem_bytes > limit {
-                    return RunOutcome::OutOfMemory {
-                        used: m.mem_bytes,
-                        limit,
-                        trace: ring.render(),
-                    };
-                }
-            }
-            if let Some(limit) = budget.max_call_depth {
-                if m.call_depth > limit {
-                    return RunOutcome::DepthExceeded {
-                        depth: m.call_depth,
-                        limit,
-                        trace: ring.render(),
-                    };
-                }
-            }
-        }
-        if let (Some(deadline), Some(start)) = (budget.deadline, started) {
-            if steps % DEADLINE_STRIDE == 0 {
-                let elapsed = start.elapsed();
-                // An armed envfault deadline jitter treats this check as if
-                // the clock had already jumped past the deadline — the only
-                // wall-clock-dependent outcome becomes deterministically
-                // reachable (the stride schedule is a pure function of the
-                // run).
-                if elapsed > deadline || crate::envfault::deadline_jitter_fires() {
-                    return RunOutcome::TimedOut {
-                        elapsed,
-                        trace: ring.render(),
-                    };
-                }
-            }
-        }
-        let fuel_left = budget.fuel - steps;
-        let chunk = if per_state {
-            1
-        } else if started.is_some() {
-            fuel_left.min(DEADLINE_STRIDE - steps % DEADLINE_STRIDE)
-        } else {
-            fuel_left
-        };
-        let events_before = trace.len();
-        let batch = lts.step_batch(&mut state, chunk, &mut trace);
-        stats.events += (trace.len() - events_before) as u64;
-        match batch {
-            Batch::Ran(n) => {
-                stats.steps += n;
-                ring.record(stats.steps, &state);
-                if json && stats.steps <= crate::obs::MAX_STEP_EVENTS {
-                    crate::obs::emit_step(stats.steps);
-                }
-            }
-            Batch::Final(n, a) => {
-                stats.steps += n;
-                return RunOutcome::Complete {
-                    answer: a,
+    let outcome = loop {
+        match run.next_interaction(&mut trace) {
+            Ok(Interaction::Final(answer)) => {
+                let steps = run.stats.steps;
+                break RunOutcome::Complete {
+                    answer,
                     trace,
-                    steps: stats.steps,
+                    steps,
                 };
             }
-            Batch::External(n, oq) => {
-                stats.steps += n;
-                stats.external_calls += 1;
+            Ok(Interaction::External(oq)) => {
+                run.stats.external_calls += 1;
                 if json {
-                    crate::obs::emit_external(stats.steps);
+                    crate::obs::emit_external(run.stats.steps);
                 }
-                match env(&oq) {
-                    Some(ans) => match lts.resume(&mut state, ans) {
-                        Ok(()) => {
-                            stats.steps += 1;
-                            ring.record(stats.steps, &state);
-                            if json && stats.steps <= crate::obs::MAX_STEP_EVENTS {
-                                crate::obs::emit_step(stats.steps);
-                            }
-                        }
-                        Err(stuck) => {
-                            return RunOutcome::Wrong {
-                                stuck,
-                                trace: ring.render(),
-                            }
-                        }
-                    },
-                    None => return RunOutcome::EnvRefused(format!("{oq:?}")),
+                let Some(ans) = env(&oq) else {
+                    break RunOutcome::EnvRefused(format!("{oq:?}"));
+                };
+                if let Err(stuck) = run.resume(ans, true) {
+                    break RunOutcome::Wrong {
+                        stuck,
+                        trace: run.trace(),
+                    };
                 }
             }
-            Batch::Stuck(n, stuck) => {
-                stats.steps += n;
-                return RunOutcome::Wrong {
-                    stuck,
-                    trace: ring.render(),
-                };
+            Err(failed) => break failed,
+        }
+    };
+    *stats = run.stats;
+    outcome
+}
+
+/// Where a [`Run`] stopped: an interaction of Def. 3.1 (the only points
+/// at which the Fig. 6 diagrams constrain a simulation).
+pub(crate) enum Interaction<L: Lts> {
+    /// The component answered its incoming question.
+    Final(Answer<L::I>),
+    /// The component suspended on an outgoing question; answer it with
+    /// [`Run::resume`].
+    External(Question<L::O>),
+}
+
+/// One budgeted run of an LTS: its state, trace ring and tallies, advanced
+/// from interaction to interaction by [`Run::next_interaction`]. This is
+/// the one run loop: [`run_budgeted`] answers its interactions from the
+/// environment, and the simulation checker ([`crate::sim`]) advances one
+/// run per side and relates their interactions.
+pub(crate) struct Run<'a, L: Lts> {
+    lts: &'a L,
+    budget: &'a RunBudget,
+    state: L::State,
+    ring: TraceRing<L::State>,
+    started: Option<Instant>,
+    json: bool,
+    per_state: bool,
+    /// Steps, external calls and events so far.
+    pub(crate) stats: RunStats,
+}
+
+impl<'a, L: Lts> Run<'a, L> {
+    /// A run at `state`, its step 0. `started` is when the
+    /// budget's deadline started counting; `json` emits the
+    /// `compcerto-obs/1` step lines.
+    pub(crate) fn new(
+        lts: &'a L,
+        budget: &'a RunBudget,
+        state: L::State,
+        started: Option<Instant>,
+        json: bool,
+    ) -> Run<'a, L> {
+        let quotas_on = budget.max_mem_bytes.is_some() || budget.max_call_depth.is_some();
+        let mut ring = TraceRing::new(budget.trace.capacity());
+        ring.record(0, &state);
+        Run {
+            lts,
+            budget,
+            state,
+            ring,
+            started,
+            json,
+            per_state: quotas_on || json || !budget.trace.is_off(),
+            stats: RunStats::default(),
+        }
+    }
+
+    /// The retained tail of the run.
+    pub(crate) fn trace(&self) -> StepTrace {
+        self.ring.render()
+    }
+
+    /// Record the state just reached at the current step count.
+    fn visited(&mut self) {
+        self.ring.record(self.stats.steps, &self.state);
+        if self.json && self.stats.steps <= crate::obs::MAX_STEP_EVENTS {
+            crate::obs::emit_step(self.stats.steps);
+        }
+    }
+
+    /// Resume the suspended state with `a`, in place. The runner charges the
+    /// resume one step (`charge`); the simulation checker does not.
+    ///
+    /// # Errors
+    /// The component's [`Stuck`] when it refuses the answer.
+    pub(crate) fn resume(&mut self, a: Answer<L::O>, charge: bool) -> Result<(), Stuck> {
+        self.lts.resume(&mut self.state, a)?;
+        if charge {
+            self.stats.steps += 1;
+        }
+        self.visited();
+        Ok(())
+    }
+
+    /// Run to the next interaction, appending events to `events`.
+    ///
+    /// There is one loop, over [`Lts::step_batch`]; the budget picks the
+    /// chunk (the most fuel one batch may use):
+    ///
+    /// * 1 when something observes every intermediate state — a ring trace
+    ///   (one clone per state), the JSON trace (one `step` line per step) or
+    ///   a quota (measured on every state);
+    /// * with only a deadline, up to the next multiple of
+    ///   [`DEADLINE_STRIDE`], so the deadline (and an armed envfault jitter,
+    ///   which counts checks) is checked at exactly the step counts a
+    ///   step-at-a-time loop would give;
+    /// * otherwise all the fuel left.
+    ///
+    /// The [`Batch`] contract makes every chunking observationally
+    /// identical: same answers, step/event tallies, stuck reports and fuel
+    /// boundary.
+    ///
+    /// # Errors
+    /// A failing [`RunOutcome`] (stuck, or a budget exceeded) carrying the
+    /// retained trace.
+    pub(crate) fn next_interaction(
+        &mut self,
+        events: &mut Vec<Event>,
+    ) -> Result<Interaction<L>, RunOutcome<Answer<L::I>>> {
+        let budget = self.budget;
+        loop {
+            let steps = self.stats.steps;
+            if steps >= budget.fuel {
+                return Err(RunOutcome::OutOfFuel {
+                    trace: self.trace(),
+                });
+            }
+            if budget.max_mem_bytes.is_some() || budget.max_call_depth.is_some() {
+                let m = self.lts.measure(&self.state);
+                if let Some(limit) = budget.max_mem_bytes {
+                    if m.mem_bytes > limit {
+                        return Err(RunOutcome::OutOfMemory {
+                            used: m.mem_bytes,
+                            limit,
+                            trace: self.trace(),
+                        });
+                    }
+                }
+                if let Some(limit) = budget.max_call_depth {
+                    if m.call_depth > limit {
+                        return Err(RunOutcome::DepthExceeded {
+                            depth: m.call_depth,
+                            limit,
+                            trace: self.trace(),
+                        });
+                    }
+                }
+            }
+            if let (Some(deadline), Some(start)) = (budget.deadline, self.started) {
+                if steps.is_multiple_of(DEADLINE_STRIDE) {
+                    let elapsed = start.elapsed();
+                    // An armed envfault deadline jitter treats this check as
+                    // if the clock had already jumped past the deadline — the
+                    // only wall-clock-dependent outcome becomes
+                    // deterministically reachable (the stride schedule is a
+                    // pure function of the run).
+                    if elapsed > deadline || crate::envfault::deadline_jitter_fires() {
+                        return Err(RunOutcome::TimedOut {
+                            elapsed,
+                            trace: self.trace(),
+                        });
+                    }
+                }
+            }
+            let fuel_left = budget.fuel - steps;
+            let chunk = if self.per_state {
+                1
+            } else if self.started.is_some() {
+                fuel_left.min(DEADLINE_STRIDE - steps % DEADLINE_STRIDE)
+            } else {
+                fuel_left
+            };
+            let events_before = events.len();
+            let batch = self.lts.step_batch(&mut self.state, chunk, events);
+            self.stats.events += (events.len() - events_before) as u64;
+            match batch {
+                Batch::Ran(n) => {
+                    self.stats.steps += n;
+                    self.visited();
+                }
+                Batch::Final(n, a) => {
+                    self.stats.steps += n;
+                    return Ok(Interaction::Final(a));
+                }
+                Batch::External(n, oq) => {
+                    self.stats.steps += n;
+                    return Ok(Interaction::External(oq));
+                }
+                Batch::Stuck(n, stuck) => {
+                    self.stats.steps += n;
+                    return Err(RunOutcome::Wrong {
+                        stuck,
+                        trace: self.trace(),
+                    });
+                }
             }
         }
     }
@@ -1035,19 +1098,33 @@ mod tests {
             Ok(DState::Start(q.args[0], q.mem.clone()))
         }
 
-        fn step(&self, s: &DState) -> Step<DState, CQuery, CReply> {
+        fn step_batch(
+            &self,
+            s: &mut DState,
+            _fuel_left: u64,
+            _events: &mut Vec<Event>,
+        ) -> Batch<CQuery, CReply> {
             match s {
-                DState::Start(v, m) => Step::External(CQuery {
-                    vf: Val::Ptr(200, 0),
-                    sig: crate::iface::Signature::int_fn(1),
-                    args: vec![*v],
-                    mem: m.clone(),
-                }),
-                DState::Waiting(v, m) => Step::Internal(DState::Done(v.add(*v), m.clone()), vec![]),
-                DState::Done(v, m) => Step::Final(CReply {
-                    retval: *v,
-                    mem: m.clone(),
-                }),
+                DState::Start(v, m) => Batch::External(
+                    0,
+                    CQuery {
+                        vf: Val::Ptr(200, 0),
+                        sig: crate::iface::Signature::int_fn(1),
+                        args: vec![*v],
+                        mem: m.clone(),
+                    },
+                ),
+                DState::Waiting(v, m) => {
+                    *s = DState::Done(v.add(*v), std::mem::take(m));
+                    Batch::Ran(1)
+                }
+                DState::Done(v, m) => Batch::Final(
+                    0,
+                    CReply {
+                        retval: *v,
+                        mem: m.clone(),
+                    },
+                ),
             }
         }
 
@@ -1082,8 +1159,14 @@ mod tests {
             Ok(0)
         }
 
-        fn step(&self, s: &u64) -> Step<u64, CQuery, CReply> {
-            Step::Internal(s + 1, vec![])
+        fn step_batch(
+            &self,
+            s: &mut u64,
+            _fuel_left: u64,
+            _events: &mut Vec<Event>,
+        ) -> Batch<CQuery, CReply> {
+            *s += 1;
+            Batch::Ran(1)
         }
 
         fn resume(&self, _s: &mut u64, _a: CReply) -> Result<(), Stuck> {
@@ -1100,7 +1183,7 @@ mod tests {
     }
 
     /// A spinner whose batches take every step they are offered (for the
-    /// chunk-policy tests): `step` is its fuel-1 batch.
+    /// chunk-policy tests).
     struct BatchSpinner;
 
     impl Lts for BatchSpinner {
@@ -1118,10 +1201,6 @@ mod tests {
 
         fn initial(&self, _q: &CQuery) -> Result<u64, Stuck> {
             Ok(0)
-        }
-
-        fn step(&self, s: &u64) -> Step<u64, CQuery, CReply> {
-            step_via_batch(self, s)
         }
 
         fn step_batch(

@@ -10,7 +10,7 @@
 //! under-approximates horizontal composition [`crate::hcomp::HComp`].
 
 use crate::iface::{Answer, LanguageInterface, Question};
-use crate::lts::{Lts, Step, Stuck};
+use crate::lts::{Batch, Event, Lts, Stuck};
 
 /// State of a sequential composition: the upper activation plus, while the
 /// upper component waits on it, a lower activation.
@@ -81,57 +81,59 @@ where
         })
     }
 
-    fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>> {
-        match &s.lower {
-            // The lower component is active.
-            Some(low) => match self.l2.step(low) {
-                Step::Internal(low2, evs) => Step::Internal(
-                    SeqState {
-                        upper: s.upper.clone(),
-                        lower: Some(low2),
-                    },
-                    evs,
-                ),
-                Step::Final(b_answer) => {
-                    let mut upper = s.upper.clone();
-                    match self.l1.resume(&mut upper, b_answer) {
-                        Ok(()) => Step::Internal(SeqState { upper, lower: None }, vec![]),
-                        Err(stuck) => Step::Stuck(stuck),
+    fn step_batch(
+        &self,
+        s: &mut Self::State,
+        fuel_left: u64,
+        events: &mut Vec<Event>,
+    ) -> Batch<Question<Self::O>, Answer<Self::I>> {
+        let mut used = 0;
+        loop {
+            if used == fuel_left {
+                return Batch::Ran(used);
+            }
+            match &mut s.lower {
+                // The lower component is active.
+                Some(low) => match self.l2.step_batch(low, fuel_left - used, events) {
+                    Batch::Ran(n) => used += n,
+                    // Its answer resumes the upper component, one step (the
+                    // batch contract leaves `used < fuel_left`, so it fits).
+                    Batch::Final(n, b_answer) => {
+                        used += n;
+                        if let Err(stuck) = self.l1.resume(&mut s.upper, b_answer) {
+                            return Batch::Stuck(used, stuck);
+                        }
+                        s.lower = None;
+                        used += 1;
                     }
-                }
-                Step::External(aq) => Step::External(aq),
-                Step::Stuck(x) => Step::Stuck(x),
-            },
-            // The upper component is active.
-            None => match self.l1.step(&s.upper) {
-                Step::Internal(upper2, evs) => Step::Internal(
-                    SeqState {
-                        upper: upper2,
-                        lower: None,
-                    },
-                    evs,
-                ),
-                Step::Final(a) => Step::Final(a),
-                Step::External(bq) => {
-                    if !self.l2.accepts(&bq) {
-                        return Step::Stuck(Stuck::new(format!(
-                            "seqcomp: lower component {} rejects question",
-                            self.l2.name()
-                        )));
+                    Batch::External(n, aq) => return Batch::External(used + n, aq),
+                    Batch::Stuck(n, x) => return Batch::Stuck(used + n, x),
+                },
+                // The upper component is active.
+                None => match self.l1.step_batch(&mut s.upper, fuel_left - used, events) {
+                    Batch::Ran(n) => used += n,
+                    Batch::Final(n, a) => return Batch::Final(used + n, a),
+                    // Its question activates the lower component, one step.
+                    Batch::External(n, bq) => {
+                        used += n;
+                        if !self.l2.accepts(&bq) {
+                            return Batch::Stuck(
+                                used,
+                                Stuck::new(format!(
+                                    "seqcomp: lower component {} rejects question",
+                                    self.l2.name()
+                                )),
+                            );
+                        }
+                        match self.l2.initial(&bq) {
+                            Ok(low) => s.lower = Some(low),
+                            Err(stuck) => return Batch::Stuck(used, stuck),
+                        }
+                        used += 1;
                     }
-                    match self.l2.initial(&bq) {
-                        Ok(low) => Step::Internal(
-                            SeqState {
-                                upper: s.upper.clone(),
-                                lower: Some(low),
-                            },
-                            vec![],
-                        ),
-                        Err(stuck) => Step::Stuck(stuck),
-                    }
-                }
-                Step::Stuck(x) => Step::Stuck(x),
-            },
+                    Batch::Stuck(n, x) => return Batch::Stuck(used + n, x),
+                },
+            }
         }
     }
 

@@ -23,8 +23,10 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::conv::SimConv;
-use crate::iface::Question;
-use crate::lts::{BudgetKind, Event, Lts, RunBudget, Step, StepTrace, Stuck};
+use crate::iface::{Answer, Question};
+use crate::lts::{
+    BudgetKind, Event, Interaction, Lts, Run, RunBudget, RunError, RunOutcome, StepTrace, Stuck,
+};
 
 /// Why a differential simulation check failed.
 #[derive(Debug, Clone)]
@@ -140,6 +142,32 @@ impl SimCheckError {
             _ => None,
         }
     }
+
+    /// The error for one side's failing run outcome (stuck, or over budget),
+    /// read through [`RunOutcome::into_answer`].
+    fn of_side<IA>(side: &'static str, failed: RunOutcome<IA>) -> SimCheckError {
+        match failed.into_answer() {
+            Err(RunError::Wrong { stuck, trace }) => SimCheckError::Wrong { side, stuck, trace },
+            Err(RunError::Budget {
+                kind: BudgetKind::Fuel,
+                trace,
+                ..
+            }) => SimCheckError::OutOfFuel { side, trace },
+            Err(RunError::Budget {
+                kind,
+                detail,
+                trace,
+            }) => SimCheckError::BudgetExceeded {
+                side,
+                kind,
+                detail,
+                trace,
+            },
+            // A run stops at a failure before it completes or meets an
+            // environment.
+            Ok(_) | Err(RunError::EnvRefused(_)) => SimCheckError::EnvRefused,
+        }
+    }
 }
 
 /// Statistics from a successful simulation check.
@@ -155,123 +183,18 @@ pub struct SimCheckReport {
     pub source_trace: Vec<Event>,
 }
 
-/// Drive one side to its next interaction point.
-enum Interaction<S, OQ, IA> {
-    Final(IA),
-    External(S, OQ),
-}
-
-/// Why [`drive`] stopped before reaching an interaction point.
-enum DriveFailure {
-    Stuck(Stuck, StepTrace),
-    Budget(BudgetKind, String, StepTrace),
-}
-
-impl DriveFailure {
-    fn into_error(self, side: &'static str) -> SimCheckError {
-        match self {
-            DriveFailure::Stuck(stuck, trace) => SimCheckError::Wrong { side, stuck, trace },
-            DriveFailure::Budget(BudgetKind::Fuel, _, trace) => {
-                SimCheckError::OutOfFuel { side, trace }
-            }
-            DriveFailure::Budget(kind, detail, trace) => SimCheckError::BudgetExceeded {
-                side,
-                kind,
-                detail,
-                trace,
-            },
-        }
-    }
-}
-
-/// Per-side driving context: fuel pool, step counter, trace ring.
-struct DriveCtx<S> {
-    fuel: u64,
-    steps: u64,
-    ring: crate::lts::TraceRing<S>,
-}
-
-impl<S: Clone + fmt::Debug> DriveCtx<S> {
-    fn new(budget: &RunBudget) -> DriveCtx<S> {
-        DriveCtx {
-            fuel: budget.fuel,
-            steps: 0,
-            ring: crate::lts::TraceRing::new(budget.trace.capacity()),
-        }
-    }
-}
-
-/// How many steps between wall-clock deadline checks while driving a side.
-const DEADLINE_STRIDE: u64 = 1024;
-
-fn drive<Sem: Lts>(
-    lts: &Sem,
-    mut s: Sem::State,
-    ctx: &mut DriveCtx<Sem::State>,
-    budget: &RunBudget,
-    started: Option<Instant>,
-    trace: Option<&mut Vec<Event>>,
-) -> Result<Interaction<Sem::State, Question<Sem::O>, crate::iface::Answer<Sem::I>>, DriveFailure> {
-    let mut local_trace = trace;
-    let quotas_on = budget.max_mem_bytes.is_some() || budget.max_call_depth.is_some();
-    ctx.ring.record(ctx.steps, &s);
-    loop {
-        if ctx.fuel == 0 {
-            return Err(DriveFailure::Budget(
-                BudgetKind::Fuel,
-                "step bound exhausted".into(),
-                ctx.ring.render(),
-            ));
-        }
-        if quotas_on {
-            let m = lts.measure(&s);
-            if let Some(limit) = budget.max_mem_bytes {
-                if m.mem_bytes > limit {
-                    return Err(DriveFailure::Budget(
-                        BudgetKind::Memory,
-                        format!("{} live bytes > limit {limit}", m.mem_bytes),
-                        ctx.ring.render(),
-                    ));
-                }
-            }
-            if let Some(limit) = budget.max_call_depth {
-                if m.call_depth > limit {
-                    return Err(DriveFailure::Budget(
-                        BudgetKind::Depth,
-                        format!("depth {} > limit {limit}", m.call_depth),
-                        ctx.ring.render(),
-                    ));
-                }
-            }
-        }
-        if let (Some(deadline), Some(start)) = (budget.deadline, started) {
-            if ctx.steps % DEADLINE_STRIDE == 0 {
-                let elapsed = start.elapsed();
-                if elapsed > deadline {
-                    return Err(DriveFailure::Budget(
-                        BudgetKind::Time,
-                        format!("elapsed {elapsed:?}"),
-                        ctx.ring.render(),
-                    ));
-                }
-            }
-        }
-        match lts.step(&s) {
-            Step::Internal(s2, evs) => {
-                if let Some(tr) = local_trace.as_deref_mut() {
-                    tr.extend(evs);
-                }
-                s = s2;
-                ctx.fuel -= 1;
-                ctx.steps += 1;
-                crate::obs::bump(|c| c.sim_steps += 1);
-                ctx.ring.record(ctx.steps, &s);
-            }
-            Step::Final(a) => return Ok(Interaction::Final(a)),
-            Step::External(q) => return Ok(Interaction::External(s, q)),
-            Step::Stuck(x) => return Err(DriveFailure::Stuck(x, ctx.ring.render())),
-        }
-    }
+/// Run one side to its next interaction, counting its steps in
+/// `lts.sim_steps`.
+fn interact<L: Lts>(
+    side: &mut Run<'_, L>,
+    name: &'static str,
+    events: &mut Vec<Event>,
+) -> Result<Interaction<L>, SimCheckError> {
+    let before = side.stats.steps;
+    let stop = side.next_interaction(events);
+    let ran = side.stats.steps - before;
+    crate::obs::bump(|c| c.sim_steps += ran);
+    stop.map_err(|failed| SimCheckError::of_side(name, failed))
 }
 
 /// How the checker answers outgoing questions.
@@ -302,7 +225,7 @@ pub enum EnvMode<'e, Q1, A1, Q2, A2> {
 /// * `q1` — the source-level incoming question;
 /// * `env1` — oracle answering the *source's* outgoing questions (the
 ///   target's are answered by transporting through `ra`);
-/// * `fuel` — combined internal-step budget.
+/// * `fuel` — the internal-step budget of each side (resumes are free).
 ///
 /// # Errors
 /// Any violated diagram edge is reported as a [`SimCheckError`].
@@ -312,7 +235,7 @@ pub fn check_fwd_sim<L1, L2, RA, RB>(
     ra: &RA,
     rb: &RB,
     q1: &Question<L1::I>,
-    env1: &mut crate::lts::Env<'_, Question<L1::O>, crate::iface::Answer<L1::O>>,
+    env1: &mut crate::lts::Env<'_, Question<L1::O>, Answer<L1::O>>,
     fuel: u64,
 ) -> Result<SimCheckReport, SimCheckError>
 where
@@ -334,13 +257,7 @@ pub fn check_fwd_sim_env<L1, L2, RA, RB>(
     ra: &RA,
     rb: &RB,
     q1: &Question<L1::I>,
-    env: EnvMode<
-        '_,
-        Question<L1::O>,
-        crate::iface::Answer<L1::O>,
-        Question<L2::O>,
-        crate::iface::Answer<L2::O>,
-    >,
+    env: EnvMode<'_, Question<L1::O>, Answer<L1::O>, Question<L2::O>, Answer<L2::O>>,
     fuel: u64,
 ) -> Result<SimCheckReport, SimCheckError>
 where
@@ -354,11 +271,15 @@ where
 
 /// [`check_fwd_sim_env`] under a full [`RunBudget`].
 ///
-/// Each side gets its own fuel pool and trace ring; the memory / call-depth
-/// quotas are enforced per side through [`Lts::measure`], and the wall-clock
-/// deadline bounds the whole check. Budget violations are reported as
-/// [`SimCheckError::OutOfFuel`] / [`SimCheckError::BudgetExceeded`] — the
-/// checker never panics or hangs on a corrupted component.
+/// Each side runs on the runner's own loop (the same chunk policy as
+/// [`crate::lts::run_budgeted`]) with its own fuel pool and trace ring,
+/// from interaction to interaction: the Fig. 6 diagrams constrain only
+/// questions, answers and final states. Resuming a side is free. The memory
+/// / call-depth quotas are enforced per side through [`Lts::measure`], and
+/// the wall-clock deadline bounds the whole check. Budget violations are
+/// reported as [`SimCheckError::OutOfFuel`] /
+/// [`SimCheckError::BudgetExceeded`] — the checker never panics or hangs on
+/// a corrupted component.
 ///
 /// # Errors
 /// Any violated diagram edge or exceeded quota is reported as a
@@ -369,13 +290,7 @@ pub fn check_fwd_sim_budgeted<L1, L2, RA, RB>(
     ra: &RA,
     rb: &RB,
     q1: &Question<L1::I>,
-    mut env: EnvMode<
-        '_,
-        Question<L1::O>,
-        crate::iface::Answer<L1::O>,
-        Question<L2::O>,
-        crate::iface::Answer<L2::O>,
-    >,
+    mut env: EnvMode<'_, Question<L1::O>, Answer<L1::O>, Question<L2::O>, Answer<L2::O>>,
     budget: &RunBudget,
 ) -> Result<SimCheckReport, SimCheckError>
 where
@@ -400,12 +315,12 @@ where
     if !l2.accepts(&q2) {
         return Err(SimCheckError::NotAccepted { side: "target" });
     }
-    let mut s1 = l1.initial(q1).map_err(|stuck| SimCheckError::Wrong {
+    let s1 = l1.initial(q1).map_err(|stuck| SimCheckError::Wrong {
         side: "source",
         stuck,
         trace: StepTrace::default(),
     })?;
-    let mut s2 = l2.initial(&q2).map_err(|stuck| SimCheckError::Wrong {
+    let s2 = l2.initial(&q2).map_err(|stuck| SimCheckError::Wrong {
         side: "target",
         stuck,
         trace: StepTrace::default(),
@@ -413,23 +328,16 @@ where
 
     let mut report = SimCheckReport::default();
     let started = budget.deadline.map(|_| Instant::now());
-    let mut ctx1: DriveCtx<L1::State> = DriveCtx::new(budget);
-    let mut ctx2: DriveCtx<L2::State> = DriveCtx::new(budget);
+    let mut r1 = Run::new(l1, budget, s1, started, false);
+    let mut r2 = Run::new(l2, budget, s2, started, false);
+    let mut target_events = Vec::new();
 
     loop {
-        let i1 = drive(
-            l1,
-            s1,
-            &mut ctx1,
-            budget,
-            started,
-            Some(&mut report.source_trace),
-        )
-        .map_err(|f| f.into_error("source"))?;
-        report.source_steps = ctx1.steps;
-        let i2 =
-            drive(l2, s2, &mut ctx2, budget, started, None).map_err(|f| f.into_error("target"))?;
-        report.target_steps = ctx2.steps;
+        let i1 = interact(&mut r1, "source", &mut report.source_trace)?;
+        report.source_steps = r1.stats.steps;
+        let i2 = interact(&mut r2, "target", &mut target_events)?;
+        target_events.clear();
+        report.target_steps = r2.stats.steps;
 
         match (i1, i2) {
             // Fig. 6b: final answers related at the incoming world.
@@ -441,7 +349,7 @@ where
             }
             // Fig. 6c: outgoing questions related at some w_A; related
             // answers resume both sides.
-            (Interaction::External(mut e1, m1), Interaction::External(mut e2, m2)) => {
+            (Interaction::External(m1), Interaction::External(m2)) => {
                 let wa = ra.match_query(&m1, &m2).into_iter().next().ok_or(
                     SimCheckError::ExternalNotRelated {
                         call: report.external_calls,
@@ -467,28 +375,24 @@ where
                     }
                 };
                 report.external_calls += 1;
-                l1.resume(&mut e1, n1)
-                    .map_err(|stuck| SimCheckError::Wrong {
-                        side: "source",
-                        stuck,
-                        trace: ctx1.ring.render(),
-                    })?;
-                l2.resume(&mut e2, n2)
-                    .map_err(|stuck| SimCheckError::Wrong {
-                        side: "target",
-                        stuck,
-                        trace: ctx2.ring.render(),
-                    })?;
-                s1 = e1;
-                s2 = e2;
+                r1.resume(n1, false).map_err(|stuck| SimCheckError::Wrong {
+                    side: "source",
+                    stuck,
+                    trace: r1.trace(),
+                })?;
+                r2.resume(n2, false).map_err(|stuck| SimCheckError::Wrong {
+                    side: "target",
+                    stuck,
+                    trace: r2.trace(),
+                })?;
             }
-            (Interaction::Final(_), Interaction::External(_, q)) => {
+            (Interaction::Final(_), Interaction::External(q)) => {
                 return Err(SimCheckError::InteractionMismatch {
                     source: "returns".into(),
                     target: format!("calls out ({q:?})"),
                 })
             }
-            (Interaction::External(_, q), Interaction::Final(_)) => {
+            (Interaction::External(q), Interaction::Final(_)) => {
                 return Err(SimCheckError::InteractionMismatch {
                     source: format!("calls out ({q:?})"),
                     target: "returns".into(),
@@ -503,6 +407,7 @@ mod tests {
     use super::*;
     use crate::conv::IdConv;
     use crate::iface::{CQuery, CReply, Signature, C};
+    use crate::lts::Batch;
     use mem::{Mem, Val};
 
     /// `scale`: multiplies its argument by a constant, calling `ext` once.
@@ -536,26 +441,38 @@ mod tests {
             Ok(St::Start(q.args[0], q.mem.clone()))
         }
 
-        fn step(&self, s: &St) -> Step<St, CQuery, CReply> {
+        fn step_batch(
+            &self,
+            s: &mut St,
+            _fuel_left: u64,
+            _events: &mut Vec<Event>,
+        ) -> Batch<CQuery, CReply> {
             match s {
-                St::Start(v, m) => Step::External(CQuery {
-                    vf: Val::Ptr(2, 0),
-                    sig: Signature::int_fn(1),
-                    args: vec![*v],
-                    mem: m.clone(),
-                }),
+                St::Start(v, m) => Batch::External(
+                    0,
+                    CQuery {
+                        vf: Val::Ptr(2, 0),
+                        sig: Signature::int_fn(1),
+                        args: vec![*v],
+                        mem: m.clone(),
+                    },
+                ),
                 St::Wait(v, m) => {
                     let out = if self.broken {
                         v.add(Val::Int(self.factor))
                     } else {
                         v.mul(Val::Int(self.factor))
                     };
-                    Step::Internal(St::Done(out, m.clone()), vec![])
+                    *s = St::Done(out, std::mem::take(m));
+                    Batch::Ran(1)
                 }
-                St::Done(v, m) => Step::Final(CReply {
-                    retval: *v,
-                    mem: m.clone(),
-                }),
+                St::Done(v, m) => Batch::Final(
+                    0,
+                    CReply {
+                        retval: *v,
+                        mem: m.clone(),
+                    },
+                ),
             }
         }
 

@@ -73,7 +73,7 @@ use std::fmt;
 use mem::Mem;
 
 use crate::iface::{Answer, Question, SharedMem};
-use crate::lts::{step_via_batch, Batch, Event, Lts, StateMeasure, Step, Stuck};
+use crate::lts::{Batch, Event, Lts, StateMeasure, Stuck};
 use crate::rng::SplitMix64;
 
 /// A deterministic thread schedule: the policy deciding which runnable
@@ -365,10 +365,6 @@ where
         })
     }
 
-    fn step(&self, s: &Self::State) -> Step<Self::State, Question<Self::O>, Answer<Self::I>> {
-        step_via_batch(self, s)
-    }
-
     fn step_batch(
         &self,
         s: &mut Self::State,
@@ -571,25 +567,36 @@ mod tests {
             Ok(BState::Loaded(v, q.mem.clone()))
         }
 
-        fn step(&self, s: &BState) -> Step<BState, CQuery, CReply> {
+        fn step_batch(
+            &self,
+            s: &mut BState,
+            _fuel_left: u64,
+            _events: &mut Vec<Event>,
+        ) -> Batch<CQuery, CReply> {
             match s {
-                BState::Loaded(v, m) => Step::External(CQuery {
-                    vf: Val::Ptr(200, 0),
-                    sig: Signature::int_fn(1),
-                    args: vec![*v],
-                    mem: m.clone(),
-                }),
-                BState::Storing(orig, bumped, m) => {
-                    let mut m2 = m.clone();
-                    match m2.store(CHUNK, self.g, 0, *bumped) {
-                        Ok(()) => Step::Internal(BState::Done(*orig, m2), vec![]),
-                        Err(e) => Step::Stuck(Stuck::new(format!("store: {e:?}"))),
+                BState::Loaded(v, m) => Batch::External(
+                    0,
+                    CQuery {
+                        vf: Val::Ptr(200, 0),
+                        sig: Signature::int_fn(1),
+                        args: vec![*v],
+                        mem: m.clone(),
+                    },
+                ),
+                BState::Storing(orig, bumped, m) => match m.store(CHUNK, self.g, 0, *bumped) {
+                    Ok(()) => {
+                        *s = BState::Done(*orig, std::mem::take(m));
+                        Batch::Ran(1)
                     }
-                }
-                BState::Done(v, m) => Step::Final(CReply {
-                    retval: *v,
-                    mem: m.clone(),
-                }),
+                    Err(e) => Batch::Stuck(0, Stuck::new(format!("store: {e:?}"))),
+                },
+                BState::Done(v, m) => Batch::Final(
+                    0,
+                    CReply {
+                        retval: *v,
+                        mem: m.clone(),
+                    },
+                ),
             }
         }
 

@@ -6,7 +6,7 @@ use compcerto_core::cklr::{CklrC, Ext};
 use compcerto_core::conv::IdConv;
 use compcerto_core::hcomp::HComp;
 use compcerto_core::iface::{CQuery, CReply, Signature, C};
-use compcerto_core::lts::{run, Lts, RunOutcome, Step, Stuck};
+use compcerto_core::lts::{run, Batch, Event, Lts, RunOutcome, Stuck};
 use compcerto_core::sim::check_fwd_sim;
 use mem::{Mem, Val};
 
@@ -49,24 +49,36 @@ impl Lts for Countdown {
         }
     }
 
-    fn step(&self, s: &St) -> Step<St, CQuery, CReply> {
+    fn step_batch(
+        &self,
+        s: &mut St,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<CQuery, CReply> {
         match s {
             St::Start(n, m) => {
                 if *n <= 0 {
-                    Step::Internal(St::Done(self.base, m.clone()), vec![])
+                    *s = St::Done(self.base, std::mem::take(m));
+                    Batch::Ran(1)
                 } else {
-                    Step::External(CQuery {
-                        vf: Val::Ptr(self.peer, 0),
-                        sig: Signature::int_fn(1),
-                        args: vec![Val::Int(n - 1)],
-                        mem: m.clone(),
-                    })
+                    Batch::External(
+                        0,
+                        CQuery {
+                            vf: Val::Ptr(self.peer, 0),
+                            sig: Signature::int_fn(1),
+                            args: vec![Val::Int(*n - 1)],
+                            mem: m.clone(),
+                        },
+                    )
                 }
             }
-            St::Done(v, m) => Step::Final(CReply {
-                retval: *v,
-                mem: m.clone(),
-            }),
+            St::Done(v, m) => Batch::Final(
+                0,
+                CReply {
+                    retval: *v,
+                    mem: m.clone(),
+                },
+            ),
         }
     }
 

@@ -15,7 +15,7 @@
 
 use compcerto_core::iface::{CQuery, CReply, Signature, C};
 use compcerto_core::lts::{
-    run_budgeted, Lts, RunBudget, RunOutcome, StateMeasure, Step, Stuck,
+    run_budgeted, Batch, Event, Lts, RunBudget, RunOutcome, StateMeasure, Stuck,
 };
 use compcerto_core::obs;
 use mem::{Mem, Val};
@@ -45,14 +45,23 @@ impl Lts for Stepper {
         Ok(0)
     }
 
-    fn step(&self, s: &u64) -> Step<u64, CQuery, CReply> {
+    fn step_batch(
+        &self,
+        s: &mut u64,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<CQuery, CReply> {
         if *s >= self.limit {
-            Step::Final(CReply {
-                retval: Val::Int(*s as i32),
-                mem: Mem::new(),
-            })
+            Batch::Final(
+                0,
+                CReply {
+                    retval: Val::Int(*s as i32),
+                    mem: Mem::new(),
+                },
+            )
         } else {
-            Step::Internal(s + 1, vec![])
+            *s += 1;
+            Batch::Ran(1)
         }
     }
 

@@ -5,7 +5,7 @@
 
 use compcerto_core::hcomp::HComp;
 use compcerto_core::iface::{CQuery, CReply, Signature, C};
-use compcerto_core::lts::{run, Lts, RunOutcome, Step, Stuck};
+use compcerto_core::lts::{run, Batch, Event, Lts, RunOutcome, Stuck};
 use compcerto_core::seqcomp::SeqComp;
 use mem::{Mem, Val};
 
@@ -43,23 +43,35 @@ impl Lts for Chainer {
         }
     }
 
-    fn step(&self, s: &St) -> Step<St, CQuery, CReply> {
+    fn step_batch(
+        &self,
+        s: &mut St,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<CQuery, CReply> {
         match s {
             St::Start(n, m) => match (self.peer, *n <= 0) {
                 (_, true) | (None, _) => {
-                    Step::Internal(St::Done(Val::Int(self.base), m.clone()), vec![])
+                    *s = St::Done(Val::Int(self.base), std::mem::take(m));
+                    Batch::Ran(1)
                 }
-                (Some(peer), false) => Step::External(CQuery {
-                    vf: Val::Ptr(peer, 0),
-                    sig: Signature::int_fn(1),
-                    args: vec![Val::Int(n - 1)],
-                    mem: m.clone(),
-                }),
+                (Some(peer), false) => Batch::External(
+                    0,
+                    CQuery {
+                        vf: Val::Ptr(peer, 0),
+                        sig: Signature::int_fn(1),
+                        args: vec![Val::Int(*n - 1)],
+                        mem: m.clone(),
+                    },
+                ),
             },
-            St::Done(v, m) => Step::Final(CReply {
-                retval: *v,
-                mem: m.clone(),
-            }),
+            St::Done(v, m) => Batch::Final(
+                0,
+                CReply {
+                    retval: *v,
+                    mem: m.clone(),
+                },
+            ),
         }
     }
 

@@ -176,11 +176,11 @@ impl BlockData {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Mem {
     // Copy-on-write: cloning a memory state is O(#blocks) pointer copies;
-    // mutation clones only the touched block (`Arc::make_mut`). Interpreter
-    // batches mutate memory in place, and resume and the threaded hand-off
-    // move it; whole states are cloned at query transport, ring-traced
-    // steps, and the one-transition steps of ⊕, ∘ and the simulation
-    // checker.
+    // mutation clones only the touched block (`Arc::make_mut`). Every batch,
+    // the composites' (⊕, ∘, `Closed`) included, mutates memory in place,
+    // and resume and the threaded hand-off move it; whole states are cloned
+    // at query transport, ring-traced steps and the one-transition
+    // `Lts::step` that tests and the Fig. 5 rule printer call.
     blocks: Vec<Option<Arc<BlockData>>>,
     // Total bytes of currently-valid blocks, maintained by `alloc`/`free`.
     // Invariant: `live_bytes == Σ (hi - lo)` over valid blocks, so the

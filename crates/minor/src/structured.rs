@@ -11,7 +11,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use compcerto_core::iface::{CQuery, CReply, Signature, C};
-use compcerto_core::lts::{Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{Chunk, Mem, Val};
 
@@ -454,8 +454,14 @@ impl<L: StructLang> Lts for StructSem<L> {
         })
     }
 
-    fn step(&self, s: &Self::State) -> Step<Self::State, CQuery, CReply> {
-        match s {
+    fn step_batch(
+        &self,
+        s: &mut Self::State,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<CQuery, CReply> {
+        // One transition per batch.
+        let next = match &*s {
             GState::Entry {
                 fname,
                 args,
@@ -463,17 +469,17 @@ impl<L: StructLang> Lts for StructSem<L> {
                 kont,
             } => {
                 let Some(f) = self.lang.find_fun(fname) else {
-                    return Step::Stuck(Stuck::new(format!(
-                        "{}: entry into unknown `{fname}`",
-                        self.label
-                    )));
+                    return Batch::Stuck(
+                        0,
+                        Stuck::new(format!("{}: entry into unknown `{fname}`", self.label)),
+                    );
                 };
                 let params = self.lang.fun_params(f);
                 if params.len() != args.len() {
-                    return Step::Stuck(Stuck::new(format!(
-                        "{}: arity mismatch entering `{fname}`",
-                        self.label
-                    )));
+                    return Batch::Stuck(
+                        0,
+                        Stuck::new(format!("{}: arity mismatch entering `{fname}`", self.label)),
+                    );
                 }
                 let mut mem = mem.clone();
                 let env = self.lang.enter(f, &mut mem);
@@ -486,19 +492,16 @@ impl<L: StructLang> Lts for StructSem<L> {
                 for (t, v) in params.iter().zip(args) {
                     temps.insert(*t, *v);
                 }
-                Step::Internal(
-                    GState::Stmt {
-                        s: self.lang.fun_body(f).clone(),
-                        frame: GFrame {
-                            fname: fname.clone(),
-                            env,
-                            temps,
-                        },
-                        kont: kont.clone(),
-                        mem,
+                GState::Stmt {
+                    s: self.lang.fun_body(f).clone(),
+                    frame: GFrame {
+                        fname: fname.clone(),
+                        env,
+                        temps,
                     },
-                    vec![],
-                )
+                    kont: kont.clone(),
+                    mem,
+                }
             }
             GState::Stmt {
                 s,
@@ -506,33 +509,37 @@ impl<L: StructLang> Lts for StructSem<L> {
                 kont,
                 mem,
             } => match self.step_stmt(s, frame, kont, mem) {
-                Ok(next) => Step::Internal(next, vec![]),
-                Err(stuck) => Step::Stuck(stuck),
+                Ok(next) => next,
+                Err(stuck) => return Batch::Stuck(0, stuck),
             },
             GState::Returning { v, mem, kont } => match kont {
-                GKont::Stop => Step::Final(CReply {
-                    retval: *v,
-                    mem: mem.clone(),
-                }),
+                GKont::Stop => {
+                    return Batch::Final(
+                        0,
+                        CReply {
+                            retval: *v,
+                            mem: mem.clone(),
+                        },
+                    )
+                }
                 GKont::Call { dest, frame, kont } => {
                     let mut frame = frame.clone();
                     if let Some(t) = dest {
                         frame.temps.insert(*t, *v);
                     }
-                    Step::Internal(
-                        GState::Stmt {
-                            s: GStmt::Skip,
-                            frame,
-                            kont: (**kont).clone(),
-                            mem: mem.clone(),
-                        },
-                        vec![],
-                    )
+                    GState::Stmt {
+                        s: GStmt::Skip,
+                        frame,
+                        kont: (**kont).clone(),
+                        mem: mem.clone(),
+                    }
                 }
-                _ => Step::Stuck(Stuck::new("return into non-call continuation")),
+                _ => return Batch::Stuck(0, Stuck::new("return into non-call continuation")),
             },
-            GState::External { q, .. } => Step::External(q.clone()),
-        }
+            GState::External { q, .. } => return Batch::External(0, q.clone()),
+        };
+        *s = next;
+        Batch::Ran(1)
     }
 
     fn resume(&self, s: &mut Self::State, a: CReply) -> Result<(), Stuck> {

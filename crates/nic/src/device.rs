@@ -5,7 +5,7 @@
 //! the medium (an outgoing `Net` question); `Recv` polls the medium and
 //! reads the RX register.
 
-use compcerto_core::lts::{Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 
 use crate::iface::{Io, IoOp, IoReply, Net, NetOp, NetReply};
 
@@ -46,13 +46,21 @@ impl Lts for NicModel {
         })
     }
 
-    fn step(&self, s: &NicState) -> Step<NicState, NetOp, IoReply> {
-        match s {
+    fn step_batch(
+        &self,
+        s: &mut NicState,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<NetOp, IoReply> {
+        match *s {
             // Pulse CTRL: the frame goes on the wire.
-            NicState::TxLatched(f) => Step::Internal(NicState::TxWaiting(*f), vec![]),
-            NicState::TxWaiting(f) => Step::External(NetOp::Transmit(*f)),
-            NicState::RxWaiting => Step::External(NetOp::Poll),
-            NicState::Done(v) => Step::Final(IoReply(*v)),
+            NicState::TxLatched(f) => {
+                *s = NicState::TxWaiting(f);
+                Batch::Ran(1)
+            }
+            NicState::TxWaiting(f) => Batch::External(0, NetOp::Transmit(f)),
+            NicState::RxWaiting => Batch::External(0, NetOp::Poll),
+            NicState::Done(v) => Batch::Final(0, IoReply(v)),
         }
     }
 

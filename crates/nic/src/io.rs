@@ -12,7 +12,7 @@
 //! see `scenario::check_eqn7`.
 
 use compcerto_core::iface::{abi, ARegs, CQuery, CReply, Signature, A, C};
-use compcerto_core::lts::{Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::regs::Mreg;
 use compcerto_core::symtab::{GlobKind, SymbolTable};
 use mem::{Mem, Typ, Val};
@@ -92,16 +92,25 @@ impl Lts for IoAtC {
         }
     }
 
-    fn step(&self, s: &IoCState) -> Step<IoCState, IoOp, CReply> {
+    fn step_batch(
+        &self,
+        s: &mut IoCState,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<IoOp, CReply> {
         match s {
             IoCState::Issue(op, mem) => {
-                Step::Internal(IoCState::Waiting(op.clone(), mem.clone()), vec![])
+                *s = IoCState::Waiting(op.clone(), std::mem::take(mem));
+                Batch::Ran(1)
             }
-            IoCState::Waiting(op, _) => Step::External(op.clone()),
-            IoCState::Done(v, mem) => Step::Final(CReply {
-                retval: Val::Long(*v),
-                mem: mem.clone(),
-            }),
+            IoCState::Waiting(op, _) => Batch::External(0, op.clone()),
+            IoCState::Done(v, mem) => Batch::Final(
+                0,
+                CReply {
+                    retval: Val::Long(*v),
+                    mem: mem.clone(),
+                },
+            ),
         }
     }
 
@@ -174,12 +183,18 @@ impl Lts for IoAtA {
         }
     }
 
-    fn step(&self, s: &IoAState) -> Step<IoAState, IoOp, ARegs> {
+    fn step_batch(
+        &self,
+        s: &mut IoAState,
+        _fuel_left: u64,
+        _events: &mut Vec<Event>,
+    ) -> Batch<IoOp, ARegs> {
         match s {
             IoAState::Issue(op, q) => {
-                Step::Internal(IoAState::Waiting(op.clone(), q.clone()), vec![])
+                *s = IoAState::Waiting(op.clone(), q.clone());
+                Batch::Ran(1)
             }
-            IoAState::Waiting(op, _) => Step::External(op.clone()),
+            IoAState::Waiting(op, _) => Batch::External(0, op.clone()),
             IoAState::Done(v, q) => {
                 // Return per the calling convention: result in the result
                 // register, caller-save clobbered, control to `ra`.
@@ -191,10 +206,13 @@ impl Lts for IoAtA {
                 }
                 rs.set(abi::RESULT_REG, Val::Long(*v));
                 rs.pc = q.rs.ra;
-                Step::Final(ARegs {
-                    rs,
-                    mem: q.mem.clone(),
-                })
+                Batch::Final(
+                    0,
+                    ARegs {
+                        rs,
+                        mem: q.mem.clone(),
+                    },
+                )
             }
         }
     }

@@ -286,6 +286,102 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use crate::iface::IoOp;
+    use compcerto_core::conv::SimConv;
+    use compcerto_core::lts::{run_budgeted, RunBudget, RunOutcome};
+    use std::time::Duration;
+
+    fn describe<A: std::fmt::Debug>(out: RunOutcome<A>) -> String {
+        match out {
+            RunOutcome::Complete { answer, steps, .. } => format!("{answer:?} after {steps} steps"),
+            other => format!("{:?}", other.into_answer().err()),
+        }
+    }
+
+    fn steps_of<A>(out: RunOutcome<A>) -> u64 {
+        match out {
+            RunOutcome::Complete { steps, .. } => steps,
+            other => panic!("expected completion, got {:?}", other.into_answer().err()),
+        }
+    }
+
+    #[test]
+    fn stacks_agree_across_chunk_policies() {
+        // One step per batch (ring trace), whole-fuel batches (no trace) and
+        // stride-aligned batches (deadline only) must give the same answer
+        // in the same number of steps, through ∘ over ⊕ and ∘ over Asm.
+        let sc = build().unwrap();
+        let budgets = [
+            RunBudget::with_fuel(1_000_000),
+            RunBudget::with_fuel(1_000_000).no_trace(),
+            RunBudget::with_fuel(1_000_000)
+                .deadline(Duration::from_secs(3600))
+                .no_trace(),
+        ];
+        let q = sc.query(17);
+        let (_, qa) = Ca::new(sc.symtab.len() as u32)
+            .transport_query(&q)
+            .expect("query transports to Asm");
+        let (source, target) = (sc.source_stack(), sc.target_stack());
+        let mut seen = Vec::new();
+        for b in &budgets {
+            let mut net = LoopbackNet::new(|f| f + 1000);
+            let s = describe(run_budgeted(&source, &q, &mut |op| Some(net.answer(op)), b));
+            let mut net = LoopbackNet::new(|f| f + 1000);
+            let t = describe(run_budgeted(
+                &target,
+                &qa,
+                &mut |op| Some(net.answer(op)),
+                b,
+            ));
+            seen.push((s, t));
+        }
+        assert!(
+            seen[0].0.contains(" after ") && seen[0].1.contains(" after "),
+            "{seen:#?}"
+        );
+        assert!(seen.iter().all(|st| *st == seen[0]), "{seen:#?}");
+    }
+
+    #[test]
+    fn seqcomp_rules_cost_one_step_each() {
+        // Activating the lower component costs one step, and its answer
+        // resumes the upper one in one step, as an environment's answer
+        // would: the stack takes the upper component's own run, with the
+        // lower one run as its environment, plus one step per activation.
+        let sc = build().unwrap();
+        let stack = sc.source_stack();
+        let budget = RunBudget::with_fuel(1_000_000).no_trace();
+        let q = sc.query(17);
+        let mut net = LoopbackNet::new(|f| f + 1000);
+        let whole = steps_of(run_budgeted(
+            &stack,
+            &q,
+            &mut |op| Some(net.answer(op)),
+            &budget,
+        ));
+        let mut net = LoopbackNet::new(|f| f + 1000);
+        let (mut calls, mut lower_steps) = (0, 0);
+        let upper = steps_of(run_budgeted(
+            stack.upper(),
+            &q,
+            &mut |io: &IoOp| {
+                calls += 1;
+                let lower =
+                    run_budgeted(stack.lower(), io, &mut |op| Some(net.answer(op)), &budget);
+                match lower {
+                    RunOutcome::Complete { answer, steps, .. } => {
+                        lower_steps += steps;
+                        Some(answer)
+                    }
+                    _ => None,
+                }
+            },
+            &budget,
+        ));
+        assert_eq!(calls, 2, "one send and one receive");
+        assert_eq!(whole, upper + calls + lower_steps);
+    }
 
     #[test]
     fn driver_surfaces_device_errors() {

@@ -6,7 +6,7 @@
 //! `step` is the same loop at fuel 1.
 
 use compcerto_core::iface::{CQuery, CReply, C};
-use compcerto_core::lts::{step_via_batch, Batch, Event, Lts, Step, Stuck};
+use compcerto_core::lts::{Batch, Event, Lts, Stuck};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Mem, Val};
 
@@ -164,10 +164,6 @@ impl Lts for RtlSem {
             mem: q.mem.clone(),
             stack: vec![],
         })
-    }
-
-    fn step(&self, s: &RtlState) -> Step<RtlState, CQuery, CReply> {
-        step_via_batch(self, s)
     }
 
     fn step_batch(
