@@ -32,6 +32,16 @@ for trace in 0 1; do
         --workload oracle-seeds --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_oracle_$trace.txt
 done
 
+echo "== benchmark full-size compile pass (both modes) =="
+# One pass of `compile-corpus` over all 56 link sets: untraced, it checks
+# the `corpus_asm` pin (the self-test above runs a tiny, unpinned corpus);
+# traced, it checks each unit's Asm, counters and diagnostics against
+# `compile_all_jobs`.
+for trace in 0 1; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload compile-corpus --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_corpus_$trace.txt
+done
+
 echo "== clippy unwrap/expect gate (library paths) =="
 cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate --lib -- \
     -D clippy::unwrap_used -D clippy::expect_used

@@ -27,7 +27,7 @@ use rtl::absint::{
 };
 use rtl::ndce::{deletable, NeedFacts};
 use rtl::vprop::{rewrite_cond, rewrite_op, VaFacts};
-use rtl::{Inst, JoinSemiLattice, Node, Romem, RtlFunction, RtlProgram};
+use rtl::{Inst, JoinSemiLattice, Node, PReg, Romem, RtlFunction, RtlProgram};
 
 use crate::cfg::reverse_postorder;
 use crate::diag::Diagnostic;
@@ -81,14 +81,13 @@ fn dense_order(f: &RtlFunction) -> (Vec<Node>, HashMap<Node, usize>) {
     (order, idx)
 }
 
-/// The abstract environment *after* executing `inst` in `env` (registers
-/// only — memory is summarized by the read-only-globals view `romem`).
-fn value_transfer(env: &VaEnv, inst: &Inst, romem: &Romem) -> VaEnv {
-    let mut out = env.clone();
+/// The one register `inst` writes and its abstract value afterwards (memory
+/// is summarized by the read-only-globals view `romem`), or `None` when it
+/// writes no register: only `Op`, `Load` and a `Call` with a destination
+/// write one.
+fn value_write(env: &VaEnv, inst: &Inst, romem: &Romem) -> Option<(PReg, VaVal)> {
     match inst {
-        Inst::Op(op, dst, _) => {
-            out.set(*dst, eval_op_va(env, op));
-        }
+        Inst::Op(op, dst, _) => Some((*dst, eval_op_va(env, op))),
         Inst::Load(chunk, base, disp, dst, _) => {
             let v = match env.get(*base) {
                 VaVal::Global(s, d) => match romem.load(*chunk, s, d.wrapping_add(*disp)) {
@@ -97,22 +96,38 @@ fn value_transfer(env: &VaEnv, inst: &Inst, romem: &Romem) -> VaEnv {
                 },
                 _ => VaVal::Top,
             };
-            out.set(*dst, v);
+            Some((*dst, v))
         }
-        Inst::Call(_, _, _, dst, _) => {
-            if let Some(d) = dst {
-                out.set(*d, VaVal::Top);
-            }
-        }
+        Inst::Call(_, _, _, dst, _) => dst.map(|d| (d, VaVal::Top)),
         // Stores don't touch registers; the memory they write is never the
         // read-only region `romem` folds from.
         Inst::Store(_, _, _, _, _)
         | Inst::Cond(_, _, _)
         | Inst::Nop(_)
         | Inst::Tailcall(_, _, _)
-        | Inst::Return(_) => {}
+        | Inst::Return(_) => None,
     }
-    out
+}
+
+/// The value a grown register takes: the join itself, or once its node
+/// widens, the widening of the old value against it. `old.widen(joined)`
+/// of the whole environment gives the same, since an unbound `old` takes
+/// `joined` and `x.widen(x) = x` for every register that did not grow.
+fn grown(old: &VaVal, joined: VaVal, widen: bool) -> VaVal {
+    if widen && *old != VaVal::Bot {
+        old.widen(&joined)
+    } else {
+        joined
+    }
+}
+
+/// What one pop of a node sends its successors.
+enum Propagation {
+    /// First pop: the whole state after the node.
+    Full(VaEnv),
+    /// Later pops: the registers that changed at the node since its last
+    /// pop, plus the one it writes, with their values after it.
+    Changes(Vec<(PReg, VaVal)>),
 }
 
 /// Forward interval value analysis of one function: the abstract register
@@ -120,14 +135,25 @@ fn value_transfer(env: &VaEnv, inst: &Inst, romem: &Romem) -> VaEnv {
 /// (the caller is unknown), every other register at `Bot` (= unwritten,
 /// reads as `Undef`). Join points that keep growing are widened after
 /// [`WIDEN_AFTER`] growing joins, so loops terminate.
+///
+/// A node's first pop joins its whole after-state into its successors;
+/// later pops join only the registers that changed in its state since its
+/// last pop, plus the one it writes. That is exact: a successor's state
+/// only grows, so it stays above every after-state the node sent before,
+/// and a register that did not change at the node cannot change the join.
+/// The pops, their order and the facts are those of the full join.
 #[must_use]
 pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
     if !f.code.contains_key(&f.entry) {
         return BTreeMap::new();
     }
     let (order, idx) = dense_order(f);
-    let mut state: Vec<Option<VaEnv>> = order.iter().map(|_| None).collect();
+    let mut state: Vec<Option<VaEnv>> = vec![None; order.len()];
     let mut grows: Vec<u32> = vec![0; order.len()];
+    // Per node: whether it has propagated its state yet, and the registers
+    // that changed in its state since its last pop.
+    let mut propagated: Vec<bool> = vec![false; order.len()];
+    let mut changed: Vec<Vec<PReg>> = vec![Vec::new(); order.len()];
     let Some(&ei) = idx.get(&f.entry) else {
         return BTreeMap::new();
     };
@@ -142,36 +168,66 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
         let n = order[i];
         let Some(inst) = f.code.get(&n) else { continue };
         let Some(before) = state[i].as_ref() else { continue };
-        let mut after = value_transfer(before, inst, romem);
-        let succs = inst.successors();
-        let last = succs.len().saturating_sub(1);
-        for (k, s) in succs.into_iter().enumerate() {
+        let write = value_write(before, inst, romem);
+        // A first pop sends the whole state, so what changed before it is
+        // dropped.
+        let mut regs = std::mem::take(&mut changed[i]);
+        let send = if std::mem::replace(&mut propagated[i], true) {
+            regs.extend(write.as_ref().map(|(r, _)| *r));
+            regs.sort_unstable();
+            regs.dedup();
+            Propagation::Changes(
+                regs.into_iter()
+                    .map(|r| match &write {
+                        Some((w, v)) if *w == r => (r, v.clone()),
+                        _ => (r, before.get(r).clone()),
+                    })
+                    .collect(),
+            )
+        } else {
+            let mut after = before.clone();
+            if let Some((r, v)) = write {
+                after.set(r, v);
+            }
+            Propagation::Full(after)
+        };
+        for s in inst.successors() {
             let Some(&si) = idx.get(&s) else { continue };
-            let changed = match state[si].as_mut() {
-                // Join straight into the successor; only a join that may
-                // widen needs the old state kept aside.
-                Some(cur) => {
-                    let old = (grows[si] >= WIDEN_AFTER).then(|| cur.clone());
-                    let grew = cur.join_in_place(&after);
-                    if grew {
-                        grows[si] += 1;
-                        if let Some(old) = old {
-                            *cur = old.widen(cur);
+            let widen = grows[si] >= WIDEN_AFTER;
+            let grew = match (state[si].as_mut(), &send) {
+                (Some(cur), Propagation::Full(after)) => cur.join_with(after, |r, old, joined| {
+                    changed[si].push(r);
+                    grown(old, joined, widen)
+                }),
+                (Some(cur), Propagation::Changes(regs)) => {
+                    let mut grew = false;
+                    for (r, v) in regs {
+                        let old = cur.get(*r);
+                        if old == v {
+                            continue;
+                        }
+                        let joined = old.join(v);
+                        if joined != *old {
+                            let new = grown(old, joined, widen);
+                            cur.set(*r, new);
+                            changed[si].push(*r);
+                            grew = true;
                         }
                     }
                     grew
                 }
-                // The last successor takes `after` itself, not a copy.
-                None => {
-                    state[si] = Some(if k == last {
-                        std::mem::take(&mut after)
-                    } else {
-                        after.clone()
-                    });
-                    true
+                // A successor seen for the first time takes a copy of the
+                // after-state. Only a first pop meets one: it leaves every
+                // successor with a state.
+                (None, Propagation::Full(after)) => {
+                    state[si] = Some(after.clone());
+                    work.insert(si);
+                    continue;
                 }
+                (None, Propagation::Changes(_)) => continue,
             };
-            if changed {
+            if grew {
+                grows[si] += 1;
                 work.insert(si);
             }
         }
@@ -376,9 +432,12 @@ fn check_shape(
 
 /// Validate a `vprop` (analysis-driven constant propagation) run: recompute
 /// the interval facts on the pass *input* and require every differing node
-/// to be exactly the rewrite those facts justify. `O(program)` and
-/// deterministic — honest compiles are provably clean because the pass and
-/// the validator consult the same canonical rewrite function.
+/// to be exactly the rewrite those facts justify. Recomputing the facts
+/// solves the widening fixpoint of [`value_facts`] once per function, so
+/// the check costs as much as the analysis the pass consumed, plus one
+/// rewrite check per node. Deterministic — honest compiles are provably
+/// clean because the pass and the validator consult the same canonical
+/// rewrite function.
 #[must_use]
 pub fn validate_constprop(
     input: &RtlProgram,

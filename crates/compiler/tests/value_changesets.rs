@@ -1,0 +1,266 @@
+//! Change-set propagation in the interval value analysis (DESIGN.md §12.3)
+//! against the full join it replaces.
+//!
+//! `compcerto_validate::value_facts` joins a node's whole after-state into
+//! its successors only at the node's first pop; later pops join just the
+//! registers that changed at the node since its last pop, plus the one it
+//! writes. `full_join_facts` below keeps the solver as it was before that
+//! change — every pop copies the state, applies the transfer and joins
+//! every register into every successor — and the two must agree exactly on
+//! every function: equal facts, and as many pops as the library adds to
+//! `value_solver_iterations()` (so the `solver.value.iters` counter, the
+//! pop order and the widening decisions are those of the full join).
+//!
+//! Inputs: every `rtl_vprop_in` function of the SCHED.json seed block under
+//! both oracle generator profiles, the 48 `compile-corpus`-shaped link sets
+//! (3 units × 4 functions × 12 statements), and a seeded block of random
+//! cyclic CFGs.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+use compcerto_core::iface::Signature;
+use compcerto_core::rng::SplitMix64;
+use compcerto_core::symtab::SymbolTable;
+use compcerto_gen::{generate, GenCfg};
+use compcerto_validate::{reverse_postorder, value_facts, value_solver_iterations};
+use compiler::{compile_all, json, CompilerOptions, DifftestCfg, SchedCfg};
+use mem::Val;
+use minor::MBinop;
+use rtl::{eval_op_va, Inst, JoinSemiLattice, Node, Romem, RtlFunction, RtlOp, VaEnv, VaVal};
+
+/// Same as the solver's: growing joins tolerated before widening.
+const WIDEN_AFTER: u32 = 2;
+
+/// The state after `inst` in `env`: a whole copy with the write applied.
+fn full_transfer(env: &VaEnv, inst: &Inst, romem: &Romem) -> VaEnv {
+    let mut out = env.clone();
+    match inst {
+        Inst::Op(op, dst, _) => out.set(*dst, eval_op_va(env, op)),
+        Inst::Load(chunk, base, disp, dst, _) => {
+            let v = match env.get(*base) {
+                VaVal::Global(s, d) => match romem.load(*chunk, s, d.wrapping_add(*disp)) {
+                    Some(v) => VaVal::of_const(&v),
+                    None => VaVal::Top,
+                },
+                _ => VaVal::Top,
+            };
+            out.set(*dst, v);
+        }
+        Inst::Call(_, _, _, Some(d), _) => out.set(*d, VaVal::Top),
+        _ => {}
+    }
+    out
+}
+
+/// The full-join solver, as it was: per pop, copy the state, transfer, and
+/// join the whole after-state into every successor, widening the whole
+/// environment once a successor has grown `WIDEN_AFTER` times. Returns the
+/// facts and the number of pops.
+fn full_join_facts(f: &RtlFunction, romem: &Romem) -> (BTreeMap<Node, VaEnv>, u64) {
+    if !f.code.contains_key(&f.entry) {
+        return (BTreeMap::new(), 0);
+    }
+    let mut order = reverse_postorder(f);
+    let mut seen: BTreeSet<Node> = order.iter().copied().collect();
+    for n in f.code.keys() {
+        if seen.insert(*n) {
+            order.push(*n);
+        }
+    }
+    let idx: HashMap<Node, usize> = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+    let mut state: Vec<Option<VaEnv>> = vec![None; order.len()];
+    let mut grows = vec![0u32; order.len()];
+    let mut entry = VaEnv::default();
+    for p in &f.params {
+        entry.set(*p, VaVal::Top);
+    }
+    state[idx[&f.entry]] = Some(entry);
+    let mut work = BTreeSet::from([idx[&f.entry]]);
+    let mut pops = 0;
+    while let Some(i) = work.pop_first() {
+        pops += 1;
+        let Some(inst) = f.code.get(&order[i]) else {
+            continue;
+        };
+        let Some(before) = state[i].as_ref() else {
+            continue;
+        };
+        let after = full_transfer(before, inst, romem);
+        for s in inst.successors() {
+            let Some(&si) = idx.get(&s) else { continue };
+            let changed = match state[si].as_mut() {
+                Some(cur) => {
+                    let old = (grows[si] >= WIDEN_AFTER).then(|| cur.clone());
+                    let grew = cur.join_in_place(&after);
+                    if grew {
+                        grows[si] += 1;
+                        if let Some(old) = old {
+                            *cur = old.widen(cur);
+                        }
+                    }
+                    grew
+                }
+                None => {
+                    state[si] = Some(after.clone());
+                    true
+                }
+            };
+            if changed {
+                work.insert(si);
+            }
+        }
+    }
+    let facts = order
+        .iter()
+        .zip(state)
+        .filter_map(|(n, s)| s.map(|s| (*n, s)))
+        .collect();
+    (facts, pops)
+}
+
+/// Solve `f` both ways and require equal facts and equal pop counts.
+/// Returns whether some node popped twice, i.e. the change-set path ran.
+fn assert_same(f: &RtlFunction, romem: &Romem, ctx: &str) -> bool {
+    let (want, want_pops) = full_join_facts(f, romem);
+    let before = value_solver_iterations();
+    let got = value_facts(f, romem);
+    let pops = value_solver_iterations() - before;
+    assert_eq!(pops, want_pops, "{ctx}: `{}` pops", f.name);
+    assert_eq!(got.len(), want.len(), "{ctx}: `{}` solved nodes", f.name);
+    for ((n, g), (m, w)) in got.iter().zip(&want) {
+        assert_eq!(n, m, "{ctx}: `{}` solved node set", f.name);
+        assert_eq!(g, w, "{ctx}: `{}` fact before node {n}", f.name);
+    }
+    pops > want.len() as u64
+}
+
+/// Compile one generated program and check every function of every
+/// unit's `Vprop` input snapshot. Returns how many functions it checked.
+fn check_generated(seed: u64, cfg: &GenCfg, opts: CompilerOptions, ctx: &str) -> usize {
+    let srcs = generate(seed, cfg).render();
+    let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+    let (units, symtab) = match compile_all(&refs, opts) {
+        Ok(x) => x,
+        Err(e) => panic!("{ctx} seed {seed}: failed to compile: {e}"),
+    };
+    let romem = Romem::new(&symtab);
+    let mut n = 0;
+    for u in &units {
+        for f in &u.rtl_vprop_in.functions {
+            assert_same(f, &romem, &format!("{ctx} seed {seed}"));
+            n += 1;
+        }
+    }
+    n
+}
+
+#[test]
+fn change_sets_equal_the_full_join_on_the_oracle_seeds() {
+    let doc = json::parse(include_str!("../../../SCHED.json")).unwrap_or_else(|e| panic!("{e}"));
+    let num = |k: &str| {
+        doc.get(k)
+            .and_then(json::Json::as_u64)
+            .unwrap_or_else(|| panic!("{k}"))
+    };
+    let base = num("seed_base");
+    let profiles = [
+        ("difftest", DifftestCfg::default().gen),
+        ("sched", SchedCfg::default().gen),
+    ];
+    let mut checked = 0;
+    for seed in base..base + num("seeds") {
+        for (name, gen) in &profiles {
+            checked += check_generated(seed, gen, CompilerOptions::validated(), name);
+        }
+    }
+    assert!(checked >= 2 * 64, "only {checked} functions checked");
+}
+
+#[test]
+fn change_sets_equal_the_full_join_on_the_compile_corpus_shape() {
+    let cfg = GenCfg {
+        units: 3,
+        fns_per_unit: 4,
+        stmts_per_fn: 12,
+        ..GenCfg::default()
+    };
+    let mut checked = 0;
+    for seed in 0..48 {
+        checked += check_generated(seed, &cfg, CompilerOptions::default(), "corpus");
+    }
+    assert!(checked >= 48 * 12, "only {checked} functions checked");
+}
+
+/// A random, possibly cyclic, possibly partly unreachable CFG with `n`
+/// nodes over registers `1..=r`, from one seed (the `random_cfg` of
+/// `compcerto-validate`'s property tests, plus increments that make loops
+/// widen, moves, and calls that write `Top`).
+fn random_cfg(seed: u64, n: u32, r: u32) -> RtlFunction {
+    let mut rng = SplitMix64::new(seed);
+    let n = n.max(2);
+    let r = r.max(2);
+    let mut code = BTreeMap::new();
+    for i in 0..n {
+        let succ = |rng: &mut SplitMix64| rng.next_u64() as u32 % n;
+        let reg = |rng: &mut SplitMix64| 1 + rng.next_u64() as u32 % r;
+        let inst = match rng.next_u64() % 8 {
+            0 => Inst::Cond(reg(&mut rng), succ(&mut rng), succ(&mut rng)),
+            1 => Inst::Nop(succ(&mut rng)),
+            2 => Inst::Return(Some(reg(&mut rng))),
+            3 => Inst::Op(
+                RtlOp::Int(rng.next_u64() as i32 % 100),
+                reg(&mut rng),
+                succ(&mut rng),
+            ),
+            4 => {
+                let d = reg(&mut rng);
+                Inst::Op(RtlOp::Int(7), d, succ(&mut rng))
+            }
+            5 => {
+                let d = reg(&mut rng);
+                Inst::Op(
+                    RtlOp::BinopImm(MBinop::Add32, d, Val::Int(1)),
+                    d,
+                    succ(&mut rng),
+                )
+            }
+            6 => Inst::Op(RtlOp::Move(reg(&mut rng)), reg(&mut rng), succ(&mut rng)),
+            _ => Inst::Call(
+                Signature::int_fn(1),
+                "ext".into(),
+                vec![reg(&mut rng)],
+                Some(reg(&mut rng)),
+                succ(&mut rng),
+            ),
+        };
+        code.insert(i, inst);
+    }
+    RtlFunction {
+        name: "p".into(),
+        sig: Signature::int_fn(1),
+        params: vec![1],
+        stack_size: 0,
+        entry: 0,
+        code,
+        next_reg: r + 1,
+    }
+}
+
+#[test]
+fn change_sets_equal_the_full_join_on_random_cyclic_cfgs() {
+    let romem = Romem::new(&SymbolTable::new());
+    let mut rng = SplitMix64::new(0x5eed);
+    let mut repopped = 0;
+    for i in 0..2_000 {
+        let seed = rng.next_u64();
+        let n = rng.range_usize(2, 48) as u32;
+        // Up to 80 registers, so states span several environment chunks.
+        let r = rng.range_usize(2, 80) as u32;
+        let f = random_cfg(seed, n, r);
+        let ctx = format!("cfg {i} (seed {seed:#x}, n {n}, r {r})");
+        repopped += usize::from(assert_same(&f, &romem, &ctx));
+    }
+    // Loops must make the solver revisit nodes, or the change sets go
+    // untested.
+    assert!(repopped >= 500, "only {repopped} CFGs popped a node twice");
+}

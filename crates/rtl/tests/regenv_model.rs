@@ -1,16 +1,19 @@
-//! Model-based checking of the dense register environment `RegEnv` against
-//! a `BTreeMap` reference model, for both abstract domains stored in it:
-//! the interval domain `VaVal` (whose join sends a one-sided binding to
-//! `Top`, and which widens) and the constant domain `AVal` (a flat join
+//! Model-based checking of the copy-on-write register environment `RegEnv`
+//! against a `BTreeMap` reference model, for both abstract domains stored
+//! in it: the interval domain `VaVal` (whose join sends a one-sided binding
+//! to `Top`, and which widens) and the constant domain `AVal` (a flat join
 //! with `Bot` as identity).
 //!
 //! Seeded SplitMix64 scripts of `set` / `get` / `join_in_place` / `widen` /
-//! `iter` / `==` run on a handful of environments at once; after every step
-//! each environment must agree with its model on every probe, iterate the
-//! model's bindings in ascending order, report exactly the model's
-//! changed-flag from a join (the worklist solvers' termination depends on
-//! it), and compare equal to another environment exactly when the models
-//! are equal — however many trailing `Bot` slots either carries.
+//! `iter` / `==` / `clone` run on a handful of environments at once; after
+//! every step *every* environment must agree with its model on every probe
+//! and iterate the model's bindings in ascending order, a join must report
+//! exactly the model's changed-flag (the worklist solvers' termination
+//! depends on it), and two environments compare equal exactly when their
+//! models are equal — however many trailing `Bot` slots or chunks either
+//! carries. Clones, joins and widenings leave environments sharing chunks,
+//! so a write through one environment that shows through another fails the
+//! check of the environment the step did not touch.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -174,7 +177,9 @@ fn run_scripts<V: AbsVal + std::fmt::Debug>(dom: &Domain<V>, seed_base: u64, scr
                     models[i].remove(&r);
                 }
             }
-            agree(&envs[i], &models[i], &ctx);
+            for k in 0..ENVS {
+                agree(&envs[k], &models[k], &format!("{ctx} env {k}"));
+            }
             for a in 0..ENVS {
                 for b in 0..ENVS {
                     assert_eq!(
@@ -273,4 +278,85 @@ fn iteration_is_ascending_whatever_the_insertion_order() {
     }
     let regs: Vec<PReg> = e.iter().map(|(r, _)| r).collect();
     assert_eq!(regs, vec![0, 3, 9, 17, 41]);
+}
+
+/// Registers on both sides of every chunk boundary up to the third chunk,
+/// and one far past them.
+const EDGE_REGS: [PReg; 6] = [0, 31, 32, 63, 64, 300];
+
+fn bindings(e: &RegEnv<VaVal>) -> Vec<(PReg, VaVal)> {
+    e.iter().map(|(r, v)| (r, v.clone())).collect()
+}
+
+#[test]
+fn writes_through_a_clone_never_show_through_the_other() {
+    let mut base: RegEnv<VaVal> = RegEnv::default();
+    for (k, r) in EDGE_REGS.iter().enumerate() {
+        base.set(*r, VaVal::int(k as i32));
+    }
+    let want = bindings(&base);
+    // Every register grows: an interval against the point binding.
+    let mut wider: RegEnv<VaVal> = RegEnv::default();
+    for r in EDGE_REGS {
+        wider.set(r, VaVal::I32(Itv::range(-1, 10)));
+    }
+    type Mutation = fn(&mut RegEnv<VaVal>, &RegEnv<VaVal>);
+    let mutations: [(&str, Mutation); 4] = [
+        ("set", |e, _| {
+            for r in EDGE_REGS {
+                e.set(r, VaVal::Top);
+            }
+        }),
+        ("set(Bot)", |e, _| {
+            for r in EDGE_REGS {
+                e.set(r, VaVal::Bot);
+            }
+        }),
+        ("join_in_place", |e, wider| {
+            assert!(e.join_in_place(wider));
+        }),
+        ("widen", |e, wider| {
+            *e = e.widen(&e.join(wider));
+        }),
+    ];
+    for (name, mutate) in mutations {
+        for side in ["original", "clone"] {
+            let mut a = base.clone();
+            let mut b = a.clone();
+            let (written, kept) = if side == "original" {
+                (&mut a, &b)
+            } else {
+                (&mut b, &a)
+            };
+            mutate(written, &wider);
+            assert_ne!(
+                bindings(written),
+                want,
+                "{name} on the {side} wrote nothing"
+            );
+            assert_eq!(bindings(kept), want, "{name} on the {side} leaked");
+            assert_eq!(
+                bindings(&base),
+                want,
+                "{name} on the {side} leaked into the base"
+            );
+            for (k, r) in EDGE_REGS.iter().enumerate() {
+                assert_eq!(*kept.get(*r), VaVal::int(k as i32), "{name}: r{r}");
+            }
+        }
+    }
+    // Erasing the far binding leaves a trailing chunk of `Bot`s behind, and
+    // binding then erasing further out a longer run of them: neither counts.
+    let mut trimmed = base.clone();
+    trimmed.set(300, VaVal::Bot);
+    trimmed.set(1_000, VaVal::Top);
+    trimmed.set(1_000, VaVal::Bot);
+    let mut fresh: RegEnv<VaVal> = RegEnv::default();
+    for (k, r) in EDGE_REGS[..5].iter().enumerate() {
+        fresh.set(*r, VaVal::int(k as i32));
+    }
+    assert_eq!(trimmed, fresh);
+    assert_eq!(fresh, trimmed);
+    assert_ne!(trimmed, base);
+    assert_eq!(bindings(&base), want);
 }
