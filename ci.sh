@@ -47,10 +47,17 @@ cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate -
     -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== bin unwrap/expect/panic audit (no panicking shortcuts in drivers) =="
-# The evaluation/driver bins must fail gracefully (exit 1/2 with a
-# message, e.g. through `bench::fail`), never unwind. A plain text audit
-# keeps the gate independent of clippy's transitive-lint behavior.
-! grep -n '\.unwrap()\|\.expect(\|panic!(' crates/bench/src/bin/*.rs crates/compiler/src/bin/*.rs
+# The evaluation/driver bins and the campaign kernel they run on (its code
+# before the unit tests) must fail gracefully (exit 1/2 with a message,
+# e.g. through `bench::fail`), never unwind. A plain text audit keeps the
+# gate independent of clippy's transitive-lint behavior. (`set -e` does not
+# apply to a `!`-negated command, hence the explicit exit.)
+audit='\.unwrap()\|\.expect(\|panic!('
+if grep -n "$audit" crates/bench/src/bin/*.rs crates/compiler/src/bin/*.rs ||
+    sed '/^#\[cfg(test)\]/,$d' crates/bench/src/campaign.rs | grep -n "$audit"; then
+    echo "panicking shortcut in a driver bin or the campaign kernel" >&2
+    exit 1
+fi
 
 echo "== resume-path drivers (golden stdout) =="
 # These eight programs run the ⊕ x•/pop, ∘, `Closed` and simulation-checker
@@ -66,23 +73,6 @@ for e in nic_driver whole_program; do
     cargo run -q --release --example $e > /tmp/ci_golden_$e.txt
     cmp /tmp/ci_golden_$e.txt crates/bench/tests/golden/$e.txt
 done
-
-echo "== fault-injection campaign (determinism smoke) =="
-cargo run -q -p bench --bin faultinj_campaign -- --seed 42 --per-class 5 > /tmp/ci_camp_1.txt
-cargo run -q -p bench --bin faultinj_campaign -- --seed 42 --per-class 5 > /tmp/ci_camp_2.txt
-cmp /tmp/ci_camp_1.txt /tmp/ci_camp_2.txt
-cat /tmp/ci_camp_1.txt
-
-echo "== static validation gate (honest battery clean, matrix deterministic) =="
-# Phase 1 compiles the example/workload battery with the validation layer
-# on and fails on any diagnostic; phase 2 requires ALL 10 mutation classes
-# to be caught statically (the abstract-interpretation validators closed
-# the rtl-constant-drift gap — DESIGN.md §12). Two runs must be
-# byte-identical.
-cargo run -q -p bench --bin validate_campaign -- --seed 42 --per-class 5 > /tmp/ci_val_1.txt
-cargo run -q -p bench --bin validate_campaign -- --seed 42 --per-class 5 > /tmp/ci_val_2.txt
-cmp /tmp/ci_val_1.txt /tmp/ci_val_2.txt
-cat /tmp/ci_val_1.txt
 
 echo "== abstract-interpretation gate (validated opt passes + fact export) =="
 # DESIGN.md §12 / EXPERIMENTS.md row B11: the golden corpus must compile
@@ -102,17 +92,6 @@ cargo run -q --release -p compiler --bin ccomp-o -- --analyze-json \
 cmp /tmp/ci_analyze_1.json /tmp/ci_analyze_2.json
 grep -q '"schema": "compcerto-analysis/1"' /tmp/ci_analyze_1.json
 grep -q '"needed"' /tmp/ci_analyze_1.json
-
-echo "== interp-throughput smoke (arena/fused dispatch) =="
-# DESIGN.md §13 / EXPERIMENTS.md row B12: re-measure the fixed 64-seed
-# interpretation sweep and gate against the committed BENCH_PR8.json. The
-# verdict checksum must match exactly: each stage has one interpreter path,
-# and the checksum pins the verdicts recorded while the legacy single-step
-# relations, since removed, still ran beside it. The throughput floor (default
-# 4x vs the committed pre-change measurement) is enforced only on boxes
-# with >= 4 cores; below that the bin reports the ratio as advisory.
-cargo run -q --release -p bench --bin interp_campaign -- --check BENCH_PR8.json
-grep -q '"schema": "compcerto-interp/1"' BENCH_PR8.json
 
 echo "== compile-server gate (cache cold/warm byte-identity) =="
 # ISSUE 9 / DESIGN.md §14: the same golden batch is served twice against a
@@ -137,111 +116,74 @@ sed 's/"cache":"miss",//g; s/"cache":"hit",//g; s/"cache":{[^}]*}//g' /tmp/ci_se
 sed 's/"cache":"miss",//g; s/"cache":"hit",//g; s/"cache":{[^}]*}//g' /tmp/ci_serve_2.txt | head -1 > /tmp/ci_serve_2.norm
 cmp /tmp/ci_serve_1.norm /tmp/ci_serve_2.norm
 
-echo "== serve-cache bench gate (warm speedup baseline) =="
-# EXPERIMENTS.md row B13: re-run the 24-batch cold/warm campaign with its
-# in-process identity assertions (jobs matrix, restart, partial hit) and
-# gate the artifact checksum against the committed BENCH_PR9.json. The
-# warm-speedup floor (5x) is enforced only on boxes with >= 4 cores;
-# below that the ratio is reported as advisory.
-cargo run -q --release -p bench --bin serve_campaign -- --check BENCH_PR9.json
-grep -q '"schema": "compcerto-serve-bench/1"' BENCH_PR9.json
+# The campaign bins share one kernel (`bench::campaign`): flags, `--check`
+# preflight, checkpoints and the 0/1/2 exit contract.
+campaign() { b=$1; shift; cargo run -q --release -p bench --bin "$b" -- "$@"; }
 
-echo "== differential-testing campaign (quick oracle sweep) =="
-# EXPERIMENTS.md row B8: the seeded generator → cross-stage oracle over a
-# fixed seed block. The bin exits nonzero on any finding (disagreement,
-# stuck state, validator rejection, link mismatch) and on any reducer
-# panic, so `set -e` is the gate. The report is required to be
-# byte-identical across --jobs settings, and its JSON summary is checked
-# for schema and a clean finding count.
-cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs 1 --out /tmp/ci_difftest_1.json
-cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs auto --out /tmp/ci_difftest_2.json
-cmp /tmp/ci_difftest_1.json /tmp/ci_difftest_2.json
-# ISSUE 9: `--check` against a matching baseline must exit 0; the
-# flag-mismatch exit-2 contract is covered by bench/tests/difftest_check.
-cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs auto --check /tmp/ci_difftest_1.json
-grep -q '"schema": "compcerto-difftest/1"' /tmp/ci_difftest_1.json
-grep -q '"findings": 0,' /tmp/ci_difftest_1.json
-# The committed 500-seed baseline is re-derived, not just grepped: every
-# verdict, the stage pairs, the escape matrix and the counter section must
-# match it byte for byte. (`--ckpt` keeps its block checkpoint out of the
-# repository root.)
-cargo run -q --release -p bench --bin difftest_campaign -- --seeds 500 --jobs auto \
-    --check DIFFTEST.json --ckpt /tmp/ci_difftest_full.ckpt
-# It must also be well-formed and clean.
+echo "== campaign baselines (re-derived at three pool widths) =="
+# Every committed campaign report is a pure function of its flags: each is
+# re-derived and must match byte for byte (OBS.json after normalization,
+# which strips its volatile pool/timings sections) under every pool width.
+# difftest (row B8) fails on any finding, stuck state, validator rejection
+# or reducer panic; sched (row B14) on any disagreement under any
+# interleaving; resilience (row B10) on any injection outside its outcome
+# whitelist; obs (row B9) on incomplete grammar coverage, a finding, or
+# metrics-on compilation beyond 5% (+ absolute slack) of metrics-off.
+for jobs in 1 4 16; do
+    campaign difftest_campaign --seeds 500 --jobs $jobs --check DIFFTEST.json
+    campaign sched_campaign --jobs $jobs --check SCHED.json
+    campaign resilience_campaign --jobs $jobs --check RESIL.json
+    campaign obs_campaign --jobs $jobs --check OBS.json --max-overhead 5
+done
 grep -q '"schema": "compcerto-difftest/1"' DIFFTEST.json
 grep -q '"findings": 0,' DIFFTEST.json
-# PR 6: the report now carries a deterministic observability section.
 grep -q '"obs"' DIFFTEST.json
 grep -q '"stage_pairs": "6/6"' DIFFTEST.json
-
-echo "== observability gate (counter baseline + overhead) =="
-# EXPERIMENTS.md row B9 / DESIGN.md §10: recompute the deterministic
-# counter baseline and compare against the committed OBS.json *after*
-# normalization (the schema-aware normalizer strips the volatile
-# pool/timings sections — wall-clock is reported, never gated). The same
-# invocation asserts grammar coverage is complete, the difftest sweep is
-# finding-free, and metrics-on compilation stays within 5% (+ absolute
-# slack) of metrics-off.
-cargo run -q --release -p bench --bin obs_campaign -- --check OBS.json --max-overhead 5
-# The committed baseline itself must be schema-valid and fully covered.
+grep -q '"schema": "compcerto-sched/1"' SCHED.json
+grep -q '"findings": 0,' SCHED.json
+grep -q '"schedules_budget_skipped": 0,' SCHED.json
+grep -q '"schema": "compcerto-resil/1"' RESIL.json
+grep -q '"aborts": 0,' RESIL.json
 grep -q '"schema": "compcerto-obs/1"' OBS.json
 grep -q '"complete": true' OBS.json
 grep -q '"stage_pairs": "6/6"' OBS.json
 
-echo "== resilience gate (fault sweep deterministic, no aborts) =="
-# ISSUE 6 / DESIGN.md §11: 240 injections across the four environment-fault
-# classes must produce the committed outcome table byte-for-byte under both
-# a serial and a parallel pool (thread-local arming makes the sweep
-# jobs-invariant), and the process must never abort (`aborts` is emitted
-# only when every injection returned).
-cargo run -q --release -p bench --bin resilience_campaign -- --jobs 1 --out /tmp/ci_resil_1.json
-cargo run -q --release -p bench --bin resilience_campaign -- --jobs 4 --out /tmp/ci_resil_2.json
-cmp /tmp/ci_resil_1.json /tmp/ci_resil_2.json
-cargo run -q --release -p bench --bin resilience_campaign -- --jobs 4 --check RESIL.json
-grep -q '"schema": "compcerto-resil/1"' RESIL.json
-grep -q '"aborts": 0,' RESIL.json
+echo "== printed campaigns (fault injection, static validation) =="
+# faultinj (row B5) exits 1 on any dynamic escape; validate (row B6) on a
+# diagnostic over its honest battery or a mutation class the static layer
+# misses. Their printed matrices must not depend on the pool width.
+for b in faultinj_campaign validate_campaign; do
+    for jobs in 1 16; do
+        campaign $b --seed 42 --per-class 5 --jobs $jobs > /tmp/ci_${b}_$jobs.txt
+    done
+    cmp /tmp/ci_${b}_1.txt /tmp/ci_${b}_16.txt
+    cat /tmp/ci_${b}_1.txt
+done
 
-echo "== schedule-exploration gate (threaded N x M oracle) =="
-# ISSUE 10 / EXPERIMENTS.md row B14: the thread-aware open semantics.
-# Re-run the committed 64-seed x 8-schedule campaign and gate against
-# SCHED.json — any cross-stage disagreement under any interleaving, or any
-# drift in the per-schedule verdict checksums, fails the build. The report
-# must be byte-identical across worker-pool widths (per-seed verdicts are
-# pure; the FNV chains fold in seed order).
-cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs 1 --check SCHED.json
-cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs 4 --check SCHED.json
-cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs 16 --check SCHED.json
-grep -q '"schema": "compcerto-sched/1"' SCHED.json
-grep -q '"findings": 0,' SCHED.json
-grep -q '"schedules_budget_skipped": 0,' SCHED.json
+echo "== differential-testing quick profile =="
+campaign difftest_campaign --quick --jobs 1 --out /tmp/ci_difftest_1.json
+campaign difftest_campaign --quick --jobs auto --out /tmp/ci_difftest_2.json
+cmp /tmp/ci_difftest_1.json /tmp/ci_difftest_2.json
+campaign difftest_campaign --quick --jobs auto --check /tmp/ci_difftest_1.json
+grep -q '"schema": "compcerto-difftest/1"' /tmp/ci_difftest_1.json
+grep -q '"findings": 0,' /tmp/ci_difftest_1.json
 
-echo "== kill-and-resume smoke (checkpointed campaigns) =="
-# A campaign stopped at a block boundary and resumed in a fresh process
-# must produce a final report byte-identical to the uninterrupted run, and
-# must clean up its checkpoint afterwards.
-cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs auto --block 5 --max-blocks 1 \
-    --out /tmp/ci_resume.json --ckpt /tmp/ci_resume.ckpt
-test -f /tmp/ci_resume.ckpt
-cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs auto --block 5 --resume \
-    --out /tmp/ci_resume.json --ckpt /tmp/ci_resume.ckpt
-cmp /tmp/ci_difftest_1.json /tmp/ci_resume.json
-test ! -f /tmp/ci_resume.ckpt
-# Same for the fault-injection campaign (per-class checkpoints).
-cargo run -q -p bench --bin faultinj_campaign -- --seed 42 --per-class 5 \
-    --ckpt /tmp/ci_fi.ckpt --max-classes 4 > /tmp/ci_fi_paused.txt
-test -f /tmp/ci_fi.ckpt
-cargo run -q -p bench --bin faultinj_campaign -- --seed 42 --per-class 5 \
-    --ckpt /tmp/ci_fi.ckpt --resume > /tmp/ci_fi_resumed.txt 2>/dev/null
-cmp /tmp/ci_camp_1.txt /tmp/ci_fi_resumed.txt
-test ! -f /tmp/ci_fi.ckpt
-# Same for the schedule campaign: pause after one block, resume, and the
-# final report must still byte-match the committed baseline.
-cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs auto --block 16 --max-blocks 1 \
-    --out /tmp/ci_sched_resume.json --ckpt /tmp/ci_sched.ckpt
-test -f /tmp/ci_sched.ckpt
-cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs auto --block 16 --resume \
-    --out /tmp/ci_sched_resume.json --ckpt /tmp/ci_sched.ckpt
-cmp SCHED.json /tmp/ci_sched_resume.json
-test ! -f /tmp/ci_sched.ckpt
+echo "== kill-and-resume (checkpointed campaigns) =="
+# Paused after one block and resumed in a fresh process, each resumable
+# campaign must land the uninterrupted run's report byte for byte and then
+# remove its checkpoint.
+for b in difftest_campaign sched_campaign faultinj_campaign; do
+    case $b in
+        difftest_campaign) set -- --quick --block 5 --out /tmp/ci_resume.out; want=/tmp/ci_difftest_1.json ;;
+        sched_campaign) set -- --out /tmp/ci_resume.out; want=SCHED.json ;;
+        faultinj_campaign) set -- --seed 42 --per-class 5; want=/tmp/ci_faultinj_campaign_1.txt ;;
+    esac
+    campaign $b "$@" --ckpt /tmp/ci_resume.ckpt --max-blocks 1 > /dev/null
+    test -f /tmp/ci_resume.ckpt
+    campaign $b "$@" --ckpt /tmp/ci_resume.ckpt --resume > /tmp/ci_resume.txt
+    test ! -f /tmp/ci_resume.ckpt
+    if [ $b = faultinj_campaign ]; then mv /tmp/ci_resume.txt /tmp/ci_resume.out; fi
+    cmp $want /tmp/ci_resume.out
+done
 
 echo "== ci ok =="

@@ -7,261 +7,167 @@
 //! ```text
 //! cargo run -p bench --bin faultinj_campaign -- \
 //!     [--seed N] [--per-class N] [--fuel N] [--jobs N|auto] \
-//!     [--ckpt PATH] [--resume] [--max-classes N]
+//!     [--block N] [--ckpt PATH] [--resume] [--max-blocks N]
 //! ```
 //!
 //! Output is byte-deterministic for a given seed *and any `--jobs` value*:
 //! mutation sites and payloads come from SplitMix64 (generated serially
 //! before the probe fan-out), budgets are fuel-based (no wall-clock), and
-//! tallies use ordered maps over index-ordered probe results.
+//! tallies use ordered maps over index-ordered probe results. Any dynamic
+//! escape exits 1.
 //!
-//! # Checkpoint/resume (resilience layer, DESIGN.md §11)
-//!
-//! The campaign's resumable unit is one mutation class
-//! ([`compiler::run_campaign_class`] is a pure function of `(cfg, class)` —
-//! each class owns its own split of the master RNG). After every completed
-//! class a `compcerto-ckpt/1` checkpoint is written atomically; `--resume`
-//! reloads the finished rows and continues with the next class, printing a
-//! final matrix **byte-identical** to the uninterrupted run (resume
-//! progress notes go to stderr so stdout stays comparable). `--max-classes
-//! N` stops after N classes this invocation, leaving the checkpoint behind
-//! — the hook the CI kill-and-resume smoke uses.
+//! The resumable item is one mutation class ([`compiler::run_campaign_class`]
+//! is a pure function of `(cfg, class)`: each class owns its own split of
+//! the master RNG), one class per block by default. Checkpoints and the
+//! exit codes are the campaign kernel's ([`bench::campaign`]); its progress
+//! notes go to stderr, so a resumed run prints the same stdout.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use bench::ckpt::{self, json_str};
-use bench::json::Json;
+use bench::campaign::{self, Args, Campaign, Checkpoint, Echo, Spec};
+use compiler::json::Json;
 use compiler::{
     intern_counter_key, intern_error_class, run_campaign_class, CampaignBase, CampaignCfg,
-    CampaignReport, ClassStats, Counters, Jobs, MUTATION_CLASSES,
+    CampaignReport, ClassStats, Counters, MUTATION_CLASSES,
 };
 
-struct Cli {
-    cfg: CampaignCfg,
-    ckpt: String,
-    resume: bool,
-    max_classes: Option<usize>,
-}
+#[derive(Default)]
+struct Cli(CampaignCfg);
 
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        cfg: CampaignCfg::default(),
-        ckpt: "FAULTINJ.ckpt".to_string(),
-        resume: false,
-        max_classes: None,
+impl Campaign for Cli {
+    const SPEC: Spec = Spec {
+        bin: "faultinj_campaign",
+        usage: "[--seed N] [--per-class N] [--fuel N]",
+        out: None,
+        schema: "",
+        normalize: None,
+        block: Some(1),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut take = |name: &str| -> Result<u64, String> {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        match flag.as_str() {
-            "--seed" => cli.cfg.seed = take("--seed")?,
-            "--per-class" => cli.cfg.per_class = take("--per-class")? as usize,
-            "--fuel" => cli.cfg.fuel = take("--fuel")?,
-            "--max-classes" => cli.max_classes = Some(take("--max-classes")? as usize),
-            "--resume" => cli.resume = true,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cli.cfg.jobs = Jobs::parse(&v)?;
-            }
-            "--ckpt" => cli.ckpt = args.next().ok_or("--ckpt needs a value")?.to_string(),
-            other => return Err(format!("unknown flag {other}")),
+
+    fn flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--seed" => self.0.seed = args.num(flag)?,
+            "--per-class" => self.0.per_class = args.num(flag)?,
+            "--fuel" => self.0.fuel = args.num(flag)?,
+            _ => return Ok(false),
         }
+        Ok(true)
     }
-    Ok(cli)
+
+    fn header(&self) -> Vec<Echo> {
+        vec![
+            ("seed", "seed", "--seed", self.0.seed.to_string()),
+            (
+                "per_class",
+                "per_class",
+                "--per-class",
+                self.0.per_class.to_string(),
+            ),
+            ("fuel", "fuel", "--fuel", self.0.fuel.to_string()),
+        ]
+    }
+
+    fn unechoed(&self) -> String {
+        format!("probes={:?}", self.0.probe_args)
+    }
 }
 
-/// Fingerprint of every result-affecting knob (`--jobs` excluded: the
-/// matrix is jobs-invariant by construction).
-fn fingerprint(cfg: &CampaignCfg) -> String {
-    format!(
-        "faultinj seed={} per_class={} fuel={} probes={:?}",
-        cfg.seed, cfg.per_class, cfg.fuel, cfg.probe_args
-    )
+/// The finished classes' rows, in `MUTATION_CLASSES` order, and their
+/// summed counters.
+#[derive(Default)]
+struct Agg {
+    stats: Vec<ClassStats>,
+    counters: Counters,
 }
 
-fn ckpt_json(fp: &str, stats: &[ClassStats], counters: &Counters) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"schema\": \"{}\",", ckpt::CKPT_SCHEMA);
-    j.push_str("  \"bin\": \"faultinj_campaign\",\n");
-    let _ = writeln!(j, "  \"cfg\": \"{}\",", json_str(fp));
-    let _ = writeln!(j, "  \"completed_classes\": {},", stats.len());
-    let cmap: BTreeMap<String, u64> = counters
-        .0
-        .iter()
-        .map(|(k, v)| ((*k).to_string(), *v))
-        .collect();
-    let _ = writeln!(j, "  \"counters\": {},", ckpt::u64_map_json(&cmap));
-    j.push_str("  \"classes\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        let emap: BTreeMap<String, u64> = s
-            .errors
+impl Checkpoint for Agg {
+    fn encode(&self) -> String {
+        let rows: Vec<String> = self
+            .stats
             .iter()
-            .map(|(k, v)| ((*k).to_string(), *v as u64))
+            .map(|s| {
+                format!(
+                    "{{\"class\": \"{}\", \"generated\": {}, \"detected\": {}, \
+                     \"static_caught\": {}, \"caught_both\": {}, \"expected_class\": {}, \
+                     \"errors\": {}}}",
+                    s.class.name(),
+                    s.generated,
+                    s.detected,
+                    s.static_caught,
+                    s.caught_both,
+                    s.expected_class,
+                    campaign::map_json(&s.errors)
+                )
+            })
             .collect();
-        let _ = writeln!(
-            j,
-            "    {{\"class\": \"{}\", \"generated\": {}, \"detected\": {}, \
-             \"static_caught\": {}, \"caught_both\": {}, \"expected_class\": {}, \
-             \"errors\": {}}}{}",
-            s.class.name(),
-            s.generated,
-            s.detected,
-            s.static_caught,
-            s.caught_both,
-            s.expected_class,
-            ckpt::u64_map_json(&emap),
-            if i + 1 < stats.len() { "," } else { "" }
-        );
+        format!(
+            "{{\"counters\": {}, \"classes\": [{}]}}",
+            campaign::map_json(&self.counters.0),
+            rows.join(", ")
+        )
     }
-    j.push_str("  ]\n");
-    j.push_str("}\n");
-    j
-}
 
-/// Rebuild the completed rows from a validated checkpoint, interning error
-/// class names back to their `&'static str` keys.
-fn from_ckpt(j: &Json) -> Result<(Vec<ClassStats>, Counters), String> {
-    let rows = j
-        .get("classes")
-        .and_then(Json::as_arr)
-        .ok_or("checkpoint: missing `classes`")?;
-    if rows.len() > MUTATION_CLASSES.len() {
-        return Err(format!(
-            "checkpoint: {} classes, campaign only has {}",
-            rows.len(),
-            MUTATION_CLASSES.len()
-        ));
-    }
-    let mut stats = Vec::with_capacity(rows.len());
-    for (ci, row) in rows.iter().enumerate() {
-        let name = row
-            .get("class")
-            .and_then(Json::as_str)
-            .ok_or("checkpoint: class row without `class`")?;
-        let class = MUTATION_CLASSES[ci];
-        if class.name() != name {
+    fn decode(b: &Json) -> Result<Agg, String> {
+        let rows = b
+            .get("classes")
+            .and_then(Json::as_arr)
+            .ok_or("missing `classes`")?;
+        if rows.len() > MUTATION_CLASSES.len() {
             return Err(format!(
-                "checkpoint: class {ci} is `{name}`, expected `{}`",
-                class.name()
+                "{} classes, of {}",
+                rows.len(),
+                MUTATION_CLASSES.len()
             ));
         }
-        let u = |key: &str| -> Result<usize, String> {
-            row.get(key)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("checkpoint: class `{name}` missing `{key}`"))
-        };
-        let mut errors: BTreeMap<&'static str, usize> = BTreeMap::new();
-        let emap = ckpt::u64_map(
-            row.get("errors")
-                .ok_or_else(|| format!("checkpoint: class `{name}` missing `errors`"))?,
-            "errors",
-        )?;
-        for (k, v) in &emap {
-            let interned = intern_error_class(k)
-                .ok_or_else(|| format!("checkpoint: unknown error class `{k}`"))?;
-            errors.insert(interned, *v as usize);
-        }
-        stats.push(ClassStats {
-            class,
-            generated: u("generated")?,
-            detected: u("detected")?,
-            static_caught: u("static_caught")?,
-            caught_both: u("caught_both")?,
-            expected_class: u("expected_class")?,
-            errors,
-        });
-    }
-    let mut counters = Counters::default();
-    let cmap = ckpt::u64_map(
-        j.get("counters").ok_or("checkpoint: missing `counters`")?,
-        "counters",
-    )?;
-    for (k, v) in &cmap {
-        let interned = intern_counter_key(k)
-            .ok_or_else(|| format!("checkpoint: unknown counter key `{k}`"))?;
-        counters.0.insert(interned, *v);
-    }
-    Ok((stats, counters))
-}
-
-/// `Ok(Some(report))` = campaign complete; `Ok(None)` = paused at a
-/// checkpoint (`--max-classes`).
-fn run(cli: &Cli) -> Result<Option<CampaignReport>, String> {
-    let fp = fingerprint(&cli.cfg);
-    let (mut stats, mut counters) = if cli.resume {
-        let j = ckpt::load(&cli.ckpt, "faultinj_campaign", &fp)?;
-        let (stats, counters) = from_ckpt(&j)?;
-        eprintln!(
-            "resumed from {}: {}/{} classes already done",
-            cli.ckpt,
-            stats.len(),
-            MUTATION_CLASSES.len()
-        );
-        (stats, counters)
-    } else {
-        (Vec::new(), Counters::default())
-    };
-
-    if stats.len() < MUTATION_CLASSES.len() {
-        let base = CampaignBase::prepare(&cli.cfg)?;
-        let mut classes_this_run = 0usize;
-        while stats.len() < MUTATION_CLASSES.len() {
-            if let Some(max) = cli.max_classes {
-                if classes_this_run >= max {
-                    eprintln!(
-                        "pausing after {max} classes ({} of {} done; checkpoint at {})",
-                        stats.len(),
-                        MUTATION_CLASSES.len(),
-                        cli.ckpt
-                    );
-                    return Ok(None);
+        let stats = rows
+            .iter()
+            .zip(MUTATION_CLASSES)
+            .map(|(row, class)| {
+                let name = row.get("class").and_then(Json::as_str).unwrap_or("");
+                if name != class.name() {
+                    return Err(format!("class `{name}` where `{}` belongs", class.name()));
                 }
-            }
-            let (st, c) = run_campaign_class(&cli.cfg, &base, stats.len());
-            stats.push(st);
-            counters.add(&c);
-            classes_this_run += 1;
-            ckpt::write_atomic(&cli.ckpt, &ckpt_json(&fp, &stats, &counters))?;
-        }
+                let n = |key: &str| campaign::num(row, key).map(|v| v as usize);
+                Ok(ClassStats {
+                    class,
+                    generated: n("generated")?,
+                    detected: n("detected")?,
+                    static_caught: n("static_caught")?,
+                    caught_both: n("caught_both")?,
+                    expected_class: n("expected_class")?,
+                    errors: campaign::interned_map(row, "errors", intern_error_class)?
+                        .into_iter()
+                        .map(|(k, v)| (k, v as usize))
+                        .collect(),
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Agg {
+            stats,
+            counters: Counters(campaign::interned_map(b, "counters", intern_counter_key)?),
+        })
     }
-    ckpt::remove(&cli.ckpt);
-    Ok(Some(CampaignReport {
-        cfg: cli.cfg.clone(),
-        stats,
-        counters,
-    }))
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("faultinj_campaign: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&cli) {
-        Ok(Some(report)) => {
-            println!("{report}");
-            if report.total_escapes() > 0 {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
+    let (k, Cli(mut cfg)) = campaign::start::<Cli>();
+    cfg.jobs = k.jobs;
+    let base = CampaignBase::prepare(&cfg).unwrap_or_else(|e| bench::fail(e));
+    let agg = k.fold(
+        MUTATION_CLASSES.len() as u64,
+        Agg::default(),
+        |agg, classes| {
+            for ci in classes {
+                let (stats, counters) = run_campaign_class(&cfg, &base, ci as usize);
+                agg.stats.push(stats);
+                agg.counters.add(&counters);
             }
-        }
-        Ok(None) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("faultinj_campaign: {e}");
-            ExitCode::from(2)
-        }
-    }
+        },
+    );
+    let report = CampaignReport {
+        cfg,
+        stats: agg.stats,
+        counters: agg.counters,
+    };
+    k.finish(&format!("{report}\n"), report.total_escapes() > 0)
 }

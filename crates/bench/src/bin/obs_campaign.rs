@@ -21,12 +21,14 @@
 //!
 //! `--check PATH` compares the freshly computed document against a
 //! committed baseline through [`compiler::normalize_metrics_json`] — i.e.
-//! after stripping the volatile `pool`/`timings_ms` sections — and exits
-//! nonzero on drift. Counters are gated; wall-clock never is.
+//! after stripping the volatile `pool`/`timings_ms` sections — and exits 1
+//! on drift. Counters are gated; wall-clock never is. The flags, the
+//! `--check` preflight and the exit codes are the campaign kernel's
+//! ([`bench::campaign`]).
 //!
 //! ```text
 //! cargo run --release -p bench --bin obs_campaign -- \
-//!     [--seeds N] [--jobs N|auto] [--reps N] [--max-overhead PCT] \
+//!     [--seeds N] [--reps N] [--max-overhead PCT] [--jobs N|auto] \
 //!     [--out PATH | --check PATH]
 //! ```
 
@@ -34,6 +36,7 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use bench::campaign::{self, Args, Campaign, Echo, Spec};
 use compcerto_gen::Coverage;
 use compiler::{
     compile_all, normalize_metrics_json, par_map, pool_stats, run_seed_obs, CompilerOptions,
@@ -51,57 +54,43 @@ const GOLDEN: [(&str, &str); 5] = [
 
 struct Cli {
     seeds: u64,
-    jobs: Jobs,
     reps: usize,
     max_overhead: Option<f64>,
-    out: String,
-    check: Option<String>,
 }
 
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        seeds: 16,
-        jobs: Jobs::Auto,
-        reps: 40,
-        max_overhead: None,
-        out: "OBS.json".to_string(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--seeds" => {
-                cli.seeds = args
-                    .next()
-                    .ok_or("--seeds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
-            }
-            "--reps" => {
-                cli.reps = args
-                    .next()
-                    .ok_or("--reps needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-            }
-            "--max-overhead" => {
-                cli.max_overhead = Some(
-                    args.next()
-                        .ok_or("--max-overhead needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--max-overhead: {e}"))?,
-                );
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cli.jobs = Jobs::parse(&v)?;
-            }
-            "--out" => cli.out = args.next().ok_or("--out needs a value")?,
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a value")?),
-            other => return Err(format!("unknown flag `{other}`")),
+impl Default for Cli {
+    fn default() -> Cli {
+        Cli {
+            seeds: 16,
+            reps: 40,
+            max_overhead: None,
         }
     }
-    Ok(cli)
+}
+
+impl Campaign for Cli {
+    const SPEC: Spec = Spec {
+        bin: "obs_campaign",
+        usage: "[--seeds N] [--reps N] [--max-overhead PCT]",
+        out: Some("OBS.json"),
+        schema: OBS_SCHEMA,
+        normalize: Some(normalize_metrics_json),
+        block: None,
+    };
+
+    fn flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--seeds" => self.seeds = args.num(flag)?,
+            "--reps" => self.reps = args.num(flag)?,
+            "--max-overhead" => self.max_overhead = Some(args.num(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn header(&self) -> Vec<Echo> {
+        vec![("seed count", "difftest.seeds", "--seeds", self.seeds.to_string())]
+    }
 }
 
 /// Compile every golden workload once; returns the aggregate report.
@@ -253,14 +242,15 @@ fn render_json(
     j
 }
 
-fn run(cli: &Cli) -> Result<ExitCode, String> {
+fn main() -> ExitCode {
+    let (k, cli) = campaign::start::<Cli>();
     println!(
         "obs_campaign: seeds={} reps={} (quick difftest profile)",
         cli.seeds, cli.reps
     );
 
     // Phase 1 — golden compile metrics.
-    let golden = golden_phase()?;
+    let golden = golden_phase().unwrap_or_else(|e| bench::fail(e));
     println!(
         "golden: {} units, {} counter keys",
         golden.items,
@@ -268,7 +258,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
     );
 
     // Phase 2 — observed difftest sweep.
-    let dt = difftest_phase(cli.seeds, cli.jobs);
+    let dt = difftest_phase(cli.seeds, k.jobs);
     println!(
         "difftest: {} agree, {} skipped, {} findings, stage pairs {}/{}, \
          grammar coverage complete: {}",
@@ -282,8 +272,9 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
 
     // Phase 3 — overhead probe (volatile; reported, optionally gated with
     // absolute slack).
-    let off_ms = time_compiles(cli.reps, CompilerOptions::validated())?;
-    let on_ms = time_compiles(cli.reps, CompilerOptions::validated().with_metrics())?;
+    let time = |opts| time_compiles(cli.reps, opts).unwrap_or_else(|e| bench::fail(e));
+    let off_ms = time(CompilerOptions::validated());
+    let on_ms = time(CompilerOptions::validated().with_metrics());
     let overhead_pct = if off_ms > 0.0 {
         (on_ms - off_ms) / off_ms * 100.0
     } else {
@@ -293,9 +284,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         "overhead probe: metrics off {off_ms:.1} ms, on {on_ms:.1} ms ({overhead_pct:+.2}%)"
     );
 
-    let doc = render_json(cli, &golden, &dt, off_ms, on_ms);
     let mut failed = false;
-
     if dt.findings > 0 {
         eprintln!("error: difftest sweep produced {} finding(s)", dt.findings);
         failed = true;
@@ -321,58 +310,5 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
             println!("overhead gate: within {max:.1}% (+{SLACK_MS} ms slack)");
         }
     }
-
-    if let Some(baseline_path) = &cli.check {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-        let want = normalize_metrics_json(&baseline)
-            .map_err(|e| format!("baseline `{baseline_path}`: {e}"))?;
-        let got = normalize_metrics_json(&doc)?;
-        if want == got {
-            println!("check: counters match `{baseline_path}` (normalized)");
-        } else {
-            eprintln!(
-                "error: deterministic counters drifted from `{baseline_path}`; \
-                 regenerate with `cargo run --release -p bench --bin obs_campaign` \
-                 and commit the diff if intended"
-            );
-            for (lw, lg) in want.lines().zip(got.lines()) {
-                if lw != lg {
-                    eprintln!("  baseline: {lw}");
-                    eprintln!("  current:  {lg}");
-                }
-            }
-            failed = true;
-        }
-    } else {
-        std::fs::write(&cli.out, &doc).map_err(|e| format!("cannot write `{}`: {e}", cli.out))?;
-        println!("wrote {}", cli.out);
-    }
-
-    Ok(if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
-}
-
-fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: obs_campaign [--seeds N] [--jobs N|auto] [--reps N] \
-                 [--max-overhead PCT] [--out PATH | --check PATH]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match run(&cli) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(2)
-        }
-    }
+    k.finish(&render_json(&cli, &golden, &dt, off_ms, on_ms), failed)
 }

@@ -4,18 +4,19 @@
 //! environment fault may abort the process or hang the pipeline** — every
 //! outcome is either a clean completion, a graceful degradation (dropped
 //! telemetry line, deterministic timeout), or a contained panic attributed
-//! to the injection.
+//! to the injection. Any other outcome exits 1.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p bench --bin resilience_campaign -- \
-//!     [--jobs N|auto] [--per-class N] [--out PATH | --check PATH]
+//!     [--per-class N] [--jobs N|auto] [--out PATH | --check PATH]
 //! ```
 //!
 //! The committed baseline is `RESIL.json` (schema `compcerto-resil/1`);
-//! `ci.sh` regenerates it under `--jobs 1` and `--jobs 4`, byte-compares
-//! the two, and `--check`s against the committed copy.
+//! `ci.sh` `--check`s it under several pool widths. The flags, the
+//! `--check` preflight and the exit codes are the campaign kernel's
+//! ([`bench::campaign`]).
 //!
 //! # Why the report is byte-deterministic under any `--jobs`
 //!
@@ -33,54 +34,48 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use bench::ckpt::json_str;
+use bench::campaign::{self, Args, Campaign, Echo, Spec};
 use compcerto_core::lts::RunBudget;
+use compcerto_core::symtab::SymbolTable;
 use compiler::closed::{run_closed_budgeted, Closed};
 use compiler::envfault::{FaultClass, FaultPlan, FAULT_CLASSES};
+use compiler::json::escape;
 use compiler::serve::{fnv1a, FNV_OFFSET};
 use compiler::{
     compile_all, compile_all_jobs, contain, par_map, CompiledUnit, CompilerOptions, ExtLib, Jobs,
 };
-use compcerto_core::symtab::SymbolTable;
 
 struct Cli {
-    jobs: Jobs,
     per_class: u64,
-    out: Option<String>,
-    check: Option<String>,
 }
 
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        jobs: Jobs::Auto,
-        per_class: 60,
-        out: Some("RESIL.json".to_string()),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--per-class" => {
-                cli.per_class = args
-                    .next()
-                    .ok_or("--per-class needs a value")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--per-class: {e}"))?
-                    .max(1);
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cli.jobs = Jobs::parse(&v)?;
-            }
-            "--out" => cli.out = Some(args.next().ok_or("--out needs a value")?),
-            "--check" => {
-                cli.check = Some(args.next().ok_or("--check needs a value")?);
-                cli.out = None;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+impl Default for Cli {
+    fn default() -> Cli {
+        Cli { per_class: 60 }
     }
-    Ok(cli)
+}
+
+impl Campaign for Cli {
+    const SPEC: Spec = Spec {
+        bin: "resilience_campaign",
+        usage: "[--per-class N]",
+        out: Some("RESIL.json"),
+        schema: "compcerto-resil/1",
+        normalize: None,
+        block: None,
+    };
+
+    fn flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--per-class" => self.per_class = args.num::<u64>(flag)?.max(1),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn header(&self) -> Vec<Echo> {
+        vec![("per_class", "per_class", "--per-class", self.per_class.to_string())]
+    }
 }
 
 /// The closed workload the thread-local classes inject into: a loop long
@@ -151,6 +146,7 @@ struct ClassRow {
 
 fn sweep(
     cli: &Cli,
+    jobs: Jobs,
     class: FaultClass,
     unit: &CompiledUnit,
     symtab: &SymbolTable,
@@ -160,7 +156,7 @@ fn sweep(
         // Thread-local classes: arm inside the closure. A pool item runs
         // entirely on one worker, so the injection is confined to its own
         // run whatever the pool width.
-        FaultClass::MemAlloc => par_map(cli.jobs, &sites, |_, &site| {
+        FaultClass::MemAlloc => par_map(jobs, &sites, |_, &site| {
             FaultPlan { class, site }.arm();
             let budget = RunBudget::with_fuel(100_000).no_trace();
             let out = contain(|| run_closed(unit, symtab, &budget));
@@ -171,7 +167,7 @@ fn sweep(
                 Err(msg) => panic_label(&msg),
             }
         }),
-        FaultClass::SinkWrite => par_map(cli.jobs, &sites, |_, &site| {
+        FaultClass::SinkWrite => par_map(jobs, &sites, |_, &site| {
             // Drain this worker's sink from any previous item first.
             let _ = compcerto_core::obs::take_trace();
             let _ = compcerto_core::envfault::take_sink_dropped();
@@ -183,7 +179,7 @@ fn sweep(
             let dropped = compcerto_core::envfault::take_sink_dropped();
             format!("dropped:{dropped}:{run}")
         }),
-        FaultClass::DeadlineJitter => par_map(cli.jobs, &sites, |_, &site| {
+        FaultClass::DeadlineJitter => par_map(jobs, &sites, |_, &site| {
             FaultPlan { class, site }.arm();
             let budget = RunBudget::with_fuel(100_000)
                 .deadline(std::time::Duration::from_secs(3600))
@@ -199,10 +195,7 @@ fn sweep(
         FaultClass::WorkerPanic => {
             let baseline = match compile_all(&POOL_SRCS, CompilerOptions::default()) {
                 Ok((units, _)) => batch_digest(&units),
-                Err(e) => {
-                    eprintln!("resilience_campaign: pool workload does not compile: {e:?}");
-                    std::process::exit(2);
-                }
+                Err(e) => bench::fail(format!("pool workload does not compile: {e:?}")),
             };
             sites
                 .iter()
@@ -249,7 +242,7 @@ fn render(cli: &Cli, rows: &[ClassRow]) -> String {
         let members: Vec<String> = row
             .outcomes
             .iter()
-            .map(|(k, v)| format!("\"{}\": {v}", json_str(k)))
+            .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
             .collect();
         j.push_str(&members.join(", "));
         j.push_str(&format!(
@@ -263,31 +256,16 @@ fn render(cli: &Cli, rows: &[ClassRow]) -> String {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: resilience_campaign [--jobs N|auto] [--per-class N] \
-                 [--out PATH | --check PATH]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-
+    let (k, cli) = campaign::start::<Cli>();
     // The shared closed workload, compiled once with no faults armed.
     let (unit, symtab) = match compile_all(&[CLOSED_SRC], CompilerOptions::default()) {
         Ok((mut units, symtab)) => (units.remove(0), symtab),
-        Err(e) => {
-            eprintln!("resilience_campaign: workload does not compile: {e:?}");
-            return ExitCode::from(2);
-        }
+        Err(e) => bench::fail(format!("workload does not compile: {e:?}")),
     };
-
     let rows: Vec<ClassRow> = FAULT_CLASSES
         .iter()
         .map(|&class| {
-            let row = sweep(&cli, class, &unit, &symtab);
+            let row = sweep(&cli, k.jobs, class, &unit, &symtab);
             println!(
                 "{:<16} {} injections, {} distinct outcomes",
                 row.class.name(),
@@ -316,32 +294,5 @@ fn main() -> ExitCode {
             }
         }
     }
-
-    let doc = render(&cli, &rows);
-    if let Some(baseline_path) = &cli.check {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: cannot read `{baseline_path}`: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if baseline != doc {
-            eprintln!("check: `{baseline_path}` differs from the regenerated report");
-            return ExitCode::from(1);
-        }
-        println!("check: resilience outcomes match `{baseline_path}`");
-    }
-    if let Some(out) = &cli.out {
-        if let Err(e) = std::fs::write(out, &doc) {
-            eprintln!("error: cannot write `{out}`: {e}");
-            return ExitCode::from(1);
-        }
-        println!("wrote {out}");
-    }
-    if bad > 0 {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    k.finish(&render(&cli, &rows), bad > 0)
 }

@@ -21,11 +21,16 @@
 //!
 //! Output is byte-deterministic for a given seed and any `--jobs` value
 //! (SplitMix64 sites, fuel budgets, ordered maps, index-ordered pool
-//! results — no wall-clock anywhere). Exits nonzero if the honest battery
-//! is not statically clean, or if any of the 10 mutation classes escapes
-//! the static layer (the abstract-interpretation validators closed the
-//! last gap, rtl-constant-drift — DESIGN.md §12).
+//! results — no wall-clock anywhere). Exits 1 if the honest battery is not
+//! statically clean, or if any of the 10 mutation classes escapes the
+//! static layer (the abstract-interpretation validators closed the last
+//! gap, rtl-constant-drift — DESIGN.md §12). The flags and the exit codes
+//! are the campaign kernel's ([`bench::campaign`]).
 
+use std::fmt::Write as _;
+use std::process::ExitCode;
+
+use bench::campaign::{self, Args, Campaign, Spec};
 use compiler::{
     compile_all_jobs, par_map, run_campaign, CampaignCfg, CompilerOptions, Jobs, WorkloadCfg,
     WorkloadGen,
@@ -111,65 +116,53 @@ fn honest_gate(seed: u64, jobs: Jobs) -> Result<usize, String> {
     Ok(checked)
 }
 
-fn parse_args() -> Result<CampaignCfg, String> {
-    let mut cfg = CampaignCfg::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut take = |name: &str| -> Result<u64, String> {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        match flag.as_str() {
-            "--seed" => cfg.seed = take("--seed")?,
-            "--per-class" => cfg.per_class = take("--per-class")? as usize,
-            "--fuel" => cfg.fuel = take("--fuel")?,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cfg.jobs = Jobs::parse(&v)?;
-            }
-            other => return Err(format!("unknown flag {other}")),
+#[derive(Default)]
+struct Cli(CampaignCfg);
+
+impl Campaign for Cli {
+    const SPEC: Spec = Spec {
+        bin: "validate_campaign",
+        usage: "[--seed N] [--per-class N] [--fuel N]",
+        out: None,
+        schema: "",
+        normalize: None,
+        block: None,
+    };
+
+    fn flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--seed" => self.0.seed = args.num(flag)?,
+            "--per-class" => self.0.per_class = args.num(flag)?,
+            "--fuel" => self.0.fuel = args.num(flag)?,
+            _ => return Ok(false),
         }
+        Ok(true)
     }
-    Ok(cfg)
 }
 
-fn main() {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("validate_campaign: {e}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    let (k, Cli(mut cfg)) = campaign::start::<Cli>();
+    cfg.jobs = k.jobs;
 
     println!("phase 1: honest-compilation gate (seed={})", cfg.seed);
     match honest_gate(cfg.seed, cfg.jobs) {
         Ok(n) => println!("  {n} compilations statically clean"),
-        Err(e) => {
-            eprintln!("validate_campaign: honest gate failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => bench::fail(format!("honest gate failed: {e}")),
     }
 
-    println!(
-        "phase 2: static-vs-dynamic matrix (seed={} per-class={} fuel={})",
+    let report = run_campaign(&cfg).unwrap_or_else(|e| bench::fail(e));
+    let mut out = format!(
+        "phase 2: static-vs-dynamic matrix (seed={} per-class={} fuel={})\n",
         cfg.seed, cfg.per_class, cfg.fuel
     );
-    let report = match run_campaign(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("validate_campaign: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!(
+    let _ = writeln!(
+        out,
         "{:<24} {:>8} {:>7} {:>8} {:>5} {:>12} {:>13} {:>8}",
         "class", "mutants", "static", "dynamic", "both", "static-only", "dynamic-only", "escaped"
     );
     for s in &report.stats {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<24} {:>8} {:>7} {:>8} {:>5} {:>12} {:>13} {:>8}",
             s.class.name(),
             s.generated,
@@ -182,7 +175,8 @@ fn main() {
         );
     }
     let caught = report.statically_caught_classes();
-    println!(
+    let _ = writeln!(
+        out,
         "classes fully caught statically: {caught}/{}; dynamic escapes: {}",
         report.stats.len(),
         report.total_escapes()
@@ -195,6 +189,6 @@ fn main() {
             "validate_campaign: only {caught}/{} classes caught statically (need all)",
             report.stats.len()
         );
-        std::process::exit(1);
     }
+    k.finish(&out, caught < report.stats.len())
 }

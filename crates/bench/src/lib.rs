@@ -1,17 +1,10 @@
-//! Shared fixtures for the evaluation binaries and benches.
+//! Shared fixtures for the evaluation binaries.
 //!
 //! Every table and figure of the paper's evaluation has a regenerating
-//! binary in `src/bin/` (see DESIGN.md §4 for the index); the benches in
-//! `benches/` measure the machinery itself, using the offline
-//! [`microbench`] harness.
+//! binary in `src/bin/` (see DESIGN.md §4 for the index); the campaign
+//! binaries among them run on the [`campaign`] kernel.
 
-pub mod ckpt;
-pub mod microbench;
-
-/// Re-export: the JSON reader moved into the `compiler` crate when the
-/// serve cache became its second consumer; the campaign binaries keep
-/// importing it as `bench::json`.
-pub use compiler::json;
+pub mod campaign;
 
 use compcerto_core::symtab::SymbolTable;
 use compiler::{compile_all, CompiledUnit, CompilerOptions};

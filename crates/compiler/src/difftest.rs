@@ -781,8 +781,9 @@ impl<'a> StageTable<'a> {
 }
 
 /// Run a single named stage (one of [`STAGES`]) on one C-level query —
-/// the per-stage entry point used by the `interp_campaign` bench to
-/// attribute step throughput to each interpreter via the `lts.*` counters.
+/// the per-stage entry point perfbench's `interp.*` rows and the tier-1
+/// step-count pin (`tests/fast_equiv.rs`) use to attribute steps to each
+/// interpreter via the `lts.*` counters.
 ///
 /// Unknown stage names report as [`StageOutcome::Transport`].
 pub fn run_stage(

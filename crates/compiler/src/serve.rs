@@ -31,7 +31,7 @@
 //! changes another unit's globals correctly invalidates it, while an edit
 //! confined to a function body leaves sibling units hitting. Entries are
 //! one JSON file per key (`<dir>/<key>.json`), written atomically
-//! (temp file + rename, the [`bench::ckpt`] discipline), carrying the
+//! (temp file + rename, as the `bench::campaign` checkpoints), carrying the
 //! serialized artifact (asm + deterministic metrics + validation
 //! diagnostics) plus its own FNV checksum. Every read re-derives the
 //! checksum: truncated, bit-flipped or wrong-key entries are evicted

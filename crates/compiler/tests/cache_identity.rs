@@ -1,11 +1,15 @@
-//! Byte-identity battery for the serve cache (ISSUE 9): a cached artifact
-//! must be indistinguishable from a freshly compiled one. Cold, warm and
+//! Byte-identity battery for the serve cache: a cached artifact must be
+//! indistinguishable from a freshly compiled one. Cold, warm and
 //! partial-hit responses are compared byte-for-byte (modulo the cache
 //! tags, which are the thing under test), and the hit/miss counters must
-//! be invariant to `--jobs`.
+//! be invariant to `--jobs`. The last test pins the cold bytes of 24
+//! generated batches (EXPERIMENTS row B13).
 
 mod serve_util;
 
+use compcerto_gen::{generate, GenCfg};
+use compiler::serve::{fnv1a, FNV_OFFSET};
+use compiler::{CompilerOptions, Jobs, ServeConfig, Server};
 use serve_util::{artifacts_only, compile_req, fresh_dir, request_stats, Serve};
 
 /// Three units sharing a symbol table: `B` calls into `A`, `C` is
@@ -175,5 +179,92 @@ fn hits_survive_a_server_restart() {
     let warm2 = s2.req(&batch);
     assert_eq!(warm1, warm2, "warm responses must survive a restart");
     assert_eq!(s2.eof_wait().code(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `compile` frame per seed: 24 generated three-unit programs, larger
+/// than the difftest default so the back end dominates a cold compile.
+fn generated_frames() -> Vec<String> {
+    let cfg = GenCfg {
+        units: 3,
+        fns_per_unit: 4,
+        stmts_per_fn: 12,
+        ..GenCfg::default()
+    };
+    (0..24u64)
+        .map(|seed| {
+            let units: Vec<String> = generate(seed, &cfg)
+                .render()
+                .iter()
+                .map(|s| format!("{{\"source\":\"{}\"}}", compiler::json::escape(s)))
+                .collect();
+            format!(
+                "{{\"schema\":\"compcerto-serve/1\",\"op\":\"compile\",\"id\":{seed},\
+                 \"units\":[{}]}}",
+                units.join(",")
+            )
+        })
+        .collect()
+}
+
+/// An in-process server over `dir`, compiling validated with metrics.
+fn server(dir: &std::path::Path, jobs: Jobs) -> Server {
+    Server::new(ServeConfig {
+        opts: CompilerOptions::validated().with_metrics(),
+        jobs,
+        cache_dir: dir.to_string_lossy().into_owned(),
+    })
+    .expect("server starts")
+}
+
+/// Every frame through `srv` once, the responses in frame order.
+fn pass(srv: &mut Server, frames: &[String]) -> Vec<String> {
+    frames
+        .iter()
+        .map(|f| srv.handle_line(f).expect("a compile frame gets a response"))
+        .collect()
+}
+
+/// The summed per-request `(hit, miss)` stats of a pass.
+fn tally(responses: &[String]) -> (u64, u64) {
+    let field = |stats: &str, name: &str| -> u64 {
+        let tag = format!("\"{name}\":");
+        let at = stats.find(&tag).expect("stats member") + tag.len();
+        let digits: String = stats[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("a count")
+    };
+    responses.iter().fold((0, 0), |(h, m), r| {
+        let stats = request_stats(r);
+        (h + field(&stats, "hit"), m + field(&stats, "miss"))
+    })
+}
+
+#[test]
+fn generated_batches_pin_their_cold_bytes_and_hit_warm() {
+    let frames = generated_frames();
+    let dir = fresh_dir("pin-jobs1");
+    let mut srv = server(&dir, Jobs::N(1));
+    let cold = pass(&mut srv, &frames);
+    let checksum = cold.iter().fold(FNV_OFFSET, |h, r| fnv1a(h, r.as_bytes()));
+    assert_eq!(format!("{checksum:016x}"), "44cbc805ee5be084");
+    assert_eq!(tally(&cold), (0, 72));
+
+    let wide_dir = fresh_dir("pin-jobs16");
+    let wide = pass(&mut server(&wide_dir, Jobs::N(16)), &frames);
+    assert!(wide == cold, "cold responses must not depend on the pool width");
+    let _ = std::fs::remove_dir_all(&wide_dir);
+
+    let warm = pass(&mut srv, &frames);
+    assert_eq!(tally(&warm), (72, 0));
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(artifacts_only(c), artifacts_only(w));
+    }
+
+    // A fresh server over the same directory serves the same warm bytes.
+    drop(srv);
+    assert!(pass(&mut server(&dir, Jobs::N(1)), &frames) == warm);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,6 +14,11 @@
 //! against the linked Asm) under both budgets: the composite batches
 //! through its push/pop rules and the checker shares the runner's loop, so
 //! the reports (or error texts) and `lts.sim_steps` must match too.
+//!
+//! The same sweep pins the block at *default* compiler options (DIFFTEST
+//! and perfbench only cover validated compilations): an FNV-1a checksum of
+//! the whole-fuel verdicts, and each stage interpreter's step count over
+//! every query. Both were first recorded in EXPERIMENTS row B12.
 
 use compcerto_core::cc::Ca;
 use compcerto_core::conv::SimConv;
@@ -23,19 +28,32 @@ use compcerto_core::obs;
 use compcerto_core::sim::{SimCheckError, SimCheckReport};
 use compcerto_gen::generate::gen_queries;
 use compcerto_gen::{generate, GenCfg};
+use compiler::serve::{fnv1a, FNV_OFFSET};
 use compiler::{
-    check_query, check_thm35_budgeted, compile_all, CompilerOptions, ExtLib, QueryVerdict,
-    StagePrograms,
+    check_query, check_thm35_budgeted, compile_all, run_stage, CompilerOptions, ExtLib,
+    QueryVerdict, StagePrograms, STAGES,
 };
 use mem::Val;
 
-/// Seeds in the fixed block (the `interp_campaign` block, kept small
-/// enough for a debug-profile tier-1 run).
+/// Seeds in the fixed block (kept small enough for a debug-profile
+/// tier-1 run).
 const SEEDS: u64 = 64;
 /// Queries per seed (the difftest default).
 const QUERIES: usize = 3;
 /// Fuel per stage execution (the difftest default).
 const FUEL: u64 = 2_000_000;
+/// The whole-fuel verdicts' checksum over the block.
+const VERDICTS_FNV: &str = "45c34a3c9d6a18c9";
+/// Each stage's steps over every query of the block, run alone.
+const STAGE_STEPS: [(&str, u64); 7] = [
+    ("clight", 148_130),
+    ("simpl-locals", 148_130),
+    ("rtl", 281_075),
+    ("rtl-opt", 281_141),
+    ("linear", 210_555),
+    ("mach", 219_147),
+    ("asm", 228_736),
+];
 
 fn thm35_repr(r: &Result<SimCheckReport, SimCheckError>) -> String {
     match r {
@@ -58,7 +76,14 @@ fn verdict_repr(v: &QueryVerdict) -> String {
 #[test]
 fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
     let mut thm35_checks = 0;
+    // The pin: FNV-1a over the seed, the query index and the verdict line,
+    // in (seed, query) order; the (agree, skipped, findings) tally; and
+    // each stage's `lts.steps` delta.
+    let mut h = FNV_OFFSET;
+    let mut tally = (0, 0, 0);
+    let mut steps = [0; STAGES.len()];
     for seed in 0..SEEDS {
+        h = fnv1a(h, &seed.to_le_bytes());
         let prog = generate(seed, &GenCfg::default());
         let srcs = prog.render();
         let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
@@ -76,7 +101,10 @@ fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
         // … a trace-off budget gives each batch all the fuel left.
         let whole = RunBudget::with_fuel(FUEL).no_trace();
 
-        for args in gen_queries(seed, entry.nparams as usize, QUERIES) {
+        for (qi, args) in gen_queries(seed, entry.nparams as usize, QUERIES)
+            .into_iter()
+            .enumerate()
+        {
             let q = CQuery {
                 vf,
                 sig: sig.clone(),
@@ -101,6 +129,28 @@ fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
                 ds, dw,
                 "seed {seed} args {args:?}: lts.* counters diverged between chunk sizes"
             );
+
+            h = fnv1a(h, &(qi as u64).to_le_bytes());
+            let line = match vw {
+                QueryVerdict::Agree(obs) => {
+                    tally.0 += 1;
+                    format!("{obs}")
+                }
+                QueryVerdict::Skipped { stage } => {
+                    tally.1 += 1;
+                    format!("skip@{stage}")
+                }
+                QueryVerdict::Finding { kind, detail } => {
+                    tally.2 += 1;
+                    format!("finding:{kind}:{detail}")
+                }
+            };
+            h = fnv1a(h, line.as_bytes());
+            for (n, stage) in steps.iter_mut().zip(STAGES) {
+                let c = obs::counters();
+                let _ = run_stage(&sp, &symtab, &lib, stage, &q, &whole);
+                *n += obs::counters().since(&c).steps;
+            }
 
             if units.len() == 2 {
                 let Some((_, qa)) = Ca::new(symtab.len() as u32).transport_query(&q) else {
@@ -134,4 +184,10 @@ fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
         }
     }
     assert!(thm35_checks > 0, "the seed block has two-unit seeds");
+    assert_eq!(format!("{h:016x}"), VERDICTS_FNV);
+    assert_eq!(tally, (192, 0, 0), "(agree, skipped, findings)");
+    assert_eq!(
+        STAGES.into_iter().zip(steps).collect::<Vec<_>>(),
+        STAGE_STEPS
+    );
 }
