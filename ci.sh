@@ -42,6 +42,24 @@ for trace in 0 1; do
         --workload compile-corpus --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_corpus_$trace.txt
 done
 
+echo "== benchmark solver pops (traced passes, pinned) =="
+# The two traced passes above print the `solver.*` pops of one full pass.
+# They are pure functions of the work, and no committed baseline covers
+# the pops of default-option compiles on the compile corpus, so all eight
+# are pinned: a change to the fixpoint engine must leave them equal.
+pops() {
+    grep -qx "$2 = $3 count (lower is better)" "$1" ||
+        { echo "$1: $2 is not $3" >&2; exit 1; }
+}
+pops /tmp/ci_perf_corpus_1.txt solver.rtl_iterations 397669
+pops /tmp/ci_perf_corpus_1.txt solver.value.iters 278519
+pops /tmp/ci_perf_corpus_1.txt solver.needed.iters 96639
+pops /tmp/ci_perf_corpus_1.txt solver.validate_iterations 0
+pops /tmp/ci_perf_oracle_1.txt solver.rtl_iterations 385189
+pops /tmp/ci_perf_oracle_1.txt solver.value.iters 144918
+pops /tmp/ci_perf_oracle_1.txt solver.needed.iters 70049
+pops /tmp/ci_perf_oracle_1.txt solver.validate_iterations 55370
+
 echo "== clippy unwrap/expect gate (library paths) =="
 cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate --lib -- \
     -D clippy::unwrap_used -D clippy::expect_used

@@ -1,10 +1,10 @@
-//! Abstract-interpretation solvers over RTL and the translation validators
+//! Abstract-interpretation analyses over RTL and the translation validators
 //! for the analysis-driven optimization pair (DESIGN.md §12).
 //!
 //! The *domains* (intervals, pointer provenance, neededness masks and their
-//! transfer functions) live in [`rtl::absint`]; this module owns the
-//! fixpoint engines that run them — a forward interval **value analysis**
-//! with widening and a backward **neededness** analysis — plus the two
+//! transfer functions) live in [`rtl::absint`]; this module runs them — a
+//! forward interval **value analysis** with widening and a backward
+//! **neededness** analysis — and holds the two
 //! a-posteriori validators, [`validate_constprop`] and [`validate_deadcode`],
 //! that re-justify every rewrite of the untrusted `vprop`/`ndce` passes
 //! from facts recomputed on the pass *input*.
@@ -16,20 +16,21 @@
 //! injected between the snapshot and the backend (the `rtl-constant-drift`
 //! class) — surfaces as a structured [`Diagnostic`].
 //!
-//! Both solvers tick their own thread-local effort counters
-//! ([`value_solver_iterations`], [`needed_solver_iterations`]) for the
-//! `solver.*` observability taxonomy.
+//! Neededness is a [`backward_solve`] instance; the value analysis keeps
+//! its own loop (widening and change sets) on the engine's
+//! [`dense_order`]. Both charge their pops to `rtl::analysis`'s counter
+//! table, as `solver.value.iters` and `solver.needed.iters`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use rtl::absint::{
-    eval_op_va, op_arg_needs, NeedEnv, Needs, VaEnv, VaVal,
-};
+use rtl::absint::{eval_op_va, op_arg_needs, NeedEnv, Needs, VaEnv, VaVal};
 use rtl::ndce::{deletable, NeedFacts};
 use rtl::vprop::{rewrite_cond, rewrite_op, VaFacts};
-use rtl::{Inst, JoinSemiLattice, Node, PReg, Romem, RtlFunction, RtlProgram};
+use rtl::{
+    after_states, backward_solve, count_pops, dense_order, solver_pops, undense, Inst,
+    JoinSemiLattice, Node, PReg, Romem, RtlFunction, RtlProgram, Solver,
+};
 
-use crate::cfg::reverse_postorder;
 use crate::diag::Diagnostic;
 
 /// Growing joins tolerated at a node before the interval bounds are
@@ -37,48 +38,18 @@ use crate::diag::Diagnostic;
 /// two trips around a loop; anything still growing after that widens).
 const WIDEN_AFTER: u32 = 2;
 
-thread_local! {
-    static VALUE_ITERATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static NEEDED_ITERATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Cumulative worklist pops of the interval value analysis on this thread
-/// (deterministic: the worklist pops in exact RPO).
+/// (`solver.value.iters`).
 #[must_use]
 pub fn value_solver_iterations() -> u64 {
-    VALUE_ITERATIONS.with(std::cell::Cell::get)
+    solver_pops()[Solver::Value as usize]
 }
 
 /// Cumulative worklist pops of the neededness analysis on this thread
-/// (deterministic: the worklist pops in exact postorder).
+/// (`solver.needed.iters`).
 #[must_use]
 pub fn needed_solver_iterations() -> u64 {
-    NEEDED_ITERATIONS.with(std::cell::Cell::get)
-}
-
-/// Add `n` value-analysis pops counted on another thread to this thread's.
-pub fn absorb_value_solver_iterations(n: u64) {
-    VALUE_ITERATIONS.with(|c| c.set(c.get() + n));
-}
-
-/// Add `n` neededness pops counted on another thread to this thread's.
-pub fn absorb_needed_solver_iterations(n: u64) {
-    NEEDED_ITERATIONS.with(|c| c.set(c.get() + n));
-}
-
-/// Dense node numbering: reverse postorder of the reachable subgraph, then
-/// any unreachable nodes in ascending id order (same convention as
-/// [`crate::dataflow`]).
-fn dense_order(f: &RtlFunction) -> (Vec<Node>, HashMap<Node, usize>) {
-    let mut order = reverse_postorder(f);
-    let mut seen: BTreeSet<Node> = order.iter().copied().collect();
-    for n in f.code.keys() {
-        if seen.insert(*n) {
-            order.push(*n);
-        }
-    }
-    let idx = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-    (order, idx)
+    solver_pops()[Solver::Needed as usize]
 }
 
 /// The one register `inst` writes and its abstract value afterwards (memory
@@ -154,17 +125,16 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
     // that changed in its state since its last pop.
     let mut propagated: Vec<bool> = vec![false; order.len()];
     let mut changed: Vec<Vec<PReg>> = vec![Vec::new(); order.len()];
-    let Some(&ei) = idx.get(&f.entry) else {
-        return BTreeMap::new();
-    };
+    // The entry heads the reverse postorder.
     let mut entry_env = VaEnv::default();
     for p in &f.params {
         entry_env.set(*p, VaVal::Top);
     }
-    state[ei] = Some(entry_env);
-    let mut work: BTreeSet<usize> = BTreeSet::from([ei]);
+    state[0] = Some(entry_env);
+    let mut work: BTreeSet<usize> = BTreeSet::from([0]);
+    let mut pops = 0;
     while let Some(i) = work.pop_first() {
-        VALUE_ITERATIONS.with(|c| c.set(c.get() + 1));
+        pops += 1;
         let n = order[i];
         let Some(inst) = f.code.get(&n) else { continue };
         let Some(before) = state[i].as_ref() else { continue };
@@ -232,11 +202,8 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
             }
         }
     }
-    order
-        .iter()
-        .zip(state)
-        .filter_map(|(n, s)| s.map(|s| (*n, s)))
-        .collect()
+    count_pops(Solver::Value, pops);
+    undense(&order, state)
 }
 
 /// The needed-*before* environment of `inst` given the needed-after
@@ -277,63 +244,12 @@ fn needed_transfer(inst: &Inst, out: &NeedEnv) -> NeedEnv {
 /// implicit). Solved over all nodes (unreachable code is trivially dead).
 #[must_use]
 pub fn neededness(f: &RtlFunction) -> BTreeMap<Node, NeedEnv> {
-    let (order, idx) = dense_order(f);
-    // Dense predecessor lists, each edge once.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-    for (i, n) in order.iter().enumerate() {
-        let Some(inst) = f.code.get(n) else { continue };
-        let mut succs = inst.successors();
-        succs.sort_unstable();
-        succs.dedup();
-        for s in succs {
-            if let Some(&si) = idx.get(&s) {
-                preds[si].push(i);
-            }
-        }
-    }
-    // state[i] = needed-BEFORE node i (its "in" env).
-    let mut state: Vec<Option<NeedEnv>> = order.iter().map(|_| None).collect();
-    let mut work: BTreeSet<usize> = (0..order.len()).collect();
-    while let Some(i) = work.pop_last() {
-        NEEDED_ITERATIONS.with(|c| c.set(c.get() + 1));
-        let n = order[i];
-        let Some(inst) = f.code.get(&n) else { continue };
-        let mut out = NeedEnv::default();
-        for s in inst.successors() {
-            if let Some(&si) = idx.get(&s) {
-                if let Some(ss) = state[si].as_ref() {
-                    out.join_in_place(ss);
-                }
-            }
-        }
-        let inn = needed_transfer(inst, &out);
-        let changed = match state[i].as_mut() {
-            Some(cur) => cur.join_in_place(&inn),
-            None => {
-                state[i] = Some(inn);
-                true
-            }
-        };
-        if changed {
-            work.extend(preds[i].iter().copied());
-        }
-    }
-    // Publish needed-AFTER per node: the join of the successors' in-envs.
-    let mut out_map = BTreeMap::new();
-    for (i, n) in order.iter().enumerate() {
-        let Some(inst) = f.code.get(n) else { continue };
-        let mut out = NeedEnv::default();
-        for s in inst.successors() {
-            if let Some(&si) = idx.get(&s) {
-                if let Some(ss) = state[si].as_ref() {
-                    out.join_in_place(ss);
-                }
-            }
-        }
-        let _ = i;
-        out_map.insert(*n, out);
-    }
-    out_map
+    let before = backward_solve(f, Solver::Needed, NeedEnv::default(), |_, inst, out| {
+        needed_transfer(inst, out)
+    });
+    after_states(f, &before, |out: &mut NeedEnv, b| {
+        out.join_in_place(b);
+    })
 }
 
 /// Solve the value analysis for every function of a program, keyed by

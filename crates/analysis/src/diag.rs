@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use compcerto_core::json::escape;
+
 /// One static finding: which pass's output (or which translation) is
 /// suspect, where, and which rule fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,23 +55,6 @@ impl Diagnostic {
             escape(&self.message),
         )
     }
-}
-
-/// Minimal JSON string escaping.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl fmt::Display for Diagnostic {

@@ -6,11 +6,11 @@
 //! adds the complementary *static* layer in the "verifying compiler" posture
 //! of a-posteriori translation validation:
 //!
-//! 1. **A reusable static-analysis toolkit** over CFG-shaped IRs
-//!    ([`cfg::CfgView`]): reverse postorder, dominator trees
-//!    (Cooper–Harvey–Kennedy, [`dom`]), and generic worklist dataflow over
-//!    the same [`dataflow::JoinSemiLattice`] interface as `rtl::analysis` —
-//!    RTL, LTL, Linear and Mach all share one engine.
+//! 1. **Analyses on the one fixpoint engine.** `rtl::analysis` holds the
+//!    workspace's only CFG traversals and worklist solvers; this crate runs
+//!    the maybe-uninit lint ([`lint::maybe_uninit`]) and neededness on its
+//!    solvers, and the interval value analysis ([`absint`]) on its
+//!    numbering and pop counters.
 //! 2. **Per-IR well-formedness lints** ([`lint`]): missing successors,
 //!    unreachable entries, use of possibly-undefined registers,
 //!    register-class and callee-save discipline, stack-slot bounds and
@@ -27,24 +27,14 @@
 //! semantics).
 
 pub mod absint;
-pub mod cfg;
-pub mod dataflow;
 pub mod diag;
-pub mod dom;
 pub mod lint;
 pub mod validate;
 
 pub use absint::{
-    absorb_needed_solver_iterations, absorb_value_solver_iterations, needed_facts_program,
-    needed_solver_iterations, neededness, validate_constprop, validate_deadcode, value_facts,
-    value_facts_program, value_solver_iterations,
-};
-pub use cfg::{predecessors, reachable, reverse_postorder, CfgView, LinearCfg, MachCfg};
-pub use dataflow::{
-    absorb_solver_iterations, backward_solve, forward_solve, live_out, maybe_uninit,
-    solver_iterations, JoinSemiLattice, VarSet,
+    needed_facts_program, needed_solver_iterations, neededness, validate_constprop,
+    validate_deadcode, value_facts, value_facts_program, value_solver_iterations,
 };
 pub use diag::Diagnostic;
-pub use dom::DomTree;
-pub use lint::{lint_asm, lint_linear, lint_ltl, lint_mach, lint_rtl};
+pub use lint::{lint_asm, lint_linear, lint_ltl, lint_mach, lint_rtl, maybe_uninit};
 pub use validate::{validate_allocation, validate_asmgen, validate_linearize};

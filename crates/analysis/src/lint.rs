@@ -14,7 +14,7 @@
 //! All families also check that every call targets a defined function or a
 //! declared external.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use backend::asm::AsmInst;
 use backend::linear::{LinFunction, LinInst, LinProgram};
@@ -23,10 +23,11 @@ use backend::mach::{MachInst, MachProgram};
 use backend::{AsmProgram, LOp};
 use compcerto_core::iface::{abi, Signature};
 use compcerto_core::regs::Loc;
-use rtl::{Inst, RtlProgram};
+use rtl::{
+    forward_solve, reachable, successors_of, BitSet, Inst, Node, PReg, RtlFunction, RtlProgram,
+    Solver,
+};
 
-use crate::cfg::{reachable, CfgView};
-use crate::dataflow::maybe_uninit;
 use crate::diag::Diagnostic;
 
 /// Names a program may call: its own functions plus declared externals.
@@ -90,12 +91,13 @@ pub fn lint_rtl(prog: &RtlProgram) -> Vec<Diagnostic> {
         }
         // Def-before-use on every path (reachable nodes only): a use of `v`
         // is flagged iff some entry-to-use path misses every def of `v`.
-        let entry_defs: BTreeSet<u32> = f.params.iter().copied().collect();
-        let mu = maybe_uninit(f, &entry_defs);
-        for n in reachable(f) {
-            let Some(state) = mu.get(&n) else { continue };
-            for u in CfgView::uses(f, n) {
-                if state.0.contains(&u) {
+        let mu = maybe_uninit(f, &f.params);
+        for n in reachable(f.entry, successors_of(f)) {
+            let (Some(state), Some(inst)) = (mu.get(&n), f.code.get(&n)) else {
+                continue;
+            };
+            for u in inst.uses() {
+                if state.contains(u) {
                     diags.push(Diagnostic::new(
                         PASS,
                         &f.name,
@@ -108,6 +110,38 @@ pub fn lint_rtl(prog: &RtlProgram) -> Vec<Diagnostic> {
         }
     }
     diags
+}
+
+/// Forward "maybe uninitialized" analysis: the registers possibly not yet
+/// written *before* each reachable node, as a [`forward_solve`] instance on
+/// the [`BitSet`] lattice (pseudo-registers are the bit indices). Every
+/// register used or defined in `f` starts uninitialized except
+/// `defined_at_entry`. Its pops tick `solver.validate_iterations`.
+///
+/// This is the sound def-before-use check for non-SSA IRs: a use of `v` at
+/// `n` is safe iff `v` is written on **every** path from the entry to `n`,
+/// i.e. `v ∉ maybe_uninit(n)`. A dominance check is *not* equivalent: after
+/// a diamond that defines `v` on both arms, no single def dominates the
+/// join, yet the use is safe.
+pub fn maybe_uninit(f: &RtlFunction, defined_at_entry: &[PReg]) -> BTreeMap<Node, BitSet> {
+    let used_or_defined = f.code.values().flat_map(|i| i.uses().into_iter().chain(i.def()));
+    let mut entry: BitSet = used_or_defined.collect();
+    for r in defined_at_entry {
+        entry.remove(*r);
+    }
+    forward_solve(
+        f,
+        Solver::Validate,
+        entry,
+        BitSet::new(),
+        |_, inst, before: &BitSet| {
+            let mut after = before.clone();
+            if let Some(d) = inst.def() {
+                after.remove(d);
+            }
+            after
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +180,8 @@ fn check_slot(
     }
 }
 
-fn lop_operands(op: &LOp) -> Vec<Loc> {
+/// The locations an LTL/Linear operation reads.
+pub(crate) fn lop_operands(op: &LOp) -> Vec<Loc> {
     match op {
         LOp::Move(l) | LOp::Unop(_, l) | LOp::BinopImm(_, l, _) => vec![*l],
         LOp::Binop(_, a, b) => vec![*a, *b],
@@ -706,4 +741,113 @@ pub fn lint_asm(prog: &AsmProgram) -> Vec<Diagnostic> {
         }
     }
     diags
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtl::RtlOp;
+
+    fn fun(entry: Node, params: Vec<u32>, code: Vec<(Node, Inst)>) -> RtlFunction {
+        RtlFunction {
+            name: "f".into(),
+            sig: Signature::int_fn(params.len()),
+            params,
+            stack_size: 0,
+            entry,
+            code: code.into_iter().collect(),
+            next_reg: 8,
+        }
+    }
+
+    /// `lint_rtl` on a one-function program with no externals, rendered.
+    fn lint(f: RtlFunction) -> Vec<String> {
+        let prog = RtlProgram {
+            functions: vec![f],
+            externs: vec![],
+        };
+        lint_rtl(&prog).iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn rtl_entry_missing() {
+        let f = fun(5, vec![], vec![(0, Inst::Return(None))]);
+        assert_eq!(
+            lint(f),
+            ["validate[wf-rtl] f@5: rtl.entry-missing: entry node 5 has no instruction"]
+        );
+    }
+
+    #[test]
+    fn rtl_successor_missing() {
+        let f = fun(
+            0,
+            vec![1],
+            vec![
+                (0, Inst::Cond(1, 1, 7)),
+                (1, Inst::Nop(9)),
+                (2, Inst::Return(None)),
+            ],
+        );
+        assert_eq!(
+            lint(f),
+            [
+                "validate[wf-rtl] f@0: rtl.successor-missing: successor 7 has no instruction",
+                "validate[wf-rtl] f@1: rtl.successor-missing: successor 9 has no instruction",
+            ]
+        );
+    }
+
+    #[test]
+    fn rtl_unknown_callee() {
+        let sig = Signature::int_fn(1);
+        let f = fun(
+            0,
+            vec![1],
+            vec![
+                (0, Inst::Call(sig.clone(), "f".into(), vec![1], Some(2), 1)),
+                (1, Inst::Call(sig.clone(), "g".into(), vec![2], Some(3), 2)),
+                (2, Inst::Tailcall(sig, "h".into(), vec![3])),
+            ],
+        );
+        assert_eq!(
+            lint(f),
+            [
+                "validate[wf-rtl] f@1: rtl.unknown-callee: call to undeclared `g`",
+                "validate[wf-rtl] f@2: rtl.unknown-callee: call to undeclared `h`",
+            ]
+        );
+    }
+
+    /// `cond x1 -> {1, 2}`, node 1 defines x2, node 2 is `else_arm`, and
+    /// node 3 returns x2. Node 9 is unreachable and reads x5.
+    fn diamond(else_arm: Inst) -> RtlFunction {
+        fun(
+            0,
+            vec![1],
+            vec![
+                (0, Inst::Cond(1, 1, 2)),
+                (1, Inst::Op(RtlOp::Int(1), 2, 3)),
+                (2, else_arm),
+                (3, Inst::Return(Some(2))),
+                (9, Inst::Return(Some(5))),
+            ],
+        )
+    }
+
+    #[test]
+    fn rtl_use_undefined_flags_a_one_armed_diamond() {
+        assert_eq!(
+            lint(diamond(Inst::Nop(3))),
+            ["validate[wf-rtl] f@3: rtl.use-undefined: x2 may be read before any definition"]
+        );
+    }
+
+    #[test]
+    fn rtl_use_undefined_accepts_a_both_armed_diamond() {
+        assert_eq!(
+            lint(diamond(Inst::Op(RtlOp::Int(2), 2, 3))),
+            Vec::<String>::new()
+        );
+    }
 }

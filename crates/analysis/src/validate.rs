@@ -30,10 +30,10 @@ use backend::mach::{MOp, MachFunction, MachInst};
 use compcerto_core::iface::abi;
 use compcerto_core::regs::Loc;
 use mem::Chunk;
-use rtl::{Inst, RtlFunction};
+use rtl::{reachable, successors_of, Inst, RtlFunction};
 
-use crate::cfg::reachable;
 use crate::diag::Diagnostic;
+use crate::lint::lop_operands;
 
 const RA_SLOT: i64 = 8;
 
@@ -138,7 +138,7 @@ pub fn validate_allocation(rtl_f: &RtlFunction, ltl_f: &LtlFunction) -> Vec<Diag
     // which the allocator (working in DFS order from the entry) rightly
     // never assigns locations for.
     let live_out = rtl::liveness(rtl_f);
-    let reach = reachable(rtl_f);
+    let reach = reachable(rtl_f.entry, successors_of(rtl_f));
     for (n, inst) in &rtl_f.code {
         if !reach.contains(n) {
             continue;
@@ -187,35 +187,16 @@ pub fn validate_allocation(rtl_f: &RtlFunction, ltl_f: &LtlFunction) -> Vec<Diag
 
 /// All locations an LTL instruction mentions (reads or writes).
 fn ltl_locs(inst: &LtlInst) -> Vec<Loc> {
-    use backend::LOp;
-    let mut v = Vec::new();
-    let op_locs = |op: &LOp, v: &mut Vec<Loc>| match op {
-        LOp::Move(s) => v.push(*s),
-        LOp::Unop(_, a) => v.push(*a),
-        LOp::Binop(_, a, b) => {
-            v.push(*a);
-            v.push(*b);
-        }
-        LOp::BinopImm(_, a, _) => v.push(*a),
-        _ => {}
-    };
     match inst {
         LtlInst::Op(op, d, _) => {
-            op_locs(op, &mut v);
+            let mut v = lop_operands(op);
             v.push(*d);
+            v
         }
-        LtlInst::Load(_, b, _, d, _) => {
-            v.push(*b);
-            v.push(*d);
-        }
-        LtlInst::Store(_, b, _, s, _) => {
-            v.push(*b);
-            v.push(*s);
-        }
-        LtlInst::Cond(c, _, _) => v.push(*c),
-        LtlInst::Call(..) | LtlInst::Nop(_) | LtlInst::Return => {}
+        LtlInst::Load(_, b, _, l, _) | LtlInst::Store(_, b, _, l, _) => vec![*b, *l],
+        LtlInst::Cond(c, _, _) => vec![*c],
+        LtlInst::Call(..) | LtlInst::Nop(_) | LtlInst::Return => vec![],
     }
-    v
 }
 
 /// Validate linearization for one function: `lin_f` must be the *raw*
@@ -274,7 +255,7 @@ pub fn validate_linearize(ltl_f: &LtlFunction, lin_f: &LinFunction) -> Vec<Diagn
         }
     };
 
-    for n in reachable(ltl_f) {
+    for n in reachable(ltl_f.entry, |n| ltl_f.code.get(&n).map(LtlInst::successors)) {
         let Some(inst) = ltl_f.code.get(&n) else { continue };
         let Some(&p) = label_pos.get(&n) else {
             out.push(mk(

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use compcerto_core::iface::{abi, Signature};
 use compcerto_core::regs::{Loc, Mreg};
-use rtl::{liveness, Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram};
+use rtl::{liveness, preorder, successors_of, Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram};
 
 use crate::ltl::{LOp, LtlFunction, LtlInst, LtlProgram};
 
@@ -59,19 +59,8 @@ pub fn allocation_witness(f: &RtlFunction) -> (BTreeMap<PReg, Loc>, i64, Vec<Mre
 
 /// Compute the allocation of pseudo-registers to locations.
 fn assign_locations(f: &RtlFunction) -> (BTreeMap<PReg, Loc>, i64, Vec<Mreg>) {
-    // Linearize the CFG (DFS from entry) to position instructions.
-    let mut order: Vec<Node> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut stack = vec![f.entry];
-    while let Some(n) = stack.pop() {
-        if !seen.insert(n) || !f.code.contains_key(&n) {
-            continue;
-        }
-        order.push(n);
-        for s in f.code[&n].successors().into_iter().rev() {
-            stack.push(s);
-        }
-    }
+    // Linearize the CFG (preorder from the entry) to position instructions.
+    let order = preorder(f.entry, successors_of(f));
     let live_out = liveness(f);
 
     // Intervals: positions where a pseudo-register is defined, used or live.

@@ -6,8 +6,6 @@
 //! `Goto`. Every node gets a `Label` (the later `CleanupLabels` pass removes
 //! the unreferenced ones).
 
-use std::collections::BTreeSet;
-
 use crate::linear::{LinFunction, LinInst, LinProgram};
 use crate::ltl::{LtlFunction, LtlInst, LtlProgram, Node};
 
@@ -20,19 +18,8 @@ pub fn linearize(prog: &LtlProgram) -> LinProgram {
 }
 
 fn linearize_function(f: &LtlFunction) -> LinFunction {
-    // Depth-first ordering from the entry.
-    let mut order: Vec<Node> = Vec::new();
-    let mut seen: BTreeSet<Node> = BTreeSet::new();
-    let mut stack = vec![f.entry];
-    while let Some(n) = stack.pop() {
-        if !seen.insert(n) || !f.code.contains_key(&n) {
-            continue;
-        }
-        order.push(n);
-        for s in f.code[&n].successors().into_iter().rev() {
-            stack.push(s);
-        }
-    }
+    // Depth-first preorder from the entry.
+    let order = rtl::preorder(f.entry, |n| f.code.get(&n).map(LtlInst::successors));
 
     let mut code: Vec<LinInst> = Vec::new();
     for (i, n) in order.iter().enumerate() {

@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 
+use compcerto_core::json::escape;
 use compcerto_core::symtab::SymbolTable;
 use rtl::Romem;
 
@@ -18,21 +19,6 @@ use crate::driver::CompiledUnit;
 
 /// The schema identifier of the analysis report.
 pub const ANALYSIS_SCHEMA: &str = "compcerto-analysis/1";
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render the abstract-interpretation facts of `units` (paired with their
 /// file names) as the `compcerto-analysis/1` JSON document.
@@ -51,21 +37,21 @@ pub fn analysis_json(files: &[String], units: &[CompiledUnit], symtab: &SymbolTa
     let _ = writeln!(s, "  \"units\": [");
     for (ui, (file, unit)) in files.iter().zip(units).enumerate() {
         let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"file\": \"{}\",", json_escape(file));
+        let _ = writeln!(s, "      \"file\": \"{}\",", escape(file));
         let _ = writeln!(s, "      \"functions\": [");
         let value = compcerto_validate::value_facts_program(&unit.rtl_vprop_in, &romem);
         let needed = compcerto_validate::needed_facts_program(&unit.rtl_ndce_in);
         let nfuns = unit.rtl_vprop_in.functions.len();
         for (fi, f) in unit.rtl_vprop_in.functions.iter().enumerate() {
             let _ = writeln!(s, "        {{");
-            let _ = writeln!(s, "          \"name\": \"{}\",", json_escape(&f.name));
+            let _ = writeln!(s, "          \"name\": \"{}\",", escape(&f.name));
             let _ = writeln!(s, "          \"value\": {{");
             if let Some(envs) = value.get(&f.name) {
                 let n_envs = envs.len();
                 for (ei, (node, env)) in envs.iter().enumerate() {
                     let binds: Vec<String> = env
                         .iter()
-                        .map(|(r, v)| format!("\"r{r}\": \"{}\"", json_escape(&v.to_string())))
+                        .map(|(r, v)| format!("\"r{r}\": \"{}\"", escape(&v.to_string())))
                         .collect();
                     let comma = if ei + 1 < n_envs { "," } else { "" };
                     let _ = writeln!(s, "            \"{node}\": {{{}}}{comma}", binds.join(", "));
@@ -78,7 +64,7 @@ pub fn analysis_json(files: &[String], units: &[CompiledUnit], symtab: &SymbolTa
                 for (ei, (node, env)) in envs.iter().enumerate() {
                     let binds: Vec<String> = env
                         .iter()
-                        .map(|(r, nv)| format!("\"r{r}\": \"{}\"", json_escape(&nv.to_string())))
+                        .map(|(r, nv)| format!("\"r{r}\": \"{}\"", escape(&nv.to_string())))
                         .collect();
                     let comma = if ei + 1 < n_envs { "," } else { "" };
                     let _ = writeln!(s, "            \"{node}\": {{{}}}{comma}", binds.join(", "));
@@ -127,5 +113,23 @@ mod tests {
         let files = vec!["g.c".to_string()];
         let a = analysis_json(&files, &units, &tbl);
         assert!(a.contains("\"name\": \"g\""));
+    }
+
+    #[test]
+    fn file_names_escape_as_the_json_reader_expects() {
+        // A newline in a file name is written `\n`, as every other emitter
+        // writes it, and the report parses back to the same name.
+        let src = "int g(int a) { return a + 1; }";
+        let (units, tbl) = compile_all(&[src], CompilerOptions::none()).expect("compiles");
+        let files = vec!["a\nb\t\"c\".c".to_string()];
+        let a = analysis_json(&files, &units, &tbl);
+        assert!(a.contains("\"file\": \"a\\nb\\t\\\"c\\\".c\","), "{a}");
+        let doc = crate::json::parse(&a).expect("the report is JSON");
+        let units = doc.get("units").and_then(crate::json::Json::as_arr);
+        let file = units.and_then(|u| u.first()).and_then(|u| u.get("file"));
+        assert_eq!(
+            file.and_then(crate::json::Json::as_str),
+            Some(files[0].as_str())
+        );
     }
 }

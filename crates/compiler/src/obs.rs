@@ -5,8 +5,7 @@
 //!
 //! * **Deterministic counters** ([`Counters`], [`ObsSnapshot`]) — pure
 //!   functions of the work performed: IR sizes per pipeline stage,
-//!   dataflow-solver iterations (`rtl::analysis` and the untrusted
-//!   `compcerto_validate::dataflow` separately), memory-model operation
+//!   worklist-solver pops (`solver.*`, below), memory-model operation
 //!   counts, and LTS run/step/outcome tallies. Counters are *seed- and
 //!   jobs-invariant by construction*: every underlying counter is
 //!   thread-local, each work item (translation unit, campaign seed,
@@ -18,6 +17,20 @@
 //!   [`MetricsReport::timings`]) and parallel-pool occupancy
 //!   ([`crate::par::pool_stats`]) — reported for humans, never gated, and
 //!   stripped by [`normalize_metrics_json`] before any byte comparison.
+//!
+//! The four `solver.*` counters live in one table (`rtl::solver_pops`),
+//! and each counts the pops of the analyses named here, whoever runs them:
+//!
+//! * `solver.rtl_iterations`: `rtl::liveness` and `rtl::value_analysis`.
+//!   The Constprop, Deadcode and Allocation passes run them, and so does
+//!   the allocation validator: `backend::allocation_witness` re-runs the
+//!   allocator's liveness and `validate_allocation` runs liveness once
+//!   more. A validated compile therefore ticks it more than a default one.
+//! * `solver.validate_iterations`: `lint_rtl`'s maybe-uninit analysis only.
+//! * `solver.value.iters`: the interval value analysis (`value_facts`), run
+//!   for Vprop, by `validate_constprop` and by `--analyze-json`.
+//! * `solver.needed.iters`: neededness, run for Ndce, by
+//!   `validate_deadcode` and by `--analyze-json`.
 //!
 //! The JSON report emitted by [`MetricsReport::to_json`] keeps the
 //! deterministic `counters` object first and the volatile `pool` /
@@ -134,10 +147,8 @@ impl Counters {
 pub struct ObsSnapshot {
     lts: LtsCounters,
     mem: MemCounters,
-    rtl_solver: u64,
-    validate_solver: u64,
-    value_solver: u64,
-    needed_solver: u64,
+    /// `rtl::solver_pops`, in `rtl::SOLVER_COUNTERS` order.
+    solver: [u64; 4],
 }
 
 impl ObsSnapshot {
@@ -147,10 +158,7 @@ impl ObsSnapshot {
         ObsSnapshot {
             lts: compcerto_core::obs::counters(),
             mem: mem::obs::counters(),
-            rtl_solver: rtl::solver_iterations(),
-            validate_solver: compcerto_validate::solver_iterations(),
-            value_solver: compcerto_validate::value_solver_iterations(),
-            needed_solver: compcerto_validate::needed_solver_iterations(),
+            solver: rtl::solver_pops(),
         }
     }
 
@@ -162,10 +170,7 @@ impl ObsSnapshot {
         ObsSnapshot {
             lts: now.lts.since(&self.lts),
             mem: now.mem.since(&self.mem),
-            rtl_solver: now.rtl_solver.saturating_sub(self.rtl_solver),
-            validate_solver: now.validate_solver.saturating_sub(self.validate_solver),
-            value_solver: now.value_solver.saturating_sub(self.value_solver),
-            needed_solver: now.needed_solver.saturating_sub(self.needed_solver),
+            solver: std::array::from_fn(|i| now.solver[i].saturating_sub(self.solver[i])),
         }
     }
 
@@ -176,10 +181,7 @@ impl ObsSnapshot {
     pub fn absorb(&self) {
         compcerto_core::obs::absorb(&self.lts);
         mem::obs::absorb(&self.mem);
-        rtl::absorb_solver_iterations(self.rtl_solver);
-        compcerto_validate::absorb_solver_iterations(self.validate_solver);
-        compcerto_validate::absorb_value_solver_iterations(self.value_solver);
-        compcerto_validate::absorb_needed_solver_iterations(self.needed_solver);
+        rtl::absorb_solver_pops(self.solver);
     }
 
     /// The work performed on this thread since the snapshot, as a full
@@ -209,10 +211,9 @@ impl ObsSnapshot {
         c.set("mem.stores", m.stores);
         c.set("mem.demotes", m.demotes);
         c.set("mem.promotes", m.promotes);
-        c.set("solver.rtl_iterations", d.rtl_solver);
-        c.set("solver.validate_iterations", d.validate_solver);
-        c.set("solver.value.iters", d.value_solver);
-        c.set("solver.needed.iters", d.needed_solver);
+        for (key, pops) in rtl::SOLVER_COUNTERS.into_iter().zip(d.solver) {
+            c.set(key, pops);
+        }
         c
     }
 }

@@ -15,18 +15,29 @@
 //! both oracle generator profiles, the 48 `compile-corpus`-shaped link sets
 //! (3 units × 4 functions × 12 statements), and a seeded block of random
 //! cyclic CFGs.
+//!
+//! The random block also pins the rest of the fixpoint engine
+//! (`rtl::analysis`): the pops and facts of the constant analysis,
+//! liveness and neededness, and the `lint_rtl` diagnostics, with two
+//! properties of liveness and maybe-uninit.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use compcerto_core::iface::Signature;
 use compcerto_core::rng::SplitMix64;
 use compcerto_core::symtab::SymbolTable;
 use compcerto_gen::{generate, GenCfg};
-use compcerto_validate::{reverse_postorder, value_facts, value_solver_iterations};
-use compiler::{compile_all, json, CompilerOptions, DifftestCfg, SchedCfg};
+use compcerto_validate::{
+    lint_rtl, maybe_uninit, neededness, value_facts, value_solver_iterations,
+};
+use compiler::serve::{fnv1a, FNV_OFFSET};
+use compiler::{compile_all, json, CompilerOptions, DifftestCfg, ObsSnapshot, SchedCfg};
 use mem::Val;
 use minor::MBinop;
-use rtl::{eval_op_va, Inst, JoinSemiLattice, Node, Romem, RtlFunction, RtlOp, VaEnv, VaVal};
+use rtl::{
+    dense_order, eval_op_va, liveness, undense, value_analysis, Inst, JoinSemiLattice, Node, Romem,
+    RtlFunction, RtlOp, RtlProgram, VaEnv, VaVal,
+};
 
 /// Same as the solver's: growing joins tolerated before widening.
 const WIDEN_AFTER: u32 = 2;
@@ -60,14 +71,7 @@ fn full_join_facts(f: &RtlFunction, romem: &Romem) -> (BTreeMap<Node, VaEnv>, u6
     if !f.code.contains_key(&f.entry) {
         return (BTreeMap::new(), 0);
     }
-    let mut order = reverse_postorder(f);
-    let mut seen: BTreeSet<Node> = order.iter().copied().collect();
-    for n in f.code.keys() {
-        if seen.insert(*n) {
-            order.push(*n);
-        }
-    }
-    let idx: HashMap<Node, usize> = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+    let (order, idx) = dense_order(f);
     let mut state: Vec<Option<VaEnv>> = vec![None; order.len()];
     let mut grows = vec![0u32; order.len()];
     let mut entry = VaEnv::default();
@@ -110,12 +114,7 @@ fn full_join_facts(f: &RtlFunction, romem: &Romem) -> (BTreeMap<Node, VaEnv>, u6
             }
         }
     }
-    let facts = order
-        .iter()
-        .zip(state)
-        .filter_map(|(n, s)| s.map(|s| (*n, s)))
-        .collect();
-    (facts, pops)
+    (undense(&order, state), pops)
 }
 
 /// Solve `f` both ways and require equal facts and equal pop counts.
@@ -246,21 +245,124 @@ fn random_cfg(seed: u64, n: u32, r: u32) -> RtlFunction {
     }
 }
 
+/// The seeded block of random CFGs: 2,000 of them, with up to 48 nodes and
+/// up to 80 registers (so states span several environment chunks). Every
+/// other one loses its last node, so the edges into it dangle.
+fn random_sweep() -> impl Iterator<Item = (String, RtlFunction)> {
+    let mut rng = SplitMix64::new(0x5eed);
+    (0..2_000).map(move |i| {
+        let seed = rng.next_u64();
+        let n = rng.range_usize(2, 48) as u32;
+        let r = rng.range_usize(2, 80) as u32;
+        let mut f = random_cfg(seed, n, r);
+        if i % 2 == 1 {
+            f.code.remove(&(n - 1));
+        }
+        (format!("cfg {i} (seed {seed:#x}, n {n}, r {r})"), f)
+    })
+}
+
 #[test]
 fn change_sets_equal_the_full_join_on_random_cyclic_cfgs() {
     let romem = Romem::new(&SymbolTable::new());
-    let mut rng = SplitMix64::new(0x5eed);
     let mut repopped = 0;
-    for i in 0..2_000 {
-        let seed = rng.next_u64();
-        let n = rng.range_usize(2, 48) as u32;
-        // Up to 80 registers, so states span several environment chunks.
-        let r = rng.range_usize(2, 80) as u32;
-        let f = random_cfg(seed, n, r);
-        let ctx = format!("cfg {i} (seed {seed:#x}, n {n}, r {r})");
+    for (ctx, f) in random_sweep() {
         repopped += usize::from(assert_same(&f, &romem, &ctx));
     }
     // Loops must make the solver revisit nodes, or the change sets go
     // untested.
     assert!(repopped >= 500, "only {repopped} CFGs popped a node twice");
+}
+
+/// A counter's growth over `run`.
+fn pops<T>(counter: &str, run: impl FnOnce() -> T) -> (T, u64) {
+    let snap = ObsSnapshot::take();
+    let out = run();
+    (out, snap.delta().get(counter))
+}
+
+/// Fold one analysis result into its pin: the pops, then one line per
+/// node.
+fn fold<S>(h: u64, pops: u64, facts: &BTreeMap<Node, S>, line: impl Fn(&S) -> String) -> u64 {
+    let mut h = fnv1a(h, format!("pops {pops}\n").as_bytes());
+    for (n, s) in facts {
+        h = fnv1a(h, format!("{n}: {}\n", line(s)).as_bytes());
+    }
+    h
+}
+
+/// Properties of the RTL analyses on the random sweep, and pins of what
+/// the fixpoint engine computes there: the pops and facts of the constant
+/// analysis, liveness and neededness, and the `lint_rtl` diagnostics. No
+/// committed baseline covers such CFGs, so these pins are the engine's
+/// regression gate on them.
+#[test]
+fn engine_pins_and_properties_on_random_cyclic_cfgs() {
+    let romem = Romem::new(&SymbolTable::new());
+    let mut pins = [FNV_OFFSET; 4];
+    for (ctx, f) in random_sweep() {
+        let (values, vpops) = pops("solver.rtl_iterations", || value_analysis(&f, &romem));
+        pins[0] = fold(pins[0], vpops, &values, |env| {
+            env.iter().map(|(r, v)| format!("x{r}={v} ")).collect()
+        });
+
+        let (live, lpops) = pops("solver.rtl_iterations", || liveness(&f));
+        pins[1] = fold(pins[1], lpops, &live, |regs| format!("{regs:?}"));
+        // Live-out is the union of the successors' live-in, and live-in
+        // is `uses ∪ (live-out \ def)`.
+        for (n, out) in &live {
+            let mut want = BTreeSet::new();
+            for s in f.code[n].successors() {
+                let Some(si) = f.code.get(&s) else { continue };
+                let mut inn = live[&s].clone();
+                if let Some(d) = si.def() {
+                    inn.remove(&d);
+                }
+                inn.extend(si.uses());
+                want.extend(inn);
+            }
+            assert_eq!(out, &want, "{ctx}: live-out at node {n}");
+        }
+
+        let (needed, npops) = pops("solver.needed.iters", || neededness(&f));
+        pins[2] = fold(pins[2], npops, &needed, |env| {
+            env.iter().map(|(r, n)| format!("x{r}={n} ")).collect()
+        });
+
+        let prog = RtlProgram {
+            functions: vec![f.clone()],
+            externs: vec![("ext".into(), Signature::int_fn(1))],
+        };
+        let (diags, upops) = pops("solver.validate_iterations", || lint_rtl(&prog));
+        let lines: BTreeMap<Node, String> = diags
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (i as Node, d.to_string()))
+            .collect();
+        pins[3] = fold(pins[3], upops, &lines, String::clone);
+
+        // Maybe-uninit is monotone in the entry assumption: declaring
+        // more registers defined at entry only shrinks its sets.
+        let none = maybe_uninit(&f, &[]);
+        let all = maybe_uninit(&f, &(1..f.next_reg).collect::<Vec<_>>());
+        assert_eq!(none.len(), all.len(), "{ctx}: maybe-uninit nodes");
+        for (n, big) in &none {
+            let small = &all[n];
+            assert!(
+                small.iter().all(|r| big.contains(r)),
+                "{ctx}: maybe-uninit at node {n}"
+            );
+        }
+    }
+    let got = pins.map(|h| format!("{h:016x}"));
+    assert_eq!(
+        got,
+        [
+            "6ad21202f27e8086",
+            "acc9337813b4e8e7",
+            "d472cf9ff82e1714",
+            "33ce8311179254d6"
+        ],
+        "engine pins (value, liveness, neededness, lint)"
+    );
 }

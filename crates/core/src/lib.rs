@@ -61,6 +61,7 @@ pub mod hcomp;
 pub mod iface;
 pub mod intern;
 pub mod invariants;
+pub mod json;
 pub mod lts;
 pub mod obs;
 pub mod regs;

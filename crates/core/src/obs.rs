@@ -159,26 +159,11 @@ fn sink_push(line: String) {
     SINK.with(|s| s.borrow_mut().push(line));
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 pub(crate) fn emit_run_start(lts_name: &str) {
     let line = format!(
         "{{\"schema\":\"{}\",\"ev\":\"run-start\",\"lts\":\"{}\"}}",
         OBS_SCHEMA,
-        escape(lts_name)
+        crate::json::escape(lts_name)
     );
     sink_push(line);
 }

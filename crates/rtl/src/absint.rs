@@ -5,9 +5,11 @@
 //! ([`VaVal`]: constants as singleton intervals, signed intervals per
 //! machine width, pointer provenance into globals and the stack frame), the
 //! abstract register environments ([`VaEnv`], [`NeedEnv`]), and the sound
-//! transfer functions over [`RtlOp`]. The fixpoint solvers that *run* these
-//! domains live in `compcerto-validate::absint` (on top of the generic
-//! `CfgView` toolkit), and the optimization passes ([`crate::vprop`],
+//! transfer functions over [`RtlOp`]. The analyses that *run* these domains
+//! live in `compcerto-validate::absint`: neededness is a
+//! [`crate::analysis::backward_solve`] instance, and the interval value
+//! analysis keeps its own widening loop on [`crate::analysis::dense_order`]
+//! and the same pop counters. The optimization passes ([`crate::vprop`],
 //! [`crate::ndce`]) consume the solved facts as plain data — so the passes
 //! stay decoupled from the analysis engine and the translation validators
 //! can recompute the same facts on the passes' *inputs*.

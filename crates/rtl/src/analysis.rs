@@ -1,6 +1,16 @@
-//! Dataflow analyses over RTL: a generic worklist solver, the value analysis
-//! used by `Constprop`/`CSE`/`Deadcode` (paper App. B.3), and liveness.
+//! The workspace's one fixpoint engine and graph toolkit (DESIGN.md §7,
+//! §8): the CFG traversals, the forward and backward worklist solvers, the
+//! table of `solver.*` pop counters, and the two analyses the trusted
+//! passes run on the solvers, liveness and the constant value analysis
+//! (paper App. B.3).
+//!
+//! `compcerto-validate` runs neededness and the maybe-uninit lint on the
+//! same solvers, and the interval value analysis on the same numbering and
+//! counters; `backend` lays out LTL with the same preorder. The engine lives
+//! here because the passes that use it sit below `compcerto-validate` in
+//! the crate graph.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::rc::Rc;
@@ -14,44 +24,150 @@ use mem::{Mem, Val};
 use crate::lang::{Inst, Node, PReg, RtlFunction, RtlOp};
 
 // ---------------------------------------------------------------------------
-// Worklist solvers
+// Solver counters
 // ---------------------------------------------------------------------------
 
+/// The `solver.*` counter a solver run charges its pops to. Each worklist
+/// pop ticks exactly one counter, the one its caller names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Solver {
+    /// `solver.rtl_iterations`: [`liveness`] and [`value_analysis`], for
+    /// the Constprop, Deadcode and Allocation passes, and the allocation
+    /// validator's liveness (so a validated compile ticks it too).
+    Rtl,
+    /// `solver.validate_iterations`: the maybe-uninit analysis of
+    /// `lint_rtl`, and nothing else.
+    Validate,
+    /// `solver.value.iters`: the interval value analysis
+    /// (`compcerto_validate::value_facts`), for Vprop and
+    /// `validate_constprop`.
+    Value,
+    /// `solver.needed.iters`: neededness (`compcerto_validate::neededness`),
+    /// for Ndce and `validate_deadcode`.
+    Needed,
+}
+
+/// The counter key of each [`Solver`], in declaration order: the order of
+/// [`solver_pops`] and [`absorb_solver_pops`].
+pub const SOLVER_COUNTERS: [&str; 4] = [
+    "solver.rtl_iterations",
+    "solver.validate_iterations",
+    "solver.value.iters",
+    "solver.needed.iters",
+];
+
 thread_local! {
-    static SOLVER_ITERATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static SOLVER_POPS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
 }
 
-/// Cumulative worklist-solver iterations (node pops across
-/// [`forward_solve`] and [`backward_solve`]) on *this thread*.
+/// Cumulative worklist pops on *this thread*, one entry per [`Solver`] in
+/// [`SOLVER_COUNTERS`] order.
 ///
-/// A deterministic effort counter for the observability layer (DESIGN.md
-/// §10): the worklists are ordered `BTreeSet`s popped in exact RPO /
-/// postorder, so for a fixed function the pop sequence — and hence this
-/// counter's delta — is byte-reproducible and independent of `--jobs`
-/// (each function is solved entirely on one worker thread). Diff two reads
-/// to attribute iterations to a region of code.
+/// Deterministic effort counters for the observability layer (DESIGN.md
+/// §10): the worklists are ordered sets popped in exact RPO / postorder,
+/// so for a fixed function the pop sequence, and hence each counter's
+/// delta, is byte-reproducible and independent of `--jobs` (each function
+/// is solved entirely on one worker thread). Diff two reads to attribute
+/// pops to a region of code.
 #[must_use]
-pub fn solver_iterations() -> u64 {
-    SOLVER_ITERATIONS.with(std::cell::Cell::get)
+pub fn solver_pops() -> [u64; 4] {
+    SOLVER_POPS.with(Cell::get)
 }
 
-/// Add `n` iterations counted on another thread to this thread's count.
-pub fn absorb_solver_iterations(n: u64) {
-    SOLVER_ITERATIONS.with(|c| c.set(c.get() + n));
+/// Add pops counted on another thread to this thread's counters.
+pub fn absorb_solver_pops(pops: [u64; 4]) {
+    SOLVER_POPS.with(|c| {
+        let now = c.get();
+        c.set(std::array::from_fn(|i| now[i] + pops[i]));
+    });
 }
 
-fn tick_solver() {
-    SOLVER_ITERATIONS.with(|c| c.set(c.get() + 1));
+/// Charge `n` pops to `solver` on this thread.
+pub fn count_pops(solver: Solver, n: u64) {
+    let mut pops = [0; 4];
+    pops[solver as usize] = n;
+    absorb_solver_pops(pops);
+}
+
+// ---------------------------------------------------------------------------
+// Traversals
+// ---------------------------------------------------------------------------
+
+// Every traversal sees a graph through one closure: the successors of a
+// node, or `None` when the node has no instruction. Dangling successors
+// are skipped, so the traversals are total on ill-formed graphs.
+
+/// The successor closure of an RTL function.
+pub fn successors_of(f: &RtlFunction) -> impl Fn(Node) -> Option<Vec<Node>> + '_ {
+    |n| f.code.get(&n).map(Inst::successors)
+}
+
+/// Depth-first preorder of the nodes reachable from `entry`, successors
+/// visited in the order listed. This order numbers RTL nodes (`Renumber`),
+/// positions them for register allocation and lays out LTL code
+/// (`Linearize`).
+pub fn preorder(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> Vec<Node> {
+    let mut order = Vec::new();
+    let mut seen = BTreeSet::new();
+    let mut stack = vec![entry];
+    while let Some(n) = stack.pop() {
+        if seen.contains(&n) {
+            continue;
+        }
+        let Some(ss) = succs(n) else { continue };
+        seen.insert(n);
+        order.push(n);
+        stack.extend(ss.into_iter().rev());
+    }
+    order
+}
+
+/// The nodes reachable from `entry`: the set of [`preorder`].
+pub fn reachable(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> BTreeSet<Node> {
+    preorder(entry, succs).into_iter().collect()
+}
+
+/// Reverse postorder of the nodes reachable from `entry` (iterative DFS
+/// with an explicit frame stack).
+fn reverse_postorder(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> Vec<Node> {
+    let mut post = Vec::new();
+    let Some(first) = succs(entry) else {
+        return post;
+    };
+    let mut seen = BTreeSet::from([entry]);
+    // Frames: a node, its successors, and the next one to explore.
+    let mut stack = vec![(entry, first, 0)];
+    while let Some((n, ss, next)) = stack.last_mut() {
+        let n = *n;
+        let mut child = None;
+        while child.is_none() && *next < ss.len() {
+            let s = ss[*next];
+            *next += 1;
+            if !seen.contains(&s) {
+                child = succs(s).map(|grand| (s, grand, 0));
+            }
+        }
+        match child {
+            Some(frame) => {
+                seen.insert(frame.0);
+                stack.push(frame);
+            }
+            None => {
+                stack.pop();
+                post.push(n);
+            }
+        }
+    }
+    post.reverse();
+    post
 }
 
 /// Predecessor map of a function's CFG.
 ///
 /// Each CFG edge is recorded once: an instruction that lists the same
 /// successor twice (e.g. a `Cond` whose two targets coincide) contributes a
-/// single `n → s` edge, not two. Backward solvers re-queue every predecessor
-/// of a changed node, so duplicate entries would only cause redundant
-/// re-evaluations — but clients that *count* predecessors (edge-split
-/// heuristics, validators) need the deduplicated form.
+/// single `n → s` edge, not two. Clients that *count* predecessors
+/// (`Cse`'s block boundaries) need the deduplicated form.
 pub fn predecessors(f: &RtlFunction) -> BTreeMap<Node, Vec<Node>> {
     let mut preds: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
     for (n, i) in &f.code {
@@ -65,50 +181,33 @@ pub fn predecessors(f: &RtlFunction) -> BTreeMap<Node, Vec<Node>> {
     preds
 }
 
-/// Dense node numbering for the worklist solvers: reverse postorder of the
-/// reachable subgraph, followed by the remaining (unreachable) nodes in
-/// ascending id order. The dense index doubles as the worklist priority —
-/// ascending visits approximate the analysis-optimal order (RPO forward,
-/// postorder backward) *exactly*, rather than relying on `renumber` keeping
-/// node ids ascending along the CFG.
+/// Dense node numbering for the worklist solvers: [`reverse_postorder`] of
+/// the reachable subgraph, followed by the remaining (unreachable) nodes in
+/// ascending id order, with each node's index. The dense index doubles as
+/// the worklist priority: ascending pops visit pending nodes in exact RPO
+/// (forward), descending pops in exact postorder (backward).
 ///
 /// Unreachable nodes are kept (at the tail) because backward clients solve
 /// them too: the allocation validator checks live sets for dead code.
-fn dense_order(f: &RtlFunction) -> (Vec<Node>, HashMap<Node, usize>) {
-    let mut order: Vec<Node> = Vec::with_capacity(f.code.len());
-    let mut seen: BTreeSet<Node> = BTreeSet::new();
-    if f.code.contains_key(&f.entry) {
-        // Iterative DFS with an explicit frame stack; postorder, reversed.
-        let mut stack: Vec<(Node, usize)> = vec![(f.entry, 0)];
-        seen.insert(f.entry);
-        while let Some((n, i)) = stack.pop() {
-            let succs = f.code.get(&n).map(|x| x.successors()).unwrap_or_default();
-            let mut advanced = false;
-            for (j, s) in succs.iter().enumerate().skip(i) {
-                if f.code.contains_key(s) && seen.insert(*s) {
-                    stack.push((n, j + 1));
-                    stack.push((*s, 0));
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                order.push(n);
-            }
-        }
-        order.reverse();
-    }
+pub fn dense_order(f: &RtlFunction) -> (Vec<Node>, HashMap<Node, usize>) {
+    let mut order = reverse_postorder(f.entry, successors_of(f));
+    let mut idx: HashMap<Node, usize> = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
     for n in f.code.keys() {
-        if !seen.contains(n) {
+        if !idx.contains_key(n) {
+            idx.insert(*n, order.len());
             order.push(*n);
         }
     }
-    let idx = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
     (order, idx)
 }
 
-/// Assemble the dense solver state back into the public node-keyed map.
-fn undense<S>(order: &[Node], state: Vec<Option<S>>) -> BTreeMap<Node, S> {
+// ---------------------------------------------------------------------------
+// Worklist solvers
+// ---------------------------------------------------------------------------
+
+/// Assemble a dense solver state, indexed as [`dense_order`] numbers the
+/// nodes, back into the public node-keyed map.
+pub fn undense<S>(order: &[Node], state: Vec<Option<S>>) -> BTreeMap<Node, S> {
     order
         .iter()
         .zip(state)
@@ -118,14 +217,22 @@ fn undense<S>(order: &[Node], state: Vec<Option<S>>) -> BTreeMap<Node, S> {
 
 /// Solve a forward dataflow problem: `state[n]` is the abstract state *before*
 /// node `n`; `transfer` computes the state after executing the instruction.
+/// Only nodes reachable from the entry get a state. Each pop is charged to
+/// `solver`.
 ///
 /// The solver state is a dense `Vec` indexed by [`dense_order`] (reverse
 /// postorder), and the worklist an ordered set of dense indices: popping the
 /// smallest visits pending nodes in *exact* RPO, which keeps the number of
 /// re-evaluations near the theoretical minimum.
-pub fn forward_solve<S, T>(f: &RtlFunction, entry: S, bot: S, transfer: T) -> BTreeMap<Node, S>
+pub fn forward_solve<S, T>(
+    f: &RtlFunction,
+    solver: Solver,
+    entry: S,
+    bot: S,
+    transfer: T,
+) -> BTreeMap<Node, S>
 where
-    S: Clone + PartialEq + JoinSemiLattice,
+    S: JoinSemiLattice,
     T: Fn(Node, &Inst, &S) -> S,
 {
     if !f.code.contains_key(&f.entry) {
@@ -134,19 +241,17 @@ where
     }
     let (order, idx) = dense_order(f);
     let mut state: Vec<Option<S>> = order.iter().map(|_| None).collect();
-    let Some(&ei) = idx.get(&f.entry) else {
-        return BTreeMap::new();
-    };
-    state[ei] = Some(entry);
-    let mut work: BTreeSet<usize> = BTreeSet::from([ei]);
+    // The entry heads the reverse postorder.
+    state[0] = Some(entry);
+    let mut work: BTreeSet<usize> = BTreeSet::from([0]);
+    let mut pops = 0;
     while let Some(i) = work.pop_first() {
-        tick_solver();
+        pops += 1;
         let n = order[i];
-        let Some(inst) = f.code.get(&n) else { continue };
-        let mut after = match state[i].as_ref() {
-            Some(before) => transfer(n, inst, before),
-            None => transfer(n, inst, &bot),
+        let (Some(inst), Some(before)) = (f.code.get(&n), state[i].as_ref()) else {
+            continue;
         };
+        let mut after = transfer(n, inst, before);
         let succs = inst.successors();
         let last = succs.len().saturating_sub(1);
         for (k, s) in succs.into_iter().enumerate() {
@@ -169,21 +274,29 @@ where
             }
         }
     }
+    count_pops(solver, pops);
     undense(&order, state)
 }
 
 /// Solve a backward dataflow problem: `state[n]` is the abstract state
 /// *before* node `n` (the classical "in" set of a backward analysis);
 /// `transfer` computes it from the join of the successors' before-states
-/// (the "out" set, passed as the third argument).
+/// (the "out" set, passed as the third argument). Every node gets a state,
+/// unreachable ones included. Each pop is charged to `solver`;
+/// [`after_states`] recovers the "out" sets.
 ///
 /// Mirror image of [`forward_solve`], over the same [`JoinSemiLattice`]
 /// interface and the same dense numbering: popping the *largest* dense
 /// index visits pending nodes in exact postorder — the fast direction for a
 /// backward analysis.
-pub fn backward_solve<S, T>(f: &RtlFunction, bot: S, transfer: T) -> BTreeMap<Node, S>
+pub fn backward_solve<S, T>(
+    f: &RtlFunction,
+    solver: Solver,
+    bot: S,
+    transfer: T,
+) -> BTreeMap<Node, S>
 where
-    S: Clone + PartialEq + JoinSemiLattice,
+    S: JoinSemiLattice,
     T: Fn(Node, &Inst, &S) -> S,
 {
     let (order, idx) = dense_order(f);
@@ -203,8 +316,9 @@ where
     }
     let mut state: Vec<Option<S>> = order.iter().map(|_| None).collect();
     let mut work: BTreeSet<usize> = (0..order.len()).collect();
+    let mut pops = 0;
     while let Some(i) = work.pop_last() {
-        tick_solver();
+        pops += 1;
         let n = order[i];
         let Some(inst) = f.code.get(&n) else { continue };
         let mut out = bot.clone();
@@ -227,7 +341,30 @@ where
             work.extend(preds[i].iter().copied());
         }
     }
+    count_pops(solver, pops);
     undense(&order, state)
+}
+
+/// The state *after* each node of `f` (a backward solution's "out" sets):
+/// starting from `A::default()`, `join` folds in the state in `before` of
+/// each successor that has one.
+pub fn after_states<S, A: Default>(
+    f: &RtlFunction,
+    before: &BTreeMap<Node, S>,
+    join: impl Fn(&mut A, &S),
+) -> BTreeMap<Node, A> {
+    f.code
+        .iter()
+        .map(|(n, inst)| {
+            let mut out = A::default();
+            for s in inst.successors() {
+                if let Some(b) = before.get(&s) {
+                    join(&mut out, b);
+                }
+            }
+            (*n, out)
+        })
+        .collect()
 }
 
 /// A join-semilattice.
@@ -387,13 +524,13 @@ pub fn eval_op_abstract(env: &AEnv, op: &RtlOp) -> AVal {
 }
 
 /// Run the value analysis on a function: abstract register environment
-/// *before* each node.
+/// *before* each node. Its pops tick `solver.rtl_iterations`.
 pub fn value_analysis(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, AEnv> {
     let mut entry = AEnv::default();
     for p in &f.params {
         entry.set(*p, AVal::Top);
     }
-    forward_solve(f, entry, AEnv::default(), |_, inst, before| {
+    forward_solve(f, Solver::Rtl, entry, AEnv::default(), |_, inst, before| {
         let mut after = before.clone();
         match inst {
             Inst::Op(op, dst, _) => after.set(*dst, eval_op_abstract(before, op)),
@@ -425,14 +562,13 @@ pub fn value_analysis(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, AEnv> {
 /// Compute the set of registers live *after* each node.
 ///
 /// `live_in[n] = uses(n) ∪ (live_out[n] \ def(n))`,
-/// `live_out[n] = ∪ live_in[succ]` — expressed as a [`backward_solve`]
-/// instance over the dense [`BitSet`] union lattice (pseudo-registers are
-/// already small integers, so the bit index *is* the register: no separate
-/// numbering pass), so liveness shares the fixpoint engine (worklist, join
-/// discipline) with the forward value analysis and joins sets by word-wise
-/// `OR` instead of re-allocating a `BTreeSet` per CFG edge.
+/// `live_out[n] = ∪ live_in[succ]` — a [`backward_solve`] instance over
+/// the dense [`BitSet`] union lattice (pseudo-registers are already small
+/// integers, so the bit index *is* the register: no separate numbering
+/// pass), joining sets by word-wise `OR`. Its pops tick
+/// `solver.rtl_iterations`.
 pub fn liveness(f: &RtlFunction) -> BTreeMap<Node, BTreeSet<PReg>> {
-    let live_in = backward_solve(f, BitSet::new(), |_, inst, out: &BitSet| {
+    let live_in = backward_solve(f, Solver::Rtl, BitSet::new(), |_, inst, out: &BitSet| {
         let mut inn = out.clone();
         if let Some(d) = inst.def() {
             inn.remove(d);
@@ -442,19 +578,9 @@ pub fn liveness(f: &RtlFunction) -> BTreeMap<Node, BTreeSet<PReg>> {
         }
         inn
     });
-    // Derive live-out from live-in of successors.
-    f.code
-        .iter()
-        .map(|(n, inst)| {
-            let mut out = BTreeSet::new();
-            for s in inst.successors() {
-                if let Some(li) = live_in.get(&s) {
-                    out.extend(li.iter());
-                }
-            }
-            (*n, out)
-        })
-        .collect()
+    after_states(f, &live_in, |out: &mut BTreeSet<PReg>, li: &BitSet| {
+        out.extend(li.iter());
+    })
 }
 
 #[cfg(test)]
@@ -574,6 +700,79 @@ mod tests {
         assert_eq!(live[&3], BTreeSet::from([5]));
         // After the return, nothing.
         assert_eq!(live[&4], BTreeSet::new());
+    }
+
+    /// The diamond `0 -> {1, 2} -> 3` plus an unreachable node 9 that
+    /// branches into it.
+    fn diamond() -> RtlFunction {
+        let mut code = BTreeMap::new();
+        code.insert(0, Inst::Cond(1, 1, 2));
+        code.insert(1, Inst::Op(RtlOp::Int(1), 2, 3));
+        code.insert(2, Inst::Op(RtlOp::Int(2), 2, 3));
+        code.insert(3, Inst::Return(Some(2)));
+        code.insert(9, Inst::Nop(3));
+        RtlFunction {
+            name: "d".into(),
+            sig: Signature::int_fn(1),
+            params: vec![1],
+            stack_size: 0,
+            entry: 0,
+            code,
+            next_reg: 3,
+        }
+    }
+
+    #[test]
+    fn traversals_start_at_entry_and_cover_the_reachable_nodes() {
+        let f = diamond();
+        assert_eq!(preorder(f.entry, successors_of(&f)), vec![0, 1, 3, 2]);
+        assert_eq!(
+            reverse_postorder(f.entry, successors_of(&f)),
+            vec![0, 2, 1, 3]
+        );
+        assert_eq!(
+            reachable(f.entry, successors_of(&f)),
+            BTreeSet::from([0, 1, 2, 3])
+        );
+        // The solvers number the unreachable tail after the RPO.
+        assert_eq!(dense_order(&f).0, vec![0, 2, 1, 3, 9]);
+    }
+
+    #[test]
+    fn traversals_skip_dangling_successors() {
+        let mut f = diamond();
+        f.code.insert(1, Inst::Op(RtlOp::Int(1), 2, 99)); // 99 missing
+        assert_eq!(preorder(f.entry, successors_of(&f)), vec![0, 1, 2, 3]);
+        assert_eq!(
+            reverse_postorder(f.entry, successors_of(&f)),
+            vec![0, 2, 3, 1]
+        );
+        assert!(!reachable(f.entry, successors_of(&f)).contains(&99));
+        // A missing entry has no traversal at all.
+        f.entry = 42;
+        assert!(preorder(f.entry, successors_of(&f)).is_empty());
+        assert!(reverse_postorder(f.entry, successors_of(&f)).is_empty());
+    }
+
+    #[test]
+    fn each_pop_ticks_the_named_counter_only() {
+        let f = diamond();
+        let before = solver_pops();
+        let live = liveness(&f);
+        let mid = solver_pops();
+        backward_solve(&f, Solver::Needed, BitSet::new(), |_, _, out: &BitSet| {
+            out.clone()
+        });
+        let after = solver_pops();
+        // Five nodes, each popped once, plus node 9 again: it has the
+        // largest dense index, so it pops before its successor 3 is solved.
+        assert_eq!(mid[0] - before[0], 6);
+        assert_eq!(mid[1..], before[1..]);
+        assert_eq!(after[3] - mid[3], 6);
+        assert_eq!(after[..3], mid[..3]);
+        // The unreachable node is solved too, and its after-state is the
+        // join of its successor's before-state.
+        assert_eq!(live[&9], BTreeSet::from([2]));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Liveness and the maybe-uninitialized analysis join sets on every CFG edge
 //! re-evaluation; over a `BTreeSet` each join walks tree nodes and may
-//! reallocate. Over a dense numbering (registers are already small integers;
-//! the generic engine numbers arbitrary variables), a join is a word-wise
+//! reallocate. Pseudo-registers are already small integers, so they serve
+//! as bit indices directly, and a join is a word-wise
 //! `OR` with a changed-bit accumulator: one cache-friendly pass, no
 //! allocation once the word vector has grown to the universe size.
 //!

@@ -19,10 +19,13 @@
 //! († = optional optimizations; the final convention `C` is insensitive to
 //! whether they run, paper §3.4.)
 //!
-//! The value-analysis framework backing the `va` passes lives in
-//! [`analysis`]; the interval/neededness abstract domains behind the
-//! `vprop`/`ndce` pair (DESIGN.md §12) live in [`absint`], with their
-//! fixpoint solvers and translation validators in `compcerto-validate`.
+//! [`analysis`] is the workspace's one fixpoint engine: the CFG traversals,
+//! the forward and backward worklist solvers with their `solver.*` pop
+//! counters, and the liveness and constant analyses behind the `va`
+//! passes. The interval/neededness abstract domains behind the
+//! `vprop`/`ndce` pair (DESIGN.md §12) live in [`absint`]; their analyses
+//! (run on [`analysis`]'s solvers and numbering) and translation validators
+//! live in `compcerto-validate`.
 
 pub mod absint;
 pub mod analysis;
@@ -46,8 +49,9 @@ pub use absint::{
     Needs, VaEnv, VaVal,
 };
 pub use analysis::{
-    absorb_solver_iterations, backward_solve, forward_solve, liveness, predecessors,
-    solver_iterations, value_analysis, AEnv, AVal, JoinSemiLattice, Romem,
+    absorb_solver_pops, after_states, backward_solve, count_pops, dense_order, forward_solve,
+    liveness, predecessors, preorder, reachable, solver_pops, successors_of, undense,
+    value_analysis, AEnv, AVal, JoinSemiLattice, Romem, Solver, SOLVER_COUNTERS,
 };
 pub use bitset::BitSet;
 pub use constprop::constprop;

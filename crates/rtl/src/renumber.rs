@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::analysis::{preorder, successors_of};
 use crate::lang::{Inst, Node, RtlFunction, RtlProgram};
 
 /// Renumber every function's CFG.
@@ -15,22 +16,8 @@ pub fn renumber(prog: &RtlProgram) -> RtlProgram {
 }
 
 fn renumber_function(f: &RtlFunction) -> RtlFunction {
-    // Depth-first traversal from the entry; unreachable nodes are dropped.
-    let mut order: Vec<Node> = Vec::new();
-    let mut seen: BTreeMap<Node, ()> = BTreeMap::new();
-    let mut stack = vec![f.entry];
-    while let Some(n) = stack.pop() {
-        if seen.contains_key(&n) || !f.code.contains_key(&n) {
-            continue;
-        }
-        seen.insert(n, ());
-        order.push(n);
-        if let Some(inst) = f.code.get(&n) {
-            for s in inst.successors().into_iter().rev() {
-                stack.push(s);
-            }
-        }
-    }
+    // Depth-first preorder from the entry; unreachable nodes are dropped.
+    let order = preorder(f.entry, successors_of(f));
     let renaming: BTreeMap<Node, Node> = order
         .iter()
         .enumerate()
