@@ -42,23 +42,45 @@ for trace in 0 1; do
         --workload compile-corpus --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_corpus_$trace.txt
 done
 
-echo "== benchmark solver pops (traced passes, pinned) =="
-# The two traced passes above print the `solver.*` pops of one full pass.
-# They are pure functions of the work, and no committed baseline covers
-# the pops of default-option compiles on the compile corpus, so all eight
-# are pinned: a change to the fixpoint engine must leave them equal.
-pops() {
-    grep -qx "$2 = $3 count (lower is better)" "$1" ||
-        { echo "$1: $2 is not $3" >&2; exit 1; }
-}
-pops /tmp/ci_perf_corpus_1.txt solver.rtl_iterations 397669
-pops /tmp/ci_perf_corpus_1.txt solver.value.iters 278519
-pops /tmp/ci_perf_corpus_1.txt solver.needed.iters 96639
-pops /tmp/ci_perf_corpus_1.txt solver.validate_iterations 0
-pops /tmp/ci_perf_oracle_1.txt solver.rtl_iterations 385189
-pops /tmp/ci_perf_oracle_1.txt solver.value.iters 144918
-pops /tmp/ci_perf_oracle_1.txt solver.needed.iters 70049
-pops /tmp/ci_perf_oracle_1.txt solver.validate_iterations 55370
+echo "== benchmark solver pops and IR sizes (traced passes, pinned) =="
+# The two traced passes above print the `solver.*` pops and the `ir.*`
+# sizes of one full pass. They are pure functions of the work, and no
+# committed baseline covers them on default-option compiles of the compile
+# corpus, so all are pinned: a change to the fixpoint engine must leave
+# them equal. Allocation emits unreachable RTL nodes into LTL and
+# Linearize drops them, so a wrong live set there moves `ir.ltl_nodes`
+# while the `corpus_asm` pin holds.
+while read -r run key value; do
+    grep -qx "$key = $value count (\(lower\|higher\) is better)" "/tmp/ci_perf_${run}_1.txt" ||
+        { echo "$run: $key is not $value" >&2; exit 1; }
+done <<'PINS'
+corpus solver.rtl_iterations 397669
+corpus solver.value.iters 278519
+corpus solver.needed.iters 96639
+corpus solver.validate_iterations 0
+corpus ir.rtl_nodes 82016
+corpus ir.rtl_opt_nodes 81457
+corpus ir.ltl_nodes 97174
+corpus ir.linear_instrs 67468
+corpus ir.mach_instrs 74774
+corpus ir.asm_instrs 83360
+corpus ir.vprop_rewrites 8080
+corpus ir.ndce_eliminated 15736
+corpus ir.diagnostics 0
+oracle solver.rtl_iterations 385189
+oracle solver.value.iters 144918
+oracle solver.needed.iters 70049
+oracle solver.validate_iterations 55370
+oracle ir.rtl_nodes 52332
+oracle ir.rtl_opt_nodes 57591
+oracle ir.ltl_nodes 66026
+oracle ir.linear_instrs 38274
+oracle ir.mach_instrs 44802
+oracle ir.asm_instrs 51079
+oracle ir.vprop_rewrites 7159
+oracle ir.ndce_eliminated 13293
+oracle ir.diagnostics 0
+PINS
 
 echo "== clippy unwrap/expect gate (library paths) =="
 cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate --lib -- \

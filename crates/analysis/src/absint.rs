@@ -17,18 +17,18 @@
 //! class) — surfaces as a structured [`Diagnostic`].
 //!
 //! Neededness is a [`backward_solve`] instance; the value analysis keeps
-//! its own loop (widening and change sets) on the engine's
-//! [`dense_order`]. Both charge their pops to `rtl::analysis`'s counter
+//! its own loop (widening and change sets) on the engine's [`DenseCfg`]
+//! and [`Worklist`]. Both charge their pops to `rtl::analysis`'s counter
 //! table, as `solver.value.iters` and `solver.needed.iters`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rtl::absint::{eval_op_va, op_arg_needs, NeedEnv, Needs, VaEnv, VaVal};
 use rtl::ndce::{deletable, NeedFacts};
 use rtl::vprop::{rewrite_cond, rewrite_op, VaFacts};
 use rtl::{
-    after_states, backward_solve, count_pops, dense_order, solver_pops, undense, Inst,
-    JoinSemiLattice, Node, PReg, Romem, RtlFunction, RtlProgram, Solver,
+    after_states, backward_solve, count_pops, solver_pops, DenseCfg, Inst, JoinSemiLattice, Node,
+    PReg, Romem, RtlFunction, RtlProgram, Solver, Worklist,
 };
 
 use crate::diag::Diagnostic;
@@ -115,28 +115,28 @@ enum Propagation {
 /// The pops, their order and the facts are those of the full join.
 #[must_use]
 pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
-    if !f.code.contains_key(&f.entry) {
+    let g = DenseCfg::new(f);
+    if g.reachable() == 0 {
         return BTreeMap::new();
     }
-    let (order, idx) = dense_order(f);
-    let mut state: Vec<Option<VaEnv>> = vec![None; order.len()];
-    let mut grows: Vec<u32> = vec![0; order.len()];
+    let mut state: Vec<Option<VaEnv>> = vec![None; g.len()];
+    let mut grows: Vec<u32> = vec![0; g.len()];
     // Per node: whether it has propagated its state yet, and the registers
     // that changed in its state since its last pop.
-    let mut propagated: Vec<bool> = vec![false; order.len()];
-    let mut changed: Vec<Vec<PReg>> = vec![Vec::new(); order.len()];
+    let mut propagated: Vec<bool> = vec![false; g.len()];
+    let mut changed: Vec<Vec<PReg>> = vec![Vec::new(); g.len()];
     // The entry heads the reverse postorder.
     let mut entry_env = VaEnv::default();
     for p in &f.params {
         entry_env.set(*p, VaVal::Top);
     }
     state[0] = Some(entry_env);
-    let mut work: BTreeSet<usize> = BTreeSet::from([0]);
+    let mut work = Worklist::new(g.len());
+    work.insert(0);
     let mut pops = 0;
     while let Some(i) = work.pop_first() {
         pops += 1;
-        let n = order[i];
-        let Some(inst) = f.code.get(&n) else { continue };
+        let inst = g.inst(i);
         let Some(before) = state[i].as_ref() else { continue };
         let write = value_write(before, inst, romem);
         // A first pop sends the whole state, so what changed before it is
@@ -161,8 +161,7 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
             }
             Propagation::Full(after)
         };
-        for s in inst.successors() {
-            let Some(&si) = idx.get(&s) else { continue };
+        for &si in g.succs(i) {
             let widen = grows[si] >= WIDEN_AFTER;
             let grew = match (state[si].as_mut(), &send) {
                 (Some(cur), Propagation::Full(after)) => cur.join_with(after, |r, old, joined| {
@@ -203,7 +202,7 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
         }
     }
     count_pops(Solver::Value, pops);
-    undense(&order, state)
+    g.undense(state)
 }
 
 /// The needed-*before* environment of `inst` given the needed-after
@@ -244,10 +243,11 @@ fn needed_transfer(inst: &Inst, out: &NeedEnv) -> NeedEnv {
 /// implicit). Solved over all nodes (unreachable code is trivially dead).
 #[must_use]
 pub fn neededness(f: &RtlFunction) -> BTreeMap<Node, NeedEnv> {
-    let before = backward_solve(f, Solver::Needed, NeedEnv::default(), |_, inst, out| {
+    let g = DenseCfg::new(f);
+    let before = backward_solve(&g, Solver::Needed, NeedEnv::default(), |_, inst, out| {
         needed_transfer(inst, out)
     });
-    after_states(f, &before, |out: &mut NeedEnv, b| {
+    after_states(&g, &before, |out: &mut NeedEnv, b| {
         out.join_in_place(b);
     })
 }
@@ -419,7 +419,7 @@ pub fn validate_deadcode(input: &RtlProgram, output: &RtlProgram) -> Vec<Diagnos
             }
             let justified = deletable(ii)
                 && matches!(
-                    (ii.def(), ii.successors().as_slice(), io),
+                    (ii.def(), &ii.successors()[..], io),
                     (Some(dst), [next], Inst::Nop(next2))
                         if next == next2
                             && facts.get(n).map(|env| env.get(dst).is_nothing())

@@ -9,8 +9,8 @@
 //! 1. **Analyses on the one fixpoint engine.** `rtl::analysis` holds the
 //!    workspace's only CFG traversals and worklist solvers; this crate runs
 //!    the maybe-uninit lint ([`lint::maybe_uninit`]) and neededness on its
-//!    solvers, and the interval value analysis ([`absint`]) on its
-//!    numbering and pop counters.
+//!    solvers, and the interval value analysis ([`absint`]) on its dense
+//!    graph, worklist and pop counters.
 //! 2. **Per-IR well-formedness lints** ([`lint`]): missing successors,
 //!    unreachable entries, use of possibly-undefined registers,
 //!    register-class and callee-save discipline, stack-slot bounds and

@@ -24,8 +24,8 @@ use backend::{AsmProgram, LOp};
 use compcerto_core::iface::{abi, Signature};
 use compcerto_core::regs::Loc;
 use rtl::{
-    forward_solve, reachable, successors_of, BitSet, Inst, Node, PReg, RtlFunction, RtlProgram,
-    Solver,
+    forward_solve, reachable, successors_of, BitSet, DenseCfg, Inst, Node, PReg, RtlFunction,
+    RtlProgram, Solver,
 };
 
 use crate::diag::Diagnostic;
@@ -130,7 +130,7 @@ pub fn maybe_uninit(f: &RtlFunction, defined_at_entry: &[PReg]) -> BTreeMap<Node
         entry.remove(*r);
     }
     forward_solve(
-        f,
+        &DenseCfg::new(f),
         Solver::Validate,
         entry,
         BitSet::new(),

@@ -150,8 +150,8 @@ pub fn validate_allocation(rtl_f: &RtlFunction, ltl_f: &LtlFunction) -> Vec<Diag
             _ => None,
         };
         let mut seen: BTreeMap<Loc, u32> = BTreeMap::new();
-        for p in live {
-            let Some(loc) = assignment.get(p) else {
+        for p in live.iter() {
+            let Some(loc) = assignment.get(&p) else {
                 diag(
                     Some(*n),
                     "alloc.unassigned-live",
@@ -159,14 +159,14 @@ pub fn validate_allocation(rtl_f: &RtlFunction, ltl_f: &LtlFunction) -> Vec<Diag
                 );
                 continue;
             };
-            if let Some(q) = seen.insert(*loc, *p) {
+            if let Some(q) = seen.insert(*loc, p) {
                 diag(
                     Some(*n),
                     "alloc.location-conflict",
                     format!("pseudos x{q} and x{p} both live in {loc:?}"),
                 );
             }
-            if is_call && call_def != Some(*p) {
+            if is_call && call_def != Some(p) {
                 let survives = match loc {
                     Loc::Reg(r) => abi::is_callee_save(*r),
                     Loc::Local(_) => true,

@@ -18,7 +18,9 @@ use std::collections::BTreeMap;
 
 use compcerto_core::iface::{abi, Signature};
 use compcerto_core::regs::{Loc, Mreg};
-use rtl::{liveness, preorder, successors_of, Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram};
+use rtl::{
+    liveness, preorder, successors_of, BitSet, Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram,
+};
 
 use crate::ltl::{LOp, LtlFunction, LtlInst, LtlProgram};
 
@@ -63,11 +65,16 @@ fn assign_locations(f: &RtlFunction) -> (BTreeMap<PReg, Loc>, i64, Vec<Mreg>) {
     let order = preorder(f.entry, successors_of(f));
     let live_out = liveness(f);
 
-    // Intervals: positions where a pseudo-register is defined, used or live.
-    let mut ranges: BTreeMap<PReg, (usize, usize)> = BTreeMap::new();
+    // Intervals: positions where a pseudo-register is defined, used or
+    // live, indexed by register.
+    let mut ranges: Vec<Option<(usize, usize)>> = vec![None; f.next_reg as usize];
     let mut call_positions: Vec<usize> = Vec::new();
-    let touch = |r: PReg, p: usize, ranges: &mut BTreeMap<PReg, (usize, usize)>| {
-        let e = ranges.entry(r).or_insert((p, p));
+    let touch = |r: PReg, p: usize, ranges: &mut Vec<Option<(usize, usize)>>| {
+        let r = r as usize;
+        if r >= ranges.len() {
+            ranges.resize(r + 1, None);
+        }
+        let e = ranges[r].get_or_insert((p, p));
         e.0 = e.0.min(p);
         e.1 = e.1.max(p);
     };
@@ -82,8 +89,8 @@ fn assign_locations(f: &RtlFunction) -> (BTreeMap<PReg, Loc>, i64, Vec<Mreg>) {
         if let Some(d) = inst.def() {
             touch(d, pos, &mut ranges);
         }
-        for r in live_out.get(n).into_iter().flatten() {
-            touch(*r, pos, &mut ranges);
+        for r in live_out.get(n).into_iter().flat_map(BitSet::iter) {
+            touch(r, pos, &mut ranges);
         }
     }
     // Parameters are live from position 0.
@@ -91,13 +98,18 @@ fn assign_locations(f: &RtlFunction) -> (BTreeMap<PReg, Loc>, i64, Vec<Mreg>) {
         touch(*p, 0, &mut ranges);
     }
 
+    // One interval per touched register, in ascending register order.
     let mut intervals: Vec<Interval> = ranges
         .into_iter()
-        .map(|(reg, (start, end))| Interval {
-            reg,
-            start,
-            end,
-            crosses_call: call_positions.iter().any(|c| start < *c && *c <= end),
+        .enumerate()
+        .filter_map(|(reg, range)| {
+            let (start, end) = range?;
+            Some(Interval {
+                reg: reg as PReg,
+                start,
+                end,
+                crosses_call: call_positions.iter().any(|c| start < *c && *c <= end),
+            })
         })
         .collect();
     intervals.sort_by_key(|i| (i.start, i.end));

@@ -1,17 +1,24 @@
 //! The workspace's one fixpoint engine and graph toolkit (DESIGN.md §7,
-//! §8): the CFG traversals, the forward and backward worklist solvers, the
-//! table of `solver.*` pop counters, and the two analyses the trusted
-//! passes run on the solvers, liveness and the constant value analysis
-//! (paper App. B.3).
+//! §8): the CFG traversals, the dense graph the solvers run on, the
+//! forward and backward worklist solvers, the table of `solver.*` pop
+//! counters, and the two analyses the trusted passes run on the solvers,
+//! liveness and the constant value analysis (paper App. B.3).
+//!
+//! Every solve builds one [`DenseCfg`] in one pass over `f.code`: the
+//! nodes numbered in reverse postorder, each with its instruction and its
+//! successor and predecessor indices. The solvers keep their states in
+//! vectors over those indices and their pending nodes in a [`Worklist`]
+//! bitset, so a pop reads no map and allocates nothing. Liveness hands its
+//! live-out sets to Deadcode and Allocation as [`BitSet`]s.
 //!
 //! `compcerto-validate` runs neededness and the maybe-uninit lint on the
-//! same solvers, and the interval value analysis on the same numbering and
-//! counters; `backend` lays out LTL with the same preorder. The engine lives
-//! here because the passes that use it sit below `compcerto-validate` in
-//! the crate graph.
+//! same solvers, and the interval value analysis on the same graph,
+//! worklist and counters; `backend` lays out LTL with the same preorder.
+//! The engine lives here because the passes that use it sit below
+//! `compcerto-validate` in the crate graph.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -21,7 +28,7 @@ use crate::regenv::{AbsVal, RegEnv};
 use compcerto_core::symtab::{GlobKind, SymbolTable};
 use mem::{Mem, Val};
 
-use crate::lang::{Inst, Node, PReg, RtlFunction, RtlOp};
+use crate::lang::{Inst, Node, RtlFunction, RtlOp, Succs};
 
 // ---------------------------------------------------------------------------
 // Solver counters
@@ -64,11 +71,11 @@ thread_local! {
 /// [`SOLVER_COUNTERS`] order.
 ///
 /// Deterministic effort counters for the observability layer (DESIGN.md
-/// §10): the worklists are ordered sets popped in exact RPO / postorder,
-/// so for a fixed function the pop sequence, and hence each counter's
-/// delta, is byte-reproducible and independent of `--jobs` (each function
-/// is solved entirely on one worker thread). Diff two reads to attribute
-/// pops to a region of code.
+/// §10): the worklists pop in exact RPO / postorder, so for a fixed
+/// function the pop sequence, and hence each counter's delta, is
+/// byte-reproducible and independent of `--jobs` (each function is solved
+/// entirely on one worker thread). Diff two reads to attribute pops to a
+/// region of code.
 #[must_use]
 pub fn solver_pops() -> [u64; 4] {
     SOLVER_POPS.with(Cell::get)
@@ -93,12 +100,12 @@ pub fn count_pops(solver: Solver, n: u64) {
 // Traversals
 // ---------------------------------------------------------------------------
 
-// Every traversal sees a graph through one closure: the successors of a
+// The traversals see a graph through one closure: the successors of a
 // node, or `None` when the node has no instruction. Dangling successors
 // are skipped, so the traversals are total on ill-formed graphs.
 
 /// The successor closure of an RTL function.
-pub fn successors_of(f: &RtlFunction) -> impl Fn(Node) -> Option<Vec<Node>> + '_ {
+pub fn successors_of(f: &RtlFunction) -> impl Fn(Node) -> Option<Succs> + '_ {
     |n| f.code.get(&n).map(Inst::successors)
 }
 
@@ -106,7 +113,11 @@ pub fn successors_of(f: &RtlFunction) -> impl Fn(Node) -> Option<Vec<Node>> + '_
 /// visited in the order listed. This order numbers RTL nodes (`Renumber`),
 /// positions them for register allocation and lays out LTL code
 /// (`Linearize`).
-pub fn preorder(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> Vec<Node> {
+pub fn preorder<I>(entry: Node, succs: impl Fn(Node) -> Option<I>) -> Vec<Node>
+where
+    I: IntoIterator<Item = Node>,
+    I::IntoIter: DoubleEndedIterator,
+{
     let mut order = Vec::new();
     let mut seen = BTreeSet::new();
     let mut stack = vec![entry];
@@ -123,43 +134,12 @@ pub fn preorder(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> Vec<N
 }
 
 /// The nodes reachable from `entry`: the set of [`preorder`].
-pub fn reachable(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> BTreeSet<Node> {
+pub fn reachable<I>(entry: Node, succs: impl Fn(Node) -> Option<I>) -> BTreeSet<Node>
+where
+    I: IntoIterator<Item = Node>,
+    I::IntoIter: DoubleEndedIterator,
+{
     preorder(entry, succs).into_iter().collect()
-}
-
-/// Reverse postorder of the nodes reachable from `entry` (iterative DFS
-/// with an explicit frame stack).
-fn reverse_postorder(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> Vec<Node> {
-    let mut post = Vec::new();
-    let Some(first) = succs(entry) else {
-        return post;
-    };
-    let mut seen = BTreeSet::from([entry]);
-    // Frames: a node, its successors, and the next one to explore.
-    let mut stack = vec![(entry, first, 0)];
-    while let Some((n, ss, next)) = stack.last_mut() {
-        let n = *n;
-        let mut child = None;
-        while child.is_none() && *next < ss.len() {
-            let s = ss[*next];
-            *next += 1;
-            if !seen.contains(&s) {
-                child = succs(s).map(|grand| (s, grand, 0));
-            }
-        }
-        match child {
-            Some(frame) => {
-                seen.insert(frame.0);
-                stack.push(frame);
-            }
-            None => {
-                stack.pop();
-                post.push(n);
-            }
-        }
-    }
-    post.reverse();
-    post
 }
 
 /// Predecessor map of a function's CFG.
@@ -171,61 +151,279 @@ fn reverse_postorder(entry: Node, succs: impl Fn(Node) -> Option<Vec<Node>>) -> 
 pub fn predecessors(f: &RtlFunction) -> BTreeMap<Node, Vec<Node>> {
     let mut preds: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
     for (n, i) in &f.code {
-        let mut succs = i.successors();
-        succs.sort_unstable();
-        succs.dedup();
-        for s in succs {
-            preds.entry(s).or_default().push(*n);
+        let succs = i.successors();
+        for (k, s) in succs.iter().enumerate() {
+            if !succs[..k].contains(s) {
+                preds.entry(*s).or_default().push(*n);
+            }
         }
     }
     preds
 }
 
-/// Dense node numbering for the worklist solvers: [`reverse_postorder`] of
-/// the reachable subgraph, followed by the remaining (unreachable) nodes in
-/// ascending id order, with each node's index. The dense index doubles as
-/// the worklist priority: ascending pops visit pending nodes in exact RPO
-/// (forward), descending pops in exact postorder (backward).
+// ---------------------------------------------------------------------------
+// The dense graph and the worklist
+// ---------------------------------------------------------------------------
+
+/// A function's CFG in the dense form the solvers run on, built in one pass
+/// over `f.code`.
 ///
-/// Unreachable nodes are kept (at the tail) because backward clients solve
-/// them too: the allocation validator checks live sets for dead code.
-pub fn dense_order(f: &RtlFunction) -> (Vec<Node>, HashMap<Node, usize>) {
-    let mut order = reverse_postorder(f.entry, successors_of(f));
-    let mut idx: HashMap<Node, usize> = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-    for n in f.code.keys() {
-        if !idx.contains_key(n) {
-            idx.insert(*n, order.len());
-            order.push(*n);
+/// Each node has a *dense index*: the nodes reachable from the entry come
+/// first, in reverse postorder (an explicit-stack DFS from the entry that
+/// visits successors in the order listed), and the unreachable ones follow
+/// in ascending id order. The dense index doubles as the worklist priority:
+/// popping the lowest pending index visits nodes in exact RPO (forward
+/// problems), popping the highest in exact postorder (backward problems).
+///
+/// Unreachable nodes are kept because their states have readers: Deadcode
+/// and Ndce rewrite unreachable pure instructions from their facts, and
+/// `validate_deadcode` re-justifies those rewrites.
+///
+/// Per index the graph holds the node, its instruction and its successor
+/// indices in listed order (dangling successors, which have no instruction,
+/// dropped), plus the deduplicated predecessor indices the backward solver
+/// re-queues: an instruction that lists a successor twice, such as a `Cond`
+/// whose two targets coincide, is one edge, as in [`predecessors`].
+pub struct DenseCfg<'f> {
+    entry: Node,
+    /// Node at each dense index.
+    nodes: Vec<Node>,
+    /// Instruction at each dense index.
+    insts: Vec<&'f Inst>,
+    /// Dense index of each node, in ascending node order.
+    ascending: Vec<usize>,
+    /// The successors of `i` are `succs[succ_at[i]..succ_at[i + 1]]`.
+    succ_at: Vec<usize>,
+    succs: Vec<usize>,
+    /// The predecessors of `i` are `preds[pred_at[i]..pred_at[i + 1]]`.
+    pred_at: Vec<usize>,
+    preds: Vec<usize>,
+    /// How many nodes the entry reaches: the RPO prefix.
+    reachable: usize,
+}
+
+impl<'f> DenseCfg<'f> {
+    /// Number `f`'s nodes. A node's *position* is its rank among the sorted
+    /// keys of `f.code`, found by binary search; each instruction's
+    /// successors are read once.
+    pub fn new(f: &'f RtlFunction) -> DenseCfg<'f> {
+        let keys: Vec<Node> = f.code.keys().copied().collect();
+        let position = |n: Node| keys.binary_search(&n).ok();
+        let len = keys.len();
+        let by_position: Vec<&Inst> = f.code.values().collect();
+        // Successor positions by position, dangling ones dropped.
+        let mut out_at = Vec::with_capacity(len + 1);
+        let mut out = Vec::with_capacity(len + len / 2);
+        out_at.push(0);
+        for inst in &by_position {
+            out.extend(inst.successors().into_iter().filter_map(position));
+            out_at.push(out.len());
+        }
+
+        // Postorder by an explicit-stack DFS; each frame is a position and
+        // the index in `out` of its next successor to explore.
+        let mut order = Vec::with_capacity(len);
+        let mut seen = vec![false; len];
+        if let Some(e) = position(f.entry) {
+            seen[e] = true;
+            let mut stack = vec![(e, out_at[e])];
+            while let Some(top) = stack.last_mut() {
+                let (p, next) = *top;
+                if next < out_at[p + 1] {
+                    top.1 += 1;
+                    let s = out[next];
+                    if !seen[s] {
+                        seen[s] = true;
+                        stack.push((s, out_at[s]));
+                    }
+                } else {
+                    stack.pop();
+                    order.push(p);
+                }
+            }
+            order.reverse();
+        }
+        let reachable = order.len();
+        order.extend((0..len).filter(|&p| !seen[p]));
+
+        let mut ascending = vec![0; len];
+        for (i, &p) in order.iter().enumerate() {
+            ascending[p] = i;
+        }
+        let mut succ_at = Vec::with_capacity(len + 1);
+        let mut succs = Vec::with_capacity(out.len());
+        succ_at.push(0);
+        for &p in &order {
+            succs.extend(out[out_at[p]..out_at[p + 1]].iter().map(|&s| ascending[s]));
+            succ_at.push(succs.len());
+        }
+
+        // Predecessor lists by counting sort; each edge once, and each list
+        // ascending.
+        let edges = || {
+            (0..len).flat_map(|i| {
+                let ss = &succs[succ_at[i]..succ_at[i + 1]];
+                ss.iter()
+                    .enumerate()
+                    .filter(move |&(k, s)| !ss[..k].contains(s))
+                    .map(move |(_, &s)| (i, s))
+            })
+        };
+        let mut pred_at = vec![0; len + 1];
+        for (_, s) in edges() {
+            pred_at[s + 1] += 1;
+        }
+        for i in 0..len {
+            pred_at[i + 1] += pred_at[i];
+        }
+        let mut fill = pred_at.clone();
+        let mut preds = vec![0; pred_at[len]];
+        for (i, s) in edges() {
+            preds[fill[s]] = i;
+            fill[s] += 1;
+        }
+
+        DenseCfg {
+            entry: f.entry,
+            nodes: order.iter().map(|&p| keys[p]).collect(),
+            insts: order.iter().map(|&p| by_position[p]).collect(),
+            ascending,
+            succ_at,
+            succs,
+            pred_at,
+            preds,
+            reachable,
         }
     }
-    (order, idx)
+
+    /// Number of nodes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True when the function has no code.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The nodes in dense order.
+    #[must_use]
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// How many nodes the entry reaches. They hold the dense indices
+    /// `0..reachable()`, in reverse postorder, so the entry is index 0;
+    /// none when the entry has no instruction.
+    #[must_use]
+    pub fn reachable(&self) -> usize {
+        self.reachable
+    }
+
+    /// The node at dense index `i`.
+    #[must_use]
+    pub fn node(&self, i: usize) -> Node {
+        self.nodes[i]
+    }
+
+    /// The instruction at dense index `i`.
+    #[must_use]
+    pub fn inst(&self, i: usize) -> &'f Inst {
+        self.insts[i]
+    }
+
+    /// The successors of `i` that have an instruction, in listed order.
+    #[must_use]
+    pub fn succs(&self, i: usize) -> &[usize] {
+        &self.succs[self.succ_at[i]..self.succ_at[i + 1]]
+    }
+
+    /// The predecessors of `i`, each once, ascending.
+    #[must_use]
+    pub fn preds(&self, i: usize) -> &[usize] {
+        &self.preds[self.pred_at[i]..self.pred_at[i + 1]]
+    }
+
+    /// Assemble a dense solver state back into the public node-keyed map.
+    pub fn undense<S>(&self, mut state: Vec<Option<S>>) -> BTreeMap<Node, S> {
+        self.ascending
+            .iter()
+            .filter_map(|&i| state[i].take().map(|s| (self.nodes[i], s)))
+            .collect()
+    }
+}
+
+/// The solvers' worklist: a set of dense indices in a bit vector.
+/// [`Worklist::pop_first`] takes the lowest pending index and
+/// [`Worklist::pop_last`] the highest, so a solver pops nodes in the same
+/// order as it would from an ordered set, and inserting a pending index
+/// again changes nothing.
+pub struct Worklist {
+    words: Vec<u64>,
+}
+
+impl Worklist {
+    /// No index of `0..len` pending.
+    #[must_use]
+    pub fn new(len: usize) -> Worklist {
+        Worklist {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Every index of `0..len` pending.
+    #[must_use]
+    pub fn full(len: usize) -> Worklist {
+        let mut words = vec![u64::MAX; len / 64];
+        if !len.is_multiple_of(64) {
+            words.push((1 << (len % 64)) - 1);
+        }
+        Worklist { words }
+    }
+
+    /// Make `i` pending.
+    pub fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Remove and return the lowest pending index.
+    pub fn pop_first(&mut self) -> Option<usize> {
+        let (w, word) = self.words.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
+        let bit = word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(w * 64 + bit)
+    }
+
+    /// Remove and return the highest pending index.
+    pub fn pop_last(&mut self) -> Option<usize> {
+        let (w, word) = self
+            .words
+            .iter_mut()
+            .enumerate()
+            .rev()
+            .find(|(_, w)| **w != 0)?;
+        let bit = 63 - word.leading_zeros() as usize;
+        *word &= !(1 << bit);
+        Some(w * 64 + bit)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Worklist solvers
 // ---------------------------------------------------------------------------
 
-/// Assemble a dense solver state, indexed as [`dense_order`] numbers the
-/// nodes, back into the public node-keyed map.
-pub fn undense<S>(order: &[Node], state: Vec<Option<S>>) -> BTreeMap<Node, S> {
-    order
-        .iter()
-        .zip(state)
-        .filter_map(|(n, s)| s.map(|s| (*n, s)))
-        .collect()
-}
-
-/// Solve a forward dataflow problem: `state[n]` is the abstract state *before*
-/// node `n`; `transfer` computes the state after executing the instruction.
-/// Only nodes reachable from the entry get a state. Each pop is charged to
-/// `solver`.
+/// Solve a forward dataflow problem on `g`: `state[n]` is the abstract
+/// state *before* node `n`; `transfer` computes the state after executing
+/// the instruction. Only nodes reachable from the entry get a state. Each
+/// pop is charged to `solver`.
 ///
-/// The solver state is a dense `Vec` indexed by [`dense_order`] (reverse
-/// postorder), and the worklist an ordered set of dense indices: popping the
-/// smallest visits pending nodes in *exact* RPO, which keeps the number of
-/// re-evaluations near the theoretical minimum.
+/// The states are a vector over `g`'s dense indices, and the worklist pops
+/// the smallest pending index, which visits nodes in *exact* RPO and keeps
+/// the number of re-evaluations near the theoretical minimum.
 pub fn forward_solve<S, T>(
-    f: &RtlFunction,
+    g: &DenseCfg<'_>,
     solver: Solver,
     entry: S,
     bot: S,
@@ -235,28 +433,25 @@ where
     S: JoinSemiLattice,
     T: Fn(Node, &Inst, &S) -> S,
 {
-    if !f.code.contains_key(&f.entry) {
+    if g.reachable() == 0 {
         // Degenerate CFG: only the entry pseudo-state exists.
-        return BTreeMap::from([(f.entry, entry)]);
+        return BTreeMap::from([(g.entry, entry)]);
     }
-    let (order, idx) = dense_order(f);
-    let mut state: Vec<Option<S>> = order.iter().map(|_| None).collect();
+    let mut state: Vec<Option<S>> = (0..g.len()).map(|_| None).collect();
     // The entry heads the reverse postorder.
     state[0] = Some(entry);
-    let mut work: BTreeSet<usize> = BTreeSet::from([0]);
+    let mut work = Worklist::new(g.len());
+    work.insert(0);
     let mut pops = 0;
     while let Some(i) = work.pop_first() {
         pops += 1;
-        let n = order[i];
-        let (Some(inst), Some(before)) = (f.code.get(&n), state[i].as_ref()) else {
+        let Some(before) = state[i].as_ref() else {
             continue;
         };
-        let mut after = transfer(n, inst, before);
-        let succs = inst.successors();
+        let mut after = transfer(g.node(i), g.inst(i), before);
+        let succs = g.succs(i);
         let last = succs.len().saturating_sub(1);
-        for (k, s) in succs.into_iter().enumerate() {
-            // Dangling successors (no instruction) carry no state.
-            let Some(&si) = idx.get(&s) else { continue };
+        for (k, &si) in succs.iter().enumerate() {
             let changed = match state[si].as_mut() {
                 Some(cur) => cur.join_in_place(&after),
                 // The last successor takes `after` itself, not a copy.
@@ -275,61 +470,38 @@ where
         }
     }
     count_pops(solver, pops);
-    undense(&order, state)
+    g.undense(state)
 }
 
-/// Solve a backward dataflow problem: `state[n]` is the abstract state
-/// *before* node `n` (the classical "in" set of a backward analysis);
-/// `transfer` computes it from the join of the successors' before-states
-/// (the "out" set, passed as the third argument). Every node gets a state,
-/// unreachable ones included. Each pop is charged to `solver`;
+/// Solve a backward dataflow problem on `g`: the state of dense index `i`
+/// is the abstract state *before* its node (the classical "in" set of a
+/// backward analysis); `transfer` computes it from the join of the
+/// successors' before-states (the "out" set, passed as the third argument).
+/// Every node gets a state, unreachable ones included; the result is
+/// indexed as `g` numbers the nodes. Each pop is charged to `solver`;
 /// [`after_states`] recovers the "out" sets.
 ///
 /// Mirror image of [`forward_solve`], over the same [`JoinSemiLattice`]
-/// interface and the same dense numbering: popping the *largest* dense
-/// index visits pending nodes in exact postorder — the fast direction for a
-/// backward analysis.
-pub fn backward_solve<S, T>(
-    f: &RtlFunction,
-    solver: Solver,
-    bot: S,
-    transfer: T,
-) -> BTreeMap<Node, S>
+/// interface and the same numbering: popping the *largest* pending index
+/// visits nodes in exact postorder — the fast direction for a backward
+/// analysis.
+pub fn backward_solve<S, T>(g: &DenseCfg<'_>, solver: Solver, bot: S, transfer: T) -> Vec<S>
 where
     S: JoinSemiLattice,
     T: Fn(Node, &Inst, &S) -> S,
 {
-    let (order, idx) = dense_order(f);
-    // Dense predecessor lists (each CFG edge once, as in [`predecessors`]).
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-    for (i, n) in order.iter().enumerate() {
-        if let Some(inst) = f.code.get(n) {
-            let mut succs = inst.successors();
-            succs.sort_unstable();
-            succs.dedup();
-            for s in succs {
-                if let Some(&si) = idx.get(&s) {
-                    preds[si].push(i);
-                }
-            }
-        }
-    }
-    let mut state: Vec<Option<S>> = order.iter().map(|_| None).collect();
-    let mut work: BTreeSet<usize> = (0..order.len()).collect();
+    let mut state: Vec<Option<S>> = (0..g.len()).map(|_| None).collect();
+    let mut work = Worklist::full(g.len());
     let mut pops = 0;
     while let Some(i) = work.pop_last() {
         pops += 1;
-        let n = order[i];
-        let Some(inst) = f.code.get(&n) else { continue };
         let mut out = bot.clone();
-        for s in inst.successors() {
-            if let Some(&si) = idx.get(&s) {
-                if let Some(ss) = state[si].as_ref() {
-                    out.join_in_place(ss);
-                }
+        for &si in g.succs(i) {
+            if let Some(ss) = state[si].as_ref() {
+                out.join_in_place(ss);
             }
         }
-        let inn = transfer(n, inst, &out);
+        let inn = transfer(g.node(i), g.inst(i), &out);
         let changed = match state[i].as_mut() {
             Some(cur) => cur.join_in_place(&inn),
             None => {
@@ -338,31 +510,35 @@ where
             }
         };
         if changed {
-            work.extend(preds[i].iter().copied());
+            for &p in g.preds(i) {
+                work.insert(p);
+            }
         }
     }
     count_pops(solver, pops);
-    undense(&order, state)
+    // Every index was popped at least once, so every state is set.
+    state
+        .into_iter()
+        .map(|s| s.unwrap_or_else(|| bot.clone()))
+        .collect()
 }
 
-/// The state *after* each node of `f` (a backward solution's "out" sets):
-/// starting from `A::default()`, `join` folds in the state in `before` of
-/// each successor that has one.
+/// The state *after* each node of `g` (a backward solution's "out" sets):
+/// starting from `A::default()`, `join` folds in the dense state in
+/// `before` of each successor.
 pub fn after_states<S, A: Default>(
-    f: &RtlFunction,
-    before: &BTreeMap<Node, S>,
+    g: &DenseCfg<'_>,
+    before: &[S],
     join: impl Fn(&mut A, &S),
 ) -> BTreeMap<Node, A> {
-    f.code
+    g.ascending
         .iter()
-        .map(|(n, inst)| {
+        .map(|&i| {
             let mut out = A::default();
-            for s in inst.successors() {
-                if let Some(b) = before.get(&s) {
-                    join(&mut out, b);
-                }
+            for &s in g.succs(i) {
+                join(&mut out, &before[s]);
             }
-            (*n, out)
+            (g.nodes[i], out)
         })
         .collect()
 }
@@ -530,7 +706,7 @@ pub fn value_analysis(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, AEnv> {
     for p in &f.params {
         entry.set(*p, AVal::Top);
     }
-    forward_solve(f, Solver::Rtl, entry, AEnv::default(), |_, inst, before| {
+    let transfer = |_: Node, inst: &Inst, before: &AEnv| {
         let mut after = before.clone();
         match inst {
             Inst::Op(op, dst, _) => after.set(*dst, eval_op_abstract(before, op)),
@@ -552,7 +728,9 @@ pub fn value_analysis(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, AEnv> {
             _ => {}
         }
         after
-    })
+    };
+    let g = DenseCfg::new(f);
+    forward_solve(&g, Solver::Rtl, entry, AEnv::default(), transfer)
 }
 
 // ---------------------------------------------------------------------------
@@ -565,10 +743,12 @@ pub fn value_analysis(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, AEnv> {
 /// `live_out[n] = ∪ live_in[succ]` — a [`backward_solve`] instance over
 /// the dense [`BitSet`] union lattice (pseudo-registers are already small
 /// integers, so the bit index *is* the register: no separate numbering
-/// pass), joining sets by word-wise `OR`. Its pops tick
-/// `solver.rtl_iterations`.
-pub fn liveness(f: &RtlFunction) -> BTreeMap<Node, BTreeSet<PReg>> {
-    let live_in = backward_solve(f, Solver::Rtl, BitSet::new(), |_, inst, out: &BitSet| {
+/// pass), joining sets by word-wise `OR`. The live-out sets stay bitsets:
+/// Deadcode tests one bit, and Allocation and its validator iterate them.
+/// Its pops tick `solver.rtl_iterations`.
+pub fn liveness(f: &RtlFunction) -> BTreeMap<Node, BitSet> {
+    let g = DenseCfg::new(f);
+    let live_in = backward_solve(&g, Solver::Rtl, BitSet::new(), |_, inst, out: &BitSet| {
         let mut inn = out.clone();
         if let Some(d) = inst.def() {
             inn.remove(d);
@@ -578,8 +758,8 @@ pub fn liveness(f: &RtlFunction) -> BTreeMap<Node, BTreeSet<PReg>> {
         }
         inn
     });
-    after_states(f, &live_in, |out: &mut BTreeSet<PReg>, li: &BitSet| {
-        out.extend(li.iter());
+    after_states(&g, &live_in, |out: &mut BitSet, li: &BitSet| {
+        out.union_with(li);
     })
 }
 
@@ -607,6 +787,10 @@ mod tests {
         }
     }
 
+    fn bits<const N: usize>(regs: [u32; N]) -> BitSet {
+        regs.into_iter().collect()
+    }
+
     #[test]
     fn constants_propagate() {
         let f = const_fn();
@@ -622,10 +806,10 @@ mod tests {
         let f = const_fn();
         let live = liveness(&f);
         // After node 2, only x4 is live.
-        assert_eq!(live[&2], BTreeSet::from([4]));
+        assert_eq!(live[&2], bits([4]));
         // After node 0, x2 is live (used at node 2).
-        assert!(live[&0].contains(&2));
-        assert!(!live[&0].contains(&4));
+        assert!(live[&0].contains(2));
+        assert!(!live[&0].contains(4));
     }
 
     #[test]
@@ -671,6 +855,13 @@ mod tests {
         let preds = predecessors(&f);
         assert_eq!(preds[&2], vec![1], "parallel Cond edge must be deduped");
         assert_eq!(preds[&1], vec![0]);
+        // The dense graph keeps both listed successors but one predecessor.
+        let g = DenseCfg::new(&f);
+        assert_eq!(g.nodes(), [0, 1, 2]);
+        assert_eq!(g.succs(1), [2, 2]);
+        assert_eq!(g.preds(2), [1], "parallel Cond edge must be deduped");
+        assert_eq!(g.preds(1), [0]);
+        assert!(g.preds(0).is_empty());
     }
 
     #[test]
@@ -695,11 +886,11 @@ mod tests {
         let live = liveness(&f);
         // After the cond, x6 is live only on the path through node 1 — but
         // live-out is the union over successors, so it appears at node 0.
-        assert!(live[&0].contains(&6));
+        assert!(live[&0].contains(6));
         // After node 3, only x5 survives.
-        assert_eq!(live[&3], BTreeSet::from([5]));
+        assert_eq!(live[&3], bits([5]));
         // After the return, nothing.
-        assert_eq!(live[&4], BTreeSet::new());
+        assert!(live[&4].is_empty());
     }
 
     /// The diamond `0 -> {1, 2} -> 3` plus an unreachable node 9 that
@@ -727,15 +918,17 @@ mod tests {
         let f = diamond();
         assert_eq!(preorder(f.entry, successors_of(&f)), vec![0, 1, 3, 2]);
         assert_eq!(
-            reverse_postorder(f.entry, successors_of(&f)),
-            vec![0, 2, 1, 3]
-        );
-        assert_eq!(
             reachable(f.entry, successors_of(&f)),
             BTreeSet::from([0, 1, 2, 3])
         );
-        // The solvers number the unreachable tail after the RPO.
-        assert_eq!(dense_order(&f).0, vec![0, 2, 1, 3, 9]);
+        // The solvers number the reachable nodes in reverse postorder, then
+        // the unreachable tail.
+        let g = DenseCfg::new(&f);
+        assert_eq!(g.nodes(), [0, 2, 1, 3, 9]);
+        assert_eq!(g.reachable(), 4);
+        assert_eq!(g.succs(0), [2, 1], "Cond(1, 1, 2) lists node 1 first");
+        assert_eq!(g.preds(3), [1, 2, 4]);
+        assert_eq!(g.inst(4), &Inst::Nop(3));
     }
 
     #[test]
@@ -743,15 +936,48 @@ mod tests {
         let mut f = diamond();
         f.code.insert(1, Inst::Op(RtlOp::Int(1), 2, 99)); // 99 missing
         assert_eq!(preorder(f.entry, successors_of(&f)), vec![0, 1, 2, 3]);
-        assert_eq!(
-            reverse_postorder(f.entry, successors_of(&f)),
-            vec![0, 2, 3, 1]
-        );
         assert!(!reachable(f.entry, successors_of(&f)).contains(&99));
-        // A missing entry has no traversal at all.
+        let g = DenseCfg::new(&f);
+        assert_eq!(g.nodes(), [0, 2, 3, 1, 9]);
+        assert!(g.succs(3).is_empty(), "the edge to 99 is dropped");
+        // A missing entry has no traversal at all, and the solvers number
+        // every node in the tail, ascending.
         f.entry = 42;
         assert!(preorder(f.entry, successors_of(&f)).is_empty());
-        assert!(reverse_postorder(f.entry, successors_of(&f)).is_empty());
+        let g = DenseCfg::new(&f);
+        assert_eq!(g.reachable(), 0);
+        assert_eq!(g.nodes(), [0, 1, 2, 3, 9]);
+    }
+
+    #[test]
+    fn worklist_pops_in_index_order() {
+        let mut work = Worklist::new(200);
+        for i in [130, 5, 64, 63, 5, 199, 0, 130] {
+            work.insert(i);
+        }
+        let mut up = Vec::new();
+        while let Some(i) = work.pop_first() {
+            up.push(i);
+        }
+        // Duplicate inserts collapse.
+        assert_eq!(up, [0, 5, 63, 64, 130, 199]);
+        for i in [130, 5, 64, 63, 5, 199, 0, 130] {
+            work.insert(i);
+        }
+        let mut down = Vec::new();
+        while let Some(i) = work.pop_last() {
+            down.push(i);
+        }
+        assert_eq!(down, [199, 130, 64, 63, 5, 0]);
+        // A full worklist holds exactly `0..len`, across word boundaries.
+        for len in [0, 1, 63, 64, 65, 130] {
+            let mut work = Worklist::full(len);
+            let mut got = Vec::new();
+            while let Some(i) = work.pop_last() {
+                got.push(i);
+            }
+            assert_eq!(got, (0..len).rev().collect::<Vec<_>>(), "len {len}");
+        }
     }
 
     #[test]
@@ -760,9 +986,12 @@ mod tests {
         let before = solver_pops();
         let live = liveness(&f);
         let mid = solver_pops();
-        backward_solve(&f, Solver::Needed, BitSet::new(), |_, _, out: &BitSet| {
-            out.clone()
-        });
+        backward_solve(
+            &DenseCfg::new(&f),
+            Solver::Needed,
+            BitSet::new(),
+            |_, _, out: &BitSet| out.clone(),
+        );
         let after = solver_pops();
         // Five nodes, each popped once, plus node 9 again: it has the
         // largest dense index, so it pops before its successor 3 is solved.
@@ -772,7 +1001,7 @@ mod tests {
         assert_eq!(after[..3], mid[..3]);
         // The unreachable node is solved too, and its after-state is the
         // join of its successor's before-state.
-        assert_eq!(live[&9], BTreeSet::from([2]));
+        assert_eq!(live[&9], bits([2]));
     }
 
     #[test]

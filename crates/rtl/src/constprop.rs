@@ -7,7 +7,7 @@
 
 use mem::Val;
 
-use crate::analysis::{eval_op_abstract, value_analysis, AVal, Romem};
+use crate::analysis::{eval_op_abstract, value_analysis, AEnv, AVal, Romem};
 use crate::lang::{Inst, RtlFunction, RtlOp, RtlProgram};
 
 /// Run constant propagation over every function.
@@ -25,49 +25,59 @@ fn const_op(v: &Val) -> Option<RtlOp> {
 
 fn constprop_function(f: &RtlFunction, romem: &Romem) -> RtlFunction {
     let states = value_analysis(f, romem);
-    let mut out = f.clone();
-    for (n, inst) in &f.code {
-        let Some(env) = states.get(n) else { continue };
-        let new = match inst {
-            Inst::Op(op, dst, next) => {
-                match eval_op_abstract(env, op) {
-                    AVal::Const(v) => match const_op(&v) {
-                        Some(c) => Inst::Op(c, *dst, *next),
-                        None => inst.clone(),
-                    },
-                    // Rebuild symbolic addresses as direct address operations.
-                    AVal::Global(s, d) if !matches!(op, RtlOp::AddrGlobal(_, _)) => {
-                        Inst::Op(RtlOp::AddrGlobal(s.to_string(), d), *dst, *next)
-                    }
-                    AVal::Stack(d) if !matches!(op, RtlOp::AddrStack(_)) => {
-                        Inst::Op(RtlOp::AddrStack(d), *dst, *next)
-                    }
-                    _ => inst.clone(),
+    let code = f
+        .code
+        .iter()
+        .map(|(n, inst)| {
+            let new = match states.get(n) {
+                Some(env) => rewrite(env, inst, romem),
+                None => inst.clone(),
+            };
+            (*n, new)
+        })
+        .collect();
+    f.with_code(code)
+}
+
+/// `inst` rewritten under the abstract environment `env` before it.
+fn rewrite(env: &AEnv, inst: &Inst, romem: &Romem) -> Inst {
+    match inst {
+        Inst::Op(op, dst, next) => {
+            match eval_op_abstract(env, op) {
+                AVal::Const(v) => match const_op(&v) {
+                    Some(c) => Inst::Op(c, *dst, *next),
+                    None => inst.clone(),
+                },
+                // Rebuild symbolic addresses as direct address operations.
+                AVal::Global(s, d) if !matches!(op, RtlOp::AddrGlobal(_, _)) => {
+                    Inst::Op(RtlOp::AddrGlobal(s.to_string(), d), *dst, *next)
                 }
+                AVal::Stack(d) if !matches!(op, RtlOp::AddrStack(_)) => {
+                    Inst::Op(RtlOp::AddrStack(d), *dst, *next)
+                }
+                _ => inst.clone(),
             }
-            Inst::Load(chunk, base, disp, dst, next) => match env.get(*base) {
-                AVal::Global(s, d) => match romem.load(*chunk, s, d.wrapping_add(*disp)) {
-                    Some(v) => match const_op(&v) {
-                        Some(c) => Inst::Op(c, *dst, *next),
-                        None => inst.clone(),
-                    },
+        }
+        Inst::Load(chunk, base, disp, dst, next) => match env.get(*base) {
+            AVal::Global(s, d) => match romem.load(*chunk, s, d.wrapping_add(*disp)) {
+                Some(v) => match const_op(&v) {
+                    Some(c) => Inst::Op(c, *dst, *next),
                     None => inst.clone(),
                 },
-                _ => inst.clone(),
+                None => inst.clone(),
             },
-            Inst::Cond(r, t, e) => match env.get(*r) {
-                AVal::Const(v) => match v.truth() {
-                    Some(true) => Inst::Nop(*t),
-                    Some(false) => Inst::Nop(*e),
-                    None => inst.clone(),
-                },
-                _ => inst.clone(),
+            _ => inst.clone(),
+        },
+        Inst::Cond(r, t, e) => match env.get(*r) {
+            AVal::Const(v) => match v.truth() {
+                Some(true) => Inst::Nop(*t),
+                Some(false) => Inst::Nop(*e),
+                None => inst.clone(),
             },
-            other => other.clone(),
-        };
-        out.code.insert(*n, new);
+            _ => inst.clone(),
+        },
+        other => other.clone(),
     }
-    out
 }
 
 #[cfg(test)]

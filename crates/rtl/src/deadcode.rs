@@ -15,20 +15,22 @@ pub fn deadcode(prog: &RtlProgram) -> RtlProgram {
 
 fn deadcode_function(f: &RtlFunction) -> RtlFunction {
     let live_out = liveness(f);
-    let mut out = f.clone();
-    for (n, inst) in &f.code {
-        let dead = match inst {
-            Inst::Op(_, dst, _) | Inst::Load(_, _, _, dst, _) => {
-                !live_out.get(n).map(|l| l.contains(dst)).unwrap_or(true)
-            }
-            _ => false,
-        };
-        if dead {
-            let next = inst.successors()[0];
-            out.code.insert(*n, Inst::Nop(next));
-        }
-    }
-    out
+    let code = f
+        .code
+        .iter()
+        .map(|(n, inst)| {
+            let new = match inst {
+                Inst::Op(_, dst, next) | Inst::Load(_, _, _, dst, next)
+                    if live_out.get(n).is_some_and(|l| !l.contains(*dst)) =>
+                {
+                    Inst::Nop(*next)
+                }
+                _ => inst.clone(),
+            };
+            (*n, new)
+        })
+        .collect();
+    f.with_code(code)
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 
 use compcerto_core::iface::Signature;
 use compcerto_core::symtab::Ident;
@@ -83,18 +84,45 @@ pub enum Inst {
     Return(Option<PReg>),
 }
 
+/// The successors of an instruction, in the order listed: at most two,
+/// held inline, so reading them allocates nothing. Derefs to a slice and
+/// iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Succs {
+    nodes: [Node; 2],
+    len: u8,
+}
+
+impl Deref for Succs {
+    type Target = [Node];
+
+    fn deref(&self) -> &[Node] {
+        &self.nodes[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Succs {
+    type Item = Node;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Node, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.nodes.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl Inst {
     /// Successor nodes.
-    pub fn successors(&self) -> Vec<Node> {
-        match self {
+    pub fn successors(&self) -> Succs {
+        let (nodes, len) = match self {
             Inst::Op(_, _, n)
             | Inst::Load(_, _, _, _, n)
             | Inst::Store(_, _, _, _, n)
             | Inst::Call(_, _, _, _, n)
-            | Inst::Nop(n) => vec![*n],
-            Inst::Cond(_, t, f) => vec![*t, *f],
-            Inst::Tailcall(_, _, _) | Inst::Return(_) => vec![],
-        }
+            | Inst::Nop(n) => ([*n, 0], 1),
+            Inst::Cond(_, t, f) => ([*t, *f], 2),
+            Inst::Tailcall(_, _, _) | Inst::Return(_) => ([0, 0], 0),
+        };
+        Succs { nodes, len }
     }
 
     /// Registers read by the instruction.
@@ -189,6 +217,21 @@ impl RtlFunction {
         }
         out
     }
+
+    /// This function with its code replaced by `code`: what a pass that
+    /// rewrites instructions in place builds, in one ordered `collect`.
+    #[must_use]
+    pub fn with_code(&self, code: BTreeMap<Node, Inst>) -> RtlFunction {
+        RtlFunction {
+            name: self.name.clone(),
+            sig: self.sig.clone(),
+            params: self.params.clone(),
+            stack_size: self.stack_size,
+            entry: self.entry,
+            code,
+            next_reg: self.next_reg,
+        }
+    }
 }
 
 /// An RTL translation unit.
@@ -234,9 +277,14 @@ mod tests {
         let i = Inst::Op(RtlOp::Binop(MBinop::Add32, 1, 2), 3, 4);
         assert_eq!(i.uses(), vec![1, 2]);
         assert_eq!(i.def(), Some(3));
-        assert_eq!(i.successors(), vec![4]);
+        assert_eq!(i.successors()[..], [4]);
         let c = Inst::Cond(5, 10, 20);
-        assert_eq!(c.successors(), vec![10, 20]);
+        assert_eq!(c.successors()[..], [10, 20]);
+        assert_eq!(
+            c.successors().into_iter().rev().collect::<Vec<_>>(),
+            [20, 10]
+        );
+        assert!(Inst::Return(None).successors().is_empty());
         assert_eq!(c.def(), None);
     }
 }

@@ -20,12 +20,13 @@
 //! whether they run, paper §3.4.)
 //!
 //! [`analysis`] is the workspace's one fixpoint engine: the CFG traversals,
-//! the forward and backward worklist solvers with their `solver.*` pop
-//! counters, and the liveness and constant analyses behind the `va`
-//! passes. The interval/neededness abstract domains behind the
-//! `vprop`/`ndce` pair (DESIGN.md §12) live in [`absint`]; their analyses
-//! (run on [`analysis`]'s solvers and numbering) and translation validators
-//! live in `compcerto-validate`.
+//! the dense graph and bitset worklist the solvers run on, the forward and
+//! backward worklist solvers with their `solver.*` pop counters, and the
+//! liveness and constant analyses behind the `va` passes. The
+//! interval/neededness abstract domains behind the `vprop`/`ndce` pair
+//! (DESIGN.md §12) live in [`absint`]; their analyses (run on
+//! [`analysis`]'s solvers and graph) and translation validators live in
+//! `compcerto-validate`.
 
 pub mod absint;
 pub mod analysis;
@@ -49,9 +50,9 @@ pub use absint::{
     Needs, VaEnv, VaVal,
 };
 pub use analysis::{
-    absorb_solver_pops, after_states, backward_solve, count_pops, dense_order, forward_solve,
-    liveness, predecessors, preorder, reachable, solver_pops, successors_of, undense,
-    value_analysis, AEnv, AVal, JoinSemiLattice, Romem, Solver, SOLVER_COUNTERS,
+    absorb_solver_pops, after_states, backward_solve, count_pops, forward_solve, liveness,
+    predecessors, preorder, reachable, solver_pops, successors_of, value_analysis, AEnv, AVal,
+    DenseCfg, JoinSemiLattice, Romem, Solver, Worklist, SOLVER_COUNTERS,
 };
 pub use bitset::BitSet;
 pub use constprop::constprop;
@@ -59,7 +60,7 @@ pub use cse::cse;
 pub use deadcode::deadcode;
 pub use gen::rtlgen;
 pub use inlining::inlining;
-pub use lang::{Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram};
+pub use lang::{Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram, Succs};
 pub use ndce::ndce;
 pub use regenv::{AbsVal, RegEnv};
 pub use renumber::renumber;

@@ -48,7 +48,7 @@ fn ndce_function(f: &RtlFunction, envs: &BTreeMap<Node, NeedEnv>) -> RtlFunction
             continue;
         }
         let succs = inst.successors();
-        let (Some(dst), [next]) = (inst.def(), succs.as_slice()) else {
+        let (Some(dst), [next]) = (inst.def(), &succs[..]) else {
             continue;
         };
         if env.get(dst).is_nothing() {
