@@ -42,6 +42,18 @@ for trace in 0 1; do
         --workload compile-corpus --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_corpus_$trace.txt
 done
 
+echo "== benchmark full-size serve passes (both workloads, both modes) =="
+# One pass of `serve-rebuild` and of `serve-edit` over all 8 projects:
+# untraced, each response's cache tally and every served artifact are
+# checked against a cache-free compile of the same project state; traced,
+# each recompiled miss must also reproduce the artifact the server sent.
+for workload in serve-rebuild serve-edit; do
+    for trace in 0 1; do
+        cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload $workload --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_${workload}_$trace.txt
+    done
+done
+
 echo "== benchmark solver pops and IR sizes (traced passes, pinned) =="
 # The two traced passes above print the `solver.*` pops and the `ir.*`
 # sizes of one full pass. They are pure functions of the work, and no

@@ -5,14 +5,14 @@
 //! (paper §3.1); CompCertO additionally fixes a single global symbol table
 //! shared by every module (paper App. A.3). [`build_symtab`] computes that
 //! table from all units participating in a link, and [`link`] merges two
-//! units into one.
+//! units into one. [`Program::interface`] keeps only what the table reads.
 
 use std::fmt;
 
 use compcerto_core::iface::Signature;
 use compcerto_core::symtab::{GlobKind, InitDatum, SymbolTable};
 
-use crate::ast::Program;
+use crate::ast::{Function, Program, Stmt};
 use crate::ty::Ty;
 
 /// An error produced by linking.
@@ -48,6 +48,34 @@ fn init_data(ty: &Ty, init: Option<i64>) -> Vec<InitDatum> {
         (Ty::Int, Some(v)) => vec![InitDatum::Int32(v as i32)],
         (Ty::Long, Some(v)) | (Ty::Ptr(_), Some(v)) => vec![InitDatum::Int64(v)],
         _ => vec![InitDatum::Space(ty.size())],
+    }
+}
+
+impl Program {
+    /// The unit's *interface*: exactly what [`build_symtab`] reads. The
+    /// globals and extern declarations are kept; each function keeps its
+    /// name, return type and parameters, with an empty body and no locals.
+    /// [`build_symtab`] over interfaces returns the table it returns over
+    /// the full programs, so a compile server can remember this projection
+    /// instead of a whole typed program.
+    #[must_use]
+    pub fn interface(&self) -> Program {
+        Program {
+            globals: self.globals.clone(),
+            functions: self
+                .functions
+                .iter()
+                .map(|f| Function {
+                    name: f.name.clone(),
+                    ret: f.ret.clone(),
+                    params: f.params.clone(),
+                    vars: Vec::new(),
+                    temps: Vec::new(),
+                    body: Stmt::Skip,
+                })
+                .collect(),
+            externs: self.externs.clone(),
+        }
     }
 }
 
@@ -178,6 +206,21 @@ mod tests {
         assert_eq!(
             build_symtab(&[&a, &b]),
             Err(LinkError::SignatureMismatch("f".into()))
+        );
+    }
+
+    #[test]
+    fn interface_drops_bodies_and_links_alike() {
+        let a = unit("int k = 3; int f(int x) { int y; y = x + k; return y; }");
+        let b = unit("extern int f(int); int g(void) { int r; r = f(1); return r; }");
+        let ia = a.interface();
+        assert_eq!(ia.globals, a.globals);
+        assert_eq!(ia.functions[0].body, Stmt::Skip);
+        assert!(ia.functions[0].vars.is_empty() && ia.functions[0].temps.is_empty());
+        assert_eq!(ia.functions[0].signature(), a.functions[0].signature());
+        assert_eq!(
+            build_symtab(&[&ia, &b.interface()]),
+            build_symtab(&[&a, &b])
         );
     }
 

@@ -11,7 +11,8 @@ use compcerto_core::iface::Signature;
 use compcerto_core::symtab::{Ident, SymbolTable};
 use minor::{cminorgen, cshmgen, selection, CmProgram, CsProgram, SelProgram};
 use rtl::{
-    constprop, cse, deadcode, inlining, renumber, rtlgen, tailcall, Romem, RtlFunction, RtlProgram,
+    constprop, cse, deadcode, inlining, renumber_function, rtlgen, tailcall, Romem, RtlFunction,
+    RtlProgram,
 };
 
 use crate::par::{self, Jobs};
@@ -390,10 +391,9 @@ pub fn fn_back_end(
     let ms = &mut pass_ms;
 
     let mut r = RtlProgram {
-        functions: vec![func.clone()],
+        functions: vec![span(on, ms, "renumber", || renumber_function(func))],
         externs: externs.to_vec(),
     };
-    r = span(on, ms, "renumber", || renumber(&r));
     if opts.constprop {
         r = span(on, ms, "constprop", || constprop(&r, romem));
     }

@@ -38,18 +38,33 @@
 //! (counted under `serve.cache.evict`) and recompiled transparently —
 //! a corrupt cache can cost time, never correctness.
 //!
+//! # Front-end reuse
+//!
+//! The symbol table reads only each unit's *interface*
+//! ([`clight::Program::interface`]: globals, extern declarations, function
+//! names and signatures). The server remembers the interface of every unit
+//! it front-ended, keyed by the unit's exact source text, in a memo of at
+//! most [`FRONT_MEMO_UNITS`] entries that evicts the least recently used
+//! one. Only successful front ends are remembered. A unit the memo
+//! remembers skips parse and type-check unless its artifact misses; the
+//! `stats` op counts the skipped units under `serve.front.reused`.
+//!
 //! # Scheduling
 //!
-//! The batch's front ends fan out on the worker pool ([`par_map`], one
-//! contained item per unit, as in [`crate::driver::compile_all_jobs`]).
-//! Cache lookups then run serially in batch order (so hit/miss counters are
-//! `--jobs`-invariant); the misses fan out through the function-level
-//! scheduler ([`crate::driver::compile_typed_jobs`]): front end per unit →
-//! symbol-table barrier → per-function back ends → reassembly. A unit that
-//! fails or panics degrades *its own* response through the resilience
-//! ladder ([`crate::resilience`]); the server and the rest of the batch
-//! keep going.
+//! The front ends of the units the memo lacks fan out on the worker pool
+//! ([`par_map`], one contained item per unit, as in
+//! [`crate::driver::compile_all_jobs`]). The symbol table is linked from
+//! the remembered and the fresh interfaces. Cache lookups then run serially
+//! in batch order (so hit/miss counters are `--jobs`-invariant). A
+//! remembered unit that misses is front-ended again on the pool, and the
+//! misses' typed programs go through the function-level scheduler
+//! ([`crate::driver::compile_typed_jobs`]): the Clight→RTL prefix per unit
+//! → per-function back ends → reassembly and validation. A unit that fails
+//! or panics degrades *its own* response through the resilience ladder
+//! ([`crate::resilience`]); the server and the rest of the batch keep
+//! going.
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 
 use clight::build_symtab;
@@ -261,6 +276,101 @@ impl Cache {
 }
 
 // ---------------------------------------------------------------------------
+// The front-end memo
+// ---------------------------------------------------------------------------
+
+/// Most units the front-end memo remembers (DESIGN.md §14.4). A fixed
+/// constant, so what the memo holds depends on the request sequence alone.
+pub const FRONT_MEMO_UNITS: usize = 1024;
+
+/// A unit's exact source text → its interface, for at most
+/// [`FRONT_MEMO_UNITS`] units. Keyed by the text itself, not by a hash of
+/// it: a collision would link a wrong symbol table.
+#[derive(Default)]
+struct FrontMemo {
+    /// Source text → slot.
+    index: HashMap<String, usize>,
+    /// Each slot's interface and the tick of its last use.
+    slots: Vec<(clight::Program, u64)>,
+    /// One tick per lookup hit or insertion; a full memo evicts the slot
+    /// with the oldest tick.
+    tick: u64,
+}
+
+impl FrontMemo {
+    /// The slot remembering `src`, marked as just used.
+    fn lookup(&mut self, src: &str) -> Option<usize> {
+        let &slot = self.index.get(src)?;
+        self.tick += 1;
+        self.slots[slot].1 = self.tick;
+        Some(slot)
+    }
+
+    fn interface(&self, slot: usize) -> &clight::Program {
+        &self.slots[slot].0
+    }
+
+    /// Remember `iface` as the interface of `src`, evicting the least
+    /// recently used entry when the memo is full.
+    fn remember(&mut self, src: &str, iface: clight::Program) {
+        self.tick += 1;
+        let entry = (iface, self.tick);
+        if let Some(&slot) = self.index.get(src) {
+            // The same source twice in one batch.
+            self.slots[slot] = entry;
+        } else if self.slots.len() < FRONT_MEMO_UNITS {
+            self.index.insert(src.to_string(), self.slots.len());
+            self.slots.push(entry);
+        } else {
+            let victim = (0..self.slots.len())
+                .min_by_key(|&s| self.slots[s].1)
+                .unwrap_or(0);
+            self.index.retain(|_, s| *s != victim);
+            self.index.insert(src.to_string(), victim);
+            self.slots[victim] = entry;
+        }
+    }
+}
+
+/// Where a unit of one request stands after the front-end stage.
+enum Front {
+    /// The memo remembers the unit's source: the slot of its interface.
+    Remembered(usize),
+    /// Front-ended by this request (taken when the unit is compiled).
+    Fresh(clight::Program),
+    /// Unreadable, or its front end failed: the failure detail.
+    Failed(String),
+}
+
+/// Front-end `sources[i]` on the pool for each `i` in `which`, each item
+/// contained (a parser panic fails its unit, not the batch), into
+/// `fronts[i]`. Nothing goes on the pool when `which` is empty.
+fn run_front_ends(
+    jobs: Jobs,
+    sources: &[Result<String, String>],
+    which: &[usize],
+    fronts: &mut [Front],
+) {
+    if which.is_empty() {
+        return;
+    }
+    let typed = par_map(jobs, which, |_, &i| match &sources[i] {
+        Err(e) => Err(e.clone()),
+        Ok(src) => match contain_unwind(|| front_end(src)) {
+            Ok(Ok(p)) => Ok(p),
+            Ok(Err(e)) => Err(format!("front-end: {e}")),
+            Err((_, msg)) => Err(format!("front-end panicked (contained): {msg}")),
+        },
+    });
+    for (&i, t) in which.iter().zip(typed) {
+        fronts[i] = match t {
+            Ok(p) => Front::Fresh(p),
+            Err(detail) => Front::Failed(detail),
+        };
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The server
 // ---------------------------------------------------------------------------
 
@@ -275,7 +385,8 @@ pub struct ServeConfig {
     pub cache_dir: String,
 }
 
-/// A compile server: the protocol state machine plus its artifact cache.
+/// A compile server: the protocol state machine plus its artifact cache
+/// and its front-end memo.
 ///
 /// [`handle_line`](Server::handle_line) is the testable core — the
 /// stdin/stdout and Unix-socket front ends ([`run_stdio`], [`run_unix`])
@@ -283,6 +394,7 @@ pub struct ServeConfig {
 pub struct Server {
     cfg: ServeConfig,
     cache: Cache,
+    memo: FrontMemo,
     compiler_fp: String,
     opts_fp: String,
     stats: Counters,
@@ -305,6 +417,7 @@ impl Server {
         Ok(Server {
             cfg,
             cache,
+            memo: FrontMemo::default(),
             compiler_fp,
             opts_fp,
             stats: Counters::default(),
@@ -419,31 +532,64 @@ impl Server {
             })
             .collect();
 
-        // Front end every readable unit on the pool (each item contained:
-        // a parser panic fails its unit, not the batch) — the symbol table
-        // must span the whole batch, hits included.
-        let typed: Vec<Result<clight::Program, String>> =
-            par_map(self.cfg.jobs, &sources, |_, s| match s {
-                Err(e) => Err(e.clone()),
-                Ok(src) => match contain_unwind(|| front_end(src)) {
-                    Ok(Ok(p)) => Ok(p),
-                    Ok(Err(e)) => Err(format!("front-end: {e}")),
-                    Err((_, msg)) => Err(format!("front-end panicked (contained): {msg}")),
+        // Units the memo remembers skip the front end; the rest run it on
+        // the pool.
+        let mut fronts: Vec<Front> = sources
+            .iter()
+            .map(|s| match s {
+                Err(e) => Front::Failed(e.clone()),
+                Ok(src) => match self.memo.lookup(src) {
+                    Some(slot) => Front::Remembered(slot),
+                    // A placeholder: `run_front_ends` fills it in.
+                    None => Front::Fresh(clight::Program::default()),
                 },
-            });
-        let parsed: Vec<&clight::Program> = typed.iter().filter_map(|t| t.as_ref().ok()).collect();
-        let symtab = match build_symtab(&parsed) {
+            })
+            .collect();
+        let fresh_idx: Vec<usize> = (0..fronts.len())
+            .filter(|&i| matches!(fronts[i], Front::Fresh(_)))
+            .collect();
+        run_front_ends(self.cfg.jobs, &sources, &fresh_idx, &mut fronts);
+        let remembered = fronts
+            .iter()
+            .filter(|f| matches!(f, Front::Remembered(_)))
+            .count() as u64;
+
+        // Link the symbol table — it must span the whole batch, hits
+        // included — from interfaces, then remember the fresh ones.
+        let fresh_ifaces: Vec<Option<clight::Program>> = fronts
+            .iter()
+            .map(|f| match f {
+                Front::Fresh(p) => Some(p.interface()),
+                _ => None,
+            })
+            .collect();
+        let ifaces: Vec<&clight::Program> = fronts
+            .iter()
+            .zip(&fresh_ifaces)
+            .filter_map(|(f, fresh)| match f {
+                Front::Remembered(slot) => Some(self.memo.interface(*slot)),
+                _ => fresh.as_ref(),
+            })
+            .collect();
+        let linked = build_symtab(&ifaces);
+        for (src, iface) in sources.iter().zip(fresh_ifaces) {
+            if let (Ok(src), Some(iface)) = (src, iface) {
+                self.memo.remember(src, iface);
+            }
+        }
+        let symtab = match linked {
             Ok(t) => t,
             Err(e) => {
                 // Mirror `compile_all_resilient`: a link error fails every
                 // parsed unit (the broken-unit responses keep their own
                 // front-end detail).
-                let units: Vec<String> = typed
+                self.stats.bump("serve.front.reused", remembered);
+                let units: Vec<String> = fronts
                     .iter()
                     .enumerate()
-                    .map(|(i, t)| match t {
-                        Ok(_) => unit_failed(i, "none", &format!("link: {e}")),
-                        Err(detail) => unit_failed(i, "none", detail),
+                    .map(|(i, f)| match f {
+                        Front::Failed(detail) => unit_failed(i, "none", detail),
+                        _ => unit_failed(i, "none", &format!("link: {e}")),
                     })
                     .collect();
                 return self.compile_result(id, &units, 0, 0, 0);
@@ -458,9 +604,9 @@ impl Server {
         let mut evictions = 0u64;
         let mut probes: Vec<Option<Probe>> = Vec::with_capacity(sources.len());
         let mut keys: Vec<Option<String>> = Vec::with_capacity(sources.len());
-        for (src, t) in sources.iter().zip(&typed) {
-            match (src, t) {
-                (Ok(src), Ok(_)) => {
+        for (src, f) in sources.iter().zip(&fronts) {
+            match (src, f) {
+                (Ok(src), Front::Remembered(_) | Front::Fresh(_)) => {
                     let key = cache_key(src, &self.opts_fp, &self.compiler_fp, &symtab_fp);
                     let probe = self.cache.probe(&key, &self.compiler_fp, &self.opts_fp);
                     match probe {
@@ -484,41 +630,50 @@ impl Server {
         self.stats.bump("serve.cache.miss", misses);
         self.stats.bump("serve.cache.evict", evictions);
 
-        // Compile the misses through the function-level scheduler; if the
-        // fast path reports any error (or a pass panics out of the pool),
-        // fall back to the per-unit isolated pipeline so each miss gets
-        // its own degradation ladder.
+        // A remembered unit that misses needs its typed program again: its
+        // front end runs on the pool. Fresh programs move into the compile.
         let miss_idx: Vec<usize> = probes
             .iter()
             .enumerate()
             .filter(|(_, p)| matches!(p, Some(Probe::Miss | Probe::Evicted)))
             .map(|(i, _)| i)
             .collect();
-        let miss_typed: Vec<clight::Program> = miss_idx
+        let again_idx: Vec<usize> = miss_idx
             .iter()
-            .map(|&i| match &typed[i] {
-                Ok(p) => p.clone(),
-                // miss_idx only selects probed (hence parsed) units.
-                Err(_) => clight::Program::default(),
-            })
+            .copied()
+            .filter(|&i| matches!(fronts[i], Front::Remembered(_)))
             .collect();
+        self.stats
+            .bump("serve.front.reused", remembered - again_idx.len() as u64);
+        run_front_ends(self.cfg.jobs, &sources, &again_idx, &mut fronts);
+        let mut compile_idx: Vec<usize> = Vec::with_capacity(miss_idx.len());
+        let mut miss_typed: Vec<clight::Program> = Vec::with_capacity(miss_idx.len());
+        for &i in &miss_idx {
+            if let Front::Fresh(p) = &mut fronts[i] {
+                compile_idx.push(i);
+                miss_typed.push(std::mem::take(p));
+            }
+        }
         let mut outcomes: Vec<Option<UnitOutcome>> = (0..sources.len()).map(|_| None).collect();
         if !miss_typed.is_empty() {
+            // Compile the misses through the function-level scheduler; if
+            // the fast path reports any error (or a pass panics out of the
+            // pool), fall back to the per-unit isolated pipeline so each
+            // miss gets its own degradation ladder.
             self.stats.bump("serve.compiled", miss_typed.len() as u64);
             let fast = contain_unwind(|| {
                 compile_typed_jobs(&miss_typed, &symtab, self.cfg.opts, self.cfg.jobs)
             });
             match fast {
                 Ok(Ok(units)) => {
-                    for (&i, u) in miss_idx.iter().zip(units) {
+                    for (&i, u) in compile_idx.iter().zip(units) {
                         outcomes[i] = Some(UnitOutcome::Ok(Box::new(u)));
                     }
                 }
                 Ok(Err(_)) | Err(_) => {
                     self.stats.bump("serve.fallbacks", 1);
-                    for (&i, t) in miss_idx.iter().zip(&miss_typed) {
-                        outcomes[i] =
-                            Some(compile_program_isolated(t, &symtab, self.cfg.opts));
+                    for (&i, t) in compile_idx.iter().zip(&miss_typed) {
+                        outcomes[i] = Some(compile_program_isolated(t, &symtab, self.cfg.opts));
                     }
                 }
             }
@@ -527,19 +682,22 @@ impl Server {
         // Render per-unit responses; clean artifacts are written back to
         // the cache (atomically) as they are rendered.
         let units: Vec<String> = (0..sources.len())
-            .map(|i| match (&typed[i], &probes[i]) {
-                (Err(detail), _) => unit_failed(i, "none", detail),
-                (Ok(_), Some(Probe::Hit(payload))) => unit_frame(i, "hit", payload),
-                (Ok(_), Some(probe)) => {
-                    let cache_tag = match probe {
-                        Probe::Evicted => "evict-miss",
-                        _ => "miss",
-                    };
-                    match outcomes[i].take() {
+            .map(|i| {
+                let cache_tag = match &probes[i] {
+                    None => "none",
+                    Some(Probe::Hit(_)) => "hit",
+                    Some(Probe::Miss) => "miss",
+                    Some(Probe::Evicted) => "evict-miss",
+                };
+                match (&fronts[i], &probes[i]) {
+                    (Front::Failed(detail), _) => unit_failed(i, cache_tag, detail),
+                    (_, Some(Probe::Hit(payload))) => unit_frame(i, cache_tag, payload),
+                    (_, Some(_)) => match outcomes[i].take() {
                         Some(UnitOutcome::Ok(unit)) => {
                             let payload = render_artifact(&unit, "ok", None);
                             if let Some(key) = &keys[i] {
-                                self.cache.store(key, &payload, &self.compiler_fp, &self.opts_fp);
+                                self.cache
+                                    .store(key, &payload, &self.compiler_fp, &self.opts_fp);
                             }
                             unit_frame(i, cache_tag, &payload)
                         }
@@ -552,10 +710,8 @@ impl Server {
                             // Degraded artifacts are served but never
                             // cached: the ladder must re-run (and be
                             // re-reported) on the next request.
-                            let note = format!(
-                                "degraded: {} in `{pass}` ({detail})",
-                                reason.name()
-                            );
+                            let note =
+                                format!("degraded: {} in `{pass}` ({detail})", reason.name());
                             let payload = render_artifact(&unit, "degraded", Some(&note));
                             unit_frame(i, cache_tag, &payload)
                         }
@@ -568,9 +724,9 @@ impl Server {
                             &format!("internal panic in `{pass}` (contained): {panic_msg}"),
                         ),
                         None => unit_failed(i, cache_tag, "unit was not compiled (internal)"),
-                    }
+                    },
+                    (_, None) => unit_failed(i, cache_tag, "unit was not probed (internal)"),
                 }
-                (Ok(_), None) => unit_failed(i, "none", "unit was not probed (internal)"),
             })
             .collect();
         self.compile_result(id, &units, hits, misses, evictions)

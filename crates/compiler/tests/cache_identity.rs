@@ -2,13 +2,16 @@
 //! indistinguishable from a freshly compiled one. Cold, warm and
 //! partial-hit responses are compared byte-for-byte (modulo the cache
 //! tags, which are the thing under test), and the hit/miss counters must
-//! be invariant to `--jobs`. The last test pins the cold bytes of 24
-//! generated batches (EXPERIMENTS row B13).
+//! be invariant to `--jobs`. One test pins the cold bytes of 24 generated
+//! batches (EXPERIMENTS row B13). The last four check that the server's
+//! front-end memo never changes an answer: each response equals a fresh
+//! server's, and `serve.front.reused` counts only the units whose front
+//! end was skipped.
 
 mod serve_util;
 
 use compcerto_gen::{generate, GenCfg};
-use compiler::serve::{fnv1a, FNV_OFFSET};
+use compiler::serve::{fnv1a, FNV_OFFSET, FRONT_MEMO_UNITS};
 use compiler::{CompilerOptions, Jobs, ServeConfig, Server};
 use serve_util::{artifacts_only, compile_req, fresh_dir, request_stats, Serve};
 
@@ -156,11 +159,15 @@ fn responses_and_counters_are_jobs_invariant() {
         "{failing_warm}"
     );
     assert_eq!(artifacts_only(failing_cold), artifacts_only(failing_warm));
-    // And the counters say what the protocol stats said.
+    // And the counters say what the protocol stats said. The warm batch
+    // skips 3 front ends and the warm failing batch 2 (units 0 and 4); the
+    // failing batch's cold pass links a new table, so its two remembered
+    // units miss and are front-ended again.
     assert!(
         stats.contains("\"serve.cache.hit\":5") && stats.contains("\"serve.cache.miss\":5"),
         "{stats}"
     );
+    assert!(stats.contains("\"serve.front.reused\":5"), "{stats}");
 }
 
 #[test]
@@ -266,5 +273,143 @@ fn generated_batches_pin_their_cold_bytes_and_hit_warm() {
     // A fresh server over the same directory serves the same warm bytes.
     drop(srv);
     assert!(pass(&mut server(&dir, Jobs::N(1)), &frames) == warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The response of a server that has seen nothing, over a fresh cache
+/// directory, to `frame`.
+fn fresh_answer(tag: &str, frame: &str) -> String {
+    let dir = fresh_dir(tag);
+    let resp = server(&dir, Jobs::N(1))
+        .handle_line(frame)
+        .expect("a compile frame gets a response");
+    let _ = std::fs::remove_dir_all(&dir);
+    resp
+}
+
+fn reused(srv: &Server) -> u64 {
+    srv.stats().get("serve.front.reused")
+}
+
+/// A unit defining a global, and its sibling reading it.
+const UNIT_K: &str = "int k = 3; int getk(void) { return k; }";
+/// `UNIT_K` with the global's initializer changed: the symbol table changes.
+const UNIT_K2: &str = "int k = 4; int getk(void) { return k; }";
+/// `UNIT_K` with the global's type changed.
+const UNIT_K3: &str = "long k = 3; long getk(void) { return k; }";
+
+#[test]
+fn a_sibling_global_edit_refronts_remembered_units() {
+    let dir = fresh_dir("memo-global");
+    let mut srv = server(&dir, Jobs::N(2));
+    let first = compile_req(1, &[UNIT_A, UNIT_B, UNIT_K]);
+    let _ = srv.handle_line(&first);
+    let warm = srv.handle_line(&first).expect("response");
+    assert_eq!(
+        request_stats(&warm),
+        "\"cache\":{\"hit\":3,\"miss\":0,\"evict\":0}"
+    );
+    assert_eq!(reused(&srv), 3);
+    // Each edit re-keys every unit: the remembered `UNIT_A` and `UNIT_B`
+    // miss, are front-ended again and compile as on a fresh server.
+    for (n, edited) in [UNIT_K2, UNIT_K3].into_iter().enumerate() {
+        let frame = compile_req(2, &[UNIT_A, UNIT_B, edited]);
+        let resp = srv.handle_line(&frame).expect("response");
+        assert_eq!(
+            request_stats(&resp),
+            "\"cache\":{\"hit\":0,\"miss\":3,\"evict\":0}",
+            "{resp}"
+        );
+        assert_eq!(resp, fresh_answer(&format!("memo-global-fresh{n}"), &frame));
+        assert_eq!(reused(&srv), 3, "a unit front-ended again is not reused");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_unit_that_fails_its_front_end_is_not_remembered() {
+    let dir = fresh_dir("memo-failing");
+    let mut srv = server(&dir, Jobs::N(1));
+    let bad_parse = "int h(int x) { return x +; }";
+    let bad_type = "int g(int x) { return y; }";
+    let frame = compile_req(4, &[UNIT_A, bad_parse, bad_type]);
+    let cold = srv.handle_line(&frame).expect("response");
+    let warm = srv.handle_line(&frame).expect("response");
+    for (i, detail) in [(1, "front-end: parse error"), (2, "front-end: type error")] {
+        let failed = |resp: &str| -> String {
+            let at = resp
+                .find(&format!("{{\"unit\":{i},"))
+                .expect("the unit's frame");
+            let end = resp[at..].find('}').expect("frame end") + at;
+            resp[at..end].to_string()
+        };
+        assert!(failed(&cold).contains(detail), "{cold}");
+        assert_eq!(
+            failed(&cold),
+            failed(&warm),
+            "unit {i}: the same failure frame"
+        );
+    }
+    assert_eq!(artifacts_only(&cold), artifacts_only(&warm));
+    // Only `UNIT_A` skipped its front end on the second request.
+    assert_eq!(reused(&srv), 1);
+    let alone = compile_req(5, &[bad_parse]);
+    let first = srv.handle_line(&alone).expect("response");
+    assert_eq!(srv.handle_line(&alone).as_deref(), Some(first.as_str()));
+    assert_eq!(first, fresh_answer("memo-failing-fresh", &alone));
+    assert_eq!(reused(&srv), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_removed_cache_recompiles_remembered_units_to_the_cold_artifacts() {
+    let dir = fresh_dir("memo-rmcache");
+    let mut srv = server(&dir, Jobs::N(2));
+    let frame = compile_req(6, &[UNIT_A, UNIT_B, UNIT_C]);
+    let cold = srv.handle_line(&frame).expect("response");
+    std::fs::remove_dir_all(&dir).expect("remove the cache directory");
+    // Every remembered unit misses, is front-ended again and compiles to
+    // the cold bytes, tags and request tally included.
+    let again = srv.handle_line(&frame).expect("response");
+    assert_eq!(
+        request_stats(&again),
+        "\"cache\":{\"hit\":0,\"miss\":3,\"evict\":0}"
+    );
+    assert_eq!(again, cold);
+    assert_eq!(reused(&srv), 0);
+    assert_eq!(srv.stats().get("serve.compiled"), 6);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_memo_forgets_its_least_recently_used_unit_beyond_its_bound() {
+    let dir = fresh_dir("memo-bound");
+    let mut srv = server(&dir, Jobs::N(2));
+    let units: Vec<String> = (0..=FRONT_MEMO_UNITS)
+        .map(|i| format!("int g{i};"))
+        .collect();
+    let refs: Vec<&str> = units.iter().map(String::as_str).collect();
+    let first = compile_req(7, &refs[..1]);
+    let rest = compile_req(8, &refs[1..]);
+    let cold = srv.handle_line(&first).expect("response");
+    let _ = srv.handle_line(&rest);
+    assert_eq!(reused(&srv), 0);
+    // `FRONT_MEMO_UNITS` newer units pushed the first one out: it is
+    // front-ended again, though its artifact hits.
+    let again = srv.handle_line(&first).expect("response");
+    assert_eq!(
+        request_stats(&again),
+        "\"cache\":{\"hit\":1,\"miss\":0,\"evict\":0}"
+    );
+    assert_eq!(artifacts_only(&again), artifacts_only(&cold));
+    assert_eq!(reused(&srv), 0);
+    // Remembering it again evicted the oldest unit of the big batch, so
+    // that batch now skips all of its front ends but one.
+    let warm = srv.handle_line(&rest).expect("response");
+    assert_eq!(
+        request_stats(&warm),
+        format!("\"cache\":{{\"hit\":{FRONT_MEMO_UNITS},\"miss\":0,\"evict\":0}}")
+    );
+    assert_eq!(reused(&srv), FRONT_MEMO_UNITS as u64 - 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

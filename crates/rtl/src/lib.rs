@@ -63,7 +63,7 @@ pub use inlining::inlining;
 pub use lang::{Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram, Succs};
 pub use ndce::ndce;
 pub use regenv::{AbsVal, RegEnv};
-pub use renumber::renumber;
+pub use renumber::{renumber, renumber_function};
 pub use sem::{RtlFrame, RtlSem, RtlState};
 pub use tailcall::tailcall;
 pub use vprop::vprop;

@@ -15,7 +15,11 @@ pub fn renumber(prog: &RtlProgram) -> RtlProgram {
     prog.map_functions(renumber_function)
 }
 
-fn renumber_function(f: &RtlFunction) -> RtlFunction {
+/// Renumber one function's CFG into a new function. The input's code is
+/// only read: each reachable instruction is rebuilt once, under its new
+/// name, and nothing else of the code map is copied.
+#[must_use]
+pub fn renumber_function(f: &RtlFunction) -> RtlFunction {
     // Depth-first preorder from the entry; unreachable nodes are dropped.
     let order = preorder(f.entry, successors_of(f));
     let renaming: BTreeMap<Node, Node> = order
@@ -44,8 +48,7 @@ fn renumber_function(f: &RtlFunction) -> RtlFunction {
         .collect();
     RtlFunction {
         entry: renaming[&f.entry],
-        code,
-        ..f.clone()
+        ..f.with_code(code)
     }
 }
 
