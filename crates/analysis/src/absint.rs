@@ -137,7 +137,9 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
     while let Some(i) = work.pop_first() {
         pops += 1;
         let inst = g.inst(i);
-        let Some(before) = state[i].as_ref() else { continue };
+        let Some(before) = state[i].as_ref() else {
+            continue;
+        };
         let write = value_write(before, inst, romem);
         // A first pop sends the whole state, so what changed before it is
         // dropped.
@@ -330,8 +332,7 @@ fn check_shape(
             ));
             ok = false;
         }
-        if fi.code.len() != fo.code.len()
-            || fi.code.keys().zip(fo.code.keys()).any(|(a, b)| a != b)
+        if fi.code.len() != fo.code.len() || fi.code.keys().zip(fo.code.keys()).any(|(a, b)| a != b)
         {
             out.push(Diagnostic::new(
                 pass,
@@ -481,10 +482,17 @@ mod tests {
                 (0, Inst::Op(RtlOp::Int(0), 1, 1)),
                 (
                     1,
-                    Inst::Op(RtlOp::BinopImm(MBinop::Cmp32(Cmp::Lt), 1, Val::Int(8)), 2, 2),
+                    Inst::Op(
+                        RtlOp::BinopImm(MBinop::Cmp32(Cmp::Lt), 1, Val::Int(8)),
+                        2,
+                        2,
+                    ),
                 ),
                 (2, Inst::Cond(2, 3, 4)),
-                (3, Inst::Op(RtlOp::BinopImm(MBinop::Add32, 1, Val::Int(1)), 1, 1)),
+                (
+                    3,
+                    Inst::Op(RtlOp::BinopImm(MBinop::Add32, 1, Val::Int(1)), 1, 1),
+                ),
                 (4, Inst::Return(Some(1))),
             ],
         ))
@@ -524,8 +532,14 @@ mod tests {
             "f",
             vec![0],
             vec![
-                (0, Inst::Op(RtlOp::BinopImm(MBinop::Add32, 0, Val::Int(1)), 2, 1)),
-                (1, Inst::Op(RtlOp::BinopImm(MBinop::Mul32, 2, Val::Int(2)), 3, 2)),
+                (
+                    0,
+                    Inst::Op(RtlOp::BinopImm(MBinop::Add32, 0, Val::Int(1)), 2, 1),
+                ),
+                (
+                    1,
+                    Inst::Op(RtlOp::BinopImm(MBinop::Mul32, 2, Val::Int(2)), 3, 2),
+                ),
                 (2, Inst::Return(Some(0))),
             ],
         ));
@@ -546,8 +560,14 @@ mod tests {
             "f",
             vec![0],
             vec![
-                (0, Inst::Op(RtlOp::BinopImm(MBinop::And32, 0, Val::Int(1)), 2, 1)),
-                (1, Inst::Op(RtlOp::BinopImm(MBinop::And32, 2, Val::Int(2)), 3, 2)),
+                (
+                    0,
+                    Inst::Op(RtlOp::BinopImm(MBinop::And32, 0, Val::Int(1)), 2, 1),
+                ),
+                (
+                    1,
+                    Inst::Op(RtlOp::BinopImm(MBinop::And32, 2, Val::Int(2)), 3, 2),
+                ),
                 (2, Inst::Return(Some(3))),
             ],
         ));

@@ -124,7 +124,10 @@ pub fn lint_rtl(prog: &RtlProgram) -> Vec<Diagnostic> {
 /// a diamond that defines `v` on both arms, no single def dominates the
 /// join, yet the use is safe.
 pub fn maybe_uninit(f: &RtlFunction, defined_at_entry: &[PReg]) -> BTreeMap<Node, BitSet> {
-    let used_or_defined = f.code.values().flat_map(|i| i.uses().into_iter().chain(i.def()));
+    let used_or_defined = f
+        .code
+        .values()
+        .flat_map(|i| i.uses().into_iter().chain(i.def()));
     let mut entry: BitSet = used_or_defined.collect();
     for r in defined_at_entry {
         entry.remove(*r);
@@ -217,7 +220,10 @@ fn check_op_discipline(
         ));
     }
     if !matches!(op, LOp::Move(_)) {
-        let mut bad: Vec<Loc> = lop_operands(op).into_iter().filter(|l| !is_reg(*l)).collect();
+        let mut bad: Vec<Loc> = lop_operands(op)
+            .into_iter()
+            .filter(|l| !is_reg(*l))
+            .collect();
         if !is_reg(dst) {
             bad.push(dst);
         }
@@ -511,7 +517,10 @@ fn lint_linear_function(f: &LinFunction, callees: &BTreeSet<String>, diags: &mut
         }
     }
     // Control must not run past the last instruction.
-    if !matches!(f.code.last(), Some(LinInst::Return) | Some(LinInst::Goto(_))) {
+    if !matches!(
+        f.code.last(),
+        Some(LinInst::Return) | Some(LinInst::Goto(_))
+    ) {
         diags.push(Diagnostic::new(
             PASS,
             &f.name,

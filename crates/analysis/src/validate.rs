@@ -143,7 +143,9 @@ pub fn validate_allocation(rtl_f: &RtlFunction, ltl_f: &LtlFunction) -> Vec<Diag
         if !reach.contains(n) {
             continue;
         }
-        let Some(live) = live_out.get(n) else { continue };
+        let Some(live) = live_out.get(n) else {
+            continue;
+        };
         let is_call = matches!(inst, Inst::Call(..) | Inst::Tailcall(..));
         let call_def = match inst {
             Inst::Call(_, _, _, d, _) => *d,
@@ -224,7 +226,10 @@ pub fn validate_linearize(ltl_f: &LtlFunction, lin_f: &LinFunction) -> Vec<Diagn
         other => out.push(mk(
             Some(ltl_f.entry),
             "linearize.entry-mismatch",
-            format!("code must start with Label({}), found {other:?}", ltl_f.entry),
+            format!(
+                "code must start with Label({}), found {other:?}",
+                ltl_f.entry
+            ),
         )),
     }
 
@@ -256,7 +261,9 @@ pub fn validate_linearize(ltl_f: &LtlFunction, lin_f: &LinFunction) -> Vec<Diagn
     };
 
     for n in reachable(ltl_f.entry, |n| ltl_f.code.get(&n).map(LtlInst::successors)) {
-        let Some(inst) = ltl_f.code.get(&n) else { continue };
+        let Some(inst) = ltl_f.code.get(&n) else {
+            continue;
+        };
         let Some(&p) = label_pos.get(&n) else {
             out.push(mk(
                 Some(n),
@@ -546,9 +553,10 @@ mod tests {
         let mid = bad.code.len() / 2;
         bad.code[mid] = AsmInst::AddSp(40);
         let diags = validate_asmgen(mf, &bad);
-        assert!(diags
-            .iter()
-            .any(|d| d.rule.starts_with("asmgen.")), "{diags:?}");
+        assert!(
+            diags.iter().any(|d| d.rule.starts_with("asmgen.")),
+            "{diags:?}"
+        );
         // Deleting an instruction desynchronizes the walk.
         let mut bad2 = asm.functions[0].clone();
         bad2.code.remove(mid);

@@ -138,7 +138,10 @@ fn check_seed(seed: u64) -> u64 {
         .map(|f| f.sig.clone())
         .unwrap_or_else(|| panic!("seed {seed}: entry `{}` missing from RTL", entry.name));
     let Some(vf) = symtab.func_ptr(&entry.name) else {
-        panic!("seed {seed}: entry `{}` not in the symbol table", entry.name);
+        panic!(
+            "seed {seed}: entry `{}` not in the symbol table",
+            entry.name
+        );
     };
     let lib = ExtLib::demo(symtab.clone());
     let sem = RtlSem::new(vprop_in, symtab.clone());
@@ -159,7 +162,13 @@ fn check_seed(seed: u64) -> u64 {
         let (n, base) = run_and_check(&sem, &facts, &lib, &q, seed);
         checked += n;
         // No-facts run of the optimized program: final answers must agree.
-        let (_, opt) = run_and_check(&opt_sem, &value_facts_program(opt_sem.program(), &romem), &lib, &q, seed);
+        let (_, opt) = run_and_check(
+            &opt_sem,
+            &value_facts_program(opt_sem.program(), &romem),
+            &lib,
+            &q,
+            seed,
+        );
         if let (Some(a), Some(b)) = (&base, &opt) {
             assert_eq!(
                 a, b,

@@ -388,9 +388,7 @@ impl Lts for AsmSem {
                     let addr = s.rs.get(*base).add(Val::Long(*disp));
                     match s.mem.loadv(*c, addr) {
                         Ok(v) => s.rs.set(*d, v),
-                        Err(e) => {
-                            return Batch::Stuck(n, prefixed(format!("load failed: {e}")))
-                        }
+                        Err(e) => return Batch::Stuck(n, prefixed(format!("load failed: {e}"))),
                     }
                 }
                 AsmInst::Store(c, src, base, disp) => {
@@ -430,9 +428,7 @@ impl Lts for AsmSem {
                     };
                     let link = match s.mem.load(Chunk::Any64, b, 0) {
                         Ok(v) => v,
-                        Err(e) => {
-                            return Batch::Stuck(n, prefixed(format!("loading link: {e}")))
-                        }
+                        Err(e) => return Batch::Stuck(n, prefixed(format!("loading link: {e}"))),
                     };
                     if let Err(e) = s.mem.free(b, 0, *size) {
                         return Batch::Stuck(n, prefixed(format!("freeing frame: {e}")));
@@ -449,9 +445,7 @@ impl Lts for AsmSem {
                     let addr = s.rs.sp.add(Val::Long(*ofs));
                     match s.mem.loadv(Chunk::Any64, addr) {
                         Ok(v) => s.rs.ra = v,
-                        Err(e) => {
-                            return Batch::Stuck(n, prefixed(format!("restoring ra: {e}")))
-                        }
+                        Err(e) => return Batch::Stuck(n, prefixed(format!("restoring ra: {e}"))),
                     }
                 }
                 AsmInst::Jmp(l) => match labels.get(l) {
@@ -464,18 +458,14 @@ impl Lts for AsmSem {
                         None => return Batch::Stuck(n, prefixed(format!("missing label {l}"))),
                     },
                     Some(false) => {}
-                    None => {
-                        return Batch::Stuck(n, prefixed("undefined branch condition".into()))
-                    }
+                    None => return Batch::Stuck(n, prefixed("undefined branch condition".into())),
                 },
                 AsmInst::Call(callee) => match self.symtab.func_ptr(callee) {
                     Some(target) => {
                         s.rs.ra = next;
                         s.rs.pc = target;
                     }
-                    None => {
-                        return Batch::Stuck(n, prefixed(format!("unknown callee `{callee}`")))
-                    }
+                    None => return Batch::Stuck(n, prefixed(format!("unknown callee `{callee}`"))),
                 },
                 AsmInst::Ret => {
                     s.rs.pc = s.rs.ra;

@@ -360,10 +360,7 @@ impl Lts for LinearSem {
                             LinInst::Store(chunk, base, disp, src) => {
                                 let addr = cur.ls.get(*base).add(Val::Long(*disp));
                                 if let Err(e) = mem.storev(*chunk, addr, cur.ls.get(*src)) {
-                                    return Batch::Stuck(
-                                        n,
-                                        prefixed(format!("store failed: {e}")),
-                                    );
+                                    return Batch::Stuck(n, prefixed(format!("store failed: {e}")));
                                 }
                                 cur.pc += 1;
                                 n += 1;

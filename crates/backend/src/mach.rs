@@ -409,10 +409,7 @@ impl Lts for MachSem {
                             MachInst::Store(chunk, base, disp, src) => {
                                 let addr = cur.regs[base.index()].add(Val::Long(*disp));
                                 if let Err(e) = mem.storev(*chunk, addr, cur.regs[src.index()]) {
-                                    return Batch::Stuck(
-                                        n,
-                                        prefixed(format!("store failed: {e}")),
-                                    );
+                                    return Batch::Stuck(n, prefixed(format!("store failed: {e}")));
                                 }
                                 cur.pc += 1;
                                 n += 1;

@@ -110,10 +110,20 @@ impl Campaign for Cli {
     fn header(&self) -> Vec<Echo> {
         vec![
             ("seed count", "seeds", "--seeds", self.seeds.to_string()),
-            ("seed_base", "seed_base", "--seed-base", self.seed_base.to_string()),
+            (
+                "seed_base",
+                "seed_base",
+                "--seed-base",
+                self.seed_base.to_string(),
+            ),
             ("quick", "quick", "--quick", self.quick.to_string()),
             ("fuel", "fuel", "--fuel", self.cfg.fuel.to_string()),
-            ("queries_per_seed", "queries_per_seed", "--queries", self.cfg.queries.to_string()),
+            (
+                "queries_per_seed",
+                "queries_per_seed",
+                "--queries",
+                self.cfg.queries.to_string(),
+            ),
             (
                 "escape_matrix.per_class",
                 "escape_matrix.per_class",
@@ -124,7 +134,10 @@ impl Campaign for Cli {
     }
 
     fn unechoed(&self) -> String {
-        format!("escape_seeds={} reduce={}", self.escape_seeds, self.cfg.reduce)
+        format!(
+            "escape_seeds={} reduce={}",
+            self.escape_seeds, self.cfg.reduce
+        )
     }
 }
 
@@ -207,9 +220,8 @@ impl Checkpoint for Agg {
     }
 
     fn decode(b: &Json) -> Result<Agg, String> {
-        let known = |names: &'static [&'static str]| {
-            move |k: &str| names.iter().copied().find(|n| *n == k)
-        };
+        let known =
+            |names: &'static [&'static str]| move |k: &str| names.iter().copied().find(|n| *n == k);
         Ok(Agg {
             agree: campaign::num(b, "agree")? as usize,
             skipped: campaign::num(b, "skipped")? as usize,
@@ -263,7 +275,10 @@ fn escape_matrix(cli: &Cli, jobs: Jobs) -> (usize, usize, Vec<(&'static str, usi
             "escape rates over {probed} generated programs ({} mutants/class/program):",
             cli.per_class
         );
-        println!("{:<26}{:>10}{:>10}{:>9}", "class", "mutants", "detected", "escaped");
+        println!(
+            "{:<26}{:>10}{:>10}{:>9}",
+            "class", "mutants", "detected", "escaped"
+        );
         for (name, generated, detected) in matrix.values() {
             println!(
                 "{name:<26}{generated:>10}{detected:>10}{:>9}",
@@ -308,7 +323,10 @@ fn render(
     // programs, and which of the six stage pairs the block exercised. No
     // timings here — wall-clock never enters a committed report.
     j.push_str("  \"obs\": {\n");
-    j.push_str(&format!("    \"counters\": {},\n", agg.counters.to_json_object(4)));
+    j.push_str(&format!(
+        "    \"counters\": {},\n",
+        agg.counters.to_json_object(4)
+    ));
     j.push_str("    \"gen_coverage\": {\n");
     let missing = agg.coverage.missing();
     j.push_str(&format!("      \"complete\": {},\n", missing.is_empty()));
@@ -323,7 +341,10 @@ fn render(
     j.push_str("      \"counters\": {\n");
     let entries = agg.coverage.counter_entries();
     for (i, (k, v)) in entries.iter().enumerate() {
-        j.push_str(&format!("        \"{k}\": {v}{}\n", comma(i, entries.len())));
+        j.push_str(&format!(
+            "        \"{k}\": {v}{}\n",
+            comma(i, entries.len())
+        ));
     }
     j.push_str("      }\n");
     j.push_str("    },\n");

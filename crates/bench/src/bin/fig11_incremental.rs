@@ -35,8 +35,8 @@ fn main() {
             }
         }
         let full = prefix.clone().then(rest);
-        let d = derive(full)
-            .unwrap_or_else(|e| fail(format!("prefix through `{}`: {e:?}", p.name)));
+        let d =
+            derive(full).unwrap_or_else(|e| fail(format!("prefix through `{}`: {e:?}", p.name)));
         assert_eq!(d.current(), &goal_convention());
         println!(
             "{:<16}{:>8}{:>12}   {}",

@@ -45,11 +45,26 @@ use compiler::{
 
 /// The five golden workloads, embedded so the binary is cwd-independent.
 const GOLDEN: [(&str, &str); 5] = [
-    ("arith", include_str!("../../../compiler/tests/golden/arith.c")),
-    ("branch", include_str!("../../../compiler/tests/golden/branch.c")),
-    ("calls", include_str!("../../../compiler/tests/golden/calls.c")),
-    ("loop", include_str!("../../../compiler/tests/golden/loop.c")),
-    ("memory", include_str!("../../../compiler/tests/golden/memory.c")),
+    (
+        "arith",
+        include_str!("../../../compiler/tests/golden/arith.c"),
+    ),
+    (
+        "branch",
+        include_str!("../../../compiler/tests/golden/branch.c"),
+    ),
+    (
+        "calls",
+        include_str!("../../../compiler/tests/golden/calls.c"),
+    ),
+    (
+        "loop",
+        include_str!("../../../compiler/tests/golden/loop.c"),
+    ),
+    (
+        "memory",
+        include_str!("../../../compiler/tests/golden/memory.c"),
+    ),
 ];
 
 struct Cli {
@@ -89,7 +104,12 @@ impl Campaign for Cli {
     }
 
     fn header(&self) -> Vec<Echo> {
-        vec![("seed count", "difftest.seeds", "--seeds", self.seeds.to_string())]
+        vec![(
+            "seed count",
+            "difftest.seeds",
+            "--seeds",
+            self.seeds.to_string(),
+        )]
     }
 }
 
@@ -166,10 +186,7 @@ fn render_json(
     j.push_str("{\n");
     j.push_str(&format!("  \"schema\": \"{OBS_SCHEMA}\",\n"));
     j.push_str("  \"kind\": \"obs-campaign\",\n");
-    j.push_str(&format!(
-        "  \"items\": {},\n",
-        golden.items + cli.seeds
-    ));
+    j.push_str(&format!("  \"items\": {},\n", golden.items + cli.seeds));
     j.push_str("  \"golden\": {\n");
     j.push_str(&format!("    \"units\": {},\n", golden.items));
     j.push_str(&format!(
@@ -187,7 +204,10 @@ fn render_json(
         dt.counters.to_json_object(4)
     ));
     j.push_str("    \"gen_coverage\": {\n");
-    j.push_str(&format!("      \"complete\": {},\n", dt.coverage.complete()));
+    j.push_str(&format!(
+        "      \"complete\": {},\n",
+        dt.coverage.complete()
+    ));
     j.push_str(&format!(
         "      \"missing\": [{}],\n",
         dt.coverage
@@ -231,7 +251,10 @@ fn render_json(
     ));
     j.push_str("  },\n");
     j.push_str("  \"timings_ms\": {\n");
-    j.push_str(&format!("    \"golden_compile\": {:.3},\n", golden.total_ms));
+    j.push_str(&format!(
+        "    \"golden_compile\": {:.3},\n",
+        golden.total_ms
+    ));
     j.push_str(&format!(
         "    \"overhead_probe\": {{\"reps\": {}, \"metrics_off\": {off_ms:.3}, \
          \"metrics_on\": {on_ms:.3}, \"overhead_pct\": {overhead_pct:.2}}}\n",
@@ -280,9 +303,7 @@ fn main() -> ExitCode {
     } else {
         0.0
     };
-    println!(
-        "overhead probe: metrics off {off_ms:.1} ms, on {on_ms:.1} ms ({overhead_pct:+.2}%)"
-    );
+    println!("overhead probe: metrics off {off_ms:.1} ms, on {on_ms:.1} ms ({overhead_pct:+.2}%)");
 
     let mut failed = false;
     if dt.findings > 0 {

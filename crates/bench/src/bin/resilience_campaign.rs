@@ -74,7 +74,12 @@ impl Campaign for Cli {
     }
 
     fn header(&self) -> Vec<Echo> {
-        vec![("per_class", "per_class", "--per-class", self.per_class.to_string())]
+        vec![(
+            "per_class",
+            "per_class",
+            "--per-class",
+            self.per_class.to_string(),
+        )]
     }
 }
 
@@ -133,9 +138,9 @@ fn panic_label(msg: &str) -> String {
 /// A cheap stable digest of a compiled batch (worker-panic runs compare
 /// the healed batch against the unfaulted one).
 fn batch_digest(units: &[CompiledUnit]) -> u64 {
-    units
-        .iter()
-        .fold(FNV_OFFSET, |h, u| fnv1a(h, format!("{:?}", u.asm).as_bytes()))
+    units.iter().fold(FNV_OFFSET, |h, u| {
+        fnv1a(h, format!("{:?}", u.asm).as_bytes())
+    })
 }
 
 /// One class's injection sweep: `per_class` outcomes, histogrammed.
@@ -286,10 +291,7 @@ fn main() -> ExitCode {
                 || label == "timed-out"
                 || label == "contained-panic:alloc-exhaustion";
             if !ok {
-                eprintln!(
-                    "unexpected outcome for {}: {label} x{n}",
-                    row.class.name()
-                );
+                eprintln!("unexpected outcome for {}: {label} x{n}", row.class.name());
                 bad += n;
             }
         }

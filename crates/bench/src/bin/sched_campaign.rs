@@ -100,10 +100,20 @@ impl Campaign for Cli {
     fn header(&self) -> Vec<Echo> {
         vec![
             ("seed count", "seeds", "--seeds", self.seeds.to_string()),
-            ("seed_base", "seed_base", "--seed-base", self.seed_base.to_string()),
+            (
+                "seed_base",
+                "seed_base",
+                "--seed-base",
+                self.seed_base.to_string(),
+            ),
             ("quick", "quick", "--quick", self.quick.to_string()),
             ("fuel", "fuel", "--fuel", self.cfg.fuel.to_string()),
-            ("threads", "threads", "--threads", self.cfg.threads.to_string()),
+            (
+                "threads",
+                "threads",
+                "--threads",
+                self.cfg.threads.to_string(),
+            ),
             (
                 "schedules_per_seed",
                 "schedules_per_seed",
@@ -214,7 +224,11 @@ impl Checkpoint for Agg {
                 .iter()
                 .map(|c| c.as_u64().ok_or("`sched_checksums`: not a u64"))
                 .collect::<Result<_, _>>()?,
-            counters: Counters(campaign::interned_map(b, "counters", intern_sched_counter_key)?),
+            counters: Counters(campaign::interned_map(
+                b,
+                "counters",
+                intern_sched_counter_key,
+            )?),
             findings: campaign::strings(b, "findings")?,
         })
     }

@@ -21,10 +21,8 @@ fn campaign(args: &[&str]) -> Output {
 
 /// Generate a tiny quick-mode baseline under `tag` and return its path.
 fn make_baseline(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "difftest-check-test-{tag}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("difftest-check-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create dir");
     let out = dir.join("base.json");
@@ -49,7 +47,15 @@ fn make_baseline(tag: &str) -> PathBuf {
 fn check_passes_against_a_fresh_baseline() {
     let base = make_baseline("pass");
     // A different --jobs must not matter: the report is jobs-invariant.
-    let out = campaign(&["--quick", "--seeds", "4", "--jobs", "1", "--check", base.to_str().expect("path")]);
+    let out = campaign(&[
+        "--quick",
+        "--seeds",
+        "4",
+        "--jobs",
+        "1",
+        "--check",
+        base.to_str().expect("path"),
+    ]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -67,7 +73,13 @@ fn check_passes_against_a_fresh_baseline() {
 #[test]
 fn seed_count_mismatch_is_a_usage_error_naming_the_regen_command() {
     let base = make_baseline("seeds");
-    let out = campaign(&["--quick", "--seeds", "7", "--check", base.to_str().expect("path")]);
+    let out = campaign(&[
+        "--quick",
+        "--seeds",
+        "7",
+        "--check",
+        base.to_str().expect("path"),
+    ]);
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -102,7 +114,13 @@ fn drifted_baseline_is_a_check_failure_not_a_usage_error() {
     // Tamper with a result member (not the config header): the preflight
     // passes, the byte comparison catches it.
     std::fs::write(&base, raw.replace("\"agree\": 4", "\"agree\": 3")).expect("tamper");
-    let out = campaign(&["--quick", "--seeds", "4", "--check", base.to_str().expect("path")]);
+    let out = campaign(&[
+        "--quick",
+        "--seeds",
+        "4",
+        "--check",
+        base.to_str().expect("path"),
+    ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("differs from baseline"),
@@ -114,7 +132,13 @@ fn drifted_baseline_is_a_check_failure_not_a_usage_error() {
 
 #[test]
 fn missing_baseline_is_a_usage_error() {
-    let out = campaign(&["--quick", "--seeds", "4", "--check", "/nonexistent/base.json"]);
+    let out = campaign(&[
+        "--quick",
+        "--seeds",
+        "4",
+        "--check",
+        "/nonexistent/base.json",
+    ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("cannot read baseline"),
@@ -152,8 +176,17 @@ struct Contract {
 const DIFFTEST: Contract = Contract {
     exe: env!("CARGO_BIN_EXE_difftest_campaign"),
     base: &[
-        "--quick", "--seeds", "2", "--seed-base", "3", "--fuel", "500000", "--queries", "1",
-        "--per-class", "1",
+        "--quick",
+        "--seeds",
+        "2",
+        "--seed-base",
+        "3",
+        "--fuel",
+        "500000",
+        "--queries",
+        "1",
+        "--per-class",
+        "1",
     ],
     mismatches: &[
         ("--seeds", Some("3")),
@@ -170,8 +203,17 @@ const DIFFTEST: Contract = Contract {
 const SCHED: Contract = Contract {
     exe: env!("CARGO_BIN_EXE_sched_campaign"),
     base: &[
-        "--quick", "--seeds", "2", "--seed-base", "5", "--fuel", "300000", "--threads", "3",
-        "--schedules", "2",
+        "--quick",
+        "--seeds",
+        "2",
+        "--seed-base",
+        "5",
+        "--fuel",
+        "300000",
+        "--threads",
+        "3",
+        "--schedules",
+        "2",
     ],
     mismatches: &[
         ("--seeds", Some("3")),
@@ -208,7 +250,10 @@ fn baseline(c: &Contract, tag: &str) -> (PathBuf, String) {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create dir");
     let base = dir.join("base.json").to_string_lossy().into_owned();
-    let gen = run(c.exe, &[c.base, &["--jobs", "auto", "--out", &base]].concat());
+    let gen = run(
+        c.exe,
+        &[c.base, &["--jobs", "auto", "--out", &base]].concat(),
+    );
     assert_eq!(gen.status.code(), Some(0), "{}", text(&gen.stderr));
     (dir, base)
 }
@@ -263,7 +308,12 @@ fn regeneration_reproduces_the_baseline(c: &Contract, tag: &str) {
         .map(|a| if a == base { regen.as_str() } else { a })
         .collect();
     let out = run(c.exe, &args);
-    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", text(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?}: {}",
+        text(&out.stderr)
+    );
     let read = |p: &str| std::fs::read_to_string(p).expect("read report");
     let (want, got) = (read(&base), read(&regen));
     if c.normalized {
@@ -290,7 +340,10 @@ fn drift_and_missing_baselines(c: &Contract, tag: &str) {
     assert_eq!(out.status.code(), Some(1), "{}", text(&out.stderr));
     assert!(text(&out.stderr).contains("differs from baseline"));
 
-    let missing = Path::new(&dir).join("missing.json").to_string_lossy().into_owned();
+    let missing = Path::new(&dir)
+        .join("missing.json")
+        .to_string_lossy()
+        .into_owned();
     let out = check(c, c.base, &missing);
     assert_eq!(out.status.code(), Some(2));
     assert!(text(&out.stderr).contains("cannot read baseline"));
@@ -364,13 +417,26 @@ fn max_blocks_without_a_checkpoint_path_is_a_usage_error() {
         .to_string_lossy()
         .into_owned();
     for (exe, args) in [
-        (DIFFTEST.exe, vec!["--quick", "--max-blocks", "1", "--out", out.as_str()]),
-        (SCHED.exe, vec!["--quick", "--max-blocks", "1", "--out", out.as_str()]),
-        (env!("CARGO_BIN_EXE_faultinj_campaign"), vec!["--per-class", "1", "--max-blocks", "1"]),
+        (
+            DIFFTEST.exe,
+            vec!["--quick", "--max-blocks", "1", "--out", out.as_str()],
+        ),
+        (
+            SCHED.exe,
+            vec!["--quick", "--max-blocks", "1", "--out", out.as_str()],
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultinj_campaign"),
+            vec!["--per-class", "1", "--max-blocks", "1"],
+        ),
     ] {
         let run = run(exe, &args);
         assert_eq!(run.status.code(), Some(2), "{exe}: {}", text(&run.stderr));
-        assert!(text(&run.stderr).contains("need --ckpt"), "{exe}: {}", text(&run.stderr));
+        assert!(
+            text(&run.stderr).contains("need --ckpt"),
+            "{exe}: {}",
+            text(&run.stderr)
+        );
         assert!(run.stdout.is_empty(), "{exe} ran: {}", text(&run.stdout));
     }
     let _ = std::fs::remove_file(&out);
@@ -388,10 +454,23 @@ fn a_checkpoint_resumes_only_its_own_bin_and_flags() {
     let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
     let (ckpt, whole, resumed) = (path("c.ckpt"), path("whole.json"), path("resumed.json"));
     let flags = |seeds, out| {
-        vec!["--quick", "--seeds", seeds, "--block", "1", "--ckpt", ckpt.as_str(), "--out", out]
+        vec![
+            "--quick",
+            "--seeds",
+            seeds,
+            "--block",
+            "1",
+            "--ckpt",
+            ckpt.as_str(),
+            "--out",
+            out,
+        ]
     };
 
-    let paused = run(DIFFTEST.exe, &[flags("2", &resumed), vec!["--max-blocks", "1"]].concat());
+    let paused = run(
+        DIFFTEST.exe,
+        &[flags("2", &resumed), vec!["--max-blocks", "1"]].concat(),
+    );
     assert_eq!(paused.status.code(), Some(0), "{}", text(&paused.stderr));
     assert!(text(&paused.stderr).contains("pausing after 1 blocks"));
     assert!(Path::new(&ckpt).exists() && !Path::new(&resumed).exists());
@@ -402,20 +481,36 @@ fn a_checkpoint_resumes_only_its_own_bin_and_flags() {
     ] {
         let out = run(exe, &[flags(seeds, &resumed), vec!["--resume"]].concat());
         assert_eq!(out.status.code(), Some(2), "{exe}: {}", text(&out.stderr));
-        assert!(text(&out.stderr).contains(refusal), "{exe}: {}", text(&out.stderr));
+        assert!(
+            text(&out.stderr).contains(refusal),
+            "{exe}: {}",
+            text(&out.stderr)
+        );
         assert!(!Path::new(&resumed).exists());
     }
 
-    let out = run(DIFFTEST.exe, &[flags("2", &resumed), vec!["--resume"]].concat());
+    let out = run(
+        DIFFTEST.exe,
+        &[flags("2", &resumed), vec!["--resume"]].concat(),
+    );
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     assert!(text(&out.stderr).contains("1 of 2 items already folded"));
-    assert!(!Path::new(&ckpt).exists(), "the landed report removes the checkpoint");
-    let out = run(DIFFTEST.exe, &["--quick", "--seeds", "2", "--out", whole.as_str()]);
+    assert!(
+        !Path::new(&ckpt).exists(),
+        "the landed report removes the checkpoint"
+    );
+    let out = run(
+        DIFFTEST.exe,
+        &["--quick", "--seeds", "2", "--out", whole.as_str()],
+    );
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     let read = |p: &str| std::fs::read(p).expect("read report");
     assert!(read(&whole) == read(&resumed), "the resumed report differs");
 
-    let out = run(DIFFTEST.exe, &[flags("2", &resumed), vec!["--resume"]].concat());
+    let out = run(
+        DIFFTEST.exe,
+        &[flags("2", &resumed), vec!["--resume"]].concat(),
+    );
     assert_eq!(out.status.code(), Some(2));
     assert!(text(&out.stderr).contains("cannot read checkpoint"));
     let _ = std::fs::remove_dir_all(dir);

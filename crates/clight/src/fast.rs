@@ -344,15 +344,15 @@ impl<'a> FnC<'a> {
                     PLval::Trap(msg) => PExpr::Trap(msg),
                     PLval::Local(slot) => match ty.chunk() {
                         Some(c) => PExpr::LoadLocal(slot, c),
-                        None => PExpr::Trap(
-                            format!("load at non-scalar type {ty}").into_boxed_str(),
-                        ),
+                        None => {
+                            PExpr::Trap(format!("load at non-scalar type {ty}").into_boxed_str())
+                        }
                     },
                     PLval::Global(b) => match ty.chunk() {
                         Some(c) => PExpr::LoadGlobal(b, c),
-                        None => PExpr::Trap(
-                            format!("load at non-scalar type {ty}").into_boxed_str(),
-                        ),
+                        None => {
+                            PExpr::Trap(format!("load at non-scalar type {ty}").into_boxed_str())
+                        }
                     },
                     PLval::Deref(_) => unreachable!("Var never compiles to Deref"),
                 }
@@ -401,9 +401,7 @@ impl<'a> FnC<'a> {
                 };
                 PExpr::Cast(kind, a)
             }
-            Expr::Index(_, _, _) => {
-                PExpr::Trap("surface Index reached the semantics".into())
-            }
+            Expr::Index(_, _, _) => PExpr::Trap("surface Index reached the semantics".into()),
         };
         self.push_expr(node)
     }
@@ -662,9 +660,7 @@ pub fn prepare(prog: &Program, symtab: &SymbolTable) -> PProg {
                     {
                         PParam::Temp(*tid)
                     } else {
-                        PParam::Trap(
-                            format!("parameter `{pname}` has no storage").into_boxed_str(),
-                        )
+                        PParam::Trap(format!("parameter `{pname}` has no storage").into_boxed_str())
                     }
                 })
                 .collect();
@@ -959,9 +955,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                 for (plan, v) in f.params.iter().zip(&args) {
                     match plan {
                         PParam::Mem(slot, chunk, prefix) => {
-                            if let Err(e) =
-                                mem.store(*chunk, var_blocks[*slot as usize], 0, *v)
-                            {
+                            if let Err(e) = mem.store(*chunk, var_blocks[*slot as usize], 0, *v) {
                                 stuck = Some(st(label, format_args!("{prefix}{e}")));
                                 break;
                             }
@@ -1033,10 +1027,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                                 Err(stuck) => return Batch::Stuck(n, stuck),
                             };
                             let Some(chunk) = chunk else {
-                                return Batch::Stuck(
-                                    n,
-                                    st(label, "assignment at non-scalar type"),
-                                );
+                                return Batch::Stuck(n, st(label, "assignment at non-scalar type"));
                             };
                             if let Err(e) = mem.store(*chunk, b, ofs, v) {
                                 return Batch::Stuck(
@@ -1077,10 +1068,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                                     n += 1;
                                 }
                                 None => {
-                                    return Batch::Stuck(
-                                        n,
-                                        st(label, format_args!("{prefix}{v}")),
-                                    )
+                                    return Batch::Stuck(n, st(label, format_args!("{prefix}{v}")))
                                 }
                             }
                         }
@@ -1104,10 +1092,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                                     n += 1;
                                 }
                                 None => {
-                                    return Batch::Stuck(
-                                        n,
-                                        st(label, format_args!("{prefix}{v}")),
-                                    )
+                                    return Batch::Stuck(n, st(label, format_args!("{prefix}{v}")))
                                 }
                             }
                         }
@@ -1123,10 +1108,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                                         break;
                                     }
                                     PKont::Stop | PKont::Call { .. } => {
-                                        return Batch::Stuck(
-                                            n,
-                                            st(label, "break outside a loop"),
-                                        );
+                                        return Batch::Stuck(n, st(label, "break outside a loop"));
                                     }
                                 }
                             }
@@ -1264,9 +1246,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                         mut frame,
                         kont,
                     } => {
-                        if let Err(stuck) =
-                            write_dest(p, label, &dest, v, &mut frame, &mut mem)
-                        {
+                        if let Err(stuck) = write_dest(p, label, &dest, v, &mut frame, &mut mem) {
                             return Batch::Stuck(n, stuck);
                         }
                         let skip = p.funcs[frame.fidx as usize].skip_sid;
@@ -1276,10 +1256,7 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                     // Unreachable by construction (Returning is built with
                     // Stop/Call only); stuck rather than panic.
                     PKont::Seq(_, _) | PKont::Loop(_, _) => {
-                        return Batch::Stuck(
-                            n,
-                            Stuck::new("return into a non-call continuation"),
-                        );
+                        return Batch::Stuck(n, Stuck::new("return into a non-call continuation"));
                     }
                 }
             }

@@ -693,10 +693,18 @@ mod tests {
         // Same rule inside a condition and nested in arithmetic.
         let err = parse("extern int p(int);\nint g(int x) { if (p(x)) { return 1; } return 0; }")
             .unwrap_err();
-        assert!(err.to_string().contains("call to `p` in expression position"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("call to `p` in expression position"),
+            "{err}"
+        );
         let err = parse("extern int h(int);\nint g(int x) { int y; y = 1 + h(x); return y; }")
             .unwrap_err();
-        assert!(err.to_string().contains("call to `h` in expression position"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("call to `h` in expression position"),
+            "{err}"
+        );
         // The statement forms stay legal.
         assert!(parse("extern int f(int);\nint g(int x) { int r; r = f(x); return r; }").is_ok());
         assert!(parse("extern int f(int);\nint g(int x) { f(x); return 0; }").is_ok());

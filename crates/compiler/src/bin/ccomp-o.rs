@@ -296,9 +296,7 @@ fn main() -> ExitCode {
             }
             UnitOutcome::Poisoned { pass, panic_msg } => {
                 fatal += 1;
-                eprintln!(
-                    "error: {file}: internal panic in `{pass}` (contained): {panic_msg}"
-                );
+                eprintln!("error: {file}: internal panic in `{pass}` (contained): {panic_msg}");
             }
         }
     }
@@ -336,10 +334,7 @@ fn main() -> ExitCode {
     }
 
     if cli.analyze_json {
-        print!(
-            "{}",
-            compiler::analysis_json(&cli.files, &units, &symtab)
-        );
+        print!("{}", compiler::analysis_json(&cli.files, &units, &symtab));
     }
 
     for (file, unit) in cli.files.iter().zip(&units) {
@@ -392,8 +387,7 @@ fn main() -> ExitCode {
         } else {
             compcerto_core::lts::RunBudget::with_fuel(100_000_000).no_trace()
         };
-        let out =
-            compcerto_core::lts::run_budgeted(&sem, &q, &mut |m| lib.answer_c(m), &budget);
+        let out = compcerto_core::lts::run_budgeted(&sem, &q, &mut |m| lib.answer_c(m), &budget);
         if cli.trace_json {
             for line in compcerto_core::obs::take_trace() {
                 println!("{line}");

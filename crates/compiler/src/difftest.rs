@@ -1023,8 +1023,8 @@ struct WholeProgram {
 
 fn build_whole(linked: &clight::Program, opts: CompilerOptions) -> Result<WholeProgram, String> {
     let symtab = build_symtab(&[linked]).map_err(|e| format!("whole-program symtab: {e}"))?;
-    let unit =
-        compile_program(linked, &symtab, opts).map_err(|e| format!("whole-program compile: {e}"))?;
+    let unit = compile_program(linked, &symtab, opts)
+        .map_err(|e| format!("whole-program compile: {e}"))?;
     let lib = ExtLib::demo(symtab.clone());
     Ok(WholeProgram { unit, symtab, lib })
 }
@@ -1132,7 +1132,9 @@ fn check_program_rec(
                     }
                 }
                 StageOutcome::Budget(_) => {}
-                StageOutcome::Stuck(d) | StageOutcome::EnvRefused(d) | StageOutcome::Transport(d) => {
+                StageOutcome::Stuck(d)
+                | StageOutcome::EnvRefused(d)
+                | StageOutcome::Transport(d) => {
                     return SeedOutcome::Finding {
                         kind: FindingKind::LinkMismatch,
                         detail: format!("query {qi}: whole-program asm: {d}"),
@@ -1302,11 +1304,7 @@ pub fn faultinj_escape_rates(
     let srcs = prog.render();
     let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
     let (units, _) = compile_all(&refs, CompilerOptions::default()).map_err(|e| format!("{e}"))?;
-    let mut linked = units
-        .first()
-        .ok_or("no units")?
-        .clight
-        .clone();
+    let mut linked = units.first().ok_or("no units")?.clight.clone();
     for u in &units[1..] {
         linked = clight::link(&linked, &u.clight).map_err(|e| format!("clight link: {e:?}"))?;
     }
@@ -1351,10 +1349,8 @@ pub fn faultinj_escape_rates(
             row.generated += 1;
             let detected = probes.iter().any(|argv| {
                 match try_c_query(&whole.symtab, &m.unit, &entry_name, argv.clone()) {
-                    Ok(q) => {
-                        check_thm38_budgeted(&m.unit, &whole.symtab, &whole.lib, &q, &budget)
-                            .is_err()
-                    }
+                    Ok(q) => check_thm38_budgeted(&m.unit, &whole.symtab, &whole.lib, &q, &budget)
+                        .is_err(),
                     Err(_) => true,
                 }
             });
@@ -1426,7 +1422,11 @@ mod tests {
         let src = "int f(int x) { return x; }";
         let (mut units, _) = compile_all(&[src], CompilerOptions::validated()).expect("compiles");
         let unit = &mut units[0];
-        assert_eq!(validator_finding("whole program", unit), None, "honest compiles are clean");
+        assert_eq!(
+            validator_finding("whole program", unit),
+            None,
+            "honest compiles are clean"
+        );
         let d = Diagnostic::new("asmgen", "f", Some(3), "asm.synthetic", "boom");
         let expected = format!("whole program: {d}");
         unit.diagnostics.push(d);
@@ -1533,7 +1533,11 @@ mod tests {
         let (min, stats) = reduce(&prog, |p| uses_ext(p), 400);
         assert!(uses_ext(&min));
         assert!(stats.to_stmts <= stats.from_stmts);
-        assert!(min.stmt_count() <= 25, "reproducer too large: {}", min.stmt_count());
+        assert!(
+            min.stmt_count() <= 25,
+            "reproducer too large: {}",
+            min.stmt_count()
+        );
     }
 
     #[test]
@@ -1551,4 +1555,3 @@ mod tests {
         assert_eq!(rc.escapes(), 0, "result corruption escaped");
     }
 }
-

@@ -135,14 +135,12 @@ impl MutationClass {
             // A corrupted store is observed at the first boundary where the
             // memories are compared: the next external call if one follows,
             // otherwise the final answer.
-            MutationClass::GlobalStoreCorruption => matches!(
-                err,
-                E::FinalNotRelated | E::ExternalNotRelated { .. }
-            ),
-            MutationClass::ExternalCallSkip => matches!(
-                err,
-                E::InteractionMismatch { .. } | E::FinalNotRelated
-            ),
+            MutationClass::GlobalStoreCorruption => {
+                matches!(err, E::FinalNotRelated | E::ExternalNotRelated { .. })
+            }
+            MutationClass::ExternalCallSkip => {
+                matches!(err, E::InteractionMismatch { .. } | E::FinalNotRelated)
+            }
             MutationClass::StackFrameLeak => {
                 matches!(err, E::FinalNotRelated | E::Wrong { .. })
             }
@@ -153,10 +151,9 @@ impl MutationClass {
                     | E::InteractionMismatch { .. }
                     | E::FinalNotRelated
             ),
-            MutationClass::ConstantDrift | MutationClass::RtlConstantDrift => matches!(
-                err,
-                E::FinalNotRelated | E::ExternalNotRelated { .. }
-            ),
+            MutationClass::ConstantDrift | MutationClass::RtlConstantDrift => {
+                matches!(err, E::FinalNotRelated | E::ExternalNotRelated { .. })
+            }
             // Inverting a branch can derail execution in any observable
             // way; every checker error class is an expected detection.
             MutationClass::ControlFlowInversion => !matches!(err, E::Precondition(_)),
@@ -220,7 +217,10 @@ pub fn mutate(
             let rets = sites(code, |i| matches!(i, AsmInst::Ret));
             let at = *rng.pick(&rets)?;
             let k = rng.range_i32(1, 100);
-            code.insert(at, AsmInst::BinopImm(MBinop::Add32, Mreg(0), Mreg(0), Val::Int(k)));
+            code.insert(
+                at,
+                AsmInst::BinopImm(MBinop::Add32, Mreg(0), Mreg(0), Val::Int(k)),
+            );
             format!("{fname}: r0 += {k} before Ret@{at}")
         }
         MutationClass::CalleeSaveClobber => {
@@ -232,18 +232,23 @@ pub fn mutate(
             format!("{fname}: clobber callee-save r{r} before Ret@{at}")
         }
         MutationClass::ExternalArgCorruption => {
-            let calls = sites(code, |i| {
-                matches!(i, AsmInst::Call(g) if externs.iter().any(|e| e == g))
-            });
+            let calls = sites(
+                code,
+                |i| matches!(i, AsmInst::Call(g) if externs.iter().any(|e| e == g)),
+            );
             let at = *rng.pick(&calls)?;
             let k = rng.range_i32(1, 100);
-            code.insert(at, AsmInst::BinopImm(MBinop::Add32, Mreg(0), Mreg(0), Val::Int(k)));
+            code.insert(
+                at,
+                AsmInst::BinopImm(MBinop::Add32, Mreg(0), Mreg(0), Val::Int(k)),
+            );
             format!("{fname}: arg r0 += {k} before external Call@{at}")
         }
         MutationClass::ExternalCallSkip => {
-            let calls = sites(code, |i| {
-                matches!(i, AsmInst::Call(g) if externs.iter().any(|e| e == g))
-            });
+            let calls = sites(
+                code,
+                |i| matches!(i, AsmInst::Call(g) if externs.iter().any(|e| e == g)),
+            );
             let at = *rng.pick(&calls)?;
             let k = rng.range_i32(-100, 100);
             code[at] = AsmInst::MovImm32(Mreg(0), k);
@@ -310,7 +315,11 @@ pub fn mutate(
 /// Tunneling, Linearize, CleanupLabels, Debugvar, Stacking and Asmgen.
 fn mutate_rtl(unit: &CompiledUnit, fname: &str, rng: &mut SplitMix64) -> Option<Mutant> {
     let mut unit = unit.clone();
-    let f = unit.rtl_opt.functions.iter_mut().find(|f| f.name == fname)?;
+    let f = unit
+        .rtl_opt
+        .functions
+        .iter_mut()
+        .find(|f| f.name == fname)?;
     let imm_nodes: Vec<u32> = f
         .code
         .iter()

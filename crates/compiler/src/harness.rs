@@ -205,12 +205,7 @@ pub fn try_c_query(
     let mem = symtab
         .build_init_mem()
         .map_err(|e| format!("initial memory: {e}"))?;
-    Ok(CQuery {
-        vf,
-        sig,
-        args,
-        mem,
-    })
+    Ok(CQuery { vf, sig, args, mem })
 }
 
 /// Build a C-level query for a function of a compiled program.

@@ -121,11 +121,7 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!(
-            "expected `{}` at byte {}",
-            char::from(ch),
-            *pos
-        ))
+        Err(format!("expected `{}` at byte {}", char::from(ch), *pos))
     }
 }
 
@@ -144,12 +140,7 @@ fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Json,
-) -> Result<Json, String> {
+fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
     if bytes[*pos..].starts_with(word.as_bytes()) {
         *pos += word.len();
         Ok(value)
@@ -408,12 +399,18 @@ pub(crate) mod tests {
         assert_eq!(parse("null"), Ok(Json::Null));
         assert_eq!(parse("true"), Ok(Json::Bool(true)));
         assert_eq!(parse(" false "), Ok(Json::Bool(false)));
-        assert_eq!(parse("42").and_then(|j| j.as_u64().ok_or_else(String::new)), Ok(42));
+        assert_eq!(
+            parse("42").and_then(|j| j.as_u64().ok_or_else(String::new)),
+            Ok(42)
+        );
         assert_eq!(
             parse("-7").and_then(|j| j.as_i64().ok_or_else(String::new)),
             Ok(-7)
         );
-        assert_eq!(parse("\"hi\\n\\\"there\\\"\""), Ok(Json::Str("hi\n\"there\"".into())));
+        assert_eq!(
+            parse("\"hi\\n\\\"there\\\"\""),
+            Ok(Json::Str("hi\n\"there\"".into()))
+        );
     }
 
     #[test]
@@ -427,7 +424,10 @@ pub(crate) mod tests {
     fn parses_nested_structures() {
         let src = r#"{"schema":"compcerto-ckpt/1","n":3,"rows":[{"k":"a","v":1},{"k":"b","v":2}],"ok":true}"#;
         let j = parse(src).expect("parses");
-        assert_eq!(j.get("schema").and_then(Json::as_str), Some("compcerto-ckpt/1"));
+        assert_eq!(
+            j.get("schema").and_then(Json::as_str),
+            Some("compcerto-ckpt/1")
+        );
         assert_eq!(j.get("n").and_then(Json::as_u64), Some(3));
         let rows = j.get("rows").and_then(Json::as_arr).expect("rows");
         assert_eq!(rows.len(), 2);

@@ -18,10 +18,10 @@ pub mod closed;
 pub mod difftest;
 pub mod driver;
 pub mod envfault;
-pub mod json;
 pub mod extlib;
 pub mod faultinj;
 pub mod harness;
+pub mod json;
 pub mod obs;
 pub mod par;
 pub mod registry;
@@ -37,18 +37,13 @@ pub use closed::{run_closed, Closed, ClosedState};
 pub use difftest::{
     check_program, check_query, check_query_sched, faultinj_escape_rates, run_seed, run_seed_obs,
     run_stage, DifftestCfg, EscapeRow, FindingKind, Obs, ObsVal, QueryVerdict, Reproducer,
-    SchedObs, SchedVerdict, SeedObs, SeedOutcome, SeedReport, StageOutcome, StagePrograms,
-    Verdict, STAGES,
+    SchedObs, SchedVerdict, SeedObs, SeedOutcome, SeedReport, StageOutcome, StagePrograms, Verdict,
+    STAGES,
 };
 pub use driver::{
     compile_all, compile_all_jobs, compile_unit, front_end, CompileError, CompiledUnit,
     CompilerOptions,
 };
-pub use obs::{
-    intern_counter_key, ir_counters, normalize_metrics_json, Counters, MetricsReport, ObsSnapshot,
-    UnitMetrics, DELTA_COUNTER_KEYS, OBS_SCHEMA,
-};
-pub use par::{available_parallelism, par_map, pool_stats, try_par_map, Jobs, PoolStats};
 pub use extlib::ExtLib;
 pub use faultinj::{
     intern_error_class, mutate, run_campaign, run_campaign_class, CampaignBase, CampaignCfg,
@@ -58,10 +53,13 @@ pub use harness::{
     c_query, check_cor39, check_cor39_budgeted, check_thm35, check_thm35_budgeted, check_thm38,
     check_thm38_budgeted, default_budget, try_c_query,
 };
-pub use registry::{pass_registry, PassInfo};
-pub use resilience::{
-    compile_all_resilient, contain, DegradeReason, ResilientBatch, UnitOutcome,
+pub use obs::{
+    intern_counter_key, ir_counters, normalize_metrics_json, Counters, MetricsReport, ObsSnapshot,
+    UnitMetrics, DELTA_COUNTER_KEYS, OBS_SCHEMA,
 };
+pub use par::{available_parallelism, par_map, pool_stats, try_par_map, Jobs, PoolStats};
+pub use registry::{pass_registry, PassInfo};
+pub use resilience::{compile_all_resilient, contain, DegradeReason, ResilientBatch, UnitOutcome};
 pub use sched::{
     intern_sched_counter_key, run_seed_sched, run_seed_sched_obs, SchedCfg, SchedSeedOutcome,
     SchedSeedReport, SCHED_AUX_SALT, SCHED_COUNTER_KEYS,

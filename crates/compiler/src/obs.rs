@@ -224,10 +224,7 @@ impl ObsSnapshot {
 pub fn ir_counters(unit: &crate::driver::CompiledUnit) -> Counters {
     let mut c = Counters::default();
     c.set("ir.functions", unit.asm.functions.len() as u64);
-    c.set(
-        "ir.clight_fns",
-        unit.clight.functions.len() as u64,
-    );
+    c.set("ir.clight_fns", unit.clight.functions.len() as u64);
     c.set(
         "ir.rtl_nodes",
         unit.rtl.functions.iter().map(|f| f.code.len() as u64).sum(),
@@ -258,7 +255,11 @@ pub fn ir_counters(unit: &crate::driver::CompiledUnit) -> Counters {
     );
     c.set(
         "ir.mach_instrs",
-        unit.mach.functions.iter().map(|f| f.code.len() as u64).sum(),
+        unit.mach
+            .functions
+            .iter()
+            .map(|f| f.code.len() as u64)
+            .sum(),
     );
     c.set(
         "ir.asm_instrs",

@@ -231,7 +231,13 @@ fn failed(e: &CompileError) -> UnitOutcome {
 /// The optional RTL optimization passes — the tier the degradation ladder
 /// disables on retry. Must match the driver's `CompilerOptions` flags.
 const OPTIONAL_OPT_PASSES: [&str; 7] = [
-    "tailcall", "inlining", "constprop", "cse", "deadcode", "vprop", "ndce",
+    "tailcall",
+    "inlining",
+    "constprop",
+    "cse",
+    "deadcode",
+    "vprop",
+    "ndce",
 ];
 
 fn without_rtl_opt(opts: CompilerOptions) -> CompilerOptions {
@@ -261,7 +267,14 @@ pub fn compile_program_isolated(
             if opts.validate && !unit.diagnostics.is_empty() {
                 // Validator rejection: step down the ladder.
                 let detail = unit.diagnostics[0].to_string();
-                retry_degraded(typed, symtab, opts, "validate", DegradeReason::ValidatorRejected, detail)
+                retry_degraded(
+                    typed,
+                    symtab,
+                    opts,
+                    "validate",
+                    DegradeReason::ValidatorRejected,
+                    detail,
+                )
             } else {
                 UnitOutcome::Ok(Box::new(unit))
             }
@@ -444,7 +457,10 @@ mod tests {
 
     #[test]
     fn clean_batch_is_all_ok() {
-        let srcs = ["int f(int a) { return a + 1; }", "int g(int b) { return b * 2; }"];
+        let srcs = [
+            "int f(int a) { return a + 1; }",
+            "int g(int b) { return b * 2; }",
+        ];
         let batch = compile_all_resilient(&srcs, CompilerOptions::default(), Jobs::N(1));
         assert_eq!(batch.outcomes.len(), 2);
         assert!(batch.outcomes.iter().all(|o| o.label() == "ok"));

@@ -452,7 +452,10 @@ impl Server {
             return Some(error_frame(
                 None,
                 "oversized-frame",
-                &format!("frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap", line.len()),
+                &format!(
+                    "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+                    line.len()
+                ),
             ));
         }
         let req = match json::parse(line) {
@@ -993,11 +996,17 @@ mod tests {
         let r = s
             .handle_line(r#"{"schema":"compcerto-serve/1","op":"ping","id":7}"#)
             .expect("response");
-        assert!(r.contains("\"op\":\"pong\"") && r.contains("\"id\":7"), "{r}");
+        assert!(
+            r.contains("\"op\":\"pong\"") && r.contains("\"id\":7"),
+            "{r}"
+        );
         let r = s
             .handle_line(r#"{"schema":"compcerto-serve/1","op":"frobnicate"}"#)
             .expect("response");
-        assert!(r.contains("\"op\":\"error\"") && r.contains("unknown-op"), "{r}");
+        assert!(
+            r.contains("\"op\":\"error\"") && r.contains("unknown-op"),
+            "{r}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1013,7 +1022,9 @@ mod tests {
         // The artifact member must be byte-identical across the probe
         // states; only the per-unit tag and the request stats differ.
         let strip = |r: &str| {
-            let r = r.replace("\"cache\":\"miss\"", "").replace("\"cache\":\"hit\"", "");
+            let r = r
+                .replace("\"cache\":\"miss\"", "")
+                .replace("\"cache\":\"hit\"", "");
             r[..r.rfind(",\"cache\":{").expect("stats")].to_string()
         };
         assert_eq!(strip(&cold), strip(&warm));

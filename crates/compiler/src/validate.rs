@@ -66,7 +66,12 @@ pub fn validate_unit(unit: &CompiledUnit, symtab: &SymbolTable) -> Vec<Diagnosti
     diags.extend(lint_ltl(&unit.ltl_tunneled));
 
     for tf in &unit.ltl_tunneled.functions {
-        match unit.linear_raw.functions.iter().find(|nf| nf.name == tf.name) {
+        match unit
+            .linear_raw
+            .functions
+            .iter()
+            .find(|nf| nf.name == tf.name)
+        {
             Some(nf) => diags.extend(validate_linearize(tf, nf)),
             None => diags.push(Diagnostic::new(
                 "linearize",

@@ -59,8 +59,10 @@ fn cold_warm_and_partial_hits_are_byte_identical() {
         "{partial}"
     );
     // The two unchanged units' artifacts are bytes from the cold run.
-    let tagless =
-        |s: &str| s.replace("\"cache\":\"miss\",", "").replace("\"cache\":\"hit\",", "");
+    let tagless = |s: &str| {
+        s.replace("\"cache\":\"miss\",", "")
+            .replace("\"cache\":\"hit\",", "")
+    };
     let cold_units: Vec<&str> = cold.split("{\"unit\":").collect();
     let partial_units: Vec<&str> = partial.split("{\"unit\":").collect();
     assert_eq!(cold_units.len(), 4);
@@ -261,7 +263,10 @@ fn generated_batches_pin_their_cold_bytes_and_hit_warm() {
 
     let wide_dir = fresh_dir("pin-jobs16");
     let wide = pass(&mut server(&wide_dir, Jobs::N(16)), &frames);
-    assert!(wide == cold, "cold responses must not depend on the pool width");
+    assert!(
+        wide == cold,
+        "cold responses must not depend on the pool width"
+    );
     let _ = std::fs::remove_dir_all(&wide_dir);
 
     let warm = pass(&mut srv, &frames);

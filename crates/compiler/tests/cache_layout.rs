@@ -15,10 +15,7 @@ use compiler::{CompilerOptions, Jobs, ServeConfig, Server, CACHE_SCHEMA};
 const REQ: &str = r#"{"schema":"compcerto-serve/1","op":"compile","id":1,"units":[{"source":"int f(int x) { return x + 1; }"}]}"#;
 
 fn tmpdir(tag: &str) -> String {
-    let d = std::env::temp_dir().join(format!(
-        "ccomp-cache-layout-{tag}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("ccomp-cache-layout-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).expect("tmpdir");
     d.to_string_lossy().into_owned()

@@ -36,12 +36,9 @@ const DIFFTEST_SEEDS: u64 = 50;
 /// Compile the golden corpus with metrics on under `jobs` and return the
 /// *normalized* metrics JSON (volatile sections stripped).
 fn golden_metrics_json(jobs: Jobs) -> String {
-    let (units, _tbl) = compile_all_jobs(
-        &GOLDEN,
-        CompilerOptions::validated().with_metrics(),
-        jobs,
-    )
-    .expect("golden corpus compiles");
+    let (units, _tbl) =
+        compile_all_jobs(&GOLDEN, CompilerOptions::validated().with_metrics(), jobs)
+            .expect("golden corpus compiles");
     let report = MetricsReport::from_units("golden-compile", &units);
     normalize_metrics_json(&report.to_json()).expect("schema marker present")
 }
@@ -60,10 +57,7 @@ fn difftest_metrics_json(jobs: Jobs) -> (String, Coverage, BTreeSet<&'static str
     };
     for (seed_report, obs) in &results {
         assert!(
-            !matches!(
-                seed_report.outcome,
-                compiler::SeedOutcome::Finding { .. }
-            ),
+            !matches!(seed_report.outcome, compiler::SeedOutcome::Finding { .. }),
             "seed {} produced a finding",
             seed_report.seed
         );
@@ -153,7 +147,10 @@ fn difftest_block_metrics_are_jobs_invariant_and_repeatable() {
     // stage, memory traffic happened, both solver families iterated.
     assert!(j1.contains("\"lts.runs\""));
     assert!(!j1.contains("\"lts.runs\": 0,"), "no LTS runs recorded");
-    assert!(!j1.contains("\"mem.loads\": 0,"), "no memory loads recorded");
+    assert!(
+        !j1.contains("\"mem.loads\": 0,"),
+        "no memory loads recorded"
+    );
     assert!(
         !j1.contains("\"solver.rtl_iterations\": 0,"),
         "RTL dataflow solver never iterated"

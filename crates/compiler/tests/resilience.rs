@@ -8,8 +8,8 @@
 use compcerto_core::lts::RunBudget;
 use compiler::resilience::UnitOutcome;
 use compiler::{
-    check_query, compile_all_resilient, try_c_query, CompilerOptions, ExtLib, Jobs,
-    QueryVerdict, StagePrograms,
+    check_query, compile_all_resilient, try_c_query, CompilerOptions, ExtLib, Jobs, QueryVerdict,
+    StagePrograms,
 };
 use mem::Val;
 
@@ -128,7 +128,10 @@ fn injected_alloc_fault_is_contained_and_deterministic() {
     let a = run_with_fault(4);
     let b = run_with_fault(4);
     assert_eq!(a, b);
-    assert_eq!(a, Err("envfault: injected allocator exhaustion".to_string()));
+    assert_eq!(
+        a,
+        Err("envfault: injected allocator exhaustion".to_string())
+    );
     // Past the workload's allocation count, nothing fires.
     let c = run_with_fault(64);
     assert_eq!(c, Ok("allocated 10 blocks".to_string()));
@@ -225,6 +228,9 @@ fn deadline_jitter_forces_deterministic_timeout() {
     // A check index past the run's stride schedule never fires: the run
     // completes normally.
     let c = outcome_with_jitter(1_000);
-    assert!(c != "timed-out", "jitter beyond schedule must not fire: {c}");
+    assert!(
+        c != "timed-out",
+        "jitter beyond schedule must not fire: {c}"
+    );
     assert!(c.starts_with("complete:"), "unexpected outcome: {c}");
 }

@@ -75,11 +75,20 @@ fn typed_errors_for_each_malformed_shape() {
     let mut s = Serve::spawn(&dir, &[]);
     for (frame, expect) in [
         ("{not json", "parse-error"),
-        ("{\"schema\":\"compcerto-serve/9\",\"op\":\"ping\"}", "unknown-schema"),
+        (
+            "{\"schema\":\"compcerto-serve/9\",\"op\":\"ping\"}",
+            "unknown-schema",
+        ),
         ("{\"op\":\"ping\"}", "unknown-schema"),
-        ("{\"schema\":\"compcerto-serve/1\",\"op\":\"frobnicate\"}", "unknown-op"),
+        (
+            "{\"schema\":\"compcerto-serve/1\",\"op\":\"frobnicate\"}",
+            "unknown-op",
+        ),
         ("{\"schema\":\"compcerto-serve/1\"}", "missing-op"),
-        ("{\"schema\":\"compcerto-serve/1\",\"op\":\"compile\",\"id\":1}", "bad-request"),
+        (
+            "{\"schema\":\"compcerto-serve/1\",\"op\":\"compile\",\"id\":1}",
+            "bad-request",
+        ),
         (
             "{\"schema\":\"compcerto-serve/1\",\"op\":\"compile\",\"id\":1,\"units\":[]}",
             "bad-request",
@@ -130,7 +139,11 @@ fn mid_frame_eof_exits_cleanly() {
         s.send_raw(b"{\"schema\":\"compcerto-serve/1\",\"op\":\"pi");
         s.eof_wait()
     };
-    assert_eq!(stdin.code(), Some(0), "mid-frame EOF must exit 0, never 101");
+    assert_eq!(
+        stdin.code(),
+        Some(0),
+        "mid-frame EOF must exit 0, never 101"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

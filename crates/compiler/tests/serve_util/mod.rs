@@ -9,10 +9,7 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 
 /// A fresh, empty cache directory unique to `tag` within this test binary.
 pub fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ccomp-serve-test-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("ccomp-serve-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create cache dir");
     dir

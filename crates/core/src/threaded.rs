@@ -204,9 +204,7 @@ impl<L: Lts> fmt::Debug for ThreadedState<L> {
 impl<L: Lts> ThreadedState<L> {
     /// True when every thread has answered its question.
     fn all_done(&self) -> bool {
-        self.threads
-            .iter()
-            .all(|t| matches!(t, Slot::Done(_)))
+        self.threads.iter().all(|t| matches!(t, Slot::Done(_)))
     }
 
     /// Pick the next thread per the schedule; a no-op when nothing is
@@ -428,7 +426,9 @@ where
                     // Run the slice on the inner component's own batched
                     // stepper (its dispatch loop runs the slice). Inner fuel
                     // accounting maps 1:1 onto outer steps.
-                    let batch = self.component(k).step_batch(&mut st, fuel_left - used, events);
+                    let batch = self
+                        .component(k)
+                        .step_batch(&mut st, fuel_left - used, events);
                     match batch {
                         Batch::Ran(n) => {
                             s.threads[k] = Slot::Live(st);
@@ -646,11 +646,7 @@ mod tests {
             .collect()
     }
 
-    fn run_threaded(
-        nthreads: usize,
-        schedule: Schedule,
-        budget: &RunBudget,
-    ) -> RunOutcome<CReply> {
+    fn run_threaded(nthreads: usize, schedule: Schedule, budget: &RunBudget) -> RunOutcome<CReply> {
         let (m, g) = counter_mem(10);
         let q = bquery(m);
         let aux = vec![q.clone(); nthreads - 1];
@@ -678,10 +674,7 @@ mod tests {
                 },
             ) => {
                 assert_eq!(a.retval, b.retval);
-                assert_eq!(
-                    a.mem.load(CHUNK, g, 0).ok(),
-                    b.mem.load(CHUNK, g, 0).ok()
-                );
+                assert_eq!(a.mem.load(CHUNK, g, 0).ok(), b.mem.load(CHUNK, g, 0).ok());
                 assert_eq!(annots(&trace), vec!["sched:0", "sched:0", "exit:0=Int(10)"]);
             }
             (i, o) => panic!("expected Complete/Complete, got {i:?} / {o:?}"),
@@ -763,12 +756,12 @@ mod tests {
     fn distinct_seeds_explore_distinct_interleavings() {
         let budget = RunBudget::with_fuel(100);
         let traces: Vec<Vec<String>> = (0..16u64)
-            .map(|seed| {
-                match run_threaded(3, Schedule::Seeded(seed), &budget) {
+            .map(
+                |seed| match run_threaded(3, Schedule::Seeded(seed), &budget) {
                     RunOutcome::Complete { trace, .. } => annots(&trace),
                     other => panic!("expected Complete, got {other:?}"),
-                }
-            })
+                },
+            )
             .collect();
         let distinct: std::collections::BTreeSet<_> = traces.iter().collect();
         assert!(

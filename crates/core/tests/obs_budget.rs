@@ -102,7 +102,12 @@ fn observed_run(
 ) {
     let _ = obs::take_trace(); // isolate from earlier tests on this thread
     let before = obs::counters();
-    let out = run_budgeted(&Stepper { limit }, &query(), &mut refuse, &budget.json_trace());
+    let out = run_budgeted(
+        &Stepper { limit },
+        &query(),
+        &mut refuse,
+        &budget.json_trace(),
+    );
     let delta = obs::counters().since(&before);
     (out, delta, obs::take_trace())
 }
@@ -112,14 +117,18 @@ fn observed_run(
 fn assert_terminal(trace: &[String], outcome: &str) {
     let last = trace.last().unwrap_or_else(|| panic!("empty trace"));
     assert!(
-        last.contains("\"ev\":\"terminal\"") && last.contains(&format!("\"outcome\":\"{outcome}\"")),
+        last.contains("\"ev\":\"terminal\"")
+            && last.contains(&format!("\"outcome\":\"{outcome}\"")),
         "trace must end with terminal {outcome}, got {last}"
     );
     let terminals = trace
         .iter()
         .filter(|l| l.contains("\"ev\":\"terminal\""))
         .count();
-    assert_eq!(terminals, 1, "exactly one terminal event per run: {trace:#?}");
+    assert_eq!(
+        terminals, 1,
+        "exactly one terminal event per run: {trace:#?}"
+    );
 }
 
 #[test]
@@ -184,11 +193,18 @@ fn out_of_fuel_counts_exactly_once_and_trace_is_terminal() {
 #[test]
 fn three_step_program_emits_exactly_five_events() {
     let (out, d, trace) = observed_run(3, RunBudget::with_fuel(100));
-    assert!(matches!(out, RunOutcome::Complete { steps: 3, .. }), "{out:?}");
+    assert!(
+        matches!(out, RunOutcome::Complete { steps: 3, .. }),
+        "{out:?}"
+    );
     assert_eq!(d.runs, 1);
     assert_eq!(d.steps, 3);
     assert_eq!(d.completes, 1);
-    assert_eq!(trace.len(), 5, "1 run-start + 3 step + 1 terminal: {trace:#?}");
+    assert_eq!(
+        trace.len(),
+        5,
+        "1 run-start + 3 step + 1 terminal: {trace:#?}"
+    );
     assert!(trace[0].contains("\"ev\":\"run-start\""));
     assert!(trace[0].contains("\"schema\":\"compcerto-obs/1\""));
     for (i, line) in trace.iter().enumerate().take(4).skip(1) {
@@ -209,7 +225,10 @@ fn step_events_capped_but_counters_exact() {
     let (out, d, trace) = observed_run(n, RunBudget::with_fuel(n + 10));
     assert!(matches!(out, RunOutcome::Complete { .. }), "{out:?}");
     assert_eq!(d.steps, n, "counter is exact past the event cap");
-    let steps_emitted = trace.iter().filter(|l| l.contains("\"ev\":\"step\"")).count();
+    let steps_emitted = trace
+        .iter()
+        .filter(|l| l.contains("\"ev\":\"step\""))
+        .count();
     assert_eq!(steps_emitted as u64, obs::MAX_STEP_EVENTS);
     assert_terminal(&trace, "complete");
 }

@@ -189,7 +189,11 @@ impl Coverage {
         self.stmts
             .iter()
             .map(|(k, v)| (format!("gen.stmt.{k}"), *v))
-            .chain(self.exprs.iter().map(|(k, v)| (format!("gen.expr.{k}"), *v)))
+            .chain(
+                self.exprs
+                    .iter()
+                    .map(|(k, v)| (format!("gen.expr.{k}"), *v)),
+            )
             .collect()
     }
 }

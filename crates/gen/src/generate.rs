@@ -324,7 +324,10 @@ mod tests {
                 }
             }
         }
-        assert!(saw_yield, "50 seeds with yield_calls on produced no yield site");
+        assert!(
+            saw_yield,
+            "50 seeds with yield_calls on produced no yield site"
+        );
     }
 
     #[test]

@@ -526,10 +526,7 @@ mod tests {
                     stmts: vec![
                         GStmt::Assign {
                             v: 0,
-                            e: GExpr::Add(
-                                Box::new(GExpr::Param(0)),
-                                Box::new(GExpr::Const(-3)),
-                            ),
+                            e: GExpr::Add(Box::new(GExpr::Param(0)), Box::new(GExpr::Const(-3))),
                         },
                         GStmt::Loop {
                             counter: 0,

@@ -404,9 +404,7 @@ fn edit_stmt_slot(
         }
     };
     match s {
-        GStmt::Assign { e, .. } | GStmt::AccAdd { e, .. } | GStmt::ExtCall { e, .. } => {
-            hit(e, cur)
-        }
+        GStmt::Assign { e, .. } | GStmt::AccAdd { e, .. } | GStmt::ExtCall { e, .. } => hit(e, cur),
         GStmt::IfElse { c, then_s, else_s } => {
             if hit(c, cur) {
                 return true;

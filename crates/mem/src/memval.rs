@@ -235,10 +235,7 @@ mod tests {
                         // The abstract cases: Any64, pointers, Undef.
                         assert!(
                             chunk == Chunk::Any64
-                                || matches!(
-                                    chunk.normalize(v),
-                                    Val::Undef | Val::Ptr(_, _)
-                                ),
+                                || matches!(chunk.normalize(v), Val::Undef | Val::Ptr(_, _)),
                             "{chunk:?} {v:?} refused the fast path unexpectedly"
                         );
                     }

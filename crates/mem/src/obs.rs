@@ -130,7 +130,8 @@ mod tests {
         assert_eq!(mid.promotes, 1);
         assert_eq!(mid.demotes, 0);
         // Storing a pointer fragment demotes the concrete block.
-        m.store(Chunk::Ptr, b, 0, Val::Ptr(b, 0)).expect("store ptr");
+        m.store(Chunk::Ptr, b, 0, Val::Ptr(b, 0))
+            .expect("store ptr");
         let d = counters().since(&before);
         assert_eq!(d.demotes, 1);
     }

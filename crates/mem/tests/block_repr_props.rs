@@ -154,11 +154,19 @@ fn randomized_script_equivalence() {
 fn promotion_demotion_lifecycle() {
     let mut m = Mem::new();
     let b = m.alloc(0, 32);
-    assert_eq!(m.block_is_concrete(b), Some(false), "fresh block is all-Undef");
+    assert_eq!(
+        m.block_is_concrete(b),
+        Some(false),
+        "fresh block is all-Undef"
+    );
     for slot in 0..4 {
         m.store(Chunk::I64, b, slot * 8, Val::Long(slot)).unwrap();
     }
-    assert_eq!(m.block_is_concrete(b), Some(true), "all-scalar block promotes");
+    assert_eq!(
+        m.block_is_concrete(b),
+        Some(true),
+        "all-scalar block promotes"
+    );
     m.store(Chunk::Ptr, b, 8, Val::Ptr(b, 0)).unwrap();
     assert_eq!(m.block_is_concrete(b), Some(false), "fragments demote");
     assert_eq!(m.load(Chunk::Ptr, b, 8).unwrap(), Val::Ptr(b, 0));

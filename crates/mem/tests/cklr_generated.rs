@@ -71,7 +71,9 @@ struct Script {
 fn gen_script(seed: u64) -> Script {
     let mut rng = Rng::new(seed);
     let nblocks = 1 + rng.below(5) as usize;
-    let sizes: Vec<i64> = (0..nblocks).map(|_| 8 * (1 + rng.below(8) as i64)).collect();
+    let sizes: Vec<i64> = (0..nblocks)
+        .map(|_| 8 * (1 + rng.below(8) as i64))
+        .collect();
     let nstores = rng.below(16) as usize;
     let stores = (0..nstores)
         .map(|_| {
@@ -229,7 +231,11 @@ fn alloc_law(seed: u64) {
     // A fresh source block can also be *dropped* (left unmapped): still an
     // injection (paper: unmapped blocks are private to the source).
     let b3 = m1.alloc(0, 16);
-    assert_eq!(mem_inject(&f2, &m1, &m2), Ok(()), "seed {seed}: b{b3} private");
+    assert_eq!(
+        mem_inject(&f2, &m1, &m2),
+        Ok(()),
+        "seed {seed}: b{b3} private"
+    );
 }
 
 /// Fig. 8 laws for `ext` on generated states: reflexivity, refinement of
@@ -255,8 +261,13 @@ fn extends_law(seed: u64) {
             let ofs = slot * 8;
             let untouched = (0..8).all(|k| !written.contains(&(b, ofs + k)));
             if untouched && rng.below(2) == 0 {
-                m2.store(Chunk::I64, b as BlockId, ofs, Val::Long(rng.next_u64() as i64))
-                    .expect("refining store is in-bounds");
+                m2.store(
+                    Chunk::I64,
+                    b as BlockId,
+                    ofs,
+                    Val::Long(rng.next_u64() as i64),
+                )
+                .expect("refining store is in-bounds");
             }
         }
     }
@@ -267,9 +278,14 @@ fn extends_law(seed: u64) {
     let mut m2b = m2.clone();
     let b = rng.below(script.sizes.len() as u64) as usize;
     let ofs = 8 * rng.below((script.sizes[b] / 8) as u64) as i64;
-    m1b.store(Chunk::I64, b as BlockId, ofs, Val::Undef).unwrap();
-    m2b.store(Chunk::I64, b as BlockId, ofs, Val::Long(7)).unwrap();
-    assert!(extends(&m1b, &m2b), "seed {seed}: store must commute with ext");
+    m1b.store(Chunk::I64, b as BlockId, ofs, Val::Undef)
+        .unwrap();
+    m2b.store(Chunk::I64, b as BlockId, ofs, Val::Long(7))
+        .unwrap();
+    assert!(
+        extends(&m1b, &m2b),
+        "seed {seed}: store must commute with ext"
+    );
 }
 
 // ---------------------------------------------------------------------------

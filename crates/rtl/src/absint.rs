@@ -1042,14 +1042,8 @@ mod tests {
         assert_eq!(diff.as_const(), Some(Val::Long(16)));
         // Distinct provenances only decide (in)equality.
         let q = VaVal::Global("acc".into(), 0);
-        assert_eq!(
-            eval_binop_va(MBinop::Cmp64(Cmp::Eq), &p, &q),
-            VaVal::int(0)
-        );
-        assert_eq!(
-            eval_binop_va(MBinop::Cmp64(Cmp::Lt), &p, &q),
-            VaVal::Top
-        );
+        assert_eq!(eval_binop_va(MBinop::Cmp64(Cmp::Eq), &p, &q), VaVal::int(0));
+        assert_eq!(eval_binop_va(MBinop::Cmp64(Cmp::Lt), &p, &q), VaVal::Top);
     }
 
     #[test]

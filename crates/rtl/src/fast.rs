@@ -314,8 +314,7 @@ pub(crate) fn prepare(prog: &RtlProgram, symtab: &SymbolTable) -> PProg {
                 }
             }
 
-            let missing =
-                |n: Node| format!("no instruction at {}:{}", f.name, n).into_boxed_str();
+            let missing = |n: Node| format!("no instruction at {}:{}", f.name, n).into_boxed_str();
             let mut code: Vec<UOp> = f
                 .code
                 .iter()
@@ -469,11 +468,7 @@ enum M {
 /// Run up to `fuel_left` steps in place, following the [`Batch`] contract;
 /// see the module docs for the prefix-commit rules on fused µops.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn step_batch(
-    sem: &RtlSem,
-    s: &mut RtlState,
-    fuel_left: u64,
-) -> Batch<CQuery, CReply> {
+pub(crate) fn step_batch(sem: &RtlSem, s: &mut RtlState, fuel_left: u64) -> Batch<CQuery, CReply> {
     let p = &sem.fast;
     let label = &sem.label;
     let stuck_l = |msg: String| Stuck::new(format!("{label}: {msg}"));
@@ -642,10 +637,7 @@ pub(crate) fn step_batch(
                                 None => Val::Undef,
                             };
                             if let Err(e) = mem.free(cur.sp, 0, f.stack_size) {
-                                return Batch::Stuck(
-                                    n,
-                                    stuck_l(format!("freeing frame: {e}")),
-                                );
+                                return Batch::Stuck(n, stuck_l(format!("freeing frame: {e}")));
                             }
                             n += 1;
                             mode = M::Ret(v);
@@ -967,7 +959,11 @@ mod tests {
                 (3, Inst::Op(RtlOp::Int(0), 2, 4)),
                 (
                     4,
-                    Inst::Op(RtlOp::BinopImm(MBinop::Cmp32(Cmp::Lt), 2, Val::Int(8)), 4, 5),
+                    Inst::Op(
+                        RtlOp::BinopImm(MBinop::Cmp32(Cmp::Lt), 2, Val::Int(8)),
+                        4,
+                        5,
+                    ),
                 ),
                 (5, Inst::Cond(4, 6, 10)),
                 (6, Inst::Op(RtlOp::Binop(MBinop::Add32, 0, 2), 5, 7)),

@@ -88,15 +88,27 @@ mod tests {
     fn dead_chain_is_deleted_but_live_tail_stays() {
         // r1 := r0+1; r2 := r1*2 (r2 dead) — both go; the return survives.
         let f = fun(vec![
-            (0, Inst::Op(RtlOp::BinopImm(MBinop::Add32, 0, mem::Val::Int(1)), 1, 1)),
-            (1, Inst::Op(RtlOp::BinopImm(MBinop::Mul32, 1, mem::Val::Int(2)), 2, 2)),
+            (
+                0,
+                Inst::Op(RtlOp::BinopImm(MBinop::Add32, 0, mem::Val::Int(1)), 1, 1),
+            ),
+            (
+                1,
+                Inst::Op(RtlOp::BinopImm(MBinop::Mul32, 1, mem::Val::Int(2)), 2, 2),
+            ),
             (2, Inst::Return(Some(0))),
         ]);
         // Needed-after: r0 all the way (returned); r1/r2 never.
         let mut e = NeedEnv::default();
         e.add(0, Needs::All);
-        let facts = facts_for(&f, vec![(0, e.clone()), (1, e.clone()), (2, NeedEnv::default())]);
-        let prog = RtlProgram { functions: vec![f], externs: vec![] };
+        let facts = facts_for(
+            &f,
+            vec![(0, e.clone()), (1, e.clone()), (2, NeedEnv::default())],
+        );
+        let prog = RtlProgram {
+            functions: vec![f],
+            externs: vec![],
+        };
         let out = ndce(&prog, &facts);
         assert_eq!(out.functions[0].code[&0], Inst::Nop(1));
         assert_eq!(out.functions[0].code[&1], Inst::Nop(2));
@@ -106,13 +118,19 @@ mod tests {
     #[test]
     fn bit_needed_results_survive() {
         let f = fun(vec![
-            (0, Inst::Op(RtlOp::BinopImm(MBinop::And32, 0, mem::Val::Int(1)), 1, 1)),
+            (
+                0,
+                Inst::Op(RtlOp::BinopImm(MBinop::And32, 0, mem::Val::Int(1)), 1, 1),
+            ),
             (1, Inst::Return(Some(1))),
         ]);
         let mut e = NeedEnv::default();
         e.add(1, Needs::Bits(1));
         let facts = facts_for(&f, vec![(0, e), (1, NeedEnv::default())]);
-        let prog = RtlProgram { functions: vec![f.clone()], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f.clone()],
+            externs: vec![],
+        };
         let out = ndce(&prog, &facts);
         assert_eq!(out.functions[0].code, f.code);
     }
@@ -125,7 +143,10 @@ mod tests {
         ]);
         // Even an (impossible) all-dead fact must not delete a store.
         let facts = facts_for(&f, vec![(0, NeedEnv::default()), (1, NeedEnv::default())]);
-        let prog = RtlProgram { functions: vec![f.clone()], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f.clone()],
+            externs: vec![],
+        };
         let out = ndce(&prog, &facts);
         assert_eq!(out.functions[0].code, f.code);
     }

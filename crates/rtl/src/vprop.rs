@@ -200,7 +200,14 @@ mod tests {
     fn interval_comparison_folds_and_branch_goes_away() {
         // r0 ∈ [0,9]; r1 := r0 < 100 (definitely 1); if r1 … folds.
         let f = fun(vec![
-            (0, Inst::Op(RtlOp::BinopImm(MBinop::Cmp32(Cmp::Lt), 0, Val::Int(100)), 1, 1)),
+            (
+                0,
+                Inst::Op(
+                    RtlOp::BinopImm(MBinop::Cmp32(Cmp::Lt), 0, Val::Int(100)),
+                    1,
+                    1,
+                ),
+            ),
             (1, Inst::Cond(1, 2, 3)),
             (2, Inst::Return(Some(0))),
             (3, Inst::Return(None)),
@@ -210,7 +217,10 @@ mod tests {
         let mut e1 = e0.clone();
         e1.set(1, VaVal::int(1));
         let facts = facts_for(&f, vec![(0, e0), (1, e1)]);
-        let prog = RtlProgram { functions: vec![f], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f],
+            externs: vec![],
+        };
         let out = vprop(&prog, &facts);
         assert_eq!(out.functions[0].code[&0], Inst::Op(RtlOp::Int(1), 1, 1));
         assert_eq!(out.functions[0].code[&1], Inst::Nop(2));
@@ -227,7 +237,10 @@ mod tests {
         e0.set(0, VaVal::I32(Itv::full32()));
         e0.set(1, VaVal::int(4));
         let facts = facts_for(&f, vec![(0, e0)]);
-        let prog = RtlProgram { functions: vec![f], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f],
+            externs: vec![],
+        };
         let out = vprop(&prog, &facts);
         assert_eq!(
             out.functions[0].code[&0],
@@ -239,18 +252,28 @@ mod tests {
     fn left_constant_comparison_swaps() {
         // 10 < r0 becomes r0 > 10.
         let f = fun(vec![
-            (0, Inst::Op(RtlOp::Binop(MBinop::Cmp32(Cmp::Lt), 1, 0), 2, 1)),
+            (
+                0,
+                Inst::Op(RtlOp::Binop(MBinop::Cmp32(Cmp::Lt), 1, 0), 2, 1),
+            ),
             (1, Inst::Return(Some(2))),
         ]);
         let mut e0 = VaEnv::default();
         e0.set(0, VaVal::I32(Itv::full32()));
         e0.set(1, VaVal::int(10));
         let facts = facts_for(&f, vec![(0, e0)]);
-        let prog = RtlProgram { functions: vec![f], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f],
+            externs: vec![],
+        };
         let out = vprop(&prog, &facts);
         assert_eq!(
             out.functions[0].code[&0],
-            Inst::Op(RtlOp::BinopImm(MBinop::Cmp32(Cmp::Gt), 0, Val::Int(10)), 2, 1)
+            Inst::Op(
+                RtlOp::BinopImm(MBinop::Cmp32(Cmp::Gt), 0, Val::Int(10)),
+                2,
+                1
+            )
         );
     }
 
@@ -266,12 +289,18 @@ mod tests {
         let mut known = VaEnv::default();
         known.set(0, VaVal::I32(Itv::full32()));
         let facts = facts_for(&f, vec![(0, known)]);
-        let prog = RtlProgram { functions: vec![f.clone()], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f.clone()],
+            externs: vec![],
+        };
         let out = vprop(&prog, &facts);
         assert_eq!(out.functions[0].code[&0], Inst::Op(RtlOp::Move(0), 1, 1));
 
         let top_facts = facts_for(&f, vec![(0, VaEnv::default())]);
-        let prog = RtlProgram { functions: vec![f], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f],
+            externs: vec![],
+        };
         let out = vprop(&prog, &top_facts);
         assert_eq!(out.functions[0].code[&0], Inst::Op(add0, 1, 1));
     }
@@ -279,7 +308,10 @@ mod tests {
     #[test]
     fn functions_without_facts_are_untouched() {
         let f = fun(vec![(0, Inst::Return(Some(0)))]);
-        let prog = RtlProgram { functions: vec![f.clone()], externs: vec![] };
+        let prog = RtlProgram {
+            functions: vec![f.clone()],
+            externs: vec![],
+        };
         let out = vprop(&prog, &BTreeMap::new());
         assert_eq!(out.functions[0].code, f.code);
     }

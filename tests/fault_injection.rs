@@ -13,8 +13,8 @@ use compcerto::compiler::faultinj::{mutate, run_campaign, CampaignCfg, CAMPAIGN_
 use compcerto::compiler::{
     c_query, check_thm38, compile_all, CompiledUnit, CompilerOptions, ExtLib, MUTATION_CLASSES,
 };
-use compcerto::core::rng::SplitMix64;
 use compcerto::core::regs::Mreg;
+use compcerto::core::rng::SplitMix64;
 use compcerto::core::sim::SimCheckError;
 use compcerto::mem::Val;
 use compcerto::minor::MBinop;
@@ -237,9 +237,8 @@ fn subsystem_operators_detected_with_expected_error() {
                 let q = c_query(&tbl, &m.unit, "entry", vec![Val::Int(x)]);
                 check_thm38(&m.unit, &tbl, &lib, &q).err()
             });
-            let err = err.unwrap_or_else(|| {
-                panic!("{class} (seed {seed}) escaped: {}", m.mutation.desc)
-            });
+            let err =
+                err.unwrap_or_else(|| panic!("{class} (seed {seed}) escaped: {}", m.mutation.desc));
             assert!(
                 class.matches_expected(&err),
                 "{class} (seed {seed}): unexpected error {err} for {}",
@@ -260,11 +259,23 @@ fn subsystem_campaign_is_deterministic_and_escape_free() {
     };
     let r1 = run_campaign(&cfg).expect("campaign runs");
     let r2 = run_campaign(&cfg).expect("campaign runs");
-    assert_eq!(r1.to_string(), r2.to_string(), "campaign must be seed-deterministic");
+    assert_eq!(
+        r1.to_string(),
+        r2.to_string(),
+        "campaign must be seed-deterministic"
+    );
     assert_eq!(r1.total_escapes(), 0, "silent escapes:\n{r1}");
     assert!(r1.stats.len() >= 8, "fewer than 8 mutation classes");
     for s in &r1.stats {
-        assert_eq!(s.generated, cfg.per_class, "{}: generation shortfall", s.class);
-        assert_eq!(s.expected_class, s.detected, "{}: unexpected classes {:?}", s.class, s.errors);
+        assert_eq!(
+            s.generated, cfg.per_class,
+            "{}: generation shortfall",
+            s.class
+        );
+        assert_eq!(
+            s.expected_class, s.detected,
+            "{}: unexpected classes {:?}",
+            s.class, s.errors
+        );
     }
 }
