@@ -13,6 +13,11 @@ set -eu
 echo "== build (release) =="
 cargo build --workspace --release
 
+echo "== format =="
+# Every workspace crate is rustfmt-clean (`perfbench/` is a workspace of
+# its own and is not formatted here).
+cargo fmt --all -- --check
+
 echo "== tests =="
 cargo test --workspace -q
 
@@ -136,6 +141,38 @@ for f in crates/compiler/tests/golden/*.c; do
 done
 cargo run -q --release -p compiler --bin ccomp-o -- --validate \
     crates/compiler/tests/golden/*.c > /dev/null
+# The linked program's validated Asm is the same at one worker and at
+# sixteen (the CLI compiles through `compile_all_resilient`'s per-unit
+# pool).
+for jobs in 1 16; do
+    cargo run -q --release -p compiler --bin ccomp-o -- --validate --dump-asm --jobs $jobs \
+        crates/compiler/tests/golden/*.c > /tmp/ci_golden_asm_$jobs.txt
+done
+cmp /tmp/ci_golden_asm_1.txt /tmp/ci_golden_asm_16.txt
+# Served as one batch, the same programs go through the function-level
+# scheduler (`compile_typed_jobs`: one pool for every unit's prefix and
+# every function's back end, then the validating pool). The responses
+# (Asm, counters and findings) and the counter-only stats must match byte
+# for byte at one worker and at sixteen, with no unit falling back to the
+# per-unit pipeline.
+units=$(for f in crates/compiler/tests/golden/*.c; do
+    printf '{"source":"%s"},' "$(tr '\n\t' '  ' < "$f")"
+done)
+{
+    printf '{"schema":"compcerto-serve/1","op":"compile","id":1,"units":[%s]}\n' "${units%,}"
+    printf '%s\n' '{"schema":"compcerto-serve/1","op":"stats","id":2}'
+} > /tmp/ci_serve_golden.txt
+for jobs in 1 16; do
+    rm -rf /tmp/ci_serve_golden_cache
+    cargo run -q --release -p compiler --bin ccomp-o -- serve --jobs $jobs \
+        --cache-dir /tmp/ci_serve_golden_cache < /tmp/ci_serve_golden.txt > /tmp/ci_serve_golden_$jobs.txt
+done
+cmp /tmp/ci_serve_golden_1.txt /tmp/ci_serve_golden_16.txt
+grep -q '"serve.compiled":5,' /tmp/ci_serve_golden_1.txt
+if grep -q 'serve.fallbacks' /tmp/ci_serve_golden_1.txt; then
+    echo "the golden batch fell back to the per-unit pipeline" >&2
+    exit 1
+fi
 # The analysis fact export must be schema-tagged and byte-deterministic.
 cargo run -q --release -p compiler --bin ccomp-o -- --analyze-json \
     crates/compiler/tests/golden/*.c > /tmp/ci_analyze_1.json
