@@ -142,19 +142,19 @@ done
 cargo run -q --release -p compiler --bin ccomp-o -- --validate \
     crates/compiler/tests/golden/*.c > /dev/null
 # The linked program's validated Asm is the same at one worker and at
-# sixteen (the CLI compiles through `compile_all_resilient`'s per-unit
-# pool).
+# sixteen (the CLI compiles on the function-level scheduler's contained
+# pool, through `compile_typed_resilient`).
 for jobs in 1 16; do
     cargo run -q --release -p compiler --bin ccomp-o -- --validate --dump-asm --jobs $jobs \
         crates/compiler/tests/golden/*.c > /tmp/ci_golden_asm_$jobs.txt
 done
 cmp /tmp/ci_golden_asm_1.txt /tmp/ci_golden_asm_16.txt
-# Served as one batch, the same programs go through the function-level
-# scheduler (`compile_typed_jobs`: one pool for every unit's prefix and
-# every function's back end, then the validating pool). The responses
-# (Asm, counters and findings) and the counter-only stats must match byte
-# for byte at one worker and at sixteen, with no unit falling back to the
-# per-unit pipeline.
+# Served as one batch, the same programs go through the same scheduler
+# (one pool for every unit's prefix and every function's back end, then
+# the validating pool) and the same ladder. The responses (Asm, counters
+# and findings) and the counter-only stats must match byte for byte at
+# one worker and at sixteen, all five units compiled and answered `ok`
+# (none degraded or failed).
 units=$(for f in crates/compiler/tests/golden/*.c; do
     printf '{"source":"%s"},' "$(tr '\n\t' '  ' < "$f")"
 done)
@@ -169,10 +169,8 @@ for jobs in 1 16; do
 done
 cmp /tmp/ci_serve_golden_1.txt /tmp/ci_serve_golden_16.txt
 grep -q '"serve.compiled":5,' /tmp/ci_serve_golden_1.txt
-if grep -q 'serve.fallbacks' /tmp/ci_serve_golden_1.txt; then
-    echo "the golden batch fell back to the per-unit pipeline" >&2
-    exit 1
-fi
+test "$(head -n 1 /tmp/ci_serve_golden_1.txt | grep -o '"status":"ok"' | wc -l)" -eq 5 ||
+    { echo "a golden unit was not answered ok" >&2; exit 1; }
 # The analysis fact export must be schema-tagged and byte-deterministic.
 cargo run -q --release -p compiler --bin ccomp-o -- --analyze-json \
     crates/compiler/tests/golden/*.c > /tmp/ci_analyze_1.json

@@ -11,18 +11,22 @@
 //!   --check FN ARGS...   additionally check Thm 3.8 on the execution
 //!                        (with two files: Cor 3.9, separate compilation)
 //!   --validate           run the static validation layer (IR lints +
-//!                        per-pass translation validators); any finding is
-//!                        printed and the exit code is nonzero
-//!   --validate-json      like --validate, but findings are emitted as one
-//!                        JSON object per line
+//!                        per-pass translation validators); a unit with a
+//!                        finding is recompiled with the optional RTL
+//!                        optimizations skipped and reported on stderr,
+//!                        naming its first finding, as degraded (or as a
+//!                        `validate` failure if the finding persists), and
+//!                        the exit code is nonzero; a clean run prints
+//!                        `static validation: clean`
+//!   --validate-json      like --validate, without the clean line
 //!   --analyze-json       emit the abstract-interpretation facts driving
 //!                        the Vprop/Ndce passes (per-function value facts
 //!                        and neededness sets) as a deterministic
 //!                        `compcerto-analysis/1` JSON document
-//!   --jobs N             compile translation units on N worker threads
-//!                        (`auto`/`0` = all hardware threads, the default;
-//!                        `1` = today's exact serial pipeline; output is
-//!                        byte-identical for every setting)
+//!   --jobs N             compile on N worker threads, one pool item per
+//!                        function (`auto`/`0` = all hardware threads, the
+//!                        default; `1` = the exact serial pipeline; output
+//!                        is byte-identical for every setting)
 //!   --metrics            print the observability report (deterministic
 //!                        counters first, wall-clock spans after) as text
 //!   --metrics-json       like --metrics, but as a `compcerto-obs/1` JSON

@@ -62,10 +62,11 @@ use compcerto_gen::{generate, reduce, GProgram, GenCfg, ReduceStats};
 use mem::{Chunk, Mem, Val};
 use rtl::{RtlProgram, RtlSem};
 
-use crate::driver::{compile_all, compile_program, CompiledUnit, CompilerOptions};
+use crate::driver::{compile_all, compile_typed_jobs, CompiledUnit, CompilerOptions};
 use crate::extlib::ExtLib;
 use crate::faultinj::{mutate, MutationClass, MUTATION_CLASSES};
 use crate::harness::{check_thm35_budgeted, check_thm38_budgeted, try_c_query};
+use crate::par::Jobs;
 
 /// The stages the oracle compares, in pipeline order. `"clight"` is the
 /// baseline every other stage is compared against.
@@ -1023,8 +1024,10 @@ struct WholeProgram {
 
 fn build_whole(linked: &clight::Program, opts: CompilerOptions) -> Result<WholeProgram, String> {
     let symtab = build_symtab(&[linked]).map_err(|e| format!("whole-program symtab: {e}"))?;
-    let unit = compile_program(linked, &symtab, opts)
-        .map_err(|e| format!("whole-program compile: {e}"))?;
+    let unit = compile_typed_jobs(std::slice::from_ref(linked), &symtab, opts, Jobs::N(1))
+        .map_err(|e| format!("whole-program compile: {e}"))?
+        .pop()
+        .ok_or("whole-program compile: no unit")?;
     let lib = ExtLib::demo(symtab.clone());
     Ok(WholeProgram { unit, symtab, lib })
 }

@@ -17,6 +17,7 @@ use rtl::{
 };
 
 use crate::par::{self, Jobs};
+use crate::resilience::{contained, Fault};
 
 /// Options controlling the optional optimization passes (paper Table 3 marks
 /// them with †; the final convention `C` is insensitive to them, §3.4).
@@ -187,27 +188,14 @@ pub struct CompiledUnit {
     pub metrics: Option<crate::obs::UnitMetrics>,
 }
 
-/// The shared front-end prefix of [`compile_unit`] and [`compile_all`]:
-/// parse and type-check one translation unit.
+/// The front end every compile path shares: parse and type-check one
+/// translation unit.
 ///
 /// # Errors
 /// Reports lexing/parsing and type-checking failures.
 pub fn front_end(src: &str) -> Result<clight::Program, CompileError> {
     let parsed = parse(src).map_err(CompileError::Parse)?;
     typecheck(&parsed).map_err(CompileError::Type)
-}
-
-/// Compile one translation unit against a given symbol table.
-///
-/// # Errors
-/// Any front-end or back-end failure is reported as a [`CompileError`].
-pub fn compile_unit(
-    src: &str,
-    symtab: &SymbolTable,
-    opts: CompilerOptions,
-) -> Result<CompiledUnit, CompileError> {
-    let typed = front_end(src)?;
-    compile_program(&typed, symtab, opts)
 }
 
 /// Run one pass, recording its wall-clock span when metrics are on.
@@ -355,8 +343,8 @@ pub fn unit_prefix(
 }
 
 /// One function's back end: every per-function artifact from `Renumber`
-/// through `Asmgen`, carried as singleton programs so [`assemble_unit`]
-/// can reassemble the unit by concatenating functions in input order.
+/// through `Asmgen`, carried as singleton programs so the unit can be
+/// reassembled by concatenating functions in input order.
 #[derive(Debug)]
 pub struct FnBack {
     vprop_in: RtlProgram,
@@ -552,7 +540,7 @@ type Checked = (
 );
 
 /// The validation phase of one merged unit. It only reads the unit, so
-/// [`compile_typed_jobs`] can run it on the pool.
+/// [`compile_units`] can run it on the pool.
 fn check_unit(unit: &CompiledUnit, symtab: &SymbolTable, opts: CompilerOptions) -> Checked {
     let snap = opts.metrics.then(crate::obs::ObsSnapshot::take);
     let mut pass_ms: Vec<(&'static str, f64)> = Vec::new();
@@ -580,49 +568,6 @@ fn finish_unit(unit: &mut CompiledUnit, (diags, delta, pass_ms): Checked) {
     }
 }
 
-/// Reassemble one unit from its prefix and per-function artifacts, then
-/// validate and finalize its metrics. The serial composition
-/// `unit_prefix` → [`fn_back_end`]* → `assemble_unit` is [`compile_program`].
-pub fn assemble_unit(
-    typed: &clight::Program,
-    symtab: &SymbolTable,
-    opts: CompilerOptions,
-    prefix: UnitPrefix,
-    backs: Vec<FnBack>,
-) -> CompiledUnit {
-    let mut unit = merge_unit(typed, opts, prefix, backs);
-    let checked = check_unit(&unit, symtab, opts);
-    finish_unit(&mut unit, checked);
-    unit
-}
-
-/// Compile an already-typed program against a given symbol table.
-///
-/// This is the serial composition of the decomposed pipeline: the
-/// cross-function prefix, each function's back end in order on this
-/// thread, then reassembly + validation — byte-identical artifacts,
-/// diagnostics and counter totals to the parallel scheduler's.
-///
-/// # Errors
-/// See [`compile_unit`].
-pub fn compile_program(
-    typed: &clight::Program,
-    symtab: &SymbolTable,
-    opts: CompilerOptions,
-) -> Result<CompiledUnit, CompileError> {
-    let prefix = unit_prefix(typed, symtab, opts)?;
-    let mut backs = Vec::with_capacity(prefix.rtl_pre.functions.len());
-    for f in &prefix.rtl_pre.functions {
-        backs.push(fn_back_end(
-            f,
-            &prefix.rtl_pre.externs,
-            &prefix.romem,
-            opts,
-        )?);
-    }
-    Ok(assemble_unit(typed, symtab, opts, prefix, backs))
-}
-
 /// One-stop compilation of a set of sources sharing a symbol table: parses
 /// and type-checks all units, builds the shared table (paper App. A.3), and
 /// compiles each unit against it.
@@ -632,7 +577,7 @@ pub fn compile_program(
 /// [`compile_all_jobs`]).
 ///
 /// # Errors
-/// See [`compile_unit`].
+/// See [`compile_all_jobs`].
 pub fn compile_all(
     sources: &[&str],
     opts: CompilerOptions,
@@ -658,8 +603,8 @@ pub fn compile_all(
 /// assert this equivalence.
 ///
 /// # Errors
-/// See [`compile_unit`]; with several failing units the reported error is
-/// the one the serial loop would have hit first.
+/// Any front-end, link or back-end failure; with several failing units the
+/// reported error is the one the serial loop would have hit first.
 pub fn compile_all_jobs(
     sources: &[&str],
     opts: CompilerOptions,
@@ -675,20 +620,11 @@ pub fn compile_all_jobs(
 }
 
 /// The post-barrier half of [`compile_all_jobs`]: compile already
-/// type-checked units against a symbol table built elsewhere. The serve
-/// cache ([`crate::serve`]) uses this to push only its cache *misses*
-/// through the function-level scheduler while the shared table still spans
-/// every unit of the batch — per-unit artifacts and metrics are invariant
-/// to which other units happened to hit.
-///
-/// One pool runs every unit's prefix and every function's back end. Its
-/// items are the `(unit, function)` pairs in serial order (`unit_prefix`
-/// maps `t.functions` one to one and in order, so the list is known before
-/// any prefix runs); a unit with no functions gets one item for its prefix.
-/// Each unit's [`UnitPrefix`] sits in a `OnceLock` that the first of its
-/// items to start fills, and the items are claimed function-major (every
-/// unit's function 0 first) so the prefixes start in parallel. Results and
-/// the first error come back in serial `(unit, function)` order.
+/// type-checked units against a symbol table built elsewhere, as a fold
+/// over the contained pool's per-unit results (`compile_units`). A unit
+/// that panicked is compiled once more (as the pool retries an item), and
+/// a second panic unwinds; otherwise the units come back in order, or the
+/// first error in serial order.
 ///
 /// # Errors
 /// See [`compile_all_jobs`]: the serial pipeline's first error.
@@ -698,7 +634,57 @@ pub fn compile_typed_jobs(
     opts: CompilerOptions,
     jobs: Jobs,
 ) -> Result<Vec<CompiledUnit>, CompileError> {
-    let prefixes: Vec<OnceLock<Result<UnitPrefix, CompileError>>> =
+    let refs: Vec<&clight::Program> = typed.iter().collect();
+    let mut units = Vec::with_capacity(typed.len());
+    for (u, r) in compile_units(&refs, symtab, opts, jobs)
+        .into_iter()
+        .enumerate()
+    {
+        let r = match r {
+            Err(Fault::Panic(pass, msg)) => compile_units(&refs[u..=u], symtab, opts, jobs)
+                .pop()
+                .unwrap_or(Err(Fault::Panic(pass, msg))),
+            r => r,
+        };
+        match r {
+            Ok(unit) => units.push(unit),
+            Err(Fault::Error(e)) => return Err(e),
+            Err(Fault::Panic(pass, msg)) => {
+                eprintln!("driver: unit {u} panicked twice in `{pass}` (not healable): {msg}");
+                std::panic::resume_unwind(Box::new(msg))
+            }
+        }
+    }
+    Ok(units)
+}
+
+/// The one compile of already-typed units against a shared symbol table:
+/// every unit's prefix and every function's back end on one pool, then
+/// each unit's validation, each step contained. Every unit gets its own
+/// result or its first failure in serial order (its prefix, its functions
+/// in order, its validation), and a panic is a [`Fault::Panic`] naming its
+/// pass, never an unwind. The serve cache pushes its misses through here
+/// (via [`crate::resilience::compile_typed_resilient`]) while the table
+/// still spans every unit of the batch, so per-unit artifacts and metrics
+/// do not depend on which other units hit.
+///
+/// The pool's items are the `(unit, function)` pairs in serial order
+/// (`unit_prefix` maps `t.functions` one to one and in order, so the list
+/// is known before any prefix runs); a unit with no functions gets one
+/// item for its prefix. Each unit's [`UnitPrefix`] sits in a `OnceLock`
+/// that the first of its items to start fills, and the items are claimed
+/// function-major (every unit's function 0 first) so the prefixes start in
+/// parallel.
+pub(crate) fn compile_units(
+    typed: &[&clight::Program],
+    symtab: &SymbolTable,
+    opts: CompilerOptions,
+    jobs: Jobs,
+) -> Vec<Result<CompiledUnit, Fault>> {
+    if typed.is_empty() {
+        return Vec::new();
+    }
+    let prefixes: Vec<OnceLock<Result<UnitPrefix, Fault>>> =
         typed.iter().map(|_| OnceLock::new()).collect();
     let items: Vec<(usize, usize)> = typed
         .iter()
@@ -708,38 +694,51 @@ pub fn compile_typed_jobs(
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&k| (items[k].1, items[k].0));
     let backs = par::par_map_claimed(jobs, &items, Some(&order), |_, &(u, f)| {
-        let prefix = prefixes[u].get_or_init(|| unit_prefix(&typed[u], symtab, opts));
+        let prefix = prefixes[u].get_or_init(|| contained(|| unit_prefix(typed[u], symtab, opts)));
         let p = prefix.as_ref().ok()?;
         let func = p.rtl_pre.functions.get(f)?;
-        Some(fn_back_end(func, &p.rtl_pre.externs, &p.romem, opts))
+        Some(contained(|| {
+            fn_back_end(func, &p.rtl_pre.externs, &p.romem, opts)
+        }))
     });
-    // Regroup per unit, surfacing the first error in serial order: a
-    // unit's prefix, then its functions in order. (Every prefix is filled,
-    // since each unit has an item.)
+    // Regroup per unit, keeping its first failure in serial order: the
+    // prefix, then its functions in order. (Every prefix is filled, since
+    // each unit has an item.)
     let mut pooled = backs.into_iter();
-    let mut units: Vec<CompiledUnit> = Vec::with_capacity(typed.len());
-    for (t, prefix) in typed.iter().zip(prefixes) {
-        let mine: Vec<_> = pooled.by_ref().take(t.functions.len().max(1)).collect();
-        let p = prefix
-            .into_inner()
-            .unwrap_or_else(|| unit_prefix(t, symtab, opts))?;
-        let fns = mine
-            .into_iter()
-            .flatten()
-            .collect::<Result<Vec<FnBack>, _>>()?;
-        units.push(merge_unit(t, opts, p, fns));
-    }
+    let merged: Vec<Result<CompiledUnit, Fault>> = typed
+        .iter()
+        .zip(prefixes)
+        .map(|(t, prefix)| {
+            let mine: Vec<_> = pooled.by_ref().take(t.functions.len().max(1)).collect();
+            let p = prefix
+                .into_inner()
+                .unwrap_or_else(|| contained(|| unit_prefix(t, symtab, opts)))?;
+            let fns = mine.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
+            Ok(merge_unit(t, opts, p, fns))
+        })
+        .collect();
     // Validation fans back out per unit; metrics-only finalization is a
     // few counter adds and runs inline.
-    let checked: Vec<Checked> = if opts.validate {
-        par::par_map(jobs, &units, |_, u| check_unit(u, symtab, opts))
-    } else {
-        units.iter().map(|u| check_unit(u, symtab, opts)).collect()
+    let check = |u: &Result<CompiledUnit, Fault>| {
+        let u = u.as_ref().ok()?;
+        Some(contained(|| Ok(check_unit(u, symtab, opts))))
     };
-    for (u, c) in units.iter_mut().zip(checked) {
-        finish_unit(u, c);
-    }
-    Ok(units)
+    let checked: Vec<_> = if opts.validate {
+        par::par_map(jobs, &merged, |_, u| check(u))
+    } else {
+        merged.iter().map(check).collect()
+    };
+    merged
+        .into_iter()
+        .zip(checked)
+        .map(|(u, c)| {
+            let mut u = u?;
+            if let Some(c) = c {
+                finish_unit(&mut u, c?);
+            }
+            Ok(u)
+        })
+        .collect()
 }
 
 impl CompiledUnit {

@@ -41,8 +41,7 @@ pub use difftest::{
     STAGES,
 };
 pub use driver::{
-    compile_all, compile_all_jobs, compile_unit, front_end, CompileError, CompiledUnit,
-    CompilerOptions,
+    compile_all, compile_all_jobs, front_end, CompileError, CompiledUnit, CompilerOptions,
 };
 pub use extlib::ExtLib;
 pub use faultinj::{

@@ -2,10 +2,10 @@
 //!
 //! The strict pipeline ([`crate::driver::compile_all_jobs`]) has serial
 //! error semantics: the first failing unit aborts the batch. That is the
-//! right contract for a one-shot CLI, and exactly the wrong one for the
-//! long-lived compile service of ROADMAP item 1, where one poisoned unit
-//! must never take the batch (or the process) down. This module provides
-//! the resilient alternative:
+//! right contract for a campaign that wants one verdict, and exactly the
+//! wrong one for the CLI and the long-lived compile server, where one
+//! poisoned unit must never take the batch (or the process) down. This
+//! module provides the resilient alternative, on the same contained pool:
 //!
 //! * [`contain`] / [`contain_unwind`] — the crate's single `catch_unwind`
 //!   wrapper. It installs (once) a panic hook that *suppresses* the default
@@ -17,16 +17,18 @@
 //!   (compiled, but only after the degradation ladder stepped in),
 //!   `Failed` (a typed [`CompileError`] rendered per stage), `Poisoned`
 //!   (a contained panic, attributed to the pass that was running).
-//! * the **degradation ladder** — a panic inside an *optional* RTL
-//!   optimization pass, or a validator rejection, triggers exactly one
-//!   retry of the unit with RTL-opt disabled; success downgrades the unit
-//!   to [`UnitOutcome::Degraded`] with a structured diagnostic instead of
+//! * [`compile_typed_resilient`] — the **degradation ladder** over the
+//!   driver's contained pool: a panic inside an *optional* RTL
+//!   optimization pass, or a validator finding, triggers exactly one retry
+//!   of those units with RTL-opt disabled; success downgrades the unit to
+//!   [`UnitOutcome::Degraded`] with a structured diagnostic instead of
 //!   losing it. (The unoptimized pipeline compiles the same semantics — the
 //!   difftest oracle accepts degraded units, see
 //!   `compiler/tests/resilience.rs`.)
-//! * [`compile_all_resilient`] — batch compilation where every unit gets an
-//!   outcome, in input order, deterministically, no matter what any single
-//!   unit does.
+//! * [`compile_all_resilient`] — batch compilation from source, where
+//!   every unit gets an outcome, in input order, deterministically, no
+//!   matter what any single unit does. `ccomp-o` and the compile server's
+//!   misses both go through it or through [`compile_typed_resilient`].
 //!
 //! Pass attribution works through [`pass_boundary`]: the driver calls it at
 //! the start of every pass, recording the pass name in a thread-local. When
@@ -41,7 +43,7 @@ use std::sync::Once;
 
 use compcerto_core::symtab::SymbolTable;
 
-use crate::driver::{front_end, CompileError, CompiledUnit, CompilerOptions};
+use crate::driver::{compile_units, front_end, CompileError, CompiledUnit, CompilerOptions};
 use crate::par::{self, Jobs};
 
 // ---------------------------------------------------------------------------
@@ -210,26 +212,64 @@ impl UnitOutcome {
     }
 }
 
-fn stage_of(e: &CompileError) -> &'static str {
-    match e {
+fn failed(e: &CompileError) -> UnitOutcome {
+    let stage = match e {
         CompileError::Parse(_) => "parse",
         CompileError::Type(_) => "typecheck",
         CompileError::Link(_) => "link",
         CompileError::Cshmgen(_) => "cshmgen",
         CompileError::Cminorgen(_) => "cminorgen",
         CompileError::Stacking(_) => "stacking",
-    }
-}
-
-fn failed(e: &CompileError) -> UnitOutcome {
+    };
     UnitOutcome::Failed {
-        stage: stage_of(e),
+        stage,
         error: e.to_string(),
     }
 }
 
+/// What stopped a unit on the contained pool: a typed pipeline error, or a
+/// contained panic with the pass it unwound from and its message.
+pub(crate) enum Fault {
+    Error(CompileError),
+    Panic(&'static str, String),
+}
+
+impl Fault {
+    /// The outcome of a unit the ladder does not retry.
+    fn outcome(self) -> UnitOutcome {
+        match self {
+            Fault::Error(e) => failed(&e),
+            Fault::Panic(pass, panic_msg) => UnitOutcome::Poisoned {
+                pass: pass.to_string(),
+                panic_msg,
+            },
+        }
+    }
+}
+
+/// Run one step of a unit's compile under [`contain`]: a panic becomes a
+/// [`Fault::Panic`] attributed to the pass [`pass_boundary`] recorded last.
+pub(crate) fn contained<T>(f: impl FnOnce() -> Result<T, CompileError>) -> Result<T, Fault> {
+    match contain(f) {
+        Ok(r) => r.map_err(Fault::Error),
+        Err(msg) => Err(Fault::Panic(current_pass(), msg)),
+    }
+}
+
+/// The contained front end: parse and type-check each source on the pool,
+/// one contained item per unit, so a unit that fails or panics gets its
+/// own fault, not an abort.
+pub(crate) fn front_ends(jobs: Jobs, sources: &[&str]) -> Vec<Result<clight::Program, Fault>> {
+    par::par_map(jobs, sources, |_, src| {
+        contained(|| {
+            pass_boundary("front-end");
+            front_end(src)
+        })
+    })
+}
+
 /// The optional RTL optimization passes — the tier the degradation ladder
-/// disables on retry. Must match the driver's `CompilerOptions` flags.
+/// disables on retry (`CompilerOptions::none`'s flags).
 const OPTIONAL_OPT_PASSES: [&str; 7] = [
     "tailcall",
     "inlining",
@@ -240,105 +280,72 @@ const OPTIONAL_OPT_PASSES: [&str; 7] = [
     "ndce",
 ];
 
-fn without_rtl_opt(opts: CompilerOptions) -> CompilerOptions {
-    CompilerOptions {
-        tailcall: false,
-        inlining: false,
-        constprop: false,
-        cse: false,
-        deadcode: false,
-        vprop: false,
-        ndce: false,
-        ..opts
-    }
-}
-
-/// Compile one already-typed unit with panic isolation and the degradation
-/// ladder. Never panics, never aborts: every input maps to exactly one
-/// [`UnitOutcome`].
-pub fn compile_program_isolated(
-    typed: &clight::Program,
+/// Compile already-typed units against `symtab` on the driver's contained
+/// pool and apply the degradation ladder to exactly the units that need
+/// it: a panic in an optional RTL pass, or a validator finding, retries
+/// those units once, together, with RTL-opt disabled, on the same pool.
+/// A clean retry degrades the unit; anything else is final. Never panics,
+/// never aborts: every unit maps to exactly one [`UnitOutcome`], in input
+/// order, at every pool width.
+pub fn compile_typed_resilient(
+    typed: &[&clight::Program],
     symtab: &SymbolTable,
     opts: CompilerOptions,
-) -> UnitOutcome {
-    pass_boundary("front-end");
-    match contain(|| crate::driver::compile_program(typed, symtab, opts)) {
-        Ok(Ok(unit)) => {
-            if opts.validate && !unit.diagnostics.is_empty() {
-                // Validator rejection: step down the ladder.
-                let detail = unit.diagnostics[0].to_string();
-                retry_degraded(
-                    typed,
-                    symtab,
-                    opts,
-                    "validate",
-                    DegradeReason::ValidatorRejected,
-                    detail,
-                )
-            } else {
-                UnitOutcome::Ok(Box::new(unit))
-            }
-        }
-        Ok(Err(e)) => failed(&e),
-        Err(panic_msg) => {
-            let pass = current_pass();
-            if OPTIONAL_OPT_PASSES.contains(&pass) {
-                retry_degraded(
-                    typed,
-                    symtab,
-                    opts,
-                    pass,
-                    DegradeReason::OptimizerPanic,
-                    panic_msg,
-                )
-            } else {
-                UnitOutcome::Poisoned {
-                    pass: pass.to_string(),
-                    panic_msg,
+    jobs: Jobs,
+) -> Vec<UnitOutcome> {
+    // First rung: each unit's outcome, or why it steps down the ladder.
+    let first: Vec<Result<UnitOutcome, (&'static str, DegradeReason, String)>> =
+        compile_units(typed, symtab, opts, jobs)
+            .into_iter()
+            .map(|r| match r {
+                Ok(unit) => match unit.diagnostics.first() {
+                    Some(d) => Err(("validate", DegradeReason::ValidatorRejected, d.to_string())),
+                    None => Ok(UnitOutcome::Ok(Box::new(unit))),
+                },
+                Err(Fault::Panic(pass, msg)) if OPTIONAL_OPT_PASSES.contains(&pass) => {
+                    Err((pass, DegradeReason::OptimizerPanic, msg))
                 }
-            }
-        }
-    }
-}
-
-/// The second rung of the ladder: one retry with the optional RTL
-/// optimizations disabled. Success degrades the unit; anything else is
-/// final.
-fn retry_degraded(
-    typed: &clight::Program,
-    symtab: &SymbolTable,
-    opts: CompilerOptions,
-    pass: &str,
-    reason: DegradeReason,
-    detail: String,
-) -> UnitOutcome {
-    let fallback = without_rtl_opt(opts);
-    pass_boundary("front-end");
-    match contain(|| crate::driver::compile_program(typed, symtab, fallback)) {
-        Ok(Ok(unit)) => {
-            if fallback.validate && !unit.diagnostics.is_empty() {
-                UnitOutcome::Failed {
-                    stage: "validate",
-                    error: format!(
-                        "validator rejected the unit even with RTL-opt disabled: {}",
-                        unit.diagnostics[0]
-                    ),
-                }
-            } else {
-                UnitOutcome::Degraded {
-                    unit: Box::new(unit),
-                    pass: pass.to_string(),
-                    reason,
-                    detail,
-                }
-            }
-        }
-        Ok(Err(e)) => failed(&e),
-        Err(panic_msg) => UnitOutcome::Poisoned {
-            pass: current_pass().to_string(),
-            panic_msg,
-        },
-    }
+                Err(f) => Ok(f.outcome()),
+            })
+            .collect();
+    // Second rung: one retry of those units with RTL-opt disabled.
+    let again: Vec<&clight::Program> = typed
+        .iter()
+        .zip(&first)
+        .filter_map(|(t, r)| r.is_err().then_some(*t))
+        .collect();
+    let fallback = CompilerOptions {
+        validate: opts.validate,
+        metrics: opts.metrics,
+        ..CompilerOptions::none()
+    };
+    let mut retried = compile_units(&again, symtab, fallback, jobs).into_iter();
+    first
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|(pass, reason, detail)| match retried.next() {
+                Some(Ok(unit)) => match unit.diagnostics.first() {
+                    Some(d) => UnitOutcome::Failed {
+                        stage: "validate",
+                        error: format!(
+                            "validator rejected the unit even with RTL-opt disabled: {d}"
+                        ),
+                    },
+                    None => UnitOutcome::Degraded {
+                        unit: Box::new(unit),
+                        pass: pass.to_string(),
+                        reason,
+                        detail,
+                    },
+                },
+                Some(Err(f)) => f.outcome(),
+                None => UnitOutcome::Failed {
+                    stage: "internal",
+                    error: "missing retry outcome".to_string(),
+                },
+            })
+        })
+        .collect()
 }
 
 /// The result of a resilient batch compilation.
@@ -352,41 +359,20 @@ pub struct ResilientBatch {
     pub symtab: Option<SymbolTable>,
 }
 
-impl ResilientBatch {
-    /// Count of outcomes with the given label.
-    #[must_use]
-    pub fn count(&self, label: &str) -> usize {
-        self.outcomes.iter().filter(|o| o.label() == label).count()
-    }
-}
-
-/// Batch compilation that never gives up on the batch: each unit's front
-/// end and back end run under [`contain`], the symbol table is built from
-/// whatever parsed, and every unit gets a deterministic [`UnitOutcome`].
+/// Batch compilation that never gives up on the batch: the contained
+/// front end, the symbol table built from whatever parsed, then
+/// [`compile_typed_resilient`] — every unit gets a deterministic
+/// [`UnitOutcome`].
 ///
-/// This is the entry point the CLI (and, later, the `serve` daemon) uses;
-/// campaigns that *want* strict first-error semantics keep calling
+/// This is the entry point `ccomp-o FILE.c` uses; campaigns that *want*
+/// strict first-error semantics keep calling
 /// [`crate::driver::compile_all_jobs`].
 pub fn compile_all_resilient(
     sources: &[&str],
     opts: CompilerOptions,
     jobs: Jobs,
 ) -> ResilientBatch {
-    // Front-end fan-out, isolated per unit: a panicking or failing unit
-    // parses to an outcome, not an abort.
-    let fronts: Vec<Result<clight::Program, UnitOutcome>> =
-        par::par_map(jobs, sources, |_, src| {
-            pass_boundary("front-end");
-            match contain(|| front_end(src)) {
-                Ok(Ok(typed)) => Ok(typed),
-                Ok(Err(e)) => Err(failed(&e)),
-                Err(panic_msg) => Err(UnitOutcome::Poisoned {
-                    pass: current_pass().to_string(),
-                    panic_msg,
-                }),
-            }
-        });
-
+    let fronts = front_ends(jobs, sources);
     // Shared barrier: the symbol table spans every unit that parsed.
     let parsed: Vec<&clight::Program> = fronts.iter().filter_map(|r| r.as_ref().ok()).collect();
     let symtab = match clight::build_symtab(&parsed) {
@@ -400,7 +386,7 @@ pub fn compile_all_resilient(
                 .into_iter()
                 .map(|r| match r {
                     Ok(_) => failed(&link_err),
-                    Err(o) => o,
+                    Err(f) => f.outcome(),
                 })
                 .collect();
             return ResilientBatch {
@@ -409,25 +395,18 @@ pub fn compile_all_resilient(
             };
         }
     };
-
-    // Back-end fan-out, isolated per unit, against the shared table. Units
-    // whose front end already produced an outcome keep it verbatim.
-    let backs: Vec<Option<UnitOutcome>> = par::par_map(jobs, &fronts, |_, front| match front {
-        Ok(typed) => Some(compile_program_isolated(typed, &symtab, opts)),
-        Err(_) => None,
-    });
+    // Units whose front end already failed keep that outcome.
+    let mut backs = compile_typed_resilient(&parsed, &symtab, opts, jobs).into_iter();
     let outcomes = fronts
         .into_iter()
-        .zip(backs)
-        .map(|(front, back)| match front {
-            Err(o) => o,
-            Ok(_) => back.unwrap_or(UnitOutcome::Failed {
+        .map(|front| match front {
+            Err(f) => f.outcome(),
+            Ok(_) => backs.next().unwrap_or(UnitOutcome::Failed {
                 stage: "internal",
                 error: "missing back-end outcome".to_string(),
             }),
         })
         .collect();
-
     ResilientBatch {
         outcomes,
         symtab: Some(symtab),

@@ -52,17 +52,17 @@
 //! # Scheduling
 //!
 //! The front ends of the units the memo lacks fan out on the worker pool
-//! ([`par_map`], one contained item per unit, as in
-//! [`crate::driver::compile_all_jobs`]). The symbol table is linked from
-//! the remembered and the fresh interfaces. Cache lookups then run serially
-//! in batch order (so hit/miss counters are `--jobs`-invariant). A
-//! remembered unit that misses is front-ended again on the pool, and the
-//! misses' typed programs go through the function-level scheduler
-//! ([`crate::driver::compile_typed_jobs`]): the Clight→RTL prefix per unit
-//! → per-function back ends → reassembly and validation. A unit that fails
-//! or panics degrades *its own* response through the resilience ladder
-//! ([`crate::resilience`]); the server and the rest of the batch keep
-//! going.
+//! through the contained front end `ccomp-o FILE.c` uses (one contained
+//! item per unit). The symbol table is linked from the remembered and the
+//! fresh interfaces. Cache lookups then run serially in batch order (so
+//! hit/miss counters are `--jobs`-invariant). A remembered unit that misses
+//! is front-ended again on the pool, and the misses' typed programs go
+//! through [`crate::resilience::compile_typed_resilient`]: the
+//! function-level scheduler's contained pool (the Clight→RTL prefix per
+//! unit → per-function back ends → reassembly and validation) under the
+//! degradation ladder. A unit that fails, panics or degrades answers *its
+//! own* response that way, uncached; the server and the rest of the batch
+//! keep going.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -70,11 +70,11 @@ use std::io::{BufRead, Write};
 use clight::build_symtab;
 use compcerto_core::symtab::SymbolTable;
 
-use crate::driver::{compile_typed_jobs, front_end, CompiledUnit, CompilerOptions};
+use crate::driver::{CompiledUnit, CompilerOptions};
 use crate::json::{self, Json};
 use crate::obs::Counters;
-use crate::par::{par_map, Jobs};
-use crate::resilience::{compile_program_isolated, contain_unwind, UnitOutcome};
+use crate::par::Jobs;
+use crate::resilience::{compile_typed_resilient, front_ends, Fault, UnitOutcome};
 
 /// Protocol schema stamped on every request and response frame.
 pub const SERVE_SCHEMA: &str = "compcerto-serve/1";
@@ -336,14 +336,14 @@ impl FrontMemo {
 enum Front {
     /// The memo remembers the unit's source: the slot of its interface.
     Remembered(usize),
-    /// Front-ended by this request (taken when the unit is compiled).
+    /// Front-ended by this request.
     Fresh(clight::Program),
     /// Unreadable, or its front end failed: the failure detail.
     Failed(String),
 }
 
-/// Front-end `sources[i]` on the pool for each `i` in `which`, each item
-/// contained (a parser panic fails its unit, not the batch), into
+/// Front-end `sources[i]` for each `i` in `which` through the contained
+/// front end (a parser panic fails its unit, not the batch), into
 /// `fronts[i]`. Nothing goes on the pool when `which` is empty.
 fn run_front_ends(
     jobs: Jobs,
@@ -351,21 +351,21 @@ fn run_front_ends(
     which: &[usize],
     fronts: &mut [Front],
 ) {
+    let which: Vec<(usize, &str)> = which
+        .iter()
+        .filter_map(|&i| Some((i, sources[i].as_deref().ok()?)))
+        .collect();
     if which.is_empty() {
         return;
     }
-    let typed = par_map(jobs, which, |_, &i| match &sources[i] {
-        Err(e) => Err(e.clone()),
-        Ok(src) => match contain_unwind(|| front_end(src)) {
-            Ok(Ok(p)) => Ok(p),
-            Ok(Err(e)) => Err(format!("front-end: {e}")),
-            Err((_, msg)) => Err(format!("front-end panicked (contained): {msg}")),
-        },
-    });
-    for (&i, t) in which.iter().zip(typed) {
+    let srcs: Vec<&str> = which.iter().map(|&(_, src)| src).collect();
+    for (&(i, _), t) in which.iter().zip(front_ends(jobs, &srcs)) {
         fronts[i] = match t {
             Ok(p) => Front::Fresh(p),
-            Err(detail) => Front::Failed(detail),
+            Err(Fault::Error(e)) => Front::Failed(format!("front-end: {e}")),
+            Err(Fault::Panic(_, msg)) => {
+                Front::Failed(format!("front-end panicked (contained): {msg}"))
+            }
         };
     }
 }
@@ -634,7 +634,7 @@ impl Server {
         self.stats.bump("serve.cache.evict", evictions);
 
         // A remembered unit that misses needs its typed program again: its
-        // front end runs on the pool. Fresh programs move into the compile.
+        // front end runs on the pool.
         let miss_idx: Vec<usize> = probes
             .iter()
             .enumerate()
@@ -649,38 +649,20 @@ impl Server {
         self.stats
             .bump("serve.front.reused", remembered - again_idx.len() as u64);
         run_front_ends(self.cfg.jobs, &sources, &again_idx, &mut fronts);
-        let mut compile_idx: Vec<usize> = Vec::with_capacity(miss_idx.len());
-        let mut miss_typed: Vec<clight::Program> = Vec::with_capacity(miss_idx.len());
-        for &i in &miss_idx {
-            if let Front::Fresh(p) = &mut fronts[i] {
-                compile_idx.push(i);
-                miss_typed.push(std::mem::take(p));
-            }
-        }
-        let mut outcomes: Vec<Option<UnitOutcome>> = (0..sources.len()).map(|_| None).collect();
+        // The misses that front-ended go through the ladder on the
+        // contained pool; each gets its own outcome, in batch order.
+        let miss_typed: Vec<&clight::Program> = miss_idx
+            .iter()
+            .filter_map(|&i| match &fronts[i] {
+                Front::Fresh(p) => Some(p),
+                _ => None,
+            })
+            .collect();
         if !miss_typed.is_empty() {
-            // Compile the misses through the function-level scheduler; if
-            // the fast path reports any error (or a pass panics out of the
-            // pool), fall back to the per-unit isolated pipeline so each
-            // miss gets its own degradation ladder.
             self.stats.bump("serve.compiled", miss_typed.len() as u64);
-            let fast = contain_unwind(|| {
-                compile_typed_jobs(&miss_typed, &symtab, self.cfg.opts, self.cfg.jobs)
-            });
-            match fast {
-                Ok(Ok(units)) => {
-                    for (&i, u) in compile_idx.iter().zip(units) {
-                        outcomes[i] = Some(UnitOutcome::Ok(Box::new(u)));
-                    }
-                }
-                Ok(Err(_)) | Err(_) => {
-                    self.stats.bump("serve.fallbacks", 1);
-                    for (&i, t) in compile_idx.iter().zip(&miss_typed) {
-                        outcomes[i] = Some(compile_program_isolated(t, &symtab, self.cfg.opts));
-                    }
-                }
-            }
         }
+        let mut compiled =
+            compile_typed_resilient(&miss_typed, &symtab, self.cfg.opts, self.cfg.jobs).into_iter();
 
         // Render per-unit responses; clean artifacts are written back to
         // the cache (atomically) as they are rendered.
@@ -695,7 +677,8 @@ impl Server {
                 match (&fronts[i], &probes[i]) {
                     (Front::Failed(detail), _) => unit_failed(i, cache_tag, detail),
                     (_, Some(Probe::Hit(payload))) => unit_frame(i, cache_tag, payload),
-                    (_, Some(_)) => match outcomes[i].take() {
+                    // Every other miss front-ended: the next compiled unit.
+                    (_, Some(_)) => match compiled.next() {
                         Some(UnitOutcome::Ok(unit)) => {
                             let payload = render_artifact(&unit, "ok", None);
                             if let Some(key) = &keys[i] {

@@ -8,13 +8,16 @@
 //! unit's prefix and every function's back end on one pool whose items are
 //! known before any prefix runs; the last three tests pin the invariant
 //! that list rests on, its error order past the front end, and units that
-//! define no function.
+//! define no function. The resilient compile (`ccomp-o FILE.c`, the
+//! server's misses) runs on the same pool, and the last two also pin that
+//! it gives the scheduler's units and errors at every width.
 
 use compcerto_gen::{generate, GenCfg};
 use compiler::driver::{compile_typed_jobs, unit_prefix};
+use compiler::resilience::compile_typed_resilient;
 use compiler::{
-    compile_all_jobs, front_end, run_campaign, CampaignCfg, CompiledUnit, CompilerOptions, Jobs,
-    StagePrograms, WorkloadCfg, WorkloadGen,
+    compile_all_jobs, compile_all_resilient, front_end, run_campaign, CampaignCfg, CompiledUnit,
+    CompilerOptions, Jobs, StagePrograms, UnitOutcome, WorkloadCfg, WorkloadGen,
 };
 
 /// Pretty-print every Asm-O function of every unit, in unit order.
@@ -226,7 +229,9 @@ fn unit_prefix_keeps_every_function_in_order() {
 /// Two units that fail past the front end (hand-built: a negation at
 /// `void` passes no type checker, and Cshmgen rejects it in the unit's
 /// prefix) report the jobs-1 error at every pool width, although the pool
-/// claims both prefixes at once.
+/// claims both prefixes at once. The resilient compile gives each unit its
+/// own outcome: the two clean units compile as they do alone, and each
+/// failing one fails with its own serial error, at every width.
 #[test]
 fn errors_past_the_front_end_are_jobs_invariant() {
     let srcs = [
@@ -259,6 +264,42 @@ fn errors_past_the_front_end_are_jobs_invariant() {
                 assert_eq!(format!("{e:?}"), format!("{serial:?}"), "jobs={jobs}");
             }
         }
+        let clean = compile_typed_jobs(
+            &[typed[0].clone(), typed[3].clone()],
+            &symtab,
+            opts,
+            Jobs::N(1),
+        )
+        .expect("units 0 and 3 compile");
+        let fails = |u: usize| {
+            compile_typed_jobs(&typed[u..=u], &symtab, opts, Jobs::N(1))
+                .expect_err("must fail")
+                .to_string()
+        };
+        assert_eq!(fails(1), serial.to_string());
+        let want = vec![
+            format!("ok {}", fingerprint(&clean[0])),
+            format!("failed at cshmgen: {}", fails(1)),
+            format!("failed at cshmgen: {}", fails(2)),
+            format!("ok {}", fingerprint(&clean[1])),
+        ];
+        let refs: Vec<&clight::Program> = typed.iter().collect();
+        for jobs in [1, 2, 4, 16] {
+            let got: Vec<String> = compile_typed_resilient(&refs, &symtab, opts, Jobs::N(jobs))
+                .iter()
+                .map(render)
+                .collect();
+            assert_eq!(got, want, "jobs={jobs}");
+        }
+    }
+}
+
+/// A resilient outcome: a clean unit's fingerprint, or its failure.
+fn render(o: &UnitOutcome) -> String {
+    match o {
+        UnitOutcome::Ok(u) => format!("ok {}", fingerprint(u)),
+        UnitOutcome::Failed { stage, error } => format!("failed at {stage}: {error}"),
+        o => format!("unexpected {}", o.label()),
     }
 }
 
@@ -281,7 +322,9 @@ fn fingerprint(u: &CompiledUnit) -> String {
 }
 
 /// A unit that defines no function still gets one item (for its prefix)
-/// and compiles identically at every pool width.
+/// and compiles identically at every pool width, and `ccomp-o`'s resilient
+/// compile gives every unit the scheduler's artifacts, findings and
+/// counters.
 #[test]
 fn units_without_functions_compile_identically() {
     let srcs = [
@@ -298,9 +341,17 @@ fn units_without_functions_compile_identically() {
             let (units, _) = compile_all_jobs(&srcs, opts, jobs).expect("compiles");
             units.iter().map(fingerprint).collect::<Vec<_>>()
         };
+        let resilient = |jobs| {
+            let batch = compile_all_resilient(&srcs, opts, jobs);
+            batch.outcomes.iter().map(render).collect::<Vec<_>>()
+        };
         let serial = compile(Jobs::N(1));
         assert_eq!(serial.len(), 4);
-        assert_eq!(serial, compile(Jobs::N(16)));
-        assert_eq!(serial, compile(Jobs::N(3)));
+        for jobs in [1, 3, 16] {
+            let units = compile(Jobs::N(jobs));
+            assert_eq!(serial, units, "jobs={jobs}");
+            let want: Vec<String> = units.iter().map(|f| format!("ok {f}")).collect();
+            assert_eq!(want, resilient(Jobs::N(jobs)), "jobs={jobs}");
+        }
     }
 }

@@ -107,6 +107,56 @@ fn ladder_outcomes_are_reproducible() {
     assert_eq!(first.as_deref(), Some("degraded:cse:optimizer-panic"));
 }
 
+/// The server's misses run the same ladder as the CLI: a one-shot
+/// `constprop` panic answers `degraded` and is not cached (the same request
+/// misses again and answers `ok`), and a `stacking` panic fails only its
+/// own unit.
+#[test]
+fn the_server_answers_the_ladder_outcome() {
+    let dir = std::env::temp_dir().join(format!("ccomp-resilience-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Jobs::N(1): every miss compiles on this thread, where the pass panic
+    // is armed.
+    let mut server = compiler::Server::new(compiler::ServeConfig {
+        opts: CompilerOptions::validated().with_metrics(),
+        jobs: Jobs::N(1),
+        cache_dir: dir.to_string_lossy().into_owned(),
+    })
+    .expect("server starts");
+    let request = |srcs: &[&str]| {
+        let units: Vec<String> = srcs
+            .iter()
+            .map(|s| format!("{{\"source\":\"{}\"}}", compiler::json::escape(s)))
+            .collect();
+        format!(
+            "{{\"schema\":\"compcerto-serve/1\",\"op\":\"compile\",\"units\":[{}]}}",
+            units.join(",")
+        )
+    };
+
+    compiler::envfault::arm_pass_panic("constprop");
+    let first = server.handle_line(&request(&[SRC])).expect("response");
+    assert!(first.contains("\"status\":\"degraded\""), "{first}");
+    assert!(first.contains("optimizer-panic in `constprop`"), "{first}");
+    let again = server.handle_line(&request(&[SRC])).expect("response");
+    assert!(again.contains("\"cache\":\"miss\""), "{again}");
+    assert!(again.contains("\"status\":\"ok\""), "{again}");
+
+    compiler::envfault::arm_pass_panic("stacking");
+    let other = "int other(int z) { return z + 9; }";
+    let r = server
+        .handle_line(&request(&[SRC, other]))
+        .expect("response");
+    let unit1 = r.find("{\"unit\":1,").expect("unit 1 answered");
+    assert!(r[..unit1].contains("\"status\":\"failed\""), "{r}");
+    assert!(
+        r[..unit1].contains("internal panic in `stacking` (contained)"),
+        "{r}"
+    );
+    assert!(r[unit1..].contains("\"status\":\"ok\""), "{r}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An injected allocator exhaustion unwinds out of a semantic run and is
 /// contained; the outcome (which alloc died) is deterministic.
 #[test]

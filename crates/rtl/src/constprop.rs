@@ -15,7 +15,9 @@ pub fn constprop(prog: &RtlProgram, romem: &Romem) -> RtlProgram {
     prog.map_functions(|f| constprop_function(f, romem))
 }
 
-fn const_op(v: &Val) -> Option<RtlOp> {
+/// The constant operation that materializes `v`, when there is one (an
+/// `Int` or a `Long`); `Vprop` uses it too.
+pub(crate) fn const_op(v: &Val) -> Option<RtlOp> {
     match v {
         Val::Int(n) => Some(RtlOp::Int(*n)),
         Val::Long(n) => Some(RtlOp::Long(*n)),

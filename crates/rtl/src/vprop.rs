@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use mem::Val;
 
 use crate::absint::{commutes, eval_op_va, VaEnv, VaVal};
+use crate::constprop::const_op;
 use crate::lang::{Inst, Node, PReg, RtlFunction, RtlOp, RtlProgram};
 use minor::MBinop;
 
@@ -36,14 +37,6 @@ pub fn vprop(prog: &RtlProgram, facts: &VaFacts) -> RtlProgram {
         Some(envs) => vprop_function(f, envs),
         None => f.clone(),
     })
-}
-
-fn const_op(v: &Val) -> Option<RtlOp> {
-    match v {
-        Val::Int(n) => Some(RtlOp::Int(*n)),
-        Val::Long(n) => Some(RtlOp::Long(*n)),
-        _ => None,
-    }
 }
 
 /// Does `op` with right-hand immediate `imm` act as the identity on every
