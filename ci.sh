@@ -4,10 +4,10 @@
 # Everything here runs without network/registry access (no registry
 # dependencies; randomness comes from the in-repo SplitMix64). The clippy
 # gate enforces the panic-free policy on the library crates hardened in
-# DESIGN.md §6: no unwrap/expect on library code paths. Linting
-# `compcerto-core`, `mem`, `compiler` and `compcerto-validate` transitively
-# covers the `clight`/`rtl`/`backend` path dependencies in their build
-# graph.
+# DESIGN.md §6 (no unwrap/expect on library code paths) and denies every
+# default clippy warning. Linting `compcerto-core`, `mem`, `compiler` and
+# `compcerto-validate` transitively covers the `clight`/`rtl`/`backend`/
+# `minor`/`compcerto-gen` path dependencies in their build graph.
 set -eu
 
 echo "== build (release) =="
@@ -99,9 +99,9 @@ oracle ir.ndce_eliminated 13293
 oracle ir.diagnostics 0
 PINS
 
-echo "== clippy unwrap/expect gate (library paths) =="
+echo "== clippy gate (library paths: unwrap/expect and every default lint) =="
 cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate --lib -- \
-    -D clippy::unwrap_used -D clippy::expect_used
+    -D clippy::unwrap_used -D clippy::expect_used -D warnings
 
 echo "== bin unwrap/expect/panic audit (no panicking shortcuts in drivers) =="
 # The evaluation/driver bins and the campaign kernel they run on (its code
@@ -150,8 +150,8 @@ for jobs in 1 16; do
 done
 cmp /tmp/ci_golden_asm_1.txt /tmp/ci_golden_asm_16.txt
 # Served as one batch, the same programs go through the same scheduler
-# (one pool for every unit's prefix and every function's back end, then
-# the validating pool) and the same ladder. The responses (Asm, counters
+# (one pool for every unit's prefix, every function's back end and every
+# function's validation) and the same ladder. The responses (Asm, counters
 # and findings) and the counter-only stats must match byte for byte at
 # one worker and at sixteen, all five units compiled and answered `ok`
 # (none degraded or failed).

@@ -278,166 +278,249 @@ pub fn needed_facts_program(prog: &RtlProgram) -> NeedFacts {
 // Translation validators
 // ---------------------------------------------------------------------------
 
-/// Shape checks shared by both validators: the passes rewrite instructions
-/// in place and never add, remove, or re-key nodes, functions, or any
-/// function metadata.
-fn check_shape(
+/// One function's verdict from [`validate_constprop_function`] or
+/// [`validate_deadcode_function`]. Both passes rewrite instructions in
+/// place and never add, remove or re-key nodes or change a function's
+/// metadata, so a reshaped function's rewrites are not checked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RewriteCheck {
+    /// The pass changed the function's shape: the shape findings.
+    Reshaped(Vec<Diagnostic>),
+    /// The shape held: the findings of the rewrite check (empty when every
+    /// rewrite is justified).
+    Checked(Vec<Diagnostic>),
+}
+
+impl Default for RewriteCheck {
+    /// A function with nothing to check.
+    fn default() -> Self {
+        RewriteCheck::Checked(Vec::new())
+    }
+}
+
+/// Fold per-function [`RewriteCheck`]s, in function order, into one
+/// program's findings. The program-level shape rule: when any function
+/// was reshaped, the findings are every function's shape findings and no
+/// rewrite finding.
+#[must_use]
+pub fn fold_rewrite_checks(checks: impl IntoIterator<Item = RewriteCheck>) -> Vec<Diagnostic> {
+    let (mut reshaped, mut checked) = (Vec::new(), Vec::new());
+    let mut any_reshaped = false;
+    for c in checks {
+        match c {
+            RewriteCheck::Reshaped(d) => {
+                any_reshaped = true;
+                reshaped.extend(d);
+            }
+            RewriteCheck::Checked(d) => checked.extend(d),
+        }
+    }
+    if any_reshaped {
+        reshaped
+    } else {
+        checked
+    }
+}
+
+/// The shape rule's stable id for `pass` (`"constprop"` or `"deadcode"`).
+fn shape_rule(pass: &'static str) -> &'static str {
+    match pass {
+        "constprop" => "constprop.shape",
+        _ => "deadcode.shape",
+    }
+}
+
+/// The program-level shape finding of `pass` (`"constprop"` or
+/// `"deadcode"`): the pass changed the number of functions, so no function
+/// pairs with another and none is checked.
+#[must_use]
+pub fn function_count_changed(
     pass: &'static str,
     input: &RtlProgram,
     output: &RtlProgram,
-    out: &mut Vec<Diagnostic>,
-) -> bool {
-    let rule_shape: &'static str = match pass {
-        "constprop" => "constprop.shape",
-        _ => "deadcode.shape",
-    };
-    if input.functions.len() != output.functions.len() {
-        out.push(Diagnostic::new(
+) -> Option<Diagnostic> {
+    (input.functions.len() != output.functions.len()).then(|| {
+        Diagnostic::new(
             pass,
             "<program>",
             None,
-            rule_shape,
+            shape_rule(pass),
             format!(
                 "function count changed: {} -> {}",
                 input.functions.len(),
                 output.functions.len()
             ),
-        ));
-        return false;
-    }
-    let mut ok = true;
-    for (fi, fo) in input.functions.iter().zip(&output.functions) {
-        if fi.name != fo.name {
-            out.push(Diagnostic::new(
-                pass,
-                &fi.name,
-                None,
-                rule_shape,
-                format!("function renamed to `{}`", fo.name),
-            ));
-            ok = false;
-            continue;
-        }
-        if fi.sig != fo.sig
-            || fi.params != fo.params
-            || fi.stack_size != fo.stack_size
-            || fi.entry != fo.entry
-        {
-            out.push(Diagnostic::new(
-                pass,
-                &fi.name,
-                None,
-                rule_shape,
-                "signature/params/stack/entry changed",
-            ));
-            ok = false;
-        }
-        if fi.code.len() != fo.code.len() || fi.code.keys().zip(fo.code.keys()).any(|(a, b)| a != b)
-        {
-            out.push(Diagnostic::new(
-                pass,
-                &fi.name,
-                None,
-                rule_shape,
-                "node key set changed",
-            ));
-            ok = false;
-        }
-    }
-    ok
+        )
+    })
 }
 
-/// Validate a `vprop` (analysis-driven constant propagation) run: recompute
-/// the interval facts on the pass *input* and require every differing node
-/// to be exactly the rewrite those facts justify. Recomputing the facts
-/// solves the widening fixpoint of [`value_facts`] once per function, so
-/// the check costs as much as the analysis the pass consumed, plus one
-/// rewrite check per node. Deterministic — honest compiles are provably
-/// clean because the pass and the validator consult the same canonical
-/// rewrite function.
+/// The shape findings of one function pair: a rename, changed metadata,
+/// or a changed node key set.
+fn shape_findings(pass: &'static str, fi: &RtlFunction, fo: &RtlFunction) -> Vec<Diagnostic> {
+    let rule = shape_rule(pass);
+    if fi.name != fo.name {
+        return vec![Diagnostic::new(
+            pass,
+            &fi.name,
+            None,
+            rule,
+            format!("function renamed to `{}`", fo.name),
+        )];
+    }
+    let mut out = Vec::new();
+    if fi.sig != fo.sig
+        || fi.params != fo.params
+        || fi.stack_size != fo.stack_size
+        || fi.entry != fo.entry
+    {
+        out.push(Diagnostic::new(
+            pass,
+            &fi.name,
+            None,
+            rule,
+            "signature/params/stack/entry changed",
+        ));
+    }
+    if fi.code.len() != fo.code.len() || fi.code.keys().zip(fo.code.keys()).any(|(a, b)| a != b) {
+        out.push(Diagnostic::new(
+            pass,
+            &fi.name,
+            None,
+            rule,
+            "node key set changed",
+        ));
+    }
+    out
+}
+
+/// Validate one function of a `vprop` (analysis-driven constant
+/// propagation) run: recompute the interval facts on the pass *input* `fi`
+/// and require every node of `fo` that differs to be exactly the rewrite
+/// those facts justify. Recomputing the facts solves the widening fixpoint
+/// of [`value_facts`] once, so the check costs as much as the analysis the
+/// pass consumed, plus one rewrite check per node. Deterministic — honest
+/// compiles are provably clean because the pass and the validator consult
+/// the same canonical rewrite function.
+#[must_use]
+pub fn validate_constprop_function(
+    fi: &RtlFunction,
+    fo: &RtlFunction,
+    romem: &Romem,
+) -> RewriteCheck {
+    const PASS: &str = "constprop";
+    let shape = shape_findings(PASS, fi, fo);
+    if !shape.is_empty() {
+        return RewriteCheck::Reshaped(shape);
+    }
+    let mut out = Vec::new();
+    let facts = value_facts(fi, romem);
+    for (n, ii) in &fi.code {
+        let Some(io) = fo.code.get(n) else { continue };
+        if ii == io {
+            continue;
+        }
+        let justified = match (ii, io, facts.get(n)) {
+            // A rewritten node needs solved facts; an unreachable node
+            // has none and must be untouched.
+            (_, _, None) => false,
+            (Inst::Op(op, dst, next), Inst::Op(op2, dst2, next2), Some(env)) => {
+                dst == dst2 && next == next2 && rewrite_op(env, op).as_ref() == Some(op2)
+            }
+            (Inst::Cond(r, t, e), Inst::Nop(_), Some(env)) => {
+                rewrite_cond(env, *r, *t, *e).as_ref() == Some(io)
+            }
+            _ => false,
+        };
+        if !justified {
+            out.push(Diagnostic::new(
+                PASS,
+                &fi.name,
+                Some(*n),
+                "constprop.unjustified-rewrite",
+                format!("`{ii}` became `{io}` but the value facts do not justify it"),
+            ));
+        }
+    }
+    RewriteCheck::Checked(out)
+}
+
+/// Validate one function of an `ndce` (neededness dead-code elimination)
+/// run: recompute the neededness facts on the pass *input* `fi` and require
+/// every node of `fo` that differs to be the deletion of a pure instruction
+/// whose result is needed at `Nothing`. Any other divergence — including a
+/// drifted constant injected after the snapshot (`rtl-constant-drift`) — is
+/// a finding.
+#[must_use]
+pub fn validate_deadcode_function(fi: &RtlFunction, fo: &RtlFunction) -> RewriteCheck {
+    const PASS: &str = "deadcode";
+    let shape = shape_findings(PASS, fi, fo);
+    if !shape.is_empty() {
+        return RewriteCheck::Reshaped(shape);
+    }
+    let mut out = Vec::new();
+    let facts = neededness(fi);
+    for (n, ii) in &fi.code {
+        let Some(io) = fo.code.get(n) else { continue };
+        if ii == io {
+            continue;
+        }
+        let justified = deletable(ii)
+            && matches!(
+                (ii.def(), &ii.successors()[..], io),
+                (Some(dst), [next], Inst::Nop(next2))
+                    if next == next2
+                        && facts.get(n).map(|env| env.get(dst).is_nothing())
+                            == Some(true)
+            );
+        if !justified {
+            out.push(Diagnostic::new(
+                PASS,
+                &fi.name,
+                Some(*n),
+                "deadcode.unjustified-removal",
+                format!("`{ii}` became `{io}` but its result is still needed"),
+            ));
+        }
+    }
+    RewriteCheck::Checked(out)
+}
+
+/// Validate a whole `vprop` run: [`validate_constprop_function`] on each
+/// function pair, folded by [`fold_rewrite_checks`], after the
+/// program-level [`function_count_changed`] rule.
 #[must_use]
 pub fn validate_constprop(
     input: &RtlProgram,
     output: &RtlProgram,
     romem: &Romem,
 ) -> Vec<Diagnostic> {
-    const PASS: &str = "constprop";
-    let mut out = Vec::new();
-    if !check_shape(PASS, input, output, &mut out) {
-        return out;
+    if let Some(d) = function_count_changed("constprop", input, output) {
+        return vec![d];
     }
-    for (fi, fo) in input.functions.iter().zip(&output.functions) {
-        let facts = value_facts(fi, romem);
-        for (n, ii) in &fi.code {
-            let Some(io) = fo.code.get(n) else { continue };
-            if ii == io {
-                continue;
-            }
-            let justified = match (ii, io, facts.get(n)) {
-                // A rewritten node needs solved facts; an unreachable node
-                // has none and must be untouched.
-                (_, _, None) => false,
-                (Inst::Op(op, dst, next), Inst::Op(op2, dst2, next2), Some(env)) => {
-                    dst == dst2 && next == next2 && rewrite_op(env, op).as_ref() == Some(op2)
-                }
-                (Inst::Cond(r, t, e), Inst::Nop(_), Some(env)) => {
-                    rewrite_cond(env, *r, *t, *e).as_ref() == Some(io)
-                }
-                _ => false,
-            };
-            if !justified {
-                out.push(Diagnostic::new(
-                    PASS,
-                    &fi.name,
-                    Some(*n),
-                    "constprop.unjustified-rewrite",
-                    format!("`{ii}` became `{io}` but the value facts do not justify it"),
-                ));
-            }
-        }
-    }
-    out
+    fold_rewrite_checks(
+        input
+            .functions
+            .iter()
+            .zip(&output.functions)
+            .map(|(fi, fo)| validate_constprop_function(fi, fo, romem)),
+    )
 }
 
-/// Validate an `ndce` (neededness dead-code elimination) run: recompute the
-/// neededness facts on the pass *input* and require every differing node to
-/// be the deletion of a pure instruction whose result is needed at
-/// `Nothing`. Any other divergence — including a drifted constant injected
-/// after the snapshot (`rtl-constant-drift`) — is a finding.
+/// Validate a whole `ndce` run: [`validate_deadcode_function`] on each
+/// function pair, folded by [`fold_rewrite_checks`], after the
+/// program-level [`function_count_changed`] rule.
 #[must_use]
 pub fn validate_deadcode(input: &RtlProgram, output: &RtlProgram) -> Vec<Diagnostic> {
-    const PASS: &str = "deadcode";
-    let mut out = Vec::new();
-    if !check_shape(PASS, input, output, &mut out) {
-        return out;
+    if let Some(d) = function_count_changed("deadcode", input, output) {
+        return vec![d];
     }
-    for (fi, fo) in input.functions.iter().zip(&output.functions) {
-        let facts = neededness(fi);
-        for (n, ii) in &fi.code {
-            let Some(io) = fo.code.get(n) else { continue };
-            if ii == io {
-                continue;
-            }
-            let justified = deletable(ii)
-                && matches!(
-                    (ii.def(), &ii.successors()[..], io),
-                    (Some(dst), [next], Inst::Nop(next2))
-                        if next == next2
-                            && facts.get(n).map(|env| env.get(dst).is_nothing())
-                                == Some(true)
-                );
-            if !justified {
-                out.push(Diagnostic::new(
-                    PASS,
-                    &fi.name,
-                    Some(*n),
-                    "deadcode.unjustified-removal",
-                    format!("`{ii}` became `{io}` but its result is still needed"),
-                ));
-            }
-        }
-    }
-    out
+    fold_rewrite_checks(
+        input
+            .functions
+            .iter()
+            .zip(&output.functions)
+            .map(|(fi, fo)| validate_deadcode_function(fi, fo)),
+    )
 }
 
 #[cfg(test)]
@@ -619,6 +702,46 @@ mod tests {
         let code = std::mem::take(&mut f.code);
         f.code = code.into_iter().map(|(n, i)| (n + 10, i)).collect();
         assert!(!validate_deadcode(&p, &renumbered).is_empty());
+    }
+
+    #[test]
+    fn a_reshaped_function_hides_every_rewrite_finding() {
+        // Function 0 drifts an immediate (a rewrite finding on its own);
+        // function 1 is re-keyed. The program reports only the shape.
+        let p = counting_loop();
+        let mut second = p.functions[0].clone();
+        second.name = "g".into();
+        let input = RtlProgram {
+            functions: vec![p.functions[0].clone(), second],
+            externs: vec![],
+        };
+        let mut output = input.clone();
+        output.functions[0]
+            .code
+            .insert(0, Inst::Op(RtlOp::Int(41), 1, 1));
+        let code = std::mem::take(&mut output.functions[1].code);
+        output.functions[1].code = code.into_iter().map(|(n, i)| (n + 10, i)).collect();
+        let rules = |d: Vec<Diagnostic>| -> Vec<(String, &str)> {
+            d.into_iter().map(|d| (d.function, d.rule)).collect()
+        };
+        assert_eq!(
+            rules(validate_deadcode(&input, &output)),
+            [("g".to_string(), "deadcode.shape")]
+        );
+        assert_eq!(
+            rules(validate_constprop(&input, &output, &romem())),
+            [("g".to_string(), "constprop.shape")]
+        );
+        // Function by function, the drift is still a rewrite finding.
+        assert!(matches!(
+            validate_deadcode_function(&input.functions[0], &output.functions[0]),
+            RewriteCheck::Checked(d) if d.len() == 1
+        ));
+        output.functions.pop();
+        assert_eq!(
+            rules(validate_deadcode(&input, &output)),
+            [("<program>".to_string(), "deadcode.shape")]
+        );
     }
 
     #[test]

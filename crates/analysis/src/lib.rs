@@ -21,6 +21,12 @@
 //!    (branch-target/fallthrough equivalence with the LTL CFG), and an
 //!    asmgen checker (cursor-walk equivalence between Mach and Asm).
 //!
+//! Every lint and validator checks one function at a time (`lint_*_function`,
+//! [`validate_constprop_function`], [`validate_deadcode_function`] and the
+//! three backend validators); the program-level entry points fold over
+//! them, so a compiler can validate each function as soon as its back end
+//! has run.
+//!
 //! Every finding is a structured [`diag::Diagnostic`] — renderable as text
 //! or JSON, and countable by harnesses (the fault-injection campaign reports
 //! which injected convention violations are caught *without running* the
@@ -32,9 +38,14 @@ pub mod lint;
 pub mod validate;
 
 pub use absint::{
-    needed_facts_program, needed_solver_iterations, neededness, validate_constprop,
-    validate_deadcode, value_facts, value_facts_program, value_solver_iterations,
+    fold_rewrite_checks, function_count_changed, needed_facts_program, needed_solver_iterations,
+    neededness, validate_constprop, validate_constprop_function, validate_deadcode,
+    validate_deadcode_function, value_facts, value_facts_program, value_solver_iterations,
+    RewriteCheck,
 };
 pub use diag::Diagnostic;
-pub use lint::{lint_asm, lint_linear, lint_ltl, lint_mach, lint_rtl, maybe_uninit};
+pub use lint::{
+    known_callees, lint_asm, lint_asm_function, lint_linear, lint_linear_function, lint_ltl,
+    lint_ltl_function, lint_mach, lint_mach_function, lint_rtl, lint_rtl_function, maybe_uninit,
+};
 pub use validate::{validate_allocation, validate_asmgen, validate_linearize};

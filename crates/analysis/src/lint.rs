@@ -16,22 +16,20 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use backend::asm::AsmInst;
+use backend::asm::{AsmFunction, AsmInst};
 use backend::linear::{LinFunction, LinInst, LinProgram};
 use backend::ltl::{LtlFunction, LtlInst, LtlProgram};
-use backend::mach::{MachInst, MachProgram};
+use backend::mach::{MachFunction, MachInst, MachProgram};
 use backend::{AsmProgram, LOp};
 use compcerto_core::iface::{abi, Signature};
 use compcerto_core::regs::Loc;
-use rtl::{
-    forward_solve, reachable, successors_of, BitSet, DenseCfg, Inst, Node, PReg, RtlFunction,
-    RtlProgram, Solver,
-};
+use rtl::{forward_solve, BitSet, DenseCfg, Inst, Node, PReg, RtlFunction, RtlProgram, Solver};
 
 use crate::diag::Diagnostic;
 
 /// Names a program may call: its own functions plus declared externals.
-fn known_callees<'a>(
+/// Every per-function lint takes this set, built once per program.
+pub fn known_callees<'a>(
     functions: impl Iterator<Item = &'a str>,
     externs: impl Iterator<Item = &'a str>,
 ) -> BTreeSet<String> {
@@ -45,69 +43,75 @@ fn known_callees<'a>(
 // RTL
 // ---------------------------------------------------------------------------
 
-/// Well-formedness of an RTL program (usually the post-optimization
-/// `rtl_opt`).
-pub fn lint_rtl(prog: &RtlProgram) -> Vec<Diagnostic> {
+/// Well-formedness of one RTL function (usually of the post-optimization
+/// `rtl_opt`); `callees` is its program's [`known_callees`].
+pub fn lint_rtl_function(f: &RtlFunction, callees: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
     const PASS: &str = "wf-rtl";
-    let mut diags = Vec::new();
+    if !f.code.contains_key(&f.entry) {
+        diags.push(Diagnostic::new(
+            PASS,
+            &f.name,
+            Some(f.entry),
+            "rtl.entry-missing",
+            format!("entry node {} has no instruction", f.entry),
+        ));
+        return;
+    }
+    for (n, inst) in &f.code {
+        for s in inst.successors() {
+            if !f.code.contains_key(&s) {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(*n),
+                    "rtl.successor-missing",
+                    format!("successor {s} has no instruction"),
+                ));
+            }
+        }
+        if let Inst::Call(_, callee, _, _, _) | Inst::Tailcall(_, callee, _) = inst {
+            if !callees.contains(callee) {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(*n),
+                    "rtl.unknown-callee",
+                    format!("call to undeclared `{callee}`"),
+                ));
+            }
+        }
+    }
+    // Def-before-use on every path (reachable nodes only): a use of `v` is
+    // flagged iff some entry-to-use path misses every def of `v`. The
+    // solved states cover exactly the reachable nodes, in ascending order.
+    for (n, state) in maybe_uninit(f, &f.params) {
+        let Some(inst) = f.code.get(&n) else {
+            continue;
+        };
+        for u in inst.uses() {
+            if state.contains(u) {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(n),
+                    "rtl.use-undefined",
+                    format!("x{u} may be read before any definition"),
+                ));
+            }
+        }
+    }
+}
+
+/// Well-formedness of an RTL program: [`lint_rtl_function`] on each
+/// function.
+pub fn lint_rtl(prog: &RtlProgram) -> Vec<Diagnostic> {
     let callees = known_callees(
         prog.functions.iter().map(|f| f.name.as_str()),
         prog.externs.iter().map(|(n, _)| n.as_str()),
     );
+    let mut diags = Vec::new();
     for f in &prog.functions {
-        if !f.code.contains_key(&f.entry) {
-            diags.push(Diagnostic::new(
-                PASS,
-                &f.name,
-                Some(f.entry),
-                "rtl.entry-missing",
-                format!("entry node {} has no instruction", f.entry),
-            ));
-            continue;
-        }
-        for (n, inst) in &f.code {
-            for s in inst.successors() {
-                if !f.code.contains_key(&s) {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(*n),
-                        "rtl.successor-missing",
-                        format!("successor {s} has no instruction"),
-                    ));
-                }
-            }
-            if let Inst::Call(_, callee, _, _, _) | Inst::Tailcall(_, callee, _) = inst {
-                if !callees.contains(callee) {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(*n),
-                        "rtl.unknown-callee",
-                        format!("call to undeclared `{callee}`"),
-                    ));
-                }
-            }
-        }
-        // Def-before-use on every path (reachable nodes only): a use of `v`
-        // is flagged iff some entry-to-use path misses every def of `v`.
-        let mu = maybe_uninit(f, &f.params);
-        for n in reachable(f.entry, successors_of(f)) {
-            let (Some(state), Some(inst)) = (mu.get(&n), f.code.get(&n)) else {
-                continue;
-            };
-            for u in inst.uses() {
-                if state.contains(u) {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(n),
-                        "rtl.use-undefined",
-                        format!("x{u} may be read before any definition"),
-                    ));
-                }
-            }
-        }
+        lint_rtl_function(f, &callees, &mut diags);
     }
     diags
 }
@@ -265,7 +269,9 @@ fn check_callee_save_decl(
 // LTL
 // ---------------------------------------------------------------------------
 
-fn lint_ltl_function(f: &LtlFunction, callees: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
+/// Well-formedness of one LTL function; `callees` is its program's
+/// [`known_callees`].
+pub fn lint_ltl_function(f: &LtlFunction, callees: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
     const PASS: &str = "wf-ltl";
     if !f.code.contains_key(&f.entry) {
         diags.push(Diagnostic::new(
@@ -387,7 +393,8 @@ fn lint_ltl_function(f: &LtlFunction, callees: &BTreeSet<String>, diags: &mut Ve
     }
 }
 
-/// Well-formedness of an LTL program.
+/// Well-formedness of an LTL program: [`lint_ltl_function`] on each
+/// function.
 pub fn lint_ltl(prog: &LtlProgram) -> Vec<Diagnostic> {
     let callees = known_callees(
         prog.functions.iter().map(|f| f.name.as_str()),
@@ -404,7 +411,13 @@ pub fn lint_ltl(prog: &LtlProgram) -> Vec<Diagnostic> {
 // Linear
 // ---------------------------------------------------------------------------
 
-fn lint_linear_function(f: &LinFunction, callees: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
+/// Well-formedness of one Linear function; `callees` is its program's
+/// [`known_callees`].
+pub fn lint_linear_function(
+    f: &LinFunction,
+    callees: &BTreeSet<String>,
+    diags: &mut Vec<Diagnostic>,
+) {
     const PASS: &str = "wf-linear";
     if f.code.is_empty() {
         diags.push(Diagnostic::new(
@@ -531,7 +544,8 @@ fn lint_linear_function(f: &LinFunction, callees: &BTreeSet<String>, diags: &mut
     }
 }
 
-/// Well-formedness of a Linear program.
+/// Well-formedness of a Linear program: [`lint_linear_function`] on each
+/// function.
 pub fn lint_linear(prog: &LinProgram) -> Vec<Diagnostic> {
     let callees = known_callees(
         prog.functions.iter().map(|f| f.name.as_str()),
@@ -548,118 +562,129 @@ pub fn lint_linear(prog: &LinProgram) -> Vec<Diagnostic> {
 // Mach
 // ---------------------------------------------------------------------------
 
-/// Well-formedness of a Mach program (frame-slot bounds per `Stacking`'s
-/// layout: the first 16 bytes are the link and return-address slots, which
-/// generated code must not address as data).
-pub fn lint_mach(prog: &MachProgram) -> Vec<Diagnostic> {
+/// Well-formedness of one Mach function (frame-slot bounds per
+/// `Stacking`'s layout: the first 16 bytes are the link and return-address
+/// slots, which generated code must not address as data); `callees` is its
+/// program's [`known_callees`].
+pub fn lint_mach_function(
+    f: &MachFunction,
+    callees: &BTreeSet<String>,
+    diags: &mut Vec<Diagnostic>,
+) {
     const PASS: &str = "wf-mach";
+    if f.code.is_empty() {
+        diags.push(Diagnostic::new(
+            PASS,
+            &f.name,
+            None,
+            "mach.empty-code",
+            "function has no instructions".to_string(),
+        ));
+        return;
+    }
+    if !(16 <= f.stackdata_ofs
+        && f.stackdata_ofs <= f.outgoing_ofs
+        && f.outgoing_ofs <= f.frame_size
+        && f.frame_size % 8 == 0)
+    {
+        diags.push(Diagnostic::new(
+            PASS,
+            &f.name,
+            None,
+            "mach.frame-layout",
+            format!(
+                "inconsistent layout: stackdata={} outgoing={} size={}",
+                f.stackdata_ofs, f.outgoing_ofs, f.frame_size
+            ),
+        ));
+    }
+    let mut seen_labels: BTreeSet<u32> = BTreeSet::new();
+    for (i, inst) in f.code.iter().enumerate() {
+        if let MachInst::Label(l) = inst {
+            if !seen_labels.insert(*l) {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(i as u32),
+                    "mach.label-duplicate",
+                    format!("label {l} defined more than once"),
+                ));
+            }
+        }
+    }
+    let check_frame_slot = |o: i64, i: usize, diags: &mut Vec<Diagnostic>| {
+        if o < 16 || o % 8 != 0 || o + 8 > f.frame_size {
+            diags.push(Diagnostic::new(
+                PASS,
+                &f.name,
+                Some(i as u32),
+                "mach.slot-bounds",
+                format!(
+                    "frame slot at byte {o} outside [16, {}) or misaligned",
+                    f.frame_size
+                ),
+            ));
+        }
+    };
+    for (i, inst) in f.code.iter().enumerate() {
+        match inst {
+            MachInst::GetStack(o, _) | MachInst::SetStack(_, o) => {
+                check_frame_slot(*o, i, diags);
+            }
+            MachInst::GetParam(o, _) if *o < 0 || *o % 8 != 0 => {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(i as u32),
+                    "mach.slot-bounds",
+                    format!("incoming parameter slot at byte {o} negative or misaligned"),
+                ));
+            }
+            MachInst::Goto(l) | MachInst::CondGoto(_, l) if !seen_labels.contains(l) => {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(i as u32),
+                    "mach.label-missing",
+                    format!("branch target label {l} not defined"),
+                ));
+            }
+            MachInst::Call(callee, _) if !callees.contains(callee) => {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(i as u32),
+                    "mach.unknown-callee",
+                    format!("call to undeclared `{callee}`"),
+                ));
+            }
+            _ => {}
+        }
+    }
+    if !matches!(
+        f.code.last(),
+        Some(MachInst::Return) | Some(MachInst::Goto(_))
+    ) {
+        diags.push(Diagnostic::new(
+            PASS,
+            &f.name,
+            Some((f.code.len() - 1) as u32),
+            "mach.fall-off-end",
+            "last instruction is neither Return nor Goto".to_string(),
+        ));
+    }
+}
+
+/// Well-formedness of a Mach program: [`lint_mach_function`] on each
+/// function.
+pub fn lint_mach(prog: &MachProgram) -> Vec<Diagnostic> {
     let callees = known_callees(
         prog.functions.iter().map(|f| f.name.as_str()),
         prog.externs.iter().map(|(n, _)| n.as_str()),
     );
     let mut diags = Vec::new();
     for f in &prog.functions {
-        if f.code.is_empty() {
-            diags.push(Diagnostic::new(
-                PASS,
-                &f.name,
-                None,
-                "mach.empty-code",
-                "function has no instructions".to_string(),
-            ));
-            continue;
-        }
-        if !(16 <= f.stackdata_ofs
-            && f.stackdata_ofs <= f.outgoing_ofs
-            && f.outgoing_ofs <= f.frame_size
-            && f.frame_size % 8 == 0)
-        {
-            diags.push(Diagnostic::new(
-                PASS,
-                &f.name,
-                None,
-                "mach.frame-layout",
-                format!(
-                    "inconsistent layout: stackdata={} outgoing={} size={}",
-                    f.stackdata_ofs, f.outgoing_ofs, f.frame_size
-                ),
-            ));
-        }
-        let mut seen_labels: BTreeSet<u32> = BTreeSet::new();
-        for (i, inst) in f.code.iter().enumerate() {
-            if let MachInst::Label(l) = inst {
-                if !seen_labels.insert(*l) {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(i as u32),
-                        "mach.label-duplicate",
-                        format!("label {l} defined more than once"),
-                    ));
-                }
-            }
-        }
-        let check_frame_slot = |o: i64, i: usize, diags: &mut Vec<Diagnostic>| {
-            if o < 16 || o % 8 != 0 || o + 8 > f.frame_size {
-                diags.push(Diagnostic::new(
-                    PASS,
-                    &f.name,
-                    Some(i as u32),
-                    "mach.slot-bounds",
-                    format!(
-                        "frame slot at byte {o} outside [16, {}) or misaligned",
-                        f.frame_size
-                    ),
-                ));
-            }
-        };
-        for (i, inst) in f.code.iter().enumerate() {
-            match inst {
-                MachInst::GetStack(o, _) | MachInst::SetStack(_, o) => {
-                    check_frame_slot(*o, i, &mut diags);
-                }
-                MachInst::GetParam(o, _) if *o < 0 || *o % 8 != 0 => {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(i as u32),
-                        "mach.slot-bounds",
-                        format!("incoming parameter slot at byte {o} negative or misaligned"),
-                    ));
-                }
-                MachInst::Goto(l) | MachInst::CondGoto(_, l) if !seen_labels.contains(l) => {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(i as u32),
-                        "mach.label-missing",
-                        format!("branch target label {l} not defined"),
-                    ));
-                }
-                MachInst::Call(callee, _) if !callees.contains(callee) => {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(i as u32),
-                        "mach.unknown-callee",
-                        format!("call to undeclared `{callee}`"),
-                    ));
-                }
-                _ => {}
-            }
-        }
-        if !matches!(
-            f.code.last(),
-            Some(MachInst::Return) | Some(MachInst::Goto(_))
-        ) {
-            diags.push(Diagnostic::new(
-                PASS,
-                &f.name,
-                Some((f.code.len() - 1) as u32),
-                "mach.fall-off-end",
-                "last instruction is neither Return nor Goto".to_string(),
-            ));
-        }
+        lint_mach_function(f, &callees, &mut diags);
     }
     diags
 }
@@ -668,86 +693,93 @@ pub fn lint_mach(prog: &MachProgram) -> Vec<Diagnostic> {
 // Asm
 // ---------------------------------------------------------------------------
 
-/// Well-formedness of an Asm program: label discipline plus the prologue and
-/// epilogue shapes the `MA` convention's frame discipline relies on.
-pub fn lint_asm(prog: &AsmProgram) -> Vec<Diagnostic> {
+/// Well-formedness of one Asm function: label discipline plus the prologue
+/// and epilogue shapes the `MA` convention's frame discipline relies on;
+/// `callees` is its program's [`known_callees`].
+pub fn lint_asm_function(f: &AsmFunction, callees: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
     const PASS: &str = "wf-asm";
+    let mut seen_labels: BTreeSet<u32> = BTreeSet::new();
+    for (i, inst) in f.code.iter().enumerate() {
+        if let AsmInst::Label(l) = inst {
+            if !seen_labels.insert(*l) {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(i as u32),
+                    "asm.label-duplicate",
+                    format!("label {l} defined more than once"),
+                ));
+            }
+        }
+    }
+    // Prologue shape.
+    let frame_size = match (f.code.first(), f.code.get(1)) {
+        (Some(AsmInst::AllocFrame(sz)), Some(AsmInst::SaveRa(8))) if *sz >= 16 => Some(*sz),
+        _ => {
+            diags.push(Diagnostic::new(
+                PASS,
+                &f.name,
+                Some(0),
+                "asm.prologue-shape",
+                "function must begin with AllocFrame(>=16); SaveRa(8)".to_string(),
+            ));
+            None
+        }
+    };
+    for (i, inst) in f.code.iter().enumerate() {
+        match inst {
+            AsmInst::Jmp(l) | AsmInst::Jcc(_, l) if !seen_labels.contains(l) => {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(i as u32),
+                    "asm.label-missing",
+                    format!("branch target label {l} not defined"),
+                ));
+            }
+            AsmInst::Call(callee) if !callees.contains(callee) => {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    &f.name,
+                    Some(i as u32),
+                    "asm.unknown-callee",
+                    format!("call to undeclared `{callee}`"),
+                ));
+            }
+            AsmInst::Ret => {
+                let ok = i >= 2
+                    && matches!(f.code.get(i - 2), Some(AsmInst::RestoreRa(8)))
+                    && match (f.code.get(i - 1), frame_size) {
+                        (Some(AsmInst::FreeFrame(sz)), Some(alloc)) => *sz == alloc,
+                        (Some(AsmInst::FreeFrame(_)), None) => true,
+                        _ => false,
+                    };
+                if !ok {
+                    diags.push(Diagnostic::new(
+                        PASS,
+                        &f.name,
+                        Some(i as u32),
+                        "asm.epilogue-shape",
+                        "Ret must be preceded by RestoreRa(8); FreeFrame(prologue size)"
+                            .to_string(),
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Well-formedness of an Asm program: [`lint_asm_function`] on each
+/// function.
+pub fn lint_asm(prog: &AsmProgram) -> Vec<Diagnostic> {
     let callees = known_callees(
         prog.functions.iter().map(|f| f.name.as_str()),
         prog.externs.iter().map(|(n, _)| n.as_str()),
     );
     let mut diags = Vec::new();
     for f in &prog.functions {
-        let mut seen_labels: BTreeSet<u32> = BTreeSet::new();
-        for (i, inst) in f.code.iter().enumerate() {
-            if let AsmInst::Label(l) = inst {
-                if !seen_labels.insert(*l) {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(i as u32),
-                        "asm.label-duplicate",
-                        format!("label {l} defined more than once"),
-                    ));
-                }
-            }
-        }
-        // Prologue shape.
-        let frame_size = match (f.code.first(), f.code.get(1)) {
-            (Some(AsmInst::AllocFrame(sz)), Some(AsmInst::SaveRa(8))) if *sz >= 16 => Some(*sz),
-            _ => {
-                diags.push(Diagnostic::new(
-                    PASS,
-                    &f.name,
-                    Some(0),
-                    "asm.prologue-shape",
-                    "function must begin with AllocFrame(>=16); SaveRa(8)".to_string(),
-                ));
-                None
-            }
-        };
-        for (i, inst) in f.code.iter().enumerate() {
-            match inst {
-                AsmInst::Jmp(l) | AsmInst::Jcc(_, l) if !seen_labels.contains(l) => {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(i as u32),
-                        "asm.label-missing",
-                        format!("branch target label {l} not defined"),
-                    ));
-                }
-                AsmInst::Call(callee) if !callees.contains(callee) => {
-                    diags.push(Diagnostic::new(
-                        PASS,
-                        &f.name,
-                        Some(i as u32),
-                        "asm.unknown-callee",
-                        format!("call to undeclared `{callee}`"),
-                    ));
-                }
-                AsmInst::Ret => {
-                    let ok = i >= 2
-                        && matches!(f.code.get(i - 2), Some(AsmInst::RestoreRa(8)))
-                        && match (f.code.get(i - 1), frame_size) {
-                            (Some(AsmInst::FreeFrame(sz)), Some(alloc)) => *sz == alloc,
-                            (Some(AsmInst::FreeFrame(_)), None) => true,
-                            _ => false,
-                        };
-                    if !ok {
-                        diags.push(Diagnostic::new(
-                            PASS,
-                            &f.name,
-                            Some(i as u32),
-                            "asm.epilogue-shape",
-                            "Ret must be preceded by RestoreRa(8); FreeFrame(prologue size)"
-                                .to_string(),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
+        lint_asm_function(f, &callees, &mut diags);
     }
     diags
 }

@@ -125,6 +125,9 @@ pub struct MachFrame {
 }
 
 /// States of the Mach LTS.
+// `External` parks the outgoing question by value, as every stage's state
+// does; boxing it would change the public state layout for one variant.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum MachState {
     /// Entering an internal function.

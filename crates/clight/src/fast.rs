@@ -1146,11 +1146,8 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                             }
                             // Unwind to the enclosing Call/Stop.
                             let mut k = kont;
-                            loop {
-                                match k {
-                                    PKont::Seq(_, next) | PKont::Loop(_, next) => k = unrc(next),
-                                    PKont::Stop | PKont::Call { .. } => break,
-                                }
+                            while let PKont::Seq(_, next) | PKont::Loop(_, next) = k {
+                                k = unrc(next);
                             }
                             n += 1;
                             mode = M::Ret(v, k);

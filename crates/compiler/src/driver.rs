@@ -18,6 +18,7 @@ use rtl::{
 
 use crate::par::{self, Jobs};
 use crate::resilience::{contained, Fault};
+use crate::validate::{assemble, validate_functions, FnFindings, Stages, UnitScope};
 
 /// Options controlling the optional optimization passes (paper Table 3 marks
 /// them with †; the final convention `C` is insensitive to them, §3.4).
@@ -40,9 +41,9 @@ pub struct CompilerOptions {
     /// Run `Ndce` — neededness-driven dead-code elimination, consuming the
     /// backward liveness-of-bits analysis (DESIGN.md §12).
     pub ndce: bool,
-    /// Run the static validation layer after compiling: per-IR
-    /// well-formedness lints and per-pass translation validators
-    /// (see [`crate::validate`]). Findings land in
+    /// Run the static validation layer on each function right after its
+    /// back end: per-IR well-formedness lints and per-pass translation
+    /// validators (see [`crate::validate`]). Findings land in
     /// [`CompiledUnit::diagnostics`]; compilation still succeeds, callers
     /// decide what to do with a non-empty report.
     pub validate: bool,
@@ -221,7 +222,7 @@ fn span<T>(
 /// Every pass name, in canonical pipeline order. Per-function pass spans
 /// are merged (summed) into this order so a unit's `pass_ms` reads the
 /// same whether its back end ran whole-program or function-by-function.
-const PASS_ORDER: [&'static str; 20] = [
+const PASS_ORDER: [&str; 20] = [
     "simpl_locals",
     "cshmgen",
     "cminorgen",
@@ -361,6 +362,23 @@ pub struct FnBack {
     pass_ms: Vec<(&'static str, f64)>,
 }
 
+impl FnBack {
+    /// The function's validated programs, each a singleton.
+    fn stages(&self) -> Stages<'_> {
+        Stages {
+            vprop_in: &self.vprop_in,
+            ndce_in: &self.ndce_in,
+            rtl_opt: &self.rtl_opt,
+            ltl: &self.ltl,
+            ltl_tunneled: &self.ltl_tunneled,
+            linear_raw: &self.linear_raw,
+            linear: &self.linear,
+            mach: &self.mach,
+            asm: &self.asm,
+        }
+    }
+}
+
 /// The per-function back end (DESIGN.md §14): `Renumber` → `Asmgen` on a
 /// singleton program. All of these passes are per-function maps in the
 /// whole-program pipeline, so running them on one function at a time
@@ -439,15 +457,16 @@ pub fn fn_back_end(
 
 /// Concatenate the per-function singleton programs back into whole-unit
 /// programs (functions in input order, the unit's externs at every level —
-/// every back-end pass passes `externs` through unchanged) and seed the
-/// metrics bag with the prefix + per-function counter deltas. Validation
-/// and the final metric assembly happen in [`check_unit`] and
-/// [`finish_unit`].
+/// every back-end pass passes `externs` through unchanged), reassemble the
+/// functions' findings, and fold the prefix, per-function and validation
+/// counter deltas plus the static IR counters into the metrics bag — the
+/// last per-unit step.
 fn merge_unit(
     typed: &clight::Program,
     opts: CompilerOptions,
     mut prefix: UnitPrefix,
     backs: Vec<FnBack>,
+    checks: Vec<Checked>,
 ) -> CompiledUnit {
     let ex = prefix.rtl_pre.externs.clone();
     let n = backs.len();
@@ -479,11 +498,19 @@ fn merge_unit(
         }
         ms_parts.push(b.pass_ms);
     }
+    let mut found = Vec::new();
+    for (fns, delta, pass_ms) in checks {
+        found.extend(fns);
+        if let Some(c) = &delta {
+            counters.add(c);
+        }
+        ms_parts.push(pass_ms);
+    }
     let metrics = opts.metrics.then(|| crate::obs::UnitMetrics {
         counters,
         pass_ms: merge_pass_ms(ms_parts),
     });
-    CompiledUnit {
+    let mut unit = CompiledUnit {
         clight: typed.clone(),
         clight_simpl: prefix.clight_simpl,
         csharp: prefix.csharp,
@@ -529,43 +556,62 @@ fn merge_unit(
         ra_map,
         diagnostics: Vec::new(),
         metrics,
+    };
+    unit.diagnostics = assemble(found);
+    if opts.metrics {
+        let ir = crate::obs::ir_counters(&unit);
+        if let Some(m) = unit.metrics.as_mut() {
+            m.counters.add(&ir);
+        }
     }
+    unit
 }
 
-/// A unit's findings, validation-phase counter delta and `validate` span.
+/// One function's validation phase: its findings, counter delta and
+/// `validate` span.
 type Checked = (
-    Vec<compcerto_validate::Diagnostic>,
+    Vec<FnFindings>,
     Option<crate::obs::Counters>,
     Vec<(&'static str, f64)>,
 );
 
-/// The validation phase of one merged unit. It only reads the unit, so
-/// [`compile_units`] can run it on the pool.
-fn check_unit(unit: &CompiledUnit, symtab: &SymbolTable, opts: CompilerOptions) -> Checked {
+/// The validation phase of one function, the tail of its pool item: the
+/// per-function validator on its back end's programs, against the unit's
+/// [`UnitScope`], which the unit's first item to get here builds (inside
+/// its counter window, so the unit's counters include it once). A unit
+/// with no function still builds the scope, as [`validate_unit`] does.
+///
+/// [`validate_unit`]: crate::validate::validate_unit
+fn check_function(
+    back: Option<&FnBack>,
+    scope: &OnceLock<UnitScope>,
+    symtab: &SymbolTable,
+    rtl_pre: &RtlProgram,
+    opts: CompilerOptions,
+) -> Checked {
     let snap = opts.metrics.then(crate::obs::ObsSnapshot::take);
     let mut pass_ms: Vec<(&'static str, f64)> = Vec::new();
-    let diags = if opts.validate {
-        span(opts.metrics, &mut pass_ms, "validate", || {
-            crate::validate::validate_unit(unit, symtab)
-        })
-    } else {
-        Vec::new()
-    };
-    (diags, snap.map(|s| s.delta()), pass_ms)
+    let found = span(opts.metrics, &mut pass_ms, "validate", || {
+        let scope = scope.get_or_init(|| UnitScope::new(symtab, rtl_pre));
+        back.map(|b| validate_functions(&b.stages(), scope))
+            .unwrap_or_default()
+    });
+    (found, snap.map(|s| s.delta()), pass_ms)
 }
 
-/// Store a unit's findings and fold the validation-phase counter delta
-/// plus the static IR counters into its metrics — the last per-unit step.
-fn finish_unit(unit: &mut CompiledUnit, (diags, delta, pass_ms): Checked) {
-    unit.diagnostics = diags;
-    if let Some(delta) = delta {
-        let ir = crate::obs::ir_counters(unit);
-        if let Some(m) = unit.metrics.as_mut() {
-            m.counters.add(&delta);
-            m.counters.add(&ir);
-            m.pass_ms.extend(pass_ms);
-        }
-    }
+/// A unit's pool results in function order, split into its back ends and
+/// its validations, or its first failure in serial order: every function's
+/// back end comes before any function's validation.
+fn first_failure<B, C>(
+    items: impl IntoIterator<Item = (Option<Result<B, Fault>>, Option<Result<C, Fault>>)>,
+) -> Result<(Vec<B>, Vec<C>), Fault> {
+    let (backs, checks): (Vec<_>, Vec<_>) = items.into_iter().unzip();
+    let backs = backs.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
+    let checks = checks
+        .into_iter()
+        .flatten()
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((backs, checks))
 }
 
 /// One-stop compilation of a set of sources sharing a symbol table: parses
@@ -593,9 +639,9 @@ pub fn compile_all(
 /// 1. the front end per unit (parse + type-check), then the symbol table;
 /// 2. [`compile_typed_jobs`]: one item per `(unit, function)` pair, each
 ///    unit's cross-function prefix (Clight → RTL, `Tailcall`/`Inlining`)
-///    run by the first of its items to start; then serial reassembly, and
-///    per-unit validation on a third pool when [`CompilerOptions::validate`]
-///    is set.
+///    run by the first of its items to start, each function's back end,
+///    and, when [`CompilerOptions::validate`] is set, that function's
+///    validation as the item's tail; then serial reassembly.
 ///
 /// `Jobs::N(1)` runs the serial loops unchanged; any other setting
 /// produces byte-identical units in the same order, with the
@@ -659,14 +705,15 @@ pub fn compile_typed_jobs(
 }
 
 /// The one compile of already-typed units against a shared symbol table:
-/// every unit's prefix and every function's back end on one pool, then
-/// each unit's validation, each step contained. Every unit gets its own
-/// result or its first failure in serial order (its prefix, its functions
-/// in order, its validation), and a panic is a [`Fault::Panic`] naming its
-/// pass, never an unwind. The serve cache pushes its misses through here
-/// (via [`crate::resilience::compile_typed_resilient`]) while the table
-/// still spans every unit of the batch, so per-unit artifacts and metrics
-/// do not depend on which other units hit.
+/// every unit's prefix, every function's back end and every function's
+/// validation on one pool, each step contained. Every unit gets its own
+/// result or its first failure in serial order (its prefix, its functions'
+/// back ends in order, then their validations in order), and a panic is a
+/// [`Fault::Panic`] naming its pass, never an unwind. The serve cache
+/// pushes its misses through here (via
+/// [`crate::resilience::compile_typed_resilient`]) while the table still
+/// spans every unit of the batch, so per-unit artifacts and metrics do not
+/// depend on which other units hit.
 ///
 /// The pool's items are the `(unit, function)` pairs in serial order
 /// (`unit_prefix` maps `t.functions` one to one and in order, so the list
@@ -674,7 +721,10 @@ pub fn compile_typed_jobs(
 /// item for its prefix. Each unit's [`UnitPrefix`] sits in a `OnceLock`
 /// that the first of its items to start fills, and the items are claimed
 /// function-major (every unit's function 0 first) so the prefixes start in
-/// parallel.
+/// parallel. When validating, an item whose back end succeeded validates
+/// its function against the unit's [`UnitScope`] (in a second `OnceLock`,
+/// filled by the unit's first item to validate), and the unit's findings
+/// are reassembled in [`crate::validate::validate_unit`]'s order.
 pub(crate) fn compile_units(
     typed: &[&clight::Program],
     symtab: &SymbolTable,
@@ -686,6 +736,7 @@ pub(crate) fn compile_units(
     }
     let prefixes: Vec<OnceLock<Result<UnitPrefix, Fault>>> =
         typed.iter().map(|_| OnceLock::new()).collect();
+    let scopes: Vec<OnceLock<UnitScope>> = typed.iter().map(|_| OnceLock::new()).collect();
     let items: Vec<(usize, usize)> = typed
         .iter()
         .enumerate()
@@ -693,19 +744,29 @@ pub(crate) fn compile_units(
         .collect();
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&k| (items[k].1, items[k].0));
-    let backs = par::par_map_claimed(jobs, &items, Some(&order), |_, &(u, f)| {
+    let done = par::par_map_claimed(jobs, &items, Some(&order), |_, &(u, f)| {
         let prefix = prefixes[u].get_or_init(|| contained(|| unit_prefix(typed[u], symtab, opts)));
         let p = prefix.as_ref().ok()?;
-        let func = p.rtl_pre.functions.get(f)?;
-        Some(contained(|| {
-            fn_back_end(func, &p.rtl_pre.externs, &p.romem, opts)
-        }))
+        let back = p
+            .rtl_pre
+            .functions
+            .get(f)
+            .map(|func| contained(|| fn_back_end(func, &p.rtl_pre.externs, &p.romem, opts)));
+        let check =
+            |back| contained(|| Ok(check_function(back, &scopes[u], symtab, &p.rtl_pre, opts)));
+        let checked = match &back {
+            _ if !opts.validate => None,
+            Some(Ok(b)) => Some(check(Some(b))),
+            Some(Err(_)) => None,
+            None => Some(check(None)),
+        };
+        Some((back, checked))
     });
     // Regroup per unit, keeping its first failure in serial order: the
-    // prefix, then its functions in order. (Every prefix is filled, since
-    // each unit has an item.)
-    let mut pooled = backs.into_iter();
-    let merged: Vec<Result<CompiledUnit, Fault>> = typed
+    // prefix, then its functions' back ends in order, then their
+    // validations. (Every prefix is filled, since each unit has an item.)
+    let mut pooled = done.into_iter();
+    typed
         .iter()
         .zip(prefixes)
         .map(|(t, prefix)| {
@@ -713,30 +774,8 @@ pub(crate) fn compile_units(
             let p = prefix
                 .into_inner()
                 .unwrap_or_else(|| contained(|| unit_prefix(t, symtab, opts)))?;
-            let fns = mine.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
-            Ok(merge_unit(t, opts, p, fns))
-        })
-        .collect();
-    // Validation fans back out per unit; metrics-only finalization is a
-    // few counter adds and runs inline.
-    let check = |u: &Result<CompiledUnit, Fault>| {
-        let u = u.as_ref().ok()?;
-        Some(contained(|| Ok(check_unit(u, symtab, opts))))
-    };
-    let checked: Vec<_> = if opts.validate {
-        par::par_map(jobs, &merged, |_, u| check(u))
-    } else {
-        merged.iter().map(check).collect()
-    };
-    merged
-        .into_iter()
-        .zip(checked)
-        .map(|(u, c)| {
-            let mut u = u?;
-            if let Some(c) = c {
-                finish_unit(&mut u, c?);
-            }
-            Ok(u)
+            let (backs, checks) = first_failure(mine.into_iter().flatten())?;
+            Ok(merge_unit(t, opts, p, backs, checks))
         })
         .collect()
 }
@@ -800,5 +839,52 @@ mod tests {
         // Both units agree on the block of `mult`.
         assert!(tbl.block_of("mult").is_some());
         assert!(tbl.block_of("sqr").is_some());
+    }
+
+    /// One item's back-end and validation results, as the pool returns them.
+    type Item = (Option<Result<u32, Fault>>, Option<Result<u32, Fault>>);
+
+    fn panic_in(pass: &'static str) -> Fault {
+        Fault::Panic(pass, format!("{pass} failed"))
+    }
+
+    #[test]
+    fn a_back_end_fault_outranks_an_earlier_functions_validation_fault() {
+        // Function 0 compiled but its validation panicked; function 1's
+        // back end panicked. Serially, every back end runs first.
+        let items: Vec<Item> = vec![
+            (Some(Ok(0)), Some(Err(panic_in("validate")))),
+            (Some(Err(panic_in("stacking"))), None),
+        ];
+        match first_failure(items) {
+            Err(Fault::Panic(pass, _)) => assert_eq!(pass, "stacking"),
+            _ => panic!("expected function 1's back-end panic"),
+        }
+        // Among validations, the first function's fault is reported.
+        let items: Vec<Item> = vec![
+            (Some(Ok(0)), Some(Err(panic_in("validate")))),
+            (Some(Ok(1)), Some(Err(panic_in("validate-late")))),
+        ];
+        match first_failure(items) {
+            Err(Fault::Panic(pass, _)) => assert_eq!(pass, "validate"),
+            _ => panic!("expected function 0's validation panic"),
+        }
+    }
+
+    #[test]
+    fn clean_items_split_in_function_order() {
+        // Missing entries (no function, or no validation) are skipped.
+        let items: Vec<Item> = vec![
+            (Some(Ok(0)), Some(Ok(10))),
+            (None, Some(Ok(11))),
+            (Some(Ok(2)), None),
+        ];
+        match first_failure(items) {
+            Ok((backs, checks)) => {
+                assert_eq!(backs, [0, 2]);
+                assert_eq!(checks, [10, 11]);
+            }
+            Err(_) => panic!("no item failed"),
+        }
     }
 }

@@ -644,6 +644,37 @@ impl CampaignBase {
             lib,
         })
     }
+
+    /// The symbol table the workload was compiled against.
+    #[must_use]
+    pub fn symtab(&self) -> &SymbolTable {
+        &self.symtab
+    }
+
+    /// The mutants of class `MUTATION_CLASSES[ci]`, in generation order: a
+    /// pure function of `cfg.seed`, `cfg.per_class` and `ci`. The class's
+    /// RNG stream is reconstructed by replaying the master RNG's splits
+    /// (`split()` draws once from the master per class, so class `ci` owns
+    /// the (ci+1)-th split stream regardless of which classes ran before).
+    ///
+    /// # Panics
+    /// Panics when `ci` is out of range for [`MUTATION_CLASSES`].
+    #[must_use]
+    pub fn class_mutants(&self, cfg: &CampaignCfg, ci: usize) -> Vec<Mutant> {
+        let class = MUTATION_CLASSES[ci];
+        let mut master = SplitMix64::new(cfg.seed);
+        let mut rng = master.split();
+        for _ in 0..ci {
+            rng = master.split();
+        }
+        let mut mutants: Vec<Mutant> = Vec::new();
+        let mut attempts = 0usize;
+        while mutants.len() < cfg.per_class && attempts < cfg.per_class * 4 {
+            attempts += 1;
+            mutants.extend(mutate(&self.baseline, "entry", class, &mut rng));
+        }
+        mutants
+    }
 }
 
 /// Run one mutation class (`MUTATION_CLASSES[ci]`) of the campaign: the
@@ -655,9 +686,9 @@ impl CampaignBase {
 /// Three phases, split so the expensive one parallelizes without touching
 /// determinism:
 ///
-/// 1. **Generate** (serial): mutation sites and payloads thread one
-///    [`SplitMix64`] per class — the mutant stream is a pure function of
-///    `cfg.seed` and `ci`.
+/// 1. **Generate** (serial, [`CampaignBase::class_mutants`]): mutation
+///    sites and payloads thread one [`SplitMix64`] per class — the mutant
+///    stream is a pure function of `cfg.seed` and `ci`.
 /// 2. **Check** (parallel): every mutant's static validation + dynamic
 ///    probes are independent; they fan out over `cfg.jobs` workers
 ///    ([`par_map`] returns results in input order).
@@ -673,25 +704,9 @@ pub fn run_campaign_class(
 ) -> (ClassStats, crate::obs::Counters) {
     let class = MUTATION_CLASSES[ci];
 
-    // Phase 1 — generate (serial, seed-deterministic). `split()` draws
-    // once from the master per class, so class `ci` owns the (ci+1)-th
-    // split stream regardless of which classes ran in this process.
-    let mut master = SplitMix64::new(cfg.seed);
-    let mut rng = master.split();
-    for _ in 0..ci {
-        rng = master.split();
-    }
-    let mut mutants: Vec<Mutant> = Vec::new();
-    let mut generated = 0usize;
-    let mut attempts = 0usize;
-    while generated < cfg.per_class && attempts < cfg.per_class * 4 {
-        attempts += 1;
-        let Some(mutant) = mutate(&base.baseline, "entry", class, &mut rng) else {
-            continue;
-        };
-        generated += 1;
-        mutants.push(mutant);
-    }
+    // Phase 1 — generate (serial, seed-deterministic).
+    let mutants = base.class_mutants(cfg, ci);
+    let generated = mutants.len();
 
     // Phase 2 — check (parallel; results come back in input order). Each
     // mutant's observability delta is captured entirely on the worker thread

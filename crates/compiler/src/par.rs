@@ -124,19 +124,14 @@ fn note_worker_items(n: usize) {
 ///
 /// `Auto` resolves to [`available_parallelism`] at the call site; `N(1)`
 /// preserves today's exact serial behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Jobs {
     /// Use every hardware thread the host reports.
+    #[default]
     Auto,
     /// Use exactly this many workers, the calling thread included (`0`
     /// is treated as `Auto`).
     N(usize),
-}
-
-impl Default for Jobs {
-    fn default() -> Self {
-        Jobs::Auto
-    }
 }
 
 impl Jobs {

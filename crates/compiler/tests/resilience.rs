@@ -84,6 +84,41 @@ fn mandatory_pass_panic_poisons_only_its_unit() {
     assert_eq!(batch.outcomes[1].label(), "ok");
 }
 
+/// A panic while validating is contained like a pass panic: the unit that
+/// was being validated is `Poisoned` in `validate` (validation is not an
+/// optional pass, so the ladder does not retry it) and the other unit of
+/// the batch compiles and validates normally.
+#[test]
+fn validation_panic_poisons_only_its_unit() {
+    let srcs = [SRC, "int other(int z) { return z + 9; }"];
+    let typed: Vec<clight::Program> = srcs
+        .iter()
+        .map(|s| compiler::front_end(s).expect("front end"))
+        .collect();
+    let refs: Vec<&clight::Program> = typed.iter().collect();
+    let symtab = clight::build_symtab(&refs).expect("links");
+    // Jobs::N(1): the units compile on this thread, where the pass panic
+    // is armed, and unit 0 reaches the `validate` boundary first.
+    compiler::envfault::arm_pass_panic("validate");
+    let outcomes = compiler::resilience::compile_typed_resilient(
+        &refs,
+        &symtab,
+        CompilerOptions::validated(),
+        Jobs::N(1),
+    );
+    assert_eq!(outcomes.len(), 2);
+    match &outcomes[0] {
+        UnitOutcome::Poisoned { pass, panic_msg } => {
+            assert_eq!(pass, "validate");
+            assert!(panic_msg.contains("envfault"), "msg: {panic_msg}");
+        }
+        o => panic!("expected Poisoned, got {}", o.label()),
+    }
+    assert_eq!(outcomes[1].label(), "ok");
+    let unit = outcomes[1].unit().expect("unit 1 compiled");
+    assert!(unit.diagnostics.is_empty(), "{:?}", unit.diagnostics);
+}
+
 /// The degradation outcome is deterministic: re-running the poisoned
 /// compile yields an identical outcome label, pass, and reason.
 #[test]

@@ -691,9 +691,10 @@ pub fn derive(composed: Chain) -> Result<Derivation, DerivationError> {
                     break;
                 }
                 // A-level CKLR absorbed into vainj@A.
-                (Atom::Cklr(k, IfaceTag::A), Atom::Cklr(CklrTag::VaInj, IfaceTag::A))
-                    if matches!(k, CklrTag::Ext | CklrTag::Inj | CklrTag::Injp) =>
-                {
+                (
+                    Atom::Cklr(CklrTag::Ext | CklrTag::Inj | CklrTag::Injp, IfaceTag::A),
+                    Atom::Cklr(CklrTag::VaInj, IfaceTag::A),
+                ) => {
                     d.rewrite(
                         Law::VainjAbsorb,
                         i,

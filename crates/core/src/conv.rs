@@ -230,6 +230,10 @@ where
     }
 }
 
+/// One sample of [`check_refinement_on`]: an `L`-level and an `R`-level
+/// question, and the pairs of answers to compare.
+pub type RefinementSample<L, R> = (Question<L>, Question<R>, Vec<(Answer<L>, Answer<R>)>);
+
 /// Refinement check `R ⊑ S` on a *sample* of question/answer quadruples
 /// (paper Def. 5.1): for every sampled pair of `S`-related questions there
 /// must be an `R`-world relating them such that `R`-related answers are
@@ -241,11 +245,7 @@ where
 pub fn check_refinement_on<RC, SC>(
     r: &RC,
     s: &SC,
-    samples: &[(
-        Question<RC::Left>,
-        Question<RC::Right>,
-        Vec<(Answer<RC::Left>, Answer<RC::Right>)>,
-    )],
+    samples: &[RefinementSample<RC::Left, RC::Right>],
 ) -> Result<(), String>
 where
     RC: SimConv,

@@ -19,6 +19,10 @@ pub enum Frame<S1, S2> {
     Right(S2),
 }
 
+/// The frame a question pushes, or why the accepting component could not
+/// start.
+type Pushed<S1, S2> = Result<Frame<S1, S2>, Stuck>;
+
 /// State of the composite: a non-empty stack of activations (the `(S1+S2)*`
 /// of Def. 3.2). The last frame is the active component; the composite
 /// steps it in place, so a transition copies nothing.
@@ -80,7 +84,7 @@ where
         }
     }
 
-    fn push_for(&self, q: &Question<I>) -> Option<Result<Frame<L1::State, L2::State>, Stuck>> {
+    fn push_for(&self, q: &Question<I>) -> Option<Pushed<L1::State, L2::State>> {
         if self.l1.accepts(q) {
             Some(self.l1.initial(q).map(Frame::Left))
         } else if self.l2.accepts(q) {

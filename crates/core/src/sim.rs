@@ -216,6 +216,10 @@ pub enum EnvMode<'e, Q1, A1, Q2, A2> {
     ),
 }
 
+/// The [`EnvMode`] answering the outgoing questions of two components whose
+/// outgoing interfaces are `O1` (source) and `O2` (target).
+pub type EnvFor<'e, O1, O2> = EnvMode<'e, Question<O1>, Answer<O1>, Question<O2>, Answer<O2>>;
+
 /// Check the forward-simulation diagrams of paper Fig. 6 on one execution.
 ///
 /// * `l1`, `l2` — source and target transition systems;
@@ -257,7 +261,7 @@ pub fn check_fwd_sim_env<L1, L2, RA, RB>(
     ra: &RA,
     rb: &RB,
     q1: &Question<L1::I>,
-    env: EnvMode<'_, Question<L1::O>, Answer<L1::O>, Question<L2::O>, Answer<L2::O>>,
+    env: EnvFor<'_, L1::O, L2::O>,
     fuel: u64,
 ) -> Result<SimCheckReport, SimCheckError>
 where
@@ -290,7 +294,7 @@ pub fn check_fwd_sim_budgeted<L1, L2, RA, RB>(
     ra: &RA,
     rb: &RB,
     q1: &Question<L1::I>,
-    mut env: EnvMode<'_, Question<L1::O>, Answer<L1::O>, Question<L2::O>, Answer<L2::O>>,
+    mut env: EnvFor<'_, L1::O, L2::O>,
     budget: &RunBudget,
 ) -> Result<SimCheckReport, SimCheckError>
 where

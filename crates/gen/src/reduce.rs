@@ -192,7 +192,7 @@ fn make_candidate(p: &GProgram, pass: Pass, k: usize) -> Option<GProgram> {
             }
             (res == Some(true)).then_some(q)
         }
-        Pass::ExprChild => edit_expr_slot(p, k, |e| child_of(e)),
+        Pass::ExprChild => edit_expr_slot(p, k, child_of),
         Pass::ExprZero => edit_expr_slot(p, k, |e| {
             if matches!(e, GExpr::Const(0)) {
                 None
@@ -250,18 +250,15 @@ fn remove_stmt(stmts: &mut Vec<GStmt>, cur: &mut usize, target: usize) -> bool {
             return true;
         }
         *cur += 1;
-        match &mut stmts[i] {
+        let removed = match &mut stmts[i] {
             GStmt::IfElse { then_s, else_s, .. } => {
-                if remove_stmt(then_s, cur, target) || remove_stmt(else_s, cur, target) {
-                    return true;
-                }
+                remove_stmt(then_s, cur, target) || remove_stmt(else_s, cur, target)
             }
-            GStmt::Loop { body, .. } => {
-                if remove_stmt(body, cur, target) {
-                    return true;
-                }
-            }
-            _ => {}
+            GStmt::Loop { body, .. } => remove_stmt(body, cur, target),
+            _ => false,
+        };
+        if removed {
+            return true;
         }
         i += 1;
     }

@@ -10,20 +10,15 @@ use crate::value::Val;
 /// value `v`. Loading reconstitutes the value only if all fragments are
 /// present, in order, and agree on `v`; otherwise the load yields
 /// [`Val::Undef`]. Numeric values are stored as concrete little-endian bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum MemVal {
     /// Uninitialized contents.
+    #[default]
     Undef,
     /// A concrete byte.
     Byte(u8),
     /// The `usize`-th byte of the abstract value.
     Fragment(Val, u8),
-}
-
-impl Default for MemVal {
-    fn default() -> Self {
-        MemVal::Undef
-    }
 }
 
 /// Encode a value for storage through `chunk` as `chunk.size()` memvals.

@@ -7,9 +7,10 @@ use std::fmt;
 /// Permissions are totally ordered: `Freeable > Writable > Readable > None`.
 /// An operation requiring permission `p` succeeds on a byte with permission
 /// `q` iff `q >= p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Perm {
     /// No access allowed.
+    #[default]
     None,
     /// Loads allowed.
     Readable,
@@ -23,12 +24,6 @@ impl Perm {
     /// Does a byte with permission `self` allow an access requiring `req`?
     pub fn allows(self, req: Perm) -> bool {
         self >= req
-    }
-}
-
-impl Default for Perm {
-    fn default() -> Self {
-        Perm::None
     }
 }
 

@@ -47,9 +47,10 @@ impl fmt::Display for Typ {
 /// `Undef` is the undefined value; simulation relations allow it to be
 /// *refined* into any concrete value (see [`Val::lessdef`]). Pointers pair a
 /// memory block identifier with a byte offset.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum Val {
     /// The undefined value.
+    #[default]
     Undef,
     /// 32-bit machine integer.
     Int(i32),
@@ -96,12 +97,6 @@ impl std::hash::Hash for Val {
     }
 }
 
-impl Default for Val {
-    fn default() -> Self {
-        Val::Undef
-    }
-}
-
 impl fmt::Display for Val {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -115,6 +110,10 @@ impl fmt::Display for Val {
     }
 }
 
+// `add`, `sub`, `mul`, `shl`, `shr`, `neg` and `not` are CompCert's partial
+// `Val` operations (an ill-typed operand pair gives `Undef`), not std's
+// operator traits, which would make `a + b` read as total arithmetic.
+#[allow(clippy::should_implement_trait)]
 impl Val {
     /// The canonical "true" value.
     pub const TRUE: Val = Val::Int(1);
@@ -139,15 +138,15 @@ impl Val {
     /// Does this value have machine type `t`? `Undef` has every type,
     /// pointers have type [`Typ::I64`] (64-bit model).
     pub fn has_type(&self, t: Typ) -> bool {
-        match (self, t) {
-            (Val::Undef, _) => true,
-            (Val::Int(_), Typ::I32) => true,
-            (Val::Long(_), Typ::I64) => true,
-            (Val::Ptr(_, _), Typ::I64) => true,
-            (Val::Single(_), Typ::F32) => true,
-            (Val::Float(_), Typ::F64) => true,
-            _ => false,
-        }
+        matches!(
+            (self, t),
+            (Val::Undef, _)
+                | (Val::Int(_), Typ::I32)
+                | (Val::Long(_), Typ::I64)
+                | (Val::Ptr(_, _), Typ::I64)
+                | (Val::Single(_), Typ::F32)
+                | (Val::Float(_), Typ::F64)
+        )
     }
 
     /// Coerce the value to type `t`, replacing ill-typed values by `Undef`

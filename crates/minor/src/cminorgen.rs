@@ -64,7 +64,7 @@ pub fn cminorgen(prog: &CsProgram) -> Result<CmProgram, CminorgenError> {
 
 fn translate_function(f: &CsFunction) -> Result<CmFunction, CminorgenError> {
     let (offsets, stack_size) = layout(&f.vars);
-    let body = translate_stmt(&f.name, &offsets, &f.body)?;
+    let body = translate_stmt(&offsets, &f.body)?;
     Ok(CmFunction {
         name: f.name.clone(),
         sig: f.sig.clone(),
@@ -76,7 +76,6 @@ fn translate_function(f: &CsFunction) -> Result<CmFunction, CminorgenError> {
 }
 
 fn translate_stmt(
-    fname: &str,
     offsets: &BTreeMap<Ident, i64>,
     s: &GStmt<CsExpr>,
 ) -> Result<CmStmt, CminorgenError> {
@@ -84,44 +83,40 @@ fn translate_stmt(
         GStmt::Skip => GStmt::Skip,
         GStmt::Break => GStmt::Break,
         GStmt::Continue => GStmt::Continue,
-        GStmt::Set(t, e) => GStmt::Set(*t, translate_expr(fname, offsets, e)?),
+        GStmt::Set(t, e) => GStmt::Set(*t, translate_expr(offsets, e)?),
         GStmt::Store(chunk, a, v) => GStmt::Store(
             *chunk,
-            translate_expr(fname, offsets, a)?,
-            translate_expr(fname, offsets, v)?,
+            translate_expr(offsets, a)?,
+            translate_expr(offsets, v)?,
         ),
         GStmt::Call(dest, callee, args) => GStmt::Call(
             *dest,
             callee.clone(),
             args.iter()
-                .map(|a| translate_expr(fname, offsets, a))
+                .map(|a| translate_expr(offsets, a))
                 .collect::<Result<_, _>>()?,
         ),
         GStmt::Seq(a, b) => GStmt::Seq(
-            Box::new(translate_stmt(fname, offsets, a)?),
-            Box::new(translate_stmt(fname, offsets, b)?),
+            Box::new(translate_stmt(offsets, a)?),
+            Box::new(translate_stmt(offsets, b)?),
         ),
         GStmt::If(c, a, b) => GStmt::If(
-            translate_expr(fname, offsets, c)?,
-            Box::new(translate_stmt(fname, offsets, a)?),
-            Box::new(translate_stmt(fname, offsets, b)?),
+            translate_expr(offsets, c)?,
+            Box::new(translate_stmt(offsets, a)?),
+            Box::new(translate_stmt(offsets, b)?),
         ),
         GStmt::While(c, body) => GStmt::While(
-            translate_expr(fname, offsets, c)?,
-            Box::new(translate_stmt(fname, offsets, body)?),
+            translate_expr(offsets, c)?,
+            Box::new(translate_stmt(offsets, body)?),
         ),
         GStmt::Return(e) => GStmt::Return(match e {
-            Some(e) => Some(translate_expr(fname, offsets, e)?),
+            Some(e) => Some(translate_expr(offsets, e)?),
             None => None,
         }),
     })
 }
 
-fn translate_expr(
-    fname: &str,
-    offsets: &BTreeMap<Ident, i64>,
-    e: &CsExpr,
-) -> Result<CmExpr, CminorgenError> {
+fn translate_expr(offsets: &BTreeMap<Ident, i64>, e: &CsExpr) -> Result<CmExpr, CminorgenError> {
     Ok(match e {
         CsExpr::ConstInt(n) => CmExpr::ConstInt(*n),
         CsExpr::ConstLong(n) => CmExpr::ConstLong(*n),
@@ -131,14 +126,12 @@ fn translate_expr(
             // Not a local: must be a global symbol, resolved at run time.
             None => CmExpr::AddrGlobal(name.clone()),
         },
-        CsExpr::Load(chunk, a) => {
-            CmExpr::Load(*chunk, Box::new(translate_expr(fname, offsets, a)?))
-        }
-        CsExpr::Unop(op, a) => CmExpr::Unop(*op, Box::new(translate_expr(fname, offsets, a)?)),
+        CsExpr::Load(chunk, a) => CmExpr::Load(*chunk, Box::new(translate_expr(offsets, a)?)),
+        CsExpr::Unop(op, a) => CmExpr::Unop(*op, Box::new(translate_expr(offsets, a)?)),
         CsExpr::Binop(op, a, b) => CmExpr::Binop(
             *op,
-            Box::new(translate_expr(fname, offsets, a)?),
-            Box::new(translate_expr(fname, offsets, b)?),
+            Box::new(translate_expr(offsets, a)?),
+            Box::new(translate_expr(offsets, b)?),
         ),
     })
 }

@@ -412,11 +412,8 @@ impl<L: StructLang> StructSem<L> {
                 let mut mem = mem.clone();
                 self.lang.leave(f, &frame.env, &mut mem)?;
                 let mut k = kont.clone();
-                loop {
-                    match k {
-                        GKont::Seq(_, next) | GKont::Loop(_, _, next) => k = (*next).clone(),
-                        GKont::Stop | GKont::Call { .. } => break,
-                    }
+                while let GKont::Seq(_, next) | GKont::Loop(_, _, next) = k {
+                    k = (*next).clone();
                 }
                 Ok(GState::Returning { v, mem, kont: k })
             }

@@ -720,11 +720,7 @@ pub fn value_analysis(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, AEnv> {
                 };
                 after.set(*dst, v);
             }
-            Inst::Call(_, _, _, dst, _) => {
-                if let Some(d) = dst {
-                    after.set(*d, AVal::Top);
-                }
-            }
+            Inst::Call(_, _, _, Some(d), _) => after.set(*d, AVal::Top),
             _ => {}
         }
         after

@@ -125,8 +125,7 @@ fn cse_function(f: &RtlFunction) -> RtlFunction {
         let mut num = Numbering::default();
         let mut n = leader;
         // Walk the straight-line block.
-        loop {
-            let Some(inst) = f.code.get(&n) else { break };
+        while let Some(inst) = f.code.get(&n) {
             match inst {
                 Inst::Op(op, dst, next) => {
                     if let Some(key) = num.key_of_op(op) {

@@ -317,8 +317,8 @@ pub(crate) fn prepare(prog: &RtlProgram, symtab: &SymbolTable) -> PProg {
             let missing = |n: Node| format!("no instruction at {}:{}", f.name, n).into_boxed_str();
             let mut code: Vec<UOp> = f
                 .code
-                .iter()
-                .map(|(_, inst)| {
+                .values()
+                .map(|inst| {
                     let ix = |n: Node| ix_of.get(&n).copied().unwrap_or(u32::MAX);
                     match inst {
                         Inst::Nop(n) => UOp::Nop(ix(*n)),

@@ -155,9 +155,8 @@ impl fmt::Display for Inst {
             Inst::Load(c, b, disp, d, n) => write!(f, "x{d} := {c}[x{b}+{disp}]; goto {n}"),
             Inst::Store(c, b, disp, s, n) => write!(f, "{c}[x{b}+{disp}] := x{s}; goto {n}"),
             Inst::Call(_, callee, args, d, n) => {
-                match d {
-                    Some(d) => write!(f, "x{d} := ")?,
-                    None => {}
+                if let Some(d) = d {
+                    write!(f, "x{d} := ")?;
                 }
                 write!(f, "call {callee}(")?;
                 for (i, a) in args.iter().enumerate() {
