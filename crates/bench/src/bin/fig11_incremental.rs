@@ -14,8 +14,8 @@ fn main() {
     println!("Fig. 11: incremental composition of C passes (cf. paper Fig. 11)");
     println!("{:-<74}", "");
     println!(
-        "{:<16}{:>8}{:>12}   {}",
-        "pass appended", "atoms", "deriv steps", "normal form"
+        "{:<16}{:>8}{:>12}   normal form",
+        "pass appended", "atoms", "deriv steps"
     );
     println!("{:-<74}", "");
     let mut prefix = Chain::id();

@@ -33,10 +33,7 @@ fn main() {
 
     println!("Fig. 3: vertical composition of simulations (cf. paper Fig. 3)");
     println!();
-    println!(
-        "L1 = Cminor({})   L2 = CminorSel(..)   L3 = RTL(..)",
-        "churn"
-    );
+    println!("L1 = Cminor(churn)   L2 = CminorSel(..)   L3 = RTL(..)");
     println!("R = S = ext (both passes use `ext`-flavoured conventions)");
     println!();
 

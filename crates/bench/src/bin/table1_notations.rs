@@ -4,10 +4,7 @@
 fn main() {
     println!("Table 1: Summary of notations (cf. paper Table 1)");
     println!("{:-<92}", "");
-    println!(
-        "{:<26}{:<30}{}",
-        "Notation", "Example here", "Rust artifact"
-    );
+    println!("{:<26}{:<30}Rust artifact", "Notation", "Example here");
     println!("{:-<92}", "");
     let rows: [(&str, &str, &str); 10] = [
         ("R ∈ R(S1,S2)", "≤v", "mem::Val::lessdef"),

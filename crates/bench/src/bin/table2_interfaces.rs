@@ -14,10 +14,7 @@ use mem::{Mem, Val};
 fn main() {
     println!("Table 2: Language interfaces used in CompCertO-rs (cf. paper Table 2)");
     println!("{:-<86}", "");
-    println!(
-        "{:<6}{:<34}{:<22}{}",
-        "Name", "Question", "Answer", "Description"
-    );
+    println!("{:<6}{:<34}{:<22}Description", "Name", "Question", "Answer");
     println!("{:-<86}", "");
 
     let sig = Signature::int_fn(2);
@@ -35,14 +32,13 @@ fn main() {
         mem: mem0.clone(),
     };
     println!(
-        "{:<6}{:<34}{:<22}{}",
+        "{:<6}{:<34}{:<22}C calls",
         C::NAME,
         format!(
             "vf[sg](v⃗)@m   e.g. {}({},{})@m",
             cq.vf, cq.args[0], cq.args[1]
         ),
         format!("v'@m'  e.g. {}@m'", cr.retval),
-        "C calls"
     );
 
     // L: abstract locations.
@@ -58,11 +54,10 @@ fn main() {
         mem: mem0.clone(),
     };
     println!(
-        "{:<6}{:<34}{:<22}{}",
+        "{:<6}{:<34}{:<22}Abstract locations",
         L::NAME,
         "vf[sg](ls)@m  (ls: loc → val)",
         "ls'@m'",
-        "Abstract locations"
     );
 
     // M: machine registers + explicit sp/ra.
@@ -78,11 +73,10 @@ fn main() {
         mem: mem0.clone(),
     };
     println!(
-        "{:<6}{:<34}{:<22}{}",
+        "{:<6}{:<34}{:<22}Machine registers",
         M::NAME,
         format!("vf(sp, ra, rs)@m  ({} regs)", NREGS),
         "rs'@m'",
-        "Machine registers"
     );
 
     // A: full architectural register file.
@@ -92,24 +86,17 @@ fn main() {
     };
     let _ = &ar;
     println!(
-        "{:<6}{:<34}{:<22}{}",
+        "{:<6}{:<34}{:<22}Arch-specific",
         A::NAME,
         format!("rs@m  ({} regs + pc, sp, ra)", NREGS),
         "rs'@m'",
-        "Arch-specific"
     );
 
     println!(
-        "{:<6}{:<34}{:<22}{}",
-        "1", "(no moves)", "(no moves)", "Empty interface"
+        "{:<6}{:<34}{:<22}Empty interface",
+        "1", "(no moves)", "(no moves)"
     );
-    println!(
-        "{:<6}{:<34}{:<22}{}",
-        W::NAME,
-        "*",
-        "r : int",
-        "Whole-program"
-    );
+    println!("{:<6}{:<34}{:<22}Whole-program", W::NAME, "*", "r : int",);
     println!();
     println!(
         "ABI: args in r0..r{}, then Outgoing stack slots; result in r{}; callee-save r8..r13.",

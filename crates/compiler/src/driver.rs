@@ -16,8 +16,9 @@ use rtl::{
     RtlProgram,
 };
 
+use crate::obs::sum_spans;
 use crate::par::{self, Jobs};
-use crate::resilience::{contained, Fault};
+use crate::resilience::{contained, front_ends, Fault};
 use crate::validate::{assemble, validate_functions, FnFindings, Stages, UnitScope};
 
 /// Options controlling the optional optimization passes (paper Table 3 marks
@@ -219,48 +220,6 @@ fn span<T>(
     r
 }
 
-/// Every pass name, in canonical pipeline order. Per-function pass spans
-/// are merged (summed) into this order so a unit's `pass_ms` reads the
-/// same whether its back end ran whole-program or function-by-function.
-const PASS_ORDER: [&str; 20] = [
-    "simpl_locals",
-    "cshmgen",
-    "cminorgen",
-    "selection",
-    "rtlgen",
-    "tailcall",
-    "inlining",
-    "renumber",
-    "constprop",
-    "cse",
-    "deadcode",
-    "vprop",
-    "ndce",
-    "allocation",
-    "tunneling",
-    "linearize",
-    "cleanup_labels",
-    "stacking",
-    "asmgen",
-    "validate",
-];
-
-/// Sum pass spans by name into canonical [`PASS_ORDER`] order. Timings are
-/// volatile (stripped before any byte comparison) — this merge only keeps
-/// the human-facing report shaped like the serial pipeline's.
-fn merge_pass_ms(parts: Vec<Vec<(&'static str, f64)>>) -> Vec<(&'static str, f64)> {
-    let mut sums: std::collections::BTreeMap<&'static str, f64> = std::collections::BTreeMap::new();
-    for part in parts {
-        for (name, ms) in part {
-            *sums.entry(name).or_insert(0.0) += ms;
-        }
-    }
-    PASS_ORDER
-        .iter()
-        .filter_map(|n| sums.get(n).map(|v| (*n, *v)))
-        .collect()
-}
-
 /// The cross-function half of one unit's compilation (DESIGN.md §14): the
 /// Clight → RTL stages plus the two whole-program RTL passes (`Tailcall`,
 /// `Inlining` — the latter reads every function's body to build its
@@ -459,8 +418,9 @@ pub fn fn_back_end(
 /// programs (functions in input order, the unit's externs at every level —
 /// every back-end pass passes `externs` through unchanged), reassemble the
 /// functions' findings, and fold the prefix, per-function and validation
-/// counter deltas plus the static IR counters into the metrics bag — the
-/// last per-unit step.
+/// counter deltas plus the static IR counters into the metrics bag, and
+/// their pass spans by name (each part lists its passes in pipeline order,
+/// so the sums do too) — the last per-unit step.
 fn merge_unit(
     typed: &clight::Program,
     opts: CompilerOptions,
@@ -481,7 +441,7 @@ fn merge_unit(
     let mut asm_f = Vec::with_capacity(n);
     let mut ra_map = backend::asmgen::RaMap::new();
     let mut counters = prefix.counters.take().unwrap_or_default();
-    let mut ms_parts: Vec<Vec<(&'static str, f64)>> = vec![std::mem::take(&mut prefix.pass_ms)];
+    let mut pass_ms = std::mem::take(&mut prefix.pass_ms);
     for b in backs {
         vprop_in_f.extend(b.vprop_in.functions);
         ndce_in_f.extend(b.ndce_in.functions);
@@ -496,20 +456,19 @@ fn merge_unit(
         if let Some(c) = &b.counters {
             counters.add(c);
         }
-        ms_parts.push(b.pass_ms);
+        sum_spans(&mut pass_ms, &b.pass_ms);
     }
     let mut found = Vec::new();
-    for (fns, delta, pass_ms) in checks {
+    for (fns, delta, spans) in checks {
         found.extend(fns);
         if let Some(c) = &delta {
             counters.add(c);
         }
-        ms_parts.push(pass_ms);
+        sum_spans(&mut pass_ms, &spans);
     }
-    let metrics = opts.metrics.then(|| crate::obs::UnitMetrics {
-        counters,
-        pass_ms: merge_pass_ms(ms_parts),
-    });
+    let metrics = opts
+        .metrics
+        .then_some(crate::obs::UnitMetrics { counters, pass_ms });
     let mut unit = CompiledUnit {
         clight: typed.clone(),
         clight_simpl: prefix.clight_simpl,
@@ -636,17 +595,22 @@ pub fn compile_all(
 /// The function-level scheduler (DESIGN.md §14). Two pools, with
 /// `build_symtab` as the one shared barrier between them:
 ///
-/// 1. the front end per unit (parse + type-check), then the symbol table;
+/// 1. the contained front end per unit (parse + type-check,
+///    [`crate::resilience`]'s `front_ends`, as `ccomp-o` and the server
+///    run it), then the symbol table;
 /// 2. [`compile_typed_jobs`]: one item per `(unit, function)` pair, each
 ///    unit's cross-function prefix (Clight → RTL, `Tailcall`/`Inlining`)
 ///    run by the first of its items to start, each function's back end,
 ///    and, when [`CompilerOptions::validate`] is set, that function's
 ///    validation as the item's tail; then serial reassembly.
 ///
-/// `Jobs::N(1)` runs the serial loops unchanged; any other setting
-/// produces byte-identical units in the same order, with the
-/// *first-by-index* error on failure — the campaign and CLI checksum tests
-/// assert this equivalence.
+/// Each pool's per-unit results go through one strict fold: the units in
+/// order, or the first error in serial order; a unit that panicked runs
+/// once more (as the pool retries an item), and a second panic unwinds
+/// with its message. `Jobs::N(1)` runs the serial loops unchanged; any
+/// other setting produces byte-identical units in the same order, or the
+/// same error — the campaign and CLI checksum tests assert this
+/// equivalence.
 ///
 /// # Errors
 /// Any front-end, link or back-end failure; with several failing units the
@@ -656,8 +620,9 @@ pub fn compile_all_jobs(
     opts: CompilerOptions,
     jobs: Jobs,
 ) -> Result<(Vec<CompiledUnit>, SymbolTable), CompileError> {
-    // Front-end fan-out: each unit parses and type-checks independently.
-    let typed: Vec<clight::Program> = par::try_par_map(jobs, sources, |_, src| front_end(src))?;
+    let typed = strict(front_ends(jobs, sources), |u| {
+        front_ends(jobs, &sources[u..=u]).pop()
+    })?;
     // Shared barrier: the symbol table spans every unit.
     let refs: Vec<&clight::Program> = typed.iter().collect();
     let symtab = build_symtab(&refs).map_err(CompileError::Link)?;
@@ -666,11 +631,8 @@ pub fn compile_all_jobs(
 }
 
 /// The post-barrier half of [`compile_all_jobs`]: compile already
-/// type-checked units against a symbol table built elsewhere, as a fold
-/// over the contained pool's per-unit results (`compile_units`). A unit
-/// that panicked is compiled once more (as the pool retries an item), and
-/// a second panic unwinds; otherwise the units come back in order, or the
-/// first error in serial order.
+/// type-checked units against a symbol table built elsewhere, as the strict
+/// fold over the contained pool's per-unit results (`compile_units`).
 ///
 /// # Errors
 /// See [`compile_all_jobs`]: the serial pipeline's first error.
@@ -681,19 +643,27 @@ pub fn compile_typed_jobs(
     jobs: Jobs,
 ) -> Result<Vec<CompiledUnit>, CompileError> {
     let refs: Vec<&clight::Program> = typed.iter().collect();
-    let mut units = Vec::with_capacity(typed.len());
-    for (u, r) in compile_units(&refs, symtab, opts, jobs)
-        .into_iter()
-        .enumerate()
-    {
+    strict(compile_units(&refs, symtab, opts, jobs), |u| {
+        compile_units(&refs[u..=u], symtab, opts, jobs).pop()
+    })
+}
+
+/// The strict fold over per-unit results, front ends and back ends alike:
+/// the units in order, or the first [`Fault::Error`] in unit order. A unit
+/// that panicked runs once more through `retry`, and a second panic
+/// unwinds with its message as the payload.
+fn strict<T>(
+    results: Vec<Result<T, Fault>>,
+    retry: impl Fn(usize) -> Option<Result<T, Fault>>,
+) -> Result<Vec<T>, CompileError> {
+    let mut out = Vec::with_capacity(results.len());
+    for (u, r) in results.into_iter().enumerate() {
         let r = match r {
-            Err(Fault::Panic(pass, msg)) => compile_units(&refs[u..=u], symtab, opts, jobs)
-                .pop()
-                .unwrap_or(Err(Fault::Panic(pass, msg))),
+            Err(Fault::Panic(pass, msg)) => retry(u).unwrap_or(Err(Fault::Panic(pass, msg))),
             r => r,
         };
         match r {
-            Ok(unit) => units.push(unit),
+            Ok(t) => out.push(t),
             Err(Fault::Error(e)) => return Err(e),
             Err(Fault::Panic(pass, msg)) => {
                 eprintln!("driver: unit {u} panicked twice in `{pass}` (not healable): {msg}");
@@ -701,7 +671,7 @@ pub fn compile_typed_jobs(
             }
         }
     }
-    Ok(units)
+    Ok(out)
 }
 
 /// The one compile of already-typed units against a shared symbol table:
@@ -869,6 +839,31 @@ mod tests {
             Err(Fault::Panic(pass, _)) => assert_eq!(pass, "validate"),
             _ => panic!("expected function 0's validation panic"),
         }
+    }
+
+    /// The strict fold ranks panics and errors by unit, as the serial loop
+    /// meets them: an error before a panic wins without a retry, a panic
+    /// that heals on its retry lets a later error through, and a panic that
+    /// recurs unwinds with its message ahead of a later error.
+    #[test]
+    fn the_strict_fold_takes_the_first_failure_in_serial_order() {
+        let parse_error = || Fault::Error(front_end("int f(").unwrap_err());
+        let r = strict(
+            vec![Ok(0), Err(parse_error()), Err(panic_in("stacking"))],
+            |_| panic!("a panic after the first error is never retried"),
+        );
+        assert!(matches!(r, Err(CompileError::Parse(_))), "{r:?}");
+        let r = strict(vec![Err(panic_in("stacking")), Err(parse_error())], |_| {
+            Some(Ok(0))
+        });
+        assert!(matches!(r, Err(CompileError::Parse(_))), "{r:?}");
+        let r = crate::resilience::contain(|| {
+            strict(
+                vec![Ok(0), Err(panic_in("stacking")), Err(parse_error())],
+                |_| Some(Err(panic_in("stacking"))),
+            )
+        });
+        assert_eq!(r.err().as_deref(), Some("stacking failed"));
     }
 
     #[test]

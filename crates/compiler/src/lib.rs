@@ -56,7 +56,7 @@ pub use obs::{
     intern_counter_key, ir_counters, normalize_metrics_json, Counters, MetricsReport, ObsSnapshot,
     UnitMetrics, DELTA_COUNTER_KEYS, OBS_SCHEMA,
 };
-pub use par::{available_parallelism, par_map, pool_stats, try_par_map, Jobs, PoolStats};
+pub use par::{available_parallelism, par_map, pool_stats, Jobs, PoolStats};
 pub use registry::{pass_registry, PassInfo};
 pub use resilience::{compile_all_resilient, contain, DegradeReason, ResilientBatch, UnitOutcome};
 pub use sched::{

@@ -311,6 +311,19 @@ pub struct UnitMetrics {
     pub pass_ms: Vec<(&'static str, f64)>,
 }
 
+/// Sum `spans` into `sums` by pass name, in order of first appearance —
+/// the one span-summing rule. Each part of a compile (a unit's prefix,
+/// each function's back end, each validation) lists its passes in pipeline
+/// order, so a unit's sums, and a report's, read in pipeline order too.
+pub(crate) fn sum_spans(sums: &mut Vec<(&'static str, f64)>, spans: &[(&'static str, f64)]) {
+    for &(name, ms) in spans {
+        match sums.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, t)) => *t += ms,
+            None => sums.push((name, ms)),
+        }
+    }
+}
+
 /// Aggregate metrics report: the JSON/text artifact behind
 /// `ccomp-o --metrics`, the campaign runners, and `obs_campaign`.
 #[derive(Debug, Clone, Default)]
@@ -349,11 +362,8 @@ impl MetricsReport {
     pub fn absorb_unit(&mut self, m: &UnitMetrics) {
         self.items += 1;
         self.counters.add(&m.counters);
-        for (name, ms) in &m.pass_ms {
-            match self.timings.iter_mut().find(|(n, _)| n == name) {
-                Some((_, t)) => *t += ms,
-                None => self.timings.push((name, *ms)),
-            }
+        sum_spans(&mut self.timings, &m.pass_ms);
+        for (_, ms) in &m.pass_ms {
             self.total_ms += ms;
         }
     }

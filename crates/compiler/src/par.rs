@@ -24,8 +24,12 @@
 //! permutation of the indices that decides which items start first (the
 //! driver claims every unit's first function before any unit's second, so
 //! the units' prefixes start in parallel). A claim order changes only the
-//! schedule; results, the reported error and the re-raised panic still go
-//! by input index, and the serial loop ignores it.
+//! schedule; results and the re-raised panic still go by input index, and
+//! the serial loop ignores it.
+//!
+//! The pool is a plain map: a fallible item returns its error as a value,
+//! and the caller decides which failure wins (the driver's strict fold
+//! returns the first in serial order, DESIGN.md §11.1).
 //!
 //! The deterministic counters (DESIGN.md §10) are thread-local, so each
 //! helper snapshots them when it starts and hands its delta back with its
@@ -45,29 +49,27 @@
 //! # Self-healing (resilience layer, DESIGN.md §11)
 //!
 //! The pool contains worker panics instead of letting them unwind out of
-//! the dispatch loop. Every item runs under
-//! [`crate::resilience::contain_unwind`]; an item whose closure panics is
-//! retried **exactly once**, immediately, on the same (surviving) worker.
-//! A transient panic — an injected environment fault, a poisoned cache line
-//! of infrastructure state — therefore heals invisibly: the output is
-//! byte-identical to the panic-free run. An item that panics twice is
-//! treated as deterministically poisoned; the pool finishes every other
-//! item, then re-raises the panic of the *lowest-indexed* twice-panicking
-//! item (exactly the one the serial loop would have died on). Containment
-//! also means a panic can never strand the atomic dispatch index mid-batch:
-//! workers always run their loop to completion, so every `join` returns and
-//! the pool cannot hang (regression-tested below).
+//! the dispatch loop. Every item runs under [`crate::resilience::contain`];
+//! an item whose closure panics is retried **exactly once**, immediately,
+//! on the same (surviving) worker. A transient panic — an injected
+//! environment fault, a poisoned cache line of infrastructure state —
+//! therefore heals invisibly: the output is byte-identical to the
+//! panic-free run. An item that panics twice is treated as
+//! deterministically poisoned; the pool finishes every other item, then
+//! re-raises the panic of the *lowest-indexed* twice-panicking item
+//! (exactly the one the serial loop would have died on), with its message
+//! as a `String` payload. Containment also means a panic can never strand
+//! the atomic dispatch index mid-batch: workers always run their loop to
+//! completion, so every `join` returns and the pool cannot hang
+//! (regression-tested below).
 //!
 //! Everything here is `std`-only (`std::thread::scope`); the workspace stays
 //! offline and dependency-free.
 
-use std::any::Any;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::obs::ObsSnapshot;
-use crate::resilience::contain_unwind;
+use crate::resilience::contain;
 
 // ---------------------------------------------------------------------------
 // Pool occupancy stats (observability layer, DESIGN.md §10)
@@ -87,7 +89,7 @@ static POOL_BUSIEST: AtomicU64 = AtomicU64::new(0);
 /// comparison. They are reported for humans, never gated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolStats {
-    /// Pooled map invocations ([`par_map`] + [`try_par_map`]).
+    /// Pooled map invocations ([`par_map`], claim-ordered ones included).
     pub pools: u64,
     /// Total items dispatched across all pools.
     pub items: u64,
@@ -164,33 +166,27 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// A contained panic: the payload (for faithful re-raising) plus its
-/// rendered message (for diagnostics).
-type PanicRecord = (Box<dyn Any + Send>, String);
-
 /// Run item `i` through the worker-panic injection point and `run`,
 /// containing any panic and retrying **exactly once** on the same
-/// (surviving) worker. `Err` carries the second, deterministic panic.
-fn run_healed<R>(i: usize, run: impl Fn() -> R) -> Result<R, PanicRecord> {
-    match contain_unwind(|| {
+/// (surviving) worker. `Err` carries the message of the second,
+/// deterministic panic.
+fn run_healed<R>(i: usize, run: impl Fn() -> R) -> Result<R, String> {
+    contain(|| {
         crate::envfault::maybe_worker_panic(i);
         run()
-    }) {
-        Ok(r) => Ok(r),
-        // First panic: contained; the item is requeued once, immediately.
-        // (The injection point is one-shot, so an injected fault cannot
-        // re-fire here; a genuine deterministic panic will.)
-        Err(_first) => contain_unwind(run),
-    }
+    })
+    // First panic: contained; the item is requeued once, immediately.
+    // (The injection point is one-shot, so an injected fault cannot
+    // re-fire here; a genuine deterministic panic will.)
+    .or_else(|_first| contain(run))
 }
 
 /// Re-raise the lowest-indexed twice-panicking item — the panic the serial
-/// loop would have surfaced — after printing the contained message (the
-/// quiet panic hook suppressed it when it first fired).
-fn reraise(i: usize, record: PanicRecord) -> ! {
-    let (payload, msg) = record;
+/// loop would have surfaced — with its message as a `String` payload, after
+/// printing it (the quiet panic hook suppressed it when it first fired).
+fn reraise(i: usize, msg: String) -> ! {
     eprintln!("par: item {i} panicked twice (not healable): {msg}");
-    std::panic::resume_unwind(payload)
+    std::panic::resume_unwind(Box::new(msg))
 }
 
 /// Map `f` over `items` on a pool of `jobs` workers, returning the results
@@ -209,10 +205,12 @@ where
     par_map_claimed(jobs, items, None, f)
 }
 
-/// [`par_map`] under a claim order: the `k`-th claim runs item `order[k]`
-/// (`order` is a permutation of the item indices). The order decides only
-/// which items start first; results, and the panic that is re-raised,
-/// still follow input order, and the serial loop ignores it.
+/// [`par_map`] under a claim order: `workers − 1` scoped helpers plus the
+/// calling thread run one claim loop, and the `k`-th claim runs item
+/// `order[k]` (`order` is a permutation of the item indices), or item `k`
+/// without an order. The order decides only which items start first;
+/// results, and the panic that is re-raised, still follow input order, and
+/// the serial loop ignores it.
 pub(crate) fn par_map_claimed<T, R, F>(
     jobs: Jobs,
     items: &[T],
@@ -224,106 +222,37 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    match pool(jobs, items, order, |i, t| Ok::<R, Infallible>(f(i, t))) {
-        Ok(out) => out,
-        Err(never) => match never {},
-    }
-}
-
-/// [`par_map`] for fallible item functions, with serial error semantics:
-/// the returned error is the one the *serial* loop would have hit first
-/// (the failing item with the smallest index), regardless of which worker
-/// saw its error first or how items were batched across workers.
-///
-/// Two failures in the same dispatch batch therefore race only on *who
-/// records first*, never on *which error is returned*: every worker
-/// publishes the lowest failing index it has seen, items above the current
-/// lowest failure are skipped (the serial loop would never have reached
-/// them), and the final selection takes the minimum index across all
-/// workers. This also means a panic in an item *after* the first failing
-/// index cannot mask the error the serial loop would have reported —
-/// previously the whole input was mapped eagerly and such a panic won.
-///
-/// # Errors
-/// The error of the lowest-indexed failing item.
-pub fn try_par_map<T, R, E, F>(jobs: Jobs, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    pool(jobs, items, None, f)
-}
-
-/// The pool behind [`par_map`] and [`try_par_map`]: `workers − 1` scoped
-/// helpers plus the calling thread run one claim loop (the `k`-th claim
-/// runs item `order[k]`, or item `k` without an order).
-fn pool<T, R, E, F>(jobs: Jobs, items: &[T], order: Option<&[usize]>, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
     let workers = jobs.resolve().min(items.len().max(1));
     note_pool(workers, items.len());
     if workers <= 1 || items.len() <= 1 {
-        // Exact serial behavior: stop at the first error — with the same
-        // single-retry healing as the pooled path.
+        // Exact serial behavior, with the same single-retry healing as the
+        // pooled path.
         note_worker_items(items.len());
-        let mut out = Vec::with_capacity(items.len());
-        for (i, t) in items.iter().enumerate() {
-            match run_healed(i, || f(i, t)) {
-                Ok(r) => out.push(r?),
-                Err(record) => reraise(i, record),
-            }
-        }
-        return Ok(out);
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| run_healed(i, || f(i, t)).unwrap_or_else(|msg| reraise(i, msg)))
+            .collect();
     }
     debug_assert!(order.is_none_or(|o| o.len() == items.len()));
     let next = AtomicUsize::new(0);
-    // Lowest failing index seen so far, across all workers.
-    let first_err = AtomicUsize::new(usize::MAX);
-    let poisoned: Mutex<Vec<(usize, PanicRecord)>> = Mutex::new(Vec::new());
-    // One worker's claim loop; the caller runs it too, as worker 0.
+    // One worker's claim loop; the caller runs it too, as worker 0. A
+    // twice-panicking item is recorded, never unwound: the loop always
+    // completes, so no join can hang on a stranded index.
     let work = || {
-        let mut ok: Vec<(usize, R)> = Vec::new();
-        let mut err: Vec<(usize, E)> = Vec::new();
+        let mut done: Vec<(usize, Result<R, String>)> = Vec::new();
         loop {
             let k = next.fetch_add(1, Ordering::Relaxed);
             if k >= items.len() {
                 break;
             }
             let i = order.map_or(k, |o| o[k]);
-            // Items past the lowest known failure cannot change the result
-            // (the serial loop would already have returned); skip them.
-            // Items *below* it must still run — one of them may fail with
-            // an even lower index.
-            if i > first_err.load(Ordering::Relaxed) {
-                continue;
-            }
-            match run_healed(i, || f(i, &items[i])) {
-                Ok(Ok(r)) => ok.push((i, r)),
-                Ok(Err(e)) => {
-                    first_err.fetch_min(i, Ordering::Relaxed);
-                    err.push((i, e));
-                }
-                // A twice-panicking item is recorded, never unwound: the
-                // dispatch loop always completes, so no join can hang on a
-                // stranded index. (A healed single panic records nothing —
-                // and does not touch `first_err`, since the item succeeded.)
-                Err(record) => {
-                    if let Ok(mut p) = poisoned.lock() {
-                        p.push((i, record));
-                    }
-                }
-            }
+            done.push((i, run_healed(i, || f(i, &items[i]))));
         }
-        note_worker_items(ok.len() + err.len());
-        (ok, err)
+        note_worker_items(done.len());
+        done
     };
-    let (mut oks, errs) = std::thread::scope(|scope| {
+    let mut done = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..workers)
             .map(|_| {
                 scope.spawn(|| {
@@ -333,38 +262,24 @@ where
             })
             .collect();
         // The caller's own items tick its counters directly.
-        let (mut oks, mut errs) = work();
+        let mut done = work();
         for h in helpers {
             // Workers contain every item panic, so `join` cannot fail; a
             // poisoned join (unreachable) simply contributes no results.
-            if let Ok(((ok, err), counters)) = h.join() {
+            if let Ok((theirs, counters)) = h.join() {
                 counters.absorb();
-                oks.extend(ok);
-                errs.extend(err);
+                done.extend(theirs);
             }
         }
-        (oks, errs)
+        done
     });
-    let poisoned = poisoned
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Selection is by index, not by arrival, for errors *and* panics: the
-    // serial loop surfaces whichever failing index is lowest, so the pool
-    // must too — a panic after the first failing error index never wins,
-    // and vice versa.
-    let min_panic = poisoned.into_iter().min_by_key(|(i, _)| *i);
-    let min_err = errs.into_iter().min_by_key(|(i, _)| *i);
-    match (min_panic, min_err) {
-        (Some((pi, record)), Some((ei, _))) if pi < ei => reraise(pi, record),
-        (Some((pi, record)), None) => reraise(pi, record),
-        (_, Some((_, e))) => Err(e),
-        (None, None) => {
-            debug_assert_eq!(oks.len(), items.len(), "no error implies full coverage");
-            // Reassemble in input order: scheduling order never escapes.
-            oks.sort_by_key(|(i, _)| *i);
-            Ok(oks.into_iter().map(|(_, r)| r).collect())
-        }
-    }
+    debug_assert_eq!(done.len(), items.len(), "every item ran");
+    // Reassemble in input order: scheduling order never escapes, and the
+    // first twice-panicking item in that order is re-raised.
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter()
+        .map(|(i, r)| r.unwrap_or_else(|msg| reraise(i, msg)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -389,87 +304,6 @@ mod tests {
         let none: Vec<u32> = vec![];
         assert!(par_map(Jobs::Auto, &none, |_, x| *x).is_empty());
         assert_eq!(par_map(Jobs::N(8), &[5u32], |_, x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn error_is_first_by_index_not_by_schedule() {
-        let items: Vec<u32> = (0..100).collect();
-        for jobs in [Jobs::N(1), Jobs::N(4), Jobs::N(16)] {
-            let r: Result<Vec<u32>, u32> =
-                try_par_map(
-                    jobs,
-                    &items,
-                    |_, x| {
-                        if *x % 7 == 3 {
-                            Err(*x)
-                        } else {
-                            Ok(*x)
-                        }
-                    },
-                );
-            // Serial loop hits item 3 first (3 % 7 == 3).
-            assert_eq!(r.unwrap_err(), 3, "jobs={jobs:?}");
-        }
-    }
-
-    /// Two failures in the *same dispatch batch*: with `jobs = 4` the first
-    /// four items are claimed simultaneously, and whichever worker errors
-    /// first must not decide the result. Run many rounds to give the race
-    /// every chance to pick the wrong one, across jobs 1/4/16.
-    #[test]
-    fn adjacent_failures_in_one_batch_pick_lowest_index() {
-        let items: Vec<u32> = (0..32).collect();
-        for jobs in [Jobs::N(1), Jobs::N(4), Jobs::N(16)] {
-            for round in 0..50 {
-                let r: Result<Vec<u32>, u32> = try_par_map(jobs, &items, |i, x| {
-                    // Items 1 and 2 both fail; item 2 does so *instantly*
-                    // while item 1 spins first, so arrival order is
-                    // routinely 2-before-1 on a real scheduler.
-                    match i {
-                        1 => {
-                            for _ in 0..(round * 200) {
-                                std::hint::black_box(());
-                            }
-                            Err(*x)
-                        }
-                        2 => Err(*x),
-                        _ => Ok(*x),
-                    }
-                });
-                assert_eq!(r.unwrap_err(), 1, "jobs={jobs:?} round={round}");
-            }
-        }
-    }
-
-    /// The all-`Ok` path returns the full result vector in input order for
-    /// every worker count (same contract as `par_map`).
-    #[test]
-    fn try_par_map_ok_path_matches_serial() {
-        let items: Vec<u64> = (0..101).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * 2 + 1).collect();
-        for jobs in [Jobs::N(1), Jobs::N(4), Jobs::N(16)] {
-            let r: Result<Vec<u64>, ()> = try_par_map(jobs, &items, |_, x| Ok(x * 2 + 1));
-            assert_eq!(r.unwrap(), serial, "jobs={jobs:?}");
-        }
-    }
-
-    /// Once a low-index failure is known, items past it are skipped — the
-    /// serial loop would never have run them, and their errors must never
-    /// win. Item 0 fails immediately; a high item records whether it ran
-    /// after the failure was published.
-    #[test]
-    fn errors_after_the_first_failing_index_never_win() {
-        let items: Vec<u32> = (0..64).collect();
-        for jobs in [Jobs::N(1), Jobs::N(4), Jobs::N(16)] {
-            let r: Result<Vec<u32>, u32> = try_par_map(jobs, &items, |i, x| {
-                if i == 0 || i >= 32 {
-                    Err(*x)
-                } else {
-                    Ok(*x)
-                }
-            });
-            assert_eq!(r.unwrap_err(), 0, "jobs={jobs:?}");
-        }
     }
 
     /// A transient panic (fires exactly once, then the retry succeeds)
@@ -512,34 +346,6 @@ mod tests {
         }
     }
 
-    /// try_par_map: a deterministic panic below the first failing error
-    /// index wins; a panic above it loses to the error — serial semantics
-    /// either way, across jobs 1/4/16.
-    #[test]
-    fn try_par_map_ranks_panics_and_errors_by_index() {
-        let items: Vec<u32> = (0..32).collect();
-        for jobs in [Jobs::N(1), Jobs::N(4), Jobs::N(16)] {
-            // Panic at 2, error at 5: the panic is first in serial order.
-            let r = crate::resilience::contain(|| {
-                try_par_map(jobs, &items, |i, x| match i {
-                    2 => panic!("poisoned item 2"),
-                    5 => Err(*x),
-                    _ => Ok(*x),
-                })
-            });
-            assert_eq!(r, Err("poisoned item 2".to_string()), "jobs={jobs:?}");
-            // Error at 3, panic at 20: the error is first in serial order.
-            let r = crate::resilience::contain(|| {
-                try_par_map(jobs, &items, |i, x| match i {
-                    3 => Err(*x),
-                    20 => panic!("poisoned item 20"),
-                    _ => Ok(*x),
-                })
-            });
-            assert_eq!(r, Ok(Err(3)), "jobs={jobs:?}");
-        }
-    }
-
     /// Regression (ISSUE 6 satellite): a panicking worker must not strand
     /// the dispatch index or hang the remaining joins. Many items, several
     /// deterministic panics, a full worker complement — the call must
@@ -548,34 +354,14 @@ mod tests {
     fn panicking_workers_cannot_hang_the_pool() {
         let items: Vec<u32> = (0..256).collect();
         let r = crate::resilience::contain(|| {
-            try_par_map(Jobs::N(16), &items, |i, x| {
+            par_map(Jobs::N(16), &items, |i, x| {
                 if i % 61 == 17 {
                     panic!("poisoned item {i}");
                 }
-                Ok::<u32, u32>(*x)
+                *x
             })
         });
         assert_eq!(r, Err("poisoned item 17".to_string()));
-    }
-
-    /// A transient panic in try_par_map heals and the error semantics are
-    /// untouched: the healed item contributes its value, the batch agrees
-    /// with the serial result.
-    #[test]
-    fn try_par_map_transient_panic_heals() {
-        use std::sync::atomic::AtomicBool;
-        let items: Vec<u64> = (0..40).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        for jobs in [Jobs::N(1), Jobs::N(4), Jobs::N(16)] {
-            let fired = AtomicBool::new(false);
-            let r: Result<Vec<u64>, ()> = try_par_map(jobs, &items, |i, x| {
-                if i == 9 && !fired.swap(true, Ordering::SeqCst) {
-                    panic!("transient fault");
-                }
-                Ok(x * 3)
-            });
-            assert_eq!(r, Ok(serial.clone()), "jobs={jobs:?}");
-        }
     }
 
     /// The envfault worker-panic injection is contained, the item requeued
@@ -659,8 +445,8 @@ mod tests {
     }
 
     /// A claim order changes only the schedule: results come back in input
-    /// order, and the lowest-index error and the lowest-index
-    /// twice-panicking item still win, whichever is claimed first.
+    /// order, and the lowest-index twice-panicking item still wins,
+    /// whichever is claimed first.
     #[test]
     fn a_claim_order_does_not_reach_the_results() {
         let items: Vec<u32> = (0..64).collect();
@@ -674,14 +460,6 @@ mod tests {
                     x * 3
                 });
                 assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-                let r: Result<Vec<u32>, u32> = pool(jobs, &items, Some(order), |i, x| {
-                    if i == 5 || i == 40 || i == 62 {
-                        Err(*x)
-                    } else {
-                        Ok(*x)
-                    }
-                });
-                assert_eq!(r, Err(5), "jobs={jobs:?}");
                 let r = crate::resilience::contain(|| {
                     par_map_claimed(jobs, &items, Some(order), |i, x| {
                         if i == 7 || i == 29 || i == 60 {
@@ -691,15 +469,6 @@ mod tests {
                     })
                 });
                 assert_eq!(r, Err("poisoned item 7".to_string()), "jobs={jobs:?}");
-                // A panic below the first error still wins over it.
-                let r = crate::resilience::contain(|| {
-                    pool(jobs, &items, Some(order), |i, x| match i {
-                        2 => panic!("poisoned item 2"),
-                        5 | 61 => Err(*x),
-                        _ => Ok(*x),
-                    })
-                });
-                assert_eq!(r, Err("poisoned item 2".to_string()), "jobs={jobs:?}");
             }
         }
     }

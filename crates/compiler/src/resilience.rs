@@ -1,18 +1,18 @@
 //! Panic-isolated, gracefully degrading batch compilation (DESIGN.md §11).
 //!
 //! The strict pipeline ([`crate::driver::compile_all_jobs`]) has serial
-//! error semantics: the first failing unit aborts the batch. That is the
-//! right contract for a campaign that wants one verdict, and exactly the
-//! wrong one for the CLI and the long-lived compile server, where one
+//! error semantics: it folds the per-unit results of the same contained
+//! front ends and pool and returns the first failure in serial order. That
+//! is the right contract for a campaign that wants one verdict, and exactly
+//! the wrong one for the CLI and the long-lived compile server, where one
 //! poisoned unit must never take the batch (or the process) down. This
 //! module provides the resilient alternative, on the same contained pool:
 //!
-//! * [`contain`] / [`contain_unwind`] — the crate's single `catch_unwind`
-//!   wrapper. It installs (once) a panic hook that *suppresses* the default
-//!   stderr backtrace for panics unwinding into a containment region and
-//!   records the panic site instead, so contained faults are data, not
-//!   console noise; panics outside any containment region print exactly as
-//!   before.
+//! * [`contain`] — the crate's single `catch_unwind` wrapper. It installs
+//!   (once) a panic hook that *suppresses* the default stderr backtrace
+//!   for panics unwinding into a containment region and records the panic
+//!   site instead, so contained faults are data, not console noise; panics
+//!   outside any containment region print exactly as before.
 //! * [`UnitOutcome`] — the per-unit result taxonomy: `Ok`, `Degraded`
 //!   (compiled, but only after the degradation ladder stepped in),
 //!   `Failed` (a typed [`CompileError`] rendered per stage), `Poisoned`
@@ -90,29 +90,18 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Run `f`, containing any panic. On panic, returns the payload together
-/// with its rendered message. The default panic output is suppressed for
-/// the duration (the caller owns reporting).
-///
-/// # Errors
-/// The panic payload and its message, when `f` panicked.
-pub fn contain_unwind<R>(f: impl FnOnce() -> R) -> Result<R, (Box<dyn Any + Send>, String)> {
-    ensure_hook();
-    CONTAINING.with(|c| c.set(c.get() + 1));
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
-    CONTAINING.with(|c| c.set(c.get() - 1));
-    result.map_err(|payload| {
-        let msg = panic_message(payload.as_ref());
-        (payload, msg)
-    })
-}
-
-/// [`contain_unwind`] for callers that only want the message.
+/// Run `f`, containing any panic. On panic, returns its rendered message.
+/// The default panic output is suppressed for the duration (the caller owns
+/// reporting; one that re-raises passes the message on as the payload).
 ///
 /// # Errors
 /// The rendered panic message, when `f` panicked.
 pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    contain_unwind(f).map_err(|(_, msg)| msg)
+    ensure_hook();
+    CONTAINING.with(|c| c.set(c.get() + 1));
+    let result = panic::catch_unwind(AssertUnwindSafe(f));
+    CONTAINING.with(|c| c.set(c.get() - 1));
+    result.map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Driver hook: called at the boundary of every pass (before the pass
@@ -258,7 +247,7 @@ pub(crate) fn contained<T>(f: impl FnOnce() -> Result<T, CompileError>) -> Resul
 
 /// The contained front end: parse and type-check each source on the pool,
 /// one contained item per unit, so a unit that fails or panics gets its
-/// own fault, not an abort.
+/// own fault, not an abort. The strict compile folds these results too.
 pub(crate) fn front_ends(jobs: Jobs, sources: &[&str]) -> Vec<Result<clight::Program, Fault>> {
     par::par_map(jobs, sources, |_, src| {
         contained(|| {
@@ -365,8 +354,8 @@ pub struct ResilientBatch {
 /// [`UnitOutcome`].
 ///
 /// This is the entry point `ccomp-o FILE.c` uses; campaigns that *want*
-/// strict first-error semantics keep calling
-/// [`crate::driver::compile_all_jobs`].
+/// strict first-error semantics call [`crate::driver::compile_all_jobs`],
+/// which folds the same contained front ends and pool.
 pub fn compile_all_resilient(
     sources: &[&str],
     opts: CompilerOptions,

@@ -182,6 +182,22 @@ fn unknown_function_exits_nonzero() {
 }
 
 #[test]
+fn validate_prints_the_clean_line_and_rejects_the_removed_json_flag() {
+    let f = write_temp("validate.c", PROG);
+    let out = ccomp(&["--validate", f.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(stdout, "static validation: clean (1 unit(s))\n");
+    let out = ccomp(&["--validate-json", f.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown option `--validate-json`"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn no_arguments_prints_usage() {
     let out = ccomp(&[]);
     assert_eq!(out.status.code(), Some(2));

@@ -129,9 +129,11 @@ fn error_reporting_is_jobs_invariant() {
     ];
     let e1 =
         compile_all_jobs(&srcs, CompilerOptions::default(), Jobs::N(1)).expect_err("must fail");
-    let e4 =
-        compile_all_jobs(&srcs, CompilerOptions::default(), Jobs::N(4)).expect_err("must fail");
-    assert_eq!(format!("{e1:?}"), format!("{e4:?}"));
+    for jobs in [2, 4, 16] {
+        let e = compile_all_jobs(&srcs, CompilerOptions::default(), Jobs::N(jobs))
+            .expect_err("must fail");
+        assert_eq!(format!("{e1:?}"), format!("{e:?}"), "jobs={jobs}");
+    }
 }
 
 /// The Fig. 1 units and the mid-sized bench fixture (`bench::FIG1_B`,

@@ -8,8 +8,8 @@
 use compcerto_core::lts::RunBudget;
 use compiler::resilience::UnitOutcome;
 use compiler::{
-    check_query, compile_all_resilient, try_c_query, CompilerOptions, ExtLib, Jobs, QueryVerdict,
-    StagePrograms,
+    check_query, compile_all_jobs, compile_all_resilient, try_c_query, CompilerOptions, ExtLib,
+    Jobs, QueryVerdict, StagePrograms,
 };
 use mem::Val;
 
@@ -117,6 +117,31 @@ fn validation_panic_poisons_only_its_unit() {
     assert_eq!(outcomes[1].label(), "ok");
     let unit = outcomes[1].unit().expect("unit 1 compiled");
     assert!(unit.diagnostics.is_empty(), "{:?}", unit.diagnostics);
+}
+
+/// The strict compile folds the same contained front ends and pool: a
+/// one-shot panic in either phase runs its unit once more and heals, so
+/// `compile_all_jobs` gives the unfaulted Asm and leaves no armed panic
+/// behind for the next compile.
+#[test]
+fn the_strict_compile_heals_a_one_shot_panic_in_either_phase() {
+    let srcs = [SRC, "int other(int z) { return z + 9; }"];
+    let asm = |units: &[compiler::CompiledUnit]| -> Vec<String> {
+        let fns = units.iter().flat_map(|u| &u.asm.functions);
+        fns.map(|f| f.dump()).collect()
+    };
+    let strict = || compile_all_jobs(&srcs, CompilerOptions::default(), Jobs::N(1));
+    let clean = asm(&strict().expect("compiles").0);
+    for pass in ["front-end", "stacking"] {
+        // Jobs::N(1): both phases run on this thread, where the panic is
+        // armed.
+        compiler::envfault::arm_pass_panic(pass);
+        let healed = strict().unwrap_or_else(|e| panic!("{pass}: {e}"));
+        assert_eq!(asm(&healed.0), clean, "{pass}");
+        let batch = compile_all_resilient(&srcs, CompilerOptions::default(), Jobs::N(1));
+        let labels: Vec<&str> = batch.outcomes.iter().map(UnitOutcome::label).collect();
+        assert_eq!(labels, ["ok", "ok"], "{pass}");
+    }
 }
 
 /// The degradation outcome is deterministic: re-running the poisoned
