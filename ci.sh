@@ -102,8 +102,9 @@ PINS
 echo "== clippy gate (library paths: unwrap/expect and every default lint) =="
 cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate --lib -- \
     -D clippy::unwrap_used -D clippy::expect_used -D warnings
-# Every default lint on the bins too (`ccomp-o` and the bench drivers).
-cargo clippy -p compiler -p bench --bins -- -D warnings
+# Every default lint on every target of every crate: the bins (`ccomp-o`
+# and the bench drivers), the tests, the examples and the benches.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== bin unwrap/expect/panic audit (no panicking shortcuts in drivers) =="
 # The evaluation/driver bins and the campaign kernel they run on (its code

@@ -534,7 +534,7 @@ mod tests {
         let mut tampered = false;
         for inst in &mut bad2.code {
             if let LinInst::CondGoto(_, l) = inst {
-                *l = *l + 100;
+                *l += 100;
                 tampered = true;
                 break;
             }

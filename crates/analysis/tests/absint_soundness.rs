@@ -154,7 +154,7 @@ fn check_seed(seed: u64) -> u64 {
             Err(e) => panic!("seed {seed}: initial memory: {e:?}"),
         };
         let q = CQuery {
-            vf: vf.clone(),
+            vf,
             sig: sig.clone(),
             args: args.iter().map(|n| Val::Int(*n)).collect(),
             mem,

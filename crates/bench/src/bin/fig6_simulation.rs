@@ -4,15 +4,15 @@
 //! end-to-end pipeline.
 
 use bench::fail;
-use compiler::{
-    c_query, check_thm38, compile_all, CompilerOptions, ExtLib, WorkloadCfg, WorkloadGen,
-};
+use compcerto_gen::generate::gen_queries;
+use compcerto_gen::{generate, GenCfg};
+use compiler::{c_query, check_thm38, compile_all, CompilerOptions, ExtLib};
+use mem::Val;
 
 fn main() {
     let programs = 12;
     let queries = 4;
-    let mut g = WorkloadGen::new(66);
-    let cfg = WorkloadCfg::default();
+    let cfg = GenCfg::single_unit();
 
     println!("Fig. 6: forward-simulation diagram checks (cf. paper Fig. 6)");
     println!("sweep: {programs} generated programs × {queries} queries");
@@ -27,17 +27,21 @@ fn main() {
     let mut total_src = 0u64;
     let mut total_tgt = 0u64;
     for i in 0..programs {
-        let (src, arity) = g.gen_program(&cfg);
-        let (units, tbl) = compile_all(&[&src], CompilerOptions::default())
+        let prog = generate(66 + i as u64, &cfg);
+        let (_, entry) = prog.entry();
+        let (units, tbl) = compile_all(&[&prog.render()[0]], CompilerOptions::default())
             .unwrap_or_else(|e| fail(format!("program {i} does not compile: {e}")));
         let lib = ExtLib::demo(tbl.clone());
         let mut ext = 0usize;
         let mut s_steps = 0u64;
         let mut t_steps = 0u64;
-        for args in g.gen_queries(arity, queries) {
-            let q = c_query(&tbl, &units[0], "entry", args.clone());
-            let report = check_thm38(&units[0], &tbl, &lib, &q)
-                .unwrap_or_else(|e| fail(format!("program {i}, args {args:?}: {e}\n{src}")));
+        for args in gen_queries(prog.seed, entry.nparams as usize, queries) {
+            let args: Vec<Val> = args.into_iter().map(Val::Int).collect();
+            let q = c_query(&tbl, &units[0], &entry.name, args.clone());
+            let report = check_thm38(&units[0], &tbl, &lib, &q).unwrap_or_else(|e| {
+                let src = prog.to_annotated_source();
+                fail(format!("program {i}, args {args:?}: {e}\n{src}"))
+            });
             ext += report.external_calls;
             s_steps += report.source_steps;
             t_steps += report.target_steps;

@@ -4,9 +4,10 @@
 //! insensitive to them, paper §3.4).
 
 use bench::fail;
-use compiler::{
-    c_query, check_thm38, compile_all, CompilerOptions, ExtLib, WorkloadCfg, WorkloadGen,
-};
+use compcerto_gen::generate::gen_queries;
+use compcerto_gen::{generate, GenCfg};
+use compiler::{c_query, check_thm38, compile_all, CompilerOptions, ExtLib};
+use mem::Val;
 
 fn main() {
     println!("Thm 3.8 end-to-end sweep (paper §3.4)");
@@ -21,21 +22,23 @@ fn main() {
         ("-O1", CompilerOptions::default()),
         ("-O0", CompilerOptions::none()),
     ] {
-        let mut g = WorkloadGen::new(777);
-        let cfg = WorkloadCfg::default();
+        let cfg = GenCfg::single_unit();
         let programs = 10;
         let queries_per = 4;
         let mut externals = 0usize;
         let mut tgt_steps = 0u64;
         let mut checked = 0usize;
         for i in 0..programs {
-            let (src, arity) = g.gen_program(&cfg);
-            let (units, tbl) =
-                compile_all(&[&src], opts).unwrap_or_else(|e| fail(format!("prog {i}: {e}")));
+            let prog = generate(777 + i as u64, &cfg);
+            let (_, entry) = prog.entry();
+            let (units, tbl) = compile_all(&[&prog.render()[0]], opts)
+                .unwrap_or_else(|e| fail(format!("prog {i}: {e}")));
             let lib = ExtLib::demo(tbl.clone());
-            for args in g.gen_queries(arity, queries_per) {
-                let q = c_query(&tbl, &units[0], "entry", args.clone());
+            for args in gen_queries(prog.seed, entry.nparams as usize, queries_per) {
+                let args: Vec<Val> = args.into_iter().map(Val::Int).collect();
+                let q = c_query(&tbl, &units[0], &entry.name, args.clone());
                 let report = check_thm38(&units[0], &tbl, &lib, &q).unwrap_or_else(|e| {
+                    let src = prog.to_annotated_source();
                     fail(format!("{label} prog {i} args {args:?}: {e}\n{src}"))
                 });
                 externals += report.external_calls;

@@ -31,10 +31,8 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use bench::campaign::{self, Args, Campaign, Spec};
-use compiler::{
-    compile_all_jobs, par_map, run_campaign, CampaignCfg, CompilerOptions, Jobs, WorkloadCfg,
-    WorkloadGen,
-};
+use compcerto_gen::{generate, GenCfg};
+use compiler::{compile_all_jobs, par_map, run_campaign, CampaignCfg, CompilerOptions, Jobs};
 
 /// Fixed honest sources: the campaign workload and the example programs.
 const FIXED_SOURCES: [(&str, &str); 3] = [
@@ -60,12 +58,12 @@ const FIXED_SOURCES: [(&str, &str); 3] = [
 ];
 
 /// How many seeded random workload programs the gate compiles.
-const WORKLOAD_PROGRAMS: usize = 10;
+const WORKLOAD_PROGRAMS: u64 = 10;
 
 /// Phase 1: every honest compilation must be statically clean, under both
 /// `-O2` (default passes) and `-O0`.
 ///
-/// Workload generation is serial (one RNG stream); the per-program
+/// Workload program `i` is generated from `seed + i`; the per-program
 /// compile+validate work fans out over `jobs` workers, with the report for
 /// each program collected in input order so failure messages are
 /// deterministic.
@@ -74,10 +72,9 @@ fn honest_gate(seed: u64, jobs: Jobs) -> Result<usize, String> {
         .iter()
         .map(|(n, s)| (n.to_string(), s.to_string()))
         .collect();
-    let mut gen = WorkloadGen::new(seed);
-    let cfg = WorkloadCfg::default();
+    let cfg = GenCfg::single_unit();
     for i in 0..WORKLOAD_PROGRAMS {
-        let (src, _arity) = gen.gen_program(&cfg);
+        let src = generate(seed.wrapping_add(i), &cfg).render().remove(0);
         sources.push((format!("workload-{i}"), src));
     }
     let per_program: Vec<Result<usize, String>> = par_map(jobs, &sources, |_, (name, src)| {

@@ -329,4 +329,25 @@ mod tests {
         assert!(matches!(err, SimCheckError::OutOfFuel { .. }), "got {err}");
         assert!(err.step_trace().is_some_and(|t| !t.is_empty()));
     }
+
+    /// Regression: the local value numbering of `CSE` once reused a register
+    /// whose value had been overwritten since the equation was recorded
+    /// (found by the random Thm 3.8 sweep, seed 2026 round 1).
+    #[test]
+    fn cse_does_not_reuse_overwritten_holders() {
+        let src = "
+            extern int inc(int);
+            int entry(int p0) {
+                int a; int b; int r;
+                a = p0 + 1;   // x := p0+1 (recorded)
+                a = 7;        // holder overwritten
+                b = p0 + 1;   // must NOT become move(a)
+                r = inc(b);
+                return r + a;
+            }";
+        let (units, tbl) = compile_all(&[src], CompilerOptions::default()).unwrap();
+        let lib = ExtLib::demo(tbl.clone());
+        let q = c_query(&tbl, &units[0], "entry", vec![Val::Int(10)]);
+        check_thm38(&units[0], &tbl, &lib, &q).expect("Thm 3.8 holds after the CSE fix");
+    }
 }

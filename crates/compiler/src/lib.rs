@@ -9,8 +9,6 @@
 //! * [`extlib`] — a model external library implemented at every language
 //!   interface (the well-behaved environment of Thm 3.8);
 //! * [`harness`] — the Thm 3.5 / Thm 3.8 / Cor 3.9 differential checks;
-//! * [`workload`] — a seeded random generator of well-defined Clight-mini
-//!   programs and queries for the experiment sweeps;
 //! * [`sloc`] — significant-lines-of-code accounting for Tables 3 and 5.
 
 pub mod analyze;
@@ -30,7 +28,6 @@ pub mod sched;
 pub mod serve;
 pub mod sloc;
 pub mod validate;
-pub mod workload;
 
 pub use analyze::{analysis_json, ANALYSIS_SCHEMA};
 pub use closed::{run_closed, Closed, ClosedState};
@@ -67,4 +64,3 @@ pub use serve::{
     run_stdio, run_unix, ServeConfig, Server, CACHE_SCHEMA, MAX_FRAME_BYTES, SERVE_SCHEMA,
 };
 pub use validate::validate_unit;
-pub use workload::{WorkloadCfg, WorkloadGen};

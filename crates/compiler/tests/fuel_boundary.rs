@@ -93,6 +93,9 @@ fn expect_obs(outcome: StageOutcome, what: &str) -> Obs {
 /// well under this many steps.
 const FUEL_CAP: u64 = 20_000;
 
+/// A named chunk policy: the budget it runs a given fuel under.
+type Policy = (&'static str, fn(u64) -> RunBudget);
+
 #[test]
 fn fuel_boundaries_are_exact_on_every_stage() {
     let fx = fixture();
@@ -163,7 +166,7 @@ fn traced_and_batched_paths_agree_at_the_boundary() {
 
         // … and pin every other chunk policy to the same boundary:
         // out-of-fuel one below, the same observation at it.
-        let policies: [(&str, fn(u64) -> RunBudget); 4] = [
+        let policies: [Policy; 4] = [
             ("ring trace", RunBudget::with_fuel),
             ("quotas", |fuel| {
                 RunBudget::with_fuel(fuel)
@@ -251,7 +254,7 @@ fn composite_boundary<L: Lts>(
     q: &Question<L::I>,
     env: &mut Env<'_, Question<L::O>, Answer<L::O>>,
 ) {
-    let policies: [(&str, fn(u64) -> RunBudget); 3] = [
+    let policies: [Policy; 3] = [
         ("one step per batch", RunBudget::with_fuel),
         ("stride", |fuel| {
             RunBudget::with_fuel(fuel)

@@ -17,7 +17,7 @@ use compiler::driver::{compile_typed_jobs, unit_prefix};
 use compiler::resilience::compile_typed_resilient;
 use compiler::{
     compile_all_jobs, compile_all_resilient, front_end, run_campaign, CampaignCfg, CompiledUnit,
-    CompilerOptions, Jobs, StagePrograms, UnitOutcome, WorkloadCfg, WorkloadGen,
+    CompilerOptions, Jobs, StagePrograms, UnitOutcome,
 };
 
 /// Pretty-print every Asm-O function of every unit, in unit order.
@@ -59,13 +59,10 @@ fn jobs4_matches_jobs1_on_fixed_corpus() {
 
 #[test]
 fn jobs4_matches_jobs1_on_generated_workloads() {
-    // Generated programs all export `entry`, so compile them one unit at
-    // a time — the fan-out under test here is the *intra-call* front-end /
-    // back-end one.
-    let mut gen = WorkloadGen::new(97);
-    let cfg = WorkloadCfg::default();
-    for _ in 0..6 {
-        let (src, _arity) = gen.gen_program(&cfg);
+    // Compile one single-unit program at a time — the fan-out under test
+    // here is the *intra-call* front-end / back-end one.
+    for seed in 97..103 {
+        let src = generate(seed, &GenCfg::single_unit()).render().remove(0);
         let serial = asm_dump(&[&src], CompilerOptions::default(), Jobs::N(1));
         let par = asm_dump(&[&src], CompilerOptions::default(), Jobs::N(4));
         assert_eq!(serial, par, "workload program diverged:\n{src}");

@@ -8,7 +8,9 @@ use compcerto_core::conv::{ComposeConv, IdConv};
 use compcerto_core::iface::{CQuery, CReply, C};
 use compcerto_core::invariants::Wt;
 use compcerto_core::sim::{check_fwd_sim, check_fwd_sim_env, EnvMode};
-use compiler::{c_query, compile_all, CompilerOptions, WorkloadCfg, WorkloadGen};
+use compcerto_gen::generate::gen_queries;
+use compcerto_gen::{generate, GenCfg};
+use compiler::{c_query, compile_all, CompilerOptions};
 use mem::Val;
 
 /// A uniform environment: integer arguments are incremented; a pointer
@@ -169,15 +171,17 @@ fn allocation_at_wt_ext_cl() {
 /// passes, fused per Lemma 5.3 and App. B).
 #[test]
 fn front_end_composed_at_injp_inj() {
-    let mut g = WorkloadGen::new(5150);
-    for _ in 0..3 {
-        let (src, arity) = g.gen_program(&WorkloadCfg::default());
-        let (units, tbl) = compile_all(&[&src], CompilerOptions::default()).unwrap();
+    for seed in 5150..5153 {
+        let prog = generate(seed, &GenCfg::single_unit());
+        let (_, entry) = prog.entry();
+        let src = prog.to_annotated_source();
+        let (units, tbl) = compile_all(&[&prog.render()[0]], CompilerOptions::default()).unwrap();
         let u = &units[0];
         let l1 = clight::ClightSem::new(u.clight.clone(), tbl.clone());
         let l2 = rtl::RtlSem::new(u.rtl_opt.clone(), tbl.clone());
-        for args in g.gen_queries(arity, 2) {
-            let q = c_query(&tbl, u, "entry", args.clone());
+        for args in gen_queries(prog.seed, entry.nparams as usize, 2) {
+            let args: Vec<Val> = args.into_iter().map(Val::Int).collect();
+            let q = c_query(&tbl, u, &entry.name, args.clone());
             let mut env1 = env;
             let mut env2 = env;
             check_fwd_sim_env(

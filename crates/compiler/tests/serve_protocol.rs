@@ -10,7 +10,7 @@ mod serve_util;
 
 use std::io::{BufRead, BufReader, Write};
 
-use serve_util::{compile_req, fresh_dir, Serve};
+use serve_util::{artifacts_only, compile_req, fresh_dir, request_stats, Serve};
 
 const UNIT: &str = "int square(int x) { return x * x; }";
 
@@ -174,12 +174,13 @@ fn kill_and_restart_serves_identical_bytes() {
     let batch = compile_req(3, &[UNIT, "int cube(int x) { return x * x * x; }"]);
 
     let mut s1 = Serve::spawn(&dir, &[]);
-    let _cold = s1.req(&batch);
+    let cold = s1.req(&batch);
     let warm1 = s1.req(&batch);
     // Hard kill — no shutdown handshake, as a crashed or OOM-killed
     // server would leave things. The cache writes were atomic, so the
     // directory holds complete entries or none.
-    s1.kill();
+    let _ = s1.child.kill();
+    let _ = s1.child.wait();
 
     let mut s2 = Serve::spawn(&dir, &[]);
     let warm2 = s2.req(&batch);
@@ -187,6 +188,13 @@ fn kill_and_restart_serves_identical_bytes() {
         warm1, warm2,
         "a restarted server over the same cache dir must serve identical bytes"
     );
+    // Served from the on-disk cache, with the cold compile's artifacts.
+    assert_eq!(
+        request_stats(&warm2),
+        "\"cache\":{\"hit\":2,\"miss\":0,\"evict\":0}",
+        "{warm2}"
+    );
+    assert_eq!(artifacts_only(&cold), artifacts_only(&warm2));
     assert_eq!(s2.eof_wait().code(), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,8 @@ pub fn fresh_dir(tag: &str) -> PathBuf {
 
 /// A running `ccomp-o serve` child on stdin/stdout pipes.
 pub struct Serve {
-    child: Child,
+    /// The server process (the restart tests kill it to simulate a crash).
+    pub child: Child,
     stdin: Option<ChildStdin>,
     stdout: BufReader<ChildStdout>,
 }
@@ -72,12 +73,6 @@ impl Serve {
     pub fn eof_wait(mut self) -> ExitStatus {
         drop(self.stdin.take());
         self.child.wait().expect("wait for server")
-    }
-
-    /// Kill the server mid-flight (the restart tests simulate a crash).
-    pub fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
     }
 }
 

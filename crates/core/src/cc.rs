@@ -681,8 +681,8 @@ mod tests {
         let spb = m.alloc(0, 8);
         m.store(Chunk::Any64, spb, 0, Val::Int(44)).unwrap();
         let mut rs = [Val::Undef; NREGS];
-        for i in 0..4 {
-            rs[i] = Val::Int(i as i32);
+        for (i, r) in rs.iter_mut().take(4).enumerate() {
+            *r = Val::Int(i as i32);
         }
         let q2 = MQuery {
             vf: Val::Ptr(0, 0),

@@ -13,7 +13,17 @@ use compcerto_core::rng::SplitMix64;
 
 use crate::program::{GExpr, GFn, GProgram, GStmt, GUnit};
 
-/// Shape parameters for generated programs.
+/// Maximum parameters per function: more than 4 spill onto the stack under
+/// the ABI, which is exactly the point.
+const MAX_PARAMS: u64 = 6;
+/// `int` locals per function.
+const NLOCALS: u32 = 3;
+/// Maximum expression depth.
+const EXPR_DEPTH: u32 = 2;
+
+/// Shape parameters for generated programs. Every program emits outgoing
+/// questions (`inc`, `sum2`) to the environment, and unit 0 defines and
+/// uses the globals `acc` / `buf` / `lim`.
 #[derive(Debug, Clone)]
 pub struct GenCfg {
     /// Translation units per program (`1..=4`; unit 0 owns the globals).
@@ -22,22 +32,11 @@ pub struct GenCfg {
     pub fns_per_unit: usize,
     /// Top-level statements per function body.
     pub stmts_per_fn: usize,
-    /// Maximum parameters per function (`1..=6`; more than 4 spills onto
-    /// the stack under the ABI, which is exactly the point).
-    pub max_params: usize,
-    /// `int` locals per function.
-    pub nlocals: usize,
-    /// Emit outgoing questions (`inc`, `sum2`) to the environment.
-    pub external_calls: bool,
     /// Let external calls render as the scheduler's `yield` (a coin per
     /// `ExtCall` site). Off by default — and when off the generator draws
     /// nothing extra, so default-config programs are byte-identical to
     /// pre-yield releases (the committed campaign baselines depend on it).
     pub yield_calls: bool,
-    /// Let unit 0 define and use the globals `acc` / `buf` / `lim`.
-    pub use_memory: bool,
-    /// Maximum expression depth.
-    pub expr_depth: u32,
 }
 
 impl Default for GenCfg {
@@ -46,12 +45,7 @@ impl Default for GenCfg {
             units: 2,
             fns_per_unit: 2,
             stmts_per_fn: 5,
-            max_params: 6,
-            nlocals: 3,
-            external_calls: true,
             yield_calls: false,
-            use_memory: true,
-            expr_depth: 2,
         }
     }
 }
@@ -66,17 +60,27 @@ impl GenCfg {
             ..GenCfg::default()
         }
     }
+
+    /// One unit of three functions of eight statements, for the sweeps that
+    /// compile and query each program as a single translation unit (the
+    /// Fig. 6, Thm 3.8 and ablation drivers and the validation gate).
+    pub fn single_unit() -> GenCfg {
+        GenCfg {
+            units: 1,
+            fns_per_unit: 3,
+            stmts_per_fn: 8,
+            ..GenCfg::default()
+        }
+    }
 }
 
 /// Context for statement generation within one function.
 struct FnCtx<'a> {
     nparams: u32,
-    nlocals: u32,
     /// Functions callable from here: `(name, arity)`, DAG order.
     callees: &'a [(String, u32)],
     /// Whether memory statements are allowed (unit 0 only).
     memory: bool,
-    external: bool,
     /// Whether `ExtCall` sites may flip to `yield` (see [`GenCfg::yield_calls`]).
     yield_calls: bool,
     /// Next loop-counter index to allocate.
@@ -91,11 +95,11 @@ pub fn generate(seed: u64, cfg: &GenCfg) -> GProgram {
     let mut units = Vec::with_capacity(nunits);
     let mut defined: Vec<(String, u32)> = Vec::new();
     for u in 0..nunits {
-        let uses_memory = cfg.use_memory && u == 0;
+        let uses_memory = u == 0;
         let mut funcs = Vec::with_capacity(cfg.fns_per_unit);
         for i in 0..cfg.fns_per_unit.max(1) {
             let name = format!("u{u}f{i}");
-            let nparams = 1 + rng.below(cfg.max_params.clamp(1, 6) as u64) as u32;
+            let nparams = 1 + rng.below(MAX_PARAMS) as u32;
             let f = gen_fn(&mut rng, name.clone(), nparams, uses_memory, cfg, &defined);
             defined.push((name, nparams));
             funcs.push(f);
@@ -117,22 +121,20 @@ fn gen_fn(
 ) -> GFn {
     let mut cx = FnCtx {
         nparams,
-        nlocals: cfg.nlocals.max(1) as u32,
         callees: defined,
         memory,
-        external: cfg.external_calls,
         yield_calls: cfg.yield_calls,
         next_counter: 0,
     };
     let mut stmts = Vec::with_capacity(cfg.stmts_per_fn);
     for _ in 0..cfg.stmts_per_fn {
-        stmts.push(gen_stmt(rng, &mut cx, cfg.expr_depth, 0));
+        stmts.push(gen_stmt(rng, &mut cx, EXPR_DEPTH, 0));
     }
-    let ret = gen_expr(rng, &cx, cfg.expr_depth);
+    let ret = gen_expr(rng, &cx, EXPR_DEPTH);
     GFn {
         name,
         nparams,
-        nlocals: cx.nlocals,
+        nlocals: NLOCALS,
         stmts,
         ret,
     }
@@ -141,7 +143,7 @@ fn gen_fn(
 /// Generate one statement. `nesting` bounds compound-statement depth so
 /// loop trip counts stay small (≤ 8 × 8 iterations when nested twice).
 fn gen_stmt(rng: &mut SplitMix64, cx: &mut FnCtx<'_>, depth: u32, nesting: u32) -> GStmt {
-    let v = rng.below(u64::from(cx.nlocals)) as u32;
+    let v = rng.below(u64::from(NLOCALS)) as u32;
     match rng.below(12) {
         0..=2 => GStmt::Assign {
             v,
@@ -188,14 +190,14 @@ fn gen_stmt(rng: &mut SplitMix64, cx: &mut FnCtx<'_>, depth: u32, nesting: u32) 
                 args,
             }
         }
-        9 if cx.external => {
+        9 => {
             let e = gen_expr(rng, cx, 1);
             // Short-circuit keeps the rng stream untouched when the knob is
             // off, so default-config programs match pre-yield releases.
             let yld = cx.yield_calls && rng.coin();
             GStmt::ExtCall { v, e, yld }
         }
-        10 if cx.external => GStmt::ExtPtrCall {
+        10 => GStmt::ExtPtrCall {
             v,
             a: gen_expr(rng, cx, 1),
             b: gen_expr(rng, cx, 1),
@@ -215,7 +217,7 @@ fn gen_expr(rng: &mut SplitMix64, cx: &FnCtx<'_>, depth: u32) -> GExpr {
     if depth == 0 {
         return match rng.below(3) {
             0 => GExpr::Param(rng.below(u64::from(cx.nparams)) as u32),
-            1 => GExpr::Local(rng.below(u64::from(cx.nlocals)) as u32),
+            1 => GExpr::Local(rng.below(u64::from(NLOCALS)) as u32),
             _ => GExpr::Const(rng.range_i32(-20, 40)),
         };
     }

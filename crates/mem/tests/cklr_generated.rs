@@ -138,7 +138,7 @@ fn deltas(rng: &mut Rng, n: usize) -> Vec<i64> {
 /// relations are nontrivial (distinct offsets, shifted pointers).
 fn compose_law(seed: u64) {
     let script = gen_script(seed);
-    let mut rng = Rng::new(seed ^ 0x636f_6d70_6f73_65);
+    let mut rng = Rng::new(seed ^ 0x63_6f6d_706f_7365);
     let d1 = vec![0i64; script.sizes.len()];
     let d2 = deltas(&mut rng, script.sizes.len());
     let d3: Vec<i64> = d2
@@ -170,7 +170,7 @@ fn compose_law(seed: u64) {
 /// the image location in `m2` preserves the relation.
 fn store_law(seed: u64) {
     let script = gen_script(seed);
-    let mut rng = Rng::new(seed ^ 0x7374_6f72_65);
+    let mut rng = Rng::new(seed ^ 0x73_746f_7265);
     let d1 = vec![0i64; script.sizes.len()];
     let d2 = deltas(&mut rng, script.sizes.len());
     let mut m1 = instantiate(&script, &d1);
@@ -211,7 +211,7 @@ fn store_law(seed: u64) {
 /// nontrivial delta.
 fn alloc_law(seed: u64) {
     let script = gen_script(seed);
-    let mut rng = Rng::new(seed ^ 0x616c_6c6f_63);
+    let mut rng = Rng::new(seed ^ 0x61_6c6c_6f63);
     let d1 = vec![0i64; script.sizes.len()];
     let d2 = deltas(&mut rng, script.sizes.len());
     let mut m1 = instantiate(&script, &d1);
@@ -249,7 +249,7 @@ fn extends_law(seed: u64) {
 
     // m2 = m1 with some never-written (hence Undef) slots made defined:
     // refinement in the lessdef order, so m1 ≤m m2 must hold.
-    let mut rng = Rng::new(seed ^ 0x6578_74);
+    let mut rng = Rng::new(seed ^ 0x65_7874);
     let mut m2 = m1.clone();
     let written: Vec<(usize, i64)> = script
         .stores

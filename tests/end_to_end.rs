@@ -3,12 +3,13 @@
 
 use compcerto::compiler::{
     c_query, check_cor39, check_thm35, check_thm38, compile_all, CompilerOptions, ExtLib,
-    WorkloadCfg, WorkloadGen,
 };
 use compcerto::core::cc::Ca;
 use compcerto::core::conv::SimConv;
 use compcerto::core::lts::run;
 use compcerto::mem::Val;
+use compcerto_gen::generate::gen_queries;
+use compcerto_gen::{generate, GenCfg};
 
 /// A realistic multi-function program: fixed-point arithmetic routines.
 const FIXED_POINT: &str = "
@@ -115,15 +116,17 @@ fn thm35_chain_of_asm_links() {
 fn random_program_sweep() {
     // The headline sweep at integration scale: generated programs × queries,
     // every execution checked against the end-to-end convention.
-    let mut g = WorkloadGen::new(0xC011u64);
-    let cfg = WorkloadCfg::default();
+    let cfg = GenCfg::single_unit();
     for round in 0..6 {
-        let (src, arity) = g.gen_program(&cfg);
-        let (units, tbl) = compile_all(&[&src], CompilerOptions::default())
+        let prog = generate(0xC011 + round, &cfg);
+        let (_, entry) = prog.entry();
+        let src = prog.to_annotated_source();
+        let (units, tbl) = compile_all(&[&prog.render()[0]], CompilerOptions::default())
             .unwrap_or_else(|e| panic!("round {round} does not compile: {e}\n{src}"));
         let lib = ExtLib::demo(tbl.clone());
-        for args in g.gen_queries(arity, 2) {
-            let q = c_query(&tbl, &units[0], "entry", args.clone());
+        for args in gen_queries(prog.seed, entry.nparams as usize, 2) {
+            let args: Vec<Val> = args.into_iter().map(Val::Int).collect();
+            let q = c_query(&tbl, &units[0], &entry.name, args.clone());
             check_thm38(&units[0], &tbl, &lib, &q)
                 .unwrap_or_else(|e| panic!("round {round} args {args:?}: {e}\n{src}"));
         }

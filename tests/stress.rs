@@ -4,37 +4,41 @@
 //! cargo test --test stress -- --ignored
 //! ```
 
-use compcerto::compiler::{
-    c_query, check_thm38, compile_all, CompilerOptions, ExtLib, WorkloadCfg, WorkloadGen,
-};
+use compcerto::compiler::{c_query, check_thm38, compile_all, CompilerOptions, ExtLib};
+use compcerto::mem::Val;
+use compcerto_gen::generate::gen_queries;
+use compcerto_gen::{generate, GenCfg};
 
 /// 64 random programs × 4 queries × both optimization configurations — a
-/// deeper version of the Thm 3.8 sweep (the workload that caught the CSE
-/// bug recorded in EXPERIMENTS.md).
+/// deeper version of the Thm 3.8 sweep in `end_to_end.rs`
+/// (`random_program_sweep`), on larger programs.
 #[test]
 #[ignore = "long-running stress sweep; run with --ignored"]
 fn thm38_stress_sweep() {
-    for (seed, opts) in [
+    // Two blocks of 32 seeds: program `round` is drawn from `base + round`.
+    for (base, opts) in [
         (1u64, CompilerOptions::default()),
         (1u64, CompilerOptions::none()),
-        (2u64, CompilerOptions::default()),
-        (2u64, CompilerOptions::none()),
+        (33u64, CompilerOptions::default()),
+        (33u64, CompilerOptions::none()),
     ] {
-        let mut g = WorkloadGen::new(seed);
-        let cfg = WorkloadCfg {
-            functions: 4,
+        let cfg = GenCfg {
+            fns_per_unit: 4,
             stmts_per_fn: 12,
-            ..WorkloadCfg::default()
+            ..GenCfg::single_unit()
         };
         for round in 0..32 {
-            let (src, arity) = g.gen_program(&cfg);
-            let (units, tbl) = compile_all(&[&src], opts)
-                .unwrap_or_else(|e| panic!("seed {seed} round {round}: {e}"));
+            let prog = generate(base + round, &cfg);
+            let (_, entry) = prog.entry();
+            let src = prog.to_annotated_source();
+            let (units, tbl) = compile_all(&[&prog.render()[0]], opts)
+                .unwrap_or_else(|e| panic!("base {base} round {round}: {e}"));
             let lib = ExtLib::demo(tbl.clone());
-            for args in g.gen_queries(arity, 4) {
-                let q = c_query(&tbl, &units[0], "entry", args.clone());
+            for args in gen_queries(prog.seed, entry.nparams as usize, 4) {
+                let args: Vec<Val> = args.into_iter().map(Val::Int).collect();
+                let q = c_query(&tbl, &units[0], &entry.name, args.clone());
                 check_thm38(&units[0], &tbl, &lib, &q).unwrap_or_else(|e| {
-                    panic!("seed {seed} round {round} args {args:?}: {e}\n{src}")
+                    panic!("base {base} round {round} args {args:?}: {e}\n{src}")
                 });
             }
         }
