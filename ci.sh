@@ -21,6 +21,12 @@ cargo fmt --all -- --check
 echo "== tests =="
 cargo test --workspace -q
 
+echo "== Thm 3.8 stress sweep =="
+# The ignored sweep of 64 larger generated programs (about 5 s in release).
+# `hcomp_deep_recursion_stress`, the other ignored test of `tests/stress.rs`,
+# does not finish and stays out.
+cargo test --release --test stress -- --ignored --exact thm38_stress_sweep
+
 echo "== benchmark self-test =="
 # `perfbench/` is a package of its own (outside the workspace): its tiny-size
 # self-test runs every workload once, checks each prints every BENCHMARK.json

@@ -92,15 +92,6 @@ fn grown(old: &VaVal, joined: VaVal, widen: bool) -> VaVal {
     }
 }
 
-/// What one pop of a node sends its successors.
-enum Propagation {
-    /// First pop: the whole state after the node.
-    Full(VaEnv),
-    /// Later pops: the registers that changed at the node since its last
-    /// pop, plus the one it writes, with their values after it.
-    Changes(Vec<(PReg, VaVal)>),
-}
-
 /// Forward interval value analysis of one function: the abstract register
 /// environment *before* each reachable node. Parameters enter at `Top`
 /// (the caller is unknown), every other register at `Bot` (= unwritten,
@@ -112,7 +103,9 @@ enum Propagation {
 /// last pop, plus the one it writes. That is exact: a successor's state
 /// only grows, so it stays above every after-state the node sent before,
 /// and a register that did not change at the node cannot change the join.
-/// The pops, their order and the facts are those of the full join.
+/// The pops, their order and the facts are those of the full join. The
+/// per-node change lists and the list a later pop sends keep their buffers
+/// across pops.
 #[must_use]
 pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
     let g = DenseCfg::new(f);
@@ -125,6 +118,9 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
     // that changed in its state since its last pop.
     let mut propagated: Vec<bool> = vec![false; g.len()];
     let mut changed: Vec<Vec<PReg>> = vec![Vec::new(); g.len()];
+    // What a later pop sends: its changed registers with their values after
+    // the node.
+    let mut send: Vec<(PReg, VaVal)> = Vec::new();
     // The entry heads the reverse postorder.
     let mut entry_env = VaEnv::default();
     for p in &f.params {
@@ -136,67 +132,75 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
     let mut pops = 0;
     while let Some(i) = work.pop_first() {
         pops += 1;
-        let inst = g.inst(i);
         let Some(before) = state[i].as_ref() else {
             continue;
         };
-        let write = value_write(before, inst, romem);
-        // A first pop sends the whole state, so what changed before it is
-        // dropped.
-        let mut regs = std::mem::take(&mut changed[i]);
-        let send = if std::mem::replace(&mut propagated[i], true) {
-            regs.extend(write.as_ref().map(|(r, _)| *r));
-            regs.sort_unstable();
-            regs.dedup();
-            Propagation::Changes(
-                regs.into_iter()
-                    .map(|r| match &write {
-                        Some((w, v)) if *w == r => (r, v.clone()),
-                        _ => (r, before.get(r).clone()),
-                    })
-                    .collect(),
-            )
-        } else {
+        let write = value_write(before, g.inst(i), romem);
+        let regs = &mut changed[i];
+        if !std::mem::replace(&mut propagated[i], true) {
+            // A first pop sends the whole state, so what changed before it
+            // is dropped.
+            regs.clear();
             let mut after = before.clone();
             if let Some((r, v)) = write {
                 after.set(r, v);
             }
-            Propagation::Full(after)
-        };
-        for &si in g.succs(i) {
-            let widen = grows[si] >= WIDEN_AFTER;
-            let grew = match (state[si].as_mut(), &send) {
-                (Some(cur), Propagation::Full(after)) => cur.join_with(after, |r, old, joined| {
-                    changed[si].push(r);
-                    grown(old, joined, widen)
-                }),
-                (Some(cur), Propagation::Changes(regs)) => {
-                    let mut grew = false;
-                    for (r, v) in regs {
-                        let old = cur.get(*r);
-                        if old == v {
-                            continue;
-                        }
-                        let joined = old.join(v);
-                        if joined != *old {
-                            let new = grown(old, joined, widen);
-                            cur.set(*r, new);
-                            changed[si].push(*r);
-                            grew = true;
+            let succs = g.succs(i);
+            for (k, &si) in succs.iter().enumerate() {
+                let widen = grows[si] >= WIDEN_AFTER;
+                match state[si].as_mut() {
+                    Some(cur) => {
+                        let grew = cur.join_with(&after, |r, old, joined| {
+                            changed[si].push(r);
+                            grown(old, joined, widen)
+                        });
+                        if grew {
+                            grows[si] += 1;
+                            work.insert(si);
                         }
                     }
-                    grew
+                    // A successor seen for the first time takes the
+                    // after-state; the last one takes it without a copy.
+                    None => {
+                        state[si] = Some(if k + 1 == succs.len() {
+                            std::mem::take(&mut after)
+                        } else {
+                            after.clone()
+                        });
+                        work.insert(si);
+                    }
                 }
-                // A successor seen for the first time takes a copy of the
-                // after-state. Only a first pop meets one: it leaves every
-                // successor with a state.
-                (None, Propagation::Full(after)) => {
-                    state[si] = Some(after.clone());
-                    work.insert(si);
+            }
+            continue;
+        }
+        regs.extend(write.as_ref().map(|(r, _)| *r));
+        regs.sort_unstable();
+        regs.dedup();
+        send.clear();
+        send.extend(regs.drain(..).map(|r| match &write {
+            Some((w, v)) if *w == r => (r, v.clone()),
+            _ => (r, before.get(r).clone()),
+        }));
+        for &si in g.succs(i) {
+            // A first pop leaves every successor with a state.
+            let Some(cur) = state[si].as_mut() else {
+                continue;
+            };
+            let widen = grows[si] >= WIDEN_AFTER;
+            let mut grew = false;
+            for (r, v) in &send {
+                let old = cur.get(*r);
+                if old == v {
                     continue;
                 }
-                (None, Propagation::Changes(_)) => continue,
-            };
+                let joined = old.join(v);
+                if joined != *old {
+                    let new = grown(old, joined, widen);
+                    cur.set(*r, new);
+                    changed[si].push(*r);
+                    grew = true;
+                }
+            }
             if grew {
                 grows[si] += 1;
                 work.insert(si);

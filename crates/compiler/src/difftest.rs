@@ -1015,7 +1015,9 @@ fn validator_finding(
 
 /// The compile-then-link vs link-then-compile context: the generated units
 /// linked *at the Clight level* and compiled as one translation unit,
-/// against its own symbol table.
+/// against its own symbol table. Its functions fan out over the pool at
+/// [`Jobs::Auto`], as [`Prepared::new`]'s per-unit build does; the pool
+/// returns the same unit, and the same counters, at any width.
 struct WholeProgram {
     unit: CompiledUnit,
     symtab: SymbolTable,
@@ -1024,7 +1026,7 @@ struct WholeProgram {
 
 fn build_whole(linked: &clight::Program, opts: CompilerOptions) -> Result<WholeProgram, String> {
     let symtab = build_symtab(&[linked]).map_err(|e| format!("whole-program symtab: {e}"))?;
-    let unit = compile_typed_jobs(std::slice::from_ref(linked), &symtab, opts, Jobs::N(1))
+    let unit = compile_typed_jobs(std::slice::from_ref(linked), &symtab, opts, Jobs::Auto)
         .map_err(|e| format!("whole-program compile: {e}"))?
         .pop()
         .ok_or("whole-program compile: no unit")?;

@@ -16,11 +16,13 @@
 //! (3 units × 4 functions × 12 statements), and a seeded block of random
 //! cyclic CFGs.
 //!
-//! The random block also pins the rest of the fixpoint engine
-//! (`rtl::analysis`): the pops and facts of the constant analysis,
-//! liveness and neededness, and the `lint_rtl` diagnostics, with two
-//! properties of liveness and maybe-uninit; relabelled to sparse node ids,
-//! it must solve the same.
+//! The two generated sweeps also pin what the fixpoint engine computes on
+//! the compiler's own snapshots: the pops and facts of `value_facts` on
+//! `rtl_vprop_in`, neededness on `rtl_ndce_in`, and liveness, the constant
+//! analysis and maybe-uninit on `rtl_opt`. The random block pins the pops
+//! and facts of the constant analysis, liveness and neededness, and the
+//! `lint_rtl` diagnostics, with two properties of liveness and
+//! maybe-uninit; relabelled to sparse node ids, it must solve the same.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -117,8 +119,8 @@ fn full_join_facts(f: &RtlFunction, romem: &Romem) -> (BTreeMap<Node, VaEnv>, u6
 }
 
 /// Solve `f` both ways and require equal facts and equal pop counts.
-/// Returns whether some node popped twice, i.e. the change-set path ran.
-fn assert_same(f: &RtlFunction, romem: &Romem, ctx: &str) -> bool {
+/// Returns the library's facts and pops.
+fn assert_same(f: &RtlFunction, romem: &Romem, ctx: &str) -> (BTreeMap<Node, VaEnv>, u64) {
     let (want, want_pops) = full_join_facts(f, romem);
     let before = value_solver_iterations();
     let got = value_facts(f, romem);
@@ -129,12 +131,27 @@ fn assert_same(f: &RtlFunction, romem: &Romem, ctx: &str) -> bool {
         assert_eq!(n, m, "{ctx}: `{}` solved node set", f.name);
         assert_eq!(g, w, "{ctx}: `{}` fact before node {n}", f.name);
     }
-    pops > want.len() as u64
+    (got, pops)
+}
+
+/// Fold one solve into its pin: the pops, then each node's fact as `Debug`
+/// renders it.
+fn fold_debug<S: std::fmt::Debug>(h: u64, (facts, pops): (BTreeMap<Node, S>, u64)) -> u64 {
+    fold(h, pops, &facts, |s| format!("{s:?}"))
 }
 
 /// Compile one generated program and check every function of every
-/// unit's `Vprop` input snapshot. Returns how many functions it checked.
-fn check_generated(seed: u64, cfg: &GenCfg, opts: CompilerOptions, ctx: &str) -> usize {
+/// unit's `Vprop` input snapshot against the full join. Folds into `pins`,
+/// in order, what `value_facts` solves on `rtl_vprop_in`, neededness on
+/// `rtl_ndce_in`, and liveness, the constant analysis and maybe-uninit on
+/// `rtl_opt`. Returns how many `Vprop` input functions it checked.
+fn check_generated(
+    seed: u64,
+    cfg: &GenCfg,
+    opts: CompilerOptions,
+    ctx: &str,
+    pins: &mut [u64; 5],
+) -> usize {
     let srcs = generate(seed, cfg).render();
     let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
     let (units, symtab) = match compile_all(&refs, opts) {
@@ -142,15 +159,53 @@ fn check_generated(seed: u64, cfg: &GenCfg, opts: CompilerOptions, ctx: &str) ->
         Err(e) => panic!("{ctx} seed {seed}: failed to compile: {e}"),
     };
     let romem = Romem::new(&symtab);
+    let ctx = format!("{ctx} seed {seed}");
     let mut n = 0;
     for u in &units {
         for f in &u.rtl_vprop_in.functions {
-            assert_same(f, &romem, &format!("{ctx} seed {seed}"));
+            pins[0] = fold_debug(pins[0], assert_same(f, &romem, &ctx));
             n += 1;
+        }
+        for f in &u.rtl_ndce_in.functions {
+            pins[1] = fold_debug(pins[1], pops("solver.needed.iters", || neededness(f)));
+        }
+        for f in &u.rtl_opt.functions {
+            let rtl = "solver.rtl_iterations";
+            pins[2] = fold_debug(pins[2], pops(rtl, || liveness(f)));
+            pins[3] = fold_debug(pins[3], pops(rtl, || value_analysis(f, &romem)));
+            let uninit = pops("solver.validate_iterations", || maybe_uninit(f, &f.params));
+            pins[4] = fold_debug(pins[4], uninit);
         }
     }
     n
 }
+
+/// The pins of a generated sweep, in [`check_generated`]'s order.
+fn assert_pins(pins: [u64; 5], want: [&str; 5], sweep: &str) {
+    assert_eq!(
+        pins.map(|h| format!("{h:016x}")),
+        want,
+        "{sweep} pins (value_facts, neededness, liveness, value_analysis, maybe_uninit)"
+    );
+}
+
+/// The oracle-seed sweep's pins, in [`check_generated`]'s order.
+const ORACLE_PINS: [&str; 5] = [
+    "5ad01dc7ca117c38",
+    "291cf360d5e33c45",
+    "5a492b87a8b6efeb",
+    "7c77d4a1ec4c6231",
+    "719ddc5046edbe46",
+];
+
+/// The corpus-shaped sweep's pins, in [`check_generated`]'s order.
+const CORPUS_PINS: [&str; 5] = [
+    "53107c744f8d4dcc",
+    "cb7f15b1a3ffaf8e",
+    "d9309cd05f93a13f",
+    "8c3800a9548d57c7",
+    "599605ec0d860fae",
+];
 
 #[test]
 fn change_sets_equal_the_full_join_on_the_oracle_seeds() {
@@ -166,12 +221,15 @@ fn change_sets_equal_the_full_join_on_the_oracle_seeds() {
         ("sched", SchedCfg::default().gen),
     ];
     let mut checked = 0;
+    let mut pins = [FNV_OFFSET; 5];
     for seed in base..base + num("seeds") {
         for (name, gen) in &profiles {
-            checked += check_generated(seed, gen, CompilerOptions::validated(), name);
+            let opts = CompilerOptions::validated();
+            checked += check_generated(seed, gen, opts, name, &mut pins);
         }
     }
     assert!(checked >= 2 * 64, "only {checked} functions checked");
+    assert_pins(pins, ORACLE_PINS, "oracle-seed");
 }
 
 #[test]
@@ -183,10 +241,12 @@ fn change_sets_equal_the_full_join_on_the_compile_corpus_shape() {
         ..GenCfg::default()
     };
     let mut checked = 0;
+    let mut pins = [FNV_OFFSET; 5];
     for seed in 0..48 {
-        checked += check_generated(seed, &cfg, CompilerOptions::default(), "corpus");
+        checked += check_generated(seed, &cfg, CompilerOptions::default(), "corpus", &mut pins);
     }
     assert!(checked >= 48 * 12, "only {checked} functions checked");
+    assert_pins(pins, CORPUS_PINS, "corpus");
 }
 
 /// A random, possibly cyclic, possibly partly unreachable CFG with `n`
@@ -266,7 +326,8 @@ fn change_sets_equal_the_full_join_on_random_cyclic_cfgs() {
     let romem = Romem::new(&SymbolTable::new());
     let mut repopped = 0;
     for (ctx, f) in random_sweep() {
-        repopped += usize::from(assert_same(&f, &romem, &ctx));
+        let (facts, pops) = assert_same(&f, &romem, &ctx);
+        repopped += usize::from(pops > facts.len() as u64);
     }
     // Loops must make the solver revisit nodes, or the change sets go
     // untested.

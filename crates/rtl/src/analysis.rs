@@ -18,8 +18,9 @@
 //! `compcerto-validate` in the crate graph.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use crate::bitset::BitSet;
@@ -109,17 +110,52 @@ pub fn successors_of(f: &RtlFunction) -> impl Fn(Node) -> Option<Succs> + '_ {
     |n| f.code.get(&n).map(Inst::successors)
 }
 
+/// The traversals' hash of a node id: one multiplication by an odd
+/// constant, which keeps distinct ids distinct in the low bits a table
+/// indexes by and spreads them over the high bits it tags with. Node ids
+/// are the compiler's own numbering, never read from input, so the set
+/// needs no defence against keys chosen to collide.
+#[derive(Default)]
+struct NodeHasher(u64);
+
+// `#[inline]` throughout: the traversals are generic, so they run in the
+// crates that call them (Linearize and Allocation in `backend`).
+impl Hasher for NodeHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(u64::from(*b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Depth-first preorder of the nodes reachable from `entry`, successors
 /// visited in the order listed. This order numbers RTL nodes (`Renumber`),
 /// positions them for register allocation and lays out LTL code
-/// (`Linearize`).
+/// (`Linearize`). The seen-set is a hash set, so its memory grows with the
+/// nodes reached, not with the largest node id.
 pub fn preorder<I>(entry: Node, succs: impl Fn(Node) -> Option<I>) -> Vec<Node>
 where
     I: IntoIterator<Item = Node>,
     I::IntoIter: DoubleEndedIterator,
 {
     let mut order = Vec::new();
-    let mut seen = BTreeSet::new();
+    let mut seen: HashSet<Node, BuildHasherDefault<NodeHasher>> = HashSet::default();
     let mut stack = vec![entry];
     while let Some(n) = stack.pop() {
         if seen.contains(&n) {
@@ -485,6 +521,11 @@ where
 /// interface and the same numbering: popping the *largest* pending index
 /// visits nodes in exact postorder — the fast direction for a backward
 /// analysis.
+///
+/// A node with one successor hands that successor's state (`bot` while it
+/// has none) to `transfer` as is: `bot` is the join's identity. Only a
+/// branch joins its successors' states, into one out-set buffer that every
+/// pop reuses.
 pub fn backward_solve<S, T>(g: &DenseCfg<'_>, solver: Solver, bot: S, transfer: T) -> Vec<S>
 where
     S: JoinSemiLattice,
@@ -492,16 +533,24 @@ where
 {
     let mut state: Vec<Option<S>> = (0..g.len()).map(|_| None).collect();
     let mut work = Worklist::full(g.len());
+    let mut joined = bot.clone();
     let mut pops = 0;
     while let Some(i) = work.pop_last() {
         pops += 1;
-        let mut out = bot.clone();
-        for &si in g.succs(i) {
-            if let Some(ss) = state[si].as_ref() {
-                out.join_in_place(ss);
+        let out = match g.succs(i) {
+            [] => &bot,
+            [si] => state[*si].as_ref().unwrap_or(&bot),
+            succs => {
+                joined.clone_from(&bot);
+                for &si in succs {
+                    if let Some(ss) = state[si].as_ref() {
+                        joined.join_in_place(ss);
+                    }
+                }
+                &joined
             }
-        }
-        let inn = transfer(g.node(i), g.inst(i), &out);
+        };
+        let inn = transfer(g.node(i), g.inst(i), out);
         let changed = match state[i].as_mut() {
             Some(cur) => cur.join_in_place(&inn),
             None => {

@@ -22,9 +22,27 @@ use crate::analysis::JoinSemiLattice;
 const WORD_BITS: u32 = 64;
 
 /// A growable dense set of `u32` indices.
-#[derive(Clone, Default, Eq)]
+#[derive(Default, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
+}
+
+// `#[inline]`, as a derived impl is: the solvers that copy sets are generic,
+// so they run in the crates that call them.
+impl Clone for BitSet {
+    #[inline]
+    fn clone(&self) -> BitSet {
+        BitSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies into `self`'s words, so a reused buffer allocates only when
+    /// `source` is wider than any set it held before.
+    #[inline]
+    fn clone_from(&mut self, source: &BitSet) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl BitSet {

@@ -1,5 +1,5 @@
 //! Copy-on-write abstract register environments: the register-indexed slots
-//! live in fixed chunks of 32 behind reference counts, with the
+//! live in fixed chunks of 8 behind reference counts, with the
 //! domain's bottom as the implicit value of every register past the end.
 //!
 //! Pseudo-registers are small dense integers (`RtlFunction::next_reg`
@@ -31,15 +31,21 @@ pub trait AbsVal: Clone + PartialEq + 'static {
     fn join(&self, other: &Self) -> Self;
 }
 
-/// Registers per copy-on-write chunk: a generated function has about 120
-/// pseudo-registers, so a state is a handful of chunks and a write copies
-/// one of them.
-const CHUNK: usize = 32;
+/// Registers per copy-on-write chunk. A generated function has about 120
+/// pseudo-registers, so a state is about 15 chunks, and the one a write
+/// unshares is 8 slots (256 bytes of interval values): a transfer changes
+/// a register or two, and the copy it makes dominates a solver's cost.
+const CHUNK: usize = 8;
 
 type Chunk<V> = Rc<[V; CHUNK]>;
 
-fn bot_chunk<V: AbsVal>() -> Chunk<V> {
-    Rc::new(std::array::from_fn(|_| V::BOT.clone()))
+/// Lengthen `chunks` to `len` with chunks of `BOT`, all sharing one
+/// allocation: the first write to any of them copies it.
+fn pad<V: AbsVal>(chunks: &mut Vec<Chunk<V>>, len: usize) {
+    if chunks.len() < len {
+        let bot: Chunk<V> = Rc::new(std::array::from_fn(|_| V::BOT.clone()));
+        chunks.resize(len, bot);
+    }
 }
 
 /// A register environment over the abstract domain `V` (unbound registers
@@ -80,7 +86,7 @@ impl<V: AbsVal> RegEnv<V> {
             if v == *V::BOT {
                 return;
             }
-            self.chunks.resize_with(c + 1, bot_chunk);
+            pad(&mut self.chunks, c + 1);
         }
         let chunk = &mut self.chunks[c];
         if chunk[i % CHUNK] != v {
@@ -108,9 +114,7 @@ impl<V: AbsVal> RegEnv<V> {
     /// and a grown chunk that ends equal to `other`'s adopts it, so states
     /// along a path keep sharing after joins.
     pub fn join_with(&mut self, other: &Self, mut grow: impl FnMut(PReg, &V, V) -> V) -> bool {
-        if self.chunks.len() < other.chunks.len() {
-            self.chunks.resize_with(other.chunks.len(), bot_chunk);
-        }
+        pad(&mut self.chunks, other.chunks.len());
         let mut changed = false;
         for (c, cur) in self.chunks.iter_mut().enumerate() {
             let theirs = other.chunks.get(c);

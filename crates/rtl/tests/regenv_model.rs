@@ -280,9 +280,10 @@ fn iteration_is_ascending_whatever_the_insertion_order() {
     assert_eq!(regs, vec![0, 3, 9, 17, 41]);
 }
 
-/// Registers on both sides of every chunk boundary up to the third chunk,
-/// and one far past them.
-const EDGE_REGS: [PReg; 6] = [0, 31, 32, 63, 64, 300];
+/// Registers on both sides of the chunk boundaries at 8, 16, 32 and 64,
+/// which every power-of-two chunk width from 8 to 32 has, and one far past
+/// them.
+const EDGE_REGS: [PReg; 10] = [0, 7, 8, 15, 16, 31, 32, 63, 64, 300];
 
 fn bindings(e: &RegEnv<VaVal>) -> Vec<(PReg, VaVal)> {
     e.iter().map(|(r, v)| (r, v.clone())).collect()
@@ -352,7 +353,7 @@ fn writes_through_a_clone_never_show_through_the_other() {
     trimmed.set(1_000, VaVal::Top);
     trimmed.set(1_000, VaVal::Bot);
     let mut fresh: RegEnv<VaVal> = RegEnv::default();
-    for (k, r) in EDGE_REGS[..5].iter().enumerate() {
+    for (k, r) in EDGE_REGS[..EDGE_REGS.len() - 1].iter().enumerate() {
         fresh.set(*r, VaVal::int(k as i32));
     }
     assert_eq!(trimmed, fresh);
