@@ -24,7 +24,9 @@ cargo test --workspace -q
 echo "== Thm 3.8 stress sweep =="
 # The ignored sweep of 64 larger generated programs (about 5 s in release).
 # `hcomp_deep_recursion_stress`, the other ignored test of `tests/stress.rs`,
-# does not finish and stays out.
+# does not finish and stays out: each call through ⊕ copies the memory three
+# times, at a cost that grows with the depth, so the run is quadratic in its
+# 20,000 levels (its doc comment has the measurements).
 cargo test --release --test stress -- --ignored --exact thm38_stress_sweep
 
 echo "== benchmark self-test =="
@@ -111,6 +113,11 @@ cargo clippy -p compcerto-core -p mem -p rtl -p compiler -p compcerto-validate -
 # Every default lint on every target of every crate: the bins (`ccomp-o`
 # and the bench drivers), the tests, the examples and the benches.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc gate (every doc link resolves) =="
+# A broken, ambiguous or private intra-doc link is an error, so the module
+# docs cannot drift from the items they name.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== bin unwrap/expect/panic audit (no panicking shortcuts in drivers) =="
 # The evaluation/driver bins and the campaign kernel they run on (its code

@@ -96,7 +96,7 @@ fn grown(old: &VaVal, joined: VaVal, widen: bool) -> VaVal {
 /// environment *before* each reachable node. Parameters enter at `Top`
 /// (the caller is unknown), every other register at `Bot` (= unwritten,
 /// reads as `Undef`). Join points that keep growing are widened after
-/// [`WIDEN_AFTER`] growing joins, so loops terminate.
+/// `WIDEN_AFTER` growing joins, so loops terminate.
 ///
 /// A node's first pop joins its whole after-state into its successors;
 /// later pops join only the registers that changed in its state since its

@@ -6,12 +6,12 @@
 //! | Pass | Module | Convention |
 //! |------|--------|------------|
 //! | Allocation | [`alloc`] | `wt·ext·CL ↠ wt·ext·CL` |
-//! | Tunneling | [`tunneling`] | `ext ↠ ext` |
-//! | Linearize | [`linearize`] | `id ↠ id` |
+//! | Tunneling | [`mod@tunneling`] | `ext ↠ ext` |
+//! | Linearize | [`mod@linearize`] | `id ↠ id` |
 //! | CleanupLabels | [`cleanup`] | `id ↠ id` |
-//! | Debugvar | [`debugvar`] | `id ↠ id` |
-//! | Stacking | [`stacking`] | `injp·LM ↠ LM·inj` |
-//! | Asmgen | [`asmgen`] | `ext·MA ↠ ext·MA` |
+//! | Debugvar | [`mod@debugvar`] | `id ↠ id` |
+//! | Stacking | [`mod@stacking`] | `injp·LM ↠ LM·inj` |
+//! | Asmgen | [`mod@asmgen`] | `ext·MA ↠ ext·MA` |
 //!
 //! [`asm`] also provides the syntactic linking operator `+` on Asm programs,
 //! the substrate of paper Thm. 3.5.

@@ -3,7 +3,7 @@
 //! Following CompCert's Clight, expressions are side-effect free (no calls,
 //! no assignments inside expressions); function calls occur only at the
 //! statement level. Every expression node carries its type, established by
-//! [`crate::typecheck`].
+//! [`fn@crate::typecheck`].
 
 use std::fmt;
 

@@ -7,7 +7,7 @@
 //!
 //! * variable references become slot indices (locals) or block ids
 //!   (globals), with load/store chunks precomputed from their types;
-//! * callee names are interned ([`Interner`]) and resolved to function
+//! * callee names are interned ([`FuncIndex`]) and resolved to function
 //!   indices or external function pointers + signatures;
 //! * casts become one of four kinds; `sizeof` becomes a constant;
 //! * local allocation/free plans: every declaration allocated in order,
@@ -19,7 +19,7 @@
 //! Activations use a dense register file ([`PFrame`]: `Vec<BlockId>` slots,
 //! `Vec<Option<Val>>` temps) and continuations ([`PKont`]) are small-step:
 //! every `Skip` continuation pop, function entry and return is one step.
-//! [`step_batch`] is the one step definition; `ClightSem::step` runs it at
+//! `step_batch` is the one step definition; `ClightSem::step` runs it at
 //! fuel 1. Answers, step counts, stuck messages and the `mem.*` counter
 //! stream are pinned by the committed verdict checksums (DESIGN.md §13).
 
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use compcerto_core::iface::{CQuery, CReply, Signature};
-use compcerto_core::intern::Interner;
+use compcerto_core::intern::FuncIndex;
 use compcerto_core::lts::{Batch, Stuck};
 use compcerto_core::symtab::{Ident, SymbolTable};
 use mem::{BlockId, Chunk, Mem, Val};
@@ -221,13 +221,11 @@ pub struct PFunc {
 /// A prepared program.
 #[derive(Debug, Clone)]
 pub struct PProg {
-    /// Interned function names (definition order — deterministic).
-    pub syms: Interner,
+    /// Interned function names and their indices into `funcs`
+    /// (deterministic: definition order, then externs).
+    pub fn_index: FuncIndex,
     /// Function arena, in definition order.
     pub funcs: Vec<PFunc>,
-    /// `Sym` index → function index (first definition wins, like
-    /// `Program::function`).
-    pub fidx_of_sym: Vec<Option<u32>>,
 }
 
 /// An activation: dense local slots and temps.
@@ -417,13 +415,7 @@ impl<'a> FnC<'a> {
         }
     }
 
-    fn stmt(
-        &mut self,
-        s: &Stmt,
-        prog: &Program,
-        syms: &Interner,
-        fidx_of_sym: &[Option<u32>],
-    ) -> u32 {
+    fn stmt(&mut self, s: &Stmt, prog: &Program, fn_index: &FuncIndex) -> u32 {
         let sid = self.stmts.len() as u32;
         self.stmts.push(PStmt::Skip); // placeholder
         let node = match s {
@@ -448,42 +440,37 @@ impl<'a> FnC<'a> {
                         args,
                         msg: format!("call to unknown symbol `{fname}`").into_boxed_str(),
                     },
-                    Some(vf) => {
-                        let fidx = syms
-                            .lookup(fname)
-                            .and_then(|sy| fidx_of_sym.get(sy.index()).copied().flatten());
-                        match fidx {
-                            Some(fidx) => PStmt::CallI {
-                                fidx,
+                    Some(vf) => match fn_index.by_name(fname) {
+                        Some(fidx) => PStmt::CallI {
+                            fidx,
+                            args,
+                            dest: self.dest(dest),
+                        },
+                        None => match prog.sig_of(fname) {
+                            Some(sig) => PStmt::CallE {
+                                vf,
+                                sig,
                                 args,
                                 dest: self.dest(dest),
                             },
-                            None => match prog.sig_of(fname) {
-                                Some(sig) => PStmt::CallE {
-                                    vf,
-                                    sig,
-                                    args,
-                                    dest: self.dest(dest),
-                                },
-                                None => PStmt::CallTrap {
-                                    args,
-                                    msg: format!("no signature for `{fname}`").into_boxed_str(),
-                                },
+                            None => PStmt::CallTrap {
+                                args,
+                                msg: format!("no signature for `{fname}`").into_boxed_str(),
                             },
-                        }
-                    }
+                        },
+                    },
                 }
             }
             Stmt::Seq(a, b) => {
-                let a = self.stmt(a, prog, syms, fidx_of_sym);
-                let b = self.stmt(b, prog, syms, fidx_of_sym);
+                let a = self.stmt(a, prog, fn_index);
+                let b = self.stmt(b, prog, fn_index);
                 PStmt::Seq(a, b)
             }
             Stmt::If(c, a, b) => {
                 let prefix = format!("undefined condition: {c} = ").into_boxed_str();
                 let cond = self.expr(c);
-                let then_sid = self.stmt(a, prog, syms, fidx_of_sym);
-                let else_sid = self.stmt(b, prog, syms, fidx_of_sym);
+                let then_sid = self.stmt(a, prog, fn_index);
+                let else_sid = self.stmt(b, prog, fn_index);
                 PStmt::If {
                     cond,
                     prefix,
@@ -494,7 +481,7 @@ impl<'a> FnC<'a> {
             Stmt::While(c, body) => {
                 let prefix = format!("undefined loop condition: {c} = ").into_boxed_str();
                 let cond = self.expr(c);
-                let body_sid = self.stmt(body, prog, syms, fidx_of_sym);
+                let body_sid = self.stmt(body, prog, fn_index);
                 PStmt::While {
                     cond,
                     prefix,
@@ -574,22 +561,10 @@ fn max_temp(f: &Function) -> usize {
 /// Compile `prog` into its prepared form. Pure function of the program and
 /// symbol table; runs once in `ClightSem::new`.
 pub fn prepare(prog: &Program, symtab: &SymbolTable) -> PProg {
-    let mut syms = Interner::new();
-    for f in &prog.functions {
-        syms.intern(&f.name);
-    }
-    for e in &prog.externs {
-        syms.intern(&e.name);
-    }
-    let mut fidx_of_sym: Vec<Option<u32>> = vec![None; syms.len()];
-    for (i, f) in prog.functions.iter().enumerate() {
-        if let Some(s) = syms.lookup(&f.name) {
-            let slot = &mut fidx_of_sym[s.index()];
-            if slot.is_none() {
-                *slot = Some(i as u32);
-            }
-        }
-    }
+    let fn_index = FuncIndex::new(
+        prog.functions.iter().map(|f| f.name.as_str()),
+        prog.externs.iter().map(|e| e.name.as_str()),
+    );
 
     let funcs = prog
         .functions
@@ -665,7 +640,7 @@ pub fn prepare(prog: &Program, symtab: &SymbolTable) -> PProg {
                 })
                 .collect();
 
-            let body_sid = c.stmt(&f.body, prog, &syms, &fidx_of_sym);
+            let body_sid = c.stmt(&f.body, prog, &fn_index);
             let skip_sid = c.stmts.len() as u32;
             c.stmts.push(PStmt::Skip);
 
@@ -684,22 +659,7 @@ pub fn prepare(prog: &Program, symtab: &SymbolTable) -> PProg {
         })
         .collect();
 
-    PProg {
-        syms,
-        funcs,
-        fidx_of_sym,
-    }
-}
-
-/// The function index of a callee pointer (first definition of its name).
-pub(crate) fn fidx_of_val(p: &PProg, symtab: &SymbolTable, vf: Val) -> Option<u32> {
-    match vf {
-        Val::Ptr(b, 0) => symtab
-            .ident_of(b)
-            .and_then(|name| p.syms.lookup(name))
-            .and_then(|sy| p.fidx_of_sym.get(sy.index()).copied().flatten()),
-        _ => None,
-    }
+    PProg { fn_index, funcs }
 }
 
 fn eval_binop(op: Binop, a: Val, b: Val) -> Val {

@@ -7,9 +7,9 @@
 //!   syntax (array indexing, implicit widening, array decay);
 //! * an [open semantics](sem::ClightSem) over the game `C ↠ C`
 //!   (paper §3.2) with memory-resident locals;
-//! * [linking](link) and shared [symbol-table](link::build_symtab)
+//! * [linking](mod@link) and shared [symbol-table](link::build_symtab)
 //!   construction (paper App. A.3);
-//! * the first compilation pass, [`simpl_locals`] (paper Table 3,
+//! * the first compilation pass, [`mod@simpl_locals`] (paper Table 3,
 //!   convention `injp ↠ inj`).
 //!
 //! # Example

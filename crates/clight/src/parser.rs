@@ -1,7 +1,7 @@
 //! Recursive-descent parser for Clight-mini.
 //!
 //! The parser produces *untyped* AST (expression type slots hold
-//! [`Ty::Void`]); [`crate::typecheck`] fills them in and desugars surface
+//! [`Ty::Void`]); [`fn@crate::typecheck`] fills them in and desugars surface
 //! forms ([`Expr::Index`]).
 //!
 //! Grammar highlights (see DESIGN.md §2):

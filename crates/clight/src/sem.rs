@@ -65,7 +65,7 @@ impl ClightSem {
     /// The index of the function `q` calls, when this unit defines it with
     /// `q`'s signature and arity.
     fn callee(&self, q: &CQuery) -> Option<u32> {
-        let fidx = fast::fidx_of_val(&self.fast, &self.symtab, q.vf)?;
+        let fidx = self.fast.fn_index.by_ptr(&self.symtab, q.vf)?;
         let f = self.prog.functions.get(fidx as usize)?;
         (f.signature() == q.sig && q.args.len() == f.params.len()).then_some(fidx)
     }

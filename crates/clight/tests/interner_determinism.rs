@@ -36,7 +36,7 @@ fn sym_assignment(prog: &Program) -> Vec<(String, usize)> {
         .map(|f| f.name.clone())
         .chain(prog.externs.iter().map(|e| e.name.clone()))
         .map(|name| {
-            let sym = p.syms.lookup(&name).expect("every program name interns");
+            let sym = p.fn_index.sym(&name).expect("every program name interns");
             (name, sym.index())
         })
         .collect()

@@ -190,7 +190,8 @@ where
     run_closed_budgeted(closed, &compcerto_core::lts::RunBudget::with_fuel(fuel))
 }
 
-/// Like [`run_closed`], but under a full [`RunBudget`] (memory / call-depth /
+/// Like [`run_closed`], but under a full
+/// [`RunBudget`](compcerto_core::lts::RunBudget) (memory / call-depth /
 /// deadline quotas in addition to fuel).
 ///
 /// # Errors

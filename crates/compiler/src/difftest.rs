@@ -17,12 +17,12 @@
 //! ([`FindingKind`]); budget exhaustion at any stage merely skips the query
 //! (possible divergence under a finite budget is not a verdict). On a
 //! finding, [`run_seed`] invokes the delta-debugging reducer
-//! ([`compcerto_gen::reduce`]) with a same-kind predicate and attaches a
+//! ([`fn@compcerto_gen::reduce`]) with a same-kind predicate and attaches a
 //! minimal self-contained reproducer.
 //!
 //! Two *metamorphic* link-composition checks ride along (paper Thm 3.8 /
 //! Cor 3.9 territory): compile-each-unit-then-[`link_asm`] must observe the
-//! same behaviour as [`clight::link`]-then-compile, and for two-unit
+//! same behaviour as [`fn@clight::link`]-then-compile, and for two-unit
 //! programs the horizontal composition `Asm(p1) ⊕ Asm(p2)` must simulate the
 //! linked Asm ([`check_thm35_budgeted`]).
 //!

@@ -30,7 +30,7 @@
 //!   matter what any single unit does. `ccomp-o` and the compile server's
 //!   misses both go through it or through [`compile_typed_resilient`].
 //!
-//! Pass attribution works through [`pass_boundary`]: the driver calls it at
+//! Pass attribution works through `pass_boundary`: the driver calls it at
 //! the start of every pass, recording the pass name in a thread-local. When
 //! a contained panic unwinds out of a unit, the recorded name tells the
 //! taxonomy *which* pass poisoned the unit — without wrapping every pass in

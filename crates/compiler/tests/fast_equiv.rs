@@ -3,12 +3,10 @@
 //! The runner drives every stage through `step_batch` and picks the chunk
 //! from the budget: a ring-trace budget runs one step per batch (it clones
 //! every intermediate state), a trace-off budget hands each batch all the
-//! fuel left, so the arena/fused dispatch loops run whole stretches. Over
-//! the fixed seed block the two must be indistinguishable — identical
-//! verdicts (answers, external-call traces, final globals) and identical
-//! `lts.*` counter deltas (steps, external calls, outcomes). In particular,
-//! fuel-1 batches commit one half of a fused RTL pair per step, so this
-//! also checks fused dispatch against unfused stepping end to end.
+//! fuel left, so the arena dispatch loops run whole stretches. Over the
+//! fixed seed block the two must be indistinguishable — identical verdicts
+//! (answers, external-call traces, final globals) and identical `lts.*`
+//! counter deltas (steps, external calls, outcomes).
 //!
 //! The two-unit seeds also run the Thm 3.5 check (`Asm(p1) ⊕ Asm(p2)`
 //! against the linked Asm) under both budgets: the composite batches

@@ -3,10 +3,9 @@
 //!
 //! The runner checks fuel *before* every step, so a run that completes in
 //! `n` steps needs fuel `n + 1` — and `step_batch` must honour a cut at
-//! **any** intermediate fuel value, including one that lands between the
-//! two halves of a fused RTL dispatch pair (DESIGN.md §13.3). These
-//! tests find each stage's minimal completing fuel by sweeping upward from
-//! zero, which exercises every cut point exactly once, and pin:
+//! **any** intermediate fuel value (DESIGN.md §13.1). These tests find each
+//! stage's minimal completing fuel by sweeping upward from zero, which
+//! exercises every cut point exactly once, and pin:
 //!
 //! * fuel 0 and fuel 1 are out-of-fuel for every stage (the program below
 //!   needs more than one step at every level);
@@ -35,8 +34,8 @@ use compiler::{
 use mem::Val;
 
 /// A small program with a loop and external calls: enough steps that every
-/// stage has interior cut points (and RTL has fused pairs spanning them),
-/// small enough that the exhaustive fuel sweep stays fast.
+/// stage has interior cut points, small enough that the exhaustive fuel
+/// sweep stays fast.
 const SRC: &str = "
     extern int inc(int);
     int run(int x) {
@@ -107,8 +106,7 @@ fn fuel_boundaries_are_exact_on_every_stage() {
 
         // Sweep upward: every fuel below the minimum must be a clean
         // out-of-fuel — never a completion, a stuck state, or a panic —
-        // no matter where inside a batch (or a fused RTL pair) the cut
-        // lands.
+        // no matter where inside a batch the cut lands.
         let mut minimal = None;
         for fuel in 0..FUEL_CAP {
             match run_with(&fx, stage, &RunBudget::with_fuel(fuel).no_trace()) {

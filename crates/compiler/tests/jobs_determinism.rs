@@ -105,7 +105,7 @@ fn interned_symbols_are_jobs_invariant() {
             .map(|f| f.name.clone())
             .chain(sp.clight.externs.iter().map(|e| e.name.clone()))
             .map(|name| {
-                let sym = p.syms.lookup(&name).expect("every linked name interns");
+                let sym = p.fn_index.sym(&name).expect("every linked name interns");
                 (name, sym.index())
             })
             .collect::<Vec<_>>()

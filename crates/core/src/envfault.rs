@@ -22,6 +22,8 @@
 
 use std::cell::Cell;
 
+use mem::envfault::countdown_fires;
+
 thread_local! {
     static SINK_ARMED: Cell<Option<u64>> = const { Cell::new(None) };
     static SINK_DROPPED: Cell<u64> = const { Cell::new(0) };
@@ -61,17 +63,7 @@ pub fn take_deadline_fired() -> bool {
 
 /// Hook for the sink: returns true when this append must be dropped.
 pub(crate) fn sink_write_fails() -> bool {
-    let fire = SINK_ARMED.with(|a| match a.get() {
-        None => false,
-        Some(1) => {
-            a.set(None);
-            true
-        }
-        Some(n) => {
-            a.set(Some(n - 1));
-            false
-        }
-    });
+    let fire = SINK_ARMED.with(countdown_fires);
     if fire {
         SINK_DROPPED.with(|c| c.set(c.get() + 1));
     }
@@ -81,17 +73,7 @@ pub(crate) fn sink_write_fails() -> bool {
 /// Hook for the budgeted runner's strided deadline check: returns true when
 /// the clock must be treated as past the deadline.
 pub(crate) fn deadline_jitter_fires() -> bool {
-    let fire = DEADLINE_ARMED.with(|a| match a.get() {
-        None => false,
-        Some(1) => {
-            a.set(None);
-            true
-        }
-        Some(n) => {
-            a.set(Some(n - 1));
-            false
-        }
-    });
+    let fire = DEADLINE_ARMED.with(countdown_fires);
     if fire {
         DEADLINE_FIRED.with(|f| f.set(true));
     }

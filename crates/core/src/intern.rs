@@ -21,6 +21,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use mem::Val;
+
+use crate::symtab::SymbolTable;
+
 /// An interned symbol: a dense index into one [`Interner`]'s table.
 ///
 /// `Sym`s from different interners are not comparable; each prepared
@@ -103,6 +107,60 @@ impl Interner {
     }
 }
 
+/// The function table of a prepared program: its defined function names
+/// interned in definition order, then its extern names, and for each name
+/// the index of the function that defines it. A name defined twice resolves
+/// to its first definition, like the programs' own `function` lookups.
+#[derive(Debug, Clone, Default)]
+pub struct FuncIndex {
+    syms: Interner,
+    fidx_of_sym: Vec<Option<u32>>,
+}
+
+impl FuncIndex {
+    /// Index a program whose `i`-th function is named by the `i`-th item of
+    /// `defined`, and which declares `externs`.
+    pub fn new<'a>(
+        defined: impl IntoIterator<Item = &'a str>,
+        externs: impl IntoIterator<Item = &'a str>,
+    ) -> FuncIndex {
+        let mut syms = Interner::new();
+        let mut fidx_of_sym = Vec::new();
+        for (i, name) in defined.into_iter().enumerate() {
+            // Only a fresh name gets a slot: the first definition wins.
+            if syms.intern(name).index() == fidx_of_sym.len() {
+                fidx_of_sym.push(Some(i as u32));
+            }
+        }
+        for name in externs {
+            syms.intern(name);
+        }
+        fidx_of_sym.resize(syms.len(), None);
+        FuncIndex { syms, fidx_of_sym }
+    }
+
+    /// The [`Sym`] `name` was interned to.
+    #[must_use]
+    pub fn sym(&self, name: &str) -> Option<Sym> {
+        self.syms.lookup(name)
+    }
+
+    /// The index of the function named `name`.
+    #[must_use]
+    pub fn by_name(&self, name: &str) -> Option<u32> {
+        self.fidx_of_sym[self.sym(name)?.index()]
+    }
+
+    /// The index of the function a callee pointer `vf` points to.
+    #[must_use]
+    pub fn by_ptr(&self, symtab: &SymbolTable, vf: Val) -> Option<u32> {
+        match vf {
+            Val::Ptr(b, 0) => self.by_name(symtab.ident_of(b)?),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,6 +200,39 @@ mod tests {
         }
         assert_eq!(i.len(), 1000);
         assert_eq!(seen.iter().next_back(), Some(&Sym(999)));
+    }
+
+    #[test]
+    fn func_index_resolves_first_definitions_by_name_and_pointer() {
+        use crate::iface::Signature;
+        use crate::symtab::GlobKind;
+        // `f` is defined twice and `g` is also declared extern.
+        let ix = FuncIndex::new(["f", "g", "f"], ["h", "g"]);
+        let syms: Vec<_> = ["f", "g", "h"].iter().map(|n| ix.sym(n)).collect();
+        assert_eq!(syms, [Some(Sym(0)), Some(Sym(1)), Some(Sym(2))]);
+        assert_eq!(ix.by_name("f"), Some(0), "the first definition wins");
+        assert_eq!(ix.by_name("g"), Some(1));
+        assert_eq!(ix.by_name("h"), None, "externs index no function");
+        assert_eq!(ix.by_name("missing"), None);
+
+        let mut tbl = SymbolTable::new();
+        for n in ["h", "g"] {
+            tbl.define(n.into(), GlobKind::Func(Signature::int_fn(0)));
+        }
+        let Some(Val::Ptr(g, 0)) = tbl.func_ptr("g") else {
+            panic!("`g` has a function pointer");
+        };
+        assert_eq!(ix.by_ptr(&tbl, Val::Ptr(g, 0)), Some(1));
+        assert_eq!(
+            ix.by_ptr(&tbl, Val::Ptr(g, 8)),
+            None,
+            "not a function start"
+        );
+        assert_eq!(
+            ix.by_ptr(&tbl, tbl.func_ptr("h").unwrap_or(Val::Undef)),
+            None
+        );
+        assert_eq!(ix.by_ptr(&tbl, Val::Int(0)), None);
     }
 
     #[test]

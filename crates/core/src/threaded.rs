@@ -61,12 +61,12 @@
 //!
 //! [`Lts::step_batch`] is the wrapper's one step definition (`step` is its
 //! fuel-1 batch). It delegates each slice to the inner component's own
-//! batched stepper, so the arena/fused dispatch loops of DESIGN.md §13 run
-//! whole slices and fuel accounting follows the
-//! [`Batch`] contract exactly (dispatch and completion cost one outer step
-//! each; terminal discovery is free). Schedule exploration is therefore
-//! budget-bounded for free: run each schedule under its own [`RunBudget`]
-//! via [`crate::lts::run_budgeted`].
+//! batched stepper, so the prepared interpreters' dispatch loops of
+//! DESIGN.md §13 run whole slices and fuel accounting follows the [`Batch`]
+//! contract exactly (dispatch and completion cost one outer step each;
+//! terminal discovery is free). Schedule exploration is therefore
+//! budget-bounded for free: run each schedule under its own
+//! [`RunBudget`](crate::lts::RunBudget) via [`crate::lts::run_budgeted`].
 
 use std::fmt;
 

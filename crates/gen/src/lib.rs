@@ -8,7 +8,7 @@
 //!   a deterministic renderer into the surface syntax the parser accepts.
 //!   Keeping the structure (instead of strings) is what makes reduction
 //!   tractable.
-//! * [`generate`] — the seeded generator ([`generate`](generate::generate)):
+//! * [`mod@generate`] — the seeded generator ([`generate`](generate::generate)):
 //!   SplitMix64-driven, emits only programs whose executions are defined for
 //!   every generated query (division/remainder by non-zero constants only,
 //!   shift amounts below the width, in-bounds masked array indices, bounded
@@ -17,7 +17,7 @@
 //!   (`inc`, `sum2`) so the *open* C interface of the paper — incoming and
 //!   outgoing questions — is exercised, including pointer passing across
 //!   the boundary.
-//! * [`reduce`] — a delta-debugging reducer ([`reduce`](reduce::reduce)):
+//! * [`mod@reduce`] — a delta-debugging reducer ([`reduce`](reduce::reduce)):
 //!   given a failing program and a "still fails?" predicate, greedily
 //!   removes units, functions and statements, flattens control structure
 //!   and shrinks constants until a fixpoint, returning a minimal

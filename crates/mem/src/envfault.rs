@@ -51,21 +51,29 @@ pub fn take_fired() -> bool {
     FIRED.with(|f| f.replace(false))
 }
 
-/// Hook called by [`crate::Mem::alloc`]. Decrements the countdown and, when
-/// it reaches zero, disarms and panics with a stable `envfault:` message.
-pub(crate) fn on_alloc() {
-    let fire = ARMED.with(|a| match a.get() {
+/// One tick of a one-shot fault countdown (`None` = disarmed): true when
+/// the fault fires on this tick, which disarms it; otherwise an armed
+/// countdown moves one closer. The thread-local injection points (this
+/// module's allocator fault, `compcerto_core::envfault`'s sink-write and
+/// deadline-jitter faults) all count their hook calls with this.
+pub fn countdown_fires(armed: &Cell<Option<u64>>) -> bool {
+    match armed.get() {
         None => false,
         Some(1) => {
-            a.set(None);
+            armed.set(None);
             true
         }
         Some(n) => {
-            a.set(Some(n - 1));
+            armed.set(Some(n - 1));
             false
         }
-    });
-    if fire {
+    }
+}
+
+/// Hook called by [`crate::Mem::alloc`]. Decrements the countdown and, when
+/// it reaches zero, disarms and panics with a stable `envfault:` message.
+pub(crate) fn on_alloc() {
+    if ARMED.with(countdown_fires) {
         FIRED.with(|f| f.set(true));
         panic!("envfault: injected allocator exhaustion");
     }

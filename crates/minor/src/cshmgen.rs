@@ -20,7 +20,7 @@ use crate::op::{MBinop, MUnop};
 use crate::structured::{GStmt, TempId};
 
 /// Errors raised by `Cshmgen` (all indicate an ill-typed input program —
-/// running [`clight::typecheck`] first prevents them).
+/// running [`fn@clight::typecheck`] first prevents them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CshmgenError {
     /// Function being translated.

@@ -9,8 +9,8 @@
 //! live in `compcerto-validate::absint`: neededness is a
 //! [`crate::analysis::backward_solve`] instance, and the interval value
 //! analysis keeps its own widening loop on [`crate::analysis::DenseCfg`]
-//! and the same pop counters. The optimization passes ([`crate::vprop`],
-//! [`crate::ndce`]) consume the solved facts as plain data — so the passes
+//! and the same pop counters. The optimization passes ([`mod@crate::vprop`],
+//! [`mod@crate::ndce`]) consume the solved facts as plain data — so the passes
 //! stay decoupled from the analysis engine and the translation validators
 //! can recompute the same facts on the passes' *inputs*.
 //!

@@ -10,7 +10,7 @@
 //!
 //! Equality is *semantic*: trailing zero words are ignored, so a set that
 //! grew and shrank compares equal to one that never grew. This is what lets
-//! [`BitSet`] implement [`JoinSemiLattice`](crate::analysis::JoinSemiLattice)
+//! [`BitSet`] implement [`JoinSemiLattice`]
 //! directly (the solvers detect fixpoints via `join_in_place`'s changed
 //! bit, never via `==`, but the lattice laws still demand honest equality).
 

@@ -7,14 +7,14 @@
 //! | Pass | Module | Convention |
 //! |------|--------|------------|
 //! | RTLgen | [`gen`] | `ext ↠ ext` |
-//! | Tailcall† | [`tailcall`] | `ext ↠ ext` |
-//! | Inlining | [`inlining`] | `injp ↠ inj` |
-//! | Renumber | [`renumber`] | `id ↠ id` |
-//! | Constprop† | [`constprop`] | `va·ext ↠ va·ext` |
-//! | CSE† | [`cse`] | `va·ext ↠ va·ext` |
-//! | Deadcode† | [`deadcode`] | `va·ext ↠ va·ext` |
-//! | Vprop† | [`vprop`] | `va·ext ↠ va·ext` |
-//! | Ndce† | [`ndce`] | `va·ext ↠ va·ext` |
+//! | Tailcall† | [`mod@tailcall`] | `ext ↠ ext` |
+//! | Inlining | [`mod@inlining`] | `injp ↠ inj` |
+//! | Renumber | [`mod@renumber`] | `id ↠ id` |
+//! | Constprop† | [`mod@constprop`] | `va·ext ↠ va·ext` |
+//! | CSE† | [`mod@cse`] | `va·ext ↠ va·ext` |
+//! | Deadcode† | [`mod@deadcode`] | `va·ext ↠ va·ext` |
+//! | Vprop† | [`mod@vprop`] | `va·ext ↠ va·ext` |
+//! | Ndce† | [`mod@ndce`] | `va·ext ↠ va·ext` |
 //!
 //! († = optional optimizations; the final convention `C` is insensitive to
 //! whether they run, paper §3.4.)

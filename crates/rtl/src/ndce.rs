@@ -1,14 +1,14 @@
 //! The `Ndce` pass: neededness-driven dead-code elimination (DESIGN.md §12,
 //! convention `va·ext ↠ va·ext`).
 //!
-//! Strengthens [`crate::deadcode`] with the backward *neededness* analysis
+//! Strengthens [`mod@crate::deadcode`] with the backward *neededness* analysis
 //! (CompCert's liveness-of-bits): an instruction whose result is needed at
 //! `Nothing` is deleted, and because a dead result propagates `Nothing` to
 //! everything it reads, whole dead *chains* disappear in one fixpoint —
 //! including chains the plain one-shot liveness pass leaves behind after
 //! `vprop` turns their last consumer into a constant.
 //!
-//! Like [`crate::vprop`], the pass is untrusted: it consumes precomputed
+//! Like [`mod@crate::vprop`], the pass is untrusted: it consumes precomputed
 //! per-node needed-*after* environments and every deletion is re-justified
 //! by `validate_deadcode` against facts recomputed from the pass input.
 //! Only pure operations and loads are ever deleted; stores, calls and

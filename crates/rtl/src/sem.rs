@@ -131,7 +131,7 @@ impl RtlSem {
     /// The index of the function `q` calls, when this program defines it
     /// with `q`'s signature and arity.
     fn callee(&self, q: &CQuery) -> Option<u32> {
-        let fidx = fast::fidx_of_val(&self.fast, &self.symtab, q.vf)?;
+        let fidx = self.fast.fn_index.by_ptr(&self.symtab, q.vf)?;
         let f = self.prog.functions.get(fidx as usize)?;
         (f.sig == q.sig && q.args.len() == f.params.len()).then_some(fidx)
     }
@@ -221,7 +221,8 @@ mod tests {
     use super::*;
     use crate::lang::{Inst, RtlFunction, RtlOp};
     use compcerto_core::iface::Signature;
-    use compcerto_core::lts::run;
+    use compcerto_core::lts::{run, run_budgeted, RunBudget, RunOutcome};
+    use compcerto_core::obs;
     use compcerto_core::symtab::GlobKind;
     use minor::MBinop;
     use std::collections::BTreeMap;
@@ -266,18 +267,71 @@ mod tests {
 
     #[test]
     fn missing_node_goes_wrong() {
+        // Each corruption is known at prepare time and decodes to a stuck
+        // µop; the run must stick with the exact label-prefixed message
+        // after the same number of steps whether the runner steps once per
+        // batch (ring trace) or hands the batch all its fuel (no trace).
+        type Corrupt = fn(&mut RtlFunction);
+        let table: [(&str, Corrupt, &str, u64); 4] = [
+            (
+                "missing entry",
+                |f| f.entry = 99,
+                "RTL: no instruction at double_add:99",
+                1,
+            ),
+            (
+                "missing successor",
+                |f| {
+                    f.code
+                        .insert(1, Inst::Op(RtlOp::Binop(MBinop::Add32, 2, 1), 3, 77));
+                },
+                "RTL: no instruction at double_add:77",
+                3,
+            ),
+            (
+                "undefined global",
+                |f| {
+                    f.code
+                        .insert(1, Inst::Op(RtlOp::AddrGlobal("nowhere".into(), 0), 3, 2));
+                },
+                "RTL: unknown symbol `nowhere`",
+                2,
+            ),
+            (
+                "undefined callee",
+                |f| {
+                    let call =
+                        Inst::Call(Signature::int_fn(1), "ghost".into(), vec![2], Some(3), 2);
+                    f.code.insert(1, call);
+                },
+                "RTL: unknown callee `ghost`",
+                2,
+            ),
+        ];
         let (sem, mem) = sample();
-        // Corrupt: entry points to a missing node.
-        let mut prog = sem.program().clone();
-        prog.functions[0].entry = 99;
-        let sem = RtlSem::new(prog, sem.symtab().clone());
-        let q = CQuery {
-            vf: sem.symtab().func_ptr("double_add").unwrap(),
-            sig: Signature::int_fn(2),
-            args: vec![Val::Int(1), Val::Int(2)],
-            mem,
-        };
-        let out = run(&sem, &q, &mut |_q| None, 1000);
-        assert!(matches!(out, compcerto_core::lts::RunOutcome::Wrong { .. }));
+        for (what, corrupt, want_msg, want_steps) in table {
+            let mut prog = sem.program().clone();
+            corrupt(&mut prog.functions[0]);
+            let bad = RtlSem::new(prog, sem.symtab().clone());
+            let q = CQuery {
+                vf: bad.symtab().func_ptr("double_add").unwrap(),
+                sig: Signature::int_fn(2),
+                args: vec![Val::Int(1), Val::Int(2)],
+                mem: mem.clone(),
+            };
+            for budget in [
+                RunBudget::with_fuel(1000),
+                RunBudget::with_fuel(1000).no_trace(),
+            ] {
+                let before = obs::counters();
+                let out = run_budgeted(&bad, &q, &mut |_q| None, &budget);
+                let steps = obs::counters().since(&before).steps;
+                let RunOutcome::Wrong { stuck, .. } = out else {
+                    panic!("{what} under {:?}: {out:?}", budget.trace);
+                };
+                assert_eq!(stuck.reason, want_msg, "{what} under {:?}", budget.trace);
+                assert_eq!(steps, want_steps, "{what} under {:?}", budget.trace);
+            }
+        }
     }
 }

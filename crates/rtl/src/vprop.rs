@@ -1,7 +1,7 @@
 //! The `Vprop` pass: interval-driven constant propagation with branch
 //! folding (DESIGN.md §12, convention `va·ext ↠ va·ext`).
 //!
-//! Strengthens [`crate::constprop`] with the interval facts of the abstract
+//! Strengthens [`mod@crate::constprop`] with the interval facts of the abstract
 //! interpreter: operations whose abstract result is a *singleton* fold to
 //! constants even when no operand is a compile-time constant (e.g. `x % 4`
 //! after a widening settled `x ≥ 0`, or a definite interval comparison),
