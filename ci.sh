@@ -10,6 +10,11 @@
 # `minor`/`compcerto-gen` path dependencies in their build graph.
 set -eu
 
+# Every scratch file of this run lives in one private directory, removed on
+# exit, so two runs on one host never share a path.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== build (release) =="
 cargo build --workspace --release
 
@@ -24,9 +29,9 @@ cargo test --workspace -q
 echo "== Thm 3.8 stress sweep =="
 # The ignored sweep of 64 larger generated programs (about 5 s in release).
 # `hcomp_deep_recursion_stress`, the other ignored test of `tests/stress.rs`,
-# does not finish and stays out: each call through ⊕ copies the memory three
-# times, at a cost that grows with the depth, so the run is quadratic in its
-# 20,000 levels (its doc comment has the measurements).
+# does not finish and stays out: each call through ⊕ copies the memory twice,
+# at a cost that grows with the depth, so the run is quadratic in its 20,000
+# levels (its doc comment has the measurements).
 cargo test --release --test stress -- --ignored --exact thm38_stress_sweep
 
 echo "== benchmark self-test =="
@@ -42,7 +47,7 @@ echo "== benchmark full-size oracle pass (both modes) =="
 # perfbench's per-call replay of `run_stage`/`check_query_sched`.
 for trace in 0 1; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload oracle-seeds --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_oracle_$trace.txt
+        --workload oracle-seeds --seed 1 --seconds 1 --trace $trace > "$tmp"/perf_oracle_$trace.txt
 done
 
 echo "== benchmark full-size compile pass (both modes) =="
@@ -52,7 +57,7 @@ echo "== benchmark full-size compile pass (both modes) =="
 # `compile_all_jobs`.
 for trace in 0 1; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload compile-corpus --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_corpus_$trace.txt
+        --workload compile-corpus --seed 1 --seconds 1 --trace $trace > "$tmp"/perf_corpus_$trace.txt
 done
 
 echo "== benchmark full-size serve passes (both workloads, both modes) =="
@@ -63,7 +68,7 @@ echo "== benchmark full-size serve passes (both workloads, both modes) =="
 for workload in serve-rebuild serve-edit; do
     for trace in 0 1; do
         cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-            --workload $workload --seed 1 --seconds 1 --trace $trace > /tmp/ci_perf_${workload}_$trace.txt
+            --workload $workload --seed 1 --seconds 1 --trace $trace > "$tmp"/perf_${workload}_$trace.txt
     done
 done
 
@@ -76,7 +81,7 @@ echo "== benchmark solver pops and IR sizes (traced passes, pinned) =="
 # Linearize drops them, so a wrong live set there moves `ir.ltl_nodes`
 # while the `corpus_asm` pin holds.
 while read -r run key value; do
-    grep -qx "$key = $value count (\(lower\|higher\) is better)" "/tmp/ci_perf_${run}_1.txt" ||
+    grep -qx "$key = $value count (\(lower\|higher\) is better)" "$tmp/perf_${run}_1.txt" ||
         { echo "$run: $key is not $value" >&2; exit 1; }
 done <<'PINS'
 corpus solver.rtl_iterations 397669
@@ -139,12 +144,12 @@ echo "== resume-path drivers (golden stdout) =="
 # pass configurations. Each is deterministic and must print its committed
 # snapshot byte for byte.
 for b in fig5_hcomp_rules fig6_simulation thm38_endtoend cor39_separate fig3_vertical ablation_opts; do
-    cargo run -q --release -p bench --bin $b > /tmp/ci_golden_$b.txt
-    cmp /tmp/ci_golden_$b.txt crates/bench/tests/golden/$b.txt
+    cargo run -q --release -p bench --bin $b > "$tmp"/golden_$b.txt
+    cmp "$tmp"/golden_$b.txt crates/bench/tests/golden/$b.txt
 done
 for e in nic_driver whole_program; do
-    cargo run -q --release --example $e > /tmp/ci_golden_$e.txt
-    cmp /tmp/ci_golden_$e.txt crates/bench/tests/golden/$e.txt
+    cargo run -q --release --example $e > "$tmp"/golden_$e.txt
+    cmp "$tmp"/golden_$e.txt crates/bench/tests/golden/$e.txt
 done
 
 echo "== abstract-interpretation gate (validated opt passes + fact export) =="
@@ -162,9 +167,9 @@ cargo run -q --release -p compiler --bin ccomp-o -- --validate \
 # pool, through `compile_typed_resilient`).
 for jobs in 1 16; do
     cargo run -q --release -p compiler --bin ccomp-o -- --validate --dump-asm --jobs $jobs \
-        crates/compiler/tests/golden/*.c > /tmp/ci_golden_asm_$jobs.txt
+        crates/compiler/tests/golden/*.c > "$tmp"/golden_asm_$jobs.txt
 done
-cmp /tmp/ci_golden_asm_1.txt /tmp/ci_golden_asm_16.txt
+cmp "$tmp"/golden_asm_1.txt "$tmp"/golden_asm_16.txt
 # Served as one batch, the same programs go through the same scheduler
 # (one pool for every unit's prefix, every function's back end and every
 # function's validation) and the same ladder. The responses (Asm, counters
@@ -177,24 +182,24 @@ done)
 {
     printf '{"schema":"compcerto-serve/1","op":"compile","id":1,"units":[%s]}\n' "${units%,}"
     printf '%s\n' '{"schema":"compcerto-serve/1","op":"stats","id":2}'
-} > /tmp/ci_serve_golden.txt
+} > "$tmp"/serve_golden.txt
 for jobs in 1 16; do
-    rm -rf /tmp/ci_serve_golden_cache
+    rm -rf "$tmp"/serve_golden_cache
     cargo run -q --release -p compiler --bin ccomp-o -- serve --jobs $jobs \
-        --cache-dir /tmp/ci_serve_golden_cache < /tmp/ci_serve_golden.txt > /tmp/ci_serve_golden_$jobs.txt
+        --cache-dir "$tmp"/serve_golden_cache < "$tmp"/serve_golden.txt > "$tmp"/serve_golden_$jobs.txt
 done
-cmp /tmp/ci_serve_golden_1.txt /tmp/ci_serve_golden_16.txt
-grep -q '"serve.compiled":5,' /tmp/ci_serve_golden_1.txt
-test "$(head -n 1 /tmp/ci_serve_golden_1.txt | grep -o '"status":"ok"' | wc -l)" -eq 5 ||
+cmp "$tmp"/serve_golden_1.txt "$tmp"/serve_golden_16.txt
+grep -q '"serve.compiled":5,' "$tmp"/serve_golden_1.txt
+test "$(head -n 1 "$tmp"/serve_golden_1.txt | grep -o '"status":"ok"' | wc -l)" -eq 5 ||
     { echo "a golden unit was not answered ok" >&2; exit 1; }
 # The analysis fact export must be schema-tagged and byte-deterministic.
 cargo run -q --release -p compiler --bin ccomp-o -- --analyze-json \
-    crates/compiler/tests/golden/*.c > /tmp/ci_analyze_1.json
+    crates/compiler/tests/golden/*.c > "$tmp"/analyze_1.json
 cargo run -q --release -p compiler --bin ccomp-o -- --analyze-json \
-    crates/compiler/tests/golden/*.c > /tmp/ci_analyze_2.json
-cmp /tmp/ci_analyze_1.json /tmp/ci_analyze_2.json
-grep -q '"schema": "compcerto-analysis/1"' /tmp/ci_analyze_1.json
-grep -q '"needed"' /tmp/ci_analyze_1.json
+    crates/compiler/tests/golden/*.c > "$tmp"/analyze_2.json
+cmp "$tmp"/analyze_1.json "$tmp"/analyze_2.json
+grep -q '"schema": "compcerto-analysis/1"' "$tmp"/analyze_1.json
+grep -q '"needed"' "$tmp"/analyze_1.json
 
 echo "== compile-server gate (cache cold/warm byte-identity) =="
 # ISSUE 9 / DESIGN.md §14: the same golden batch is served twice against a
@@ -204,20 +209,20 @@ echo "== compile-server gate (cache cold/warm byte-identity) =="
 # must be byte-identical once the cache-status tags — the only intended
 # difference — are stripped. The corruption/protocol/identity batteries
 # behind this gate run as integration tests under `cargo test` above.
-rm -rf /tmp/ci_serve_cache
+rm -rf "$tmp"/serve_cache
 printf '%s\n' \
     '{"schema":"compcerto-serve/1","op":"compile","id":1,"units":[{"source":"int add(int x, int y) { return x + y; }"},{"source":"extern int add(int, int); int twice(int n) { int r; r = add(n, n); return r; }"}]}' \
     '{"schema":"compcerto-serve/1","op":"stats","id":2}' \
-    > /tmp/ci_serve_batch.txt
-cargo run -q --release -p compiler --bin ccomp-o -- serve --cache-dir /tmp/ci_serve_cache \
-    < /tmp/ci_serve_batch.txt > /tmp/ci_serve_1.txt
-cargo run -q --release -p compiler --bin ccomp-o -- serve --cache-dir /tmp/ci_serve_cache \
-    < /tmp/ci_serve_batch.txt > /tmp/ci_serve_2.txt
-grep -q '"cache":{"hit":0,"miss":2,"evict":0}' /tmp/ci_serve_1.txt
-grep -q '"cache":{"hit":2,"miss":0,"evict":0}' /tmp/ci_serve_2.txt
-sed 's/"cache":"miss",//g; s/"cache":"hit",//g; s/"cache":{[^}]*}//g' /tmp/ci_serve_1.txt | head -1 > /tmp/ci_serve_1.norm
-sed 's/"cache":"miss",//g; s/"cache":"hit",//g; s/"cache":{[^}]*}//g' /tmp/ci_serve_2.txt | head -1 > /tmp/ci_serve_2.norm
-cmp /tmp/ci_serve_1.norm /tmp/ci_serve_2.norm
+    > "$tmp"/serve_batch.txt
+cargo run -q --release -p compiler --bin ccomp-o -- serve --cache-dir "$tmp"/serve_cache \
+    < "$tmp"/serve_batch.txt > "$tmp"/serve_1.txt
+cargo run -q --release -p compiler --bin ccomp-o -- serve --cache-dir "$tmp"/serve_cache \
+    < "$tmp"/serve_batch.txt > "$tmp"/serve_2.txt
+grep -q '"cache":{"hit":0,"miss":2,"evict":0}' "$tmp"/serve_1.txt
+grep -q '"cache":{"hit":2,"miss":0,"evict":0}' "$tmp"/serve_2.txt
+sed 's/"cache":"miss",//g; s/"cache":"hit",//g; s/"cache":{[^}]*}//g' "$tmp"/serve_1.txt | head -1 > "$tmp"/serve_1.norm
+sed 's/"cache":"miss",//g; s/"cache":"hit",//g; s/"cache":{[^}]*}//g' "$tmp"/serve_2.txt | head -1 > "$tmp"/serve_2.norm
+cmp "$tmp"/serve_1.norm "$tmp"/serve_2.norm
 
 # The campaign bins share one kernel (`bench::campaign`): flags, `--check`
 # preflight, checkpoints and the 0/1/2 exit contract.
@@ -225,8 +230,8 @@ campaign() { b=$1; shift; cargo run -q --release -p bench --bin "$b" -- "$@"; }
 
 echo "== campaign baselines (re-derived at three pool widths) =="
 # Every committed campaign report is a pure function of its flags: each is
-# re-derived and must match byte for byte (OBS.json after normalization,
-# which strips its volatile pool/timings sections) under every pool width.
+# re-derived and must match byte for byte under every pool width (no report
+# carries a wall-clock or pool-occupancy number; obs prints those).
 # difftest (row B8) fails on any finding, stuck state, validator rejection
 # or reducer panic; sched (row B14) on any disagreement under any
 # interleaving; resilience (row B10) on any injection outside its outcome
@@ -257,19 +262,19 @@ echo "== printed campaigns (fault injection, static validation) =="
 # misses. Their printed matrices must not depend on the pool width.
 for b in faultinj_campaign validate_campaign; do
     for jobs in 1 16; do
-        campaign $b --seed 42 --per-class 5 --jobs $jobs > /tmp/ci_${b}_$jobs.txt
+        campaign $b --seed 42 --per-class 5 --jobs $jobs > "$tmp"/${b}_$jobs.txt
     done
-    cmp /tmp/ci_${b}_1.txt /tmp/ci_${b}_16.txt
-    cat /tmp/ci_${b}_1.txt
+    cmp "$tmp"/${b}_1.txt "$tmp"/${b}_16.txt
+    cat "$tmp"/${b}_1.txt
 done
 
 echo "== differential-testing quick profile =="
-campaign difftest_campaign --quick --jobs 1 --out /tmp/ci_difftest_1.json
-campaign difftest_campaign --quick --jobs auto --out /tmp/ci_difftest_2.json
-cmp /tmp/ci_difftest_1.json /tmp/ci_difftest_2.json
-campaign difftest_campaign --quick --jobs auto --check /tmp/ci_difftest_1.json
-grep -q '"schema": "compcerto-difftest/1"' /tmp/ci_difftest_1.json
-grep -q '"findings": 0,' /tmp/ci_difftest_1.json
+campaign difftest_campaign --quick --jobs 1 --out "$tmp"/difftest_1.json
+campaign difftest_campaign --quick --jobs auto --out "$tmp"/difftest_2.json
+cmp "$tmp"/difftest_1.json "$tmp"/difftest_2.json
+campaign difftest_campaign --quick --jobs auto --check "$tmp"/difftest_1.json
+grep -q '"schema": "compcerto-difftest/1"' "$tmp"/difftest_1.json
+grep -q '"findings": 0,' "$tmp"/difftest_1.json
 
 echo "== kill-and-resume (checkpointed campaigns) =="
 # Paused after one block and resumed in a fresh process, each resumable
@@ -277,16 +282,16 @@ echo "== kill-and-resume (checkpointed campaigns) =="
 # remove its checkpoint.
 for b in difftest_campaign sched_campaign faultinj_campaign; do
     case $b in
-        difftest_campaign) set -- --quick --block 5 --out /tmp/ci_resume.out; want=/tmp/ci_difftest_1.json ;;
-        sched_campaign) set -- --out /tmp/ci_resume.out; want=SCHED.json ;;
-        faultinj_campaign) set -- --seed 42 --per-class 5; want=/tmp/ci_faultinj_campaign_1.txt ;;
+        difftest_campaign) set -- --quick --block 5 --out "$tmp"/resume.out; want="$tmp"/difftest_1.json ;;
+        sched_campaign) set -- --out "$tmp"/resume.out; want=SCHED.json ;;
+        faultinj_campaign) set -- --seed 42 --per-class 5; want="$tmp"/faultinj_campaign_1.txt ;;
     esac
-    campaign $b "$@" --ckpt /tmp/ci_resume.ckpt --max-blocks 1 > /dev/null
-    test -f /tmp/ci_resume.ckpt
-    campaign $b "$@" --ckpt /tmp/ci_resume.ckpt --resume > /tmp/ci_resume.txt
-    test ! -f /tmp/ci_resume.ckpt
-    if [ $b = faultinj_campaign ]; then mv /tmp/ci_resume.txt /tmp/ci_resume.out; fi
-    cmp $want /tmp/ci_resume.out
+    campaign $b "$@" --ckpt "$tmp"/resume.ckpt --max-blocks 1 > /dev/null
+    test -f "$tmp"/resume.ckpt
+    campaign $b "$@" --ckpt "$tmp"/resume.ckpt --resume > "$tmp"/resume.txt
+    test ! -f "$tmp"/resume.ckpt
+    if [ $b = faultinj_campaign ]; then mv "$tmp"/resume.txt "$tmp"/resume.out; fi
+    cmp "$want" "$tmp"/resume.out
 done
 
 echo "== ci ok =="

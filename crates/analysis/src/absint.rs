@@ -18,8 +18,8 @@
 //!
 //! Neededness is a [`backward_solve`] instance; the value analysis keeps
 //! its own loop (widening and change sets) on the engine's [`DenseCfg`]
-//! and [`Worklist`]. Both charge their pops to `rtl::analysis`'s counter
-//! table, as `solver.value.iters` and `solver.needed.iters`.
+//! and [`Worklist`]. Both charge their pops to the one counter table
+//! ([`mem::obs`]), as `solver.value.iters` and `solver.needed.iters`.
 
 use std::collections::BTreeMap;
 
@@ -27,8 +27,8 @@ use rtl::absint::{eval_op_va, op_arg_needs, NeedEnv, Needs, VaEnv, VaVal};
 use rtl::ndce::{deletable, NeedFacts};
 use rtl::vprop::{rewrite_cond, rewrite_op, VaFacts};
 use rtl::{
-    after_states, backward_solve, count_pops, solver_pops, DenseCfg, Inst, JoinSemiLattice, Node,
-    PReg, Romem, RtlFunction, RtlProgram, Solver, Worklist,
+    after_states, backward_solve, DenseCfg, Inst, JoinSemiLattice, Node, PReg, Romem, RtlFunction,
+    RtlProgram, Solver, Worklist,
 };
 
 use crate::diag::Diagnostic;
@@ -42,14 +42,14 @@ const WIDEN_AFTER: u32 = 2;
 /// (`solver.value.iters`).
 #[must_use]
 pub fn value_solver_iterations() -> u64 {
-    solver_pops()[Solver::Value as usize]
+    mem::obs::counters().value_iters
 }
 
 /// Cumulative worklist pops of the neededness analysis on this thread
 /// (`solver.needed.iters`).
 #[must_use]
 pub fn needed_solver_iterations() -> u64 {
-    solver_pops()[Solver::Needed as usize]
+    mem::obs::counters().needed_iters
 }
 
 /// The one register `inst` writes and its abstract value afterwards (memory
@@ -207,7 +207,7 @@ pub fn value_facts(f: &RtlFunction, romem: &Romem) -> BTreeMap<Node, VaEnv> {
             }
         }
     }
-    count_pops(Solver::Value, pops);
+    mem::obs::bump(|c| c.value_iters += pops);
     g.undense(state)
 }
 

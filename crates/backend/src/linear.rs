@@ -425,13 +425,10 @@ impl Lts for LinearSem {
                                     ls: cur.ls.clone(),
                                     mem,
                                 };
-                                let out = q.clone();
+                                // A fuel cut leaves the copy to the next batch.
+                                let out = (n != fuel_left).then(|| q.clone());
                                 *s = LinState::External { q, cur, stack };
-                                return if n == fuel_left {
-                                    Batch::Ran(n)
-                                } else {
-                                    Batch::External(n, out)
-                                };
+                                return out.map_or(Batch::Ran(n), |q| Batch::External(n, q));
                             }
                             LinInst::Return => {
                                 if let Err(e) = mem.free(cur.sp, 0, f.stack_size) {

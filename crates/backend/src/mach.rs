@@ -523,13 +523,10 @@ impl Lts for MachSem {
                                     rs: cur.regs,
                                     mem,
                                 };
-                                let out = q.clone();
+                                // A fuel cut leaves the copy to the next batch.
+                                let out = (n != fuel_left).then(|| q.clone());
                                 *s = MachState::External { q, cur, stack };
-                                return if n == fuel_left {
-                                    Batch::Ran(n)
-                                } else {
-                                    Batch::External(n, out)
-                                };
+                                return out.map_or(Batch::Ran(n), |q| Batch::External(n, q));
                             }
                             MachInst::Return => {
                                 if let Err(e) = mem.free(cur.fp, 0, f.frame_size) {

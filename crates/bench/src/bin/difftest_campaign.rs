@@ -72,7 +72,6 @@ impl Campaign for Cli {
                 [--escape-seeds N] [--per-class N]",
         out: Some("DIFFTEST.json"),
         schema: "compcerto-difftest/1",
-        normalize: None,
         block: Some(16),
     };
 

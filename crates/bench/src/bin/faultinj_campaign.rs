@@ -40,7 +40,6 @@ impl Campaign for Cli {
         usage: "[--seed N] [--per-class N] [--fuel N]",
         out: None,
         schema: "",
-        normalize: None,
         block: Some(1),
     };
 

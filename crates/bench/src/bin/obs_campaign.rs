@@ -15,16 +15,15 @@
 //!    and set unions: the bag is byte-identical for every `--jobs` setting).
 //! 3. **Overhead probe** — the golden workloads are compiled in a loop with
 //!    metrics off and again with metrics on; the wall-clock ratio is
-//!    reported under `timings_ms` (volatile, stripped by the normalizer)
-//!    and optionally gated by `--max-overhead PCT` (with an absolute slack
-//!    so sub-millisecond noise cannot flake CI).
+//!    printed and optionally gated by `--max-overhead PCT` (with an
+//!    absolute slack so sub-millisecond noise cannot flake CI).
 //!
-//! `--check PATH` compares the freshly computed document against a
-//! committed baseline through [`compiler::normalize_metrics_json`] — i.e.
-//! after stripping the volatile `pool`/`timings_ms` sections — and exits 1
-//! on drift. Counters are gated; wall-clock never is. The flags, the
-//! `--check` preflight and the exit codes are the campaign kernel's
-//! ([`bench::campaign`]).
+//! The report holds the deterministic counters only. The volatile numbers
+//! (the golden compile's pass time, the probe and the pool's occupancy)
+//! go to stdout, so `--check PATH` compares the freshly computed document
+//! with a committed baseline byte for byte and exits 1 on drift. Counters
+//! are gated; wall-clock never is. The flags, the `--check` preflight and
+//! the exit codes are the campaign kernel's ([`bench::campaign`]).
 //!
 //! ```text
 //! cargo run --release -p bench --bin obs_campaign -- \
@@ -39,8 +38,8 @@ use std::time::Instant;
 use bench::campaign::{self, Args, Campaign, Echo, Spec};
 use compcerto_gen::Coverage;
 use compiler::{
-    compile_all, normalize_metrics_json, par_map, pool_stats, run_seed_obs, CompilerOptions,
-    Counters, DifftestCfg, Jobs, MetricsReport, SeedOutcome, OBS_SCHEMA, STAGES,
+    compile_all, par_map, pool_stats, run_seed_obs, CompilerOptions, Counters, DifftestCfg, Jobs,
+    MetricsReport, SeedOutcome, OBS_SCHEMA, STAGES,
 };
 
 /// The five golden workloads, embedded so the binary is cwd-independent.
@@ -89,7 +88,6 @@ impl Campaign for Cli {
         usage: "[--seeds N] [--reps N] [--max-overhead PCT]",
         out: Some("OBS.json"),
         schema: OBS_SCHEMA,
-        normalize: Some(normalize_metrics_json),
         block: None,
     };
 
@@ -168,20 +166,7 @@ fn difftest_phase(seeds: u64, jobs: Jobs) -> DifftestPhase {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cli: &Cli,
-    golden: &MetricsReport,
-    dt: &DifftestPhase,
-    off_ms: f64,
-    on_ms: f64,
-) -> String {
-    let overhead_pct = if off_ms > 0.0 {
-        (on_ms - off_ms) / off_ms * 100.0
-    } else {
-        0.0
-    };
-    let pool = pool_stats();
+fn render_json(cli: &Cli, golden: &MetricsReport, dt: &DifftestPhase) -> String {
     let mut j = String::new();
     j.push_str("{\n");
     j.push_str(&format!("  \"schema\": \"{OBS_SCHEMA}\",\n"));
@@ -240,26 +225,6 @@ fn render_json(
         dt.stages.len(),
         STAGES.len() - 1
     ));
-    j.push_str("  },\n");
-    j.push_str("  \"pool\": {\n");
-    j.push_str(&format!("    \"pools\": {},\n", pool.pools));
-    j.push_str(&format!("    \"items\": {},\n", pool.items));
-    j.push_str(&format!("    \"workers_max\": {},\n", pool.workers_max));
-    j.push_str(&format!(
-        "    \"busiest_worker_items\": {}\n",
-        pool.busiest_worker_items
-    ));
-    j.push_str("  },\n");
-    j.push_str("  \"timings_ms\": {\n");
-    j.push_str(&format!(
-        "    \"golden_compile\": {:.3},\n",
-        golden.total_ms
-    ));
-    j.push_str(&format!(
-        "    \"overhead_probe\": {{\"reps\": {}, \"metrics_off\": {off_ms:.3}, \
-         \"metrics_on\": {on_ms:.3}, \"overhead_pct\": {overhead_pct:.2}}}\n",
-        cli.reps
-    ));
     j.push_str("  }\n");
     j.push_str("}\n");
     j
@@ -275,9 +240,10 @@ fn main() -> ExitCode {
     // Phase 1 — golden compile metrics.
     let golden = golden_phase().unwrap_or_else(|e| bench::fail(e));
     println!(
-        "golden: {} units, {} counter keys",
+        "golden: {} units, {} counter keys, {:.3} ms in passes",
         golden.items,
-        golden.counters.0.len()
+        golden.counters.0.len(),
+        golden.total_ms
     );
 
     // Phase 2 — observed difftest sweep.
@@ -331,5 +297,10 @@ fn main() -> ExitCode {
             println!("overhead gate: within {max:.1}% (+{SLACK_MS} ms slack)");
         }
     }
-    k.finish(&render_json(&cli, &golden, &dt, off_ms, on_ms), failed)
+    let pool = pool_stats();
+    println!(
+        "pool: {} pools, {} items, {} workers at most, busiest worker {} items",
+        pool.pools, pool.items, pool.workers_max, pool.busiest_worker_items
+    );
+    k.finish(&render_json(&cli, &golden, &dt), failed)
 }

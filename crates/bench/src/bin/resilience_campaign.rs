@@ -61,7 +61,6 @@ impl Campaign for Cli {
         usage: "[--per-class N]",
         out: Some("RESIL.json"),
         schema: "compcerto-resil/1",
-        normalize: None,
         block: None,
     };
 

@@ -64,7 +64,6 @@ impl Campaign for Cli {
         usage: "[--seeds N] [--seed-base N] [--quick] [--fuel N] [--threads N] [--schedules M]",
         out: Some("SCHED.json"),
         schema: "compcerto-sched/1",
-        normalize: None,
         block: Some(16),
     };
 

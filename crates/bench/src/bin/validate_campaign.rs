@@ -122,7 +122,6 @@ impl Campaign for Cli {
         usage: "[--seed N] [--per-class N] [--fuel N]",
         out: None,
         schema: "",
-        normalize: None,
         block: None,
     };
 

@@ -22,8 +22,8 @@
 //!   `--max-blocks N` pauses after N blocks. No checkpoint is ever written
 //!   without `--ckpt`.
 //! * **Finish.** [`Kernel::finish`] writes `--out`, compares with the
-//!   `--check` baseline (byte equality, or equality after the campaign's
-//!   normalizer) or prints the report, then removes the checkpoint.
+//!   `--check` baseline byte for byte or prints the report, then removes
+//!   the checkpoint.
 //! * **Exit contract.** 0: clean, or paused at `--max-blocks`. 1:
 //!   findings, check drift, or a report or checkpoint that cannot be
 //!   written. 2: usage — bad flags, a preflight mismatch, an unreadable,
@@ -58,14 +58,9 @@ pub struct Spec {
     pub out: Option<&'static str>,
     /// The report's schema tag, which a `--check` baseline must carry.
     pub schema: &'static str,
-    /// What `--check` compares through, when not byte equality.
-    pub normalize: Option<Normalize>,
     /// Items per block (`--block`'s default) for a resumable campaign.
     pub block: Option<u64>,
 }
-
-/// A report normalizer: the bytes `--check` compares.
-pub type Normalize = fn(&str) -> Result<String, String>;
 
 /// One flag a report echoes: what a mismatch calls it, its dotted key path
 /// in the report, the flag, and its effective value as the report renders
@@ -141,7 +136,7 @@ pub struct Kernel {
     pub jobs: Jobs,
     out: Option<String>,
     check: Option<String>,
-    /// The `--check` baseline, normalized.
+    /// The `--check` baseline.
     baseline: Option<String>,
     block: u64,
     ckpt: Option<String>,
@@ -241,7 +236,7 @@ fn lookup(baseline: &Json, key: &str) -> String {
 }
 
 /// Load the `--check` baseline and compare its header with this
-/// invocation's. Returns the baseline, normalized.
+/// invocation's. Returns the baseline.
 fn preflight<C: Campaign>(path: &str, cfg: &C) -> Result<String, String> {
     let spec = C::SPEC;
     let raw = std::fs::read_to_string(path)
@@ -266,10 +261,7 @@ fn preflight<C: Campaign>(path: &str, cfg: &C) -> Result<String, String> {
             ));
         }
     }
-    match spec.normalize {
-        Some(normalize) => normalize(&raw).map_err(|e| format!("--check: baseline `{path}`: {e}")),
-        None => Ok(raw),
-    }
+    Ok(raw)
 }
 
 /// The command that regenerates `baseline` at `path`. A flag appears
@@ -445,22 +437,18 @@ impl Kernel {
     /// differing line pairs.
     fn compare(&self, want: &str, report: &str) -> bool {
         let path = self.check.as_deref().unwrap_or_default();
-        let got = match self.spec.normalize {
-            Some(normalize) => normalize(report).unwrap_or_else(|e| e),
-            None => report.to_string(),
-        };
-        if got == want {
+        if report == want {
             println!("check: report matches {path}");
             return true;
         }
         eprintln!(
             "error: regenerated report differs from baseline `{path}` ({} vs {} bytes)",
-            got.len(),
+            report.len(),
             want.len()
         );
         for (b, c) in want
             .lines()
-            .zip(got.lines())
+            .zip(report.lines())
             .filter(|(b, c)| b != c)
             .take(8)
         {
@@ -565,7 +553,6 @@ mod tests {
             usage: "[--n N] [--quick]",
             out: Some("TOY.json"),
             schema: "toy/1",
-            normalize: None,
             block: Some(2),
         };
 

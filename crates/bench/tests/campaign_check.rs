@@ -169,8 +169,6 @@ struct Contract {
     mismatches: &'static [(&'static str, Option<&'static str>)],
     /// A result member of the baseline and the value a tamper gives it.
     tamper: (&'static str, &'static str),
-    /// Compare regenerated reports after `normalize_metrics_json`.
-    normalized: bool,
 }
 
 const DIFFTEST: Contract = Contract {
@@ -197,7 +195,6 @@ const DIFFTEST: Contract = Contract {
         ("--per-class", Some("2")),
     ],
     tamper: ("\"agree\": 2", "\"agree\": 1"),
-    normalized: false,
 };
 
 const SCHED: Contract = Contract {
@@ -224,7 +221,6 @@ const SCHED: Contract = Contract {
         ("--schedules", Some("3")),
     ],
     tamper: ("\"agree\": 2", "\"agree\": 1"),
-    normalized: false,
 };
 
 const RESILIENCE: Contract = Contract {
@@ -232,7 +228,6 @@ const RESILIENCE: Contract = Contract {
     base: &["--per-class", "2"],
     mismatches: &[("--per-class", Some("3"))],
     tamper: ("\"injections\": 8", "\"injections\": 9"),
-    normalized: false,
 };
 
 const OBS: Contract = Contract {
@@ -240,7 +235,6 @@ const OBS: Contract = Contract {
     base: &["--seeds", "3", "--reps", "1"],
     mismatches: &[("--seeds", Some("4"))],
     tamper: ("\"agree\": 3", "\"agree\": 2"),
-    normalized: true,
 };
 
 /// Generate `c`'s baseline in a fresh directory; returns the directory
@@ -316,12 +310,7 @@ fn regeneration_reproduces_the_baseline(c: &Contract, tag: &str) {
     );
     let read = |p: &str| std::fs::read_to_string(p).expect("read report");
     let (want, got) = (read(&base), read(&regen));
-    if c.normalized {
-        let norm = |s: &str| compiler::normalize_metrics_json(s).expect("normalizes");
-        assert_eq!(norm(&want), norm(&got), "{args:?}");
-    } else {
-        assert!(want == got, "{args:?} regenerated a different report");
-    }
+    assert!(want == got, "{args:?} regenerated a different report");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -1166,19 +1166,17 @@ pub(crate) fn step_batch(sem: &ClightSem, s: &mut State, fuel_left: u64) -> Batc
                                 vf: *vf,
                                 sig: sig.clone(),
                                 args: vals,
-                                mem: mem.clone(),
+                                mem,
                             };
+                            // A fuel cut leaves the copy to the next batch.
+                            let out = (n != fuel_left).then(|| q.clone());
                             *s = State::External {
-                                q: q.clone(),
+                                q,
                                 dest: dest.clone(),
                                 frame,
                                 kont,
                             };
-                            return if n == fuel_left {
-                                Batch::Ran(n)
-                            } else {
-                                Batch::External(n, q)
-                            };
+                            return out.map_or(Batch::Ran(n), |q| Batch::External(n, q));
                         }
                         PStmt::CallTrap { args, msg } => {
                             for &a in args.iter() {

@@ -50,8 +50,7 @@ pub use harness::{
     check_thm38_budgeted, default_budget, try_c_query,
 };
 pub use obs::{
-    intern_counter_key, ir_counters, normalize_metrics_json, Counters, MetricsReport, ObsSnapshot,
-    UnitMetrics, DELTA_COUNTER_KEYS, OBS_SCHEMA,
+    intern_counter_key, ir_counters, Counters, MetricsReport, ObsSnapshot, UnitMetrics, OBS_SCHEMA,
 };
 pub use par::{available_parallelism, par_map, pool_stats, Jobs, PoolStats};
 pub use registry::{pass_registry, PassInfo};

@@ -83,10 +83,9 @@ static POOL_BUSIEST: AtomicU64 = AtomicU64::new(0);
 /// Cumulative process-wide pool statistics.
 ///
 /// These are *scheduling* observations — `busiest_worker_items` depends on
-/// which worker won the atomic-index race — so the metrics reports place
-/// them in the volatile `pool` section that
-/// [`crate::obs::normalize_metrics_json`] strips before any byte
-/// comparison. They are reported for humans, never gated.
+/// which worker won the atomic-index race — so they are reported for
+/// humans (the volatile `pool` section of `ccomp-o --metrics-json`,
+/// `obs_campaign`'s stdout) and never enter a committed baseline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolStats {
     /// Pooled map invocations ([`par_map`], claim-ordered ones included).

@@ -50,9 +50,9 @@ use crate::par::{par_map, Jobs};
 /// [`gen_queries`]).
 pub const SCHED_AUX_SALT: u64 = 0x5448_5245_4144_5321; // "THREADS!"
 
-/// Counter keys the schedule oracle emits on top of the standard
-/// [`crate::obs::DELTA_COUNTER_KEYS`] — the `sched_campaign` checkpoint
-/// reader interns through both tables.
+/// Counter keys the schedule oracle emits on top of the counter table's
+/// ([`mem::obs::KEYS`]) — the `sched_campaign` checkpoint reader interns
+/// through both lists.
 pub const SCHED_COUNTER_KEYS: [&str; 4] = [
     "lts.sched.agreed",
     "lts.sched.schedules",

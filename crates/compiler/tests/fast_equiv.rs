@@ -125,7 +125,7 @@ fn one_step_chunks_match_whole_fuel_chunks_on_seed_block() {
             );
             assert_eq!(
                 ds, dw,
-                "seed {seed} args {args:?}: lts.* counters diverged between chunk sizes"
+                "seed {seed} args {args:?}: counters diverged between chunk sizes"
             );
 
             h = fnv1a(h, &(qi as u64).to_le_bytes());

@@ -26,7 +26,7 @@ use std::time::Duration;
 use compcerto_core::hcomp::HComp;
 use compcerto_core::iface::{Answer, CQuery, Question, Void};
 use compcerto_core::lts::{run_budgeted, Env, Lts, RunBudget, RunOutcome};
-use compcerto_core::obs::{self, LtsCounters};
+use compcerto_core::obs;
 use compiler::{
     c_query, compile_all, run_stage, Closed, CompilerOptions, ExtLib, Obs, StageOutcome,
     StagePrograms, STAGES,
@@ -216,13 +216,13 @@ const CALLER: &str = "
 const CALLEE: &str = "int addk(int y) { return y + 3; }";
 
 /// What one budgeted run observes — its outcome (a ring trace aside) — and
-/// the `lts.*` counters it moved.
+/// the counters it moved, the `lts.*` ones among them.
 fn observe<L: Lts>(
     lts: &L,
     q: &Question<L::I>,
     env: &mut Env<'_, Question<L::O>, Answer<L::O>>,
     budget: &RunBudget,
-) -> (String, LtsCounters) {
+) -> (String, mem::obs::CounterTable) {
     let before = obs::counters();
     let seen = match run_budgeted(lts, q, env, budget) {
         RunOutcome::Complete {

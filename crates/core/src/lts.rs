@@ -761,10 +761,10 @@ pub(crate) struct RunStats {
 /// violation is reported as an outcome — this function never panics on
 /// behalf of the component.
 ///
-/// Observability (DESIGN.md §10): every run bumps the thread-local
-/// [`crate::obs::LtsCounters`] — `runs`, `steps`, `external_calls`,
-/// `events`, and exactly one terminal-outcome counter — at a *single*
-/// bookkeeping point after the step loop returns. Under
+/// Observability (DESIGN.md §10): every run bumps the `lts.*` fields of
+/// the thread-local [`mem::obs::CounterTable`] — `runs`, `steps`,
+/// `external_calls`, `events`, and exactly one terminal-outcome counter —
+/// at a *single* bookkeeping point after the step loop returns. Under
 /// [`TraceMode::Json`] the runner also appends `compcerto-obs/1` JSON-lines
 /// events to the thread-local sink (`run-start` before the loop,
 /// `step`/`external` inside it, and exactly one `terminal` line at the same

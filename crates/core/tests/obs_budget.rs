@@ -95,11 +95,7 @@ fn refuse(_q: &CQuery) -> Option<CReply> {
 fn observed_run(
     limit: u64,
     budget: RunBudget,
-) -> (
-    RunOutcome<CReply>,
-    compcerto_core::obs::LtsCounters,
-    Vec<String>,
-) {
+) -> (RunOutcome<CReply>, mem::obs::CounterTable, Vec<String>) {
     let _ = obs::take_trace(); // isolate from earlier tests on this thread
     let before = obs::counters();
     let out = run_budgeted(

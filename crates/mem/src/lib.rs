@@ -49,6 +49,5 @@ pub use inject::{mem_inject, memval_inject, val_inject, val_list_inject, InjectE
 pub use injp::{InjpViolation, InjpWorld};
 pub use mem::{BlockId, Mem};
 pub use memval::MemVal;
-pub use obs::MemCounters;
 pub use perm::Perm;
 pub use value::{Cmp, Typ, Val};

@@ -1,8 +1,8 @@
 //! The workspace's one fixpoint engine and graph toolkit (DESIGN.md §7,
 //! §8): the CFG traversals, the dense graph the solvers run on, the
-//! forward and backward worklist solvers, the table of `solver.*` pop
-//! counters, and the two analyses the trusted passes run on the solvers,
-//! liveness and the constant value analysis (paper App. B.3).
+//! forward and backward worklist solvers, which charge their pops to the
+//! `solver.*` counters, and the two analyses the trusted passes run on the
+//! solvers, liveness and the constant value analysis (paper App. B.3).
 //!
 //! Every solve builds one [`DenseCfg`] in one pass over `f.code`: the
 //! nodes numbered in reverse postorder, each with its instruction and its
@@ -12,12 +12,11 @@
 //! live-out sets to Deadcode and Allocation as [`BitSet`]s.
 //!
 //! `compcerto-validate` runs neededness and the maybe-uninit lint on the
-//! same solvers, and the interval value analysis on the same graph,
-//! worklist and counters; `backend` lays out LTL with the same preorder.
+//! same solvers, and the interval value analysis on the same graph and
+//! worklist; `backend` lays out LTL with the same preorder.
 //! The engine lives here because the passes that use it sit below
 //! `compcerto-validate` in the crate graph.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -35,66 +34,33 @@ use crate::lang::{Inst, Node, RtlFunction, RtlOp, Succs};
 // Solver counters
 // ---------------------------------------------------------------------------
 
-/// The `solver.*` counter a solver run charges its pops to. Each worklist
-/// pop ticks exactly one counter, the one its caller names.
+/// The `solver.*` counter of [`mem::obs`] a solver run charges its pops
+/// to. Each worklist pop ticks exactly one counter, the one its caller
+/// names. The pops are deterministic: the worklists pop in exact RPO /
+/// postorder, so for a fixed function each counter's delta is
+/// byte-reproducible and independent of `--jobs` (each function is solved
+/// entirely on one worker thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
-    /// `solver.rtl_iterations`: [`liveness`] and [`value_analysis`], for
-    /// the Constprop, Deadcode and Allocation passes, and the allocation
-    /// validator's liveness (so a validated compile ticks it too).
+    /// [`liveness`] and [`value_analysis`]:
+    /// [`mem::obs::CounterTable::rtl_iterations`].
     Rtl,
-    /// `solver.validate_iterations`: the maybe-uninit analysis of
-    /// `lint_rtl`, and nothing else.
+    /// `lint_rtl`'s maybe-uninit analysis:
+    /// [`mem::obs::CounterTable::validate_iterations`].
     Validate,
-    /// `solver.value.iters`: the interval value analysis
-    /// (`compcerto_validate::value_facts`), for Vprop and
-    /// `validate_constprop`.
-    Value,
-    /// `solver.needed.iters`: neededness (`compcerto_validate::neededness`),
-    /// for Ndce and `validate_deadcode`.
+    /// Neededness: [`mem::obs::CounterTable::needed_iters`].
     Needed,
 }
 
-/// The counter key of each [`Solver`], in declaration order: the order of
-/// [`solver_pops`] and [`absorb_solver_pops`].
-pub const SOLVER_COUNTERS: [&str; 4] = [
-    "solver.rtl_iterations",
-    "solver.validate_iterations",
-    "solver.value.iters",
-    "solver.needed.iters",
-];
-
-thread_local! {
-    static SOLVER_POPS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
-}
-
-/// Cumulative worklist pops on *this thread*, one entry per [`Solver`] in
-/// [`SOLVER_COUNTERS`] order.
-///
-/// Deterministic effort counters for the observability layer (DESIGN.md
-/// §10): the worklists pop in exact RPO / postorder, so for a fixed
-/// function the pop sequence, and hence each counter's delta, is
-/// byte-reproducible and independent of `--jobs` (each function is solved
-/// entirely on one worker thread). Diff two reads to attribute pops to a
-/// region of code.
-#[must_use]
-pub fn solver_pops() -> [u64; 4] {
-    SOLVER_POPS.with(Cell::get)
-}
-
-/// Add pops counted on another thread to this thread's counters.
-pub fn absorb_solver_pops(pops: [u64; 4]) {
-    SOLVER_POPS.with(|c| {
-        let now = c.get();
-        c.set(std::array::from_fn(|i| now[i] + pops[i]));
-    });
-}
-
 /// Charge `n` pops to `solver` on this thread.
-pub fn count_pops(solver: Solver, n: u64) {
-    let mut pops = [0; 4];
-    pops[solver as usize] = n;
-    absorb_solver_pops(pops);
+fn count_pops(solver: Solver, n: u64) {
+    mem::obs::bump(|c| {
+        *match solver {
+            Solver::Rtl => &mut c.rtl_iterations,
+            Solver::Validate => &mut c.validate_iterations,
+            Solver::Needed => &mut c.needed_iters,
+        } += n;
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,22 +994,29 @@ mod tests {
     #[test]
     fn each_pop_ticks_the_named_counter_only() {
         let f = diamond();
-        let before = solver_pops();
+        let before = mem::obs::counters();
         let live = liveness(&f);
-        let mid = solver_pops();
+        let mid = mem::obs::counters();
         backward_solve(
             &DenseCfg::new(&f),
             Solver::Needed,
             BitSet::new(),
             |_, _, out: &BitSet| out.clone(),
         );
-        let after = solver_pops();
+        let after = mem::obs::counters();
         // Five nodes, each popped once, plus node 9 again: it has the
         // largest dense index, so it pops before its successor 3 is solved.
-        assert_eq!(mid[0] - before[0], 6);
-        assert_eq!(mid[1..], before[1..]);
-        assert_eq!(after[3] - mid[3], 6);
-        assert_eq!(after[..3], mid[..3]);
+        let none = mem::obs::CounterTable::default();
+        let rtl = mem::obs::CounterTable {
+            rtl_iterations: 6,
+            ..none
+        };
+        assert_eq!(mid.since(&before), rtl);
+        let needed = mem::obs::CounterTable {
+            needed_iters: 6,
+            ..none
+        };
+        assert_eq!(after.since(&mid), needed);
         // The unreachable node is solved too, and its after-state is the
         // join of its successor's before-state.
         assert_eq!(live[&9], bits([2]));

@@ -465,18 +465,12 @@ pub(crate) fn step_batch(sem: &RtlSem, s: &mut RtlState, fuel_left: u64) -> Batc
                                         vf: *vf,
                                         sig: sig.clone(),
                                         args: vals,
-                                        mem: mem.clone(),
+                                        mem,
                                     };
-                                    *s = RtlState::External {
-                                        q: q.clone(),
-                                        cur,
-                                        stack,
-                                    };
-                                    return if n == fuel_left {
-                                        Batch::Ran(n)
-                                    } else {
-                                        Batch::External(n, q)
-                                    };
+                                    // A fuel cut leaves the copy to the next batch.
+                                    let out = (n != fuel_left).then(|| q.clone());
+                                    *s = RtlState::External { q, cur, stack };
+                                    return out.map_or(Batch::Ran(n), |q| Batch::External(n, q));
                                 }
                                 PCallee::Unknown(msg) => {
                                     return Batch::Stuck(n, stuck_l(msg.to_string()));
@@ -505,21 +499,15 @@ pub(crate) fn step_batch(sem: &RtlSem, s: &mut RtlState, fuel_left: u64) -> Batc
                                         vf: *vf,
                                         sig: sig.clone(),
                                         args: vals,
-                                        mem: mem.clone(),
+                                        mem,
                                     };
+                                    // A fuel cut leaves the copy to the next batch.
+                                    let out = (n != fuel_left).then(|| q.clone());
                                     // The frame is gone: the answer is
                                     // forwarded to the caller.
                                     cur.ix = TAILCALL_IX;
-                                    *s = RtlState::External {
-                                        q: q.clone(),
-                                        cur,
-                                        stack,
-                                    };
-                                    return if n == fuel_left {
-                                        Batch::Ran(n)
-                                    } else {
-                                        Batch::External(n, q)
-                                    };
+                                    *s = RtlState::External { q, cur, stack };
+                                    return out.map_or(Batch::Ran(n), |q| Batch::External(n, q));
                                 }
                                 PCallee::Unknown(msg) => {
                                     return Batch::Stuck(n, stuck_l(msg.to_string()));

@@ -50,9 +50,8 @@ pub use absint::{
     Needs, VaEnv, VaVal,
 };
 pub use analysis::{
-    absorb_solver_pops, after_states, backward_solve, count_pops, forward_solve, liveness,
-    predecessors, preorder, reachable, solver_pops, successors_of, value_analysis, AEnv, AVal,
-    DenseCfg, JoinSemiLattice, Romem, Solver, Worklist, SOLVER_COUNTERS,
+    after_states, backward_solve, forward_solve, liveness, predecessors, preorder, reachable,
+    successors_of, value_analysis, AEnv, AVal, DenseCfg, JoinSemiLattice, Romem, Solver, Worklist,
 };
 pub use bitset::BitSet;
 pub use constprop::constprop;

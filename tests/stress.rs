@@ -48,18 +48,21 @@ fn thm38_stress_sweep() {
 /// Deep mutual recursion through ⊕ (two Clight units, 20,000 levels). It
 /// does not finish: the run is quadratic in the depth, or worse.
 ///
-/// Each cross-component call copies the memory three times: Clight builds
-/// its question with `mem.clone()` and keeps a `q.clone()` in its
-/// `External` state, and ⊕ starts the callee through `initial`, which
-/// clones `q.mem`. A copy costs one slot per block ever allocated
-/// (`Mem::blocks` keeps the slots of freed blocks), so the call at level `d`
-/// copies about `3d` slots. Measured on 2 cores with a counting `Clone` on
-/// `Mem`, under `RunBudget::no_trace()`, at depths 200, 400, 800, 1,600 and
-/// 3,200: 1.3, 4.7, 18, 70 and 279 ms; 601, 1,201, 2,401, 4,801 and 9,601
-/// `Mem` clones; 0.12, 0.48, 1.93, 7.69 and 30.7 M slots copied (about
-/// 3d²). Under the default ring trace that `run` uses, every step also
+/// Each cross-component call copies the memory twice: Clight moves its
+/// memory into its question, keeps that question in its `External` state
+/// and hands ⊕ a `q.clone()`, and ⊕ starts the callee through `initial`,
+/// which clones `q.mem`. A copy costs one slot per block ever allocated
+/// (`Mem::blocks` keeps the slots of freed blocks), so the call at level
+/// `d` copies about `2d` slots. Measured on a shared 2-core host with a
+/// counting `Clone` on `Mem`, under `RunBudget::no_trace()`, at depths
+/// 200, 400, 800, 1,600 and 3,200 (best of five runs, median of three
+/// rounds): 1.9, 7.0, 23, 86 and 329 ms; 401, 801, 1,601, 3,201 and 6,401
+/// `Mem` clones; 0.081, 0.32, 1.29, 5.13 and 20.5 M slots copied (about
+/// 2d²). Under the default ring trace that `run` uses, every step also
 /// clones the ⊕ stack, whose suspended frames each hold such a question,
-/// so the time grows about 8× per doubling (1.9 s at depth 400).
+/// so the time grows about 8× per doubling (0.48 s at depth 200 and 4.0 s
+/// at depth 400 on the same host, with 805,207 `Mem` clones at depth
+/// 400).
 #[test]
 #[ignore = "long-running stress sweep; run with --ignored"]
 fn hcomp_deep_recursion_stress() {
